@@ -1,8 +1,10 @@
 """Timing comparison of the numba and pure-numpy harmonic kernels.
 
-The basis build dominates synthesis, projection and rotation resampling, so
-it is the quantity benchmarked here, together with an end-to-end rotation
-(resample + re-project) through each backend.
+The basis build dominates synthesis and projection, so it is the quantity
+benchmarked here.  Rotation is timed as two labelled cases: the coefficient
+route (``rotate_coeffs``, per-degree Wigner blocks, no basis build) and the
+resampling cross-check route (``analyze(rotate_values(...))``, a basis build
+at the rotated nodes on the default backend).
 
 Run:
     python benchmarks/bench_harmonics.py
@@ -48,17 +50,20 @@ def main():
         else:
             print(f"{n:>8} {lmax:>5} {t_np*1e3:>10.2f}ms {'n/a':>12} {'':>8}")
 
-    # end-to-end rotation through the public API on both paths
     from rp2quant.groups import su2_from_axis_angle
-    from rp2quant.harmonics import random_coeffs, rotate_coeffs
+    from rp2quant.harmonics import analyze, random_coeffs, rotate_coeffs, rotate_values
     from rp2quant.manifold import build_quadrature
 
-    grid = build_quadrature(16)
-    a = random_coeffs(16, "full", rng)
-    g = su2_from_axis_angle(0.7, (0.0, 0.0, 1.0))
-    t = best_of(lambda: rotate_coeffs(g, a, grid))
-    backend = "numba" if HAVE_NUMBA else "numpy"
-    print(f"\nrotate_coeffs at lmax 16 ({backend} default path): {t*1e3:.2f} ms")
+    g = su2_from_axis_angle(0.7, np.array([0.6, 0.0, 0.8]))
+    print("\nrotation: rotate_coeffs (coefficients) vs analyze(rotate_values) (resampling)")
+    print(f"{'lmax':>5} {'coefficients':>14} {'resampling':>12}")
+    for lmax in (8, 16, 32):
+        grid = build_quadrature(lmax)
+        grid.basis(lmax)                        # cached projection basis, as in use
+        a = random_coeffs(lmax, "full", rng)
+        t_coef = best_of(rotate_coeffs, g, a, grid)
+        t_res = best_of(lambda: analyze(rotate_values(g, a, grid.nodes), lmax, grid))
+        print(f"{lmax:>5} {t_coef*1e3:>12.2f}ms {t_res*1e3:>10.2f}ms")
 
 
 if __name__ == "__main__":

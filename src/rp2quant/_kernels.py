@@ -2,9 +2,11 @@
 
 The single performance-critical loop in this package is evaluation of the
 complex spherical-harmonic basis Y_lm (Condon-Shortley phase) at arbitrary
-unit vectors: every synthesis, projection and rotation resample reduces to a
-basis-matrix build followed by a matmul.  The basis build is implemented
-twice with identical recurrences:
+unit vectors: synthesis and projection reduce to a basis-matrix build
+followed by a matmul.  Rotations act on coefficients
+(``harmonics.rotate_stack``) and build no basis; only the resampling
+cross-check route (``harmonics.rotate_values``) builds one at rotated nodes.
+The basis build is implemented twice with identical recurrences:
 
 * ``ylm_basis_numba``  -- @njit(parallel) kernel, one grid point per lane
 * ``ylm_basis_numpy``  -- vectorized numpy, loops over (l, m) only

@@ -30,7 +30,7 @@ from .harmonics import (
     HarmonicCoeffs,
     angular_momentum_matrices,
     apply_L,
-    rotate_coeffs,
+    rotate_stack,
     wigner_d,
 )
 from .manifold import QuadratureGrid
@@ -174,20 +174,14 @@ class SpinorField:
 def fixed_basis_lift(
     g: SU2Element, field: SpinorField, grid: QuadratureGrid
 ) -> SpinorField:
-    """Untransported lift: rotate the base, mix components by constant D^j(g)."""
-    d = wigner_d(field.j, g)
-    rotated = [
-        np.asarray(rotate_coeffs(g, c, grid).c) for c in field.components
-    ]
-    comps = tuple(
-        HarmonicCoeffs(
-            field.components[0].lmax,
-            "full",
-            sum(d[mu, nu] * rotated[nu] for nu in range(len(rotated))),
-        )
-        for mu in range(len(rotated))
-    )
-    return SpinorField(field.j, comps)
+    """Untransported lift: rotate the base, mix components by constant D^j(g).
+
+    All components rotate in one ``rotate_stack`` call on coefficients, so
+    ``grid`` is not used.
+    """
+    mixed = wigner_d(field.j, g) @ rotate_stack(g, field.stack())
+    lmax = field.components[0].lmax
+    return SpinorField(field.j, tuple(HarmonicCoeffs(lmax, "full", c) for c in mixed))
 
 
 def total_generator_fd(

@@ -402,13 +402,17 @@ def _ladder_algebra(rng, cfg):
 
 @register("harmonics", "rotation-wigner-cross-check", "wigner-matrix-blocks", 1e-9)
 def _rot_wigner(rng, cfg):
+    # the coefficient route against resampling on every degree, and against
+    # the symmetrized-power Wigner matrices where those exist (l ≤ 4)
     grid = _grid(cfg.lmax)
     worst = 0.0
     for _ in range(10):
         g = random_su2(rng)
         a = random_coeffs(cfg.lmax, "full", rng)
         rot = rotate_coeffs(g, a, grid)
-        for l in (1, 2):
+        resampled = analyze(rotate_values(g, a, grid.nodes), cfg.lmax, grid)
+        worst = max(worst, float(np.max(np.abs(rot.c - resampled.c))))
+        for l in range(1, min(cfg.lmax, 4) + 1):
             d = wigner_d(l, g)
             want = d @ a.block(l)[::-1]      # blocks are m = -l..l, D rows m = +l..-l
             worst = max(worst, float(np.max(np.abs(rot.block(l)[::-1] - want))))

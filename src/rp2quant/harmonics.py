@@ -10,11 +10,17 @@ enforcing the split.
 Angular momentum acts exactly in this basis:
     L₃ c[l, m] = m c[l, m],
     L± c[l, m] = sqrt(l(l+1) - m(m∓1)) c[l, m∓1]   (as coefficient maps),
-and finite rotations are applied by resampling at rotated nodes followed by
-re-projection.  Wigner D matrices built from the defining 2×2 representation
-by symmetrized tensor powers provide an independent route for cross-checks.
+and finite rotations act on coefficients: ``rotate_stack`` multiplies each
+degree-l block by D^l(g) = e^{-iαL₃} e^{-iβL₂} e^{-iγL₃}, with e^{-iβL₂}
+taken from a cached eigendecomposition of the L₂ ladder matrix.  Blocks never
+mix, so rotations preserve parity sectors exactly and need no quadrature.
+Two independent routes are kept for cross-checks: resampling at rotated
+nodes followed by re-projection (``rotate_values`` + ``analyze``), and Wigner
+D matrices built from the defining 2×2 representation by symmetrized tensor
+powers (``wigner_d``).
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -26,7 +32,6 @@ from .manifold import QuadratureGrid
 
 SECTORS = ("even", "odd", "full")
 SECTOR_PURITY_TOL = 1e-14
-ROTATION_LEAKAGE_TOL = 1e-10
 
 
 def coeff_index(l: int, m: int) -> int:
@@ -160,6 +165,15 @@ def project_sector(a: HarmonicCoeffs, sector: str) -> HarmonicCoeffs:
     return even if sector == "even" else odd
 
 
+def _ladder(l: int) -> np.ndarray:
+    """sqrt(l(l+1) - m(m+1)) for m = -l ... l-1: the L₊ entry from m to m+1.
+
+    L₋ has the same entries from m+1 to m, so one array serves both ladders.
+    """
+    m = np.arange(-l, l)
+    return np.sqrt(l * (l + 1.0) - m * (m + 1.0))
+
+
 def apply_L(i: int, a: HarmonicCoeffs) -> HarmonicCoeffs:
     """Exact orbital angular momentum L_i on the coefficient table.
 
@@ -180,39 +194,84 @@ def apply_L(i: int, a: HarmonicCoeffs) -> HarmonicCoeffs:
         up = np.zeros_like(block)      # L₊: Y_lm -> sqrt(l(l+1)-m(m+1)) Y_{l,m+1}
         down = np.zeros_like(block)    # L₋: Y_lm -> sqrt(l(l+1)-m(m-1)) Y_{l,m-1}
         if l > 0:
-            src = m[:-1]
-            up[1:] = np.sqrt(l * (l + 1.0) - src * (src + 1.0)) * block[:-1]
-            src = m[1:]
-            down[:-1] = np.sqrt(l * (l + 1.0) - src * (src - 1.0)) * block[1:]
+            ladder = _ladder(l)
+            up[1:] = ladder * block[:-1]
+            down[:-1] = ladder * block[1:]
         out[sl] = 0.5 * (up + down) if i == 1 else -0.5j * (up - down)
     return HarmonicCoeffs(a.lmax, a.sector, out)
 
 
 def rotate_values(g: SU2Element, a: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
-    """Values of x ↦ a(Spin(g)⁻¹ x) at the given points."""
+    """Values of x ↦ a(Spin(g)⁻¹ x) at the given points.
+
+    With ``analyze`` this is the resampling route, kept as the independent
+    cross-check of ``rotate_stack``.
+    """
     r_inv = spinor_map(g).T
     return ylm_basis(points @ r_inv.T, a.lmax) @ a.c
+
+
+_L2_EIGVECS: dict[int, np.ndarray] = {}
+
+
+def _l2_eigvecs(l: int) -> np.ndarray:
+    """Unitary V with L₂ = V diag(-l ... l) V† on the degree-l block (read-only).
+
+    L₂ = (L₊ - L₋)/(2i) is built from the same ladder entries as ``apply_L``.
+    Its spectrum is exactly the integers -l ... l, which ``eigh`` returns in
+    ascending order, so only the eigenvectors are kept.
+    """
+    if l not in _L2_EIGVECS:
+        up = np.diag(_ladder(l), -1)              # L₊ as a matrix on m = -l ... l
+        _, v = np.linalg.eigh(-0.5j * (up - up.T))
+        v.flags.writeable = False
+        _L2_EIGVECS[l] = v
+    return _L2_EIGVECS[l]
+
+
+def rotate_stack(g: SU2Element, c: np.ndarray) -> np.ndarray:
+    """Coefficients of x ↦ a(Spin(g)⁻¹ x) for each table a in a stack.
+
+    ``c`` has shape (..., (lmax+1)²).  Each degree-l block is multiplied by
+
+        D^l(g) = e^{-iαL₃} V_l e^{-iβΛ_l} V_l† e^{-iγL₃},   Λ_l = diag(-l ... l),
+
+    factor by factor, where V_l diagonalizes L₂ and the Euler angles come
+    from g = (z0, z1): β = 2·atan2(|z1|, |z0|), α+γ = -2·arg z0 and
+    α-γ = 2·arg(-z1).  Every row goes through the same matrix-vector
+    products, so a stack gives bit for bit the rows of its single tables.
+    """
+    c = np.asarray(c, dtype=np.complex128)
+    lmax = math.isqrt(c.shape[-1]) - 1
+    if num_coeffs(lmax) != c.shape[-1]:
+        raise ValueError("last axis must hold (lmax+1)² coefficients")
+    beta = 2.0 * math.atan2(abs(g.z1), abs(g.z0))
+    half_sum, half_diff = -cmath.phase(g.z0), cmath.phase(-g.z1)
+    m = np.arange(-lmax, lmax + 1)
+    phase_alpha = np.exp(-1j * (half_sum + half_diff) * m)
+    phase_beta = np.exp(-1j * beta * m)
+    phase_gamma = np.exp(-1j * (half_sum - half_diff) * m)
+    out = np.empty_like(c)
+    for l in range(lmax + 1):
+        v = _l2_eigvecs(l)
+        ms = slice(lmax - l, lmax + l + 1)
+        # a (..., 1, 2l+1) row stack keeps every product a matrix-vector one
+        rows = c[..., None, l * l : (l + 1) * (l + 1)] * phase_gamma[ms]
+        rows = ((rows @ v.conj()) * phase_beta[ms]) @ v.T
+        out[..., l * l : (l + 1) * (l + 1)] = rows[..., 0, :] * phase_alpha[ms]
+    return out
 
 
 def rotate_coeffs(
     g: SU2Element, a: HarmonicCoeffs, grid: QuadratureGrid
 ) -> HarmonicCoeffs:
-    """Coefficients of x ↦ a(Spin(g)⁻¹ x), by resampling + re-projection.
+    """Coefficients of x ↦ a(Spin(g)⁻¹ x), on coefficients via ``rotate_stack``.
 
-    Rotations commute with the antipodal map, so the parity sector is
-    preserved up to quadrature noise; the residue in the opposite sector is
-    checked against 1e-10 and projected out before retagging.
+    Degree blocks do not mix, so the sector is preserved exactly.  ``grid``
+    is not used by this route; resampling on it (``rotate_values`` +
+    ``analyze``) is the independent cross-check.
     """
-    raw = analyze(rotate_values(g, a, grid.nodes), a.lmax, grid)
-    if a.sector == "full":
-        return raw
-    even, odd = parity_decompose(raw)
-    kept, dropped = (even, odd) if a.sector == "even" else (odd, even)
-    leak = dropped.norm()
-    scale = max(a.norm(), 1.0)
-    if leak > ROTATION_LEAKAGE_TOL * scale:
-        raise ValueError(f"parity leakage {leak:.3e} exceeds tolerance")
-    return HarmonicCoeffs(a.lmax, a.sector, kept.c)
+    return HarmonicCoeffs(a.lmax, a.sector, rotate_stack(g, a.c))
 
 
 def save_coeffs(a: HarmonicCoeffs, path) -> None:

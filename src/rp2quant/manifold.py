@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import PointNotInChart
 from ._kernels import ylm_basis
-from .groups import RP2Point, unit_vector
+from .groups import UNIT_TOL, RP2Point, unit_vector
 
 CHART_TOL = 1e-9
 
@@ -84,8 +84,20 @@ class WFunctional:
     def __post_init__(self):
         object.__setattr__(self, "c", check_symmetric_traceless(self.c))
 
-    def __call__(self, x) -> float:
-        return float(np.trace(self.c @ moment_embedding(x)) + self.c0)
+    def __call__(self, x) -> float | np.ndarray:
+        """w at one unit vector, or one value per row of an (n, 3) array.
+
+        tr(c·M(x)) = xᵀc x - tr(c)/3 with M(x) = x xᵀ - Id/3; each row must
+        be unit to ``unit_vector``'s tolerance and is normalized.
+        """
+        pts = np.atleast_2d(np.asarray(x, dtype=float))
+        norms = np.linalg.norm(pts, axis=1)
+        if np.any(np.abs(norms - 1.0) > UNIT_TOL):
+            raise ValueError(f"point norms depart from 1 beyond {UNIT_TOL}")
+        pts = pts / norms[:, None]
+        vals = np.einsum("ni,ij,nj->n", pts, self.c, pts)
+        vals += self.c0 - np.trace(self.c) / 3.0
+        return float(vals[0]) if np.ndim(x) == 1 else vals
 
     def pushforward(self, r: np.ndarray) -> "WFunctional":
         """The functional M ↦ w(Rᵀ·M·R), i.e. w composed with the inverse action."""

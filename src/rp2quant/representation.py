@@ -30,15 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import ylm_basis
 from .errors import RadialRangeError
 from .groups import SU2Element, spinor_map, su2_from_axis_angle
 from .harmonics import (
     HarmonicCoeffs,
     apply_L,
-    num_coeffs,
     project_sector,
     rotate_coeffs,
+    rotate_stack,
 )
 from .manifold import QuadratureGrid, WFunctional
 from .bundles import module_iso_forward
@@ -180,8 +179,9 @@ def act_canonical(
 ) -> FullSection:
     """(𝒰(w, g, λ)Ψ)([x], r) = λ^{3/2} e^{-i r w([x])} Ψ([g⁻¹x], λr).
 
-    Dilation via exact spectral shift on the log-radial axis, rotation via
-    resampling, phase as pointwise multiplication followed by re-projection.
+    Dilation via exact spectral shift on the log-radial axis, rotation of the
+    whole radial stack on coefficients (``rotate_stack``), phase as pointwise
+    multiplication on the quadrature nodes followed by re-projection.
     Raises RadialRangeError when section support touches the radial window
     ends (the shift would wrap around); for supported input the residual
     unitarity error is set by the interior tail within |ln λ| of the ends,
@@ -198,15 +198,11 @@ def act_canonical(
             )
         m = _spectral_log_shift(m, fs.radial, np.log(lam))
 
-    w_nodes = np.array([w(x) for x in grid.nodes])
-    pref = lam**1.5
-    # basis at the pulled-back nodes Spin(g)^{-1}·x is shared by all radii
-    rot_basis = ylm_basis(grid.nodes @ spinor_map(g), fs.lmax)
-    proj = (grid.basis(fs.lmax).conj() * grid.weights[:, None]).T
-    out = np.empty_like(m)
-    for k, r_k in enumerate(fs.radial.nodes):
-        vals = pref * np.exp(-1j * r_k * w_nodes) * (rot_basis @ m[k])
-        out[k] = proj @ vals
+    basis = grid.basis(fs.lmax)
+    phase = lam**1.5 * np.exp(-1j * np.outer(fs.radial.nodes, w(grid.nodes)))
+    vals = (rotate_stack(g, m) @ basis.T) * phase * grid.weights
+    # projection v @ conj(B) as conj(conj(v) @ B): no conjugated basis copy
+    out = (vals.conj() @ basis).conj()
     result = full_section_from_matrix(fs.radial, out, fs.lmax, "full")
     if fs.sector == "full":
         return result
@@ -289,17 +285,6 @@ def generator_vs_ladder_residual(
     return float(np.linalg.norm(fd.a.c - exact.c) / scale)
 
 
-def _rotate_triple(
-    g: SU2Element,
-    triple: tuple[HarmonicCoeffs, ...],
-    grid: QuadratureGrid,
-) -> list[np.ndarray]:
-    """Vector rotation of a ℂ³-valued function: components mix by Spin(g)."""
-    r = spinor_map(g)
-    rotated = [np.asarray(rotate_coeffs(g, t, grid).c) for t in triple]
-    return [sum(r[i, j] * rotated[j] for j in range(3)) for i in range(3)]
-
-
 def check_intertwining(
     i: int,
     a: HarmonicCoeffs,
@@ -316,13 +301,13 @@ def check_intertwining(
     _validate_step(h_step)
     if a.sector != "odd":
         raise ValueError("intertwining check expects an odd-sector table")
-    triple = module_iso_forward(a, grid)
+    triple = np.stack([t.c for t in module_iso_forward(a, grid)])
     axis = np.eye(3)[i - 1]
-    ncoef = num_coeffs(triple[0].lmax)
+    ncoef = triple.shape[1]
 
     def apply_at(t: float) -> np.ndarray:
         g = su2_from_axis_angle(t, axis)
-        return np.concatenate(_rotate_triple(g, triple, grid))
+        return (spinor_map(g) @ rotate_stack(g, triple)).ravel()
 
     lhs = 1j * _richardson_derivative(apply_at, h_step)
     rhs = np.concatenate([t.c for t in module_iso_forward(apply_L(i, a), grid)])

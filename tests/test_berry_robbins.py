@@ -15,7 +15,7 @@ from rp2quant.berry_robbins import (
     transported_spin,
 )
 from rp2quant.groups import SU2_IDENTITY, random_su2, spinor_map
-from rp2quant.harmonics import random_coeffs, unit, zeros
+from rp2quant.harmonics import analyze, random_coeffs, rotate_values, unit, wigner_d, zeros
 from rp2quant.manifold import build_quadrature
 
 
@@ -187,6 +187,17 @@ class TestFixedBasisLift:
         seq = fixed_basis_lift(g1, fixed_basis_lift(g2, field, grid), grid)
         prod = fixed_basis_lift(g1 * g2, field, grid)
         assert np.max(np.abs(seq.stack() - prod.stack())) < 1e-9
+
+    def test_matches_componentwise_resampling(self, rng):
+        grid = build_quadrature(6)
+        field = SpinorField(1.0, tuple(random_coeffs(6, "full", rng) for _ in range(3)))
+        for _ in range(3):
+            g = random_su2(rng)
+            resampled = np.stack(
+                [analyze(rotate_values(g, c, grid.nodes), 6, grid).c for c in field.components]
+            )
+            want = wigner_d(1.0, g) @ resampled
+            assert np.max(np.abs(fixed_basis_lift(g, field, grid).stack() - want)) < 1e-12
 
     def test_product_state_addition_oracle(self):
         # Y10 ⊗ |1/2, +1/2⟩: total generator = orbital part + spin part

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
-from rp2quant.groups import SU2_IDENTITY, random_su2, su2_from_axis_angle
+from rp2quant.groups import SU2_IDENTITY, SU2Element, random_su2, su2_from_axis_angle
 from rp2quant.harmonics import (
     HarmonicCoeffs,
     analyze,
@@ -15,11 +15,14 @@ from rp2quant.harmonics import (
     parity_decompose,
     random_coeffs,
     rotate_coeffs,
+    rotate_stack,
+    rotate_values,
     save_coeffs,
     unit,
     wigner_d,
     zeros,
 )
+from rp2quant.manifold import build_quadrature
 
 
 class TestBasisAgainstScipy:
@@ -150,7 +153,7 @@ class TestRotation:
             g = random_su2(rng)
             a = random_coeffs(8, "full", rng)
             rot = rotate_coeffs(g, a, grid8)
-            for l in (1, 2):
+            for l in range(1, 5):
                 d = wigner_d(l, g)
                 # coefficient blocks run m = -l..l, Wigner rows m = +l..-l
                 want = d @ a.block(l)[::-1]
@@ -165,6 +168,63 @@ class TestRotation:
         a = unit(8, 2, 2)
         out = rotate_coeffs(g, a, grid8)
         assert abs(out.get(2, 2) - np.exp(-2j * 0.31)) < 1e-12
+
+
+def special_and_random_elements(rng):
+    """Random elements plus the Euler-angle edge cases and FD step sizes."""
+    out = [random_su2(rng) for _ in range(3)]
+    out += [SU2_IDENTITY, -SU2_IDENTITY]
+    out += [SU2Element(np.exp(0.3j), 0.0), SU2Element(0.0, np.exp(-0.7j))]   # z1 = 0, z0 = 0
+    for axis in np.eye(3):
+        for t in (1e-3, -1e-3, 5e-4, -5e-4):      # generator_J steps h and h/2
+            out.append(su2_from_axis_angle(t, axis))
+    return out
+
+
+def wigner_blocks(g, lmax):
+    """The degree blocks D^l(g), l ≤ lmax, and the full matrix they sit in."""
+    full = rotate_stack(g, np.eye((lmax + 1) ** 2)).T    # column k rotates table e_k
+    blocks = [full[l * l : (l + 1) * (l + 1), l * l : (l + 1) * (l + 1)] for l in range(lmax + 1)]
+    return blocks, full
+
+
+class TestRotateStack:
+    @pytest.fixture(scope="class")
+    def grid32(self):
+        return build_quadrature(32)
+
+    def test_matches_resampling_every_degree(self, grid32, rng):
+        for g in special_and_random_elements(rng):
+            a = random_coeffs(32, "full", rng)
+            resampled = analyze(rotate_values(g, a, grid32.nodes), 32, grid32)
+            assert np.max(np.abs(rotate_stack(g, a.c) - resampled.c)) < 1e-12
+
+    def test_blocks_unitary_and_multiplicative(self, rng):
+        lmax = 32
+        for _ in range(2):
+            g1, g2 = random_su2(rng), random_su2(rng)
+            (b1, full), (b2, _), (b12, _) = (wigner_blocks(g, lmax) for g in (g1, g2, g1 * g2))
+            for d1, d2, d12 in zip(b1, b2, b12):
+                assert np.max(np.abs(d1 @ d1.conj().T - np.eye(d1.shape[0]))) < 1e-13
+                assert np.max(np.abs(d12 - d1 @ d2)) < 1e-13
+            off_block = full.copy()
+            for l in range(lmax + 1):
+                off_block[l * l : (l + 1) * (l + 1), l * l : (l + 1) * (l + 1)] = 0.0
+            assert not np.any(off_block)
+
+    def test_stack_equals_single_tables_bitwise(self, grid8, rng):
+        for lmax in (1, 8, 17):
+            g = random_su2(rng)
+            stack = np.stack([random_coeffs(lmax, "full", rng).c for _ in range(6)])
+            out = rotate_stack(g, stack.reshape(2, 3, -1)).reshape(6, -1)
+            for row, table in zip(out, stack):
+                assert np.array_equal(row, rotate_stack(g, table))
+                a = HarmonicCoeffs(lmax, "full", table)
+                assert np.array_equal(row, rotate_coeffs(g, a, grid8).c)
+
+    def test_rejects_non_square_length(self):
+        with pytest.raises(ValueError):
+            rotate_stack(SU2_IDENTITY, np.zeros((2, 10)))
 
 
 class TestWignerD:

@@ -173,6 +173,24 @@ class TestWFunctional:
         v /= np.linalg.norm(v)
         assert w(v) == w(-v)
 
+    def test_batch_matches_scalar_loop(self, grid8, rng):
+        from rp2quant.classical import w_matrix
+
+        for _ in range(20):
+            c = w_matrix(rng.normal(size=5))
+            w = WFunctional(c / np.linalg.norm(c), rng.normal())
+            # reference: the scalar formula tr(c·M(x)) + c0, one node at a time
+            want = np.array([np.trace(w.c @ moment_embedding(x)) + w.c0 for x in grid8.nodes])
+            got = w(grid8.nodes)
+            assert got.shape == (grid8.n,)
+            assert np.max(np.abs(got - want)) < 1e-15
+        assert isinstance(w(grid8.nodes[0]), float)
+
+    def test_rejects_non_unit_rows(self, grid8):
+        w = WFunctional(np.zeros((3, 3)), 1.0)
+        with pytest.raises(ValueError):
+            w(np.vstack([grid8.nodes[:3], [[0.0, 0.0, 2.0]]]))
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             WFunctional(np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]]))

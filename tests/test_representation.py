@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from rp2quant._kernels import ylm_basis
 from rp2quant.classical import w_matrix
 from rp2quant.errors import RadialRangeError
-from rp2quant.groups import SU2_IDENTITY, random_su2
+from rp2quant.groups import SU2_IDENTITY, random_su2, spinor_map
 from rp2quant.harmonics import HarmonicCoeffs, random_coeffs, unit
 from rp2quant.manifold import WFunctional
 from rp2quant.representation import (
     RadialGrid,
     Section,
+    _spectral_log_shift,
     act_U,
     act_canonical,
     canonical_product,
@@ -147,7 +149,31 @@ class TestRadialGrid:
         assert abs(np.sum(radial.weights_r2dr() * vals) - want) < 1e-10 * want
 
 
+def act_canonical_per_node(w, g, lam, fs, grid):
+    """Reference: resample at the pulled-back nodes, one radial node at a time."""
+    m = fs.matrix()
+    if lam != 1.0:
+        m = _spectral_log_shift(m, fs.radial, np.log(lam))
+    w_nodes = np.array([w(x) for x in grid.nodes])
+    rot_basis = ylm_basis(grid.nodes @ spinor_map(g), fs.lmax)
+    proj = (grid.basis(fs.lmax).conj() * grid.weights[:, None]).T
+    out = np.empty_like(m)
+    for k, r_k in enumerate(fs.radial.nodes):
+        out[k] = proj @ (lam**1.5 * np.exp(-1j * r_k * w_nodes) * (rot_basis @ m[k]))
+    return out
+
+
 class TestActCanonical:
+    def test_matches_per_node_resampling_loop(self, grid8, rng):
+        radial = radial64()
+        a = random_coeffs(8, "full", rng)
+        fs = separable_section(radial, gaussian_profile(radial), a)
+        for scale in (0.0025, 1.0):        # 1.0 puts real weight beyond the band
+            w, g, lam = small_w(rng, scale), random_su2(rng), 1.1
+            want = act_canonical_per_node(w, g, lam, fs, grid8)
+            got = act_canonical(w, g, lam, fs, grid8).matrix()
+            assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
+
     def test_identity_element(self, grid8, rng):
         fs = separable_section(radial64(), gaussian_profile(radial64()), low_degree_odd(rng))
         out = act_canonical(W0, SU2_IDENTITY, 1.0, fs, grid8)
