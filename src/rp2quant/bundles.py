@@ -26,9 +26,14 @@ from .groups import (
     SU2Element,
     quotient_to_rp2,
     quotient_to_sphere,
+    quotient_to_sphere_batch,
     rp2_point,
+    rp2_rep_batch,
     su2_from_sphere_point,
+    su2_from_sphere_point_batch,
+    su2_product_batch,
     unit_vector,
+    unit_vector_batch,
 )
 from .harmonics import HarmonicCoeffs, analyze, evaluate
 from .manifold import CHART_TOL, QuadratureGrid
@@ -130,6 +135,23 @@ def lift_tau(g: SU2Element, el: LMinusElement) -> LMinusElement:
     """
     rep = iso_Phi_inverse(el)
     return iso_Phi(natural_lift(g, rep))
+
+
+def iso_Phi_batch(g, v) -> tuple[np.ndarray, np.ndarray]:
+    """Φ on rows: (n, 2) group rows and (n,) values ↦ (base reps, fibers).
+
+    Row k holds ``iso_Phi(AssocElement(g_k, v_k))``: its canonical base
+    representative (n, 3) and its fiber v_k·φ(x(g_k)) (n, 3, complex).
+    """
+    x = quotient_to_sphere_batch(g)
+    fiber = np.asarray(v, dtype=complex)[:, None] * unit_vector_batch(x).astype(complex)
+    return rp2_rep_batch(x), fiber
+
+
+def lift_tau_batch(g, base, fiber) -> tuple[np.ndarray, np.ndarray]:
+    """τ_g on rows (base reps, fibers), composed as ``lift_tau`` composes it."""
+    lam = np.vecdot(unit_vector_batch(base).astype(complex), fiber)
+    return iso_Phi_batch(su2_product_batch(g, su2_from_sphere_point_batch(base)), lam)
 
 
 def local_trivialization(alpha: int, el: LMinusElement) -> tuple[RP2Point, complex]:

@@ -25,15 +25,22 @@ from .berry_robbins import (
 )
 from .errors import ConfigError
 from .groups import (
+    H_CLASSIFY_TOL,
     HElement,
+    h_embed_batch,
     h_membership,
-    h_orbit_action,
-    quotient_to_rp2,
+    quotient_to_sphere_batch,
     random_su2,
-    rotation_from_axis_angle,
+    rotation_from_axis_angle_batch,
     rp2_point,
+    rp2_rep_batch,
     spinor_map,
-    su2_from_axis_angle,
+    spinor_map_batch,
+    su2_batch,
+    su2_from_axis_angle_batch,
+    su2_from_normals,
+    su2_product_batch,
+    unit_vector_batch,
 )
 from .harmonics import (
     HarmonicCoeffs,
@@ -48,6 +55,7 @@ from .harmonics import (
     wigner_d,
 )
 from .manifold import (
+    MAX_GRID_LMAX,
     QuadratureGrid,
     WFunctional,
     build_quadrature,
@@ -56,7 +64,9 @@ from .manifold import (
     f_embedding,
     f_from_moment,
     moment_embedding,
+    moment_embedding_batch,
     transition_function,
+    transition_signs_batch,
     w_action,
 )
 from .representation import (
@@ -96,6 +106,11 @@ class SuiteConfig:
     def __post_init__(self):
         if not (1 <= self.lmax <= 32):
             raise ConfigError("lmax must lie in [1, 32]")
+        if _module_grid_order(self.lmax) > MAX_GRID_LMAX:
+            raise ConfigError(
+                f"lmax {self.lmax} needs a grid of order {_module_grid_order(self.lmax)}, "
+                f"above the quadrature cap {MAX_GRID_LMAX}"
+            )
         if self.grid_n <= 0 or self.grid_n & (self.grid_n - 1):
             raise ConfigError("grid_n must be a positive power of two")
         if self.radial_nodes < 8:
@@ -134,6 +149,15 @@ def check_rng(master_seed: int, name: str) -> np.random.Generator:
 _GRID_CACHE: dict[int, QuadratureGrid] = {}
 
 
+def _module_grid_order(lmax: int) -> int:
+    """Grid order of the module maps at band lmax: the largest any check asks for.
+
+    ``module_iso_inverse`` needs order top + 2 for the top odd degree, which is
+    lmax + 2 when lmax is odd and lmax + 1 when it is even.
+    """
+    return lmax + 1 + lmax % 2
+
+
 def _grid(lmax: int) -> QuadratureGrid:
     if lmax not in _GRID_CACHE:
         _GRID_CACHE[lmax] = build_quadrature(lmax)
@@ -150,91 +174,128 @@ def _random_h(rng) -> HElement:
     return HElement(kind, np.exp(1j * rng.uniform(0, 2 * np.pi)))
 
 
+def _h_rows(u) -> np.ndarray:
+    """Embedded H rows from (n, 2) uniform draws, as n ``_random_h`` calls make them.
+
+    ``_random_h`` draws ``random()`` then ``uniform(0, 2π)``; both consume one
+    double, and uniform(low, high) = low + (high - low)·u.
+    """
+    u = np.asarray(u, dtype=float)
+    angle = 0.0 + (2 * np.pi - 0.0) * u[:, 1]
+    return h_embed_batch(u[:, 0] >= 0.5, np.exp(1j * angle))
+
+
+def _draw_rows(rng, n: int, draw) -> np.ndarray:
+    """n rows of ``draw(rng)``, drawn one row at a time in stream order."""
+    first = np.asarray(draw(rng), dtype=float)
+    rows = np.empty((n,) + first.shape)
+    rows[0] = first
+    for k in range(1, n):
+        rows[k] = draw(rng)
+    return rows
+
+
+def _h_draws(rng) -> list[float]:
+    """The two doubles one ``_random_h`` call consumes, raw (see ``_h_rows``)."""
+    return [rng.random(), rng.random()]
+
+
+def _haar_and_h(rng) -> np.ndarray:
+    """The draws of one ``random_su2`` call followed by one ``_random_h`` call."""
+    return np.concatenate([rng.normal(size=4), _h_draws(rng)])
+
+
+def _assoc_and_h(rng) -> np.ndarray:
+    """The draws of one ``_random_assoc`` call followed by one ``_random_h`` call."""
+    return np.concatenate([rng.normal(size=6), _h_draws(rng)])
+
+
+def _unit_rows(v) -> np.ndarray:
+    """v / |v| per row, rounded as ``_random_axis`` normalizes one vector."""
+    return v / np.sqrt(np.vecdot(v, v))[:, None]
+
+
+def _frobenius(m) -> np.ndarray:
+    """np.linalg.norm of each (3, 3) matrix of a stack, rounded the same way."""
+    flat = m.reshape(-1, 9)
+    return np.sqrt(np.vecdot(flat, flat))
+
+
 # ---------------------------------------------------------------- groups
 
 @register("groups", "spinor-homomorphism", "su2-so3-double-cover", 1e-12)
 def _spinor_hom(rng, cfg):
-    worst = 0.0
-    for _ in range(1000):
-        g1, g2 = random_su2(rng), random_su2(rng)
-        gap = spinor_map(g1 * g2) - spinor_map(g1) @ spinor_map(g2)
-        worst = max(worst, np.linalg.norm(gap))
-    return worst
+    g = su2_from_normals(rng.normal(size=(2000, 4)))
+    g1, g2 = g[0::2], g[1::2]
+    gap = spinor_map_batch(su2_product_batch(g1, g2)) - (
+        spinor_map_batch(g1) @ spinor_map_batch(g2)
+    )
+    return float(np.max(_frobenius(gap)))
 
 
 @register("groups", "spinor-double-cover-kernel", "su2-so3-double-cover", 1e-15)
 def _spinor_kernel(rng, cfg):
-    worst = 0.0
-    for _ in range(cfg.samples):
-        g = random_su2(rng)
-        worst = max(worst, np.max(np.abs(spinor_map(g) - spinor_map(-g))))
-    return worst
+    g = su2_from_normals(rng.normal(size=(cfg.samples, 4)))
+    return float(np.max(np.abs(spinor_map_batch(g) - spinor_map_batch(su2_batch(-g)))))
 
 
 @register("groups", "axis-angle-cross-check", "rodrigues-vs-spinor-map", 1e-12)
 def _axis_angle(rng, cfg):
-    worst = 0.0
-    for _ in range(cfg.samples):
-        psi, n = rng.uniform(0, 2 * np.pi), _random_axis(rng)
-        gap = rotation_from_axis_angle(psi, n) - spinor_map(su2_from_axis_angle(psi, n))
-        worst = max(worst, np.max(np.abs(gap)))
-    return worst
+    draws = _draw_rows(
+        rng, cfg.samples, lambda r: np.concatenate([[r.uniform(0, 2 * np.pi)], _random_axis(r)])
+    )
+    psi, n = draws[:, 0], draws[:, 1:]
+    gap = rotation_from_axis_angle_batch(psi, n) - spinor_map_batch(
+        su2_from_axis_angle_batch(psi, n)
+    )
+    return float(np.max(np.abs(gap)))
 
 
 @register("groups", "h-subgroup-closure", "stabilizer-subgroup-closure", 1e-12)
 def _h_closure(rng, cfg):
-    worst = 0.0
-    for _ in range(cfg.samples):
-        prod = _random_h(rng).embed() * _random_h(rng).embed()
-        # distance from H = size of the entry that should vanish
-        worst = max(worst, min(abs(prod.z0), abs(prod.z1)))
-        if h_membership(prod) is None:
-            worst = max(worst, 1.0)
+    u = rng.random(size=(cfg.samples, 4))
+    prod = su2_product_batch(_h_rows(u[:, :2]), _h_rows(u[:, 2:]))
+    size = np.hypot(prod.real, prod.imag)          # |z0|, |z1| as abs() rounds them
+    # distance from H = size of the entry that should vanish
+    worst = float(np.max(np.min(size, axis=1)))
+    if np.any(np.min(size, axis=1) > H_CLASSIFY_TOL):   # h_membership would be None
+        worst = max(worst, 1.0)
     return worst
 
 
 @register("groups", "h-orbit-component-formulas", "stabilizer-orbit-products", 1e-13)
 def _h_orbit(rng, cfg):
-    worst = 0.0
-    for _ in range(cfg.samples):
-        g, h = random_su2(rng), _random_h(rng)
-        out = h_orbit_action(g, h)
-        a, b, lam = g.z0, g.z1, h.lam
-        if h.kind == "diagonal":
-            want = (a * lam, b * lam)
-        else:
-            want = (-np.conj(b) * lam, np.conj(a) * lam)
-        worst = max(worst, abs(out.z0 - want[0]), abs(out.z1 - want[1]))
-    return worst
+    draws = _draw_rows(rng, cfg.samples, _haar_and_h)
+    g, h = su2_from_normals(draws[:, :4]), _h_rows(draws[:, 4:])
+    out = su2_product_batch(g, h)
+    anti = draws[:, 4] >= 0.5                       # _random_h's kind draw
+    lam = np.where(anti, h[:, 1], h[:, 0])[:, None]
+    want = np.where(anti[:, None], np.stack([-g[:, 1].conj(), g[:, 0].conj()], axis=1), g) * lam
+    gap = out - want
+    return float(np.max(np.hypot(gap.real, gap.imag)))
 
 
 @register("groups", "h-image-in-o2", "stabilizer-image-in-so3", 1e-12)
 def _h_o2(rng, cfg):
-    worst = 0.0
-    for _ in range(cfg.samples):
-        h = _random_h(rng)
-        r = spinor_map(h.embed())
-        block = max(abs(r[0, 2]), abs(r[1, 2]), abs(r[2, 0]), abs(r[2, 1]))
-        if h.kind == "diagonal":
-            # rotation about e3: orthogonal 2x2 block with det +1, R33 = 1
-            worst = max(worst, block, abs(r[2, 2] - 1.0),
-                        abs(r[0, 0] - r[1, 1]), abs(r[0, 1] + r[1, 0]))
-        else:
-            # reflection-type component: R33 = -1, symmetric traceless block
-            worst = max(worst, block, abs(r[2, 2] + 1.0),
-                        abs(r[0, 0] + r[1, 1]), abs(r[0, 1] - r[1, 0]))
-    return worst
+    u = rng.random(size=(cfg.samples, 2))
+    r = spinor_map_batch(_h_rows(u))
+    s = np.where(u[:, 0] < 0.5, 1.0, -1.0)          # +1 diagonal, -1 antidiagonal
+    # diagonal: rotation about e3 (orthogonal 2x2 block with det +1, R33 = 1);
+    # antidiagonal: reflection type (R33 = -1, symmetric traceless block)
+    gaps = np.stack([
+        r[:, 0, 2], r[:, 1, 2], r[:, 2, 0], r[:, 2, 1],
+        r[:, 2, 2] - s, r[:, 0, 0] - s * r[:, 1, 1], r[:, 0, 1] + s * r[:, 1, 0],
+    ])
+    return float(np.max(np.abs(gaps)))
 
 
 @register("groups", "rp2-h-invariance", "projective-quotient-invariance", 1e-12)
 def _rp2_invariance(rng, cfg):
-    worst = 0.0
-    for _ in range(cfg.samples):
-        g, h = random_su2(rng), _random_h(rng)
-        p1 = quotient_to_rp2(g)
-        p2 = quotient_to_rp2(h_orbit_action(g, h))
-        worst = max(worst, float(np.max(np.abs(p1.rep - p2.rep))))
-    return worst
+    draws = _draw_rows(rng, cfg.samples, _haar_and_h)
+    g = su2_from_normals(draws[:, :4])
+    p1 = rp2_rep_batch(quotient_to_sphere_batch(g))
+    p2 = rp2_rep_batch(quotient_to_sphere_batch(su2_product_batch(g, _h_rows(draws[:, 4:]))))
+    return float(np.max(np.abs(p1 - p2)))
 
 
 # -------------------------------------------------------------- manifold
@@ -248,17 +309,10 @@ def _random_interior_point(rng, margin=0.05) -> np.ndarray:
 
 @register("manifold", "transition-cocycle", "chart-transition-signs", 1e-15)
 def _cocycle(rng, cfg):
-    worst = 0.0
-    for _ in range(1000):
-        p = rp2_point(_random_interior_point(rng))
-        for a in (1, 2, 3):
-            for b in (1, 2, 3):
-                for c in (1, 2, 3):
-                    gap = transition_function(a, b, p) * transition_function(
-                        b, c, p
-                    ) - transition_function(a, c, p)
-                    worst = max(worst, abs(gap))
-    return worst
+    s = transition_signs_batch(rp2_rep_batch(_draw_rows(rng, 1000, _random_interior_point)))
+    # gap[k, a, b, c] = g_ab g_bc - g_ac
+    gap = s[:, :, :, None] * s[:, None, :, :] - s[:, :, None, :]
+    return float(np.max(np.abs(gap)))
 
 
 @register("manifold", "chart-representative-independence", "chart-transition-signs", 1e-13)
@@ -273,20 +327,30 @@ def _chart_rep(rng, cfg):
     return worst
 
 
+def _moment_draws(rng) -> np.ndarray:
+    """Raw draws of one pair: x, the branch, then y or the sign and the noise.
+
+    Row layout (x₀, x₁, x₂, s, n₀, n₁, n₂): s = 0 marks an independent y
+    (n is its normal draw), s = ±1 marks y = s·x + 1e-10·n.
+    """
+    x = rng.normal(size=3)
+    if rng.random() < 0.5:
+        return np.concatenate([x, [0.0], rng.normal(size=3)])
+    s = -1.0 if rng.random() < 0.5 else 1.0
+    return np.concatenate([x, [s], rng.normal(size=3)])
+
+
 @register("manifold", "moment-injectivity", "projective-orbit-embedding", 1e-6)
 def _moment_inject(rng, cfg):
     worst = 0.0
-    for _ in range(10_000):
-        x = _random_axis(rng)
-        if rng.random() < 0.5:
-            y = _random_axis(rng)
-        else:
-            s = -1.0 if rng.random() < 0.5 else 1.0
-            y = s * x + rng.normal(size=3) * 1e-10
-            y /= np.linalg.norm(y)
-        if np.linalg.norm(moment_embedding(x) - moment_embedding(y)) < 1e-8:
-            gap = np.max(np.abs(rp2_point(x).rep - rp2_point(y).rep))
-            worst = max(worst, float(gap))
+    for _ in range(5):                               # 5 chunks of 2000 pairs
+        d = _draw_rows(rng, 2000, _moment_draws)
+        x, s = _unit_rows(d[:, :3]), d[:, 3:4]
+        y = _unit_rows(np.where(s != 0.0, s * x + d[:, 4:] * 1e-10, d[:, 4:]))
+        close = _frobenius(moment_embedding_batch(x) - moment_embedding_batch(y)) < 1e-8
+        if np.any(close):
+            gap = np.abs(rp2_rep_batch(x[close]) - rp2_rep_batch(y[close]))
+            worst = max(worst, float(np.max(gap)))
     return worst
 
 
@@ -474,16 +538,21 @@ def _random_assoc(rng) -> bundles.AssocElement:
     return bundles.AssocElement(random_su2(rng), v)
 
 
+def _assoc_rows(draws) -> tuple[np.ndarray, np.ndarray]:
+    """(g, v) rows from (n, 6) normal draws, as n ``_random_assoc`` calls make them."""
+    v = draws[:, 0] + 1j * draws[:, 1]
+    return su2_from_normals(draws[:, 2:6]), v
+
+
 @register("bundles", "iso-well-defined", "bundle-isomorphism", 1e-12)
 def _iso_well_defined(rng, cfg):
-    worst = 0.0
-    for _ in range(cfg.samples):
-        e = _random_assoc(rng)
-        e2 = bundles.assoc_translate(e, _random_h(rng))
-        el1, el2 = bundles.iso_Phi(e), bundles.iso_Phi(e2)
-        worst = max(worst, float(np.max(np.abs(el1.base.rep - el2.base.rep))))
-        worst = max(worst, float(np.max(np.abs(el1.fiber - el2.fiber))))
-    return worst
+    draws = _draw_rows(rng, cfg.samples, _assoc_and_h)
+    g, v = _assoc_rows(draws)
+    h = _h_rows(draws[:, 6:])
+    kappa = np.where(draws[:, 6] < 0.5, 1, -1)      # +1 diagonal, -1 antidiagonal
+    base1, fiber1 = bundles.iso_Phi_batch(g, v)
+    base2, fiber2 = bundles.iso_Phi_batch(su2_product_batch(g, h), kappa * v)
+    return max(float(np.max(np.abs(base1 - base2))), float(np.max(np.abs(fiber1 - fiber2))))
 
 
 @register("bundles", "iso-roundtrip", "bundle-isomorphism", 1e-10)
@@ -499,30 +568,25 @@ def _iso_roundtrip(rng, cfg):
 
 @register("bundles", "lift-intertwining", "lift-transport-conjugation", 1e-10)
 def _lift_intertwine(rng, cfg):
-    worst = 0.0
-    for _ in range(200):
-        g, e = random_su2(rng), _random_assoc(rng)
-        via_assoc = bundles.iso_Phi(bundles.natural_lift(g, e))
-        via_tau = bundles.lift_tau(g, bundles.iso_Phi(e))
-        worst = max(worst, float(np.max(np.abs(via_assoc.fiber - via_tau.fiber))))
-        worst = max(
-            worst, float(np.max(np.abs(via_assoc.base.rep - via_tau.base.rep)))
-        )
-    return worst
+    draws = rng.normal(size=(200, 10))              # random_su2, then _random_assoc
+    g = su2_from_normals(draws[:, :4])
+    eg, v = _assoc_rows(draws[:, 4:])
+    base_a, fiber_a = bundles.iso_Phi_batch(su2_product_batch(g, eg), v)
+    base_t, fiber_t = bundles.lift_tau_batch(g, *bundles.iso_Phi_batch(eg, v))
+    return max(float(np.max(np.abs(fiber_a - fiber_t))), float(np.max(np.abs(base_a - base_t))))
 
 
 @register("bundles", "lift-composition-covering", "lift-transport-conjugation", 1e-10)
 def _lift_compose(rng, cfg):
-    worst = 0.0
-    for _ in range(cfg.samples):
-        g1, g2 = random_su2(rng), random_su2(rng)
-        el = bundles.iso_Phi(_random_assoc(rng))
-        seq = bundles.lift_tau(g1, bundles.lift_tau(g2, el))
-        prod = bundles.lift_tau(g1 * g2, el)
-        worst = max(worst, float(np.max(np.abs(seq.fiber - prod.fiber))))
-        covered = rp2_point(spinor_map(g1 * g2) @ el.base.rep)
-        worst = max(worst, float(np.max(np.abs(prod.base.rep - covered.rep))))
-    return worst
+    draws = rng.normal(size=(cfg.samples, 14))      # g1, g2, then _random_assoc
+    g1, g2 = su2_from_normals(draws[:, :4]), su2_from_normals(draws[:, 4:8])
+    g12 = su2_product_batch(g1, g2)
+    base, fiber = bundles.iso_Phi_batch(*_assoc_rows(draws[:, 8:]))
+    _, seq_fiber = bundles.lift_tau_batch(g1, *bundles.lift_tau_batch(g2, base, fiber))
+    prod_base, prod_fiber = bundles.lift_tau_batch(g12, base, fiber)
+    covered = rp2_rep_batch(np.matmul(spinor_map_batch(g12), base[:, :, None])[:, :, 0])
+    return max(float(np.max(np.abs(seq_fiber - prod_fiber))),
+               float(np.max(np.abs(prod_base - covered))))
 
 
 @register("bundles", "trivialization-transitions", "chart-transition-signs", 1e-12)
@@ -558,7 +622,7 @@ def _projector_props(rng, cfg):
 
 @register("bundles", "module-roundtrip", "projective-module-isomorphism", 1e-9)
 def _module_roundtrip(rng, cfg):
-    grid = _grid(cfg.lmax + 1)
+    grid = _grid(_module_grid_order(cfg.lmax))
     worst = 0.0
     for _ in range(5):
         a = random_coeffs(cfg.lmax, "odd", rng)
@@ -575,10 +639,12 @@ def _module_roundtrip(rng, cfg):
 def _section_well_defined(rng, cfg):
     worst = 0.0
     a = random_coeffs(cfg.lmax, "odd", rng)
-    for _ in range(cfg.samples):
-        x = _random_axis(rng)
-        plus = np.asarray(evaluate(a, x)) * bundles.phi(x)
-        minus = np.asarray(evaluate(a, -x)) * bundles.phi(-x)
+    x = _unit_rows(rng.normal(size=(cfg.samples, 3)))   # cfg.samples _random_axis draws
+    step = max(1, (1 << 15) // a.c.size)            # basis rows of at most ~0.5 MB
+    for lo in range(0, len(x), step):
+        xs = x[lo:lo + step]
+        plus = evaluate(a, xs)[:, None] * unit_vector_batch(xs).astype(complex)
+        minus = evaluate(a, -xs)[:, None] * unit_vector_batch(-xs).astype(complex)
         worst = max(worst, float(np.max(np.abs(plus - minus))))
     return worst
 
@@ -735,12 +801,12 @@ def _bracket_fd(rng, cfg):
 
 @register("classical", "no-obstruction", "bracket-homomorphism", 1e-9)
 def _no_obstruction(rng, cfg):
-    worst = 0.0
-    pts = [classical.random_phase_point(rng) for _ in range(100)]
-    for _ in range(1000):
-        e1, e2 = classical.random_element(rng), classical.random_element(rng)
-        worst = max(worst, classical.check_homomorphism(e1, e2, pts))
-    return worst
+    # 100 random_phase_point draws (u, ψ coordinates), then 1000 pairs of
+    # random_element draws (φ coordinates, A) for e1 and e2
+    pts = classical.w_matrix(rng.normal(size=(100, 2, 5)))
+    e = rng.normal(size=(1000, 16))
+    c1, c2 = classical.w_matrix(e[:, 0:5]), classical.w_matrix(e[:, 8:13])
+    return classical.homomorphism_defect(c1, e[:, 5:8], c2, e[:, 13:16], pts[:, 0], pts[:, 1])
 
 
 @register("classical", "antisymmetry-jacobi", "bracket-homomorphism", 1e-8)

@@ -54,7 +54,8 @@ def w_coords(m: np.ndarray) -> np.ndarray:
 
 
 def w_matrix(coords: np.ndarray) -> np.ndarray:
-    return np.einsum("k,kij->ij", coords, W_BASIS)
+    """Σ_k coords[k]·W_BASIS[k]; an (..., 5) array gives an (..., 3, 3) stack."""
+    return np.einsum("...k,kij->...ij", coords, W_BASIS)
 
 
 @dataclass(frozen=True)
@@ -93,14 +94,24 @@ def P_observable(e: SemidirectLieElement, pt: PhasePoint) -> float:
     return float(np.trace(pt.psi.c @ moved) + np.trace(e.phi_w.c @ pt.u) + e.phi_w.c0)
 
 
+def _commutator(x, y):
+    """[X, Y] = XY - YX; stacks of matrices broadcast."""
+    return x @ y - y @ x
+
+
+def _bracket(c1, a1, c2, a2):
+    """(c, A) of [(φ₁, A₁), (φ₂, A₂)]; single pairs or stacks of pairs."""
+    # coefficient matrix of u ↦ tr(c [Â, u]) is [c, Â]
+    c = _commutator(c1, skew_matrix(a2)) - _commutator(c2, skew_matrix(a1))
+    return c, np.cross(a1, a2)
+
+
 def lie_bracket(
     e1: SemidirectLieElement, e2: SemidirectLieElement
 ) -> SemidirectLieElement:
     """[(φ₁, A₁), (φ₂, A₂)] = (φ₁∘R(A₂) - φ₂∘R(A₁), A₁ × A₂)."""
-    a1h, a2h = skew_matrix(e1.A), skew_matrix(e2.A)
-    # coefficient matrix of u ↦ tr(c [Â, u]) is [c, Â]
-    c = (e1.phi_w.c @ a2h - a2h @ e1.phi_w.c) - (e2.phi_w.c @ a1h - a1h @ e2.phi_w.c)
-    return SemidirectLieElement(WFunctional(c, 0.0), np.cross(e1.A, e2.A))
+    c, a = _bracket(e1.phi_w.c, e1.A, e2.phi_w.c, e2.A)
+    return SemidirectLieElement(WFunctional(c, 0.0), a)
 
 
 def poisson_bracket(
@@ -141,35 +152,63 @@ def poisson_bracket_fd(
 
 
 def check_homomorphism(
-    e1: SemidirectLieElement,
-    e2: SemidirectLieElement,
+    e1: SemidirectLieElement | list[SemidirectLieElement],
+    e2: SemidirectLieElement | list[SemidirectLieElement],
     sample_points: list[PhasePoint],
 ) -> float:
     """max |{P(e₁), P(e₂)}(pt) - P([e₁, e₂])(pt)| over the samples.
 
-    Vectorized over the sample batch; identical pointwise to
+    ``e1`` and ``e2`` are one element each or equally long lists of paired
+    elements; the maximum then runs over every pair and every sample.
+    Identical pointwise, up to rounding, to
     poisson_bracket(e1, e2, pt) - P_observable(lie_bracket(e1, e2), pt).
     """
-    br = lie_bracket(e1, e2)
-    us = np.stack([pt.u for pt in sample_points])
-    psis = np.stack([pt.psi.c for pt in sample_points])
-    a1h, a2h = skew_matrix(e1.A), skew_matrix(e2.A)
-    comm = a1h @ a2h - a2h @ a1h
+    pairs = [(e1, e2)] if isinstance(e1, SemidirectLieElement) else list(zip(e1, e2))
+    return homomorphism_defect(
+        np.stack([p.phi_w.c for p, _ in pairs]), np.stack([p.A for p, _ in pairs]),
+        np.stack([q.phi_w.c for _, q in pairs]), np.stack([q.A for _, q in pairs]),
+        np.stack([pt.u for pt in sample_points]),
+        np.stack([pt.psi.c for pt in sample_points]),
+    )
 
-    def tr_action(c, ahat):
-        moved = np.einsum("ij,njk->nik", ahat, us) - np.einsum("nij,jk->nik", us, ahat)
-        return np.einsum("ij,nji->n", c, moved)
 
-    # bracket value: tr(ψ [comm, u]) + tr(c₁ [Â₂, u]) - tr(c₂ [Â₁, u])
-    moved_comm = np.einsum("ij,njk->nik", comm, us) - np.einsum("nij,jk->nik", us, comm)
-    lhs = np.einsum("nij,nji->n", psis, moved_comm)
-    lhs += tr_action(e1.phi_w.c, a2h) - tr_action(e2.phi_w.c, a1h)
+_CHUNK_BYTES = 1 << 17   # per (pairs × points) float64 temporary in homomorphism_defect
 
-    bhat = skew_matrix(br.A)
-    moved_b = np.einsum("ij,njk->nik", bhat, us) - np.einsum("nij,jk->nik", us, bhat)
-    rhs = np.einsum("nij,nji->n", psis, moved_b)
-    rhs += np.einsum("ij,nji->n", br.phi_w.c, us) + br.phi_w.c0
-    return float(np.max(np.abs(lhs - rhs)))
+
+def _rows9(m: np.ndarray) -> np.ndarray:
+    return m.reshape(-1, 9)
+
+
+def homomorphism_defect(c1, a1, c2, a2, u, psi) -> float:
+    """Batch form of ``check_homomorphism`` on arrays.
+
+    ``c1``, ``c2`` are (k, 3, 3) functional matrices and ``a1``, ``a2`` the
+    (k, 3) generators of k element pairs (zero offsets); ``u``, ``psi`` are
+    the (n, 3, 3) configurations and momentum matrices of n phase points.
+    Every pairing tr(c [Â, u]) is rewritten as tr([c, Â]·u), and tr(ψ [K, u])
+    as tr(K·[u, ψ]), so each term is one (pairs × 9) @ (9 × points) matmul.
+    The bracket side uses A₁ × A₂ and the bracket's functional; the closed
+    Poisson side uses [Â₁, Â₂] and the two pairings separately.  Pairs are
+    taken in chunks whose (pairs × points) temporaries stay near
+    ``_CHUNK_BYTES``.
+    """
+    n = u.shape[0]
+    # tr(X Y) = X.ravel() · Yᵀ.ravel(): transpose the point-side factors once
+    ut = np.swapaxes(u, 1, 2).reshape(n, 9).T
+    wt = np.swapaxes(_commutator(u, psi), 1, 2).reshape(n, 9).T
+    step = max(1, _CHUNK_BYTES // (8 * n))
+    worst = 0.0
+    for lo in range(0, len(a1), step):
+        s = slice(lo, lo + step)
+        a1h, a2h = skew_matrix(a1[s]), skew_matrix(a2[s])
+        cb, ab = _bracket(c1[s], a1[s], c2[s], a2[s])
+        lhs = _rows9(_commutator(a1h, a2h)) @ wt
+        lhs += _rows9(_commutator(c1[s], a2h)) @ ut
+        lhs -= _rows9(_commutator(c2[s], a1h)) @ ut
+        rhs = _rows9(skew_matrix(ab)) @ wt
+        rhs += _rows9(cb) @ ut
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
 
 
 def random_element(rng: np.random.Generator, scale: float = 1.0) -> SemidirectLieElement:

@@ -17,9 +17,10 @@ import numpy as np
 
 from .errors import PointNotInChart
 from ._kernels import ylm_basis
-from .groups import UNIT_TOL, RP2Point, unit_vector
+from .groups import UNIT_TOL, RP2Point, unit_vector, unit_vector_batch
 
 CHART_TOL = 1e-9
+MAX_GRID_LMAX = 32       # largest band build_quadrature integrates exactly
 
 
 def chart_coords(p: RP2Point, alpha: int) -> tuple[float, float]:
@@ -34,15 +35,34 @@ def chart_coords(p: RP2Point, alpha: int) -> tuple[float, float]:
     return (x[i] / x[a], x[j] / x[a])
 
 
+def _transition_sign(xa, xb):
+    """sign(x_α x_β) as ±1, for floats or arrays (both coordinates nonzero)."""
+    return (xa * xb > 0.0) * 2 - 1
+
+
 def transition_function(alpha: int, beta: int, p: RP2Point) -> int:
     """g_αβ([x]) = sign(x_α x_β) ∈ {+1, -1}; representative-independent."""
-    x = p.rep
+    x = p.rep.tolist()
     for idx in (alpha, beta):
         if idx not in (1, 2, 3):
             raise ValueError("chart index must be 1, 2 or 3")
         if abs(x[idx - 1]) <= CHART_TOL:
-            raise PointNotInChart(f"x_{idx} vanishes for {x}")
-    return 1 if x[alpha - 1] * x[beta - 1] > 0 else -1
+            raise PointNotInChart(f"x_{idx} vanishes for {p.rep}")
+    return _transition_sign(x[alpha - 1], x[beta - 1])
+
+
+def transition_signs_batch(x) -> np.ndarray:
+    """All transition signs at the rows of an (n, 3) array: (n, 3, 3) ints.
+
+    Entry [k, α-1, β-1] is ``transition_function(α, β, rp2_point(x[k]))``;
+    any row with a coordinate of size ≤ CHART_TOL raises PointNotInChart.
+    """
+    x = np.asarray(x, dtype=float)
+    outside = np.abs(x) <= CHART_TOL
+    if np.any(outside):
+        k, i = np.argwhere(outside)[0]
+        raise PointNotInChart(f"x_{i + 1} vanishes for {x[k]}")
+    return _transition_sign(x[..., :, None], x[..., None, :])
 
 
 def f_embedding(p: RP2Point) -> np.ndarray:
@@ -51,10 +71,19 @@ def f_embedding(p: RP2Point) -> np.ndarray:
     return np.array([y * z, x * z, x * y, y * y - z * z])
 
 
+def _moment(v):
+    """v vᵀ - Id/3 for one unit vector or along the last axis of a stack."""
+    return v[..., :, None] * v[..., None, :] - np.eye(3) / 3.0
+
+
 def moment_embedding(x) -> np.ndarray:
     """M(x) = x xᵀ - Id/3, a symmetric traceless matrix; M(-x) = M(x)."""
-    v = unit_vector(x)
-    return np.outer(v, v) - np.eye(3) / 3.0
+    return _moment(unit_vector(x))
+
+
+def moment_embedding_batch(x) -> np.ndarray:
+    """M at each row of an (n, 3) array of unit vectors: (n, 3, 3)."""
+    return _moment(unit_vector_batch(x))
 
 
 def f_from_moment(m: np.ndarray) -> np.ndarray:
@@ -155,8 +184,8 @@ def build_quadrature(lmax: int) -> QuadratureGrid:
     lmax+1 Gauss-Legendre nodes in cos(θ) × (2·lmax+2) uniform azimuths,
     exact for any single harmonic of degree ≤ 2·lmax + 1.
     """
-    if not 1 <= lmax <= 32:
-        raise ValueError("lmax must lie in [1, 32]")
+    if not 1 <= lmax <= MAX_GRID_LMAX:
+        raise ValueError(f"lmax must lie in [1, {MAX_GRID_LMAX}]")
     ct, gl_w = np.polynomial.legendre.leggauss(lmax + 1)
     n_phi = 2 * lmax + 2
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi

@@ -7,9 +7,11 @@ from rp2quant.bundles import (
     assoc_project,
     assoc_translate,
     iso_Phi,
+    iso_Phi_batch,
     iso_Phi_inverse,
     kappa,
     lift_tau,
+    lift_tau_batch,
     local_trivialization,
     module_iso_forward,
     module_iso_inverse,
@@ -305,3 +307,20 @@ class TestSectionWellDefined:
         plus = section_values(a, x)
         minus = section_values(a, -x)
         assert np.max(np.abs(plus - minus)) < 1e-12
+
+
+class TestBatchForms:
+    def test_iso_and_lift_rows_match_scalar(self, rng):
+        es = [random_assoc(rng) for _ in range(100)]
+        gs = [random_su2(rng) for _ in es]
+        g = np.array([[e.g.z0, e.g.z1] for e in es])
+        v = np.array([e.v for e in es])
+        base, fiber = iso_Phi_batch(g, v)
+        moved = lift_tau_batch(np.array([[h.z0, h.z1] for h in gs]), base, fiber)
+        for k, (e, h) in enumerate(zip(es, gs)):
+            el = iso_Phi(e)
+            assert base[k].tobytes() == el.base.rep.tobytes()
+            assert fiber[k].tobytes() == el.fiber.tobytes()
+            want = lift_tau(h, el)
+            assert moved[0][k].tobytes() == want.base.rep.tobytes()
+            assert moved[1][k].tobytes() == want.fiber.tobytes()

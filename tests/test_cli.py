@@ -139,6 +139,14 @@ class TestMainEntry:
     def test_exit_two_on_bad_config(self):
         assert main(["groups", "--lmax", "0"]) == 2
 
+    def test_odd_lmax_runs_bundles(self, tmp_path):
+        # module maps need a grid of order lmax + 2 at odd lmax
+        assert main(["bundles", "--lmax", "9", "--out", str(tmp_path / "r.txt")]) == 0
+
+    @pytest.mark.parametrize("lmax", [31, 32])
+    def test_exit_two_when_grid_order_exceeds_cap(self, lmax):
+        assert main(["bundles", "--lmax", str(lmax)]) == 2
+
     def test_exit_two_on_unknown_tolerance_name(self):
         assert main(["groups", "--tol", "not-a-check=1"]) == 2
 

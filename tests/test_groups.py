@@ -5,19 +5,31 @@ from hypothesis import strategies as st
 
 from rp2quant.groups import (
     PAULI,
+    ZERO_TOL,
     HElement,
     SU2Element,
     SU2_IDENTITY,
+    h_embed_batch,
     h_membership,
     h_orbit_action,
     quotient_to_rp2,
     quotient_to_sphere,
+    quotient_to_sphere_batch,
     random_su2,
     rotation_from_axis_angle,
+    rotation_from_axis_angle_batch,
     rp2_point,
+    rp2_rep_batch,
     spinor_map,
+    spinor_map_batch,
+    su2_batch,
     su2_from_axis_angle,
+    su2_from_axis_angle_batch,
+    su2_from_normals,
     su2_from_sphere_point,
+    su2_from_sphere_point_batch,
+    su2_inverse_batch,
+    su2_product_batch,
 )
 
 
@@ -264,3 +276,127 @@ class TestCanonicalization:
     def test_equality_and_hash(self):
         p, q = rp2_point([0.6, 0.0, -0.8]), rp2_point([-0.6, 0.0, 0.8])
         assert p == q and hash(p) == hash(q)
+
+
+def _pauli_trace_map(g):
+    """R_ij = ½ tr(σ_i g σ_j g†), the defining formula the closed form replaces."""
+    u = g.matrix()
+    r = np.empty((3, 3))
+    for j in range(3):
+        m = u @ PAULI[j] @ u.conj().T
+        for i in range(3):
+            r[i, j] = 0.5 * np.trace(PAULI[i] @ m).real
+    return r
+
+
+def _edge_rows():
+    """Identity, -identity, z0 = 0, z1 = 0, ±ZERO_TOL and -0.0 components."""
+    t = ZERO_TOL
+    c = np.sqrt(1.0 - t * t)
+    return np.array([
+        [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1j], [np.exp(0.3j), 0.0],
+        [0.0, np.exp(-2.1j)], [c, t], [c, -t], [t * 1j, c], [-t, -c * 1j],
+        [complex(-0.0, -0.0), 1.0], [1.0, complex(-0.0, 0.0)],
+        [complex(0.6, -0.0), complex(-0.0, 0.8)],
+    ], dtype=complex)
+
+
+def _elements(rng, n=200):
+    """Scalar elements over the edge rows and n Haar draws, with their batch."""
+    rows = np.concatenate([_edge_rows(), su2_from_normals(rng.normal(size=(n, 4)))])
+    gs = [SU2Element(*z) for z in rows]
+    return gs, np.array([[g.z0, g.z1] for g in gs])
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestBatchForms:
+    def test_closed_form_matches_pauli_traces(self, rng):
+        for _ in range(500):
+            g = random_su2(rng)
+            assert np.max(np.abs(spinor_map(g) - _pauli_trace_map(g))) < 2e-15
+        for z in _edge_rows():
+            g = SU2Element(*z)
+            assert np.max(np.abs(spinor_map(g) - _pauli_trace_map(g))) < 2e-15
+
+    def test_from_normals_matches_random_su2(self):
+        r1, r2 = np.random.default_rng(4), np.random.default_rng(4)
+        rows = su2_from_normals(r1.normal(size=(50, 4)))
+        for row in rows:
+            g = random_su2(r2)
+            assert complex(row[0]) == g.z0 and complex(row[1]) == g.z1
+        assert r1.bit_generator.state == r2.bit_generator.state
+
+    def test_constructor_rows(self, rng):
+        scaled = _elements(rng)[1] * (1.0 + 1e-10)
+        got = su2_batch(scaled)
+        for z, row in zip(scaled, got):
+            g = SU2Element(*z)
+            assert _same_bits(row, [g.z0, g.z1])
+        with pytest.raises(ValueError):
+            su2_batch([[1.0, 1.0]])
+
+    def test_product_and_inverse_rows(self, rng):
+        gs, rows = _elements(rng)
+        prod, inv = su2_product_batch(rows, rows[::-1]), su2_inverse_batch(rows)
+        for g, h, p, i in zip(gs, gs[::-1], prod, inv):
+            assert _same_bits(p, [(g * h).z0, (g * h).z1])
+            assert _same_bits(i, [g.inverse().z0, g.inverse().z1])
+
+    def test_spinor_map_and_sphere_rows(self, rng):
+        gs, rows = _elements(rng)
+        spins, xs = spinor_map_batch(rows), quotient_to_sphere_batch(rows)
+        assert spins.shape == (len(rows), 3, 3) and xs.shape == (len(rows), 3)
+        for g, r, x in zip(gs, spins, xs):
+            assert _same_bits(r, spinor_map(g))
+            assert _same_bits(x, quotient_to_sphere(g))
+
+    def test_canonical_representatives_bit_identical(self, rng):
+        t = ZERO_TOL
+        edge = np.array([
+            [0.0, 0.0, -1.0], [0.0, -1.0, 0.0], [-1.0, 0.0, 0.0],
+            [-0.0, -0.0, -1.0], [0.6, 0.8, -0.0], [-0.6, -0.0, 0.8],
+            [0.6, -0.8, t], [0.6, -0.8, -t], [-1.0, t, -0.5 * t],
+            [-0.8, -t, 0.6], [0.6, 0.8, t * (1 - 1e-3)], [0.6, -0.8, -t * (1 - 1e-3)],
+            [-1.0, t, -t], [1.0 + 1e-12, 0.0, 0.0], [0.0, -(1.0 - 5e-10), 0.0],
+        ])
+        pts = np.concatenate([edge, quotient_to_sphere_batch(_elements(rng)[1]), -edge])
+        reps = rp2_rep_batch(pts)
+        for x, r in zip(pts, reps):
+            assert _same_bits(r, rp2_point(x).rep)
+
+    def test_axis_angle_and_rodrigues_rows(self, rng):
+        psi = np.concatenate([[0.0, np.pi, 2 * np.pi, -0.0], rng.uniform(-7, 7, 100)])
+        axes = rng.normal(size=(psi.size, 3))
+        axes[:4] = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [-0.6, 0.0, 0.8]]
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        us = su2_from_axis_angle_batch(psi, axes)
+        rs = rotation_from_axis_angle_batch(psi, axes)
+        for p, n, u, r in zip(psi, axes, us, rs):
+            g = su2_from_axis_angle(p, n)
+            assert _same_bits(u, [g.z0, g.z1])
+            assert _same_bits(r, rotation_from_axis_angle(p, n))
+        with pytest.raises(ValueError):
+            su2_from_axis_angle_batch([1.0], [[1.0, 1.0, 0.0]])
+
+    def test_sphere_section_rows(self, rng):
+        pts = np.concatenate([
+            [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [ZERO_TOL, 0.0, -1.0],
+             [0.0, -ZERO_TOL / 2, 1.0], [1.0, 0.0, 0.0], [-0.0, 0.6, -0.8]],
+            quotient_to_sphere_batch(_elements(rng)[1]),
+        ])
+        for x, row in zip(pts, su2_from_sphere_point_batch(pts)):
+            g = su2_from_sphere_point(x)
+            assert _same_bits(row, [g.z0, g.z1])
+
+    def test_h_embedding_rows(self, rng):
+        lam = np.exp(1j * rng.uniform(0, 2 * np.pi, 60))
+        lam[:3] = [1.0, -1.0, 1j]
+        anti = rng.random(60) < 0.5
+        for a, l, row in zip(anti, lam, h_embed_batch(anti, lam)):
+            g = HElement("antidiagonal" if a else "diagonal", l).embed()
+            assert _same_bits(row, [g.z0, g.z1])
+        with pytest.raises(ValueError):
+            h_embed_batch([True], [2.0])

@@ -11,7 +11,9 @@ from rp2quant.manifold import (
     f_embedding,
     f_from_moment,
     moment_embedding,
+    moment_embedding_batch,
     transition_function,
+    transition_signs_batch,
     w_action,
 )
 
@@ -227,3 +229,30 @@ class TestQuadrature:
         assert rows.shape == (grid8.n, 4)
         assert np.array_equal(rows[:, :3], grid8.nodes)
         assert np.array_equal(rows[:, 3], grid8.weights)
+
+
+class TestBatchForms:
+    def _points(self, rng):
+        x = rng.normal(size=(300, 3))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        return np.concatenate([x, [[0.6, -0.8, 1e-9 * 1.5], [-0.0, 1.0, -0.0]]])
+
+    def test_transition_signs_match_scalar(self, rng):
+        pts = self._points(rng)[:-1]
+        signs = transition_signs_batch(pts)
+        assert signs.shape == (len(pts), 3, 3)
+        for x, s in zip(pts, signs):
+            p = rp2_point(x)
+            want = [[transition_function(a, b, p) for b in (1, 2, 3)] for a in (1, 2, 3)]
+            assert np.array_equal(s, want)
+        # representative-independent
+        assert np.array_equal(transition_signs_batch(-pts), signs)
+
+    def test_transition_signs_reject_points_outside_a_chart(self, rng):
+        with pytest.raises(PointNotInChart):
+            transition_signs_batch(self._points(rng))
+
+    def test_moment_rows_match_scalar(self, rng):
+        pts = self._points(rng)
+        for x, m in zip(pts, moment_embedding_batch(pts)):
+            assert m.tobytes() == moment_embedding(x).tobytes()
