@@ -215,6 +215,18 @@ def _unit_rows(v) -> np.ndarray:
     return v / np.sqrt(np.vecdot(v, v))[:, None]
 
 
+_CHUNK_ROWS = 4096   # samples per batch: an (n, 3, 3) float64 temporary stays near 300 KB
+
+
+def _worst_over_chunks(n: int, batch, rows: int = _CHUNK_ROWS) -> float:
+    """max of ``batch(k)`` over consecutive chunks of k ≤ rows of the n samples.
+
+    Each chunk draws its k samples in stream order, so the chunks together
+    draw what one batch of n would.
+    """
+    return max(batch(min(rows, n - lo)) for lo in range(0, n, rows))
+
+
 def _frobenius(m) -> np.ndarray:
     """np.linalg.norm of each (3, 3) matrix of a stack, rounded the same way."""
     flat = m.reshape(-1, 9)
@@ -235,67 +247,83 @@ def _spinor_hom(rng, cfg):
 
 @register("groups", "spinor-double-cover-kernel", "su2-so3-double-cover", 1e-15)
 def _spinor_kernel(rng, cfg):
-    g = su2_from_normals(rng.normal(size=(cfg.samples, 4)))
-    return float(np.max(np.abs(spinor_map_batch(g) - spinor_map_batch(su2_batch(-g)))))
+    def batch(n):
+        g = su2_from_normals(rng.normal(size=(n, 4)))
+        return float(np.max(np.abs(spinor_map_batch(g) - spinor_map_batch(su2_batch(-g)))))
+
+    return _worst_over_chunks(cfg.samples, batch)
 
 
 @register("groups", "axis-angle-cross-check", "rodrigues-vs-spinor-map", 1e-12)
 def _axis_angle(rng, cfg):
-    draws = _draw_rows(
-        rng, cfg.samples, lambda r: np.concatenate([[r.uniform(0, 2 * np.pi)], _random_axis(r)])
-    )
-    psi, n = draws[:, 0], draws[:, 1:]
-    gap = rotation_from_axis_angle_batch(psi, n) - spinor_map_batch(
-        su2_from_axis_angle_batch(psi, n)
-    )
-    return float(np.max(np.abs(gap)))
+    def batch(n):
+        draws = _draw_rows(
+            rng, n, lambda r: np.concatenate([[r.uniform(0, 2 * np.pi)], _random_axis(r)])
+        )
+        psi, axes = draws[:, 0], draws[:, 1:]
+        gap = rotation_from_axis_angle_batch(psi, axes) - spinor_map_batch(
+            su2_from_axis_angle_batch(psi, axes)
+        )
+        return float(np.max(np.abs(gap)))
+
+    return _worst_over_chunks(cfg.samples, batch)
 
 
 @register("groups", "h-subgroup-closure", "stabilizer-subgroup-closure", 1e-12)
 def _h_closure(rng, cfg):
-    u = rng.random(size=(cfg.samples, 4))
-    prod = su2_product_batch(_h_rows(u[:, :2]), _h_rows(u[:, 2:]))
-    size = np.hypot(prod.real, prod.imag)          # |z0|, |z1| as abs() rounds them
-    # distance from H = size of the entry that should vanish
-    worst = float(np.max(np.min(size, axis=1)))
-    if np.any(np.min(size, axis=1) > H_CLASSIFY_TOL):   # h_membership would be None
-        worst = max(worst, 1.0)
-    return worst
+    def batch(n):
+        u = rng.random(size=(n, 4))
+        prod = su2_product_batch(_h_rows(u[:, :2]), _h_rows(u[:, 2:]))
+        # distance from H = size of the entry that should vanish (abs() rounding)
+        dist = np.min(np.hypot(prod.real, prod.imag), axis=1)
+        if np.any(dist > H_CLASSIFY_TOL):          # h_membership would be None
+            return 1.0
+        return float(np.max(dist))
+
+    return _worst_over_chunks(cfg.samples, batch)
 
 
 @register("groups", "h-orbit-component-formulas", "stabilizer-orbit-products", 1e-13)
 def _h_orbit(rng, cfg):
-    draws = _draw_rows(rng, cfg.samples, _haar_and_h)
-    g, h = su2_from_normals(draws[:, :4]), _h_rows(draws[:, 4:])
-    out = su2_product_batch(g, h)
-    anti = draws[:, 4] >= 0.5                       # _random_h's kind draw
-    lam = np.where(anti, h[:, 1], h[:, 0])[:, None]
-    want = np.where(anti[:, None], np.stack([-g[:, 1].conj(), g[:, 0].conj()], axis=1), g) * lam
-    gap = out - want
-    return float(np.max(np.hypot(gap.real, gap.imag)))
+    def batch(n):
+        draws = _draw_rows(rng, n, _haar_and_h)
+        g, h = su2_from_normals(draws[:, :4]), _h_rows(draws[:, 4:])
+        anti = draws[:, 4] >= 0.5                   # _random_h's kind draw
+        lam = np.where(anti, h[:, 1], h[:, 0])[:, None]
+        swapped = np.stack([-g[:, 1].conj(), g[:, 0].conj()], axis=1)
+        gap = su2_product_batch(g, h) - np.where(anti[:, None], swapped, g) * lam
+        return float(np.max(np.hypot(gap.real, gap.imag)))
+
+    return _worst_over_chunks(cfg.samples, batch)
 
 
 @register("groups", "h-image-in-o2", "stabilizer-image-in-so3", 1e-12)
 def _h_o2(rng, cfg):
-    u = rng.random(size=(cfg.samples, 2))
-    r = spinor_map_batch(_h_rows(u))
-    s = np.where(u[:, 0] < 0.5, 1.0, -1.0)          # +1 diagonal, -1 antidiagonal
-    # diagonal: rotation about e3 (orthogonal 2x2 block with det +1, R33 = 1);
-    # antidiagonal: reflection type (R33 = -1, symmetric traceless block)
-    gaps = np.stack([
-        r[:, 0, 2], r[:, 1, 2], r[:, 2, 0], r[:, 2, 1],
-        r[:, 2, 2] - s, r[:, 0, 0] - s * r[:, 1, 1], r[:, 0, 1] + s * r[:, 1, 0],
-    ])
-    return float(np.max(np.abs(gaps)))
+    def batch(n):
+        u = rng.random(size=(n, 2))
+        r = spinor_map_batch(_h_rows(u))
+        s = np.where(u[:, 0] < 0.5, 1.0, -1.0)      # +1 diagonal, -1 antidiagonal
+        # diagonal: rotation about e3 (orthogonal 2x2 block with det +1, R33 = 1);
+        # antidiagonal: reflection type (R33 = -1, symmetric traceless block)
+        gaps = np.stack([
+            r[:, 0, 2], r[:, 1, 2], r[:, 2, 0], r[:, 2, 1],
+            r[:, 2, 2] - s, r[:, 0, 0] - s * r[:, 1, 1], r[:, 0, 1] + s * r[:, 1, 0],
+        ])
+        return float(np.max(np.abs(gaps)))
+
+    return _worst_over_chunks(cfg.samples, batch)
 
 
 @register("groups", "rp2-h-invariance", "projective-quotient-invariance", 1e-12)
 def _rp2_invariance(rng, cfg):
-    draws = _draw_rows(rng, cfg.samples, _haar_and_h)
-    g = su2_from_normals(draws[:, :4])
-    p1 = rp2_rep_batch(quotient_to_sphere_batch(g))
-    p2 = rp2_rep_batch(quotient_to_sphere_batch(su2_product_batch(g, _h_rows(draws[:, 4:]))))
-    return float(np.max(np.abs(p1 - p2)))
+    def batch(n):
+        draws = _draw_rows(rng, n, _haar_and_h)
+        g = su2_from_normals(draws[:, :4])
+        gh = su2_product_batch(g, _h_rows(draws[:, 4:]))
+        p1, p2 = rp2_rep_batch(quotient_to_sphere_batch(g)), rp2_rep_batch(quotient_to_sphere_batch(gh))
+        return float(np.max(np.abs(p1 - p2)))
+
+    return _worst_over_chunks(cfg.samples, batch)
 
 
 # -------------------------------------------------------------- manifold
@@ -546,13 +574,15 @@ def _assoc_rows(draws) -> tuple[np.ndarray, np.ndarray]:
 
 @register("bundles", "iso-well-defined", "bundle-isomorphism", 1e-12)
 def _iso_well_defined(rng, cfg):
-    draws = _draw_rows(rng, cfg.samples, _assoc_and_h)
-    g, v = _assoc_rows(draws)
-    h = _h_rows(draws[:, 6:])
-    kappa = np.where(draws[:, 6] < 0.5, 1, -1)      # +1 diagonal, -1 antidiagonal
-    base1, fiber1 = bundles.iso_Phi_batch(g, v)
-    base2, fiber2 = bundles.iso_Phi_batch(su2_product_batch(g, h), kappa * v)
-    return max(float(np.max(np.abs(base1 - base2))), float(np.max(np.abs(fiber1 - fiber2))))
+    def batch(n):
+        draws = _draw_rows(rng, n, _assoc_and_h)
+        g, v = _assoc_rows(draws)
+        kappa = np.where(draws[:, 6] < 0.5, 1, -1)  # +1 diagonal, -1 antidiagonal
+        base1, fiber1 = bundles.iso_Phi_batch(g, v)
+        base2, fiber2 = bundles.iso_Phi_batch(su2_product_batch(g, _h_rows(draws[:, 6:])), kappa * v)
+        return max(float(np.max(np.abs(base1 - base2))), float(np.max(np.abs(fiber1 - fiber2))))
+
+    return _worst_over_chunks(cfg.samples, batch)
 
 
 @register("bundles", "iso-roundtrip", "bundle-isomorphism", 1e-10)
@@ -578,15 +608,18 @@ def _lift_intertwine(rng, cfg):
 
 @register("bundles", "lift-composition-covering", "lift-transport-conjugation", 1e-10)
 def _lift_compose(rng, cfg):
-    draws = rng.normal(size=(cfg.samples, 14))      # g1, g2, then _random_assoc
-    g1, g2 = su2_from_normals(draws[:, :4]), su2_from_normals(draws[:, 4:8])
-    g12 = su2_product_batch(g1, g2)
-    base, fiber = bundles.iso_Phi_batch(*_assoc_rows(draws[:, 8:]))
-    _, seq_fiber = bundles.lift_tau_batch(g1, *bundles.lift_tau_batch(g2, base, fiber))
-    prod_base, prod_fiber = bundles.lift_tau_batch(g12, base, fiber)
-    covered = rp2_rep_batch(np.matmul(spinor_map_batch(g12), base[:, :, None])[:, :, 0])
-    return max(float(np.max(np.abs(seq_fiber - prod_fiber))),
-               float(np.max(np.abs(prod_base - covered))))
+    def batch(n):
+        draws = rng.normal(size=(n, 14))            # g1, g2, then _random_assoc
+        g1, g2 = su2_from_normals(draws[:, :4]), su2_from_normals(draws[:, 4:8])
+        g12 = su2_product_batch(g1, g2)
+        base, fiber = bundles.iso_Phi_batch(*_assoc_rows(draws[:, 8:]))
+        _, seq_fiber = bundles.lift_tau_batch(g1, *bundles.lift_tau_batch(g2, base, fiber))
+        prod_base, prod_fiber = bundles.lift_tau_batch(g12, base, fiber)
+        covered = rp2_rep_batch(np.matmul(spinor_map_batch(g12), base[:, :, None])[:, :, 0])
+        return max(float(np.max(np.abs(seq_fiber - prod_fiber))),
+                   float(np.max(np.abs(prod_base - covered))))
+
+    return _worst_over_chunks(cfg.samples, batch)
 
 
 @register("bundles", "trivialization-transitions", "chart-transition-signs", 1e-12)
@@ -637,16 +670,16 @@ def _module_roundtrip(rng, cfg):
 
 @register("bundles", "section-well-defined", "odd-sections-from-functions", 1e-12)
 def _section_well_defined(rng, cfg):
-    worst = 0.0
     a = random_coeffs(cfg.lmax, "odd", rng)
-    x = _unit_rows(rng.normal(size=(cfg.samples, 3)))   # cfg.samples _random_axis draws
-    step = max(1, (1 << 15) // a.c.size)            # basis rows of at most ~0.5 MB
-    for lo in range(0, len(x), step):
-        xs = x[lo:lo + step]
-        plus = evaluate(a, xs)[:, None] * unit_vector_batch(xs).astype(complex)
-        minus = evaluate(a, -xs)[:, None] * unit_vector_batch(-xs).astype(complex)
-        worst = max(worst, float(np.max(np.abs(plus - minus))))
-    return worst
+
+    def batch(n):
+        x = _unit_rows(rng.normal(size=(n, 3)))     # n _random_axis draws
+        plus = evaluate(a, x)[:, None] * unit_vector_batch(x).astype(complex)
+        minus = evaluate(a, -x)[:, None] * unit_vector_batch(-x).astype(complex)
+        return float(np.max(np.abs(plus - minus)))
+
+    # basis rows (n × (lmax+1)² complex) of at most ~0.5 MB per chunk
+    return _worst_over_chunks(cfg.samples, batch, rows=max(1, (1 << 15) // a.c.size))
 
 
 # -------------------------------------------------------- representation

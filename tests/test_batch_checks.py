@@ -252,6 +252,22 @@ def test_batched_check_matches_reference_loop(name, seed):
     assert abs(got - want) <= tol, (got, want)
 
 
+@pytest.mark.parametrize(
+    "name, samples",
+    [("spinor-double-cover-kernel", 4100), ("h-subgroup-closure", 4100),
+     ("rp2-h-invariance", 4100), ("section-well-defined", 500)],
+)
+def test_chunked_check_matches_reference_loop(name, samples):
+    # more samples than one chunk holds: the chunks draw in stream order
+    ref, tol = REWRITTEN[name]
+    cfg = SuiteConfig(rng_seed=3, samples=samples)
+    rng_ref, rng_new = check_rng(3, name), check_rng(3, name)
+    want = float(ref(rng_ref, cfg))
+    got = float(CHECKS[name].fn(rng_new, cfg))
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    assert abs(got - want) <= tol, (got, want)
+
+
 @pytest.mark.parametrize("name", sorted(REWRITTEN))
 def test_batched_check_memory_at_defaults(name):
     cfg = SuiteConfig()
