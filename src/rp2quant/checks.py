@@ -175,10 +175,10 @@ def _random_h(rng) -> HElement:
 
 
 def _h_rows(u) -> np.ndarray:
-    """Embedded H rows from (n, 2) uniform draws, as n ``_random_h`` calls make them.
+    """Embedded H rows from (n, 2) raw ``random()`` draws, as n ``_random_h`` calls make them.
 
     ``_random_h`` draws ``random()`` then ``uniform(0, 2π)``; both consume one
-    double, and uniform(low, high) = low + (high - low)·u.
+    double u, and uniform(low, high) = low + (high - low)·u.
     """
     u = np.asarray(u, dtype=float)
     angle = 0.0 + (2 * np.pi - 0.0) * u[:, 1]

@@ -51,8 +51,9 @@ def _norm(v):
 
 
 def _unit_pair(r0, i0, r1, i1):
-    """(|z0|² + |z1|², and the pair scaled to unit norm)."""
-    n = (r0 * r0 + i0 * i0) + (r1 * r1 + i1 * i1)
+    """(|z0|² + |z1|², and the pair scaled to unit norm); |z| rounded as abs() does."""
+    a, b = np.hypot(r0, i0), np.hypot(r1, i1)
+    n = a * a + b * b
     s = 1.0 / np.sqrt(n)
     return n, r0 * s, i0 * s, r1 * s, i1 * s
 
