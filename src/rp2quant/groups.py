@@ -50,9 +50,12 @@ def _norm(v):
     return np.sqrt(np.vecdot(v, v))
 
 
-def _unit_pair(r0, i0, r1, i1):
-    """(|z0|² + |z1|², and the pair scaled to unit norm); |z| rounded as abs() does."""
-    a, b = np.hypot(r0, i0), np.hypot(r1, i1)
+def _unit_pair(a, b, r0, i0, r1, i1):
+    """(|z0|² + |z1|², and the pair scaled to unit norm) from the moduli a, b.
+
+    a = |z0| and b = |z1| are hypot values: abs() of a complex scalar, or
+    np.hypot of the components, which rounds the same way.
+    """
     n = a * a + b * b
     s = 1.0 / np.sqrt(n)
     return n, r0 * s, i0 * s, r1 * s, i1 * s
@@ -154,7 +157,7 @@ class SU2Element:
 
     def __post_init__(self):
         z0, z1 = complex(self.z0), complex(self.z1)
-        n, r0, i0, r1, i1 = _unit_pair(z0.real, z0.imag, z1.real, z1.imag)
+        n, r0, i0, r1, i1 = _unit_pair(abs(z0), abs(z1), z0.real, z0.imag, z1.real, z1.imag)
         if abs(n - 1.0) > UNIT_TOL:
             raise ValueError(f"(z0, z1) norm {n} departs from 1 beyond {UNIT_TOL}")
         object.__setattr__(self, "z0", complex(r0, i0))
@@ -183,7 +186,8 @@ SU2_IDENTITY = SU2Element(1.0, 0.0)
 
 def su2_batch(z) -> np.ndarray:
     """Validate and normalize (n, 2) rows (z0, z1) as ``SU2Element`` does."""
-    n, *parts = _unit_pair(*_columns(z))
+    r0, i0, r1, i1 = _columns(z)
+    n, *parts = _unit_pair(np.hypot(r0, i0), np.hypot(r1, i1), r0, i0, r1, i1)
     if np.any(np.abs(n - 1.0) > UNIT_TOL):
         raise ValueError(f"(z0, z1) norms depart from 1 beyond {UNIT_TOL}")
     return _pack(*parts)
