@@ -1,28 +1,26 @@
-"""Timing comparison of the numba and pure-numpy harmonic kernels.
+"""Timings of the harmonic basis build and of the two rotation routes.
 
 The basis build dominates synthesis and projection, so it is the quantity
-benchmarked here.  Rotation is timed as two labelled cases: the coefficient
+benchmarked first.  Rotation is timed as two labelled cases: the coefficient
 route (``rotate_coeffs``, per-degree Wigner blocks, no basis build) and the
 resampling cross-check route (``analyze(rotate_values(...))``, a basis build
-at the rotated nodes on the default backend).
+at the rotated nodes).
 
 Run:
-    python benchmarks/bench_harmonics.py
-    RP2QUANT_NO_NUMBA=1 rp2quant all        # full suite on the fallback path
+    PYTHONPATH=src python benchmarks/bench_harmonics.py
 """
 
 import time
 
 import numpy as np
 
-from rp2quant._kernels import HAVE_NUMBA, ylm_basis_numba, ylm_basis_numpy
+from rp2quant._kernels import ylm_basis
 
 REPEATS = 5
 CASES = [
     (162, 8),        # default verification grid
     (2178, 16),
     (4422, 32),      # largest supported band limit
-    (100_000, 16),
 ]
 
 
@@ -37,18 +35,12 @@ def best_of(fn, *args):
 
 def main():
     rng = np.random.default_rng(0)
-    print(f"{'points':>8} {'lmax':>5} {'numpy':>12} {'numba':>12} {'speedup':>8}")
+    print(f"{'points':>8} {'lmax':>5} {'ylm_basis':>12}")
     for n, lmax in CASES:
         pts = rng.normal(size=(n, 3))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
-        t_np = best_of(ylm_basis_numpy, pts, lmax)
-        if HAVE_NUMBA:
-            ylm_basis_numba(pts, lmax)          # trigger compilation outside timing
-            t_nb = best_of(ylm_basis_numba, pts, lmax)
-            print(f"{n:>8} {lmax:>5} {t_np*1e3:>10.2f}ms {t_nb*1e3:>10.2f}ms "
-                  f"{t_np/t_nb:>7.1f}x")
-        else:
-            print(f"{n:>8} {lmax:>5} {t_np*1e3:>10.2f}ms {'n/a':>12} {'':>8}")
+        t = best_of(ylm_basis, pts, lmax)
+        print(f"{n:>8} {lmax:>5} {t*1e3:>10.2f}ms")
 
     from rp2quant.groups import su2_from_axis_angle
     from rp2quant.harmonics import analyze, random_coeffs, rotate_coeffs, rotate_values

@@ -4,17 +4,20 @@ Usage:
     rp2quant all --seed 1 --format json --out report.json
     rp2quant heisenberg --grid-n 2048 --tol ccr-residual=1e-9
 
-Exit codes: 0 all checks passed, 1 at least one failure, 2 configuration
-error.  Fixed (seed, config) reproduces every residual bit-for-bit; wall
-times are the only volatile report fields.
+Exit codes: 0 all checks passed, 1 at least one failure (a check that
+raises is reported as a failure), 2 configuration error.  Fixed (seed,
+config) reproduces every residual bit-for-bit; wall times are the only
+volatile report fields.
 """
 
 import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
+import traceback
 from dataclasses import asdict, dataclass
 
 from . import __version__
@@ -33,16 +36,27 @@ class CheckResult:
     passed: bool
     wall_time_ms: float
     paper_anchor: str
+    error: str | None = None     # "<Type>: <message>" when the check raised
 
 
 def run_suite(suite: str, cfg: SuiteConfig) -> list[CheckResult]:
-    """Execute every check of the suite with per-check seeded RNG streams."""
+    """Execute every check of the suite with per-check seeded RNG streams.
+
+    A check that raises is reported as failed, with a NaN residual and the
+    exception in ``error``; its traceback goes to stderr and the remaining
+    checks still run.
+    """
     results = []
     for check in checks_for_suite(suite):
         tol = float(cfg.tol_overrides.get(check.name, check.tolerance))
         rng = check_rng(cfg.rng_seed, check.name)
+        error = None
         t0 = time.perf_counter()
-        residual = float(check.fn(rng, cfg))
+        try:
+            residual = float(check.fn(rng, cfg))
+        except Exception as exc:
+            traceback.print_exc()
+            residual, error = math.nan, f"{type(exc).__name__}: {exc}"
         dt = (time.perf_counter() - t0) * 1e3
         results.append(
             CheckResult(
@@ -53,6 +67,7 @@ def run_suite(suite: str, cfg: SuiteConfig) -> list[CheckResult]:
                 passed=residual <= tol,
                 wall_time_ms=dt,
                 paper_anchor=check.anchor,
+                error=error,
             )
         )
     return results
@@ -84,12 +99,12 @@ def render_report(results: list[CheckResult], fmt: str, cfg: SuiteConfig) -> str
         writer = csv.writer(buf)
         writer.writerow(
             ["name", "suite", "residual", "tolerance", "passed",
-             "wall_time_ms", "paper_anchor"]
+             "wall_time_ms", "paper_anchor", "error"]
         )
         for r in results:
             writer.writerow(
                 [r.name, r.suite, f"{r.residual:.17g}", f"{r.tolerance:.17g}",
-                 r.passed, f"{r.wall_time_ms:.3f}", r.paper_anchor]
+                 r.passed, f"{r.wall_time_ms:.3f}", r.paper_anchor, r.error or ""]
             )
         return buf.getvalue()
     lines = []
@@ -99,6 +114,7 @@ def render_report(results: list[CheckResult], fmt: str, cfg: SuiteConfig) -> str
         lines.append(
             f"[{mark}] {r.name:<{width}}  residual {r.residual:11.4e}  "
             f"tol {r.tolerance:8.1e}  {r.wall_time_ms:9.2f} ms"
+            + (f"  {r.error}" if r.error else "")
         )
     passed = sum(r.passed for r in results)
     lines.append(f"{passed}/{len(results)} checks passed")
@@ -128,6 +144,13 @@ def _parse_tol(items) -> dict:
     return overrides
 
 
+def _config_value(kind, key: str, value: str):
+    try:
+        return kind(value)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r} expects {kind.__name__}, got {value!r}") from exc
+
+
 def _read_config_file(path) -> dict:
     """key=value per line; '#' comments; tol.NAME=VALUE for overrides."""
     values: dict = {"tol_overrides": {}}
@@ -140,9 +163,9 @@ def _read_config_file(path) -> dict:
                 raise ConfigError(f"bad config line {raw!r}")
             key, value = (s.strip() for s in line.split("=", 1))
             if key.startswith("tol."):
-                values["tol_overrides"][key[4:]] = float(value)
+                values["tol_overrides"][key[4:]] = _config_value(float, key, value)
             elif key in ("lmax", "grid_n", "radial_nodes", "samples", "seed"):
-                values[key] = int(value)
+                values[key] = _config_value(int, key, value)
             elif key in ("format", "out"):
                 values[key] = value
             else:

@@ -158,7 +158,7 @@ class SU2Element:
     def __post_init__(self):
         z0, z1 = complex(self.z0), complex(self.z1)
         n, r0, i0, r1, i1 = _unit_pair(abs(z0), abs(z1), z0.real, z0.imag, z1.real, z1.imag)
-        if abs(n - 1.0) > UNIT_TOL:
+        if not abs(n - 1.0) <= UNIT_TOL:
             raise ValueError(f"(z0, z1) norm {n} departs from 1 beyond {UNIT_TOL}")
         object.__setattr__(self, "z0", complex(r0, i0))
         object.__setattr__(self, "z1", complex(r1, i1))
@@ -188,7 +188,7 @@ def su2_batch(z) -> np.ndarray:
     """Validate and normalize (n, 2) rows (z0, z1) as ``SU2Element`` does."""
     r0, i0, r1, i1 = _columns(z)
     n, *parts = _unit_pair(np.hypot(r0, i0), np.hypot(r1, i1), r0, i0, r1, i1)
-    if np.any(np.abs(n - 1.0) > UNIT_TOL):
+    if not np.all(np.abs(n - 1.0) <= UNIT_TOL):
         raise ValueError(f"(z0, z1) norms depart from 1 beyond {UNIT_TOL}")
     return _pack(*parts)
 
@@ -216,7 +216,7 @@ class HElement:
             raise ValueError(f"unknown H component {self.kind!r}")
         lam = complex(self.lam)
         a, re, im = _unimodular(lam.real, lam.imag)
-        if abs(a - 1.0) > UNIT_TOL:
+        if not abs(a - 1.0) <= UNIT_TOL:
             raise ValueError("lambda must be unimodular")
         object.__setattr__(self, "lam", complex(re, im))
 
@@ -235,7 +235,7 @@ def h_embed_batch(antidiagonal, lam) -> np.ndarray:
     """
     lam = np.asarray(lam, dtype=complex)
     a, re, im = _unimodular(lam.real, lam.imag)
-    if np.any(np.abs(a - 1.0) > UNIT_TOL):
+    if not np.all(np.abs(a - 1.0) <= UNIT_TOL):
         raise ValueError("lambda must be unimodular")
     lam = _complex(re, im)
     zero = np.zeros_like(lam)
@@ -247,7 +247,7 @@ def h_embed_batch(antidiagonal, lam) -> np.ndarray:
 def su2_from_axis_angle(psi: float, n_hat) -> SU2Element:
     """u(ψ, n̂) = cos(ψ/2)·Id - i·sin(ψ/2)·(n̂·σ) as a tuple (z0, z1)."""
     n = np.asarray(n_hat, dtype=float)
-    if abs(_norm(n) - 1.0) > UNIT_TOL:
+    if not abs(_norm(n) - 1.0) <= UNIT_TOL:
         raise ValueError("axis must be a unit vector")
     r0, i0, r1, i1 = _axis_angle_pair(psi, n[0], n[1], n[2])
     return SU2Element(complex(r0, i0), complex(r1, i1))
@@ -256,7 +256,7 @@ def su2_from_axis_angle(psi: float, n_hat) -> SU2Element:
 def su2_from_axis_angle_batch(psi, n_hat) -> np.ndarray:
     """Rows u(ψ_k, n̂_k) for (n,) angles and (n, 3) unit axes."""
     n = np.asarray(n_hat, dtype=float)
-    if np.any(np.abs(_norm(n) - 1.0) > UNIT_TOL):
+    if not np.all(np.abs(_norm(n) - 1.0) <= UNIT_TOL):
         raise ValueError("axis must be a unit vector")
     return su2_batch(_pack(*_axis_angle_pair(np.asarray(psi, dtype=float),
                                              n[..., 0], n[..., 1], n[..., 2])))
@@ -317,7 +317,7 @@ def skew_matrix(n) -> np.ndarray:
 def rotation_from_axis_angle(psi: float, n_hat) -> np.ndarray:
     """Rodrigues form R(ψ, n̂) = Id + sin(ψ)·N + (1 - cos(ψ))·N²."""
     n = np.asarray(n_hat, dtype=float)
-    if abs(_norm(n) - 1.0) > UNIT_TOL:
+    if not abs(_norm(n) - 1.0) <= UNIT_TOL:
         raise ValueError("axis must be a unit vector")
     return np.array(_rodrigues_rows(psi, n[0], n[1], n[2]))
 
@@ -325,7 +325,7 @@ def rotation_from_axis_angle(psi: float, n_hat) -> np.ndarray:
 def rotation_from_axis_angle_batch(psi, n_hat) -> np.ndarray:
     """Rodrigues rotations for (n,) angles and (n, 3) unit axes: (n, 3, 3)."""
     n = np.asarray(n_hat, dtype=float)
-    if np.any(np.abs(_norm(n) - 1.0) > UNIT_TOL):
+    if not np.all(np.abs(_norm(n) - 1.0) <= UNIT_TOL):
         raise ValueError("axis must be a unit vector")
     return _stack3x3(_rodrigues_rows(np.asarray(psi, dtype=float),
                                      n[..., 0], n[..., 1], n[..., 2]))
@@ -361,7 +361,7 @@ def unit_vector(x) -> np.ndarray:
     """
     v = np.asarray(x, dtype=float)
     n = _norm(v)
-    if abs(n - 1.0) > UNIT_TOL:
+    if not abs(n - 1.0) <= UNIT_TOL:
         raise ValueError(f"|x| = {n} departs from 1 beyond {UNIT_TOL}")
     if abs(n - 1.0) > 1e-14:
         return v / n
@@ -372,7 +372,7 @@ def unit_vector_batch(x) -> np.ndarray:
     """``unit_vector`` applied to each row of an (n, 3) array."""
     v = np.asarray(x, dtype=float)
     n = _norm(v)[..., None]
-    if np.any(np.abs(n - 1.0) > UNIT_TOL):
+    if not np.all(np.abs(n - 1.0) <= UNIT_TOL):
         raise ValueError(f"row norms depart from 1 beyond {UNIT_TOL}")
     return np.where(np.abs(n - 1.0) > 1e-14, v / n, v)
 

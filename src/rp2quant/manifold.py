@@ -121,7 +121,7 @@ class WFunctional:
         """
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         norms = np.linalg.norm(pts, axis=1)
-        if np.any(np.abs(norms - 1.0) > UNIT_TOL):
+        if not np.all(np.abs(norms - 1.0) <= UNIT_TOL):
             raise ValueError(f"point norms depart from 1 beyond {UNIT_TOL}")
         pts = pts / norms[:, None]
         vals = np.einsum("ni,ij,nj->n", pts, self.c, pts)

@@ -1,9 +1,14 @@
 import csv
+import io
 import json
+import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rp2quant.checks import REGISTRY, SUITES, SuiteConfig, checks_for_suite
 from rp2quant.cli import emit_report, main, render_report, run_suite
@@ -115,6 +120,20 @@ class TestReports:
         text = render_report(self._results(), "text", cfg)
         assert "[PASS]" in text and "checks passed" in text
 
+    def test_errored_result_in_every_format(self):
+        cfg = SuiteConfig(rng_seed=5, samples=20)
+        results = self._results()
+        results[0] = replace(results[0], residual=math.nan, passed=False,
+                             error="RadialRangeError: support reaches the boundary")
+        report = json.loads(render_report(results, "json", cfg))
+        assert report["checks"][0]["error"].startswith("RadialRangeError: ")
+        assert all(c["error"] is None for c in report["checks"][1:])
+        rows = list(csv.DictReader(io.StringIO(render_report(results, "csv", cfg))))
+        assert len(rows) == len(results)
+        assert rows[0]["error"].startswith("RadialRangeError: ")
+        assert all(row["error"] == "" for row in rows[1:])
+        assert "RadialRangeError: " in render_report(results, "text", cfg).splitlines()[0]
+
     def test_empty_results(self):
         cfg = SuiteConfig()
         report = json.loads(render_report([], "json", cfg))
@@ -169,6 +188,54 @@ class TestMainEntry:
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense-key = 3\n")
         assert main(["groups", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("line", ["lmax = abc", "seed = 1.5", "tol.spinor-homomorphism = tiny"])
+    def test_bad_config_value(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(line + "\n")
+        assert main(["groups", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: config key")
+
+
+    def test_raising_check_is_reported_as_failure(self, tmp_path):
+        # the radial window at 8 nodes is too narrow for the group-law dilations
+        out = tmp_path / "r.json"
+        assert main(["representation", "--radial-nodes", "8",
+                     "--format", "json", "--out", str(out)]) == 1
+        checks = json.loads(out.read_text())["checks"]
+        assert [c["name"] for c in checks] == [
+            c.name for c in checks_for_suite("representation")]
+        errored = [c for c in checks if c["error"] is not None]
+        assert errored
+        for c in errored:
+            assert c["error"].startswith("RadialRangeError: ") and not c["passed"]
+        assert all(c["error"] is None for c in checks if c["passed"])
+
+
+class TestConfigSpace:
+    """Every accepted configuration runs to a full report; others exit 2."""
+
+    @pytest.mark.parametrize("suite", ["representation", "bundles"])
+    @settings(max_examples=8, deadline=None)
+    @given(
+        lmax=st.integers(1, 8),
+        radial_nodes=st.integers(8, 40),
+        samples=st.integers(1, 20),
+        grid_n=st.sampled_from([2**k for k in range(4, 12)]),
+    )
+    def test_report_or_exit_two(self, tmp_path_factory, suite, lmax, radial_nodes,
+                                samples, grid_n):
+        out = tmp_path_factory.mktemp("report") / "r.json"
+        code = main([suite, "--lmax", str(lmax), "--radial-nodes", str(radial_nodes),
+                     "--samples", str(samples), "--grid-n", str(grid_n),
+                     "--format", "json", "--out", str(out)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            return
+        report = json.loads(out.read_text())
+        assert [c["name"] for c in report["checks"]] == [
+            c.name for c in checks_for_suite(suite)]
+        assert code == (0 if report["summary"]["failed"] == 0 else 1)
 
 
 class TestConsoleScript:

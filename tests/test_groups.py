@@ -30,6 +30,8 @@ from rp2quant.groups import (
     su2_from_sphere_point_batch,
     su2_inverse_batch,
     su2_product_batch,
+    unit_vector,
+    unit_vector_batch,
 )
 
 
@@ -400,3 +402,68 @@ class TestBatchForms:
             assert _same_bits(row, [g.z0, g.z1])
         with pytest.raises(ValueError):
             h_embed_batch([True], [2.0])
+
+
+NAN = float("nan")
+UNIT_ROWS = np.array([[0.0, 0.0, 1.0], [0.6, 0.8, 0.0], [1.0, 0.0, 0.0]])
+SU2_ROWS = np.array([[1.0, 0.0], [0.6, 0.8j], [0.0, 1.0]], dtype=complex)
+
+
+def _nan_at(a, index):
+    a = np.array(a)
+    a[index] = NAN
+    return a
+
+
+class TestRejectsNaN:
+    """NaN fails every unit-norm and unimodular test (it compares False)."""
+
+    @pytest.mark.parametrize("k", range(3))
+    @pytest.mark.parametrize("build", [
+        unit_vector,
+        rp2_point,
+        su2_from_sphere_point,
+        lambda x: su2_from_axis_angle(0.3, x),
+        lambda x: rotation_from_axis_angle(0.3, x),
+    ])
+    def test_vector_component(self, build, k):
+        with pytest.raises(ValueError):
+            build(_nan_at([0.0, 0.0, 1.0], k))
+
+    @pytest.mark.parametrize("z", [
+        (NAN, 0.0), (0.0, NAN), (complex(0.0, NAN), 1.0), (1.0, complex(NAN, 0.0)),
+    ])
+    def test_su2_element(self, z):
+        with pytest.raises(ValueError):
+            SU2Element(*z)
+
+    @pytest.mark.parametrize("kind", ["diagonal", "antidiagonal"])
+    @pytest.mark.parametrize("lam", [NAN, complex(NAN, 1.0), complex(1.0, NAN)])
+    def test_h_element(self, kind, lam):
+        with pytest.raises(ValueError):
+            HElement(kind, lam)
+
+    @pytest.mark.parametrize("k", range(3))
+    @pytest.mark.parametrize("build", [
+        unit_vector_batch,
+        rp2_rep_batch,
+        su2_from_sphere_point_batch,
+        lambda x: su2_from_axis_angle_batch(np.full(len(x), 0.3), x),
+        lambda x: rotation_from_axis_angle_batch(np.full(len(x), 0.3), x),
+    ])
+    def test_batch_with_one_nan_row(self, build, k):
+        build(UNIT_ROWS)
+        with pytest.raises(ValueError):
+            build(_nan_at(UNIT_ROWS, (1, k)))
+
+    @pytest.mark.parametrize("k", range(2))
+    def test_su2_batch_with_one_nan_row(self, k):
+        su2_batch(SU2_ROWS)
+        with pytest.raises(ValueError):
+            su2_batch(_nan_at(SU2_ROWS, (1, k)))
+
+    def test_h_embed_batch_with_one_nan_row(self):
+        lam = np.array([1.0, 1j, -1.0])
+        h_embed_batch([False, True, False], lam)
+        with pytest.raises(ValueError):
+            h_embed_batch([False, True, False], _nan_at(lam, 1))

@@ -192,6 +192,8 @@ class TestWFunctional:
         w = WFunctional(np.zeros((3, 3)), 1.0)
         with pytest.raises(ValueError):
             w(np.vstack([grid8.nodes[:3], [[0.0, 0.0, 2.0]]]))
+        with pytest.raises(ValueError):
+            w(np.vstack([grid8.nodes[:3], [[0.0, float("nan"), 1.0]]]))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
