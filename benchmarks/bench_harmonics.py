@@ -1,8 +1,13 @@
-"""Timings of the harmonic basis build and of the two rotation routes.
+"""Timings of the harmonic basis build, the grid transform and rotation.
 
-The basis build dominates synthesis and projection, so it is the quantity
-benchmarked first.  Rotation is timed as two labelled cases: the coefficient
-route (``rotate_coeffs``, per-degree Wigner blocks, no basis build) and the
+The basis build (``ylm_basis``) serves evaluation at arbitrary points and
+the resampling cross-check.  The grid transform is timed as two labelled
+routes for ``analyze`` and for ``act_canonical`` on a 64-node radial stack:
+the separable route in use (``QuadratureGrid.project`` / ``synthesize``: FFT
+over azimuth, one Legendre matmul per m) and the dense route it replaced (a
+cached (n × (lmax+1)²) basis matrix and full matmuls; its bodies are kept
+below).  Rotation is timed as two labelled cases: the coefficient route
+(``rotate_coeffs``, per-degree Wigner blocks, no basis build) and the
 resampling cross-check route (``analyze(rotate_values(...))``, a basis build
 at the rotated nodes).
 
@@ -15,6 +20,26 @@ import time
 import numpy as np
 
 from rp2quant._kernels import ylm_basis
+from rp2quant.classical import w_matrix
+from rp2quant.groups import su2_from_axis_angle
+from rp2quant.harmonics import (
+    HarmonicCoeffs,
+    analyze,
+    project_sector,
+    random_coeffs,
+    rotate_coeffs,
+    rotate_stack,
+    rotate_values,
+)
+from rp2quant.manifold import WFunctional, build_quadrature
+from rp2quant.representation import (
+    FullSection,
+    _spectral_log_shift,
+    act_canonical,
+    full_section_from_matrix,
+    log_uniform_grid,
+    separable_section,
+)
 
 REPEATS = 5
 CASES = [
@@ -22,6 +47,22 @@ CASES = [
     (2178, 16),
     (4422, 32),      # largest supported band limit
 ]
+
+
+def analyze_dense(values, lmax, grid):
+    """The dense projection analyze used before the separable transform."""
+    return HarmonicCoeffs(lmax, "full", grid.basis(lmax).conj().T @ (grid.weights * values))
+
+
+def act_canonical_dense(w, g, lam, fs, grid):
+    """act_canonical's former dense body, less its radial-window guard."""
+    m = _spectral_log_shift(fs.matrix(), fs.radial, np.log(lam))
+    basis = grid.basis(fs.lmax)
+    phase = lam**1.5 * np.exp(-1j * np.outer(fs.radial.nodes, w(grid.nodes)))
+    vals = (rotate_stack(g, m) @ basis.T) * phase * grid.weights
+    out = (vals.conj() @ basis).conj()
+    result = full_section_from_matrix(fs.radial, out, fs.lmax, "full")
+    return FullSection(fs.radial, tuple(project_sector(t, fs.sector) for t in result.tables))
 
 
 def best_of(fn, *args):
@@ -42,16 +83,31 @@ def main():
         t = best_of(ylm_basis, pts, lmax)
         print(f"{n:>8} {lmax:>5} {t*1e3:>10.2f}ms")
 
-    from rp2quant.groups import su2_from_axis_angle
-    from rp2quant.harmonics import analyze, random_coeffs, rotate_coeffs, rotate_values
-    from rp2quant.manifold import build_quadrature
-
     g = su2_from_axis_angle(0.7, np.array([0.6, 0.0, 0.8]))
+    cm = w_matrix(np.array([0.3, -0.2, 0.5, 0.1, -0.4]))
+    w = WFunctional(cm * (0.0025 / np.linalg.norm(cm)), 0.01)
+    radial = log_uniform_grid(0.0625, 32.0, 64)
+    profile = np.exp(-((np.log(radial.nodes) - 0.347) ** 2) / (2 * 0.4**2))
+
+    print("\ngrid transform: separable (FFT + Legendre) vs dense basis matmul")
+    print(f"{'lmax':>5} {'analyze sep':>12} {'dense':>10} {'act_canonical sep':>18} {'dense':>10}")
+    for lmax in (8, 16, 32):
+        grid = build_quadrature(lmax)
+        grid.basis(lmax)                        # cached dense basis, as the old route kept it
+        a = random_coeffs(lmax, "full", rng)
+        v = grid.synthesize(a.c)
+        fs = separable_section(radial, profile, random_coeffs(lmax, "odd", rng))
+        t_an = best_of(analyze, v, lmax, grid)
+        t_an_dense = best_of(analyze_dense, v, lmax, grid)
+        t_act = best_of(act_canonical, w, g, 1.1, fs, grid)
+        t_act_dense = best_of(act_canonical_dense, w, g, 1.1, fs, grid)
+        print(f"{lmax:>5} {t_an*1e3:>10.2f}ms {t_an_dense*1e3:>8.2f}ms "
+              f"{t_act*1e3:>16.2f}ms {t_act_dense*1e3:>8.2f}ms")
+
     print("\nrotation: rotate_coeffs (coefficients) vs analyze(rotate_values) (resampling)")
     print(f"{'lmax':>5} {'coefficients':>14} {'resampling':>12}")
     for lmax in (8, 16, 32):
         grid = build_quadrature(lmax)
-        grid.basis(lmax)                        # cached projection basis, as in use
         a = random_coeffs(lmax, "full", rng)
         t_coef = best_of(rotate_coeffs, g, a, grid)
         t_res = best_of(lambda: analyze(rotate_values(g, a, grid.nodes), lmax, grid))

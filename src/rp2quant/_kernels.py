@@ -2,8 +2,11 @@
 
 The single performance-critical loop in this package is evaluation of the
 complex spherical-harmonic basis Y_lm (Condon-Shortley phase) at arbitrary
-unit vectors: synthesis and projection reduce to a basis-matrix build
-followed by a matmul.  Rotations act on coefficients
+unit vectors: ``harmonics.evaluate`` at arbitrary points is a basis build
+followed by a matmul.  On the quadrature grid, synthesis and projection
+(``QuadratureGrid.synthesize`` / ``project``) build the basis only once per
+lmax, at the φ = 0 node of each ring, and are otherwise an FFT over azimuth
+and a Legendre matmul per m.  Rotations act on coefficients
 (``harmonics.rotate_stack``) and build no basis; only the resampling
 cross-check route (``harmonics.rotate_values``) builds one at rotated nodes.
 ``ylm_basis`` is vectorized numpy over the points and loops over (l, m)

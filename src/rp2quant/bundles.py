@@ -35,7 +35,7 @@ from .groups import (
     unit_vector,
     unit_vector_batch,
 )
-from .harmonics import HarmonicCoeffs, analyze, evaluate
+from .harmonics import HarmonicCoeffs, evaluate, off_sector_mask
 from .manifold import CHART_TOL, QuadratureGrid
 
 FIBER_TOL = 1e-10
@@ -191,24 +191,26 @@ def module_iso_forward(
     lout = top + 1
     if lout > grid.lmax_exact:
         raise ValueError("grid not exact enough for the product coefficients")
-    vals = np.asarray(evaluate(a, grid.nodes))
-    out = []
-    for i in range(3):
-        raw = analyze(vals * grid.nodes[:, i], lout, grid)
-        c = np.array(raw.c)
-        for l in range(1, lout + 1, 2):
-            c[l * l : (l + 1) * (l + 1)] = 0.0   # odd-degree residue is quadrature noise
-        out.append(HarmonicCoeffs(lout, "even", c))
-    return tuple(out)
+    c = grid.project(grid.synthesize(a.c) * grid.nodes.T, lout)
+    c[:, off_sector_mask(lout, "even")] = 0.0   # odd-degree residue is quadrature noise
+    return tuple(HarmonicCoeffs(lout, "even", row) for row in c)
+
+
+def _component_values(f: tuple[HarmonicCoeffs, ...], grid: QuadratureGrid) -> np.ndarray:
+    """Node values of the triple's components: shape (n, 3)."""
+    return np.stack([grid.synthesize(fi.c) for fi in f], axis=1)
+
+
+def _projector_gap(vals: np.ndarray, grid: QuadratureGrid) -> float:
+    proj = grid.nodes * np.sum(vals * grid.nodes, axis=1)[:, None]
+    return float(np.max(np.abs(proj - vals)))
 
 
 def projector_residual(
     f: tuple[HarmonicCoeffs, ...], grid: QuadratureGrid
 ) -> float:
     """Sup-norm of (p·f - f) over the grid nodes."""
-    vals = np.stack([np.asarray(evaluate(fi, grid.nodes)) for fi in f], axis=1)
-    proj = grid.nodes * np.sum(vals * grid.nodes, axis=1)[:, None]
-    return float(np.max(np.abs(proj - vals)))
+    return _projector_gap(_component_values(f, grid), grid)
 
 
 def module_iso_inverse(
@@ -216,7 +218,8 @@ def module_iso_inverse(
 ) -> HarmonicCoeffs:
     """Triple f ↦ odd function a(x) = Σ_i f_i(x)·x_i = ⟨φ(x), f(x)⟩."""
     scale = max(max(fi.norm() for fi in f), 1.0)
-    res = projector_residual(f, grid)
+    vals = _component_values(f, grid)
+    res = _projector_gap(vals, grid)
     if res > constraint_tol * scale:
         raise ProjectorConstraintViolated(
             f"p·f - f residual {res:.3e} exceeds {constraint_tol:.1e} (scaled)"
@@ -224,12 +227,6 @@ def module_iso_inverse(
     lout = max(fi.lmax for fi in f) + 1
     if lout > grid.lmax_exact:
         raise ValueError("grid not exact enough for the product coefficients")
-    vals = sum(
-        np.asarray(evaluate(fi, grid.nodes)) * grid.nodes[:, i]
-        for i, fi in enumerate(f)
-    )
-    raw = analyze(vals, lout, grid)
-    c = np.array(raw.c)
-    for l in range(0, lout + 1, 2):
-        c[l * l : (l + 1) * (l + 1)] = 0.0
+    c = grid.project(np.sum(vals * grid.nodes, axis=1), lout)
+    c[off_sector_mask(lout, "odd")] = 0.0
     return HarmonicCoeffs(lout, "odd", c)

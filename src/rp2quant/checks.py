@@ -782,7 +782,7 @@ def _canonical_law(rng, cfg):
 def _exchange(rng, cfg):
     grid = _grid(cfg.lmax)
     worst = 0.0
-    for _ in range(200):
+    for _ in range(cfg.samples):
         sector = "odd" if rng.random() < 0.5 else "even"
         s = _random_section(rng, cfg, sector)
         rotated = act_U(random_su2(rng), s, grid)

@@ -5,7 +5,12 @@ harmonics with the Condon-Shortley phase (ħ = 1 throughout).  The antipodal
 map acts as (-1)^l on degree l, so the even-l/odd-l subspaces are exactly the
 functions that descend to ℝP² and the sections of the nontrivial line bundle
 respectively; coefficient tables carry a sector tag ("even" | "odd" | "full")
-enforcing the split.
+enforcing the split through one cached mask of odd degrees per lmax.
+
+Analysis and synthesis on a quadrature grid are separable
+(``QuadratureGrid.project`` / ``synthesize``): an FFT over the azimuths of
+each ring and one Legendre sum per m, O(L³) per table.  ``evaluate`` at
+arbitrary points builds the basis there with ``ylm_basis``.
 
 Angular momentum acts exactly in this basis:
     L₃ c[l, m] = m c[l, m],
@@ -42,13 +47,29 @@ def num_coeffs(lmax: int) -> int:
     return (lmax + 1) * (lmax + 1)
 
 
+_ODD_DEGREE: dict[int, np.ndarray] = {}
+
+
+def _odd_degree_mask(lmax: int) -> np.ndarray:
+    """Read-only boolean mask over table entries, True where l is odd (cached)."""
+    if lmax not in _ODD_DEGREE:
+        degrees = np.arange(lmax + 1)
+        mask = np.repeat(degrees % 2 == 1, 2 * degrees + 1)
+        mask.flags.writeable = False
+        _ODD_DEGREE[lmax] = mask
+    return _ODD_DEGREE[lmax]
+
+
+def off_sector_mask(lmax: int, sector: str) -> np.ndarray:
+    """Mask of the table entries a sector holds at zero (none for "full")."""
+    odd = _odd_degree_mask(lmax)
+    if sector == "even":
+        return odd
+    return ~odd if sector == "odd" else np.zeros_like(odd)
+
+
 def _sector_violation(c: np.ndarray, lmax: int, sector: str) -> float:
-    bad = 0.0
-    start = 1 if sector == "even" else 0
-    for l in range(start, lmax + 1, 2):
-        block = c[l * l : (l + 1) * (l + 1)]
-        bad = max(bad, float(np.max(np.abs(block))) if block.size else 0.0)
-    return bad
+    return float(np.max(np.abs(c[off_sector_mask(lmax, sector)]), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -104,11 +125,7 @@ def random_coeffs(
 ) -> HarmonicCoeffs:
     """Random table restricted to the requested parity sector."""
     c = rng.normal(size=num_coeffs(lmax)) + 1j * rng.normal(size=num_coeffs(lmax))
-    if sector != "full":
-        keep = 0 if sector == "even" else 1
-        for l in range(lmax + 1):
-            if l % 2 != keep:
-                c[l * l : (l + 1) * (l + 1)] = 0.0
+    c[off_sector_mask(lmax, sector)] = 0.0
     if normalize:
         n = np.linalg.norm(c)
         if n > 0:
@@ -127,30 +144,21 @@ def analyze(f, lmax: int, grid: QuadratureGrid) -> HarmonicCoeffs:
     """Project a pointwise function: c[l, m] = Σ_k w_k conj(Y_lm(x_k)) f(x_k).
 
     ``f`` may be a callable on (n, 3) arrays or precomputed node values.
+    The sum is ``grid.project`` (FFT over azimuth, Legendre sum per m).
     Exact on band-limited input when the grid integrates degree-2·lmax
-    products, i.e. lmax ≤ grid.lmax_exact.
+    products, i.e. lmax ≤ grid.lmax_exact; larger lmax raises.
     """
-    if lmax > grid.lmax_exact:
-        raise ValueError(
-            f"grid exact to lmax {grid.lmax_exact} cannot project lmax {lmax}"
-        )
     values = f(grid.nodes) if callable(f) else np.asarray(f, dtype=complex)
     if values.shape != (grid.n,):
         raise ValueError("node values have wrong shape")
-    c = grid.basis(lmax).conj().T @ (grid.weights * values)
-    return HarmonicCoeffs(lmax, "full", c)
+    return HarmonicCoeffs(lmax, "full", grid.project(values, lmax))
 
 
 def parity_decompose(a: HarmonicCoeffs) -> tuple[HarmonicCoeffs, HarmonicCoeffs]:
     """Split a full table into its even-l and odd-l parts (exact)."""
-    even = np.array(a.c)
-    odd = np.array(a.c)
-    for l in range(a.lmax + 1):
-        sl = slice(l * l, (l + 1) * (l + 1))
-        if l % 2:
-            even[sl] = 0.0
-        else:
-            odd[sl] = 0.0
+    odd_l = _odd_degree_mask(a.lmax)
+    even = np.where(odd_l, 0.0, a.c)
+    odd = np.where(odd_l, a.c, 0.0)
     return (
         HarmonicCoeffs(a.lmax, "even", even),
         HarmonicCoeffs(a.lmax, "odd", odd),

@@ -11,6 +11,7 @@ F([x:y:z]) = (yz, xz, xy, y² - z²) consists of four fixed linear functionals
 of M and is kept for cross-checks.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,7 +144,16 @@ def eval_w(w: WFunctional, p: RP2Point) -> float:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Gauss-Legendre × uniform-azimuth grid, exact through degree 2·lmax_exact + 1."""
+    """Gauss-Legendre × uniform-azimuth grid, exact through degree 2·lmax_exact + 1.
+
+    Nodes are ring-major: lmax_exact + 1 rings of constant cos θ, each with
+    n_φ = 2·lmax_exact + 2 azimuths φ_j = 2πj/n_φ starting at φ = 0.  On
+    this layout Y_lm(θ_i, φ_j) = T_lm(θ_i) e^{imφ_j} with T real, so
+    ``synthesize`` and ``project`` are separable: one FFT over azimuth and
+    one batched Legendre matmul per call, O(L³) where a dense basis matmul
+    is O(L⁴).  The dense ``basis`` and ``antipodal_basis`` remain for the
+    quadrature Gram oracle and the exchange-parity test.
+    """
 
     nodes: np.ndarray       # (n, 3) unit vectors
     weights: np.ndarray     # (n,) positive, summing to 4π
@@ -167,6 +177,74 @@ class QuadratureGrid:
         if key not in self._basis_cache:
             self._basis_cache[key] = ylm_basis(-self.nodes, lmax)
         return self._basis_cache[key]
+
+    def _ring_tables(self, lmax: int):
+        """Legendre slabs of the ring layout, cached under ("ring", lmax).
+
+        T[i, (l, m)] is ``ylm_basis`` at the φ = 0 node of ring i (real).
+        With m at FFT slot s = m mod n_φ (zero where |m| > l), returns
+        ``syn[s, i, l] = T`` (n_φ, n_θ, lmax+1), the ring-weighted
+        ``proj[s, l, i] = w_i T`` (n_φ, lmax+1, n_θ), and the (slot, degree)
+        index arrays of the coefficients in table order.
+        """
+        if not 0 <= lmax <= self.lmax_exact:
+            raise ValueError(
+                f"grid exact to lmax {self.lmax_exact} cannot project lmax {lmax}"
+            )
+        key = ("ring", lmax)
+        if key not in self._basis_cache:
+            n_theta, n_phi = self.lmax_exact + 1, 2 * self.lmax_exact + 2
+            rings = self.nodes.reshape(n_theta, n_phi, 3)
+            if self.n != n_theta * n_phi or np.any(rings[:, :, 2] != rings[:, :1, 2]) \
+                    or np.any(rings[:, 0, 1] != 0.0):
+                raise ValueError("grid nodes are not in build_quadrature's ring layout")
+            table = ylm_basis(rings[:, 0], lmax).real.T          # ((lmax+1)², n_θ)
+            deg = np.repeat(np.arange(lmax + 1), 2 * np.arange(lmax + 1) + 1)
+            slot = (np.arange(deg.size) - deg * deg - deg) % n_phi
+            syn = np.zeros((n_phi, n_theta, lmax + 1))
+            syn[slot, :, deg] = table
+            proj = np.zeros((n_phi, lmax + 1, n_theta))
+            proj[slot, deg] = table * self.weights[::n_phi]
+            for a in (syn, proj, slot, deg):
+                a.flags.writeable = False
+            self._basis_cache[key] = (syn, proj, slot, deg)
+        return self._basis_cache[key]
+
+    def synthesize(self, c) -> np.ndarray:
+        """Values Σ c_lm Y_lm(x_k) at the nodes for a stack (..., (lmax+1)²).
+
+        Returns (..., n): one scatter into FFT slots, one Legendre matmul per
+        slot and one inverse FFT over azimuth.
+        """
+        c = np.asarray(c, dtype=np.complex128)
+        lmax = math.isqrt(c.shape[-1]) - 1
+        if (lmax + 1) ** 2 != c.shape[-1]:
+            raise ValueError("last axis must hold (lmax+1)² coefficients")
+        syn, _, slot, deg = self._ring_tables(lmax)
+        rows = c.reshape(-1, c.shape[-1])
+        scattered = np.zeros((syn.shape[0], lmax + 1, rows.shape[0]), dtype=np.complex128)
+        scattered[slot, deg] = rows.T
+        # complex operands as interleaved real pairs: one real matmul per slot
+        rings = (syn @ scattered.view(np.float64)).view(np.complex128)
+        vals = np.fft.ifft(rings, axis=0, norm="forward")        # (n_φ, n_θ, rows)
+        return vals.transpose(2, 1, 0).reshape(c.shape[:-1] + (self.n,))
+
+    def project(self, values, lmax: int) -> np.ndarray:
+        """Σ_k w_k conj(Y_lm(x_k)) v_k for a stack of node values (..., n).
+
+        Returns (..., (lmax+1)²): one FFT over azimuth, one ring-weighted
+        Legendre matmul per slot and one gather.  Exact on band-limited
+        input when lmax ≤ lmax_exact; larger lmax raises.
+        """
+        v = np.asarray(values, dtype=np.complex128)
+        if v.shape[-1:] != (self.n,):
+            raise ValueError("node values have wrong shape")
+        _, proj, slot, deg = self._ring_tables(lmax)
+        n_phi, _, n_theta = proj.shape
+        spectra = np.fft.fft(v.reshape(-1, n_theta, n_phi), axis=-1)
+        spectra = np.ascontiguousarray(spectra.transpose(2, 1, 0))  # (n_φ, n_θ, rows)
+        rings = (proj @ spectra.view(np.float64)).view(np.complex128)
+        return rings[slot, deg].T.reshape(v.shape[:-1] + (slot.size,))
 
     def integrate(self, values: np.ndarray) -> complex:
         return complex(np.dot(self.weights, values))

@@ -35,6 +35,7 @@ from .groups import SU2Element, spinor_map, su2_from_axis_angle
 from .harmonics import (
     HarmonicCoeffs,
     apply_L,
+    off_sector_mask,
     project_sector,
     rotate_coeffs,
     rotate_stack,
@@ -181,7 +182,9 @@ def act_canonical(
 
     Dilation via exact spectral shift on the log-radial axis, rotation of the
     whole radial stack on coefficients (``rotate_stack``), phase as pointwise
-    multiplication on the quadrature nodes followed by re-projection.
+    multiplication on the quadrature nodes: the stack is synthesized and
+    re-projected with the grid's separable transform (``grid.synthesize`` /
+    ``grid.project``), and the sector is restored with one mask.
     Raises RadialRangeError when section support touches the radial window
     ends (the shift would wrap around); for supported input the residual
     unitarity error is set by the interior tail within |ln λ| of the ends,
@@ -198,16 +201,10 @@ def act_canonical(
             )
         m = _spectral_log_shift(m, fs.radial, np.log(lam))
 
-    basis = grid.basis(fs.lmax)
     phase = lam**1.5 * np.exp(-1j * np.outer(fs.radial.nodes, w(grid.nodes)))
-    vals = (rotate_stack(g, m) @ basis.T) * phase * grid.weights
-    # projection v @ conj(B) as conj(conj(v) @ B): no conjugated basis copy
-    out = (vals.conj() @ basis).conj()
-    result = full_section_from_matrix(fs.radial, out, fs.lmax, "full")
-    if fs.sector == "full":
-        return result
-    tables = tuple(project_sector(t, fs.sector) for t in result.tables)
-    return FullSection(fs.radial, tables)
+    out = grid.project(grid.synthesize(rotate_stack(g, m)) * phase, fs.lmax)
+    out[:, off_sector_mask(fs.lmax, fs.sector)] = 0.0
+    return full_section_from_matrix(fs.radial, out, fs.lmax, fs.sector)
 
 
 def canonical_product(

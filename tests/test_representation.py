@@ -5,7 +5,15 @@ from rp2quant._kernels import ylm_basis
 from rp2quant.classical import w_matrix
 from rp2quant.errors import RadialRangeError
 from rp2quant.groups import SU2_IDENTITY, random_su2, spinor_map
-from rp2quant.harmonics import HarmonicCoeffs, random_coeffs, unit
+from rp2quant.checks import REGISTRY, SuiteConfig, check_rng
+from rp2quant.harmonics import (
+    HarmonicCoeffs,
+    analyze,
+    parity_decompose,
+    random_coeffs,
+    rotate_values,
+    unit,
+)
 from rp2quant.manifold import WFunctional
 from rp2quant.representation import (
     RadialGrid,
@@ -264,6 +272,28 @@ class TestExchangeParity:
         for _ in range(20):
             s = Section(random_coeffs(8, "odd", rng), "minus")
             assert exchange_parity(act_U(random_su2(rng), s, grid8), grid8) == -1
+
+    def test_statistics_check_runs_samples_iterations(self, grid8):
+        """exchange-statistics draws cfg.samples sections, not a fixed count."""
+
+        def reference(rng, lmax, iterations):
+            worst = 0.0
+            for _ in range(iterations):
+                sector = "odd" if rng.random() < 0.5 else "even"
+                s = Section(random_coeffs(lmax, sector, rng), "minus" if sector == "odd" else "plus")
+                rotated = act_U(random_su2(rng), s, grid8)
+                if exchange_parity(rotated, grid8) != (-1 if sector == "odd" else 1):
+                    return 1.0
+                raw = analyze(rotate_values(random_su2(rng), s.a, grid8.nodes), lmax, grid8)
+                even, odd = parity_decompose(raw)
+                worst = max(worst, (odd if sector == "even" else even).norm())
+            return worst
+
+        check = next(c for c in REGISTRY if c.name == "exchange-statistics")
+        cfg = SuiteConfig(lmax=8, samples=3)
+        rng_ref, rng_new = check_rng(5, check.name), check_rng(5, check.name)
+        assert check.fn(rng_new, cfg) == reference(rng_ref, 8, 3)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
 class TestSerialization:
