@@ -194,8 +194,8 @@ class QuadratureGrid:
         key = ("ring", lmax)
         if key not in self._basis_cache:
             n_theta, n_phi = self.lmax_exact + 1, 2 * self.lmax_exact + 2
-            rings = self.nodes.reshape(n_theta, n_phi, 3)
-            if self.n != n_theta * n_phi or np.any(rings[:, :, 2] != rings[:, :1, 2]) \
+            rings = self.nodes.reshape(n_theta, n_phi, 3) if self.n == n_theta * n_phi else None
+            if rings is None or np.any(rings[:, :, 2] != rings[:, :1, 2]) \
                     or np.any(rings[:, 0, 1] != 0.0):
                 raise ValueError("grid nodes are not in build_quadrature's ring layout")
             table = ylm_basis(rings[:, 0], lmax).real.T          # ((lmax+1)², n_θ)
@@ -225,9 +225,11 @@ class QuadratureGrid:
         scattered = np.zeros((syn.shape[0], lmax + 1, rows.shape[0]), dtype=np.complex128)
         scattered[slot, deg] = rows.T
         # complex operands as interleaved real pairs: one real matmul per slot
-        rings = (syn @ scattered.view(np.float64)).view(np.complex128)
-        vals = np.fft.ifft(rings, axis=0, norm="forward")        # (n_φ, n_θ, rows)
-        return vals.transpose(2, 1, 0).reshape(c.shape[:-1] + (self.n,))
+        rings = (syn @ scattered.view(np.float64)).view(np.complex128)   # (n_φ, n_θ, rows)
+        del scattered
+        vals = np.empty(rings.shape[::-1], dtype=np.complex128)            # ring-major nodes
+        np.fft.ifft(rings, axis=0, norm="forward", out=vals.transpose(2, 1, 0))
+        return vals.reshape(c.shape[:-1] + (self.n,))
 
     def project(self, values, lmax: int) -> np.ndarray:
         """Σ_k w_k conj(Y_lm(x_k)) v_k for a stack of node values (..., n).
@@ -241,10 +243,12 @@ class QuadratureGrid:
             raise ValueError("node values have wrong shape")
         _, proj, slot, deg = self._ring_tables(lmax)
         n_phi, _, n_theta = proj.shape
-        spectra = np.fft.fft(v.reshape(-1, n_theta, n_phi), axis=-1)
-        spectra = np.ascontiguousarray(spectra.transpose(2, 1, 0))  # (n_φ, n_θ, rows)
-        rings = (proj @ spectra.view(np.float64)).view(np.complex128)
-        return rings[slot, deg].T.reshape(v.shape[:-1] + (slot.size,))
+        rows = v.reshape(-1, n_theta, n_phi)
+        spectra = np.empty(rows.shape[::-1], dtype=np.complex128)          # (n_φ, n_θ, rows)
+        np.fft.fft(rows, axis=-1, out=spectra.transpose(2, 1, 0))
+        rings = (proj @ spectra.view(np.float64)).view(np.complex128)   # (n_φ, lmax+1, rows)
+        del spectra
+        return rings.transpose(2, 0, 1)[:, slot, deg].reshape(v.shape[:-1] + (slot.size,))
 
     def integrate(self, values: np.ndarray) -> complex:
         return complex(np.dot(self.weights, values))

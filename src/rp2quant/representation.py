@@ -201,8 +201,9 @@ def act_canonical(
             )
         m = _spectral_log_shift(m, fs.radial, np.log(lam))
 
-    phase = lam**1.5 * np.exp(-1j * np.outer(fs.radial.nodes, w(grid.nodes)))
-    out = grid.project(grid.synthesize(rotate_stack(g, m)) * phase, fs.lmax)
+    vals = grid.synthesize(rotate_stack(g, m))
+    vals *= lam**1.5 * np.exp(-1j * np.outer(fs.radial.nodes, w(grid.nodes)))
+    out = grid.project(vals, fs.lmax)
     out[:, off_sector_mask(fs.lmax, fs.sector)] = 0.0
     return full_section_from_matrix(fs.radial, out, fs.lmax, fs.sector)
 

@@ -119,6 +119,9 @@ class TestAgainstDenseBasis:
         shuffled = type(grid8)(grid8.nodes[::-1].copy(), grid8.weights, 8)
         with pytest.raises(ValueError, match="ring layout"):
             shuffled.project(np.ones(grid8.n), 8)
+        short = type(grid8)(grid8.nodes[:-1], grid8.weights[:-1], 8)
+        with pytest.raises(ValueError, match="ring layout"):
+            short.synthesize(np.ones(num_coeffs(8)))
 
 
 def act_canonical_dense(w, g, lam, fs, grid):
