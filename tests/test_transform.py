@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from rp2quant.bundles import module_iso_forward, module_iso_inverse, projector_residual
-from rp2quant.classical import w_matrix
 from rp2quant.groups import random_su2
 from rp2quant.harmonics import (
     HarmonicCoeffs,
@@ -27,13 +26,14 @@ from rp2quant.harmonics import (
     random_coeffs,
     rotate_stack,
 )
-from rp2quant.manifold import MAX_GRID_LMAX, WFunctional, build_quadrature
+from rp2quant.manifold import MAX_GRID_LMAX, build_quadrature
 from rp2quant.representation import (
     _spectral_log_shift,
     act_canonical,
     log_uniform_grid,
     separable_section,
 )
+from test_representation import gaussian_profile, small_w
 
 REL_TOL = 1e-13
 
@@ -44,16 +44,6 @@ def rel_gap(got, want) -> float:
 
 def complex_normal(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-
-def gaussian_profile(radial):
-    u = np.log(radial.nodes)
-    return np.exp(-((u - 0.347) ** 2) / (2 * 0.4**2))
-
-
-def small_w(rng, scale):
-    c = w_matrix(rng.normal(size=5))
-    return WFunctional(c * (scale / np.linalg.norm(c)), rng.normal() * 0.05)
 
 
 def zero_degrees(c, lmax, parity):
