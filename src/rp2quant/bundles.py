@@ -202,6 +202,7 @@ def _component_values(f: tuple[HarmonicCoeffs, ...], grid: QuadratureGrid) -> np
 
 
 def _projector_gap(vals: np.ndarray, grid: QuadratureGrid) -> float:
+    """Sup-norm of (p·f - f) from the (n, 3) component values at the nodes."""
     proj = grid.nodes * np.sum(vals * grid.nodes, axis=1)[:, None]
     return float(np.max(np.abs(proj - vals)))
 

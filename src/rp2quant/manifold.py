@@ -226,7 +226,7 @@ class QuadratureGrid:
         scattered[slot, deg] = rows.T
         # complex operands as interleaved real pairs: one real matmul per slot
         rings = (syn @ scattered.view(np.float64)).view(np.complex128)   # (n_φ, n_θ, rows)
-        del scattered
+        del scattered                    # at most two stack-sized buffers live at once
         vals = np.empty(rings.shape[::-1], dtype=np.complex128)            # ring-major nodes
         np.fft.ifft(rings, axis=0, norm="forward", out=vals.transpose(2, 1, 0))
         return vals.reshape(c.shape[:-1] + (self.n,))
@@ -247,7 +247,7 @@ class QuadratureGrid:
         spectra = np.empty(rows.shape[::-1], dtype=np.complex128)          # (n_φ, n_θ, rows)
         np.fft.fft(rows, axis=-1, out=spectra.transpose(2, 1, 0))
         rings = (proj @ spectra.view(np.float64)).view(np.complex128)   # (n_φ, lmax+1, rows)
-        del spectra
+        del spectra                      # at most two stack-sized buffers live at once
         return rings.transpose(2, 0, 1)[:, slot, deg].reshape(v.shape[:-1] + (slot.size,))
 
     def integrate(self, values: np.ndarray) -> complex:
