@@ -9,7 +9,10 @@ cached (n × (lmax+1)²) basis matrix and full matmuls; its bodies are kept
 below).  Rotation is timed as two labelled cases: the coefficient route
 (``rotate_coeffs``, per-degree Wigner blocks, no basis build) and the
 resampling cross-check route (``analyze(rotate_values(...))``, a basis build
-at the rotated nodes).
+at the rotated nodes).  The "Wigner D^j" case times the one spin-j primitive
+(``wigner_d``, Euler phases around cached S₂ eigenvectors) against the
+symmetrized-power oracle the checks keep, and the transport frame built on
+it (``TransportFrame(1).unitary``).
 
 Run:
     PYTHONPATH=src python benchmarks/bench_harmonics.py
@@ -20,8 +23,10 @@ import time
 import numpy as np
 
 from rp2quant._kernels import ylm_basis
+from rp2quant.berry_robbins import TransportFrame
+from rp2quant.checks import _symmetrized_power_d
 from rp2quant.classical import w_matrix
-from rp2quant.groups import su2_from_axis_angle
+from rp2quant.groups import random_su2, su2_from_axis_angle
 from rp2quant.harmonics import (
     HarmonicCoeffs,
     analyze,
@@ -30,6 +35,7 @@ from rp2quant.harmonics import (
     rotate_coeffs,
     rotate_stack,
     rotate_values,
+    wigner_d,
 )
 from rp2quant.manifold import WFunctional, build_quadrature
 from rp2quant.representation import (
@@ -112,6 +118,19 @@ def main():
         t_coef = best_of(rotate_coeffs, g, a, grid)
         t_res = best_of(lambda: analyze(rotate_values(g, a, grid.nodes), lmax, grid))
         print(f"{lmax:>5} {t_coef*1e3:>12.2f}ms {t_res*1e3:>10.2f}ms")
+
+    print("\nWigner D^j: wigner_d (primitive) vs symmetrized power (oracle), per call")
+    print(f"{'j':>5} {'primitive':>11} {'oracle':>11}")
+    h = random_su2(rng)
+    for j in (0.5, 1.0, 2.0, 4.0, 20.0):
+        wigner_d(j, h)                          # fill the eigenvector cache
+        t_prim = best_of(lambda: [wigner_d(j, h) for _ in range(100)]) / 100
+        t_orac = best_of(lambda: [_symmetrized_power_d(j, h) for _ in range(10)]) / 10
+        print(f"{j:>5} {t_prim*1e6:>9.1f}us {t_orac*1e6:>9.1f}us")
+    frame = TransportFrame(1.0)
+    r = np.array([0.6, 0.0, 0.8])
+    t_frame = best_of(lambda: [frame.unitary(r) for _ in range(100)]) / 100
+    print(f"TransportFrame(1).unitary {t_frame*1e6:.1f}us")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@
 A transport frame assigns to each point r of the sphere (minus the south
 pole) a unitary U(r) with U(ẑ) = Id; the concrete choice here is geodesic
 transport U(r) = exp(-iθ m̂(r)·S), where (θ, m̂) is the rotation of smallest
-angle taking ẑ to r.  Transported spin operators are the conjugates
+angle taking ẑ to r.  It is built as D^j of that rotation's SU(2) element by
+``harmonics.wigner_d``, the one spin-j rotation primitive, so every
+half-integer j is allowed.  Transported spin operators are the conjugates
 S_i(r) = U(r) S_i U†(r).
 
 States are coefficient vectors λ in the transported basis
@@ -21,11 +23,12 @@ sphere functions is included as the trivial-frame case; its generators
 decompose by angular-momentum addition as J_i = L_i ⊗ Id + Id ⊗ S_i.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import SU2Element, spinor_map, su2_from_axis_angle, unit_vector
+from .groups import SU2Element, spinor_map, su2_from_axis_angle, su2_from_sphere_point, unit_vector
 from .harmonics import (
     HarmonicCoeffs,
     angular_momentum_matrices,
@@ -41,16 +44,12 @@ SOUTH_POLE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class TransportFrame:
-    """Geodesic transport frame at spin j; excluded set: the south pole."""
+    """Geodesic transport frame at half-integer spin j; excluded set: the south pole."""
 
     j: float
 
     def __post_init__(self):
-        twoj = int(round(2 * self.j))
-        if abs(2 * self.j - twoj) > 1e-12 or not 0 <= twoj <= 4:
-            raise ValueError("2j must lie in {0, 1, 2, 3, 4}")
-        s1, s2, s3 = angular_momentum_matrices(self.j)
-        object.__setattr__(self, "_spin", (s1, s2, s3))
+        object.__setattr__(self, "_spin", angular_momentum_matrices(self.j))
 
     @property
     def dim(self) -> int:
@@ -60,20 +59,17 @@ class TransportFrame:
         return self._spin
 
     def unitary(self, r) -> np.ndarray:
-        """U(r) = exp(-iθ m̂·S) with (θ, m̂) the geodesic rotation ẑ → r."""
+        """U(r) = D^j(g_r), g_r = exp(-iθ m̂·σ/2) the geodesic rotation ẑ → r.
+
+        ``wigner_d`` of ``su2_from_sphere_point(r)``; this equals
+        exp(-iθ m̂·S).  The north pole gives the identity exactly.
+        """
         v = unit_vector(r)
         if v[2] <= -1.0 + SOUTH_POLE_TOL:
             raise ValueError("frame is undefined at the south pole")
-        axis = np.array([-v[1], v[0], 0.0])
-        s = np.linalg.norm(axis)
-        if s < 1e-15:
+        if math.hypot(v[0], v[1]) < 1e-15:
             return np.eye(self.dim, dtype=complex)
-        theta = np.arctan2(s, v[2])
-        s1, s2, s3 = self._spin
-        m_hat = axis / s
-        h = theta * (m_hat[0] * s1 + m_hat[1] * s2 + m_hat[2] * s3)
-        evals, evecs = np.linalg.eigh(h)
-        return (evecs * np.exp(-1j * evals)) @ evecs.conj().T
+        return wigner_d(self.j, su2_from_sphere_point(v))
 
 
 def default_transport(j: float) -> TransportFrame:

@@ -92,22 +92,6 @@ def assoc_translate(e: AssocElement, h: HElement) -> AssocElement:
     return AssocElement(e.g * h.embed(), kappa(h) * e.v)
 
 
-def assoc_canonicalize(e: AssocElement) -> AssocElement:
-    """Deterministic representative: geodesic g over the canonical base rep.
-
-    Of the two candidates the one with v "positive" (Re v > 0, or Re v = 0
-    and Im v ≥ 0) is chosen, so equal classes compare equal fieldwise.
-    """
-    el = iso_Phi(e)
-    x = el.base.rep
-    g0 = su2_from_sphere_point(x)
-    v = complex(np.vdot(phi(x), el.fiber))
-    flip = v.real < 0.0 or (v.real == 0.0 and v.imag < 0.0)
-    if flip:
-        return AssocElement(g0 * HElement("antidiagonal", 1.0).embed(), -v)
-    return AssocElement(g0, v)
-
-
 def iso_Phi(e: AssocElement) -> LMinusElement:
     """Φ[(g, v)] = ([x(g)], v·φ(x(g))); well defined on classes."""
     x = quotient_to_sphere(e.g)

@@ -7,6 +7,7 @@ are grouped into suites mirroring the package modules.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -492,10 +493,32 @@ def _ladder_algebra(rng, cfg):
     return worst
 
 
+def _symmetrized_power_d(j: float, g) -> np.ndarray:
+    """Oracle for ``wigner_d``: the 2j-fold symmetrized power of g.matrix().
+
+    With [[a, b], [c, d]] = g.matrix() acting as x ↦ ax + cy, y ↦ bx + dy on
+    f_m = x^{j+m} y^{j-m} / sqrt((j+m)!(j-m)!), m = +j ... -j:
+
+        D_{m'm} = sqrt((j+m')!(j-m')!/((j+m)!(j-m)!)) ·
+                  Σ_k C(j+m, k) C(j-m, j-m'-k) a^{j+m-k} c^k b^{m'-m+k} d^{j-m'-k}.
+    """
+    n = round(2 * j)
+    (a, b), (c, d) = g.matrix()
+    f = [math.factorial(k) for k in range(n + 1)]
+    out = np.zeros((n + 1, n + 1), dtype=complex)
+    for p, q in np.ndindex(n + 1, n + 1):           # row m' = j - p, column m = j - q
+        out[p, q] = math.sqrt(f[n - p] * f[p] / (f[n - q] * f[q])) * sum(
+            math.comb(n - q, k) * math.comb(q, p - k)
+            * a ** (n - q - k) * c**k * b ** (q - p + k) * d ** (p - k)
+            for k in range(max(0, p - q), min(n - q, p) + 1)
+        )
+    return out
+
+
 @register("harmonics", "rotation-wigner-cross-check", "wigner-matrix-blocks", 1e-9)
 def _rot_wigner(rng, cfg):
     # the coefficient route against resampling on every degree, and against
-    # the symmetrized-power Wigner matrices where those exist (l ≤ 4)
+    # the symmetrized-power oracle on l ≤ 4
     grid = _grid(cfg.lmax)
     worst = 0.0
     for _ in range(10):
@@ -505,7 +528,7 @@ def _rot_wigner(rng, cfg):
         resampled = analyze(rotate_values(g, a, grid.nodes), cfg.lmax, grid)
         worst = max(worst, float(np.max(np.abs(rot.c - resampled.c))))
         for l in range(1, min(cfg.lmax, 4) + 1):
-            d = wigner_d(l, g)
+            d = _symmetrized_power_d(l, g)
             want = d @ a.block(l)[::-1]      # blocks are m = -l..l, D rows m = +l..-l
             worst = max(worst, float(np.max(np.abs(rot.block(l)[::-1] - want))))
     return worst

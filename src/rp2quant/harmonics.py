@@ -14,15 +14,17 @@ arbitrary points builds the basis there with ``ylm_basis``.
 
 Angular momentum acts exactly in this basis:
     L₃ c[l, m] = m c[l, m],
-    L± c[l, m] = sqrt(l(l+1) - m(m∓1)) c[l, m∓1]   (as coefficient maps),
-and finite rotations act on coefficients: ``rotate_stack`` multiplies each
-degree-l block by D^l(g) = e^{-iαL₃} e^{-iβL₂} e^{-iγL₃}, with e^{-iβL₂}
-taken from a cached eigendecomposition of the L₂ ladder matrix.  Blocks never
-mix, so rotations preserve parity sectors exactly and need no quadrature.
-Two independent routes are kept for cross-checks: resampling at rotated
-nodes followed by re-projection (``rotate_values`` + ``analyze``), and Wigner
-D matrices built from the defining 2×2 representation by symmetrized tensor
-powers (``wigner_d``).
+    L± c[l, m] = sqrt(l(l+1) - m(m∓1)) c[l, m∓1]   (as coefficient maps).
+One primitive builds every spin-j rotation matrix, for any half-integer j:
+``wigner_d`` is D^j(g) = e^{-iαS₃} V e^{-iβΛ} V† e^{-iγS₃}, with V from a
+read-only cache of S₂ eigenvectors keyed by 2j and (α, β, γ) read from
+g = (z0, z1).  ``rotate_stack`` applies the same factors to each degree-l
+block of a coefficient stack, and ``berry_robbins.TransportFrame`` is
+D^j of the geodesic element.  Blocks never mix, so rotations preserve parity
+sectors exactly and need no quadrature.  Two independent oracles are kept
+for cross-checks: resampling at rotated nodes followed by re-projection
+(``rotate_values`` + ``analyze``), and the symmetrized tensor powers of the
+defining 2×2 matrix (in ``checks``).
 """
 
 import cmath
@@ -173,13 +175,14 @@ def project_sector(a: HarmonicCoeffs, sector: str) -> HarmonicCoeffs:
     return even if sector == "even" else odd
 
 
-def _ladder(l: int) -> np.ndarray:
-    """sqrt(l(l+1) - m(m+1)) for m = -l ... l-1: the L₊ entry from m to m+1.
+def _ladder(j: float) -> np.ndarray:
+    """sqrt(j(j+1) - m(m+1)) for m = -j ... j-1: the J₊ entry from m to m+1.
 
-    L₋ has the same entries from m+1 to m, so one array serves both ladders.
+    j is any non-negative half-integer (an integer degree l for ``apply_L``).
+    J₋ has the same entries from m+1 to m, so one array serves both ladders.
     """
-    m = np.arange(-l, l)
-    return np.sqrt(l * (l + 1.0) - m * (m + 1.0))
+    m = np.arange(-j, j)
+    return np.sqrt(j * (j + 1.0) - m * (m + 1.0))
 
 
 def apply_L(i: int, a: HarmonicCoeffs) -> HarmonicCoeffs:
@@ -209,6 +212,21 @@ def apply_L(i: int, a: HarmonicCoeffs) -> HarmonicCoeffs:
     return HarmonicCoeffs(a.lmax, a.sector, out)
 
 
+def _twice_spin(j: float) -> int:
+    """2j for a non-negative half-integer j; anything else raises ValueError."""
+    if not (math.isfinite(j) and j >= 0 and abs(2 * j - round(2 * j)) <= 1e-12):
+        raise ValueError("j must be a nonnegative half-integer")
+    return round(2 * j)
+
+
+def angular_momentum_matrices(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S₁, S₂, S₃) in the |j, m⟩ basis ordered m = +j ... -j."""
+    m = j - np.arange(_twice_spin(j) + 1)
+    sp = np.diag(_ladder(j)[::-1], 1).astype(complex)     # S₊: m -> m + 1
+    sm = sp.conj().T
+    return 0.5 * (sp + sm), -0.5j * (sp - sm), np.diag(m.astype(complex))
+
+
 def rotate_values(g: SU2Element, a: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
     """Values of x ↦ a(Spin(g)⁻¹ x) at the given points.
 
@@ -219,54 +237,73 @@ def rotate_values(g: SU2Element, a: HarmonicCoeffs, points: np.ndarray) -> np.nd
     return ylm_basis(points @ r_inv.T, a.lmax) @ a.c
 
 
-_L2_EIGVECS: dict[int, np.ndarray] = {}
+_S2_EIGVECS: dict[int, np.ndarray] = {}
 
 
-def _l2_eigvecs(l: int) -> np.ndarray:
-    """Unitary V with L₂ = V diag(-l ... l) V† on the degree-l block (read-only).
+def _s2_eigvecs(twoj: int) -> np.ndarray:
+    """Unitary V with S₂ = V diag(-j ... j) V† at spin j = twoj/2 (cached, read-only).
 
-    L₂ = (L₊ - L₋)/(2i) is built from the same ladder entries as ``apply_L``.
-    Its spectrum is exactly the integers -l ... l, which ``eigh`` returns in
-    ascending order, so only the eigenvectors are kept.
+    ``eigh`` returns the exact spectrum -j ... j in ascending order, so only
+    the eigenvectors are kept.
     """
-    if l not in _L2_EIGVECS:
-        up = np.diag(_ladder(l), -1)              # L₊ as a matrix on m = -l ... l
-        _, v = np.linalg.eigh(-0.5j * (up - up.T))
+    if twoj not in _S2_EIGVECS:
+        _, v = np.linalg.eigh(angular_momentum_matrices(twoj / 2)[1])
         v.flags.writeable = False
-        _L2_EIGVECS[l] = v
-    return _L2_EIGVECS[l]
+        _S2_EIGVECS[twoj] = v
+    return _S2_EIGVECS[twoj]
+
+
+def _euler_phases(g: SU2Element, twoj: int) -> np.ndarray:
+    """Rows e^{-iαm}, e^{-iβλ}, e^{-iγm} (m = +j ... -j, λ = -j ... +j) of g.
+
+    g = e^{-iασ₃/2} e^{-iβσ₂/2} e^{-iγσ₃/2} with β = 2·atan2(|z1|, |z0|),
+    α+γ = -2·arg z0 and α-γ = 2·arg(-z1); α and γ are not reduced mod 2π,
+    so half-integer m gets the right sign.
+    """
+    beta = 2.0 * math.atan2(abs(g.z1), abs(g.z0))
+    half_sum, half_diff = -cmath.phase(g.z0), cmath.phase(-g.z1)
+    alpha, gamma = half_sum + half_diff, half_sum - half_diff
+    m = twoj / 2 - np.arange(twoj + 1)
+    return np.exp(np.multiply.outer([-1j * alpha, 1j * beta, -1j * gamma], m))
+
+
+def wigner_d(j: float, g: SU2Element) -> np.ndarray:
+    """Spin-j matrix of g in the |j, m⟩ basis (m = +j ... -j), any half-integer j.
+
+        D^j(g) = e^{-iαS₃} V e^{-iβΛ} V† e^{-iγS₃},   Λ = diag(-j ... j),
+
+    with V = ``_s2_eigvecs(2j)`` and the Euler angles of ``_euler_phases``.
+    D^{1/2}(g) = g.matrix() and i·d/dt D(e^{-it σ_i/2})|₀ = S_i.
+    """
+    twoj = _twice_spin(j)
+    v = _s2_eigvecs(twoj)
+    pa, pb, pg = _euler_phases(g, twoj)
+    return pa[:, None] * ((v * pb) @ v.conj().T) * pg
 
 
 def rotate_stack(g: SU2Element, c: np.ndarray) -> np.ndarray:
     """Coefficients of x ↦ a(Spin(g)⁻¹ x) for each table a in a stack.
 
-    ``c`` has shape (..., (lmax+1)²).  Each degree-l block is multiplied by
-
-        D^l(g) = e^{-iαL₃} V_l e^{-iβΛ_l} V_l† e^{-iγL₃},   Λ_l = diag(-l ... l),
-
-    factor by factor, where V_l diagonalizes L₂ and the Euler angles come
-    from g = (z0, z1): β = 2·atan2(|z1|, |z0|), α+γ = -2·arg z0 and
-    α-γ = 2·arg(-z1).  Every row goes through the same matrix-vector
-    products, so a stack gives bit for bit the rows of its single tables.
+    ``c`` has shape (..., (lmax+1)²).  Each degree-l block, read as
+    m = +l ... -l, is multiplied by ``wigner_d(l, g)`` factor by factor (the
+    same phases and cached V, no dense D^l).  Every row goes through the same
+    matrix-vector products, so a stack gives bit for bit the rows of its
+    single tables.
     """
     c = np.asarray(c, dtype=np.complex128)
     lmax = math.isqrt(c.shape[-1]) - 1
     if num_coeffs(lmax) != c.shape[-1]:
         raise ValueError("last axis must hold (lmax+1)² coefficients")
-    beta = 2.0 * math.atan2(abs(g.z1), abs(g.z0))
-    half_sum, half_diff = -cmath.phase(g.z0), cmath.phase(-g.z1)
-    m = np.arange(-lmax, lmax + 1)
-    phase_alpha = np.exp(-1j * (half_sum + half_diff) * m)
-    phase_beta = np.exp(-1j * beta * m)
-    phase_gamma = np.exp(-1j * (half_sum - half_diff) * m)
+    phase_alpha, phase_beta, phase_gamma = _euler_phases(g, 2 * lmax)
     out = np.empty_like(c)
+    # reversed (..., 1, n) row stacks: degree-l blocks in the order m = +l ... -l,
+    # and every product a matrix-vector one
+    rev_in, rev_out, n = c[..., None, ::-1], out[..., None, ::-1], c.shape[-1]
     for l in range(lmax + 1):
-        v = _l2_eigvecs(l)
-        ms = slice(lmax - l, lmax + l + 1)
-        # a (..., 1, 2l+1) row stack keeps every product a matrix-vector one
-        rows = c[..., None, l * l : (l + 1) * (l + 1)] * phase_gamma[ms]
-        rows = ((rows @ v.conj()) * phase_beta[ms]) @ v.T
-        out[..., l * l : (l + 1) * (l + 1)] = rows[..., 0, :] * phase_alpha[ms]
+        v = _s2_eigvecs(2 * l)
+        ms, block = slice(lmax - l, lmax + l + 1), slice(n - (l + 1) ** 2, n - l * l)
+        rows = ((rev_in[..., block] * phase_gamma[ms]) @ v.conj()) * phase_beta[ms]
+        rev_out[..., block] = (rows @ v.T) * phase_alpha[ms]
     return out
 
 
@@ -302,59 +339,3 @@ def load_coeffs(path) -> HarmonicCoeffs:
             l_s, m_s, re_s, im_s = line.split()
             c[coeff_index(int(l_s), int(m_s))] = float(re_s) + 1j * float(im_s)
     return HarmonicCoeffs(lmax, sector, c)
-
-
-def angular_momentum_matrices(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S₁, S₂, S₃) in the |j, m⟩ basis ordered m = +j ... -j."""
-    dim = int(round(2 * j)) + 1
-    if abs(2 * j - round(2 * j)) > 1e-12 or j < 0:
-        raise ValueError("j must be a nonnegative half-integer")
-    m = j - np.arange(dim)
-    s3 = np.diag(m.astype(complex))
-    sp = np.zeros((dim, dim), dtype=complex)
-    for k in range(1, dim):
-        # raises m[k] -> m[k] + 1 = m[k-1]
-        sp[k - 1, k] = math.sqrt(j * (j + 1) - m[k] * (m[k] + 1))
-    sm = sp.conj().T
-    return 0.5 * (sp + sm), -0.5j * (sp - sm), s3
-
-
-def wigner_d(j: float, g: SU2Element) -> np.ndarray:
-    """Spin-j matrix of g in the |j, m⟩ basis (m = +j ... -j).
-
-    Built as the 2j-fold symmetrized power of the defining matrix
-    [[a, b], [c, d]] = g.matrix(): with the monomial basis
-    f_m = x^{j+m} y^{j-m} / sqrt((j+m)!(j-m)!) and x ↦ ax + cy, y ↦ bx + dy,
-
-        D_{m'm} = sqrt((j+m')!(j-m')!/((j+m)!(j-m)!)) ·
-                  Σ_k C(j+m, k) C(j-m, j-m'-k) a^{j+m-k} c^k b^{m'-m+k} d^{j-m'-k}.
-
-    In particular D^{1/2}(g) = g.matrix() and i·d/dt D(e^{-it σ_i/2})|₀ = S_i.
-    """
-    twoj = int(round(2 * j))
-    if abs(2 * j - twoj) > 1e-12 or not 0 <= twoj <= 8:
-        raise ValueError("j must be a half-integer with 0 ≤ j ≤ 4")
-    u = g.matrix()
-    a, b, c, d = u[0, 0], u[0, 1], u[1, 0], u[1, 1]
-    dim = twoj + 1
-    out = np.zeros((dim, dim), dtype=complex)
-    fact = [math.factorial(n) for n in range(twoj + 1)]
-    for im in range(dim):
-        jm = twoj - im                                   # j + m
-        jn = twoj - jm                                   # j - m
-        for imp in range(dim):
-            jmp = twoj - imp                             # j + m'
-            jnp = twoj - jmp                             # j - m'
-            norm = math.sqrt(fact[jmp] * fact[jnp] / (fact[jm] * fact[jn]))
-            total = 0.0 + 0.0j
-            for k in range(max(0, jnp - jn), min(jm, jnp) + 1):
-                total += (
-                    math.comb(jm, k)
-                    * math.comb(jn, jnp - k)
-                    * a ** (jm - k)
-                    * c**k
-                    * b ** (jn - jnp + k)
-                    * d ** (jnp - k)
-                )
-            out[imp, im] = norm * total
-    return out

@@ -40,15 +40,16 @@ class TestTransportFrame:
         assert np.max(np.abs(frame.unitary([1, 0, 0]) - want)) < 1e-14
 
     def test_matches_exponential_oracle(self, rng):
-        frame = default_transport(1.5)
-        mats = frame.spin_matrices()
-        for _ in range(20):
-            r = safe_point(rng)
-            axis = np.array([-r[1], r[0], 0.0])
-            s = np.linalg.norm(axis)
-            theta = np.arctan2(s, r[2])
-            h = (theta / s) * (axis[0] * mats[0] + axis[1] * mats[1]) if s > 0 else 0 * mats[0]
-            assert np.max(np.abs(frame.unitary(r) - expm(-1j * h))) < 1e-12
+        for twoj in range(9):
+            frame = default_transport(twoj / 2)
+            mats = frame.spin_matrices()
+            for _ in range(20):
+                r = safe_point(rng)
+                axis = np.array([-r[1], r[0], 0.0])
+                s = np.linalg.norm(axis)
+                theta = np.arctan2(s, r[2])
+                h = (theta / s) * (axis[0] * mats[0] + axis[1] * mats[1]) if s > 0 else 0 * mats[0]
+                assert np.max(np.abs(frame.unitary(r) - expm(-1j * h))) < 1e-12
 
     def test_unitarity(self, rng):
         for j in (0.5, 1.0, 2.0):
@@ -62,9 +63,13 @@ class TestTransportFrame:
         with pytest.raises(ValueError):
             frame.unitary([0.0, 0.0, -1.0])
 
-    def test_spin_range(self):
-        with pytest.raises(ValueError):
-            default_transport(2.5)
+    def test_spin_range(self, rng):
+        frame = default_transport(2.5)          # no cap on the spin
+        u = frame.unitary(safe_point(rng))
+        assert np.max(np.abs(u @ u.conj().T - np.eye(6))) < 1e-12
+        for bad in (0.3, -0.5, -1.0):
+            with pytest.raises(ValueError):
+                default_transport(bad)
 
 
 class TestTransportedSpin:

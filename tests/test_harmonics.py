@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
+from rp2quant.checks import _symmetrized_power_d
 from rp2quant.groups import SU2_IDENTITY, SU2Element, random_su2, su2_from_axis_angle
 from rp2quant.harmonics import (
     HarmonicCoeffs,
@@ -154,7 +155,7 @@ class TestRotation:
             a = random_coeffs(8, "full", rng)
             rot = rotate_coeffs(g, a, grid8)
             for l in range(1, 5):
-                d = wigner_d(l, g)
+                d = _symmetrized_power_d(l, g)
                 # coefficient blocks run m = -l..l, Wigner rows m = +l..-l
                 want = d @ a.block(l)[::-1]
                 assert np.max(np.abs(rot.block(l)[::-1] - want)) < 1e-9
@@ -204,9 +205,11 @@ class TestRotateStack:
         for _ in range(2):
             g1, g2 = random_su2(rng), random_su2(rng)
             (b1, full), (b2, _), (b12, _) = (wigner_blocks(g, lmax) for g in (g1, g2, g1 * g2))
-            for d1, d2, d12 in zip(b1, b2, b12):
+            for l, (d1, d2, d12) in enumerate(zip(b1, b2, b12)):
                 assert np.max(np.abs(d1 @ d1.conj().T - np.eye(d1.shape[0]))) < 1e-13
                 assert np.max(np.abs(d12 - d1 @ d2)) < 1e-13
+                # blocks act on m = -l..l, wigner_d on m = +l..-l
+                assert np.max(np.abs(d1[::-1, ::-1] - wigner_d(l, g1))) < 1e-13
             off_block = full.copy()
             for l in range(lmax + 1):
                 off_block[l * l : (l + 1) * (l + 1), l * l : (l + 1) * (l + 1)] = 0.0
@@ -229,9 +232,18 @@ class TestRotateStack:
 
 class TestWignerD:
     def test_identity(self):
-        for j in (0.5, 1.0, 1.5, 4.0):
-            dim = int(2 * j) + 1
-            assert np.allclose(wigner_d(j, SU2_IDENTITY), np.eye(dim))
+        for twoj in range(17):
+            eye = np.eye(twoj + 1)
+            assert np.max(np.abs(wigner_d(twoj / 2, SU2_IDENTITY) - eye)) < 1e-13
+            # D^j(-1) = (-1)^{2j}·Id
+            assert np.max(np.abs(wigner_d(twoj / 2, -SU2_IDENTITY) - (-1) ** twoj * eye)) < 1e-13
+
+    def test_matches_symmetrized_power_oracle(self, rng):
+        for _ in range(200):
+            g = random_su2(rng)
+            for twoj in range(9):
+                gap = wigner_d(twoj / 2, g) - _symmetrized_power_d(twoj / 2, g)
+                assert np.max(np.abs(gap)) < 1e-14
 
     def test_defining_representation(self, rng):
         g = random_su2(rng)
@@ -240,13 +252,13 @@ class TestWignerD:
     def test_homomorphism(self, rng):
         for _ in range(200):
             g1, g2 = random_su2(rng), random_su2(rng)
-            for j in (0.5, 1.0, 1.5, 2.0):
+            for j in (0.5, 1.0, 1.5, 2.0, 4.5, 8.0, 20.0, 40.0):
                 gap = wigner_d(j, g1 * g2) - wigner_d(j, g1) @ wigner_d(j, g2)
                 assert np.max(np.abs(gap)) < 1e-11
 
     def test_unitary(self, rng):
         g = random_su2(rng)
-        for j in (0.5, 1.0, 2.0, 4.0):
+        for j in (0.5, 1.0, 2.0, 4.0, 4.5, 8.0, 20.0, 40.0):
             d = wigner_d(j, g)
             assert np.max(np.abs(d @ d.conj().T - np.eye(d.shape[0]))) < 1e-12
 
@@ -262,10 +274,10 @@ class TestWignerD:
                 assert np.max(np.abs(gen - mats[i - 1])) < 1e-9
 
     def test_range_check(self):
-        with pytest.raises(ValueError):
-            wigner_d(4.5, SU2_IDENTITY)
-        with pytest.raises(ValueError):
-            wigner_d(0.3, SU2_IDENTITY)
+        assert np.max(np.abs(wigner_d(4.5, SU2_IDENTITY) - np.eye(10))) < 1e-14   # no cap
+        for bad in (0.3, -0.5, -1.0):
+            with pytest.raises(ValueError):
+                wigner_d(bad, SU2_IDENTITY)
 
 
 class TestSerialization:
