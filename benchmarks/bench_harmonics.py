@@ -1,18 +1,23 @@
-"""Timings of the harmonic basis build, the grid transform and rotation.
+"""Timings of harmonic evaluation, the grid transform and rotation.
 
-The basis build (``ylm_basis``) serves evaluation at arbitrary points and
-the resampling cross-check.  The grid transform is timed as two labelled
-routes for ``analyze`` and for ``act_canonical`` on a 64-node radial stack:
-the separable route in use (``QuadratureGrid.project`` / ``synthesize``: FFT
-over azimuth, one Legendre matmul per m) and the dense route it replaced (a
-cached (n × (lmax+1)²) basis matrix and full matmuls; its bodies are kept
-below).  Rotation is timed as two labelled cases: the coefficient route
-(``rotate_coeffs``, per-degree Wigner blocks, no basis build) and the
-resampling cross-check route (``analyze(rotate_values(...))``, a basis build
-at the rotated nodes).  The "Wigner D^j" case times the one spin-j primitive
-(``wigner_d``, Euler phases around cached S₂ eigenvectors) against the
-symmetrized-power oracle the checks keep, and the transport frame built on
-it (``TransportFrame(1).unitary``).
+Evaluation at arbitrary points is timed as two labelled routes: the dense
+basis build followed by a matmul (``ylm_basis(x) @ c``, the route
+``evaluate`` took before) and ``ylm_synthesize`` (one real matmul per order
+m, times the running power e^{imφ}, no basis).  The same case times the
+``exchange-statistics`` check as one chunked batch against its former
+per-sample loop on dense bases (kept below).  The grid transform is timed as
+two labelled routes for ``analyze`` and for ``act_canonical`` on a 64-node
+radial stack: the separable route in use (``QuadratureGrid.project`` /
+``synthesize``: FFT over azimuth, one Legendre matmul per m) and the dense
+route it replaced (a cached (n × (lmax+1)²) basis matrix and full matmuls;
+its bodies are kept below).  Rotation is timed as two labelled cases: the
+coefficient route (``rotate_coeffs``, per-degree Wigner blocks, no
+harmonics) and the resampling cross-check route
+(``analyze(rotate_values(...))``, a synthesis at the rotated nodes).  The
+"Wigner D^j" case times the one spin-j primitive (``wigner_d``, Euler phases
+around cached S₂ eigenvectors) against the symmetrized-power oracle the
+checks keep, and the transport frame built on it
+(``TransportFrame(1).unitary``).
 
 Run:
     PYTHONPATH=src python benchmarks/bench_harmonics.py
@@ -22,14 +27,15 @@ import time
 
 import numpy as np
 
-from rp2quant._kernels import ylm_basis
+from rp2quant._kernels import ylm_basis, ylm_synthesize
 from rp2quant.berry_robbins import TransportFrame
-from rp2quant.checks import _symmetrized_power_d
+from rp2quant.checks import REGISTRY, SuiteConfig, _symmetrized_power_d, check_rng
 from rp2quant.classical import w_matrix
-from rp2quant.groups import random_su2, su2_from_axis_angle
+from rp2quant.groups import random_su2, spinor_map, su2_from_axis_angle
 from rp2quant.harmonics import (
     HarmonicCoeffs,
     analyze,
+    parity_decompose,
     project_sector,
     random_coeffs,
     rotate_coeffs,
@@ -50,8 +56,9 @@ from rp2quant.representation import (
 REPEATS = 5
 CASES = [
     (162, 8),        # default verification grid
-    (2178, 16),
-    (4422, 32),      # largest supported band limit
+    (578, 16),
+    (1250, 24),
+    (2178, 32),      # the lmax-32 grid: evaluate(a, grid.nodes) on the stream
 ]
 
 
@@ -71,6 +78,29 @@ def act_canonical_dense(w, g, lam, fs, grid):
     return FullSection(fs.radial, tuple(project_sector(t, fs.sector) for t in result.tables))
 
 
+def exchange_statistics_dense(rng, cfg):
+    """exchange-statistics as a per-sample loop on dense bases, as it ran before.
+
+    Parity from the cached node basis and a basis at the antipodes; the
+    resampled table from a basis built at each sample's rotated nodes.
+    """
+    grid = build_quadrature(cfg.lmax)
+    basis, anti = grid.basis(cfg.lmax), ylm_basis(-grid.nodes, cfg.lmax)
+    worst = 0.0
+    for _ in range(cfg.samples):
+        sector = "odd" if rng.random() < 0.5 else "even"
+        a = random_coeffs(cfg.lmax, sector, rng)
+        rotated = rotate_coeffs(random_su2(rng), a, grid)
+        vals, flipped = basis @ rotated.c, anti @ rotated.c
+        off = flipped + vals if sector == "odd" else flipped - vals
+        if np.max(np.abs(off)) > 1e-10 * np.max(np.abs(vals)):
+            return 1.0
+        values = ylm_basis(grid.nodes @ spinor_map(random_su2(rng)), cfg.lmax) @ a.c
+        even, odd = parity_decompose(analyze(values, cfg.lmax, grid))
+        worst = max(worst, (odd if sector == "even" else even).norm())
+    return worst
+
+
 def best_of(fn, *args):
     times = []
     for _ in range(REPEATS):
@@ -82,12 +112,25 @@ def best_of(fn, *args):
 
 def main():
     rng = np.random.default_rng(0)
-    print(f"{'points':>8} {'lmax':>5} {'ylm_basis':>12}")
+    print("evaluate at arbitrary points: ylm_basis(x) @ c vs ylm_synthesize (no basis)")
+    print(f"{'points':>8} {'lmax':>5} {'ylm_basis':>11} {'basis @ c':>11} {'synthesize':>11}")
     for n, lmax in CASES:
         pts = rng.normal(size=(n, 3))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
-        t = best_of(ylm_basis, pts, lmax)
-        print(f"{n:>8} {lmax:>5} {t*1e3:>10.2f}ms")
+        c = random_coeffs(lmax, "full", rng).c
+        t_basis = best_of(ylm_basis, pts, lmax)
+        t_dense = best_of(lambda: ylm_basis(pts, lmax) @ c)
+        t_syn = best_of(ylm_synthesize, pts, lmax, c)
+        print(f"{n:>8} {lmax:>5} {t_basis*1e3:>9.2f}ms {t_dense*1e3:>9.2f}ms {t_syn*1e3:>9.2f}ms")
+
+    print("\nexchange-statistics (200 samples): chunked batch vs per-sample dense loop")
+    print(f"{'lmax':>5} {'batch':>10} {'loop':>10}")
+    check = next(c for c in REGISTRY if c.name == "exchange-statistics")
+    for lmax in (8, 16, 24):
+        cfg = SuiteConfig(lmax=lmax)
+        t_batch = best_of(lambda: check.fn(check_rng(0, check.name), cfg))
+        t_loop = best_of(lambda: exchange_statistics_dense(check_rng(0, check.name), cfg))
+        print(f"{lmax:>5} {t_batch*1e3:>8.0f}ms {t_loop*1e3:>8.0f}ms")
 
     g = su2_from_axis_angle(0.7, np.array([0.6, 0.0, 0.8]))
     cm = w_matrix(np.array([0.3, -0.2, 0.5, 0.1, -0.4]))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import SU2Element, spinor_map, su2_from_axis_angle, su2_from_sphere_point, unit_vector
+from .groups import SU2Element, _geodesic_element, spinor_map, su2_from_axis_angle, unit_vector
 from .harmonics import (
     HarmonicCoeffs,
     angular_momentum_matrices,
@@ -62,14 +62,15 @@ class TransportFrame:
         """U(r) = D^j(g_r), g_r = exp(-iθ m̂·σ/2) the geodesic rotation ẑ → r.
 
         ``wigner_d`` of ``su2_from_sphere_point(r)``; this equals
-        exp(-iθ m̂·S).  The north pole gives the identity exactly.
+        exp(-iθ m̂·S).  The north pole gives the identity exactly.  r is
+        normalized once, here.
         """
         v = unit_vector(r)
         if v[2] <= -1.0 + SOUTH_POLE_TOL:
             raise ValueError("frame is undefined at the south pole")
         if math.hypot(v[0], v[1]) < 1e-15:
             return np.eye(self.dim, dtype=complex)
-        return wigner_d(self.j, su2_from_sphere_point(v))
+        return wigner_d(self.j, _geodesic_element(v))
 
 
 def default_transport(j: float) -> TransportFrame:

@@ -24,6 +24,7 @@ from .berry_robbins import (
     total_generator_fd,
     transported_spin,
 )
+from ._kernels import ylm_synthesize
 from .errors import ConfigError
 from .groups import (
     H_CLASSIFY_TOL,
@@ -48,9 +49,11 @@ from .harmonics import (
     analyze,
     apply_L,
     evaluate,
+    off_sector_mask,
     parity_decompose,
     random_coeffs,
     rotate_coeffs,
+    rotate_stack,
     rotate_values,
     unit,
     wigner_d,
@@ -76,7 +79,7 @@ from .representation import (
     act_canonical,
     check_group_law,
     check_intertwining,
-    exchange_parity,
+    exchange_parities,
     generator_vs_ladder_residual,
     log_uniform_grid,
     separable_section,
@@ -446,14 +449,11 @@ def _roundtrip(rng, cfg):
 @register("harmonics", "antipodal-parity", "parity-split-of-sphere-functions", 1e-10)
 def _antipodal(rng, cfg):
     grid = _grid(cfg.lmax)
-    worst = 0.0
-    for l in range(cfg.lmax + 1):
-        m = int(rng.integers(-l, l + 1))
-        a = unit(cfg.lmax, l, m)
-        plus = np.asarray(evaluate(a, grid.nodes))
-        minus = np.asarray(evaluate(a, -grid.nodes))
-        worst = max(worst, float(np.max(np.abs(minus - (-1.0) ** l * plus))))
-    return worst
+    degrees = np.arange(cfg.lmax + 1)
+    tables = np.stack([unit(cfg.lmax, l, int(rng.integers(-l, l + 1))).c for l in degrees])
+    plus = ylm_synthesize(grid.nodes, cfg.lmax, tables)
+    minus = ylm_synthesize(-grid.nodes, cfg.lmax, tables)
+    return float(np.max(np.abs(minus - (-1.0) ** degrees[:, None] * plus)))
 
 
 @register("harmonics", "rotation-sector-closure", "parity-split-of-sphere-functions", 1e-10)
@@ -701,7 +701,8 @@ def _section_well_defined(rng, cfg):
         minus = evaluate(a, -x)[:, None] * unit_vector_batch(-x).astype(complex)
         return float(np.max(np.abs(plus - minus)))
 
-    # basis rows (n × (lmax+1)² complex) of at most ~0.5 MB per chunk
+    # at most 2¹⁵/(lmax+1)² points per chunk; chunks draw in stream order, so the
+    # size only bounds memory (ylm_synthesize keeps an (lmax+1) × n float slab)
     return _worst_over_chunks(cfg.samples, batch, rows=max(1, (1 << 15) // a.c.size))
 
 
@@ -801,23 +802,40 @@ def _canonical_law(rng, cfg):
     return worst
 
 
+# points per exchange-statistics chunk: at lmax 8 a chunk's temporaries stay
+# near 1 MB, so the harness's peak RSS does not rise over the per-sample loop
+_EXCHANGE_POINTS = 1 << 12
+
+
 @register("representation", "exchange-statistics", "parity-statistics-bookkeeping", 1e-10)
 def _exchange(rng, cfg):
+    # Each sample draws (sector, table, g₁, g₂) in stream order.  A chunk of
+    # samples is drawn, then checked as one stack: the parity of the table
+    # rotated by g₁ on coefficients, and the parity leak of the table
+    # resampled at the nodes rotated by g₂ (the ``rotate_values`` route).
+    # The first failing sample decides: a wrong parity gives 1.0, a
+    # non-eigenstate raises.
     grid = _grid(cfg.lmax)
+    chunk = max(1, _EXCHANGE_POINTS // grid.n)
     worst = 0.0
-    for _ in range(cfg.samples):
-        sector = "odd" if rng.random() < 0.5 else "even"
-        s = _random_section(rng, cfg, sector)
-        rotated = act_U(random_su2(rng), s, grid)
-        want = -1 if sector == "odd" else 1
-        if exchange_parity(rotated, grid) != want:
+    for first in range(0, cfg.samples, chunk):
+        draws = []
+        for _ in range(min(chunk, cfg.samples - first)):
+            sector = "odd" if rng.random() < 0.5 else "even"
+            table = random_coeffs(cfg.lmax, sector, rng).c
+            draws.append((sector, table, random_su2(rng), random_su2(rng)))
+        sectors, tables, g1s, g2s = zip(*draws)
+        rotated = np.stack([rotate_stack(g, c) for g, c in zip(g1s, tables)])
+        parities = exchange_parities(rotated, grid)
+        wrong = np.flatnonzero(parities != [-1 if s == "odd" else 1 for s in sectors])
+        if wrong.size:
+            if parities[wrong[0]] == 0:
+                raise ValueError("section is not an exchange eigenstate")
             return 1.0
-        raw = analyze(
-            rotate_values(random_su2(rng), s.a, grid.nodes), cfg.lmax, grid
-        )
-        even, odd = parity_decompose(raw)
-        leak = odd if sector == "even" else even
-        worst = max(worst, leak.norm())
+        nodes = np.stack([grid.nodes @ spinor_map(g) for g in g2s])
+        raw = grid.project(ylm_synthesize(nodes, cfg.lmax, np.stack(tables)), cfg.lmax)
+        leak = np.where([off_sector_mask(cfg.lmax, s) for s in sectors], raw, 0.0)
+        worst = max([worst] + [float(np.linalg.norm(row)) for row in leak])
     return worst
 
 

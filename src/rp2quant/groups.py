@@ -438,14 +438,23 @@ def su2_from_sphere_point(x) -> SU2Element:
     Deterministic choice used when a concrete class representative is needed;
     at the south pole the π-rotation about e₁ is returned.
     """
-    v = unit_vector(x)
+    return _geodesic_element(unit_vector(x))
+
+
+def _geodesic_element(v: np.ndarray) -> SU2Element:
+    """``su2_from_sphere_point`` of a vector that ``unit_vector`` returned.
+
+    The point is normalized once, by the caller; (-v₂, v₁, 0)/s is unit by
+    construction, so su2_from_axis_angle's axis check is skipped too.
+    """
     if v[2] <= -1.0 + ZERO_TOL:
         return su2_from_axis_angle(np.pi, (1.0, 0.0, 0.0))
-    axis = np.array([-v[1], v[0], 0.0])
-    s = _norm(axis)
+    s = _norm(np.array([-v[1], v[0], 0.0]))
     if s < ZERO_TOL:
         return SU2_IDENTITY
-    return su2_from_axis_angle(np.arctan2(s, v[2]), axis / s)
+    x, y, z = v.tolist()
+    r0, i0, r1, i1 = _axis_angle_pair(np.arctan2(s, z), -y / s, x / s, 0.0 / s)
+    return SU2Element(complex(r0, i0), complex(r1, i1))
 
 
 def su2_from_sphere_point_batch(x) -> np.ndarray:

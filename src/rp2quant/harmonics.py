@@ -9,8 +9,9 @@ enforcing the split through one cached mask of odd degrees per lmax.
 
 Analysis and synthesis on a quadrature grid are separable
 (``QuadratureGrid.project`` / ``synthesize``): an FFT over the azimuths of
-each ring and one Legendre sum per m, O(L³) per table.  ``evaluate`` at
-arbitrary points builds the basis there with ``ylm_basis``.
+each ring and one Legendre sum per m, O(L³) per table.  ``evaluate`` and
+``rotate_values`` at arbitrary points call ``ylm_synthesize``, which adds
+each order m times e^{imφ} and forms no (n × (lmax+1)²) basis.
 
 Angular momentum acts exactly in this basis:
     L₃ c[l, m] = m c[l, m],
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import ylm_basis
+from ._kernels import ylm_synthesize
 from .groups import SU2Element, spinor_map
 from .manifold import QuadratureGrid
 
@@ -136,9 +137,9 @@ def random_coeffs(
 
 
 def evaluate(a: HarmonicCoeffs, x) -> complex | np.ndarray:
-    """Σ c[l, m] Y_lm at one unit vector or a batch of them."""
+    """Σ c[l, m] Y_lm at one unit vector or a batch of them (``ylm_synthesize``)."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    vals = ylm_basis(pts, a.lmax) @ a.c
+    vals = ylm_synthesize(pts, a.lmax, a.c)
     return complex(vals[0]) if np.asarray(x).ndim == 1 else vals
 
 
@@ -231,10 +232,10 @@ def rotate_values(g: SU2Element, a: HarmonicCoeffs, points: np.ndarray) -> np.nd
     """Values of x ↦ a(Spin(g)⁻¹ x) at the given points.
 
     With ``analyze`` this is the resampling route, kept as the independent
-    cross-check of ``rotate_stack``.
+    cross-check of ``rotate_stack``.  Spin(g)⁻¹ = Spin(g)ᵀ, so the rotated
+    points are the rows ``points @ Spin(g)``.
     """
-    r_inv = spinor_map(g).T
-    return ylm_basis(points @ r_inv.T, a.lmax) @ a.c
+    return ylm_synthesize(points @ spinor_map(g), a.lmax, a.c)
 
 
 _S2_EIGVECS: dict[int, np.ndarray] = {}

@@ -151,8 +151,9 @@ class QuadratureGrid:
     this layout Y_lm(θ_i, φ_j) = T_lm(θ_i) e^{imφ_j} with T real, so
     ``synthesize`` and ``project`` are separable: one FFT over azimuth and
     one batched Legendre matmul per call, O(L³) where a dense basis matmul
-    is O(L⁴).  The dense ``basis`` and ``antipodal_basis`` remain for the
-    quadrature Gram oracle and the exchange-parity test.
+    is O(L⁴).  The same layout is closed under x ↦ -x, which ``antipode``
+    gives as a permutation of the nodes.  The dense ``basis`` remains only
+    for the quadrature Gram oracle.
     """
 
     nodes: np.ndarray       # (n, 3) unit vectors
@@ -165,18 +166,37 @@ class QuadratureGrid:
         return self.nodes.shape[0]
 
     def basis(self, lmax: int) -> np.ndarray:
-        """Cached Y_lm basis matrix at the grid nodes."""
+        """Cached dense Y_lm basis matrix at the grid nodes, for the Gram oracle."""
         key = ("node", lmax)
         if key not in self._basis_cache:
             self._basis_cache[key] = ylm_basis(self.nodes, lmax)
         return self._basis_cache[key]
 
-    def antipodal_basis(self, lmax: int) -> np.ndarray:
-        """Cached Y_lm basis matrix at the antipodes of the grid nodes."""
-        key = ("anti", lmax)
-        if key not in self._basis_cache:
-            self._basis_cache[key] = ylm_basis(-self.nodes, lmax)
-        return self._basis_cache[key]
+    def _ring_shape(self) -> tuple[int, int]:
+        """(n_θ, n_φ) of the ring layout; any other node layout raises."""
+        n_theta, n_phi = self.lmax_exact + 1, 2 * self.lmax_exact + 2
+        rings = self.nodes.reshape(n_theta, n_phi, 3) if self.n == n_theta * n_phi else None
+        if rings is None or np.any(rings[:, :, 2] != rings[:, :1, 2]) \
+                or np.any(rings[:, 0, 1] != 0.0):
+            raise ValueError("grid nodes are not in build_quadrature's ring layout")
+        return n_theta, n_phi
+
+    @property
+    def antipode(self) -> np.ndarray:
+        """Node permutation with nodes[antipode[k]] = -nodes[k] (cached, read-only).
+
+        The antipode of (ring i, azimuth j) is (ring n_θ-1-i, azimuth
+        j + n_φ/2): the Gauss-Legendre cosines are symmetric and n_φ is even.
+        So ``vals[..., grid.antipode]`` are the values at the antipodes.
+        """
+        if "antipode" not in self._basis_cache:
+            n_theta, n_phi = self._ring_shape()
+            ring = np.arange(n_theta)[::-1, None]
+            azimuth = (np.arange(n_phi) + n_phi // 2) % n_phi
+            perm = (ring * n_phi + azimuth).ravel()
+            perm.flags.writeable = False
+            self._basis_cache["antipode"] = perm
+        return self._basis_cache["antipode"]
 
     def _ring_tables(self, lmax: int):
         """Legendre slabs of the ring layout, cached under ("ring", lmax).
@@ -193,12 +213,8 @@ class QuadratureGrid:
             )
         key = ("ring", lmax)
         if key not in self._basis_cache:
-            n_theta, n_phi = self.lmax_exact + 1, 2 * self.lmax_exact + 2
-            rings = self.nodes.reshape(n_theta, n_phi, 3) if self.n == n_theta * n_phi else None
-            if rings is None or np.any(rings[:, :, 2] != rings[:, :1, 2]) \
-                    or np.any(rings[:, 0, 1] != 0.0):
-                raise ValueError("grid nodes are not in build_quadrature's ring layout")
-            table = ylm_basis(rings[:, 0], lmax).real.T          # ((lmax+1)², n_θ)
+            n_theta, n_phi = self._ring_shape()
+            table = ylm_basis(self.nodes[::n_phi], lmax).real.T   # ((lmax+1)², n_θ)
             deg = np.repeat(np.arange(lmax + 1), 2 * np.arange(lmax + 1) + 1)
             slot = (np.arange(deg.size) - deg * deg - deg) % n_phi
             syn = np.zeros((n_phi, n_theta, lmax + 1))

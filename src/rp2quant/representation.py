@@ -324,18 +324,30 @@ def su2_closure_residual(
     return float(np.linalg.norm(comm - 1j * j3.a.c) / s.a.norm())
 
 
+EXCHANGE_TOL = 1e-10     # off-parity part of an exchange eigenstate, relative to its peak
+
+
+def exchange_parities(c, grid: QuadratureGrid) -> np.ndarray:
+    """Exchange (antipodal) eigenvalue of each table in a stack (..., (lmax+1)²).
+
+    +1 or -1 where the node values are even or odd under x ↦ -x to
+    EXCHANGE_TOL of their peak, 0 where they are neither.  One
+    ``grid.synthesize`` call, read back through ``grid.antipode``.
+    """
+    vals = grid.synthesize(c)
+    anti = vals[..., grid.antipode]
+    scale = np.maximum(np.max(np.abs(vals), axis=-1), 1e-300)
+    even = np.max(np.abs(vals - anti), axis=-1) <= EXCHANGE_TOL * scale
+    odd = np.max(np.abs(vals + anti), axis=-1) <= EXCHANGE_TOL * scale
+    return np.where(even, 1, np.where(odd, -1, 0))
+
+
 def exchange_parity(s: Section, grid: QuadratureGrid) -> int:
     """Eigenvalue of the particle-exchange (antipodal) map on the section."""
-    vals = grid.basis(s.a.lmax) @ s.a.c
-    anti = grid.antipodal_basis(s.a.lmax) @ s.a.c
-    scale = max(float(np.max(np.abs(vals))), 1e-300)
-    odd_part = float(np.max(np.abs(vals + anti)))
-    even_part = float(np.max(np.abs(vals - anti)))
-    if even_part <= 1e-10 * scale:
-        return 1
-    if odd_part <= 1e-10 * scale:
-        return -1
-    raise ValueError("section is not an exchange eigenstate")
+    parity = int(exchange_parities(s.a.c, grid))
+    if parity == 0:
+        raise ValueError("section is not an exchange eigenstate")
+    return parity
 
 
 def save_full_section(fs: FullSection, path) -> None:

@@ -42,8 +42,8 @@ from rp2quant.groups import (
     spinor_map,
     su2_from_axis_angle,
 )
-from rp2quant.harmonics import evaluate, random_coeffs
-from rp2quant.manifold import moment_embedding, transition_function
+from rp2quant.harmonics import evaluate, random_coeffs, unit
+from rp2quant.manifold import build_quadrature, moment_embedding, transition_function
 
 EPS = np.finfo(float).eps
 # Residuals are maxima of |a - b| over quantities of size ≤ ~5 (unit-modulus
@@ -208,6 +208,17 @@ def ref_section_well_defined(rng, cfg):
     return worst
 
 
+def ref_antipodal(rng, cfg):
+    grid = build_quadrature(cfg.lmax)
+    worst = 0.0
+    for l in range(cfg.lmax + 1):
+        a = unit(cfg.lmax, l, int(rng.integers(-l, l + 1)))
+        plus = np.asarray(evaluate(a, grid.nodes))
+        minus = np.asarray(evaluate(a, -grid.nodes))
+        worst = max(worst, float(np.max(np.abs(minus - (-1.0) ** l * plus))))
+    return worst
+
+
 def ref_no_obstruction(rng, cfg):
     worst = 0.0
     pts = [classical.random_phase_point(rng) for _ in range(100)]
@@ -234,6 +245,8 @@ REWRITTEN = {
     "lift-composition-covering": (ref_lift_compose, 0.0),
     # one batched evaluate (a gemv over all points) against one per point
     "section-well-defined": (ref_section_well_defined, REORDERED_TOL),
+    # all unit tables in one ylm_synthesize matmul per m, against one call each
+    "antipodal-parity": (ref_antipodal, REORDERED_TOL),
     # pairings rewritten as matmuls; see test_no_obstruction_draws_match_elements
     "no-obstruction": (ref_no_obstruction, NO_OBSTRUCTION_TOL),
 }

@@ -1,12 +1,58 @@
+import math
+
 import numpy as np
+import pytest
 from scipy.special import sph_harm_y
 
-from rp2quant._kernels import backend_name, ylm_basis
+from rp2quant._kernels import _recurrence_tables, backend_name, ylm_basis, ylm_synthesize
 
 
 def random_points(rng, n):
     pts = rng.normal(size=(n, 3))
     return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+
+def random_tables(rng, lmax, *lead):
+    k = (lmax + 1) ** 2
+    return rng.normal(size=lead + (k,)) + 1j * rng.normal(size=lead + (k,))
+
+
+def frozen_ylm_basis(xyz, lmax):
+    """``ylm_basis`` as written before the recurrence moved into a shared helper."""
+    xyz = np.atleast_2d(np.asarray(xyz, dtype=np.float64))
+    n = xyz.shape[0]
+    diag, raise_, two_a, two_b = _recurrence_tables(lmax)
+
+    ct = xyz[:, 2]
+    st = np.hypot(xyz[:, 0], xyz[:, 1])
+    phi = np.arctan2(xyz[:, 1], xyz[:, 0])
+
+    out = np.zeros((n, (lmax + 1) * (lmax + 1)), dtype=np.complex128)
+    plm = np.zeros((lmax + 1, n))
+    pmm = np.full(n, 1.0 / math.sqrt(4.0 * math.pi))
+    for m in range(lmax + 1):
+        if m > 0:
+            pmm = diag[m] * st * pmm
+        plm[m] = pmm
+        if m + 1 <= lmax:
+            plm[m + 1] = raise_[m] * ct * plm[m]
+        for l in range(m + 2, lmax + 1):
+            plm[l] = two_a[l, m] * (ct * plm[l - 1] - two_b[l, m] * plm[l - 2])
+        phase = np.exp(1j * m * phi)
+        sign = -1.0 if m % 2 else 1.0
+        for l in range(m, lmax + 1):
+            y = plm[l] * phase
+            out[:, l * l + l + m] = y
+            if m > 0:
+                out[:, l * l + l - m] = sign * np.conj(y)
+    return out
+
+
+def relative_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+POLES = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
 
 
 class TestNumpyPath:
@@ -32,3 +78,69 @@ class TestNumpyPath:
     def test_backend_name(self):
         # perfbench/run.py records it among the machine facts
         assert backend_name() == "numpy"
+
+    @pytest.mark.parametrize("lmax", [0, 1, 2, 7, 16, 32])
+    def test_bitwise_equal_to_frozen_body(self, rng, lmax):
+        pts = np.vstack([random_points(rng, 61), POLES, [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]])
+        assert ylm_basis(pts, lmax).tobytes() == frozen_ylm_basis(pts, lmax).tobytes()
+
+
+class TestSynthesize:
+    @pytest.mark.parametrize("lmax", range(33))
+    def test_matches_basis_matmul(self, rng, lmax):
+        pts = np.vstack([random_points(rng, 50), POLES])
+        c = random_tables(rng, lmax, 3)
+        want = c @ ylm_basis(pts, lmax).T
+        assert relative_error(ylm_synthesize(pts, lmax, c), want) <= 1e-13
+
+    @pytest.mark.parametrize("lmax", [0, 1, 5, 32])
+    def test_poles(self, rng, lmax):
+        c = random_tables(rng, lmax)
+        want = ylm_basis(POLES, lmax) @ c
+        got = ylm_synthesize(POLES, lmax, c)
+        assert got.shape == (2,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+    def test_single_point(self, rng):
+        x = random_points(rng, 1)
+        c = random_tables(rng, 6)
+        got = ylm_synthesize(x, 6, c)
+        assert got.shape == (1,)
+        assert relative_error(got, ylm_basis(x, 6) @ c) <= 1e-13
+
+    @pytest.mark.parametrize("lmax", [3, 16, 24])
+    def test_per_stack_points_equal_single_calls(self, rng, lmax):
+        # one table per point set: each row gets the bits of its own call
+        pts = np.stack([random_points(rng, 40) for _ in range(4)])
+        c = random_tables(rng, lmax, 4)
+        got = ylm_synthesize(pts, lmax, c)
+        assert got.shape == (4, 40)
+        for k in range(4):
+            single = ylm_synthesize(pts[k], lmax, c[k])
+            assert single.tobytes() == got[k].tobytes()
+            assert relative_error(got[k], ylm_basis(pts[k], lmax) @ c[k]) <= 1e-13
+
+    def test_stacks_of_tables_at_shared_points(self, rng):
+        pts = random_points(rng, 30)
+        c = random_tables(rng, 8, 2, 3)
+        got = ylm_synthesize(pts, 8, c)
+        assert got.shape == (2, 3, 30)
+        assert relative_error(got, c @ ylm_basis(pts, 8).T) <= 1e-13
+
+    def test_shared_and_stacked_points_agree(self, rng):
+        pts = random_points(rng, 30)
+        c = random_tables(rng, 12, 5)
+        shared = ylm_synthesize(pts, 12, c)
+        stacked = ylm_synthesize(np.broadcast_to(pts, (5, 30, 3)), 12, c)
+        one_table = ylm_synthesize(np.broadcast_to(pts, (5, 30, 3)), 12, c[0])
+        assert relative_error(stacked, shared) <= 1e-13
+        assert relative_error(one_table, np.broadcast_to(shared[0], (5, 30))) <= 1e-13
+
+    def test_rejects_bad_shapes(self, rng):
+        c = random_tables(rng, 4)
+        with pytest.raises(ValueError):
+            ylm_synthesize(random_points(rng, 5), 5, c)
+        with pytest.raises(ValueError):
+            ylm_synthesize(np.array([0.0, 0.0, 1.0]), 4, c)
+        with pytest.raises(ValueError):
+            ylm_synthesize(np.zeros((5, 2)), 4, c)

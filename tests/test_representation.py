@@ -1,3 +1,6 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from rp2quant.harmonics import (
     rotate_values,
     unit,
 )
-from rp2quant.manifold import WFunctional
+from rp2quant.manifold import WFunctional, build_quadrature
 from rp2quant.representation import (
     RadialGrid,
     Section,
@@ -24,6 +27,7 @@ from rp2quant.representation import (
     canonical_product,
     check_group_law,
     check_intertwining,
+    exchange_parities,
     exchange_parity,
     full_section_from_matrix,
     generator_J,
@@ -36,6 +40,33 @@ from rp2quant.representation import (
 )
 
 W0 = WFunctional(np.zeros((3, 3)))
+
+
+def exchange_statistics_loop(rng, lmax, samples, grid):
+    """The per-sample body of exchange-statistics before it ran in chunks."""
+    worst = 0.0
+    for _ in range(samples):
+        sector = "odd" if rng.random() < 0.5 else "even"
+        s = Section(random_coeffs(lmax, sector, rng), "minus" if sector == "odd" else "plus")
+        rotated = act_U(random_su2(rng), s, grid)
+        if exchange_parity(rotated, grid) != (-1 if sector == "odd" else 1):
+            return 1.0
+        raw = analyze(rotate_values(random_su2(rng), s.a, grid.nodes), lmax, grid)
+        even, odd = parity_decompose(raw)
+        worst = max(worst, (odd if sector == "even" else even).norm())
+    return worst
+
+
+def dense_exchange_parity(a, grid):
+    """Exchange parity from dense bases at the nodes and at their negatives."""
+    vals = grid.basis(a.lmax) @ a.c
+    anti = ylm_basis(-grid.nodes, a.lmax) @ a.c
+    scale = max(float(np.max(np.abs(vals))), 1e-300)
+    if np.max(np.abs(vals - anti)) <= 1e-10 * scale:
+        return 1
+    if np.max(np.abs(vals + anti)) <= 1e-10 * scale:
+        return -1
+    raise ValueError("section is not an exchange eigenstate")
 
 
 def radial64():
@@ -275,25 +306,85 @@ class TestExchangeParity:
 
     def test_statistics_check_runs_samples_iterations(self, grid8):
         """exchange-statistics draws cfg.samples sections, not a fixed count."""
-
-        def reference(rng, lmax, iterations):
-            worst = 0.0
-            for _ in range(iterations):
-                sector = "odd" if rng.random() < 0.5 else "even"
-                s = Section(random_coeffs(lmax, sector, rng), "minus" if sector == "odd" else "plus")
-                rotated = act_U(random_su2(rng), s, grid8)
-                if exchange_parity(rotated, grid8) != (-1 if sector == "odd" else 1):
-                    return 1.0
-                raw = analyze(rotate_values(random_su2(rng), s.a, grid8.nodes), lmax, grid8)
-                even, odd = parity_decompose(raw)
-                worst = max(worst, (odd if sector == "even" else even).norm())
-            return worst
-
         check = next(c for c in REGISTRY if c.name == "exchange-statistics")
         cfg = SuiteConfig(lmax=8, samples=3)
         rng_ref, rng_new = check_rng(5, check.name), check_rng(5, check.name)
-        assert check.fn(rng_new, cfg) == reference(rng_ref, 8, 3)
+        assert check.fn(rng_new, cfg) == exchange_statistics_loop(rng_ref, 8, 3, grid8)
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("sector", ["even", "odd"])
+    def test_matches_dense_basis_oracle(self, grid8, rng, sector):
+        for _ in range(5):
+            s = Section(random_coeffs(8, sector, rng), "minus" if sector == "odd" else "plus")
+            for section in (s, act_U(random_su2(rng), s, grid8)):
+                assert exchange_parity(section, grid8) == dense_exchange_parity(section.a, grid8)
+
+    def test_mixed_section_raises(self, grid8, rng):
+        full = random_coeffs(8, "full", rng)
+        with pytest.raises(ValueError, match="not an exchange eigenstate"):
+            dense_exchange_parity(full, grid8)
+        # Section refuses a mixed table, so it is passed in a stand-in
+        with pytest.raises(ValueError, match="not an exchange eigenstate"):
+            exchange_parity(SimpleNamespace(a=full), grid8)
+        even, odd = parity_decompose(full)
+        stack = np.stack([even.c, odd.c, full.c])
+        assert exchange_parities(stack, grid8).tolist() == [1, -1, 0]
+
+    @pytest.mark.parametrize("samples", [1, 3, 200])
+    def test_batched_statistics_equal_reference_loop(self, grid8, samples):
+        check = next(c for c in REGISTRY if c.name == "exchange-statistics")
+        cfg = SuiteConfig(lmax=8, samples=samples)
+        rng_ref, rng_new = check_rng(11, check.name), check_rng(11, check.name)
+        assert check.fn(rng_new, cfg) == exchange_statistics_loop(rng_ref, 8, samples, grid8)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_batched_statistics_at_lmax16_agree_to_rounding(self):
+        # several chunks, and a projection stack whose matmul may round differently
+        check = next(c for c in REGISTRY if c.name == "exchange-statistics")
+        cfg = SuiteConfig(lmax=16, samples=40)
+        rng_ref, rng_new = check_rng(2, check.name), check_rng(2, check.name)
+        want = exchange_statistics_loop(rng_ref, 16, 40, build_quadrature(16))
+        assert abs(check.fn(rng_new, cfg) - want) <= 64 * np.finfo(float).eps
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "faults, outcome",
+        [({120: "flip"}, 1.0), ({120: "full"}, ValueError),
+         ({5: "flip", 9: "full"}, 1.0), ({5: "full", 9: "flip"}, ValueError)],
+    )
+    def test_first_failing_sample_decides(self, monkeypatch, faults, outcome):
+        """A flipped sector returns 1.0, a non-eigenstate raises, in sample order."""
+        from rp2quant import checks
+
+        drawn = []
+
+        def faulty_coeffs(lmax, sector, rng):
+            fault = faults.get(len(drawn))
+            drawn.append(sector)
+            if fault == "flip":
+                return random_coeffs(lmax, "even" if sector == "odd" else "odd", rng)
+            return random_coeffs(lmax, "full" if fault else sector, rng)
+
+        monkeypatch.setattr(checks, "random_coeffs", faulty_coeffs)
+        check = next(c for c in REGISTRY if c.name == "exchange-statistics")
+        cfg = SuiteConfig(lmax=8)
+        if outcome is ValueError:
+            with pytest.raises(ValueError, match="not an exchange eigenstate"):
+                check.fn(check_rng(0, check.name), cfg)
+        else:
+            assert check.fn(check_rng(0, check.name), cfg) == outcome
+
+    def test_statistics_memory_is_chunked(self):
+        check = next(c for c in REGISTRY if c.name == "exchange-statistics")
+        cfg = SuiteConfig(lmax=16)
+        check.fn(check_rng(1, check.name), cfg)          # grid and ring tables cached
+        tracemalloc.start()
+        try:
+            check.fn(check_rng(0, check.name), cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 1024 * 1024, peak
 
 
 class TestSerialization:

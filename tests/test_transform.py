@@ -114,6 +114,27 @@ class TestAgainstDenseBasis:
             short.synthesize(np.ones(num_coeffs(8)))
 
 
+class TestAntipode:
+    @pytest.mark.parametrize("lmax_exact", range(1, MAX_GRID_LMAX + 1))
+    def test_maps_nodes_to_their_antipodes(self, lmax_exact):
+        grid = build_quadrature(lmax_exact)
+        perm = grid.antipode
+        assert np.array_equal(np.sort(perm), np.arange(grid.n))
+        assert np.max(np.abs(grid.nodes[perm] + grid.nodes)) <= 1e-15
+        assert np.array_equal(perm[perm], np.arange(grid.n))
+
+    def test_cached_and_read_only(self):
+        grid = build_quadrature(4)
+        perm = grid.antipode
+        assert grid.antipode is perm
+        assert not perm.flags.writeable
+
+    def test_foreign_node_layout_rejected(self, grid8):
+        shuffled = type(grid8)(grid8.nodes[::-1].copy(), grid8.weights, 8)
+        with pytest.raises(ValueError, match="ring layout"):
+            shuffled.antipode
+
+
 def act_canonical_dense(w, g, lam, fs, grid):
     """The former body: dense basis synthesis and projection per radial stack."""
     m = fs.matrix()
