@@ -16,8 +16,9 @@ harmonics) and the resampling cross-check route
 (``analyze(rotate_values(...))``, a synthesis at the rotated nodes).  The
 "Wigner D^j" case times the one spin-j primitive (``wigner_d``, Euler phases
 around cached S₂ eigenvectors) against the symmetrized-power oracle the
-checks keep, and the transport frame built on it
-(``TransportFrame(1).unitary``).
+checks keep, then ``wigner_d(1, ·)`` and the transport frame built on it
+(``TransportFrame(1).unitary``) per row of a 1000-row stack beside the same
+rows in a per-call loop.
 
 Run:
     PYTHONPATH=src python benchmarks/bench_harmonics.py
@@ -54,6 +55,7 @@ from rp2quant.representation import (
 )
 
 REPEATS = 5
+STACK_ROWS = 1000
 CASES = [
     (162, 8),        # default verification grid
     (578, 16),
@@ -170,10 +172,19 @@ def main():
         t_prim = best_of(lambda: [wigner_d(j, h) for _ in range(100)]) / 100
         t_orac = best_of(lambda: [_symmetrized_power_d(j, h) for _ in range(10)]) / 10
         print(f"{j:>5} {t_prim*1e6:>9.1f}us {t_orac*1e6:>9.1f}us")
+    print(f"\nstacks of {STACK_ROWS} rows against a per-call loop, time per row")
+    print(f"{'':>26} {'stack':>9} {'loop':>9}")
+    rows = np.array([[g.z0, g.z1] for g in (random_su2(rng) for _ in range(STACK_ROWS))])
+    t_stack = best_of(wigner_d, 1.0, rows) / STACK_ROWS
+    t_loop = best_of(lambda: [wigner_d(1.0, row) for row in rows]) / STACK_ROWS
+    print(f"{'wigner_d(1, .)':>26} {t_stack*1e6:>7.2f}us {t_loop*1e6:>7.2f}us")
     frame = TransportFrame(1.0)
-    r = np.array([0.6, 0.0, 0.8])
-    t_frame = best_of(lambda: [frame.unitary(r) for _ in range(100)]) / 100
-    print(f"TransportFrame(1).unitary {t_frame*1e6:.1f}us")
+    pts = rng.normal(size=(STACK_ROWS, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    pts[:, 2] = np.abs(pts[:, 2])                # the northern hemisphere: no south-pole row
+    t_stack = best_of(frame.unitary, pts) / STACK_ROWS
+    t_loop = best_of(lambda: [frame.unitary(r) for r in pts]) / STACK_ROWS
+    print(f"{'TransportFrame(1).unitary':>26} {t_stack*1e6:>7.2f}us {t_loop*1e6:>7.2f}us")
 
 
 if __name__ == "__main__":

@@ -18,17 +18,27 @@ re-expressed in the frame at the image point.  The bracketed operator is the
 transported rotation; differentiating it along g_t = exp(-it σ_i/2) and
 removing the pure frame-motion term recovers S_i(r).
 
+Frames, transported spins, states, lifts and recovered generators take one
+point or an (..., 3) stack of points (and lifts one ``SU2Element`` or
+(..., 2) rows); each stacked matrix equals its single-point call bit for bit.
+
 The fixed-basis (untransported) lift (r, v) ↦ (g·r, D^j(g) v) of a spinor of
 sphere functions is included as the trivial-frame case; its generators
 decompose by angular-momentum addition as J_i = L_i ⊗ Id + Id ⊗ S_i.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import SU2Element, _geodesic_element, spinor_map, su2_from_axis_angle, unit_vector
+from .groups import (
+    SU2Element,
+    _su2_rows,
+    spinor_map_batch,
+    su2_from_axis_angle,
+    su2_from_sphere_point_batch,
+    unit_vector_batch,
+)
 from .harmonics import (
     HarmonicCoeffs,
     angular_momentum_matrices,
@@ -40,6 +50,16 @@ from .manifold import QuadratureGrid
 from .representation import _richardson_derivative, _validate_step
 
 SOUTH_POLE_TOL = 1e-9
+
+
+def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x for stacks of matrices (..., d, d) and vectors (..., d)."""
+    return (m @ x[..., None])[..., 0]
+
+
+def _rotate_points(g, r: np.ndarray) -> np.ndarray:
+    """Spin(g)·r for an ``SU2Element`` or (..., 2) rows and (..., 3) points."""
+    return _apply(spinor_map_batch(_su2_rows(g)), r)
 
 
 @dataclass(frozen=True)
@@ -61,16 +81,17 @@ class TransportFrame:
     def unitary(self, r) -> np.ndarray:
         """U(r) = D^j(g_r), g_r = exp(-iθ m̂·σ/2) the geodesic rotation ẑ → r.
 
-        ``wigner_d`` of ``su2_from_sphere_point(r)``; this equals
-        exp(-iθ m̂·S).  The north pole gives the identity exactly.  r is
-        normalized once, here.
+        ``wigner_d`` of ``su2_from_sphere_point_batch(r)``; this equals
+        exp(-iθ m̂·S).  r is one point (a (d, d) result) or an (..., 3) stack
+        (a (..., d, d) stack).  A north-pole row gives the identity exactly;
+        any row at the south pole raises.
         """
-        v = unit_vector(r)
-        if v[2] <= -1.0 + SOUTH_POLE_TOL:
+        v = unit_vector_batch(r)
+        if np.any(v[..., 2] <= -1.0 + SOUTH_POLE_TOL):
             raise ValueError("frame is undefined at the south pole")
-        if math.hypot(v[0], v[1]) < 1e-15:
-            return np.eye(self.dim, dtype=complex)
-        return wigner_d(self.j, _geodesic_element(v))
+        north = np.hypot(v[..., 0], v[..., 1]) < 1e-15
+        u = wigner_d(self.j, su2_from_sphere_point_batch(v))
+        return np.where(north[..., None, None], np.eye(self.dim), u)
 
 
 def default_transport(j: float) -> TransportFrame:
@@ -78,76 +99,85 @@ def default_transport(j: float) -> TransportFrame:
 
 
 def transported_spin(i: int, r, frame: TransportFrame) -> np.ndarray:
-    """S_i(r) = U(r) S_i U†(r); isospectral to S_i, same su(2) relations."""
+    """S_i(r) = U(r) S_i U†(r) at a point or an (..., 3) stack of points.
+
+    Isospectral to S_i, with the same su(2) relations.
+    """
     if i not in (1, 2, 3):
         raise ValueError("component must be 1, 2 or 3")
     u = frame.unitary(r)
-    return u @ frame.spin_matrices()[i - 1] @ u.conj().T
+    return u @ frame.spin_matrices()[i - 1] @ u.conj().mT
 
 
 @dataclass(frozen=True)
 class BRState:
-    """Base point plus coefficients in the transported basis at that point."""
+    """Base points (..., 3) plus coefficients (..., d) in the transported basis there."""
 
     r: np.ndarray
     lam: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "r", unit_vector(self.r))
-        object.__setattr__(self, "lam", np.asarray(self.lam, dtype=complex))
+        r = unit_vector_batch(self.r)
+        lam = np.asarray(self.lam, dtype=complex)
+        if lam.shape[:-1] != r.shape[:-1]:
+            raise ValueError("base points and coefficient vectors do not pair up")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "lam", lam)
 
 
-def br_lift(g: SU2Element, st: BRState, frame: TransportFrame) -> BRState:
+def br_lift(g, st: BRState, frame: TransportFrame) -> BRState:
     """Move the base by Spin(g), the coefficients by the transported rotation.
 
-    The composition keeps all frame factors explicit (no algebraic
-    cancellation is assumed); both r and Spin(g)·r must avoid the south pole.
+    g is an ``SU2Element`` or (..., 2) rows that broadcast against the
+    state's points.  The composition keeps all frame factors explicit (no
+    algebraic cancellation is assumed); both r and Spin(g)·r must avoid the
+    south pole.
     """
-    if st.lam.shape != (frame.dim,):
+    if st.lam.shape[-1:] != (frame.dim,):
         raise ValueError("coefficient vector has wrong dimension")
-    r_new = spinor_map(g) @ st.r
+    r_new = _rotate_points(g, st.r)
     u_old = frame.unitary(st.r)
     u_new = frame.unitary(r_new)
-    transported_rotation = u_new @ wigner_d(frame.j, g) @ u_old.conj().T
-    ambient = u_old @ st.lam
-    lam_new = u_new.conj().T @ (transported_rotation @ ambient)
+    transported_rotation = u_new @ wigner_d(frame.j, g) @ u_old.conj().mT
+    ambient = _apply(u_old, st.lam)
+    lam_new = _apply(u_new.conj().mT, _apply(transported_rotation, ambient))
     return BRState(r_new, lam_new)
 
 
-def scalar_lift(g: SU2Element, st: BRState) -> BRState:
+def scalar_lift(g, st: BRState) -> BRState:
     """The spin-zero lift: base moves by Spin(g), the scalar rides along.
 
     br_lift at j = 0 reduces to this map exactly (the frame and Wigner
-    factors are the 1×1 identity), so shared sample points agree bitwise.
+    factors are the 1×1 identity, and the base moves through the same
+    ``_rotate_points``), so shared sample points agree bitwise.
     """
-    return BRState(spinor_map(g) @ st.r, st.lam)
+    return BRState(_rotate_points(g, st.r), st.lam)
 
 
 def recover_spin_generator(
     i: int, r, frame: TransportFrame, h_step: float = 1e-3
 ) -> np.ndarray:
-    """Extract S_i(r) from the lift by differentiation.
+    """Extract S_i(r) from the lift by differentiation, at a point or an (..., 3) stack.
 
     With g_t = exp(-it σ_i/2) and M(t) = U(g_t·r) D^j(g_t) U(r)†, the product
     rule gives i·M'(0) = i·[d/dt U(g_t·r) U(r)†]₀ + S_i(r); subtracting the
     frame-motion term leaves the transported spin matrix.
     """
     _validate_step(h_step)
-    v = unit_vector(r)
+    v = unit_vector_batch(r)
     axis = np.eye(3)[i - 1]
-    u0d = frame.unitary(v).conj().T
-    dim = frame.dim
+    u0d = frame.unitary(v).conj().mT
 
     def path_full(t: float) -> np.ndarray:
         g = su2_from_axis_angle(t, axis)
-        return (frame.unitary(spinor_map(g) @ v) @ wigner_d(frame.j, g) @ u0d).ravel()
+        return frame.unitary(_rotate_points(g, v)) @ wigner_d(frame.j, g) @ u0d
 
     def path_frame(t: float) -> np.ndarray:
         g = su2_from_axis_angle(t, axis)
-        return (frame.unitary(spinor_map(g) @ v) @ u0d).ravel()
+        return frame.unitary(_rotate_points(g, v)) @ u0d
 
-    total = 1j * _richardson_derivative(path_full, h_step).reshape(dim, dim)
-    base = 1j * _richardson_derivative(path_frame, h_step).reshape(dim, dim)
+    total = 1j * _richardson_derivative(path_full, h_step)
+    base = 1j * _richardson_derivative(path_frame, h_step)
     return total - base
 
 

@@ -42,6 +42,7 @@ from .groups import (
     su2_from_axis_angle_batch,
     su2_from_normals,
     su2_product_batch,
+    unit_vector,
     unit_vector_batch,
 )
 from .harmonics import (
@@ -98,6 +99,12 @@ SUITES = (
 )
 
 
+# the fewest radial nodes on which the canonical ensemble's composed dilations
+# keep the section off the window ends (``canonical-group-law`` raises
+# RadialRangeError at every N below it)
+RADIAL_NODES_MIN = 24
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     lmax: int = 8
@@ -117,8 +124,11 @@ class SuiteConfig:
             )
         if self.grid_n <= 0 or self.grid_n & (self.grid_n - 1):
             raise ConfigError("grid_n must be a positive power of two")
-        if self.radial_nodes < 8:
-            raise ConfigError("radial_nodes must be at least 8")
+        if self.radial_nodes < RADIAL_NODES_MIN:
+            raise ConfigError(
+                f"radial_nodes must be at least {RADIAL_NODES_MIN}: on fewer nodes the "
+                "canonical-group-law dilations reach the radial window's ends"
+            )
         if self.samples <= 0:
             raise ConfigError("samples must be positive")
 
@@ -235,6 +245,11 @@ def _frobenius(m) -> np.ndarray:
     """np.linalg.norm of each (3, 3) matrix of a stack, rounded the same way."""
     flat = m.reshape(-1, 9)
     return np.sqrt(np.vecdot(flat, flat))
+
+
+def _row_norms(v) -> np.ndarray:
+    """np.linalg.norm of each complex row of a stack, rounded the same way."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
 # ---------------------------------------------------------------- groups
@@ -536,26 +551,30 @@ def _rot_wigner(rng, cfg):
 
 @register("harmonics", "wigner-homomorphism", "wigner-matrix-products", 1e-11)
 def _wigner_hom(rng, cfg):
+    pairs = su2_from_normals(rng.normal(size=(200, 2, 4)))   # (g1, g2) per sample
+    g1, g2 = pairs[:, 0], pairs[:, 1]
+    g12 = su2_product_batch(g1, g2)
     worst = 0.0
-    for _ in range(200):
-        g1, g2 = random_su2(rng), random_su2(rng)
-        for j in (0.5, 1.0, 1.5, 2.0):
-            gap = wigner_d(j, g1 * g2) - wigner_d(j, g1) @ wigner_d(j, g2)
-            worst = max(worst, float(np.max(np.abs(gap))))
+    for j in (0.5, 1.0, 1.5, 2.0):
+        gap = wigner_d(j, g12) - wigner_d(j, g1) @ wigner_d(j, g2)
+        worst = max(worst, float(np.max(np.abs(gap))))
     return worst
 
 
 @register("harmonics", "wigner-defining-unitary", "wigner-matrix-products", 1e-12)
 def _wigner_defining(rng, cfg):
-    worst = 0.0
-    for _ in range(cfg.samples):
-        g = random_su2(rng)
-        worst = max(worst, float(np.max(np.abs(wigner_d(0.5, g) - g.matrix()))))
+    def batch(k):
+        g = su2_from_normals(rng.normal(size=(k, 4)))
+        z0, z1 = g[:, 0], g[:, 1]
+        matrix = np.stack([np.stack([z0, z1.conj()], -1), np.stack([-z1, z0.conj()], -1)], -2)
+        worst = float(np.max(np.abs(wigner_d(0.5, g) - matrix)))
         for j in (0.5, 1.0, 2.0):
             d = wigner_d(j, g)
-            dim = d.shape[0]
-            worst = max(worst, float(np.max(np.abs(d @ d.conj().T - np.eye(dim)))))
-    return worst
+            gap = d @ d.conj().mT - np.eye(d.shape[-1])
+            worst = max(worst, float(np.max(np.abs(gap))))
+        return worst
+
+    return _worst_over_chunks(cfg.samples, batch)
 
 
 # --------------------------------------------------------------- bundles
@@ -825,7 +844,7 @@ def _exchange(rng, cfg):
             table = random_coeffs(cfg.lmax, sector, rng).c
             draws.append((sector, table, random_su2(rng), random_su2(rng)))
         sectors, tables, g1s, g2s = zip(*draws)
-        rotated = np.stack([rotate_stack(g, c) for g, c in zip(g1s, tables)])
+        rotated = rotate_stack(np.array([(g.z0, g.z1) for g in g1s]), np.stack(tables))
         parities = exchange_parities(rotated, grid)
         wrong = np.flatnonzero(parities != [-1 if s == "odd" else 1 for s in sectors])
         if wrong.size:
@@ -1049,11 +1068,8 @@ def _transport_unitary(rng, cfg):
     worst = 0.0
     for j in (0.5, 1.0):
         frame = default_transport(j)
-        for _ in range(500):
-            u = frame.unitary(_safe_point(rng))
-            worst = max(
-                worst, float(np.max(np.abs(u @ u.conj().T - np.eye(frame.dim))))
-            )
+        u = frame.unitary(_draw_rows(rng, 500, _safe_point))
+        worst = max(worst, float(np.max(np.abs(u @ u.conj().mT - np.eye(frame.dim)))))
     return worst
 
 
@@ -1063,38 +1079,39 @@ def _spin_props(rng, cfg):
     for j in (0.5, 1.0, 1.5):
         frame = default_transport(j)
         want = np.arange(-j, j + 1)
-        for _ in range(20):
-            r = _safe_point(rng)
-            mats = [transported_spin(i, r, frame) for i in (1, 2, 3)]
-            for s in mats:
-                ev = np.sort(np.linalg.eigvalsh(s))
-                worst = max(worst, float(np.max(np.abs(ev - want))))
-            comm = mats[0] @ mats[1] - mats[1] @ mats[0]
-            worst = max(worst, float(np.max(np.abs(comm - 1j * mats[2]))))
+        r = _draw_rows(rng, 20, _safe_point)
+        mats = [transported_spin(i, r, frame) for i in (1, 2, 3)]
+        for s in mats:
+            ev = np.sort(np.linalg.eigvalsh(s))
+            worst = max(worst, float(np.max(np.abs(ev - want))))
+        comm = mats[0] @ mats[1] - mats[1] @ mats[0]
+        worst = max(worst, float(np.max(np.abs(comm - 1j * mats[2]))))
     return worst
 
 
 @register("berry-robbins", "lift-composition", "transported-basis-lift", 1e-10)
 def _br_compose(rng, cfg):
+    # samples are drawn one at a time and kept while both images avoid the
+    # south cap, then lifted as one stack
     frame = default_transport(1.0)
-    worst = 0.0
-    done = 0
-    while done < 200:
-        st = BRState(_safe_point(rng), rng.normal(size=3) + 1j * rng.normal(size=3))
+    kept = []
+    while len(kept) < 200:
+        r = unit_vector(_safe_point(rng))
+        lam = rng.normal(size=3) + 1j * rng.normal(size=3)
         g1, g2 = random_su2(rng), random_su2(rng)
-        mid = spinor_map(g2) @ st.r
+        mid = spinor_map(g2) @ r
         end = spinor_map(g1) @ mid
         if mid[2] < -0.8 or end[2] < -0.8:
             continue
-        lhs = br_lift(g1, br_lift(g2, st, frame), frame)
-        rhs = br_lift(g1 * g2, st, frame)
-        worst = max(worst, float(np.max(np.abs(lhs.lam - rhs.lam))))
-        worst = max(worst, float(np.max(np.abs(lhs.r - rhs.r))))
-        worst = max(
-            worst, abs(np.linalg.norm(rhs.lam) - np.linalg.norm(st.lam))
-        )
-        done += 1
-    return worst
+        kept.append((r, lam, (g1.z0, g1.z1), (g2.z0, g2.z1)))
+    r, lam, g1, g2 = (np.array(column) for column in zip(*kept))
+    st = BRState(r, lam)
+    lhs = br_lift(g1, br_lift(g2, st, frame), frame)
+    rhs = br_lift(su2_product_batch(g1, g2), st, frame)
+    norm_gap = _row_norms(rhs.lam) - _row_norms(st.lam)
+    return max(float(np.max(np.abs(lhs.lam - rhs.lam))),
+               float(np.max(np.abs(lhs.r - rhs.r))),
+               float(np.max(np.abs(norm_gap))))
 
 
 @register("berry-robbins", "generator-recovery", "spin-operators-from-lift", 1e-7)
@@ -1102,32 +1119,34 @@ def _br_recover(rng, cfg):
     worst = 0.0
     for j in (0.5, 1.0):
         frame = default_transport(j)
-        for _ in range(10):
-            r = _safe_point(rng)
-            for i in (1, 2, 3):
-                gap = recover_spin_generator(i, r, frame) - transported_spin(
-                    i, r, frame
-                )
-                worst = max(worst, float(np.max(np.abs(gap))))
+        r = _draw_rows(rng, 10, _safe_point)
+        for i in (1, 2, 3):
+            gap = recover_spin_generator(i, r, frame) - transported_spin(i, r, frame)
+            worst = max(worst, float(np.max(np.abs(gap))))
     return worst
+
+
+def _j0_draws(rng) -> np.ndarray:
+    """One spin-zero-reduction sample: base point, scalar (re, im), ``random_su2`` normals."""
+    return np.concatenate([_safe_point(rng), [rng.normal(), rng.normal()], rng.normal(size=4)])
 
 
 @register("berry-robbins", "spin-zero-reduction", "transported-basis-lift", 1e-15)
 def _j0_reduction(rng, cfg):
     frame = default_transport(0.0)
-    for _ in range(cfg.samples):
-        st = BRState(_safe_point(rng), [rng.normal() + 1j * rng.normal()])
-        g = random_su2(rng)
-        if (spinor_map(g) @ st.r)[2] < -0.8:
-            continue
-        lifted = br_lift(g, st, frame)
+
+    def batch(k):
+        draws = _draw_rows(rng, k, _j0_draws)
+        st = BRState(draws[:, :3], (draws[:, 3] + 1j * draws[:, 4])[:, None])
+        g = su2_from_normals(draws[:, 5:])
         scalar = scalar_lift(g, st)
-        if not (
-            np.array_equal(lifted.r, scalar.r)
-            and np.array_equal(lifted.lam, scalar.lam)
-        ):
-            return 1.0
-    return 0.0
+        keep = ~(scalar.r[:, 2] < -0.8)        # samples whose image leaves the south cap
+        lifted = br_lift(g[keep], BRState(st.r[keep], st.lam[keep]), frame)
+        same = (np.array_equal(lifted.r, scalar.r[keep])
+                and np.array_equal(lifted.lam, scalar.lam[keep]))
+        return 0.0 if same else 1.0
+
+    return _worst_over_chunks(cfg.samples, batch)
 
 
 @register("berry-robbins", "fixed-basis-addition", "angular-momentum-addition", 1e-7)

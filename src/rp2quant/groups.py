@@ -193,6 +193,16 @@ def su2_batch(z) -> np.ndarray:
     return _pack(*parts)
 
 
+def _su2_rows(g) -> np.ndarray:
+    """(z0, z1) as a (2,) array for an ``SU2Element``; (..., 2) rows as given."""
+    if isinstance(g, SU2Element):
+        return np.array([g.z0, g.z1])
+    g = np.asarray(g, dtype=complex)
+    if g.shape[-1:] != (2,):
+        raise ValueError("SU(2) rows must have shape (..., 2)")
+    return g
+
+
 def su2_product_batch(g, h) -> np.ndarray:
     """Row-wise products g·h of two (n, 2) batches (or one row against a batch)."""
     return su2_batch(_pack(*_product(*_columns(g), *_columns(h))))
@@ -438,15 +448,7 @@ def su2_from_sphere_point(x) -> SU2Element:
     Deterministic choice used when a concrete class representative is needed;
     at the south pole the π-rotation about e₁ is returned.
     """
-    return _geodesic_element(unit_vector(x))
-
-
-def _geodesic_element(v: np.ndarray) -> SU2Element:
-    """``su2_from_sphere_point`` of a vector that ``unit_vector`` returned.
-
-    The point is normalized once, by the caller; (-v₂, v₁, 0)/s is unit by
-    construction, so su2_from_axis_angle's axis check is skipped too.
-    """
+    v = unit_vector(x)
     if v[2] <= -1.0 + ZERO_TOL:
         return su2_from_axis_angle(np.pi, (1.0, 0.0, 0.0))
     s = _norm(np.array([-v[1], v[0], 0.0]))

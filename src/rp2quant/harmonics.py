@@ -19,23 +19,24 @@ Angular momentum acts exactly in this basis:
 One primitive builds every spin-j rotation matrix, for any half-integer j:
 ``wigner_d`` is D^j(g) = e^{-iαS₃} V e^{-iβΛ} V† e^{-iγS₃}, with V from a
 read-only cache of S₂ eigenvectors keyed by 2j and (α, β, γ) read from
-g = (z0, z1).  ``rotate_stack`` applies the same factors to each degree-l
-block of a coefficient stack, and ``berry_robbins.TransportFrame`` is
-D^j of the geodesic element.  Blocks never mix, so rotations preserve parity
+g = (z0, z1).  g is one ``SU2Element`` or a stack of (..., 2) rows, and a
+stack of matrices equals its single-row calls bit for bit.  ``rotate_stack``
+applies the same factors to each degree-l block of a coefficient stack (one
+element, or one per table), and ``berry_robbins.TransportFrame`` is D^j of
+the geodesic element.  Blocks never mix, so rotations preserve parity
 sectors exactly and need no quadrature.  Two independent oracles are kept
 for cross-checks: resampling at rotated nodes followed by re-projection
 (``rotate_values`` + ``analyze``), and the symmetrized tensor powers of the
 defining 2×2 matrix (in ``checks``).
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import ylm_synthesize
-from .groups import SU2Element, spinor_map
+from .groups import SU2Element, _su2_rows, spinor_map
 from .manifold import QuadratureGrid
 
 SECTORS = ("even", "odd", "full")
@@ -254,57 +255,69 @@ def _s2_eigvecs(twoj: int) -> np.ndarray:
     return _S2_EIGVECS[twoj]
 
 
-def _euler_phases(g: SU2Element, twoj: int) -> np.ndarray:
+_ARG_SIGNS = np.array([1.0, -1.0])
+
+
+def _euler_phases(g, twoj: int) -> np.ndarray:
     """Rows e^{-iαm}, e^{-iβλ}, e^{-iγm} (m = +j ... -j, λ = -j ... +j) of g.
 
-    g = e^{-iασ₃/2} e^{-iβσ₂/2} e^{-iγσ₃/2} with β = 2·atan2(|z1|, |z0|),
-    α+γ = -2·arg z0 and α-γ = 2·arg(-z1); α and γ are not reduced mod 2π,
-    so half-integer m gets the right sign.
+    g is an ``SU2Element`` or (..., 2) rows (z0, z1); the result has shape
+    (3, ..., 2j+1).  g = e^{-iασ₃/2} e^{-iβσ₂/2} e^{-iγσ₃/2} with
+    β = 2·atan2(|z1|, |z0|), α+γ = -2·arg z0 and α-γ = 2·arg(-z1); α and γ
+    are not reduced mod 2π, so half-integer m gets the right sign.  The
+    angles do not depend on the scale of (z0, z1).
     """
-    beta = 2.0 * math.atan2(abs(g.z1), abs(g.z0))
-    half_sum, half_diff = -cmath.phase(g.z0), cmath.phase(-g.z1)
-    alpha, gamma = half_sum + half_diff, half_sum - half_diff
-    m = twoj / 2 - np.arange(twoj + 1)
-    return np.exp(np.multiply.outer([-1j * alpha, 1j * beta, -1j * gamma], m))
+    rows = _su2_rows(g)
+    re, im = rows.real * _ARG_SIGNS, rows.imag * _ARG_SIGNS     # (z0, -z1)
+    moduli, args = np.hypot(re, im), np.arctan2(im, re)
+    beta = 2.0 * np.arctan2(moduli[..., 1], moduli[..., 0])
+    half_sum, half_diff = -args[..., 0], args[..., 1]
+    angles = np.array([-(half_sum + half_diff), beta, half_diff - half_sum])   # -α, β, -γ
+    return np.exp(1j * (angles[..., None] * (twoj / 2 - np.arange(twoj + 1))))
 
 
-def wigner_d(j: float, g: SU2Element) -> np.ndarray:
+def wigner_d(j: float, g) -> np.ndarray:
     """Spin-j matrix of g in the |j, m⟩ basis (m = +j ... -j), any half-integer j.
 
         D^j(g) = e^{-iαS₃} V e^{-iβΛ} V† e^{-iγS₃},   Λ = diag(-j ... j),
 
     with V = ``_s2_eigvecs(2j)`` and the Euler angles of ``_euler_phases``.
-    D^{1/2}(g) = g.matrix() and i·d/dt D(e^{-it σ_i/2})|₀ = S_i.
+    g is an ``SU2Element`` (a (2j+1, 2j+1) matrix) or (..., 2) rows (z0, z1)
+    (a (..., 2j+1, 2j+1) stack whose matrices equal the single-row calls bit
+    for bit).  D^{1/2}(g) = g.matrix() and i·d/dt D(e^{-it σ_i/2})|₀ = S_i.
     """
     twoj = _twice_spin(j)
     v = _s2_eigvecs(twoj)
     pa, pb, pg = _euler_phases(g, twoj)
-    return pa[:, None] * ((v * pb) @ v.conj().T) * pg
+    return pa[..., :, None] * ((v * pb[..., None, :]) @ v.conj().T) * pg[..., None, :]
 
 
-def rotate_stack(g: SU2Element, c: np.ndarray) -> np.ndarray:
+def rotate_stack(g, c: np.ndarray) -> np.ndarray:
     """Coefficients of x ↦ a(Spin(g)⁻¹ x) for each table a in a stack.
 
-    ``c`` has shape (..., (lmax+1)²).  Each degree-l block, read as
-    m = +l ... -l, is multiplied by ``wigner_d(l, g)`` factor by factor (the
-    same phases and cached V, no dense D^l).  Every row goes through the same
-    matrix-vector products, so a stack gives bit for bit the rows of its
-    single tables.
+    ``c`` has shape (..., (lmax+1)²); g is an ``SU2Element`` or (..., 2)
+    rows whose leading axes broadcast against those of ``c``.  Each degree-l
+    block, read as m = +l ... -l, is multiplied by ``wigner_d(l, g)`` factor
+    by factor (the same phases and cached V, no dense D^l).  Every row goes
+    through the same matrix-vector products, so a stack gives bit for bit the
+    rows of its single tables and single elements.
     """
     c = np.asarray(c, dtype=np.complex128)
     lmax = math.isqrt(c.shape[-1]) - 1
     if num_coeffs(lmax) != c.shape[-1]:
         raise ValueError("last axis must hold (lmax+1)² coefficients")
-    phase_alpha, phase_beta, phase_gamma = _euler_phases(g, 2 * lmax)
-    out = np.empty_like(c)
+    phase_alpha, phase_beta, phase_gamma = _euler_phases(g, 2 * lmax)[..., None, :]
+    n = c.shape[-1]
+    out = np.empty(np.broadcast_shapes(phase_alpha.shape[:-2], c.shape[:-1]) + (n,),
+                   dtype=np.complex128)
     # reversed (..., 1, n) row stacks: degree-l blocks in the order m = +l ... -l,
     # and every product a matrix-vector one
-    rev_in, rev_out, n = c[..., None, ::-1], out[..., None, ::-1], c.shape[-1]
+    rev_in, rev_out = c[..., None, ::-1], out[..., None, ::-1]
     for l in range(lmax + 1):
         v = _s2_eigvecs(2 * l)
         ms, block = slice(lmax - l, lmax + l + 1), slice(n - (l + 1) ** 2, n - l * l)
-        rows = ((rev_in[..., block] * phase_gamma[ms]) @ v.conj()) * phase_beta[ms]
-        rev_out[..., block] = (rows @ v.T) * phase_alpha[ms]
+        rows = ((rev_in[..., block] * phase_gamma[..., ms]) @ v.conj()) * phase_beta[..., ms]
+        rev_out[..., block] = (rows @ v.T) * phase_alpha[..., ms]
     return out
 
 

@@ -17,7 +17,17 @@ import numpy as np
 import pytest
 
 from rp2quant import bundles, classical
+from rp2quant._kernels import ylm_synthesize
+from rp2quant.berry_robbins import (
+    BRState,
+    br_lift,
+    default_transport,
+    recover_spin_generator,
+    scalar_lift,
+    transported_spin,
+)
 from rp2quant.checks import (
+    _EXCHANGE_POINTS,
     REGISTRY,
     SuiteConfig,
     _assoc_and_h,
@@ -29,6 +39,7 @@ from rp2quant.checks import (
     _random_axis,
     _random_h,
     _random_interior_point,
+    _safe_point,
     check_rng,
 )
 from rp2quant.groups import (
@@ -42,8 +53,16 @@ from rp2quant.groups import (
     spinor_map,
     su2_from_axis_angle,
 )
-from rp2quant.harmonics import evaluate, random_coeffs, unit
+from rp2quant.harmonics import (
+    evaluate,
+    off_sector_mask,
+    random_coeffs,
+    rotate_stack,
+    unit,
+    wigner_d,
+)
 from rp2quant.manifold import build_quadrature, moment_embedding, transition_function
+from rp2quant.representation import exchange_parities
 
 EPS = np.finfo(float).eps
 # Residuals are maxima of |a - b| over quantities of size ≤ ~5 (unit-modulus
@@ -228,6 +247,135 @@ def ref_no_obstruction(rng, cfg):
     return worst
 
 
+def ref_wigner_hom(rng, cfg):
+    worst = 0.0
+    for _ in range(200):
+        g1, g2 = random_su2(rng), random_su2(rng)
+        for j in (0.5, 1.0, 1.5, 2.0):
+            gap = wigner_d(j, g1 * g2) - wigner_d(j, g1) @ wigner_d(j, g2)
+            worst = max(worst, float(np.max(np.abs(gap))))
+    return worst
+
+
+def ref_wigner_defining(rng, cfg):
+    worst = 0.0
+    for _ in range(cfg.samples):
+        g = random_su2(rng)
+        worst = max(worst, float(np.max(np.abs(wigner_d(0.5, g) - g.matrix()))))
+        for j in (0.5, 1.0, 2.0):
+            d = wigner_d(j, g)
+            dim = d.shape[0]
+            worst = max(worst, float(np.max(np.abs(d @ d.conj().T - np.eye(dim)))))
+    return worst
+
+
+def ref_exchange(rng, cfg):
+    # one rotate_stack call per sample for its g₁ rotation
+    grid = build_quadrature(cfg.lmax)
+    chunk = max(1, _EXCHANGE_POINTS // grid.n)
+    worst = 0.0
+    for first in range(0, cfg.samples, chunk):
+        draws = []
+        for _ in range(min(chunk, cfg.samples - first)):
+            sector = "odd" if rng.random() < 0.5 else "even"
+            table = random_coeffs(cfg.lmax, sector, rng).c
+            draws.append((sector, table, random_su2(rng), random_su2(rng)))
+        sectors, tables, g1s, g2s = zip(*draws)
+        rotated = np.stack([rotate_stack(g, c) for g, c in zip(g1s, tables)])
+        parities = exchange_parities(rotated, grid)
+        wrong = np.flatnonzero(parities != [-1 if s == "odd" else 1 for s in sectors])
+        if wrong.size:
+            if parities[wrong[0]] == 0:
+                raise ValueError("section is not an exchange eigenstate")
+            return 1.0
+        nodes = np.stack([grid.nodes @ spinor_map(g) for g in g2s])
+        raw = grid.project(ylm_synthesize(nodes, cfg.lmax, np.stack(tables)), cfg.lmax)
+        leak = np.where([off_sector_mask(cfg.lmax, s) for s in sectors], raw, 0.0)
+        worst = max([worst] + [float(np.linalg.norm(row)) for row in leak])
+    return worst
+
+
+def ref_transport_unitary(rng, cfg):
+    worst = 0.0
+    for j in (0.5, 1.0):
+        frame = default_transport(j)
+        for _ in range(500):
+            u = frame.unitary(_safe_point(rng))
+            worst = max(
+                worst, float(np.max(np.abs(u @ u.conj().T - np.eye(frame.dim))))
+            )
+    return worst
+
+
+def ref_spin_props(rng, cfg):
+    worst = 0.0
+    for j in (0.5, 1.0, 1.5):
+        frame = default_transport(j)
+        want = np.arange(-j, j + 1)
+        for _ in range(20):
+            r = _safe_point(rng)
+            mats = [transported_spin(i, r, frame) for i in (1, 2, 3)]
+            for s in mats:
+                ev = np.sort(np.linalg.eigvalsh(s))
+                worst = max(worst, float(np.max(np.abs(ev - want))))
+            comm = mats[0] @ mats[1] - mats[1] @ mats[0]
+            worst = max(worst, float(np.max(np.abs(comm - 1j * mats[2]))))
+    return worst
+
+
+def ref_br_compose(rng, cfg):
+    frame = default_transport(1.0)
+    worst = 0.0
+    done = 0
+    while done < 200:
+        st = BRState(_safe_point(rng), rng.normal(size=3) + 1j * rng.normal(size=3))
+        g1, g2 = random_su2(rng), random_su2(rng)
+        mid = spinor_map(g2) @ st.r
+        end = spinor_map(g1) @ mid
+        if mid[2] < -0.8 or end[2] < -0.8:
+            continue
+        lhs = br_lift(g1, br_lift(g2, st, frame), frame)
+        rhs = br_lift(g1 * g2, st, frame)
+        worst = max(worst, float(np.max(np.abs(lhs.lam - rhs.lam))))
+        worst = max(worst, float(np.max(np.abs(lhs.r - rhs.r))))
+        worst = max(
+            worst, abs(np.linalg.norm(rhs.lam) - np.linalg.norm(st.lam))
+        )
+        done += 1
+    return worst
+
+
+def ref_br_recover(rng, cfg):
+    worst = 0.0
+    for j in (0.5, 1.0):
+        frame = default_transport(j)
+        for _ in range(10):
+            r = _safe_point(rng)
+            for i in (1, 2, 3):
+                gap = recover_spin_generator(i, r, frame) - transported_spin(
+                    i, r, frame
+                )
+                worst = max(worst, float(np.max(np.abs(gap))))
+    return worst
+
+
+def ref_j0_reduction(rng, cfg):
+    frame = default_transport(0.0)
+    for _ in range(cfg.samples):
+        st = BRState(_safe_point(rng), [rng.normal() + 1j * rng.normal()])
+        g = random_su2(rng)
+        if (spinor_map(g) @ st.r)[2] < -0.8:
+            continue
+        lifted = br_lift(g, st, frame)
+        scalar = scalar_lift(g, st)
+        if not (
+            np.array_equal(lifted.r, scalar.r)
+            and np.array_equal(lifted.lam, scalar.lam)
+        ):
+            return 1.0
+    return 0.0
+
+
 # name -> (reference loop, allowed |batched - reference|)
 REWRITTEN = {
     "spinor-homomorphism": (ref_spinor_hom, 0.0),
@@ -249,6 +397,14 @@ REWRITTEN = {
     "antipodal-parity": (ref_antipodal, REORDERED_TOL),
     # pairings rewritten as matmuls; see test_no_obstruction_draws_match_elements
     "no-obstruction": (ref_no_obstruction, NO_OBSTRUCTION_TOL),
+    "wigner-homomorphism": (ref_wigner_hom, 0.0),
+    "wigner-defining-unitary": (ref_wigner_defining, 0.0),
+    "exchange-statistics": (ref_exchange, 0.0),
+    "transport-unitarity": (ref_transport_unitary, 0.0),
+    "transported-spin-spectrum-algebra": (ref_spin_props, 0.0),
+    "lift-composition": (ref_br_compose, 0.0),
+    "generator-recovery": (ref_br_recover, 0.0),
+    "spin-zero-reduction": (ref_j0_reduction, 0.0),
 }
 CHECKS = {c.name: c for c in REGISTRY}
 
@@ -268,7 +424,8 @@ def test_batched_check_matches_reference_loop(name, seed):
 @pytest.mark.parametrize(
     "name, samples",
     [("spinor-double-cover-kernel", 4100), ("h-subgroup-closure", 4100),
-     ("rp2-h-invariance", 4100), ("section-well-defined", 500)],
+     ("rp2-h-invariance", 4100), ("section-well-defined", 500),
+     ("wigner-defining-unitary", 4100), ("spin-zero-reduction", 4100)],
 )
 def test_chunked_check_matches_reference_loop(name, samples):
     # more samples than one chunk holds: the chunks draw in stream order
@@ -279,6 +436,12 @@ def test_chunked_check_matches_reference_loop(name, samples):
     got = float(CHECKS[name].fn(rng_new, cfg))
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
     assert abs(got - want) <= tol, (got, want)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_spin_zero_reduction_is_exact(seed):
+    name = "spin-zero-reduction"
+    assert CHECKS[name].fn(check_rng(seed, name), SuiteConfig(rng_seed=seed)) == 0.0
 
 
 @pytest.mark.parametrize("name", sorted(REWRITTEN))

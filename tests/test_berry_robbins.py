@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from rp2quant.berry_robbins import (
+    SOUTH_POLE_TOL,
     BRState,
     SpinorField,
     br_lift,
@@ -14,7 +15,7 @@ from rp2quant.berry_robbins import (
     total_generator_fd,
     transported_spin,
 )
-from rp2quant.groups import SU2_IDENTITY, random_su2, spinor_map
+from rp2quant.groups import SU2_IDENTITY, random_su2, spinor_map, su2_from_axis_angle
 from rp2quant.harmonics import analyze, random_coeffs, rotate_values, unit, wigner_d, zeros
 from rp2quant.manifold import build_quadrature
 
@@ -62,6 +63,24 @@ class TestTransportFrame:
         frame = default_transport(0.5)
         with pytest.raises(ValueError):
             frame.unitary([0.0, 0.0, -1.0])
+
+    def test_stack_equals_single_points_with_exact_north_pole(self, rng):
+        pts = np.array([safe_point(rng) for _ in range(30)] + [[0.0, 0.0, 1.0], [1e-17, 0.0, 1.0]])
+        for j in (0.0, 0.5, 1.0, 2.5):
+            frame = default_transport(j)
+            u = frame.unitary(pts.reshape(4, 8, 3)).reshape(-1, frame.dim, frame.dim)
+            for ui, r in zip(u, pts):
+                assert ui.tobytes() == frame.unitary(r).tobytes()
+            for north in u[-2:]:
+                assert np.array_equal(north, np.eye(frame.dim))
+
+    def test_stack_with_a_south_pole_row_raises(self, rng):
+        z = -1.0 + 0.5 * SOUTH_POLE_TOL                  # inside the excluded cap
+        near_south = [np.sqrt(1.0 - z * z), 0.0, z]
+        for bad in ([0.0, 0.0, -1.0], near_south):
+            pts = np.array([safe_point(rng) for _ in range(5)] + [bad])
+            with pytest.raises(ValueError):
+                default_transport(1.0).unitary(pts)
 
     def test_spin_range(self, rng):
         frame = default_transport(2.5)          # no cap on the spin
@@ -155,6 +174,58 @@ class TestBRLift:
             assert np.array_equal(lifted.r, scalar.r)
             assert np.array_equal(lifted.lam, scalar.lam)
             done += 1
+
+
+class TestStacks:
+    """Stacks of points, coefficients and elements against scalar loops."""
+
+    def test_transported_spin_stack(self, rng):
+        pts = np.array([safe_point(rng) for _ in range(12)])
+        for j in (0.5, 1.0, 1.5):
+            frame = default_transport(j)
+            for i in (1, 2, 3):
+                stack = transported_spin(i, pts, frame)
+                for s, r in zip(stack, pts):
+                    assert s.tobytes() == transported_spin(i, r, frame).tobytes()
+
+    def test_br_lift_stack(self, rng):
+        n = 16
+        pts = np.array([safe_point(rng) for _ in range(n)])
+        # rotations by 0.2 rad keep every image off the south pole
+        elements = [su2_from_axis_angle(0.2, safe_point(rng)) for _ in range(n)]
+        rows = np.array([[g.z0, g.z1] for g in elements])
+        for j in (0.0, 1.0, 1.5):
+            frame = default_transport(j)
+            lam = rng.normal(size=(n, frame.dim)) + 1j * rng.normal(size=(n, frame.dim))
+            out = br_lift(rows, BRState(pts, lam), frame)
+            shared = br_lift(elements[0], BRState(pts, lam), frame)
+            for k in range(n):
+                ref = br_lift(elements[k], BRState(pts[k], lam[k]), frame)
+                assert np.array_equal(out.r[k], ref.r) and np.array_equal(out.lam[k], ref.lam)
+                ref = br_lift(elements[0], BRState(pts[k], lam[k]), frame)
+                assert np.array_equal(shared.r[k], ref.r)
+                assert np.array_equal(shared.lam[k], ref.lam)
+
+    def test_scalar_lift_stack(self, rng):
+        pts = np.array([safe_point(rng) for _ in range(8)])
+        elements = [random_su2(rng) for _ in range(8)]
+        lam = rng.normal(size=(8, 1)) + 0j
+        out = scalar_lift(np.array([[g.z0, g.z1] for g in elements]), BRState(pts, lam))
+        for k, g in enumerate(elements):
+            assert np.array_equal(out.r[k], scalar_lift(g, BRState(pts[k], lam[k])).r)
+
+    def test_state_shapes_must_pair(self, rng):
+        with pytest.raises(ValueError):
+            BRState(np.array([safe_point(rng) for _ in range(3)]), np.ones((2, 3)))
+
+    def test_generator_recovery_stack(self, rng):
+        pts = np.array([safe_point(rng) for _ in range(6)])
+        for j in (0.5, 1.0):
+            frame = default_transport(j)
+            for i in (1, 2, 3):
+                stack = recover_spin_generator(i, pts, frame)
+                for s, r in zip(stack, pts):
+                    assert s.tobytes() == recover_spin_generator(i, r, frame).tobytes()
 
 
 class TestGeneratorRecovery:

@@ -4,15 +4,23 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rp2quant.checks import REGISTRY, SUITES, SuiteConfig, checks_for_suite
+from rp2quant.checks import (
+    RADIAL_NODES_MIN,
+    REGISTRY,
+    SUITES,
+    SuiteConfig,
+    check_rng,
+    checks_for_suite,
+)
 from rp2quant.cli import emit_report, main, render_report, run_suite
-from rp2quant.errors import ConfigError
+from rp2quant.errors import ConfigError, RadialRangeError
 
 
 def normalize_times(report: dict) -> dict:
@@ -52,6 +60,17 @@ class TestSuiteConfig:
             SuiteConfig(grid_n=1000)
         with pytest.raises(ConfigError):
             SuiteConfig(samples=0)
+
+    def test_radial_floor_is_where_the_group_law_stops_raising(self):
+        with pytest.raises(ConfigError):
+            SuiteConfig(radial_nodes=RADIAL_NODES_MIN - 1)
+        check = next(c for c in REGISTRY if c.name == "canonical-group-law")
+        # one node fewer, past the config gate: the composed dilations reach the window ends
+        below = SimpleNamespace(**{**asdict(SuiteConfig()), "radial_nodes": RADIAL_NODES_MIN - 1})
+        with pytest.raises(RadialRangeError):
+            check.fn(check_rng(0, check.name), below)
+        at_floor = check.fn(check_rng(0, check.name), SuiteConfig(radial_nodes=RADIAL_NODES_MIN))
+        assert math.isfinite(at_floor)
 
 
 class TestRunSuite:
@@ -197,11 +216,16 @@ class TestMainEntry:
         assert capsys.readouterr().err.startswith("error: config key")
 
 
-    def test_raising_check_is_reported_as_failure(self, tmp_path):
-        # the radial window at 8 nodes is too narrow for the group-law dilations
+    def test_raising_check_is_reported_as_failure(self, tmp_path, monkeypatch):
+        # one registered check raises as a too narrow radial window makes it raise
+        def narrow_window(rng, cfg):
+            raise RadialRangeError("section support reaches the radial window boundary")
+
+        patched = [replace(c, fn=narrow_window) if c.name == "canonical-group-law" else c
+                   for c in REGISTRY]
+        monkeypatch.setattr("rp2quant.checks.REGISTRY", patched)
         out = tmp_path / "r.json"
-        assert main(["representation", "--radial-nodes", "8",
-                     "--format", "json", "--out", str(out)]) == 1
+        assert main(["representation", "--format", "json", "--out", str(out)]) == 1
         checks = json.loads(out.read_text())["checks"]
         assert [c["name"] for c in checks] == [
             c.name for c in checks_for_suite("representation")]

@@ -225,6 +225,20 @@ class TestRotateStack:
                 a = HarmonicCoeffs(lmax, "full", table)
                 assert np.array_equal(row, rotate_coeffs(g, a, grid8).c)
 
+    def test_element_rows_equal_single_elements_bitwise(self, rng):
+        elements = [random_su2(rng) for _ in range(4)] + [-SU2_IDENTITY, SU2Element(0, 1j)]
+        rows = np.array([[g.z0, g.z1] for g in elements])
+        for lmax in (1, 8, 17):
+            stack = np.stack([random_coeffs(lmax, "full", rng).c for _ in range(6)])
+            out = rotate_stack(rows, stack)
+            for row, g, table in zip(out, elements, stack):
+                assert row.tobytes() == rotate_stack(g, table).tobytes()
+            # one table under every element, and every row of a radial stack per element
+            fan = rotate_stack(rows, stack[0])
+            assert fan.tobytes() == np.stack([rotate_stack(g, stack[0]) for g in elements]).tobytes()
+            radial = rotate_stack(rows[:, None], np.stack([stack, stack[::-1]], axis=1))
+            assert radial[:, 0].tobytes() == out.tobytes()
+
     def test_rejects_non_square_length(self):
         with pytest.raises(ValueError):
             rotate_stack(SU2_IDENTITY, np.zeros((2, 10)))
@@ -272,6 +286,24 @@ class TestWignerD:
                 dm = wigner_d(j, su2_from_axis_angle(-h, axis))
                 gen = 1j * (dp - dm) / (2 * h)
                 assert np.max(np.abs(gen - mats[i - 1])) < 1e-9
+
+    def test_stack_equals_single_rows_bitwise(self, rng):
+        # ±identity, z1 = 0 and z0 = 0 rows beside Haar draws, in a (5, 5) stack
+        special = [SU2_IDENTITY, -SU2_IDENTITY, SU2Element(np.exp(-1.1j), 0),
+                   SU2Element(0, 1), SU2Element(0, np.exp(0.3j))]
+        elements = special + [random_su2(rng) for _ in range(20)]
+        rows = np.array([[g.z0, g.z1] for g in elements])
+        for twoj in range(17):
+            dim = twoj + 1
+            stack = wigner_d(twoj / 2, rows.reshape(5, 5, 2))
+            assert stack.shape == (5, 5, dim, dim)
+            for d, g, row in zip(stack.reshape(-1, dim, dim), elements, rows):
+                assert d.tobytes() == wigner_d(twoj / 2, g).tobytes()
+                assert d.tobytes() == wigner_d(twoj / 2, row).tobytes()
+
+    def test_rows_must_be_pairs(self):
+        with pytest.raises(ValueError):
+            wigner_d(1.0, np.ones((4, 3), dtype=complex))
 
     def test_range_check(self):
         assert np.max(np.abs(wigner_d(4.5, SU2_IDENTITY) - np.eye(10))) < 1e-14   # no cap
