@@ -46,8 +46,7 @@ from .harmonics import (
     rotate_stack,
     wigner_d,
 )
-from .manifold import QuadratureGrid
-from .representation import _richardson_derivative, _validate_step
+from .representation import _richardson_derivative
 
 SOUTH_POLE_TOL = 1e-9
 
@@ -83,19 +82,16 @@ class TransportFrame:
 
         ``wigner_d`` of ``su2_from_sphere_point_batch(r)``; this equals
         exp(-iθ m̂·S).  r is one point (a (d, d) result) or an (..., 3) stack
-        (a (..., d, d) stack).  A north-pole row gives the identity exactly;
-        any row at the south pole raises.
+        (a (..., d, d) stack).  A row whose geodesic element is the exact
+        identity (1, 0), i.e. every point ``groups`` treats as the north pole,
+        gives the identity exactly; any row at the south pole raises.
         """
         v = unit_vector_batch(r)
         if np.any(v[..., 2] <= -1.0 + SOUTH_POLE_TOL):
             raise ValueError("frame is undefined at the south pole")
-        north = np.hypot(v[..., 0], v[..., 1]) < 1e-15
-        u = wigner_d(self.j, su2_from_sphere_point_batch(v))
-        return np.where(north[..., None, None], np.eye(self.dim), u)
-
-
-def default_transport(j: float) -> TransportFrame:
-    return TransportFrame(j)
+        g = su2_from_sphere_point_batch(v)
+        north = (g[..., 0] == 1.0) & (g[..., 1] == 0.0)
+        return np.where(north[..., None, None], np.eye(self.dim), wigner_d(self.j, g))
 
 
 def transported_spin(i: int, r, frame: TransportFrame) -> np.ndarray:
@@ -154,16 +150,13 @@ def scalar_lift(g, st: BRState) -> BRState:
     return BRState(_rotate_points(g, st.r), st.lam)
 
 
-def recover_spin_generator(
-    i: int, r, frame: TransportFrame, h_step: float = 1e-3
-) -> np.ndarray:
+def recover_spin_generator(i: int, r, frame: TransportFrame) -> np.ndarray:
     """Extract S_i(r) from the lift by differentiation, at a point or an (..., 3) stack.
 
     With g_t = exp(-it σ_i/2) and M(t) = U(g_t·r) D^j(g_t) U(r)†, the product
     rule gives i·M'(0) = i·[d/dt U(g_t·r) U(r)†]₀ + S_i(r); subtracting the
     frame-motion term leaves the transported spin matrix.
     """
-    _validate_step(h_step)
     v = unit_vector_batch(r)
     axis = np.eye(3)[i - 1]
     u0d = frame.unitary(v).conj().mT
@@ -176,8 +169,8 @@ def recover_spin_generator(
         g = su2_from_axis_angle(t, axis)
         return frame.unitary(_rotate_points(g, v)) @ u0d
 
-    total = 1j * _richardson_derivative(path_full, h_step)
-    base = 1j * _richardson_derivative(path_frame, h_step)
+    total = 1j * _richardson_derivative(path_full)
+    base = 1j * _richardson_derivative(path_frame)
     return total - base
 
 
@@ -198,32 +191,26 @@ class SpinorField:
         return np.stack([c.c for c in self.components])
 
 
-def fixed_basis_lift(
-    g: SU2Element, field: SpinorField, grid: QuadratureGrid
-) -> SpinorField:
+def fixed_basis_lift(g: SU2Element, field: SpinorField) -> SpinorField:
     """Untransported lift: rotate the base, mix components by constant D^j(g).
 
-    All components rotate in one ``rotate_stack`` call on coefficients, so
-    ``grid`` is not used.
+    All components rotate in one ``rotate_stack`` call on coefficients.
     """
     mixed = wigner_d(field.j, g) @ rotate_stack(g, field.stack())
     lmax = field.components[0].lmax
     return SpinorField(field.j, tuple(HarmonicCoeffs(lmax, "full", c) for c in mixed))
 
 
-def total_generator_fd(
-    i: int, field: SpinorField, grid: QuadratureGrid, h_step: float = 1e-3
-) -> np.ndarray:
+def total_generator_fd(i: int, field: SpinorField) -> np.ndarray:
     """J_i by finite differences of the fixed-basis lift, stacked layout."""
-    _validate_step(h_step)
     axis = np.eye(3)[i - 1]
 
     def apply_at(t: float) -> np.ndarray:
         g = su2_from_axis_angle(t, axis)
-        return fixed_basis_lift(g, field, grid).stack().ravel()
+        return fixed_basis_lift(g, field).stack().ravel()
 
     shape = field.stack().shape
-    return 1j * _richardson_derivative(apply_at, h_step).reshape(shape)
+    return 1j * _richardson_derivative(apply_at).reshape(shape)
 
 
 def total_generator_exact(i: int, field: SpinorField) -> np.ndarray:

@@ -24,7 +24,6 @@ from .groups import (
     HElement,
     RP2Point,
     SU2Element,
-    quotient_to_rp2,
     quotient_to_sphere,
     quotient_to_sphere_batch,
     rp2_point,
@@ -35,10 +34,11 @@ from .groups import (
     unit_vector,
     unit_vector_batch,
 )
-from .harmonics import HarmonicCoeffs, evaluate, off_sector_mask
+from .harmonics import HarmonicCoeffs, off_sector_mask
 from .manifold import CHART_TOL, QuadratureGrid
 
 FIBER_TOL = 1e-10
+PROJECTOR_CONSTRAINT_TOL = 1e-8   # p·f - f accepted by module_iso_inverse, relative
 
 
 def kappa(h: HElement) -> int:
@@ -79,11 +79,6 @@ class LMinusElement:
     def coefficient(self) -> complex:
         """λ with fiber = λ·φ(rep(base))."""
         return complex(np.vdot(phi(self.base.rep), self.fiber))
-
-
-def assoc_project(e: AssocElement) -> RP2Point:
-    """π_κ([(g, v)]) = [x(g)]; ignores v, representative-independent."""
-    return quotient_to_rp2(e.g)
 
 
 def assoc_translate(e: AssocElement, h: HElement) -> AssocElement:
@@ -155,12 +150,6 @@ def projector(x) -> np.ndarray:
     return np.outer(f, f.conj())
 
 
-def section_values(a: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
-    """Values of Ψ_a = a·φ at unit vectors: shape (n, 3)."""
-    vals = evaluate(a, points)
-    return np.asarray(points, dtype=complex) * np.asarray(vals)[:, None]
-
-
 def module_iso_forward(
     a: HarmonicCoeffs, grid: QuadratureGrid
 ) -> tuple[HarmonicCoeffs, ...]:
@@ -198,16 +187,14 @@ def projector_residual(
     return _projector_gap(_component_values(f, grid), grid)
 
 
-def module_iso_inverse(
-    f: tuple[HarmonicCoeffs, ...], grid: QuadratureGrid, constraint_tol: float = 1e-8
-) -> HarmonicCoeffs:
+def module_iso_inverse(f: tuple[HarmonicCoeffs, ...], grid: QuadratureGrid) -> HarmonicCoeffs:
     """Triple f ↦ odd function a(x) = Σ_i f_i(x)·x_i = ⟨φ(x), f(x)⟩."""
     scale = max(max(fi.norm() for fi in f), 1.0)
     vals = _component_values(f, grid)
     res = _projector_gap(vals, grid)
-    if res > constraint_tol * scale:
+    if res > PROJECTOR_CONSTRAINT_TOL * scale:
         raise ProjectorConstraintViolated(
-            f"p·f - f residual {res:.3e} exceeds {constraint_tol:.1e} (scaled)"
+            f"p·f - f residual {res:.3e} exceeds {PROJECTOR_CONSTRAINT_TOL:.1e} (scaled)"
         )
     lout = max(fi.lmax for fi in f) + 1
     if lout > grid.lmax_exact:

@@ -16,8 +16,8 @@ from . import bundles, classical, heisenberg
 from .berry_robbins import (
     BRState,
     SpinorField,
+    TransportFrame,
     br_lift,
-    default_transport,
     recover_spin_generator,
     scalar_lift,
     total_generator_exact,
@@ -65,7 +65,6 @@ from .manifold import (
     WFunctional,
     build_quadrature,
     chart_coords,
-    eval_w,
     f_embedding,
     f_from_moment,
     moment_embedding,
@@ -75,8 +74,6 @@ from .manifold import (
     w_action,
 )
 from .representation import (
-    Section,
-    act_U,
     act_canonical,
     check_group_law,
     check_intertwining,
@@ -347,10 +344,13 @@ def _rp2_invariance(rng, cfg):
 
 # -------------------------------------------------------------- manifold
 
-def _random_interior_point(rng, margin=0.05) -> np.ndarray:
+INTERIOR_MARGIN = 0.05   # least |coordinate| of a point drawn inside all three charts
+
+
+def _random_interior_point(rng) -> np.ndarray:
     while True:
         v = _random_axis(rng)
-        if np.min(np.abs(v)) > margin:
+        if np.min(np.abs(v)) > INTERIOR_MARGIN:
             return v
 
 
@@ -443,7 +443,7 @@ def _w_even(rng, cfg):
         w = WFunctional(c, rng.normal())
         x = _random_axis(rng)
         worst = max(worst, abs(w(x) - w(-x)))
-        worst = max(worst, abs(w(x) - eval_w(w, rp2_point(x))))
+        worst = max(worst, abs(w(x) - w(rp2_point(x).rep)))
     return worst
 
 
@@ -727,19 +727,14 @@ def _section_well_defined(rng, cfg):
 
 # -------------------------------------------------------- representation
 
-def _random_section(rng, cfg, sector="odd") -> Section:
-    return Section(random_coeffs(cfg.lmax, sector, rng), "minus" if sector == "odd" else "plus")
-
-
 @register("representation", "generator-vs-ladder", "orbital-generator-match", 1e-8)
 def _gen_vs_ladder(rng, cfg):
-    grid = _grid(cfg.lmax)
     worst = 0.0
     for _ in range(10):
         sector = "odd" if rng.random() < 0.5 else "even"
-        s = _random_section(rng, cfg, sector)
+        a = random_coeffs(cfg.lmax, sector, rng)
         for i in (1, 2, 3):
-            worst = max(worst, generator_vs_ladder_residual(i, s, grid))
+            worst = max(worst, generator_vs_ladder_residual(i, a))
     return worst
 
 
@@ -756,11 +751,9 @@ def _intertwining(rng, cfg):
 
 @register("representation", "su2-closure-fd", "generator-commutators", 1e-6)
 def _closure(rng, cfg):
-    grid = _grid(cfg.lmax)
     worst = 0.0
     for _ in range(3):
-        s = _random_section(rng, cfg, "odd")
-        worst = max(worst, su2_closure_residual(s, grid))
+        worst = max(worst, su2_closure_residual(random_coeffs(cfg.lmax, "odd", rng)))
     return worst
 
 
@@ -769,12 +762,12 @@ def _act_u(rng, cfg):
     grid = _grid(cfg.lmax)
     worst = 0.0
     for _ in range(10):
-        s = _random_section(rng, cfg, "odd")
+        a = random_coeffs(cfg.lmax, "odd", rng)
         g1, g2 = random_su2(rng), random_su2(rng)
-        seq = act_U(g1, act_U(g2, s, grid), grid)
-        prod = act_U(g1 * g2, s, grid)
-        worst = max(worst, float(np.linalg.norm(seq.a.c - prod.a.c)))
-        worst = max(worst, abs(seq.a.norm() - s.a.norm()))
+        seq = rotate_coeffs(g1, rotate_coeffs(g2, a, grid), grid)
+        prod = rotate_coeffs(g1 * g2, a, grid)
+        worst = max(worst, float(np.linalg.norm(seq.c - prod.c)))
+        worst = max(worst, abs(seq.norm() - a.norm()))
     return worst
 
 
@@ -1067,7 +1060,7 @@ def _safe_point(rng):
 def _transport_unitary(rng, cfg):
     worst = 0.0
     for j in (0.5, 1.0):
-        frame = default_transport(j)
+        frame = TransportFrame(j)
         u = frame.unitary(_draw_rows(rng, 500, _safe_point))
         worst = max(worst, float(np.max(np.abs(u @ u.conj().mT - np.eye(frame.dim)))))
     return worst
@@ -1077,7 +1070,7 @@ def _transport_unitary(rng, cfg):
 def _spin_props(rng, cfg):
     worst = 0.0
     for j in (0.5, 1.0, 1.5):
-        frame = default_transport(j)
+        frame = TransportFrame(j)
         want = np.arange(-j, j + 1)
         r = _draw_rows(rng, 20, _safe_point)
         mats = [transported_spin(i, r, frame) for i in (1, 2, 3)]
@@ -1093,7 +1086,7 @@ def _spin_props(rng, cfg):
 def _br_compose(rng, cfg):
     # samples are drawn one at a time and kept while both images avoid the
     # south cap, then lifted as one stack
-    frame = default_transport(1.0)
+    frame = TransportFrame(1.0)
     kept = []
     while len(kept) < 200:
         r = unit_vector(_safe_point(rng))
@@ -1118,7 +1111,7 @@ def _br_compose(rng, cfg):
 def _br_recover(rng, cfg):
     worst = 0.0
     for j in (0.5, 1.0):
-        frame = default_transport(j)
+        frame = TransportFrame(j)
         r = _draw_rows(rng, 10, _safe_point)
         for i in (1, 2, 3):
             gap = recover_spin_generator(i, r, frame) - transported_spin(i, r, frame)
@@ -1133,7 +1126,7 @@ def _j0_draws(rng) -> np.ndarray:
 
 @register("berry-robbins", "spin-zero-reduction", "transported-basis-lift", 1e-15)
 def _j0_reduction(rng, cfg):
-    frame = default_transport(0.0)
+    frame = TransportFrame(0.0)
 
     def batch(k):
         draws = _draw_rows(rng, k, _j0_draws)
@@ -1151,15 +1144,14 @@ def _j0_reduction(rng, cfg):
 
 @register("berry-robbins", "fixed-basis-addition", "angular-momentum-addition", 1e-7)
 def _fixed_basis(rng, cfg):
-    grid = _grid(min(cfg.lmax, 6))
-    lmax = grid.lmax_exact - 1
+    lmax = min(cfg.lmax, 6) - 1
     worst = 0.0
     for j in (0.5, 1.0):
         dim = int(2 * j) + 1
         comps = tuple(random_coeffs(lmax, "full", rng) for _ in range(dim))
         field_ = SpinorField(j, comps)
         for i in (1, 2, 3):
-            gap = total_generator_fd(i, field_, grid) - total_generator_exact(i, field_)
+            gap = total_generator_fd(i, field_) - total_generator_exact(i, field_)
             worst = max(worst, float(np.max(np.abs(gap))))
     return worst
 

@@ -28,6 +28,8 @@ import numpy as np
 from .groups import skew_matrix
 from .manifold import WFunctional, check_symmetric_traceless
 
+BRACKET_FD_STEP = 1e-5   # central-difference step of poisson_bracket_fd
+
 _SQ2 = np.sqrt(2.0)
 _SQ6 = np.sqrt(6.0)
 
@@ -130,9 +132,9 @@ def poisson_bracket_fd(
     e1: SemidirectLieElement,
     e2: SemidirectLieElement,
     pt: PhasePoint,
-    step: float = 1e-5,
 ) -> float:
     """Finite-difference bracket Σ_k (∂F/∂u_k ∂G/∂ψ_k - ∂F/∂ψ_k ∂G/∂u_k)."""
+    step = BRACKET_FD_STEP
 
     def observable(e, uc, pc):
         p = PhasePoint(w_matrix(uc), WFunctional(w_matrix(pc), 0.0))
@@ -211,13 +213,12 @@ def homomorphism_defect(c1, a1, c2, a2, u, psi) -> float:
     return worst
 
 
-def random_element(rng: np.random.Generator, scale: float = 1.0) -> SemidirectLieElement:
-    c = w_matrix(rng.normal(size=5) * scale)
-    return SemidirectLieElement(WFunctional(c, 0.0), rng.normal(size=3) * scale)
+def random_element(rng: np.random.Generator) -> SemidirectLieElement:
+    c = w_matrix(rng.normal(size=5))
+    return SemidirectLieElement(WFunctional(c, 0.0), rng.normal(size=3))
 
 
-def random_phase_point(rng: np.random.Generator, scale: float = 1.0) -> PhasePoint:
+def random_phase_point(rng: np.random.Generator) -> PhasePoint:
     return PhasePoint(
-        w_matrix(rng.normal(size=5) * scale),
-        WFunctional(w_matrix(rng.normal(size=5) * scale), 0.0),
+        w_matrix(rng.normal(size=5)), WFunctional(w_matrix(rng.normal(size=5)), 0.0)
     )

@@ -208,12 +208,6 @@ def su2_product_batch(g, h) -> np.ndarray:
     return su2_batch(_pack(*_product(*_columns(g), *_columns(h))))
 
 
-def su2_inverse_batch(g) -> np.ndarray:
-    """Row-wise inverses (conj z0, -z1)."""
-    g = np.asarray(g, dtype=complex)
-    return su2_batch(np.stack([g[..., 0].conj(), -g[..., 1]], axis=-1))
-
-
 @dataclass(frozen=True)
 class HElement:
     """Element of the stabilizer subgroup H, tagged by its component."""
@@ -350,15 +344,6 @@ def h_membership(g: SU2Element) -> HElement | None:
     if abs(g.z0) <= H_CLASSIFY_TOL:
         return HElement("antidiagonal", g.z1)
     return None
-
-
-def h_orbit_action(g: SU2Element, h: HElement) -> SU2Element:
-    """Right action g ↦ g·h generating the H orbits on SU(2).
-
-    Componentwise: diagonal λ sends (α, β) to (αλ, βλ); antidiagonal λ sends
-    (α, β) to (-conj(β)λ, conj(α)λ).
-    """
-    return g * h.embed()
 
 
 # ------------------------------------------------------- S² and ℝP²

@@ -115,25 +115,20 @@ def zeros(lmax: int, sector: str = "full") -> HarmonicCoeffs:
     return HarmonicCoeffs(lmax, sector, np.zeros(num_coeffs(lmax), dtype=complex))
 
 
-def unit(lmax: int, l: int, m: int, sector: str | None = None) -> HarmonicCoeffs:
-    """The table of the single harmonic Y_lm."""
+def unit(lmax: int, l: int, m: int) -> HarmonicCoeffs:
+    """The table of the single harmonic Y_lm, tagged with the parity of l."""
     c = np.zeros(num_coeffs(lmax), dtype=complex)
     c[coeff_index(l, m)] = 1.0
-    if sector is None:
-        sector = "odd" if l % 2 else "even"
-    return HarmonicCoeffs(lmax, sector, c)
+    return HarmonicCoeffs(lmax, "odd" if l % 2 else "even", c)
 
 
-def random_coeffs(
-    lmax: int, sector: str, rng: np.random.Generator, normalize: bool = True
-) -> HarmonicCoeffs:
-    """Random table restricted to the requested parity sector."""
+def random_coeffs(lmax: int, sector: str, rng: np.random.Generator) -> HarmonicCoeffs:
+    """Random unit-norm table restricted to the requested parity sector."""
     c = rng.normal(size=num_coeffs(lmax)) + 1j * rng.normal(size=num_coeffs(lmax))
     c[off_sector_mask(lmax, sector)] = 0.0
-    if normalize:
-        n = np.linalg.norm(c)
-        if n > 0:
-            c = c / n
+    n = np.linalg.norm(c)
+    if n > 0:
+        c = c / n
     return HarmonicCoeffs(lmax, sector, c)
 
 
@@ -171,10 +166,7 @@ def parity_decompose(a: HarmonicCoeffs) -> tuple[HarmonicCoeffs, HarmonicCoeffs]
 
 def project_sector(a: HarmonicCoeffs, sector: str) -> HarmonicCoeffs:
     """Drop the opposite parity content and retag."""
-    if sector == "full":
-        return HarmonicCoeffs(a.lmax, "full", a.c)
-    even, odd = parity_decompose(HarmonicCoeffs(a.lmax, "full", a.c))
-    return even if sector == "even" else odd
+    return HarmonicCoeffs(a.lmax, sector, np.where(off_sector_mask(a.lmax, sector), 0, a.c))
 
 
 def _ladder(j: float) -> np.ndarray:
@@ -332,24 +324,3 @@ def rotate_coeffs(
     """
     return HarmonicCoeffs(a.lmax, a.sector, rotate_stack(g, a.c))
 
-
-def save_coeffs(a: HarmonicCoeffs, path) -> None:
-    """Text serialization, one line "l m re im" per entry, 17 significant digits."""
-    with open(path, "w") as fh:
-        fh.write(f"# lmax {a.lmax} sector {a.sector}\n")
-        for l in range(a.lmax + 1):
-            for m in range(-l, l + 1):
-                v = a.get(l, m)
-                fh.write(f"{l} {m} {v.real:.17g} {v.imag:.17g}\n")
-
-
-def load_coeffs(path) -> HarmonicCoeffs:
-    """Inverse of save_coeffs; round trips exactly."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        lmax, sector = int(header[2]), header[4]
-        c = np.zeros(num_coeffs(lmax), dtype=complex)
-        for line in fh:
-            l_s, m_s, re_s, im_s = line.split()
-            c[coeff_index(int(l_s), int(m_s))] = float(re_s) + 1j * float(im_s)
-    return HarmonicCoeffs(lmax, sector, c)

@@ -245,19 +245,3 @@ def halfline_breakdown_demo(a: float, psi: GridWavefunction) -> dict:
         "initial_negative_mass": float(mass_neg),
     }
 
-
-def save_wavefunction(psi: GridWavefunction, path) -> None:
-    """Text export: header line "N L hbar", then one "re im" pair per sample."""
-    with open(path, "w") as fh:
-        fh.write(f"{psi.N} {psi.L:.17g} {psi.hbar:.17g}\n")
-        for v in psi.values:
-            fh.write(f"{v.real:.17g} {v.imag:.17g}\n")
-
-
-def load_wavefunction(path) -> GridWavefunction:
-    with open(path) as fh:
-        n_s, l_s, h_s = fh.readline().split()
-        vals = np.array(
-            [complex(float(r), float(i)) for r, i in (ln.split() for ln in fh)]
-        )
-    return GridWavefunction(int(n_s), float(l_s), vals, float(h_s))

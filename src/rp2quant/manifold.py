@@ -21,6 +21,7 @@ from ._kernels import ylm_basis
 from .groups import UNIT_TOL, RP2Point, unit_vector, unit_vector_batch
 
 CHART_TOL = 1e-9
+SYMMETRIC_TRACELESS_TOL = 1e-12   # asymmetry and trace accepted for a matrix in W
 MAX_GRID_LMAX = 32       # largest band build_quadrature integrates exactly
 
 
@@ -97,8 +98,9 @@ def w_action(r: np.ndarray, m: np.ndarray) -> np.ndarray:
     return r @ m @ r.T
 
 
-def check_symmetric_traceless(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def check_symmetric_traceless(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
+    tol = SYMMETRIC_TRACELESS_TOL
     if np.max(np.abs(m - m.T)) > tol or abs(np.trace(m)) > tol:
         raise ValueError("matrix must be symmetric and traceless")
     return m
@@ -135,11 +137,6 @@ class WFunctional:
 
     def scaled(self, s: float) -> "WFunctional":
         return WFunctional(s * self.c, s * self.c0)
-
-
-def eval_w(w: WFunctional, p: RP2Point) -> float:
-    """Evaluate an orbit functional at a projective point."""
-    return w(p.rep)
 
 
 @dataclass(frozen=True)
@@ -268,12 +265,6 @@ class QuadratureGrid:
 
     def integrate(self, values: np.ndarray) -> complex:
         return complex(np.dot(self.weights, values))
-
-    def to_csv(self, path) -> None:
-        """Write (x, y, z, weight) rows at 17 significant digits."""
-        with open(path, "w") as fh:
-            for (x, y, z), w in zip(self.nodes, self.weights):
-                fh.write(f"{x:.17g},{y:.17g},{z:.17g},{w:.17g}\n")
 
 
 def build_quadrature(lmax: int) -> QuadratureGrid:

@@ -1,9 +1,11 @@
 """Induced unitary representations on sections and their generators.
 
-Sections of the two line bundles are parity-constrained coefficient tables
-(odd ⇔ nontrivial bundle, even ⇔ trivial bundle).  The rotation subgroup acts
-by (U(g)a)(x) = a(Spin(g)⁻¹x); infinitesimal generators are recovered by
-Richardson-extrapolated central differences along one-parameter subgroups
+Sections of the two line bundles are parity-constrained coefficient tables:
+the sector tag of a ``HarmonicCoeffs`` names the bundle (odd ⇔ nontrivial
+ℒ₋, even ⇔ trivial ℒ₊).  The rotation subgroup acts by
+(U(g)a)(x) = a(Spin(g)⁻¹x), which is ``rotate_coeffs``; infinitesimal
+generators are recovered by Richardson-extrapolated central differences
+(steps FD_STEP and FD_STEP/2) along one-parameter subgroups
 g_t = exp(-it σ_i/2), with the Hermitian convention
 
     J_i := i · d/dt|₀ U(g_t),
@@ -32,37 +34,12 @@ import numpy as np
 
 from .errors import RadialRangeError
 from .groups import SU2Element, spinor_map, su2_from_axis_angle
-from .harmonics import (
-    HarmonicCoeffs,
-    apply_L,
-    off_sector_mask,
-    project_sector,
-    rotate_coeffs,
-    rotate_stack,
-)
+from .harmonics import HarmonicCoeffs, apply_L, off_sector_mask, project_sector, rotate_stack
 from .manifold import QuadratureGrid, WFunctional
 from .bundles import module_iso_forward
 
-SECTOR_OF_BUNDLE = {"minus": "odd", "plus": "even"}
 BOUNDARY_FRACTION_TOL = 1e-5   # max boundary coefficient relative to peak
-FD_STEP_RANGE = (1e-6, 1e-2)
-
-
-@dataclass(frozen=True)
-class Section:
-    """Parity-tagged wave function: odd tables for ℒ₋, even for ℒ₊."""
-
-    a: HarmonicCoeffs
-    bundle: str
-
-    def __post_init__(self):
-        if self.bundle not in SECTOR_OF_BUNDLE:
-            raise ValueError("bundle must be 'plus' or 'minus'")
-        if self.a.sector != SECTOR_OF_BUNDLE[self.bundle]:
-            raise ValueError(
-                f"bundle {self.bundle!r} requires sector "
-                f"{SECTOR_OF_BUNDLE[self.bundle]!r}, got {self.a.sector!r}"
-            )
+FD_STEP = 1e-3                 # Richardson step h of every finite-difference generator
 
 
 @dataclass(frozen=True)
@@ -150,11 +127,6 @@ def separable_section(
     return full_section_from_matrix(radial, m, a.lmax, a.sector)
 
 
-def act_U(g: SU2Element, s: Section, grid: QuadratureGrid) -> Section:
-    """(U(g)a)(x) = a(Spin(g)⁻¹ x); unitary in the quadrature inner product."""
-    return Section(rotate_coeffs(g, s.a, grid), s.bundle)
-
-
 def _boundary_fraction(m: np.ndarray) -> float:
     peak = np.max(np.abs(m))
     if peak == 0.0:
@@ -240,55 +212,37 @@ def check_group_law(
     return float(num / fs.norm())
 
 
-def _validate_step(h_step: float) -> None:
-    if not FD_STEP_RANGE[0] <= h_step <= FD_STEP_RANGE[1]:
-        raise ValueError(f"h_step must lie in {FD_STEP_RANGE}")
-
-
-def _richardson_derivative(apply_at, h: float) -> np.ndarray:
-    """O(h⁴) derivative at t = 0 from central differences at h and h/2."""
+def _richardson_derivative(apply_at) -> np.ndarray:
+    """O(h⁴) derivative at t = 0 from central differences at h = FD_STEP and h/2."""
+    h = FD_STEP
     d_h = (apply_at(h) - apply_at(-h)) / (2.0 * h)
     d_h2 = (apply_at(h / 2.0) - apply_at(-h / 2.0)) / h
     return (4.0 * d_h2 - d_h) / 3.0
 
 
-def generator_J(
-    i: int, s: Section, grid: QuadratureGrid, h_step: float = 1e-3
-) -> Section:
-    """J_i s = i · d/dt|₀ U(e^{-it σ_i/2}) s, Richardson finite differences.
+def generator_J(i: int, a: HarmonicCoeffs) -> HarmonicCoeffs:
+    """J_i a = i · d/dt|₀ U(e^{-it σ_i/2}) a, Richardson finite differences.
 
     Normalized so that J₃ on a Y₁₁ section returns the section itself.
     """
-    _validate_step(h_step)
     axis = np.eye(3)[i - 1]
 
     def apply_at(t: float) -> np.ndarray:
-        g = su2_from_axis_angle(t, axis)
-        return np.asarray(rotate_coeffs(g, s.a, grid).c)
+        return rotate_stack(su2_from_axis_angle(t, axis), a.c)
 
-    deriv = 1j * _richardson_derivative(apply_at, h_step)
-    table = project_sector(
-        HarmonicCoeffs(s.a.lmax, "full", deriv), s.a.sector
-    )
-    return Section(table, s.bundle)
+    deriv = 1j * _richardson_derivative(apply_at)
+    return project_sector(HarmonicCoeffs(a.lmax, "full", deriv), a.sector)
 
 
-def generator_vs_ladder_residual(
-    i: int, s: Section, grid: QuadratureGrid, h_step: float = 1e-3
-) -> float:
+def generator_vs_ladder_residual(i: int, a: HarmonicCoeffs) -> float:
     """Coefficientwise relative gap between the FD generator and exact L_i."""
-    fd = generator_J(i, s, grid, h_step)
-    exact = apply_L(i, s.a)
-    scale = max(exact.norm(), s.a.norm())
-    return float(np.linalg.norm(fd.a.c - exact.c) / scale)
+    fd = generator_J(i, a)
+    exact = apply_L(i, a)
+    scale = max(exact.norm(), a.norm())
+    return float(np.linalg.norm(fd.c - exact.c) / scale)
 
 
-def check_intertwining(
-    i: int,
-    a: HarmonicCoeffs,
-    grid: QuadratureGrid,
-    h_step: float = 1e-3,
-) -> float:
+def check_intertwining(i: int, a: HarmonicCoeffs, grid: QuadratureGrid) -> float:
     """Residual of (J_i ∘ Φ)(a) = (Φ ∘ L_i)(a), relative to ‖a‖.
 
     Φ(a) is the frame-valued section a·φ, realized as the triple of even
@@ -296,7 +250,6 @@ def check_intertwining(
     finite differences of the full vector rotation (base motion plus fiber
     mixing), the other side by the exact ladder action pushed through Φ.
     """
-    _validate_step(h_step)
     if a.sector != "odd":
         raise ValueError("intertwining check expects an odd-sector table")
     triple = np.stack([t.c for t in module_iso_forward(a, grid)])
@@ -307,21 +260,16 @@ def check_intertwining(
         g = su2_from_axis_angle(t, axis)
         return (spinor_map(g) @ rotate_stack(g, triple)).ravel()
 
-    lhs = 1j * _richardson_derivative(apply_at, h_step)
+    lhs = 1j * _richardson_derivative(apply_at)
     rhs = np.concatenate([t.c for t in module_iso_forward(apply_L(i, a), grid)])
     assert lhs.shape == rhs.shape == (3 * ncoef,)
     return float(np.linalg.norm(lhs - rhs) / a.norm())
 
 
-def su2_closure_residual(
-    s: Section, grid: QuadratureGrid, h_step: float = 1e-3
-) -> float:
-    """‖[J₁, J₂]s - i J₃ s‖ / ‖s‖ with all generators finite-differenced."""
-    j1j2 = generator_J(1, generator_J(2, s, grid, h_step), grid, h_step)
-    j2j1 = generator_J(2, generator_J(1, s, grid, h_step), grid, h_step)
-    j3 = generator_J(3, s, grid, h_step)
-    comm = j1j2.a.c - j2j1.a.c
-    return float(np.linalg.norm(comm - 1j * j3.a.c) / s.a.norm())
+def su2_closure_residual(a: HarmonicCoeffs) -> float:
+    """‖[J₁, J₂]a - i J₃ a‖ / ‖a‖ with all generators finite-differenced."""
+    comm = generator_J(1, generator_J(2, a)).c - generator_J(2, generator_J(1, a)).c
+    return float(np.linalg.norm(comm - 1j * generator_J(3, a).c) / a.norm())
 
 
 EXCHANGE_TOL = 1e-10     # off-parity part of an exchange eigenstate, relative to its peak
@@ -342,31 +290,10 @@ def exchange_parities(c, grid: QuadratureGrid) -> np.ndarray:
     return np.where(even, 1, np.where(odd, -1, 0))
 
 
-def exchange_parity(s: Section, grid: QuadratureGrid) -> int:
-    """Eigenvalue of the particle-exchange (antipodal) map on the section."""
-    parity = int(exchange_parities(s.a.c, grid))
+def exchange_parity(a: HarmonicCoeffs, grid: QuadratureGrid) -> int:
+    """Eigenvalue of the particle-exchange (antipodal) map on the section a."""
+    parity = int(exchange_parities(a.c, grid))
     if parity == 0:
         raise ValueError("section is not an exchange eigenstate")
     return parity
 
-
-def save_full_section(fs: FullSection, path) -> None:
-    """Header (lmax, sector, radial nodes), then one coefficient block per node."""
-    with open(path, "w") as fh:
-        fh.write(f"# lmax {fs.lmax} sector {fs.sector} radial {fs.radial.n}\n")
-        fh.write(" ".join(f"{r:.17g}" for r in fs.radial.nodes) + "\n")
-        for t in fs.tables:
-            fh.write(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in t.c) + "\n")
-
-
-def load_full_section(path) -> FullSection:
-    with open(path) as fh:
-        header = fh.readline().split()
-        lmax, sector = int(header[2]), header[4]
-        nodes = np.array([float(v) for v in fh.readline().split()])
-        rows = []
-        for line in fh:
-            flat = np.array([float(v) for v in line.split()])
-            rows.append(flat[0::2] + 1j * flat[1::2])
-    m = np.stack(rows)
-    return full_section_from_matrix(RadialGrid(nodes), m, lmax, sector)

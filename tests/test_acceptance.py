@@ -22,11 +22,9 @@ from rp2quant.classical import (
 )
 from rp2quant.cli import render_report, run_suite
 from rp2quant.groups import random_su2, rotation_from_axis_angle, rp2_point, spinor_map, su2_from_axis_angle
-from rp2quant.harmonics import analyze, parity_decompose, random_coeffs, rotate_values
+from rp2quant.harmonics import analyze, parity_decompose, random_coeffs, rotate_coeffs, rotate_values
 from rp2quant.manifold import build_quadrature, transition_function
 from rp2quant.representation import (
-    Section,
-    act_U,
     act_canonical,
     check_group_law,
     check_intertwining,
@@ -37,8 +35,8 @@ from rp2quant.representation import (
 )
 from rp2quant.berry_robbins import (
     BRState,
+    TransportFrame,
     br_lift,
-    default_transport,
     recover_spin_generator,
     scalar_lift,
     transported_spin,
@@ -70,9 +68,8 @@ def test_01_generator_matches_orbital_ladders():
     t0 = time.perf_counter()
     worst = 0.0
     for a in ensemble:
-        s = Section(a, "minus")
         for i in (1, 2, 3):
-            worst = max(worst, generator_vs_ladder_residual(i, s, GRID8))
+            worst = max(worst, generator_vs_ladder_residual(i, a))
     elapsed = time.perf_counter() - t0
     report("criterion-01 finite-difference generators equal exact ladders", worst, 1e-8)
     print(f"       (50 sections x 3 components in {elapsed:.1f} s)")
@@ -92,7 +89,7 @@ def test_03_su2_closure_of_fd_generators():
     rng, ensemble = odd_ensemble(103, count=10)
     worst = 0.0
     for a in ensemble:
-        worst = max(worst, su2_closure_residual(Section(a, "minus"), GRID8))
+        worst = max(worst, su2_closure_residual(a))
     report("criterion-03 commutator closure of finite-difference generators", worst, 1e-6)
 
 
@@ -101,13 +98,12 @@ def test_04_exchange_statistics_bookkeeping():
     worst_leak = 0.0
     for _ in range(200):
         sector = "odd" if rng.random() < 0.5 else "even"
-        bundle = "minus" if sector == "odd" else "plus"
-        s = Section(random_coeffs(8, sector, rng), bundle)
+        a = random_coeffs(8, sector, rng)
         g = random_su2(rng)
-        rotated = act_U(g, s, GRID8)
+        rotated = rotate_coeffs(g, a, GRID8)
         want = -1 if sector == "odd" else 1
         assert exchange_parity(rotated, GRID8) == want
-        raw = analyze(rotate_values(g, s.a, GRID8.nodes), 8, GRID8)
+        raw = analyze(rotate_values(g, a, GRID8.nodes), 8, GRID8)
         even, odd = parity_decompose(raw)
         leak = (odd if sector == "even" else even).norm()
         worst_leak = max(worst_leak, leak)
@@ -248,7 +244,7 @@ def test_10_weyl_and_heisenberg_representation():
 
 def test_11_transported_spin_lift():
     rng = np.random.default_rng(111)
-    frame = default_transport(1.0)
+    frame = TransportFrame(1.0)
 
     def safe_point():
         while True:
@@ -290,7 +286,7 @@ def test_11_transported_spin_lift():
             worst = max(worst, float(np.max(np.abs(gap))))
     report("criterion-11c spin operators recovered from the lift", worst, 1e-7)
 
-    frame0 = default_transport(0.0)
+    frame0 = TransportFrame(0.0)
     done = 0
     while done < 100:
         st = BRState(safe_point(), [rng.normal() + 1j * rng.normal()])

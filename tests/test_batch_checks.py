@@ -20,8 +20,8 @@ from rp2quant import bundles, classical
 from rp2quant._kernels import ylm_synthesize
 from rp2quant.berry_robbins import (
     BRState,
+    TransportFrame,
     br_lift,
-    default_transport,
     recover_spin_generator,
     scalar_lift,
     transported_spin,
@@ -45,7 +45,6 @@ from rp2quant.checks import (
 from rp2quant.groups import (
     h_membership,
     su2_from_normals,
-    h_orbit_action,
     quotient_to_rp2,
     random_su2,
     rotation_from_axis_angle,
@@ -114,7 +113,7 @@ def ref_h_orbit(rng, cfg):
     worst = 0.0
     for _ in range(cfg.samples):
         g, h = random_su2(rng), _random_h(rng)
-        out = h_orbit_action(g, h)
+        out = g * h.embed()
         a, b, lam = g.z0, g.z1, h.lam
         if h.kind == "diagonal":
             want = (a * lam, b * lam)
@@ -144,7 +143,7 @@ def ref_rp2_invariance(rng, cfg):
     for _ in range(cfg.samples):
         g, h = random_su2(rng), _random_h(rng)
         p1 = quotient_to_rp2(g)
-        p2 = quotient_to_rp2(h_orbit_action(g, h))
+        p2 = quotient_to_rp2(g * h.embed())
         worst = max(worst, float(np.max(np.abs(p1.rep - p2.rep))))
     return worst
 
@@ -298,7 +297,7 @@ def ref_exchange(rng, cfg):
 def ref_transport_unitary(rng, cfg):
     worst = 0.0
     for j in (0.5, 1.0):
-        frame = default_transport(j)
+        frame = TransportFrame(j)
         for _ in range(500):
             u = frame.unitary(_safe_point(rng))
             worst = max(
@@ -310,7 +309,7 @@ def ref_transport_unitary(rng, cfg):
 def ref_spin_props(rng, cfg):
     worst = 0.0
     for j in (0.5, 1.0, 1.5):
-        frame = default_transport(j)
+        frame = TransportFrame(j)
         want = np.arange(-j, j + 1)
         for _ in range(20):
             r = _safe_point(rng)
@@ -324,7 +323,7 @@ def ref_spin_props(rng, cfg):
 
 
 def ref_br_compose(rng, cfg):
-    frame = default_transport(1.0)
+    frame = TransportFrame(1.0)
     worst = 0.0
     done = 0
     while done < 200:
@@ -348,7 +347,7 @@ def ref_br_compose(rng, cfg):
 def ref_br_recover(rng, cfg):
     worst = 0.0
     for j in (0.5, 1.0):
-        frame = default_transport(j)
+        frame = TransportFrame(j)
         for _ in range(10):
             r = _safe_point(rng)
             for i in (1, 2, 3):
@@ -360,7 +359,7 @@ def ref_br_recover(rng, cfg):
 
 
 def ref_j0_reduction(rng, cfg):
-    frame = default_transport(0.0)
+    frame = TransportFrame(0.0)
     for _ in range(cfg.samples):
         st = BRState(_safe_point(rng), [rng.normal() + 1j * rng.normal()])
         g = random_su2(rng)

@@ -6,8 +6,8 @@ from rp2quant.berry_robbins import (
     SOUTH_POLE_TOL,
     BRState,
     SpinorField,
+    TransportFrame,
     br_lift,
-    default_transport,
     fixed_basis_lift,
     recover_spin_generator,
     scalar_lift,
@@ -15,7 +15,13 @@ from rp2quant.berry_robbins import (
     total_generator_fd,
     transported_spin,
 )
-from rp2quant.groups import SU2_IDENTITY, random_su2, spinor_map, su2_from_axis_angle
+from rp2quant.groups import (
+    SU2_IDENTITY,
+    random_su2,
+    spinor_map,
+    su2_from_axis_angle,
+    su2_from_sphere_point_batch,
+)
 from rp2quant.harmonics import analyze, random_coeffs, rotate_values, unit, wigner_d, zeros
 from rp2quant.manifold import build_quadrature
 
@@ -31,18 +37,18 @@ def safe_point(rng):
 class TestTransportFrame:
     def test_north_pole_identity(self):
         for j in (0.0, 0.5, 1.0, 2.0):
-            frame = default_transport(j)
+            frame = TransportFrame(j)
             assert np.array_equal(frame.unitary([0, 0, 1]), np.eye(frame.dim))
 
     def test_equator_quarter_turn(self):
-        frame = default_transport(0.5)
+        frame = TransportFrame(0.5)
         s2 = frame.spin_matrices()[1]
         want = expm(-1j * (np.pi / 2) * s2)
         assert np.max(np.abs(frame.unitary([1, 0, 0]) - want)) < 1e-14
 
     def test_matches_exponential_oracle(self, rng):
         for twoj in range(9):
-            frame = default_transport(twoj / 2)
+            frame = TransportFrame(twoj / 2)
             mats = frame.spin_matrices()
             for _ in range(20):
                 r = safe_point(rng)
@@ -54,25 +60,37 @@ class TestTransportFrame:
 
     def test_unitarity(self, rng):
         for j in (0.5, 1.0, 2.0):
-            frame = default_transport(j)
+            frame = TransportFrame(j)
             for _ in range(200):
                 u = frame.unitary(safe_point(rng))
                 assert np.max(np.abs(u @ u.conj().T - np.eye(frame.dim))) < 1e-12
 
     def test_south_pole_excluded(self):
-        frame = default_transport(0.5)
+        frame = TransportFrame(0.5)
         with pytest.raises(ValueError):
             frame.unitary([0.0, 0.0, -1.0])
 
     def test_stack_equals_single_points_with_exact_north_pole(self, rng):
         pts = np.array([safe_point(rng) for _ in range(30)] + [[0.0, 0.0, 1.0], [1e-17, 0.0, 1.0]])
         for j in (0.0, 0.5, 1.0, 2.5):
-            frame = default_transport(j)
+            frame = TransportFrame(j)
             u = frame.unitary(pts.reshape(4, 8, 3)).reshape(-1, frame.dim, frame.dim)
             for ui, r in zip(u, pts):
                 assert ui.tobytes() == frame.unitary(r).tobytes()
             for north in u[-2:]:
                 assert np.array_equal(north, np.eye(frame.dim))
+
+    def test_near_north_points_give_identity_exactly(self, rng):
+        # 1e-15 ≤ ρ < ZERO_TOL: groups returns the exact identity element there
+        near = [[rho, 0.0, np.sqrt(1.0 - rho * rho)] for rho in (1e-14, 5e-13)]
+        assert np.array_equal(su2_from_sphere_point_batch(near), [[1.0, 0.0], [1.0, 0.0]])
+        pts = np.array([safe_point(rng) for _ in range(4)] + near)
+        for j in (0.5, 1.0, 2.0):
+            frame = TransportFrame(j)
+            for r in near:
+                assert np.array_equal(frame.unitary(r), np.eye(frame.dim))
+            for u in frame.unitary(pts)[-2:]:
+                assert np.array_equal(u, np.eye(frame.dim))
 
     def test_stack_with_a_south_pole_row_raises(self, rng):
         z = -1.0 + 0.5 * SOUTH_POLE_TOL                  # inside the excluded cap
@@ -80,20 +98,20 @@ class TestTransportFrame:
         for bad in ([0.0, 0.0, -1.0], near_south):
             pts = np.array([safe_point(rng) for _ in range(5)] + [bad])
             with pytest.raises(ValueError):
-                default_transport(1.0).unitary(pts)
+                TransportFrame(1.0).unitary(pts)
 
     def test_spin_range(self, rng):
-        frame = default_transport(2.5)          # no cap on the spin
+        frame = TransportFrame(2.5)          # no cap on the spin
         u = frame.unitary(safe_point(rng))
         assert np.max(np.abs(u @ u.conj().T - np.eye(6))) < 1e-12
         for bad in (0.3, -0.5, -1.0):
             with pytest.raises(ValueError):
-                default_transport(bad)
+                TransportFrame(bad)
 
 
 class TestTransportedSpin:
     def test_north_pole_fixed(self):
-        frame = default_transport(1.0)
+        frame = TransportFrame(1.0)
         for i in (1, 2, 3):
             assert np.array_equal(
                 transported_spin(i, [0, 0, 1], frame), frame.spin_matrices()[i - 1]
@@ -101,7 +119,7 @@ class TestTransportedSpin:
 
     def test_spectrum_preserved(self, rng):
         for j in (0.5, 1.0, 1.5):
-            frame = default_transport(j)
+            frame = TransportFrame(j)
             want = np.arange(-j, j + 1)
             for _ in range(50):
                 r = safe_point(rng)
@@ -110,7 +128,7 @@ class TestTransportedSpin:
                     assert np.max(np.abs(ev - want)) < 1e-12
 
     def test_su2_relations_pointwise(self, rng):
-        frame = default_transport(1.0)
+        frame = TransportFrame(1.0)
         for _ in range(50):
             r = safe_point(rng)
             s = [transported_spin(i, r, frame) for i in (1, 2, 3)]
@@ -119,14 +137,14 @@ class TestTransportedSpin:
 
 class TestBRLift:
     def test_identity(self, rng):
-        frame = default_transport(1.0)
+        frame = TransportFrame(1.0)
         st = BRState(safe_point(rng), rng.normal(size=3) + 1j * rng.normal(size=3))
         out = br_lift(SU2_IDENTITY, st, frame)
         assert np.max(np.abs(out.lam - st.lam)) < 1e-12
         assert np.max(np.abs(out.r - st.r)) < 1e-15
 
     def test_composition(self, rng):
-        frame = default_transport(1.0)
+        frame = TransportFrame(1.0)
         done = 0
         while done < 100:
             st = BRState(safe_point(rng), rng.normal(size=3) + 1j * rng.normal(size=3))
@@ -142,7 +160,7 @@ class TestBRLift:
             done += 1
 
     def test_base_covers_rotation(self, rng):
-        frame = default_transport(0.5)
+        frame = TransportFrame(0.5)
         st = BRState(safe_point(rng), rng.normal(size=2) + 0j)
         g = random_su2(rng)
         if (spinor_map(g) @ st.r)[2] > -0.8:
@@ -150,7 +168,7 @@ class TestBRLift:
             assert np.max(np.abs(out.r - spinor_map(g) @ st.r)) < 1e-14
 
     def test_norm_preserved(self, rng):
-        frame = default_transport(1.5)
+        frame = TransportFrame(1.5)
         done = 0
         while done < 50:
             st = BRState(safe_point(rng), rng.normal(size=4) + 1j * rng.normal(size=4))
@@ -162,7 +180,7 @@ class TestBRLift:
             done += 1
 
     def test_spin_zero_reduces_to_scalar_lift_bitwise(self, rng):
-        frame = default_transport(0.0)
+        frame = TransportFrame(0.0)
         done = 0
         while done < 100:
             st = BRState(safe_point(rng), [rng.normal() + 1j * rng.normal()])
@@ -182,7 +200,7 @@ class TestStacks:
     def test_transported_spin_stack(self, rng):
         pts = np.array([safe_point(rng) for _ in range(12)])
         for j in (0.5, 1.0, 1.5):
-            frame = default_transport(j)
+            frame = TransportFrame(j)
             for i in (1, 2, 3):
                 stack = transported_spin(i, pts, frame)
                 for s, r in zip(stack, pts):
@@ -195,7 +213,7 @@ class TestStacks:
         elements = [su2_from_axis_angle(0.2, safe_point(rng)) for _ in range(n)]
         rows = np.array([[g.z0, g.z1] for g in elements])
         for j in (0.0, 1.0, 1.5):
-            frame = default_transport(j)
+            frame = TransportFrame(j)
             lam = rng.normal(size=(n, frame.dim)) + 1j * rng.normal(size=(n, frame.dim))
             out = br_lift(rows, BRState(pts, lam), frame)
             shared = br_lift(elements[0], BRState(pts, lam), frame)
@@ -221,7 +239,7 @@ class TestStacks:
     def test_generator_recovery_stack(self, rng):
         pts = np.array([safe_point(rng) for _ in range(6)])
         for j in (0.5, 1.0):
-            frame = default_transport(j)
+            frame = TransportFrame(j)
             for i in (1, 2, 3):
                 stack = recover_spin_generator(i, pts, frame)
                 for s, r in zip(stack, pts):
@@ -230,13 +248,13 @@ class TestStacks:
 
 class TestGeneratorRecovery:
     def test_north_pole_z_component(self):
-        frame = default_transport(0.5)
+        frame = TransportFrame(0.5)
         rec = recover_spin_generator(3, [0, 0, 1], frame)
         assert np.max(np.abs(rec - frame.spin_matrices()[2])) < 1e-8
 
     def test_random_points_all_components(self, rng):
         for j in (0.5, 1.0):
-            frame = default_transport(j)
+            frame = TransportFrame(j)
             for _ in range(10):
                 r = safe_point(rng)
                 for i in (1, 2, 3):
@@ -244,24 +262,22 @@ class TestGeneratorRecovery:
                     assert np.max(np.abs(gap)) < 1e-7
 
     def test_spin_zero_gives_zero(self, rng):
-        frame = default_transport(0.0)
+        frame = TransportFrame(0.0)
         rec = recover_spin_generator(1, safe_point(rng), frame)
         assert np.max(np.abs(rec)) < 1e-9
 
 
 class TestFixedBasisLift:
     def test_identity(self, rng):
-        grid = build_quadrature(6)
         field = SpinorField(0.5, (random_coeffs(5, "full", rng), random_coeffs(5, "full", rng)))
-        out = fixed_basis_lift(SU2_IDENTITY, field, grid)
+        out = fixed_basis_lift(SU2_IDENTITY, field)
         assert np.max(np.abs(out.stack() - field.stack())) < 1e-12
 
     def test_composition(self, rng):
-        grid = build_quadrature(6)
         field = SpinorField(0.5, (random_coeffs(5, "full", rng), random_coeffs(5, "full", rng)))
         g1, g2 = random_su2(rng), random_su2(rng)
-        seq = fixed_basis_lift(g1, fixed_basis_lift(g2, field, grid), grid)
-        prod = fixed_basis_lift(g1 * g2, field, grid)
+        seq = fixed_basis_lift(g1, fixed_basis_lift(g2, field))
+        prod = fixed_basis_lift(g1 * g2, field)
         assert np.max(np.abs(seq.stack() - prod.stack())) < 1e-9
 
     def test_matches_componentwise_resampling(self, rng):
@@ -273,22 +289,20 @@ class TestFixedBasisLift:
                 [analyze(rotate_values(g, c, grid.nodes), 6, grid).c for c in field.components]
             )
             want = wigner_d(1.0, g) @ resampled
-            assert np.max(np.abs(fixed_basis_lift(g, field, grid).stack() - want)) < 1e-12
+            assert np.max(np.abs(fixed_basis_lift(g, field).stack() - want)) < 1e-12
 
     def test_product_state_addition_oracle(self):
         # Y10 ⊗ |1/2, +1/2⟩: total generator = orbital part + spin part
-        grid = build_quadrature(6)
         field = SpinorField(0.5, (unit(5, 1, 0), zeros(5)))
         for i in (1, 2, 3):
-            fd = total_generator_fd(i, field, grid)
+            fd = total_generator_fd(i, field)
             exact = total_generator_exact(i, field)
             assert np.max(np.abs(fd - exact)) < 1e-7
 
     def test_random_fields_addition(self, rng):
-        grid = build_quadrature(6)
         for j in (0.5, 1.0):
             dim = int(2 * j) + 1
             field = SpinorField(j, tuple(random_coeffs(5, "full", rng) for _ in range(dim)))
             for i in (1, 2, 3):
-                gap = total_generator_fd(i, field, grid) - total_generator_exact(i, field)
+                gap = total_generator_fd(i, field) - total_generator_exact(i, field)
                 assert np.max(np.abs(gap)) < 1e-7

@@ -4,7 +4,6 @@ import pytest
 from rp2quant.bundles import (
     AssocElement,
     LMinusElement,
-    assoc_project,
     assoc_translate,
     iso_Phi,
     iso_Phi_batch,
@@ -19,13 +18,13 @@ from rp2quant.bundles import (
     phi,
     projector,
     projector_residual,
-    section_values,
 )
 from rp2quant.errors import PointNotInChart, ProjectorConstraintViolated
 from rp2quant.groups import (
     SU2_IDENTITY,
     HElement,
     h_membership,
+    quotient_to_rp2,
     random_su2,
     rp2_point,
     spinor_map,
@@ -78,20 +77,23 @@ class TestPhi:
 
 
 class TestAssociatedBundle:
+    # the projection π_κ[(g, v)] = [x(g)] is quotient_to_rp2(g)
+
     def test_projection_at_identity(self):
-        assert np.allclose(assoc_project(AssocElement(SU2_IDENTITY, 2.0)).rep, [0, 0, 1])
+        assert np.allclose(quotient_to_rp2(AssocElement(SU2_IDENTITY, 2.0).g).rep, [0, 0, 1])
 
     def test_projection_ignores_fiber(self, rng):
         g = random_su2(rng)
-        p1 = assoc_project(AssocElement(g, 1.0))
-        p2 = assoc_project(AssocElement(g, -3.7j))
+        p1 = iso_Phi(AssocElement(g, 1.0)).base
+        p2 = iso_Phi(AssocElement(g, -3.7j)).base
         assert np.array_equal(p1.rep, p2.rep)
+        assert p1 == quotient_to_rp2(g)
 
     def test_projection_representative_independent(self, rng):
         for _ in range(100):
             e = random_assoc(rng)
             e2 = assoc_translate(e, random_h(rng))
-            assert np.max(np.abs(assoc_project(e).rep - assoc_project(e2).rep)) < 1e-12
+            assert np.max(np.abs(quotient_to_rp2(e.g).rep - quotient_to_rp2(e2.g).rep)) < 1e-12
 
 
 class TestIsoPhi:
@@ -158,8 +160,8 @@ class TestLifts:
     def test_natural_covers_base_action(self, rng):
         for _ in range(50):
             g, e = random_su2(rng), random_assoc(rng)
-            lifted = assoc_project(natural_lift(g, e))
-            moved = rp2_point(spinor_map(g) @ assoc_project(e).rep)
+            lifted = quotient_to_rp2(natural_lift(g, e).g)
+            moved = rp2_point(spinor_map(g) @ quotient_to_rp2(e.g).rep)
             assert np.max(np.abs(lifted.rep - moved.rep)) < 1e-12
 
     def test_tau_identity(self, rng):
@@ -304,8 +306,9 @@ class TestSectionWellDefined:
         a = random_coeffs(6, "odd", rng)
         x = rng.normal(size=(20, 3))
         x /= np.linalg.norm(x, axis=1)[:, None]
-        plus = section_values(a, x)
-        minus = section_values(a, -x)
+        # Ψ_a = a·φ at x and at -x
+        plus = evaluate(a, x)[:, None] * x
+        minus = evaluate(a, -x)[:, None] * -x
         assert np.max(np.abs(plus - minus)) < 1e-12
 
 

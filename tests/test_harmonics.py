@@ -11,14 +11,12 @@ from rp2quant.harmonics import (
     angular_momentum_matrices,
     coeff_index,
     evaluate,
-    load_coeffs,
     num_coeffs,
     parity_decompose,
     random_coeffs,
     rotate_coeffs,
     rotate_stack,
     rotate_values,
-    save_coeffs,
     unit,
     wigner_d,
     zeros,
@@ -310,13 +308,3 @@ class TestWignerD:
         for bad in (0.3, -0.5, -1.0):
             with pytest.raises(ValueError):
                 wigner_d(bad, SU2_IDENTITY)
-
-
-class TestSerialization:
-    def test_exact_roundtrip(self, tmp_path, rng):
-        a = random_coeffs(5, "full", rng)
-        path = tmp_path / "coeffs.txt"
-        save_coeffs(a, path)
-        b = load_coeffs(path)
-        assert b.lmax == a.lmax and b.sector == a.sector
-        assert np.array_equal(a.c, b.c)

@@ -13,11 +13,9 @@ from rp2quant.heisenberg import (
     gvh_expansion_residual,
     halfline_breakdown_demo,
     heisenberg_product,
-    load_wavefunction,
     op_p,
     op_q,
     rep_heisenberg,
-    save_wavefunction,
     weyl_U,
     weyl_V,
 )
@@ -40,13 +38,6 @@ class TestGridWavefunction:
 
     def test_boundary_mass_small(self, packet):
         assert boundary_mass(packet) < 1e-12
-
-    def test_serialization_roundtrip(self, packet, tmp_path):
-        path = tmp_path / "psi.txt"
-        save_wavefunction(packet, path)
-        back = load_wavefunction(path)
-        assert back.N == packet.N and back.L == packet.L and back.hbar == packet.hbar
-        assert np.array_equal(back.values, packet.values)
 
 
 class TestPositionMomentum:

@@ -7,7 +7,6 @@ from rp2quant.manifold import (
     WFunctional,
     build_quadrature,
     chart_coords,
-    eval_w,
     f_embedding,
     f_from_moment,
     moment_embedding,
@@ -158,13 +157,13 @@ class TestWAction:
 class TestWFunctional:
     def test_constant(self):
         w = WFunctional(np.zeros((3, 3)), 1.0)
-        assert eval_w(w, rp2_point([0, 0, 1])) == 1.0
+        assert w(rp2_point([0, 0, 1]).rep) == 1.0
 
     def test_single_entry_functional(self):
         c = np.zeros((3, 3))
         c[0, 1] = c[1, 0] = 0.5          # picks out M12
         w = WFunctional(c)
-        val = eval_w(w, rp2_point(np.array([1.0, 1.0, 0.0]) / np.sqrt(2)))
+        val = w(rp2_point(np.array([1.0, 1.0, 0.0]) / np.sqrt(2)).rep)
         assert abs(val - 0.5) < 1e-14
 
     def test_evenness_machine_exact(self, rng):
@@ -223,14 +222,6 @@ class TestQuadrature:
         y31 = np.asarray(evaluate(unit(8, 3, 1), grid8.nodes))
         assert abs(grid8.integrate(np.conj(y21) * y31)) < 1e-10
         assert abs(grid8.integrate(np.conj(y21) * y21) - 1.0) < 1e-10
-
-    def test_csv_export(self, grid8, tmp_path):
-        path = tmp_path / "grid.csv"
-        grid8.to_csv(path)
-        rows = np.loadtxt(path, delimiter=",")
-        assert rows.shape == (grid8.n, 4)
-        assert np.array_equal(rows[:, :3], grid8.nodes)
-        assert np.array_equal(rows[:, 3], grid8.weights)
 
 
 class TestBatchForms:

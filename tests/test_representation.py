@@ -1,5 +1,4 @@
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,27 +13,23 @@ from rp2quant.harmonics import (
     analyze,
     parity_decompose,
     random_coeffs,
+    rotate_coeffs,
     rotate_values,
     unit,
 )
 from rp2quant.manifold import WFunctional, build_quadrature
 from rp2quant.representation import (
     RadialGrid,
-    Section,
     _spectral_log_shift,
-    act_U,
     act_canonical,
     canonical_product,
     check_group_law,
     check_intertwining,
     exchange_parities,
     exchange_parity,
-    full_section_from_matrix,
     generator_J,
     generator_vs_ladder_residual,
-    load_full_section,
     log_uniform_grid,
-    save_full_section,
     separable_section,
     su2_closure_residual,
 )
@@ -47,11 +42,11 @@ def exchange_statistics_loop(rng, lmax, samples, grid):
     worst = 0.0
     for _ in range(samples):
         sector = "odd" if rng.random() < 0.5 else "even"
-        s = Section(random_coeffs(lmax, sector, rng), "minus" if sector == "odd" else "plus")
-        rotated = act_U(random_su2(rng), s, grid)
+        a = random_coeffs(lmax, sector, rng)
+        rotated = rotate_coeffs(random_su2(rng), a, grid)
         if exchange_parity(rotated, grid) != (-1 if sector == "odd" else 1):
             return 1.0
-        raw = analyze(rotate_values(random_su2(rng), s.a, grid.nodes), lmax, grid)
+        raw = analyze(rotate_values(random_su2(rng), a, grid.nodes), lmax, grid)
         even, odd = parity_decompose(raw)
         worst = max(worst, (odd if sector == "even" else even).norm())
     return worst
@@ -95,59 +90,44 @@ def random_canonical_element(rng):
     return (small_w(rng), random_su2(rng), float(np.exp(rng.uniform(-0.13, 0.13))))
 
 
-class TestSection:
-    def test_sector_bundle_pairing(self, rng):
-        Section(random_coeffs(6, "odd", rng), "minus")
-        Section(random_coeffs(6, "even", rng), "plus")
-        with pytest.raises(ValueError):
-            Section(random_coeffs(6, "even", rng), "minus")
-        with pytest.raises(ValueError):
-            Section(random_coeffs(6, "odd", rng), "plus")
-
-
 class TestActU:
+    """The induced action U(g) on sections, which is ``rotate_coeffs``."""
+
     def test_identity(self, grid8, rng):
-        s = Section(random_coeffs(8, "odd", rng), "minus")
-        out = act_U(SU2_IDENTITY, s, grid8)
-        assert np.max(np.abs(out.a.c - s.a.c)) < 1e-12
+        a = random_coeffs(8, "odd", rng)
+        out = rotate_coeffs(SU2_IDENTITY, a, grid8)
+        assert np.max(np.abs(out.c - a.c)) < 1e-12
 
     def test_unitary(self, grid8, rng):
-        s = Section(random_coeffs(8, "odd", rng), "minus")
-        out = act_U(random_su2(rng), s, grid8)
-        assert abs(out.a.norm() - s.a.norm()) < 1e-10
+        a = random_coeffs(8, "odd", rng)
+        out = rotate_coeffs(random_su2(rng), a, grid8)
+        assert abs(out.norm() - a.norm()) < 1e-10
 
     def test_homomorphism(self, grid8, rng):
         for _ in range(10):
-            s = Section(random_coeffs(8, "odd", rng), "minus")
+            a = random_coeffs(8, "odd", rng)
             g1, g2 = random_su2(rng), random_su2(rng)
-            seq = act_U(g1, act_U(g2, s, grid8), grid8)
-            prod = act_U(g1 * g2, s, grid8)
-            assert np.linalg.norm(seq.a.c - prod.a.c) < 1e-9
+            seq = rotate_coeffs(g1, rotate_coeffs(g2, a, grid8), grid8)
+            prod = rotate_coeffs(g1 * g2, a, grid8)
+            assert np.linalg.norm(seq.c - prod.c) < 1e-9
 
 
 class TestGeneratorJ:
-    def test_j3_kills_m0(self, grid8):
-        s = Section(unit(8, 1, 0), "minus")
-        out = generator_J(3, s, grid8)
-        assert out.a.norm() < 1e-8
+    def test_j3_kills_m0(self):
+        out = generator_J(3, unit(8, 1, 0))
+        assert out.norm() < 1e-8
 
-    def test_j3_eigenvalue_on_y11(self, grid8):
-        s = Section(unit(8, 1, 1), "minus")
-        out = generator_J(3, s, grid8)
-        assert np.linalg.norm(out.a.c - s.a.c) < 1e-8
+    def test_j3_eigenvalue_on_y11(self):
+        a = unit(8, 1, 1)
+        out = generator_J(3, a)
+        assert np.linalg.norm(out.c - a.c) < 1e-8
 
-    def test_matches_exact_ladders(self, grid8, rng):
+    def test_matches_exact_ladders(self, rng):
         for _ in range(5):
             sector = "odd" if rng.random() < 0.5 else "even"
-            bundle = "minus" if sector == "odd" else "plus"
-            s = Section(random_coeffs(8, sector, rng), bundle)
+            a = random_coeffs(8, sector, rng)
             for i in (1, 2, 3):
-                assert generator_vs_ladder_residual(i, s, grid8) < 1e-8
-
-    def test_step_validation(self, grid8, rng):
-        s = Section(random_coeffs(8, "odd", rng), "minus")
-        with pytest.raises(ValueError):
-            generator_J(1, s, grid8, h_step=1.0)
+                assert generator_vs_ladder_residual(i, a) < 1e-8
 
 
 class TestIntertwining:
@@ -165,9 +145,8 @@ class TestIntertwining:
 
 
 class TestClosure:
-    def test_su2_commutator(self, grid8, rng):
-        s = Section(random_coeffs(8, "odd", rng), "minus")
-        assert su2_closure_residual(s, grid8) < 1e-6
+    def test_su2_commutator(self, rng):
+        assert su2_closure_residual(random_coeffs(8, "odd", rng)) < 1e-6
 
 
 class TestRadialGrid:
@@ -292,17 +271,15 @@ class TestGroupLaw:
 
 class TestExchangeParity:
     def test_even_sector(self, grid8, rng):
-        s = Section(random_coeffs(8, "even", rng), "plus")
-        assert exchange_parity(s, grid8) == 1
+        assert exchange_parity(random_coeffs(8, "even", rng), grid8) == 1
 
     def test_odd_sector(self, grid8, rng):
-        s = Section(random_coeffs(8, "odd", rng), "minus")
-        assert exchange_parity(s, grid8) == -1
+        assert exchange_parity(random_coeffs(8, "odd", rng), grid8) == -1
 
     def test_survives_rotation(self, grid8, rng):
         for _ in range(20):
-            s = Section(random_coeffs(8, "odd", rng), "minus")
-            assert exchange_parity(act_U(random_su2(rng), s, grid8), grid8) == -1
+            a = random_coeffs(8, "odd", rng)
+            assert exchange_parity(rotate_coeffs(random_su2(rng), a, grid8), grid8) == -1
 
     def test_statistics_check_runs_samples_iterations(self, grid8):
         """exchange-statistics draws cfg.samples sections, not a fixed count."""
@@ -315,17 +292,16 @@ class TestExchangeParity:
     @pytest.mark.parametrize("sector", ["even", "odd"])
     def test_matches_dense_basis_oracle(self, grid8, rng, sector):
         for _ in range(5):
-            s = Section(random_coeffs(8, sector, rng), "minus" if sector == "odd" else "plus")
-            for section in (s, act_U(random_su2(rng), s, grid8)):
-                assert exchange_parity(section, grid8) == dense_exchange_parity(section.a, grid8)
+            a = random_coeffs(8, sector, rng)
+            for section in (a, rotate_coeffs(random_su2(rng), a, grid8)):
+                assert exchange_parity(section, grid8) == dense_exchange_parity(section, grid8)
 
     def test_mixed_section_raises(self, grid8, rng):
         full = random_coeffs(8, "full", rng)
         with pytest.raises(ValueError, match="not an exchange eigenstate"):
             dense_exchange_parity(full, grid8)
-        # Section refuses a mixed table, so it is passed in a stand-in
         with pytest.raises(ValueError, match="not an exchange eigenstate"):
-            exchange_parity(SimpleNamespace(a=full), grid8)
+            exchange_parity(full, grid8)
         even, odd = parity_decompose(full)
         stack = np.stack([even.c, odd.c, full.c])
         assert exchange_parities(stack, grid8).tolist() == [1, -1, 0]
@@ -385,18 +361,3 @@ class TestExchangeParity:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 1024 * 1024, peak
-
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path, rng):
-        radial = log_uniform_grid(0.25, 4.0, 16)
-        m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        for l in (0, 2):
-            m[:, l * l : (l + 1) * (l + 1)] = 0.0
-        fs = full_section_from_matrix(radial, m, 3, "odd")
-        path = tmp_path / "fs.txt"
-        save_full_section(fs, path)
-        back = load_full_section(path)
-        assert back.sector == fs.sector and back.lmax == fs.lmax
-        assert np.array_equal(back.matrix(), fs.matrix())
-        assert np.array_equal(back.radial.nodes, fs.radial.nodes)
