@@ -1,0 +1,53 @@
+"""Median wall time of every harness check over several seeds.
+
+Runs ``run_suite`` once per seed (0, 1, ..., seeds-1) at one lmax and prints
+each check's median ``wall_time_ms``, slowest first, then the per-suite sums
+of those medians and their total.  Every run is a full verified report in one
+process, so the first seed also pays the quadrature-grid and eigenvector
+caches; the median keeps that one-off cost out.  Point PYTHONPATH at another
+checkout's ``src`` to time that tree the same way.
+
+Run:
+    PYTHONPATH=src python benchmarks/bench_checks.py                 # lmax 8, 5 seeds
+    PYTHONPATH=src python benchmarks/bench_checks.py --lmax 16 --seeds 7
+    PYTHONPATH=src python benchmarks/bench_checks.py --suite classical
+"""
+
+import argparse
+import statistics
+
+from rp2quant.checks import SUITES, SuiteConfig
+from rp2quant.cli import run_suite
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--lmax", type=int, default=8)
+    parser.add_argument("--seeds", type=int, default=5)
+    parser.add_argument("--suite", choices=SUITES + ("all",), default="all")
+    args = parser.parse_args()
+
+    times: dict[tuple[str, str], list[float]] = {}
+    failed = set()
+    for seed in range(args.seeds):
+        for r in run_suite(args.suite, SuiteConfig(lmax=args.lmax, rng_seed=seed)):
+            times.setdefault((r.suite, r.name), []).append(r.wall_time_ms)
+            if not r.passed:
+                failed.add(r.name)
+    medians = {key: statistics.median(ts) for key, ts in times.items()}
+
+    print(f"median wall_time_ms over {args.seeds} seeds, lmax {args.lmax}")
+    width = max(len(name) for _, name in medians)
+    for (suite, name), ms in sorted(medians.items(), key=lambda kv: -kv[1]):
+        mark = "  FAILED on some seed" if name in failed else ""
+        print(f"{name:<{width}}  {suite:<14} {ms:9.2f} ms{mark}")
+    print("\nper suite (sum of medians)")
+    for suite in SUITES:
+        total = sum(ms for (s, _), ms in medians.items() if s == suite)
+        if total:
+            print(f"{suite:<14} {total:9.2f} ms")
+    print(f"{'total':<14} {sum(medians.values()):9.2f} ms")
+
+
+if __name__ == "__main__":
+    main()

@@ -36,6 +36,7 @@ from .groups import (
     _su2_rows,
     spinor_map_batch,
     su2_from_axis_angle,
+    su2_from_axis_angle_batch,
     su2_from_sphere_point_batch,
     unit_vector_batch,
 )
@@ -46,7 +47,7 @@ from .harmonics import (
     rotate_stack,
     wigner_d,
 )
-from .representation import _richardson_derivative
+from .representation import RICHARDSON_OFFSETS, _richardson, _richardson_derivative
 
 SOUTH_POLE_TOL = 1e-9
 
@@ -155,22 +156,17 @@ def recover_spin_generator(i: int, r, frame: TransportFrame) -> np.ndarray:
 
     With g_t = exp(-it σ_i/2) and M(t) = U(g_t·r) D^j(g_t) U(r)†, the product
     rule gives i·M'(0) = i·[d/dt U(g_t·r) U(r)†]₀ + S_i(r); subtracting the
-    frame-motion term leaves the transported spin matrix.
+    frame-motion term leaves the transported spin matrix.  The four
+    Richardson offsets run as one stack on a new leading axis, and both
+    paths share one frame evaluation U(g_t·r) per offset.
     """
     v = unit_vector_batch(r)
-    axis = np.eye(3)[i - 1]
     u0d = frame.unitary(v).conj().mT
-
-    def path_full(t: float) -> np.ndarray:
-        g = su2_from_axis_angle(t, axis)
-        return frame.unitary(_rotate_points(g, v)) @ wigner_d(frame.j, g) @ u0d
-
-    def path_frame(t: float) -> np.ndarray:
-        g = su2_from_axis_angle(t, axis)
-        return frame.unitary(_rotate_points(g, v)) @ u0d
-
-    total = 1j * _richardson_derivative(path_full)
-    base = 1j * _richardson_derivative(path_frame)
+    g = su2_from_axis_angle_batch(np.array(RICHARDSON_OFFSETS), np.eye(3)[i - 1])
+    g = g.reshape((len(RICHARDSON_OFFSETS),) + (1,) * (v.ndim - 1) + (2,))
+    moved = frame.unitary(_rotate_points(g, v))
+    total = 1j * _richardson(moved @ wigner_d(frame.j, g) @ u0d)
+    base = 1j * _richardson(moved @ u0d)
     return total - base
 
 

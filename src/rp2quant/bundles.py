@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import PointNotInChart, ProjectorConstraintViolated
 from .groups import (
+    H_CLASSIFY_TOL,
     HElement,
     RP2Point,
     SU2Element,
@@ -31,7 +32,6 @@ from .groups import (
     su2_from_sphere_point,
     su2_from_sphere_point_batch,
     su2_product_batch,
-    unit_vector,
     unit_vector_batch,
 )
 from .harmonics import HarmonicCoeffs, off_sector_mask
@@ -46,9 +46,23 @@ def kappa(h: HElement) -> int:
     return 1 if h.kind == "diagonal" else -1
 
 
+def kappa_batch(g) -> np.ndarray:
+    """κ of each row of an (n, 2) SU(2) batch, classified as ``h_membership`` does.
+
+    +1 where |z1| ≤ H_CLASSIFY_TOL (diagonal), else -1 where |z0| ≤
+    H_CLASSIFY_TOL (antidiagonal), and 0 for a row outside H.
+    """
+    g = np.asarray(g, dtype=complex)
+    return np.where(np.abs(g[..., 1]) <= H_CLASSIFY_TOL, 1,
+                    np.where(np.abs(g[..., 0]) <= H_CLASSIFY_TOL, -1, 0))
+
+
 def phi(x) -> np.ndarray:
-    """Frame map φ(x) = (x₁, x₂, x₃) as a complex 3-vector; φ(-x) = -φ(x)."""
-    return unit_vector(x).astype(complex)
+    """Frame map φ(x) = (x₁, x₂, x₃) as a complex 3-vector; φ(-x) = -φ(x).
+
+    An (..., 3) stack gives one frame vector per row.
+    """
+    return unit_vector_batch(x).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -123,31 +137,51 @@ def iso_Phi_batch(g, v) -> tuple[np.ndarray, np.ndarray]:
     representative (n, 3) and its fiber v_k·φ(x(g_k)) (n, 3, complex).
     """
     x = quotient_to_sphere_batch(g)
-    fiber = np.asarray(v, dtype=complex)[:, None] * unit_vector_batch(x).astype(complex)
+    fiber = np.asarray(v, dtype=complex)[:, None] * phi(x)
     return rp2_rep_batch(x), fiber
+
+
+def iso_Phi_inverse_batch(base, fiber) -> tuple[np.ndarray, np.ndarray]:
+    """Φ⁻¹ on rows: (base reps, fibers) ↦ canonical (group rows, values).
+
+    Row k holds ``iso_Phi_inverse(LMinusElement(rp2_point(base_k), fiber_k))``.
+    """
+    return su2_from_sphere_point_batch(base), np.vecdot(phi(base), fiber)
 
 
 def lift_tau_batch(g, base, fiber) -> tuple[np.ndarray, np.ndarray]:
     """τ_g on rows (base reps, fibers), composed as ``lift_tau`` composes it."""
-    lam = np.vecdot(unit_vector_batch(base).astype(complex), fiber)
-    return iso_Phi_batch(su2_product_batch(g, su2_from_sphere_point_batch(base)), lam)
+    h, lam = iso_Phi_inverse_batch(base, fiber)
+    return iso_Phi_batch(su2_product_batch(g, h), lam)
+
+
+def local_trivialization_batch(alpha: int, base, fiber) -> np.ndarray:
+    """Chart-α fiber coordinates sign(x_α)·λ of rows (base reps, fibers ∝ φ(base)).
+
+    λ = ⟨φ(x), fiber⟩ per row; returns (n,) complex.  A row with |x_α| ≤
+    CHART_TOL raises PointNotInChart.
+    """
+    if alpha not in (1, 2, 3):
+        raise ValueError("chart index must be 1, 2 or 3")
+    x = np.asarray(base, dtype=float)
+    xa = x[..., alpha - 1]
+    if np.any(np.abs(xa) <= CHART_TOL):
+        raise PointNotInChart(f"x_{alpha} vanishes for {x[np.abs(xa) <= CHART_TOL][0]}")
+    return np.where(xa > 0, 1.0, -1.0) * np.vecdot(phi(x), fiber)
 
 
 def local_trivialization(alpha: int, el: LMinusElement) -> tuple[RP2Point, complex]:
     """Chart-α trivialization ([x], λ φ(x)) ↦ ([x], sign(x_α) λ)."""
-    if alpha not in (1, 2, 3):
-        raise ValueError("chart index must be 1, 2 or 3")
-    x = el.base.rep
-    if abs(x[alpha - 1]) <= CHART_TOL:
-        raise PointNotInChart(f"x_{alpha} vanishes for {x}")
-    sign = 1.0 if x[alpha - 1] > 0 else -1.0
-    return (el.base, sign * el.coefficient())
+    return (el.base, complex(local_trivialization_batch(alpha, el.base.rep, el.fiber)))
 
 
 def projector(x) -> np.ndarray:
-    """Rank-1 projector p(x) = |φ(x)⟩⟨φ(x)|; even in x, equivariant."""
+    """Rank-1 projector p(x) = |φ(x)⟩⟨φ(x)|; even in x, equivariant.
+
+    An (..., 3) stack gives an (..., 3, 3) stack of projectors.
+    """
     f = phi(x)
-    return np.outer(f, f.conj())
+    return f[..., :, None] * f.conj()[..., None, :]
 
 
 def module_iso_forward(

@@ -30,11 +30,9 @@ from .groups import (
     H_CLASSIFY_TOL,
     HElement,
     h_embed_batch,
-    h_membership,
     quotient_to_sphere_batch,
     random_su2,
     rotation_from_axis_angle_batch,
-    rp2_point,
     rp2_rep_batch,
     spinor_map,
     spinor_map_batch,
@@ -64,14 +62,13 @@ from .manifold import (
     QuadratureGrid,
     WFunctional,
     build_quadrature,
-    chart_coords,
-    f_embedding,
+    chart_coords_batch,
+    f_embedding_batch,
     f_from_moment,
-    moment_embedding,
     moment_embedding_batch,
-    transition_function,
     transition_signs_batch,
     w_action,
+    w_values,
 )
 from .representation import (
     act_canonical,
@@ -249,6 +246,11 @@ def _row_norms(v) -> np.ndarray:
     return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
+def _apply(m, x) -> np.ndarray:
+    """m @ x for stacks of matrices (n, d, d) and vectors (n, d)."""
+    return (m @ x[..., None])[..., 0]
+
+
 # ---------------------------------------------------------------- groups
 
 @register("groups", "spinor-homomorphism", "su2-so3-double-cover", 1e-12)
@@ -364,34 +366,36 @@ def _cocycle(rng, cfg):
 
 @register("manifold", "chart-representative-independence", "chart-transition-signs", 1e-13)
 def _chart_rep(rng, cfg):
-    worst = 0.0
-    for _ in range(cfg.samples):
-        v = _random_interior_point(rng)
-        for alpha in (1, 2, 3):
-            c1 = chart_coords(rp2_point(v), alpha)
-            c2 = chart_coords(rp2_point(-v), alpha)
-            worst = max(worst, abs(c1[0] - c2[0]), abs(c1[1] - c2[1]))
-    return worst
+    def batch(n):
+        v = _draw_rows(rng, n, _random_interior_point)
+        p, q = rp2_rep_batch(v), rp2_rep_batch(-v)
+        gaps = [chart_coords_batch(p, a) - chart_coords_batch(q, a) for a in (1, 2, 3)]
+        return float(np.max(np.abs(gaps)))
+
+    return _worst_over_chunks(cfg.samples, batch)
 
 
-def _moment_draws(rng) -> np.ndarray:
-    """Raw draws of one pair: x, the branch, then y or the sign and the noise.
+def _moment_draws(rng, row) -> None:
+    """Write the raw draws of one pair into row: x, the branch, then y or the sign and the noise.
 
     Row layout (x₀, x₁, x₂, s, n₀, n₁, n₂): s = 0 marks an independent y
     (n is its normal draw), s = ±1 marks y = s·x + 1e-10·n.
     """
-    x = rng.normal(size=3)
+    row[:3] = rng.normal(size=3)
     if rng.random() < 0.5:
-        return np.concatenate([x, [0.0], rng.normal(size=3)])
-    s = -1.0 if rng.random() < 0.5 else 1.0
-    return np.concatenate([x, [s], rng.normal(size=3)])
+        row[3] = 0.0
+    else:
+        row[3] = -1.0 if rng.random() < 0.5 else 1.0
+    row[4:] = rng.normal(size=3)
 
 
 @register("manifold", "moment-injectivity", "projective-orbit-embedding", 1e-6)
 def _moment_inject(rng, cfg):
     worst = 0.0
     for _ in range(5):                               # 5 chunks of 2000 pairs
-        d = _draw_rows(rng, 2000, _moment_draws)
+        d = np.empty((2000, 7))
+        for row in d:
+            _moment_draws(rng, row)
         x, s = _unit_rows(d[:, :3]), d[:, 3:4]
         y = _unit_rows(np.where(s != 0.0, s * x + d[:, 4:] * 1e-10, d[:, 4:]))
         close = _frobenius(moment_embedding_batch(x) - moment_embedding_batch(y)) < 1e-8
@@ -403,25 +407,22 @@ def _moment_inject(rng, cfg):
 
 @register("manifold", "moment-equivariance", "linear-action-on-orbit", 1e-12)
 def _moment_equiv(rng, cfg):
-    worst = 0.0
-    for _ in range(100):
-        g, x = random_su2(rng), _random_axis(rng)
-        r = spinor_map(g)
-        gap = w_action(r, moment_embedding(x)) - moment_embedding(r @ x)
-        worst = max(worst, np.max(np.abs(gap)))
-    return worst
+    draws = rng.normal(size=(100, 7))               # random_su2, then _random_axis
+    r, x = spinor_map_batch(su2_from_normals(draws[:, :4])), _unit_rows(draws[:, 4:])
+    gap = w_action(r, moment_embedding_batch(x)) - moment_embedding_batch(_apply(r, x))
+    return float(np.max(np.abs(gap)))
 
 
 @register("manifold", "quartic-embedding-components", "even-quadratic-embedding", 1e-14)
 def _f_components(rng, cfg):
-    worst = 0.0
-    for _ in range(cfg.samples):
-        v = _random_axis(rng)
-        p = rp2_point(v)
-        gap = f_embedding(p) - f_from_moment(moment_embedding(p.rep))
-        worst = max(worst, np.max(np.abs(gap)))
-        worst = max(worst, np.max(np.abs(f_embedding(p) - f_embedding(rp2_point(-v)))))
-    return worst
+    def batch(n):
+        v = _unit_rows(rng.normal(size=(n, 3)))     # n _random_axis draws
+        p, q = rp2_rep_batch(v), rp2_rep_batch(-v)
+        f = f_embedding_batch(p)
+        return max(float(np.max(np.abs(f - f_from_moment(moment_embedding_batch(p))))),
+                   float(np.max(np.abs(f - f_embedding_batch(q)))))
+
+    return _worst_over_chunks(cfg.samples, batch)
 
 
 @register("manifold", "quadrature-orthonormality", "sphere-quadrature-exactness", 1e-10)
@@ -437,14 +438,14 @@ def _quad_ortho(rng, cfg):
 
 @register("manifold", "w-functional-evenness", "orbit-functionals", 1e-15)
 def _w_even(rng, cfg):
-    worst = 0.0
-    for _ in range(cfg.samples):
-        c = classical.w_matrix(rng.normal(size=5))
-        w = WFunctional(c, rng.normal())
-        x = _random_axis(rng)
-        worst = max(worst, abs(w(x) - w(-x)))
-        worst = max(worst, abs(w(x) - w(rp2_point(x).rep)))
-    return worst
+    def batch(n):
+        draws = rng.normal(size=(n, 9))             # w_matrix coordinates, c0, then the axis
+        c, c0, x = classical.w_matrix(draws[:, :5]), draws[:, 5], _unit_rows(draws[:, 6:])
+        wx = w_values(c, c0, x)
+        return max(float(np.max(np.abs(wx - w_values(c, c0, -x)))),
+                   float(np.max(np.abs(wx - w_values(c, c0, rp2_rep_batch(x))))))
+
+    return _worst_over_chunks(cfg.samples, batch)
 
 
 # ------------------------------------------------------------- harmonics
@@ -581,26 +582,26 @@ def _wigner_defining(rng, cfg):
 
 @register("bundles", "kappa-multiplicative", "stabilizer-character", 1e-15)
 def _kappa_mult(rng, cfg):
-    worst = 0.0
-    for _ in range(cfg.samples):
-        h1, h2 = _random_h(rng), _random_h(rng)
-        prod = h_membership(h1.embed() * h2.embed())
-        if prod is None:
+    def batch(n):
+        u = rng.random(size=(n, 4))                 # two _random_h draws per sample
+        h1, h2 = _h_rows(u[:, :2]), _h_rows(u[:, 2:])
+        prod = bundles.kappa_batch(su2_product_batch(h1, h2))
+        if np.any(prod == 0):                       # h_membership would be None
             return 1.0
-        worst = max(
-            worst, abs(bundles.kappa(prod) - bundles.kappa(h1) * bundles.kappa(h2))
-        )
-    return worst
+        return float(np.max(np.abs(prod - bundles.kappa_batch(h1) * bundles.kappa_batch(h2))))
+
+    return _worst_over_chunks(cfg.samples, batch)
 
 
 @register("bundles", "frame-map-odd-unit", "odd-frame-map", 1e-12)
 def _phi_props(rng, cfg):
-    worst = 0.0
-    for _ in range(cfg.samples):
-        x = _random_axis(rng)
-        worst = max(worst, float(np.max(np.abs(bundles.phi(-x) + bundles.phi(x)))))
-        worst = max(worst, abs(np.linalg.norm(bundles.phi(x)) - 1.0))
-    return worst
+    def batch(n):
+        x = _unit_rows(rng.normal(size=(n, 3)))     # n _random_axis draws
+        f = bundles.phi(x)
+        return max(float(np.max(np.abs(bundles.phi(-x) + f))),
+                   float(np.max(np.abs(_row_norms(f) - 1.0))))
+
+    return _worst_over_chunks(cfg.samples, batch)
 
 
 def _random_assoc(rng) -> bundles.AssocElement:
@@ -629,13 +630,9 @@ def _iso_well_defined(rng, cfg):
 
 @register("bundles", "iso-roundtrip", "bundle-isomorphism", 1e-10)
 def _iso_roundtrip(rng, cfg):
-    worst = 0.0
-    for _ in range(100):
-        el = bundles.iso_Phi(_random_assoc(rng))
-        back = bundles.iso_Phi(bundles.iso_Phi_inverse(el))
-        worst = max(worst, float(np.max(np.abs(back.fiber - el.fiber))))
-        worst = max(worst, float(np.max(np.abs(back.base.rep - el.base.rep))))
-    return worst
+    base, fiber = bundles.iso_Phi_batch(*_assoc_rows(rng.normal(size=(100, 6))))
+    back_base, back_fiber = bundles.iso_Phi_batch(*bundles.iso_Phi_inverse_batch(base, fiber))
+    return max(float(np.max(np.abs(back_fiber - fiber))), float(np.max(np.abs(back_base - base))))
 
 
 @register("bundles", "lift-intertwining", "lift-transport-conjugation", 1e-10)
@@ -657,42 +654,43 @@ def _lift_compose(rng, cfg):
         base, fiber = bundles.iso_Phi_batch(*_assoc_rows(draws[:, 8:]))
         _, seq_fiber = bundles.lift_tau_batch(g1, *bundles.lift_tau_batch(g2, base, fiber))
         prod_base, prod_fiber = bundles.lift_tau_batch(g12, base, fiber)
-        covered = rp2_rep_batch(np.matmul(spinor_map_batch(g12), base[:, :, None])[:, :, 0])
+        covered = rp2_rep_batch(_apply(spinor_map_batch(g12), base))
         return max(float(np.max(np.abs(seq_fiber - prod_fiber))),
                    float(np.max(np.abs(prod_base - covered))))
 
     return _worst_over_chunks(cfg.samples, batch)
 
 
+def _interior_and_scalar(rng) -> np.ndarray:
+    """One ``_random_interior_point`` followed by the (re, im) normals of a fiber scalar."""
+    return np.concatenate([_random_interior_point(rng), rng.normal(size=2)])
+
+
 @register("bundles", "trivialization-transitions", "chart-transition-signs", 1e-12)
 def _triv_transitions(rng, cfg):
-    worst = 0.0
-    for _ in range(cfg.samples):
-        x = _random_interior_point(rng)
-        lam = rng.normal() + 1j * rng.normal()
-        el = bundles.LMinusElement(rp2_point(x), lam * bundles.phi(rp2_point(x).rep))
-        for a in (1, 2, 3):
-            for b in (1, 2, 3):
-                _, ca = bundles.local_trivialization(a, el)
-                _, cb = bundles.local_trivialization(b, el)
-                sign = transition_function(b, a, el.base)
-                worst = max(worst, abs(cb - sign * ca))
-    return worst
+    def batch(n):
+        draws = _draw_rows(rng, n, _interior_and_scalar)
+        base = rp2_rep_batch(draws[:, :3])
+        fiber = (draws[:, 3] + 1j * draws[:, 4])[:, None] * bundles.phi(base)
+        # c[k, a-1] is the chart-a coordinate; gap[k, a-1, b-1] = c_b - g_ba c_a
+        c = np.stack([bundles.local_trivialization_batch(a, base, fiber) for a in (1, 2, 3)], -1)
+        gap = c[:, None, :] - transition_signs_batch(base).mT * c[:, :, None]
+        return float(np.max(np.abs(gap)))
+
+    return _worst_over_chunks(cfg.samples, batch)
 
 
 @register("bundles", "projector-properties", "tautological-projector", 1e-13)
 def _projector_props(rng, cfg):
-    worst = 0.0
-    for _ in range(cfg.samples):
-        x = _random_axis(rng)
+    def batch(n):
+        draws = rng.normal(size=(n, 7))             # _random_axis, then random_su2
+        x, r = _unit_rows(draws[:, :3]), spinor_map_batch(su2_from_normals(draws[:, 3:]))
         p = bundles.projector(x)
-        worst = max(worst, float(np.max(np.abs(p @ p - p))))
-        worst = max(worst, float(np.max(np.abs(p - p.conj().T))))
-        worst = max(worst, float(np.max(np.abs(bundles.projector(-x) - p))))
-        g = random_su2(rng)
-        r = spinor_map(g)
-        worst = max(worst, float(np.max(np.abs(bundles.projector(r @ x) - r @ p @ r.T))))
-    return worst
+        gaps = (p @ p - p, p - p.conj().mT, bundles.projector(-x) - p,
+                bundles.projector(_apply(r, x)) - r @ p @ r.mT)
+        return max(float(np.max(np.abs(gap))) for gap in gaps)
+
+    return _worst_over_chunks(cfg.samples, batch)
 
 
 @register("bundles", "module-roundtrip", "projective-module-isomorphism", 1e-9)
@@ -853,36 +851,42 @@ def _exchange(rng, cfg):
 
 # -------------------------------------------------------------- classical
 
+def _elements(draws) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(c, A) stacks from (n, 8k) normal draws, as k ``random_element`` calls per row make them."""
+    return [(classical.w_matrix(draws[:, lo:lo + 5]), draws[:, lo + 5:lo + 8])
+            for lo in range(0, draws.shape[1], 8)]
+
+
+def _phase_points(draws) -> tuple[np.ndarray, np.ndarray]:
+    """(u, ψ) stacks from (n, 10) normal draws, as ``random_phase_point`` makes one per row."""
+    return classical.w_matrix(draws[:, :5]), classical.w_matrix(draws[:, 5:])
+
+
 @register("classical", "observable-linearity", "lie-algebra-to-observables", 1e-12)
 def _p_linear(rng, cfg):
-    worst = 0.0
-    for _ in range(cfg.samples):
-        e1 = classical.random_element(rng)
-        e2 = classical.random_element(rng)
-        al, be = rng.normal(), rng.normal()
-        combo = classical.SemidirectLieElement(
-            WFunctional(al * e1.phi_w.c + be * e2.phi_w.c, 0.0),
-            al * e1.A + be * e2.A,
+    def batch(n):
+        draws = rng.normal(size=(n, 28))            # e1, e2, (α, β), then the phase point
+        (c1, a1), (c2, a2) = _elements(draws[:, :16])
+        al, be = draws[:, 16], draws[:, 17]
+        pt = _phase_points(draws[:, 18:])
+        combo = classical.P_observable_batch(
+            al[:, None, None] * c1 + be[:, None, None] * c2,
+            al[:, None] * a1 + be[:, None] * a2, *pt,
         )
-        pt = classical.random_phase_point(rng)
-        gap = classical.P_observable(combo, pt) - (
-            al * classical.P_observable(e1, pt) + be * classical.P_observable(e2, pt)
-        )
-        worst = max(worst, abs(gap))
-    return worst
+        gap = combo - (al * classical.P_observable_batch(c1, a1, *pt)
+                       + be * classical.P_observable_batch(c2, a2, *pt))
+        return float(np.max(np.abs(gap)))
+
+    return _worst_over_chunks(cfg.samples, batch)
 
 
 @register("classical", "bracket-closed-vs-fd", "canonical-bracket", 1e-7)
 def _bracket_fd(rng, cfg):
-    worst = 0.0
-    for _ in range(50):
-        e1, e2 = classical.random_element(rng), classical.random_element(rng)
-        pt = classical.random_phase_point(rng)
-        gap = classical.poisson_bracket(e1, e2, pt) - classical.poisson_bracket_fd(
-            e1, e2, pt
-        )
-        worst = max(worst, abs(gap))
-    return worst
+    draws = rng.normal(size=(50, 26))               # e1, e2, then the phase point
+    (c1, a1), (c2, a2) = _elements(draws[:, :16])
+    args = (c1, a1, c2, a2, *_phase_points(draws[:, 16:]))
+    gap = classical.poisson_bracket_batch(*args) - classical.poisson_bracket_fd_batch(*args)
+    return float(np.max(np.abs(gap)))
 
 
 @register("classical", "no-obstruction", "bracket-homomorphism", 1e-9)
@@ -897,25 +901,16 @@ def _no_obstruction(rng, cfg):
 
 @register("classical", "antisymmetry-jacobi", "bracket-homomorphism", 1e-8)
 def _jacobi(rng, cfg):
-    worst = 0.0
-    for _ in range(50):
-        es = [classical.random_element(rng) for _ in range(3)]
-        pt = classical.random_phase_point(rng)
-        worst = max(worst, abs(classical.poisson_bracket(es[0], es[0], pt)))
-        worst = max(
-            worst,
-            abs(
-                classical.poisson_bracket(es[0], es[1], pt)
-                + classical.poisson_bracket(es[1], es[0], pt)
-            ),
-        )
-        cyc = 0.0
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            cyc += classical.P_observable(
-                classical.lie_bracket(classical.lie_bracket(es[i], es[j]), es[k]), pt
-            )
-        worst = max(worst, abs(cyc))
-    return worst
+    draws = rng.normal(size=(50, 34))               # three elements, then the phase point
+    es, pt = _elements(draws[:, :24]), _phase_points(draws[:, 24:])
+    self_bracket = classical.poisson_bracket_batch(*es[0], *es[0], *pt)
+    swapped = (classical.poisson_bracket_batch(*es[0], *es[1], *pt)
+               + classical.poisson_bracket_batch(*es[1], *es[0], *pt))
+    cyc = 0.0
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        nested = classical.lie_bracket_batch(*classical.lie_bracket_batch(*es[i], *es[j]), *es[k])
+        cyc += classical.P_observable_batch(*nested, *pt)
+    return float(np.max(np.abs([self_bracket, swapped, cyc])))
 
 
 # -------------------------------------------------------------- heisenberg

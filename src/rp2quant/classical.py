@@ -51,8 +51,11 @@ W_BASIS.flags.writeable = False
 
 
 def w_coords(m: np.ndarray) -> np.ndarray:
-    """Coordinates of a symmetric traceless matrix in the orthonormal basis."""
-    return np.einsum("kij,ji->k", W_BASIS, m)
+    """Coordinates of a symmetric traceless matrix in the orthonormal basis.
+
+    An (..., 3, 3) stack gives (..., 5); each row equals its single call.
+    """
+    return np.einsum("kij,...ji->...k", W_BASIS, m)
 
 
 def w_matrix(coords: np.ndarray) -> np.ndarray:
@@ -85,15 +88,14 @@ class SemidirectLieElement:
 
 
 def infinitesimal_action(A, u: np.ndarray) -> np.ndarray:
-    """R(A)u = [Â, u], the derivative of R·u·Rᵀ along the rotation A."""
+    """R(A)u = [Â, u], the derivative of R·u·Rᵀ along the rotation A; stacks broadcast."""
     ahat = skew_matrix(A)
     return ahat @ u - u @ ahat
 
 
-def P_observable(e: SemidirectLieElement, pt: PhasePoint) -> float:
-    """P(Ã)(u, ψ) = ψ([Â, u]) + φ(u), trace pairings throughout."""
-    moved = infinitesimal_action(e.A, pt.u)
-    return float(np.trace(pt.psi.c @ moved) + np.trace(e.phi_w.c @ pt.u) + e.phi_w.c0)
+def _trace(m):
+    """Trace of each matrix of a stack; np.trace of one matrix, rounded the same way."""
+    return np.trace(m, axis1=-2, axis2=-1)
 
 
 def _commutator(x, y):
@@ -101,18 +103,70 @@ def _commutator(x, y):
     return x @ y - y @ x
 
 
-def _bracket(c1, a1, c2, a2):
-    """(c, A) of [(φ₁, A₁), (φ₂, A₂)]; single pairs or stacks of pairs."""
+# Stacked forms.  An element stack is its functional matrices c (..., 3, 3)
+# and generators a (..., 3); a phase-point stack is u and ψ (..., 3, 3).
+# Leading axes broadcast.  The dataclass forms below call these on single
+# matrices, so row k of a stack equals the dataclass call on row k bit for bit.
+
+def P_observable_batch(c, a, u, psi, c0=0.0) -> np.ndarray:
+    """P(Ã)(u, ψ) = ψ([Â, u]) + φ(u) with φ = tr(c ·) + c0."""
+    return _trace(psi @ infinitesimal_action(a, u)) + _trace(c @ u) + c0
+
+
+def lie_bracket_batch(c1, a1, c2, a2) -> tuple[np.ndarray, np.ndarray]:
+    """(c, A) of [(φ₁, A₁), (φ₂, A₂)]; the bracket's functional has zero offset."""
     # coefficient matrix of u ↦ tr(c [Â, u]) is [c, Â]
     c = _commutator(c1, skew_matrix(a2)) - _commutator(c2, skew_matrix(a1))
     return c, np.cross(a1, a2)
+
+
+def poisson_bracket_batch(c1, a1, c2, a2, u, psi) -> np.ndarray:
+    """Closed-form bracket {P(e₁), P(e₂)}(u, ψ).
+
+    It equals ψ([[Â₁, Â₂], u]) + φ₁([Â₂, u]) - φ₂([Â₁, u]).
+    """
+    comm = _commutator(skew_matrix(a1), skew_matrix(a2))
+    val = _trace(psi @ _commutator(comm, u))
+    val += _trace(c1 @ infinitesimal_action(a2, u))
+    val -= _trace(c2 @ infinitesimal_action(a1, u))
+    return val
+
+
+def poisson_bracket_fd_batch(c1, a1, c2, a2, u, psi) -> np.ndarray:
+    """Finite-difference bracket Σ_k (∂F/∂u_k ∂G/∂ψ_k - ∂F/∂ψ_k ∂G/∂u_k).
+
+    Central differences of step BRACKET_FD_STEP in the orthonormal
+    coordinates of u and ψ; the functionals' offsets cancel in every
+    difference and are left out.
+    """
+    step = BRACKET_FD_STEP
+
+    def observable(c, a, uc, pc):
+        return P_observable_batch(c, a, w_matrix(uc), w_matrix(pc))
+
+    uc0, pc0 = w_coords(u), w_coords(psi)
+    total = 0.0
+    for k in range(5):
+        du = np.zeros(5)
+        du[k] = step
+        dfu = (observable(c1, a1, uc0 + du, pc0) - observable(c1, a1, uc0 - du, pc0)) / (2 * step)
+        dgu = (observable(c2, a2, uc0 + du, pc0) - observable(c2, a2, uc0 - du, pc0)) / (2 * step)
+        dfp = (observable(c1, a1, uc0, pc0 + du) - observable(c1, a1, uc0, pc0 - du)) / (2 * step)
+        dgp = (observable(c2, a2, uc0, pc0 + du) - observable(c2, a2, uc0, pc0 - du)) / (2 * step)
+        total += dfu * dgp - dfp * dgu
+    return total
+
+
+def P_observable(e: SemidirectLieElement, pt: PhasePoint) -> float:
+    """P(Ã)(u, ψ) = ψ([Â, u]) + φ(u), trace pairings throughout."""
+    return float(P_observable_batch(e.phi_w.c, e.A, pt.u, pt.psi.c, e.phi_w.c0))
 
 
 def lie_bracket(
     e1: SemidirectLieElement, e2: SemidirectLieElement
 ) -> SemidirectLieElement:
     """[(φ₁, A₁), (φ₂, A₂)] = (φ₁∘R(A₂) - φ₂∘R(A₁), A₁ × A₂)."""
-    c, a = _bracket(e1.phi_w.c, e1.A, e2.phi_w.c, e2.A)
+    c, a = lie_bracket_batch(e1.phi_w.c, e1.A, e2.phi_w.c, e2.A)
     return SemidirectLieElement(WFunctional(c, 0.0), a)
 
 
@@ -120,12 +174,7 @@ def poisson_bracket(
     e1: SemidirectLieElement, e2: SemidirectLieElement, pt: PhasePoint
 ) -> float:
     """Canonical bracket {P(e₁), P(e₂)} at pt, in closed form."""
-    a1h, a2h = skew_matrix(e1.A), skew_matrix(e2.A)
-    comm = a1h @ a2h - a2h @ a1h
-    val = np.trace(pt.psi.c @ (comm @ pt.u - pt.u @ comm))
-    val += np.trace(e1.phi_w.c @ infinitesimal_action(e2.A, pt.u))
-    val -= np.trace(e2.phi_w.c @ infinitesimal_action(e1.A, pt.u))
-    return float(val)
+    return float(poisson_bracket_batch(e1.phi_w.c, e1.A, e2.phi_w.c, e2.A, pt.u, pt.psi.c))
 
 
 def poisson_bracket_fd(
@@ -133,24 +182,8 @@ def poisson_bracket_fd(
     e2: SemidirectLieElement,
     pt: PhasePoint,
 ) -> float:
-    """Finite-difference bracket Σ_k (∂F/∂u_k ∂G/∂ψ_k - ∂F/∂ψ_k ∂G/∂u_k)."""
-    step = BRACKET_FD_STEP
-
-    def observable(e, uc, pc):
-        p = PhasePoint(w_matrix(uc), WFunctional(w_matrix(pc), 0.0))
-        return P_observable(e, p)
-
-    uc0, pc0 = w_coords(pt.u), w_coords(pt.psi.c)
-    total = 0.0
-    for k in range(5):
-        du = np.zeros(5)
-        du[k] = step
-        dfu = (observable(e1, uc0 + du, pc0) - observable(e1, uc0 - du, pc0)) / (2 * step)
-        dgu = (observable(e2, uc0 + du, pc0) - observable(e2, uc0 - du, pc0)) / (2 * step)
-        dfp = (observable(e1, uc0, pc0 + du) - observable(e1, uc0, pc0 - du)) / (2 * step)
-        dgp = (observable(e2, uc0, pc0 + du) - observable(e2, uc0, pc0 - du)) / (2 * step)
-        total += dfu * dgp - dfp * dgu
-    return total
+    """Finite-difference bracket at pt (see ``poisson_bracket_fd_batch``)."""
+    return float(poisson_bracket_fd_batch(e1.phi_w.c, e1.A, e2.phi_w.c, e2.A, pt.u, pt.psi.c))
 
 
 def check_homomorphism(
@@ -203,7 +236,7 @@ def homomorphism_defect(c1, a1, c2, a2, u, psi) -> float:
     for lo in range(0, len(a1), step):
         s = slice(lo, lo + step)
         a1h, a2h = skew_matrix(a1[s]), skew_matrix(a2[s])
-        cb, ab = _bracket(c1[s], a1[s], c2[s], a2[s])
+        cb, ab = lie_bracket_batch(c1[s], a1[s], c2[s], a2[s])
         lhs = _rows9(_commutator(a1h, a2h)) @ wt
         lhs += _rows9(_commutator(c1[s], a2h)) @ ut
         lhs -= _rows9(_commutator(c2[s], a1h)) @ ut

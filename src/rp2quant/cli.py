@@ -73,6 +73,27 @@ def run_suite(suite: str, cfg: SuiteConfig) -> list[CheckResult]:
     return results
 
 
+# |margin| cap, as perfbench clamps residual/tolerance to [1e-30, 1e30]: a
+# zero residual reads MARGIN_CLAMP decades below its bound
+MARGIN_CLAMP = 30.0
+
+
+def _margin(residual: float, tolerance: float) -> float | None:
+    """log10(residual / tolerance), clamped to ±MARGIN_CLAMP; None for a NaN residual.
+
+    Negative when the check passes with room to spare: -2 is two decades
+    under the bound.  A zero residual reads -MARGIN_CLAMP, and a positive
+    residual against a tolerance ≤ 0 reads +MARGIN_CLAMP.
+    """
+    if math.isnan(residual):
+        return None
+    if residual <= 0.0:
+        return -MARGIN_CLAMP
+    if tolerance <= 0.0:
+        return MARGIN_CLAMP
+    return min(max(math.log10(residual / tolerance), -MARGIN_CLAMP), MARGIN_CLAMP)
+
+
 def render_report(results: list[CheckResult], fmt: str, cfg: SuiteConfig) -> str:
     if fmt == "json":
         payload = {
@@ -85,7 +106,9 @@ def render_report(results: list[CheckResult], fmt: str, cfg: SuiteConfig) -> str
                 "samples": cfg.samples,
                 "tol_overrides": dict(sorted(cfg.tol_overrides.items())),
             },
-            "checks": [asdict(r) for r in results],
+            "checks": [
+                {**asdict(r), "margin": _margin(r.residual, r.tolerance)} for r in results
+            ],
             "summary": {
                 "passed": sum(r.passed for r in results),
                 "failed": sum(not r.passed for r in results),

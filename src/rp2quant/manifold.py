@@ -25,16 +25,28 @@ SYMMETRIC_TRACELESS_TOL = 1e-12   # asymmetry and trace accepted for a matrix in
 MAX_GRID_LMAX = 32       # largest band build_quadrature integrates exactly
 
 
-def chart_coords(p: RP2Point, alpha: int) -> tuple[float, float]:
-    """Affine coordinates (x_i/x_α, x_j/x_α), i < j the non-chart indices."""
+def chart_coords_batch(x, alpha: int) -> np.ndarray:
+    """Affine coordinates (x_i/x_α, x_j/x_α) of each row of an (..., 3) array.
+
+    i < j are the non-chart indices; returns (..., 2).  The ratios do not
+    change under x ↦ -x, so any representative of a class gives its
+    coordinates.  A row with |x_α| ≤ CHART_TOL raises PointNotInChart.
+    """
     if alpha not in (1, 2, 3):
         raise ValueError("chart index must be 1, 2 or 3")
-    x = p.rep
+    x = np.asarray(x, dtype=float)
     a = alpha - 1
-    if abs(x[a]) <= CHART_TOL:
-        raise PointNotInChart(f"x_{alpha} vanishes for {x}")
+    outside = np.abs(x[..., a]) <= CHART_TOL
+    if np.any(outside):
+        raise PointNotInChart(f"x_{alpha} vanishes for {x[outside][0]}")
     i, j = [k for k in range(3) if k != a]
-    return (x[i] / x[a], x[j] / x[a])
+    return np.stack([x[..., i] / x[..., a], x[..., j] / x[..., a]], axis=-1)
+
+
+def chart_coords(p: RP2Point, alpha: int) -> tuple[float, float]:
+    """Affine coordinates (x_i/x_α, x_j/x_α), i < j the non-chart indices."""
+    c = chart_coords_batch(p.rep, alpha)
+    return (c[0], c[1])
 
 
 def _transition_sign(xa, xb):
@@ -67,10 +79,19 @@ def transition_signs_batch(x) -> np.ndarray:
     return _transition_sign(x[..., :, None], x[..., None, :])
 
 
+def f_embedding_batch(x) -> np.ndarray:
+    """(yz, xz, xy, y² - z²) at each row of an (..., 3) array: (..., 4).
+
+    F is even, so any representative of a class gives its value.
+    """
+    x = np.asarray(x, dtype=float)
+    x, y, z = x[..., 0], x[..., 1], x[..., 2]
+    return np.stack([y * z, x * z, x * y, y * y - z * z], axis=-1)
+
+
 def f_embedding(p: RP2Point) -> np.ndarray:
     """The 4-vector (yz, xz, xy, y² - z²) of even quadratics at [x:y:z]."""
-    x, y, z = p.rep
-    return np.array([y * z, x * z, x * y, y * y - z * z])
+    return f_embedding_batch(p.rep)
 
 
 def _moment(v):
@@ -89,13 +110,14 @@ def moment_embedding_batch(x) -> np.ndarray:
 
 
 def f_from_moment(m: np.ndarray) -> np.ndarray:
-    """The four F components as linear functionals of M."""
-    return np.array([m[1, 2], m[0, 2], m[0, 1], m[1, 1] - m[2, 2]])
+    """The four F components as linear functionals of M; stacks give (..., 4)."""
+    return np.stack([m[..., 1, 2], m[..., 0, 2], m[..., 0, 1], m[..., 1, 1] - m[..., 2, 2]],
+                    axis=-1)
 
 
 def w_action(r: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Linear action R·M·Rᵀ of a rotation on the matrix space W."""
-    return r @ m @ r.T
+    """Linear action R·M·Rᵀ of a rotation on the matrix space W; stacks broadcast."""
+    return r @ m @ r.mT
 
 
 def check_symmetric_traceless(m: np.ndarray) -> np.ndarray:
@@ -104,6 +126,25 @@ def check_symmetric_traceless(m: np.ndarray) -> np.ndarray:
     if np.max(np.abs(m - m.T)) > tol or abs(np.trace(m)) > tol:
         raise ValueError("matrix must be symmetric and traceless")
     return m
+
+
+def w_values(c, c0, x) -> np.ndarray:
+    """w(x) = tr(c·M(x)) + c0 at the rows of an (..., 3) array of unit vectors.
+
+    tr(c·M(x)) = xᵀc x - tr(c)/3 with M(x) = x xᵀ - Id/3.  c is one (3, 3)
+    matrix or an (..., 3, 3) stack with offsets c0, broadcast against the
+    points; each row must be unit to ``unit_vector``'s tolerance and is
+    normalized.  ``WFunctional`` evaluates through this, so row k of a stack
+    equals the functional of row k at its point bit for bit.
+    """
+    pts = np.asarray(x, dtype=float)
+    norms = np.linalg.norm(pts, axis=-1)
+    if not np.all(np.abs(norms - 1.0) <= UNIT_TOL):
+        raise ValueError(f"point norms depart from 1 beyond {UNIT_TOL}")
+    pts = pts / norms[..., None]
+    vals = np.einsum("...i,...ij,...j->...", pts, c, pts)
+    vals += c0 - np.trace(c, axis1=-2, axis2=-1) / 3.0
+    return vals
 
 
 @dataclass(frozen=True)
@@ -117,18 +158,8 @@ class WFunctional:
         object.__setattr__(self, "c", check_symmetric_traceless(self.c))
 
     def __call__(self, x) -> float | np.ndarray:
-        """w at one unit vector, or one value per row of an (n, 3) array.
-
-        tr(c·M(x)) = xᵀc x - tr(c)/3 with M(x) = x xᵀ - Id/3; each row must
-        be unit to ``unit_vector``'s tolerance and is normalized.
-        """
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        norms = np.linalg.norm(pts, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= UNIT_TOL):
-            raise ValueError(f"point norms depart from 1 beyond {UNIT_TOL}")
-        pts = pts / norms[:, None]
-        vals = np.einsum("ni,ij,nj->n", pts, self.c, pts)
-        vals += self.c0 - np.trace(self.c) / 3.0
+        """w at one unit vector, or one value per row of an (n, 3) array."""
+        vals = w_values(self.c, self.c0, np.atleast_2d(x))
         return float(vals[0]) if np.ndim(x) == 1 else vals
 
     def pushforward(self, r: np.ndarray) -> "WFunctional":

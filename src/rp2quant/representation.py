@@ -212,12 +212,24 @@ def check_group_law(
     return float(num / fs.norm())
 
 
-def _richardson_derivative(apply_at) -> np.ndarray:
-    """O(h⁴) derivative at t = 0 from central differences at h = FD_STEP and h/2."""
+# the offsets t = h, -h, h/2, -h/2 (h = FD_STEP) of the Richardson derivative
+RICHARDSON_OFFSETS = (FD_STEP, -FD_STEP, FD_STEP / 2.0, -FD_STEP / 2.0)
+
+
+def _richardson(values) -> np.ndarray:
+    """O(h⁴) derivative at t = 0 from the values at RICHARDSON_OFFSETS, in order.
+
+    Central differences at h and h/2, combined as (4·d_{h/2} - d_h)/3.
+    """
     h = FD_STEP
-    d_h = (apply_at(h) - apply_at(-h)) / (2.0 * h)
-    d_h2 = (apply_at(h / 2.0) - apply_at(-h / 2.0)) / h
+    d_h = (values[0] - values[1]) / (2.0 * h)
+    d_h2 = (values[2] - values[3]) / h
     return (4.0 * d_h2 - d_h) / 3.0
+
+
+def _richardson_derivative(apply_at) -> np.ndarray:
+    """O(h⁴) derivative at t = 0 of apply_at(t), one call per offset."""
+    return _richardson([apply_at(t) for t in RICHARDSON_OFFSETS])
 
 
 def generator_J(i: int, a: HarmonicCoeffs) -> HarmonicCoeffs:

@@ -60,7 +60,16 @@ from rp2quant.harmonics import (
     unit,
     wigner_d,
 )
-from rp2quant.manifold import build_quadrature, moment_embedding, transition_function
+from rp2quant.manifold import (
+    WFunctional,
+    build_quadrature,
+    chart_coords,
+    f_embedding,
+    f_from_moment,
+    moment_embedding,
+    transition_function,
+    w_action,
+)
 from rp2quant.representation import exchange_parities
 
 EPS = np.finfo(float).eps
@@ -375,6 +384,162 @@ def ref_j0_reduction(rng, cfg):
     return 0.0
 
 
+def ref_p_linear(rng, cfg):
+    worst = 0.0
+    for _ in range(cfg.samples):
+        e1 = classical.random_element(rng)
+        e2 = classical.random_element(rng)
+        al, be = rng.normal(), rng.normal()
+        combo = classical.SemidirectLieElement(
+            WFunctional(al * e1.phi_w.c + be * e2.phi_w.c, 0.0),
+            al * e1.A + be * e2.A,
+        )
+        pt = classical.random_phase_point(rng)
+        gap = classical.P_observable(combo, pt) - (
+            al * classical.P_observable(e1, pt) + be * classical.P_observable(e2, pt)
+        )
+        worst = max(worst, abs(gap))
+    return worst
+
+
+def ref_bracket_fd(rng, cfg):
+    worst = 0.0
+    for _ in range(50):
+        e1, e2 = classical.random_element(rng), classical.random_element(rng)
+        pt = classical.random_phase_point(rng)
+        gap = classical.poisson_bracket(e1, e2, pt) - classical.poisson_bracket_fd(
+            e1, e2, pt
+        )
+        worst = max(worst, abs(gap))
+    return worst
+
+
+def ref_jacobi(rng, cfg):
+    worst = 0.0
+    for _ in range(50):
+        es = [classical.random_element(rng) for _ in range(3)]
+        pt = classical.random_phase_point(rng)
+        worst = max(worst, abs(classical.poisson_bracket(es[0], es[0], pt)))
+        worst = max(
+            worst,
+            abs(
+                classical.poisson_bracket(es[0], es[1], pt)
+                + classical.poisson_bracket(es[1], es[0], pt)
+            ),
+        )
+        cyc = 0.0
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            cyc += classical.P_observable(
+                classical.lie_bracket(classical.lie_bracket(es[i], es[j]), es[k]), pt
+            )
+        worst = max(worst, abs(cyc))
+    return worst
+
+
+def ref_w_even(rng, cfg):
+    worst = 0.0
+    for _ in range(cfg.samples):
+        c = classical.w_matrix(rng.normal(size=5))
+        w = WFunctional(c, rng.normal())
+        x = _random_axis(rng)
+        worst = max(worst, abs(w(x) - w(-x)))
+        worst = max(worst, abs(w(x) - w(rp2_point(x).rep)))
+    return worst
+
+
+def ref_chart_rep(rng, cfg):
+    worst = 0.0
+    for _ in range(cfg.samples):
+        v = _random_interior_point(rng)
+        for alpha in (1, 2, 3):
+            c1 = chart_coords(rp2_point(v), alpha)
+            c2 = chart_coords(rp2_point(-v), alpha)
+            worst = max(worst, abs(c1[0] - c2[0]), abs(c1[1] - c2[1]))
+    return worst
+
+
+def ref_f_components(rng, cfg):
+    worst = 0.0
+    for _ in range(cfg.samples):
+        v = _random_axis(rng)
+        p = rp2_point(v)
+        gap = f_embedding(p) - f_from_moment(moment_embedding(p.rep))
+        worst = max(worst, np.max(np.abs(gap)))
+        worst = max(worst, np.max(np.abs(f_embedding(p) - f_embedding(rp2_point(-v)))))
+    return worst
+
+
+def ref_moment_equiv(rng, cfg):
+    worst = 0.0
+    for _ in range(100):
+        g, x = random_su2(rng), _random_axis(rng)
+        r = spinor_map(g)
+        gap = w_action(r, moment_embedding(x)) - moment_embedding(r @ x)
+        worst = max(worst, np.max(np.abs(gap)))
+    return worst
+
+
+def ref_triv_transitions(rng, cfg):
+    worst = 0.0
+    for _ in range(cfg.samples):
+        x = _random_interior_point(rng)
+        lam = rng.normal() + 1j * rng.normal()
+        el = bundles.LMinusElement(rp2_point(x), lam * bundles.phi(rp2_point(x).rep))
+        for a in (1, 2, 3):
+            for b in (1, 2, 3):
+                _, ca = bundles.local_trivialization(a, el)
+                _, cb = bundles.local_trivialization(b, el)
+                sign = transition_function(b, a, el.base)
+                worst = max(worst, abs(cb - sign * ca))
+    return worst
+
+
+def ref_projector_props(rng, cfg):
+    worst = 0.0
+    for _ in range(cfg.samples):
+        x = _random_axis(rng)
+        p = bundles.projector(x)
+        worst = max(worst, float(np.max(np.abs(p @ p - p))))
+        worst = max(worst, float(np.max(np.abs(p - p.conj().T))))
+        worst = max(worst, float(np.max(np.abs(bundles.projector(-x) - p))))
+        g = random_su2(rng)
+        r = spinor_map(g)
+        worst = max(worst, float(np.max(np.abs(bundles.projector(r @ x) - r @ p @ r.T))))
+    return worst
+
+
+def ref_iso_roundtrip(rng, cfg):
+    worst = 0.0
+    for _ in range(100):
+        el = bundles.iso_Phi(_random_assoc(rng))
+        back = bundles.iso_Phi(bundles.iso_Phi_inverse(el))
+        worst = max(worst, float(np.max(np.abs(back.fiber - el.fiber))))
+        worst = max(worst, float(np.max(np.abs(back.base.rep - el.base.rep))))
+    return worst
+
+
+def ref_kappa_mult(rng, cfg):
+    worst = 0.0
+    for _ in range(cfg.samples):
+        h1, h2 = _random_h(rng), _random_h(rng)
+        prod = h_membership(h1.embed() * h2.embed())
+        if prod is None:
+            return 1.0
+        worst = max(
+            worst, abs(bundles.kappa(prod) - bundles.kappa(h1) * bundles.kappa(h2))
+        )
+    return worst
+
+
+def ref_phi_props(rng, cfg):
+    worst = 0.0
+    for _ in range(cfg.samples):
+        x = _random_axis(rng)
+        worst = max(worst, float(np.max(np.abs(bundles.phi(-x) + bundles.phi(x)))))
+        worst = max(worst, abs(np.linalg.norm(bundles.phi(x)) - 1.0))
+    return worst
+
+
 # name -> (reference loop, allowed |batched - reference|)
 REWRITTEN = {
     "spinor-homomorphism": (ref_spinor_hom, 0.0),
@@ -404,6 +569,18 @@ REWRITTEN = {
     "lift-composition": (ref_br_compose, 0.0),
     "generator-recovery": (ref_br_recover, 0.0),
     "spin-zero-reduction": (ref_j0_reduction, 0.0),
+    "observable-linearity": (ref_p_linear, 0.0),
+    "bracket-closed-vs-fd": (ref_bracket_fd, 0.0),
+    "antisymmetry-jacobi": (ref_jacobi, 0.0),
+    "w-functional-evenness": (ref_w_even, 0.0),
+    "chart-representative-independence": (ref_chart_rep, 0.0),
+    "quartic-embedding-components": (ref_f_components, 0.0),
+    "moment-equivariance": (ref_moment_equiv, 0.0),
+    "trivialization-transitions": (ref_triv_transitions, 0.0),
+    "projector-properties": (ref_projector_props, 0.0),
+    "iso-roundtrip": (ref_iso_roundtrip, 0.0),
+    "kappa-multiplicative": (ref_kappa_mult, 0.0),
+    "frame-map-odd-unit": (ref_phi_props, 0.0),
 }
 CHECKS = {c.name: c for c in REGISTRY}
 
@@ -424,7 +601,10 @@ def test_batched_check_matches_reference_loop(name, seed):
     "name, samples",
     [("spinor-double-cover-kernel", 4100), ("h-subgroup-closure", 4100),
      ("rp2-h-invariance", 4100), ("section-well-defined", 500),
-     ("wigner-defining-unitary", 4100), ("spin-zero-reduction", 4100)],
+     ("wigner-defining-unitary", 4100), ("spin-zero-reduction", 4100),
+     ("observable-linearity", 4100), ("w-functional-evenness", 4100),
+     ("trivialization-transitions", 4100), ("projector-properties", 4100),
+     ("kappa-multiplicative", 4100)],
 )
 def test_chunked_check_matches_reference_loop(name, samples):
     # more samples than one chunk holds: the chunks draw in stream order
@@ -506,3 +686,28 @@ def test_homomorphism_accepts_pair_stacks(rng):
     single = max(classical.check_homomorphism(a, b, pts) for a, b in zip(e1, e2))
     assert stacked == single
     assert stacked < 1e-12
+
+
+def test_stacked_classical_forms_match_dataclass_rows():
+    # row k of each stacked form equals the dataclass call on row k bit for bit
+    rng = np.random.default_rng(11)
+    n = 64
+    e1 = [classical.random_element(rng) for _ in range(n)]
+    e2 = [classical.random_element(rng) for _ in range(n)]
+    pts = [classical.random_phase_point(rng) for _ in range(n)]
+    c1, a1 = np.stack([e.phi_w.c for e in e1]), np.stack([e.A for e in e1])
+    c2, a2 = np.stack([e.phi_w.c for e in e2]), np.stack([e.A for e in e2])
+    u, psi = np.stack([p.u for p in pts]), np.stack([p.psi.c for p in pts])
+    observable = classical.P_observable_batch(c1, a1, u, psi)
+    closed = classical.poisson_bracket_batch(c1, a1, c2, a2, u, psi)
+    fd = classical.poisson_bracket_fd_batch(c1, a1, c2, a2, u, psi)
+    bracket_c, bracket_a = classical.lie_bracket_batch(c1, a1, c2, a2)
+    coords = classical.w_coords(u)
+    for k in range(n):
+        assert observable[k] == classical.P_observable(e1[k], pts[k])
+        assert closed[k] == classical.poisson_bracket(e1[k], e2[k], pts[k])
+        assert fd[k] == classical.poisson_bracket_fd(e1[k], e2[k], pts[k])
+        want = classical.lie_bracket(e1[k], e2[k])
+        assert bracket_c[k].tobytes() == want.phi_w.c.tobytes()
+        assert bracket_a[k].tobytes() == want.A.tobytes()
+        assert coords[k].tobytes() == classical.w_coords(u[k]).tobytes()

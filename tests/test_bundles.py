@@ -8,10 +8,13 @@ from rp2quant.bundles import (
     iso_Phi,
     iso_Phi_batch,
     iso_Phi_inverse,
+    iso_Phi_inverse_batch,
     kappa,
+    kappa_batch,
     lift_tau,
     lift_tau_batch,
     local_trivialization,
+    local_trivialization_batch,
     module_iso_forward,
     module_iso_inverse,
     natural_lift,
@@ -27,6 +30,7 @@ from rp2quant.groups import (
     quotient_to_rp2,
     random_su2,
     rp2_point,
+    rp2_rep_batch,
     spinor_map,
 )
 from rp2quant.harmonics import evaluate, random_coeffs, unit, zeros
@@ -327,3 +331,30 @@ class TestBatchForms:
             want = lift_tau(h, el)
             assert moved[0][k].tobytes() == want.base.rep.tobytes()
             assert moved[1][k].tobytes() == want.fiber.tobytes()
+
+    def test_frame_projector_and_trivialization_rows_match_scalar(self, rng):
+        x = rng.normal(size=(200, 3))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        base = rp2_rep_batch(x)
+        lam = rng.normal(size=200) + 1j * rng.normal(size=200)
+        fiber = lam[:, None] * phi(base)
+        frames, projectors = phi(x), projector(x)
+        charts = [local_trivialization_batch(a, base, fiber) for a in (1, 2, 3)]
+        g, coef = iso_Phi_inverse_batch(base, fiber)
+        for k in range(200):
+            assert frames[k].tobytes() == phi(x[k]).tobytes()
+            assert projectors[k].tobytes() == projector(x[k]).tobytes()
+            el = LMinusElement(rp2_point(x[k]), fiber[k])
+            for a, chart in zip((1, 2, 3), charts):
+                assert chart[k] == local_trivialization(a, el)[1]
+            want = iso_Phi_inverse(el)
+            assert g[k].tobytes() == np.array([want.g.z0, want.g.z1]).tobytes()
+            assert coef[k] == want.v
+        with pytest.raises(PointNotInChart):
+            local_trivialization_batch(3, [[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]])
+
+    def test_kappa_rows_classify_as_h_membership(self, rng):
+        hs = [random_h(rng) for _ in range(100)]
+        rows = np.array([[h.embed().z0, h.embed().z1] for h in hs] + [[0.6, 0.8j]])
+        want = [kappa(h_membership(h.embed())) for h in hs] + [0]
+        assert kappa_batch(rows).tolist() == want

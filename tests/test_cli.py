@@ -19,7 +19,7 @@ from rp2quant.checks import (
     check_rng,
     checks_for_suite,
 )
-from rp2quant.cli import emit_report, main, render_report, run_suite
+from rp2quant.cli import MARGIN_CLAMP, emit_report, main, render_report, run_suite
 from rp2quant.errors import ConfigError, RadialRangeError
 
 
@@ -152,6 +152,25 @@ class TestReports:
         assert rows[0]["error"].startswith("RadialRangeError: ")
         assert all(row["error"] == "" for row in rows[1:])
         assert "RadialRangeError: " in render_report(results, "text", cfg).splitlines()[0]
+
+    def test_json_margin(self):
+        cfg = SuiteConfig(rng_seed=5, samples=20)
+        base = self._results()[0]
+        cases = [(1e-14, 1e-12, -2.0), (2e-12, 1e-12, math.log10(2.0)),
+                 (0.0, 1e-12, -MARGIN_CLAMP), (1e-300, 1.0, -MARGIN_CLAMP),
+                 (1.0, 0.0, MARGIN_CLAMP), (math.inf, 1e-12, MARGIN_CLAMP),
+                 (math.nan, 1e-12, None)]
+        results = [replace(base, residual=r, tolerance=t) for r, t, _ in cases]
+        report = json.loads(render_report(results, "json", cfg))
+        for c, (_, _, want) in zip(report["checks"], cases):
+            if want is None:
+                assert c["margin"] is None
+            else:
+                assert c["margin"] == pytest.approx(want, abs=1e-12)
+        # a real report: every check carries a finite margin, negative when it passes
+        for c in json.loads(render_report(self._results(), "json", cfg))["checks"]:
+            assert -MARGIN_CLAMP <= c["margin"] <= MARGIN_CLAMP
+            assert (c["margin"] <= 0.0) == c["passed"]
 
     def test_empty_results(self):
         cfg = SuiteConfig()

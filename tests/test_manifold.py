@@ -2,18 +2,29 @@ import numpy as np
 import pytest
 
 from rp2quant.errors import PointNotInChart
-from rp2quant.groups import random_su2, rp2_point, spinor_map
+from rp2quant.classical import w_matrix
+from rp2quant.groups import (
+    random_su2,
+    rp2_point,
+    rp2_rep_batch,
+    spinor_map,
+    spinor_map_batch,
+    su2_from_normals,
+)
 from rp2quant.manifold import (
     WFunctional,
     build_quadrature,
     chart_coords,
+    chart_coords_batch,
     f_embedding,
+    f_embedding_batch,
     f_from_moment,
     moment_embedding,
     moment_embedding_batch,
     transition_function,
     transition_signs_batch,
     w_action,
+    w_values,
 )
 
 
@@ -249,3 +260,31 @@ class TestBatchForms:
         pts = self._points(rng)
         for x, m in zip(pts, moment_embedding_batch(pts)):
             assert m.tobytes() == moment_embedding(x).tobytes()
+
+    def test_chart_and_embedding_rows_match_scalar(self, rng):
+        pts = self._points(rng)
+        reps = rp2_rep_batch(pts[:-2])
+        moments = moment_embedding_batch(reps)
+        for alpha in (1, 2, 3):
+            coords = chart_coords_batch(reps, alpha)
+            assert np.array_equal(chart_coords_batch(-reps, alpha), coords)
+            for x, c in zip(pts, coords):
+                assert c.tobytes() == np.array(chart_coords(rp2_point(x), alpha)).tobytes()
+        with pytest.raises(PointNotInChart):
+            chart_coords_batch(pts, 3)
+        for x, f, m in zip(pts, f_embedding_batch(reps), f_from_moment(moments)):
+            p = rp2_point(x)
+            assert f.tobytes() == f_embedding(p).tobytes()
+            assert m.tobytes() == f_from_moment(moment_embedding(p.rep)).tobytes()
+
+    def test_w_values_and_action_rows_match_scalar(self, rng):
+        pts = self._points(rng)
+        c, c0 = w_matrix(rng.normal(size=(len(pts), 5))), rng.normal(size=len(pts))
+        r = spinor_map_batch(su2_from_normals(rng.normal(size=(len(pts), 4))))
+        values = w_values(c, c0, pts)
+        moved = w_action(r, c)
+        for k, x in enumerate(pts):
+            assert values[k] == WFunctional(c[k], c0[k])(x)
+            assert moved[k].tobytes() == w_action(r[k], c[k]).tobytes()
+        with pytest.raises(ValueError):
+            w_values(c, c0, 1.1 * pts)
