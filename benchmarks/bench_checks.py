@@ -4,20 +4,39 @@ Runs ``run_suite`` once per seed (0, 1, ..., seeds-1) at one lmax and prints
 each check's median ``wall_time_ms``, slowest first, then the per-suite sums
 of those medians and their total.  Every run is a full verified report in one
 process, so the first seed also pays the quadrature-grid and eigenvector
-caches; the median keeps that one-off cost out.  Point PYTHONPATH at another
-checkout's ``src`` to time that tree the same way.
+caches; the median keeps that one-off cost out.  The first line names the
+environment: numpy's version, the BLAS it was built against, the BLAS
+thread variables (None when unset) and the CPU count.  Small BLAS products
+can stall on a second OpenBLAS thread, so set OPENBLAS_NUM_THREADS when
+comparing runs.  Point PYTHONPATH at another checkout's ``src`` to time
+that tree the same way.
 
 Run:
     PYTHONPATH=src python benchmarks/bench_checks.py                 # lmax 8, 5 seeds
     PYTHONPATH=src python benchmarks/bench_checks.py --lmax 16 --seeds 7
     PYTHONPATH=src python benchmarks/bench_checks.py --suite classical
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python benchmarks/bench_checks.py
 """
 
 import argparse
+import os
 import statistics
+
+import numpy as np
 
 from rp2quant.checks import SUITES, SuiteConfig
 from rp2quant.cli import run_suite
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+# read from numpy here rather than from rp2quant, so that older checkouts
+# without a report ``env`` block are timed the same way
+def env_line() -> str:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    threads = " ".join(f"{var}={os.environ.get(var)}" for var in BLAS_THREAD_VARS)
+    return (f"env numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}, "
+            f"{threads}, cpu_count {os.cpu_count()}")
 
 
 def main():
@@ -26,6 +45,7 @@ def main():
     parser.add_argument("--seeds", type=int, default=5)
     parser.add_argument("--suite", choices=SUITES + ("all",), default="all")
     args = parser.parse_args()
+    print(env_line())
 
     times: dict[tuple[str, str], list[float]] = {}
     failed = set()

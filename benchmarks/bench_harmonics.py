@@ -36,8 +36,8 @@ from rp2quant.groups import random_su2, spinor_map, su2_from_axis_angle
 from rp2quant.harmonics import (
     HarmonicCoeffs,
     analyze,
+    off_sector_mask,
     parity_decompose,
-    project_sector,
     random_coeffs,
     rotate_coeffs,
     rotate_stack,
@@ -46,7 +46,6 @@ from rp2quant.harmonics import (
 )
 from rp2quant.manifold import WFunctional, build_quadrature
 from rp2quant.representation import (
-    FullSection,
     _spectral_log_shift,
     act_canonical,
     full_section_from_matrix,
@@ -76,8 +75,8 @@ def act_canonical_dense(w, g, lam, fs, grid):
     phase = lam**1.5 * np.exp(-1j * np.outer(fs.radial.nodes, w(grid.nodes)))
     vals = (rotate_stack(g, m) @ basis.T) * phase * grid.weights
     out = (vals.conj() @ basis).conj()
-    result = full_section_from_matrix(fs.radial, out, fs.lmax, "full")
-    return FullSection(fs.radial, tuple(project_sector(t, fs.sector) for t in result.tables))
+    out = np.where(off_sector_mask(fs.lmax, fs.sector), 0, out)
+    return full_section_from_matrix(fs.radial, out, fs.lmax, fs.sector)
 
 
 def exchange_statistics_dense(rng, cfg):

@@ -35,8 +35,6 @@ from .groups import (
     SU2Element,
     _su2_rows,
     spinor_map_batch,
-    su2_from_axis_angle,
-    su2_from_axis_angle_batch,
     su2_from_sphere_point_batch,
     unit_vector_batch,
 )
@@ -47,7 +45,7 @@ from .harmonics import (
     rotate_stack,
     wigner_d,
 )
-from .representation import RICHARDSON_OFFSETS, _richardson, _richardson_derivative
+from .representation import _fd_elements, _richardson
 
 SOUTH_POLE_TOL = 1e-9
 
@@ -162,8 +160,7 @@ def recover_spin_generator(i: int, r, frame: TransportFrame) -> np.ndarray:
     """
     v = unit_vector_batch(r)
     u0d = frame.unitary(v).conj().mT
-    g = su2_from_axis_angle_batch(np.array(RICHARDSON_OFFSETS), np.eye(3)[i - 1])
-    g = g.reshape((len(RICHARDSON_OFFSETS),) + (1,) * (v.ndim - 1) + (2,))
+    g = _fd_elements(i, v.ndim)
     moved = frame.unitary(_rotate_points(g, v))
     total = 1j * _richardson(moved @ wigner_d(frame.j, g) @ u0d)
     base = 1j * _richardson(moved @ u0d)
@@ -198,19 +195,18 @@ def fixed_basis_lift(g: SU2Element, field: SpinorField) -> SpinorField:
 
 
 def total_generator_fd(i: int, field: SpinorField) -> np.ndarray:
-    """J_i by finite differences of the fixed-basis lift, stacked layout."""
-    axis = np.eye(3)[i - 1]
+    """J_i by finite differences of the fixed-basis lift, stacked layout.
 
-    def apply_at(t: float) -> np.ndarray:
-        g = su2_from_axis_angle(t, axis)
-        return fixed_basis_lift(g, field).stack().ravel()
-
-    shape = field.stack().shape
-    return 1j * _richardson_derivative(apply_at).reshape(shape)
+    The four Richardson offsets run as one stack: one ``wigner_d`` and one
+    ``rotate_stack`` call, as ``fixed_basis_lift`` makes them per element.
+    """
+    g = _fd_elements(i)
+    lifted = wigner_d(field.j, g) @ rotate_stack(g[:, None], field.stack())
+    return 1j * _richardson(lifted)
 
 
 def total_generator_exact(i: int, field: SpinorField) -> np.ndarray:
     """L_i ⊗ Id + Id ⊗ S_i on the stacked layout (angular-momentum addition)."""
     spin = angular_momentum_matrices(field.j)[i - 1]
-    orbital = np.stack([apply_L(i, c).c for c in field.components])
+    orbital = apply_L(i, field.stack())
     return orbital + np.einsum("mn,nk->mk", spin, field.stack())

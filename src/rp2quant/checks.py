@@ -28,7 +28,6 @@ from ._kernels import ylm_synthesize
 from .errors import ConfigError
 from .groups import (
     H_CLASSIFY_TOL,
-    HElement,
     h_embed_batch,
     quotient_to_sphere_batch,
     random_su2,
@@ -45,10 +44,12 @@ from .groups import (
 )
 from .harmonics import (
     HarmonicCoeffs,
+    _odd_degree_mask,
+    _row_norms,
     analyze,
     apply_L,
     evaluate,
-    off_sector_mask,
+    num_coeffs,
     parity_decompose,
     random_coeffs,
     rotate_coeffs,
@@ -177,16 +178,12 @@ def _random_axis(rng) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _random_h(rng) -> HElement:
-    kind = "diagonal" if rng.random() < 0.5 else "antidiagonal"
-    return HElement(kind, np.exp(1j * rng.uniform(0, 2 * np.pi)))
-
-
 def _h_rows(u) -> np.ndarray:
-    """Embedded H rows from (n, 2) raw ``random()`` draws, as n ``_random_h`` calls make them.
+    """Embedded H rows from (n, 2) raw ``random()`` draws, one H sample per row.
 
-    ``_random_h`` draws ``random()`` then ``uniform(0, 2π)``; both consume one
-    double u, and uniform(low, high) = low + (high - low)·u.
+    An H sample draws its kind, ``random()`` < 0.5 for diagonal and
+    antidiagonal otherwise, then the phase of λ, ``uniform(0, 2π)``.  Both
+    consume one double u, and uniform(low, high) = low + (high - low)·u.
     """
     u = np.asarray(u, dtype=float)
     angle = 0.0 + (2 * np.pi - 0.0) * u[:, 1]
@@ -204,17 +201,17 @@ def _draw_rows(rng, n: int, draw) -> np.ndarray:
 
 
 def _h_draws(rng) -> list[float]:
-    """The two doubles one ``_random_h`` call consumes, raw (see ``_h_rows``)."""
+    """The two doubles one H sample consumes, raw (see ``_h_rows``)."""
     return [rng.random(), rng.random()]
 
 
 def _haar_and_h(rng) -> np.ndarray:
-    """The draws of one ``random_su2`` call followed by one ``_random_h`` call."""
+    """The draws of one ``random_su2`` call followed by one H sample."""
     return np.concatenate([rng.normal(size=4), _h_draws(rng)])
 
 
 def _assoc_and_h(rng) -> np.ndarray:
-    """The draws of one ``_random_assoc`` call followed by one ``_random_h`` call."""
+    """The draws of one associated-bundle sample (see ``_assoc_rows``) and one H sample."""
     return np.concatenate([rng.normal(size=6), _h_draws(rng)])
 
 
@@ -239,11 +236,6 @@ def _frobenius(m) -> np.ndarray:
     """np.linalg.norm of each (3, 3) matrix of a stack, rounded the same way."""
     flat = m.reshape(-1, 9)
     return np.sqrt(np.vecdot(flat, flat))
-
-
-def _row_norms(v) -> np.ndarray:
-    """np.linalg.norm of each complex row of a stack, rounded the same way."""
-    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
 def _apply(m, x) -> np.ndarray:
@@ -306,7 +298,7 @@ def _h_orbit(rng, cfg):
     def batch(n):
         draws = _draw_rows(rng, n, _haar_and_h)
         g, h = su2_from_normals(draws[:, :4]), _h_rows(draws[:, 4:])
-        anti = draws[:, 4] >= 0.5                   # _random_h's kind draw
+        anti = draws[:, 4] >= 0.5                   # the H sample's kind draw
         lam = np.where(anti, h[:, 1], h[:, 0])[:, None]
         swapped = np.stack([-g[:, 1].conj(), g[:, 0].conj()], axis=1)
         gap = su2_product_batch(g, h) - np.where(anti[:, None], swapped, g) * lam
@@ -583,7 +575,7 @@ def _wigner_defining(rng, cfg):
 @register("bundles", "kappa-multiplicative", "stabilizer-character", 1e-15)
 def _kappa_mult(rng, cfg):
     def batch(n):
-        u = rng.random(size=(n, 4))                 # two _random_h draws per sample
+        u = rng.random(size=(n, 4))                 # two H samples per sample
         h1, h2 = _h_rows(u[:, :2]), _h_rows(u[:, 2:])
         prod = bundles.kappa_batch(su2_product_batch(h1, h2))
         if np.any(prod == 0):                       # h_membership would be None
@@ -604,13 +596,11 @@ def _phi_props(rng, cfg):
     return _worst_over_chunks(cfg.samples, batch)
 
 
-def _random_assoc(rng) -> bundles.AssocElement:
-    v = rng.normal() + 1j * rng.normal()
-    return bundles.AssocElement(random_su2(rng), v)
-
-
 def _assoc_rows(draws) -> tuple[np.ndarray, np.ndarray]:
-    """(g, v) rows from (n, 6) normal draws, as n ``_random_assoc`` calls make them."""
+    """(g, v) rows from (n, 6) normal draws, one associated-bundle sample per row.
+
+    A sample draws the fiber v = normal() + i·normal(), then g as ``random_su2``.
+    """
     v = draws[:, 0] + 1j * draws[:, 1]
     return su2_from_normals(draws[:, 2:6]), v
 
@@ -637,7 +627,7 @@ def _iso_roundtrip(rng, cfg):
 
 @register("bundles", "lift-intertwining", "lift-transport-conjugation", 1e-10)
 def _lift_intertwine(rng, cfg):
-    draws = rng.normal(size=(200, 10))              # random_su2, then _random_assoc
+    draws = rng.normal(size=(200, 10))              # random_su2, then an assoc sample
     g = su2_from_normals(draws[:, :4])
     eg, v = _assoc_rows(draws[:, 4:])
     base_a, fiber_a = bundles.iso_Phi_batch(su2_product_batch(g, eg), v)
@@ -648,7 +638,7 @@ def _lift_intertwine(rng, cfg):
 @register("bundles", "lift-composition-covering", "lift-transport-conjugation", 1e-10)
 def _lift_compose(rng, cfg):
     def batch(n):
-        draws = rng.normal(size=(n, 14))            # g1, g2, then _random_assoc
+        draws = rng.normal(size=(n, 14))            # g1, g2, then an assoc sample
         g1, g2 = su2_from_normals(draws[:, :4]), su2_from_normals(draws[:, 4:8])
         g12 = su2_product_batch(g1, g2)
         base, fiber = bundles.iso_Phi_batch(*_assoc_rows(draws[:, 8:]))
@@ -725,34 +715,49 @@ def _section_well_defined(rng, cfg):
 
 # -------------------------------------------------------- representation
 
+def _tables_from_normals(normals, lmax: int, odd) -> np.ndarray:
+    """Tables from (n, 2·(lmax+1)²) normal draws, as ``random_coeffs`` makes one per row.
+
+    ``odd`` (n,) picks each row's sector (odd where True, else even): the
+    draws are real then imaginary parts, the off-sector entries are zeroed
+    and each row is scaled to unit norm.
+    """
+    size = num_coeffs(lmax)
+    c = normals[:, :size] + 1j * normals[:, size:2 * size]
+    c[_odd_degree_mask(lmax)[None, :] != odd[:, None]] = 0.0
+    norms = _row_norms(c)
+    return c / np.where(norms > 0, norms, 1.0)[:, None]
+
+
+def _odd_tables(rng, n: int, lmax: int) -> np.ndarray:
+    """n draws of ``random_coeffs(lmax, "odd", rng)`` as one (n, (lmax+1)²) stack."""
+    normals = rng.normal(size=(n, 2 * num_coeffs(lmax)))
+    return _tables_from_normals(normals, lmax, np.ones(n, dtype=bool))
+
+
+def _sector_draw(rng, extra: int, lmax: int) -> np.ndarray:
+    """One sample's raw draws: the sector's ``random()``, a table's normals, then ``extra`` normals."""
+    return np.concatenate(([rng.random()], rng.normal(size=2 * num_coeffs(lmax) + extra)))
+
+
 @register("representation", "generator-vs-ladder", "orbital-generator-match", 1e-8)
 def _gen_vs_ladder(rng, cfg):
-    worst = 0.0
-    for _ in range(10):
-        sector = "odd" if rng.random() < 0.5 else "even"
-        a = random_coeffs(cfg.lmax, sector, rng)
-        for i in (1, 2, 3):
-            worst = max(worst, generator_vs_ladder_residual(i, a))
-    return worst
+    # ten (sector, table) samples, then each generator on the whole stack
+    rows = _draw_rows(rng, 10, lambda r: _sector_draw(r, 0, cfg.lmax))
+    tables = _tables_from_normals(rows[:, 1:], cfg.lmax, rows[:, 0] < 0.5)
+    return max(float(np.max(generator_vs_ladder_residual(i, tables))) for i in (1, 2, 3))
 
 
 @register("representation", "section-intertwining", "generator-intertwines-module-map", 1e-7)
 def _intertwining(rng, cfg):
     grid = _grid(cfg.lmax + 1)
-    worst = 0.0
-    for _ in range(5):
-        a = random_coeffs(cfg.lmax, "odd", rng)
-        for i in (1, 2, 3):
-            worst = max(worst, check_intertwining(i, a, grid))
-    return worst
+    tables = _odd_tables(rng, 5, cfg.lmax)
+    return max(float(np.max(check_intertwining(i, tables, grid))) for i in (1, 2, 3))
 
 
 @register("representation", "su2-closure-fd", "generator-commutators", 1e-6)
 def _closure(rng, cfg):
-    worst = 0.0
-    for _ in range(3):
-        worst = max(worst, su2_closure_residual(random_coeffs(cfg.lmax, "odd", rng)))
-    return worst
+    return float(np.max(su2_closure_residual(_odd_tables(rng, 3, cfg.lmax))))
 
 
 @register("representation", "rotation-action-unitary-hom", "induced-rotation-action", 1e-9)
@@ -819,33 +824,34 @@ _EXCHANGE_POINTS = 1 << 12
 
 @register("representation", "exchange-statistics", "parity-statistics-bookkeeping", 1e-10)
 def _exchange(rng, cfg):
-    # Each sample draws (sector, table, g₁, g₂) in stream order.  A chunk of
-    # samples is drawn, then checked as one stack: the parity of the table
-    # rotated by g₁ on coefficients, and the parity leak of the table
-    # resampled at the nodes rotated by g₂ (the ``rotate_values`` route).
-    # The first failing sample decides: a wrong parity gives 1.0, a
+    # Each sample draws (sector, table, g₁, g₂) in stream order, as
+    # ``random()``, ``random_coeffs`` and two ``random_su2``.  A chunk of
+    # samples is drawn into one array, then checked as one stack: the parity
+    # of the table rotated by g₁ on coefficients, and the parity leak of the
+    # table resampled at the nodes rotated by g₂ (the ``rotate_values``
+    # route).  The first failing sample decides: a wrong parity gives 1.0, a
     # non-eigenstate raises.
     grid = _grid(cfg.lmax)
     chunk = max(1, _EXCHANGE_POINTS // grid.n)
+    size = num_coeffs(cfg.lmax)
     worst = 0.0
     for first in range(0, cfg.samples, chunk):
-        draws = []
-        for _ in range(min(chunk, cfg.samples - first)):
-            sector = "odd" if rng.random() < 0.5 else "even"
-            table = random_coeffs(cfg.lmax, sector, rng).c
-            draws.append((sector, table, random_su2(rng), random_su2(rng)))
-        sectors, tables, g1s, g2s = zip(*draws)
-        rotated = rotate_stack(np.array([(g.z0, g.z1) for g in g1s]), np.stack(tables))
-        parities = exchange_parities(rotated, grid)
-        wrong = np.flatnonzero(parities != [-1 if s == "odd" else 1 for s in sectors])
+        rows = _draw_rows(rng, min(chunk, cfg.samples - first),
+                          lambda r: _sector_draw(r, 8, cfg.lmax))
+        odd = rows[:, 0] < 0.5
+        tables = _tables_from_normals(rows[:, 1:], cfg.lmax, odd)
+        g1 = su2_from_normals(rows[:, 1 + 2 * size:5 + 2 * size])
+        g2 = su2_from_normals(rows[:, 5 + 2 * size:])
+        parities = exchange_parities(rotate_stack(g1, tables), grid)
+        wrong = np.flatnonzero(parities != np.where(odd, -1, 1))
         if wrong.size:
             if parities[wrong[0]] == 0:
                 raise ValueError("section is not an exchange eigenstate")
             return 1.0
-        nodes = np.stack([grid.nodes @ spinor_map(g) for g in g2s])
-        raw = grid.project(ylm_synthesize(nodes, cfg.lmax, np.stack(tables)), cfg.lmax)
-        leak = np.where([off_sector_mask(cfg.lmax, s) for s in sectors], raw, 0.0)
-        worst = max([worst] + [float(np.linalg.norm(row)) for row in leak])
+        nodes = grid.nodes @ spinor_map_batch(g2)
+        raw = grid.project(ylm_synthesize(nodes, cfg.lmax, tables), cfg.lmax)
+        leak = np.where(_odd_degree_mask(cfg.lmax)[None, :] != odd[:, None], raw, 0.0)
+        worst = max(worst, float(np.max(_row_norms(leak))))
     return worst
 
 

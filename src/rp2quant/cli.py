@@ -15,12 +15,16 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 import traceback
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from . import __version__
+from ._kernels import backend_name
 from .checks import SUITES, SuiteConfig, check_rng, checks_for_suite
 from .errors import ConfigError
 
@@ -94,10 +98,33 @@ def _margin(residual: float, tolerance: float) -> float | None:
     return min(max(math.log10(residual / tolerance), -MARGIN_CLAMP), MARGIN_CLAMP)
 
 
+# environment variables that size the BLAS thread pool
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def environment() -> dict:
+    """Where the checks run: backend, numpy and its BLAS, BLAS threads, CPU count.
+
+    The BLAS entry is numpy's build record; the thread entry is each of
+    BLAS_THREAD_VARS as set in the environment (None when unset).  Every field
+    is fixed for one machine and environment, so reports of one config stay
+    identical.
+    """
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "backend": backend_name(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_threads_env": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def render_report(results: list[CheckResult], fmt: str, cfg: SuiteConfig) -> str:
     if fmt == "json":
         payload = {
             "version": __version__,
+            "env": environment(),
             "seed": cfg.rng_seed,
             "config": {
                 "lmax": cfg.lmax,

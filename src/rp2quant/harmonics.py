@@ -15,7 +15,8 @@ each order m times e^{imφ} and forms no (n × (lmax+1)²) basis.
 
 Angular momentum acts exactly in this basis:
     L₃ c[l, m] = m c[l, m],
-    L± c[l, m] = sqrt(l(l+1) - m(m∓1)) c[l, m∓1]   (as coefficient maps).
+    L± c[l, m] = sqrt(l(l+1) - m(m∓1)) c[l, m∓1]   (as coefficient maps);
+``apply_L`` applies them to one table or a stack, all degrees at once.
 One primitive builds every spin-j rotation matrix, for any half-integer j:
 ``wigner_d`` is D^j(g) = e^{-iαS₃} V e^{-iβΛ} V† e^{-iγS₃}, with V from a
 read-only cache of S₂ eigenvectors keyed by 2j and (α, β, γ) read from
@@ -72,8 +73,30 @@ def off_sector_mask(lmax: int, sector: str) -> np.ndarray:
     return ~odd if sector == "odd" else np.zeros_like(odd)
 
 
-def _sector_violation(c: np.ndarray, lmax: int, sector: str) -> float:
-    return float(np.max(np.abs(c[off_sector_mask(lmax, sector)]), initial=0.0))
+def _sector_checked(c, lmax: int, sector: str) -> np.ndarray:
+    """Read-only complex copy of a table or stack (..., (lmax+1)²) in ``sector``.
+
+    Raises ValueError for an unknown sector, a last axis of the wrong length,
+    or content off the sector above SECTOR_PURITY_TOL (one mask for the whole
+    stack).
+    """
+    if sector not in SECTORS:
+        raise ValueError(f"unknown sector {sector!r}")
+    c = np.asarray(c, dtype=np.complex128)
+    if c.shape[-1:] != (num_coeffs(lmax),):
+        raise ValueError("coefficient array has wrong length")
+    if sector != "full":
+        v = float(np.abs(c[..., off_sector_mask(lmax, sector)]).max(initial=0.0))
+        if v > SECTOR_PURITY_TOL:
+            raise ValueError(f"sector {sector!r} violated by {v:.3e} (> {SECTOR_PURITY_TOL})")
+    c = c.copy()
+    c.flags.writeable = False
+    return c
+
+
+def _row_norms(v) -> np.ndarray:
+    """np.linalg.norm of each complex row of a stack (..., n), rounded the same way."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
 @dataclass(frozen=True)
@@ -85,19 +108,9 @@ class HarmonicCoeffs:
     c: np.ndarray
 
     def __post_init__(self):
-        if self.sector not in SECTORS:
-            raise ValueError(f"unknown sector {self.sector!r}")
-        c = np.asarray(self.c, dtype=np.complex128)
-        if c.shape != (num_coeffs(self.lmax),):
+        c = _sector_checked(self.c, self.lmax, self.sector)
+        if c.ndim != 1:
             raise ValueError("coefficient array has wrong length")
-        if self.sector != "full":
-            v = _sector_violation(c, self.lmax, self.sector)
-            if v > SECTOR_PURITY_TOL:
-                raise ValueError(
-                    f"sector {self.sector!r} violated by {v:.3e} (> {SECTOR_PURITY_TOL})"
-                )
-        c = c.copy()
-        c.flags.writeable = False
         object.__setattr__(self, "c", c)
 
     def get(self, l: int, m: int) -> complex:
@@ -179,31 +192,58 @@ def _ladder(j: float) -> np.ndarray:
     return np.sqrt(j * (j + 1.0) - m * (m + 1.0))
 
 
-def apply_L(i: int, a: HarmonicCoeffs) -> HarmonicCoeffs:
-    """Exact orbital angular momentum L_i on the coefficient table.
+def _coeffs(a) -> np.ndarray:
+    """The table of a ``HarmonicCoeffs``, or a stack as a complex array."""
+    return a.c if isinstance(a, HarmonicCoeffs) else np.asarray(a, dtype=np.complex128)
 
-    L₃ is diagonal (eigenvalue m); L₁ = (L₊+L₋)/2 and L₂ = (L₊-L₋)/(2i) act
-    through the ladder coefficients sqrt(l(l+1) - m(m±1)).  Degree is
-    preserved, so the sector tag survives.
+
+_LADDERS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _ladder_tables(lmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (m, src, ladder) over a table's entries at band lmax (cached).
+
+    m is the order of each entry; src lists the entries with m < l, and
+    ladder[k] = sqrt(l(l+1) - m(m+1)) is the L₊ factor from entry src[k] to
+    src[k] + 1 (and the L₋ factor back).
+    """
+    if lmax not in _LADDERS:
+        degrees = range(lmax + 1)
+        m = np.concatenate([np.arange(-l, l + 1) for l in degrees]).astype(float)
+        src = np.concatenate([l * l + np.arange(2 * l) for l in degrees])
+        ladder = np.concatenate([_ladder(l) for l in degrees])
+        for arr in (m, src, ladder):
+            arr.flags.writeable = False
+        _LADDERS[lmax] = (m, src, ladder)
+    return _LADDERS[lmax]
+
+
+def apply_L(i: int, a):
+    """Exact orbital angular momentum L_i on a table or a stack of tables.
+
+    a is a ``HarmonicCoeffs`` (the result is one, in the same sector: degree
+    is preserved) or a (..., (lmax+1)²) stack (the result is a stack, each
+    row equal to its single-table call bit for bit).  L₃ is diagonal
+    (eigenvalue m); L₁ = (L₊+L₋)/2 and L₂ = (L₊-L₋)/(2i) act through the
+    ladder coefficients sqrt(l(l+1) - m(m±1)), gathered over all degrees at
+    once from the cached ``_ladder_tables``.
     """
     if i not in (1, 2, 3):
         raise ValueError("component must be 1, 2 or 3")
-    out = np.zeros_like(np.asarray(a.c))
-    for l in range(a.lmax + 1):
-        sl = slice(l * l, (l + 1) * (l + 1))
-        block = a.c[sl]
-        m = np.arange(-l, l + 1)
-        if i == 3:
-            out[sl] = m * block
-            continue
-        up = np.zeros_like(block)      # L₊: Y_lm -> sqrt(l(l+1)-m(m+1)) Y_{l,m+1}
-        down = np.zeros_like(block)    # L₋: Y_lm -> sqrt(l(l+1)-m(m-1)) Y_{l,m-1}
-        if l > 0:
-            ladder = _ladder(l)
-            up[1:] = ladder * block[:-1]
-            down[:-1] = ladder * block[1:]
-        out[sl] = 0.5 * (up + down) if i == 1 else -0.5j * (up - down)
-    return HarmonicCoeffs(a.lmax, a.sector, out)
+    c = _coeffs(a)
+    lmax = math.isqrt(c.shape[-1]) - 1
+    if num_coeffs(lmax) != c.shape[-1]:
+        raise ValueError("last axis must hold (lmax+1)² coefficients")
+    m, src, ladder = _ladder_tables(lmax)
+    if i == 3:
+        out = m * c
+    else:
+        up = np.zeros_like(c)      # L₊: Y_lm -> sqrt(l(l+1)-m(m+1)) Y_{l,m+1}
+        down = np.zeros_like(c)    # L₋: Y_lm -> sqrt(l(l+1)-m(m-1)) Y_{l,m-1}
+        up[..., src + 1] = ladder * c[..., src]
+        down[..., src] = ladder * c[..., src + 1]
+        out = 0.5 * (up + down) if i == 1 else -0.5j * (up - down)
+    return HarmonicCoeffs(a.lmax, a.sector, out) if isinstance(a, HarmonicCoeffs) else out
 
 
 def _twice_spin(j: float) -> int:

@@ -10,9 +10,15 @@ g_t = exp(-it σ_i/2), with the Hermitian convention
 
     J_i := i · d/dt|₀ U(g_t),
 
-which reproduces the exact ladder action L_i on coefficients.
+which reproduces the exact ladder action L_i on coefficients.  The twelve
+elements g_t (three axes, four offsets) are one read-only (3, 4, 2) stack,
+``FD_ELEMENTS``; each generator rotates all four offsets of its axis in one
+``rotate_stack`` call.  The generators and the residuals built on them take
+one ``HarmonicCoeffs`` or a (..., (lmax+1)²) stack of tables, whose rows
+equal the single-table calls bit for bit.
 
-The full canonical operator on ℝP² × ℝ₊ acts on radial stacks of tables by
+The full canonical operator on ℝP² × ℝ₊ acts on radial stacks of tables
+(``FullSection``: one (n_radial, (lmax+1)²) matrix in one sector) by
 
     (𝒰(w, g, λ) Ψ)([x], r) = λ^{3/2} e^{-i r w([x])} Ψ([g⁻¹x], λr),
 
@@ -28,13 +34,23 @@ device the periodic position grid uses for e^{-iap̂}); section support must
 stay clear of the radial window's ends.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RadialRangeError
-from .groups import SU2Element, spinor_map, su2_from_axis_angle
-from .harmonics import HarmonicCoeffs, apply_L, off_sector_mask, project_sector, rotate_stack
+from .groups import SU2Element, spinor_map, spinor_map_batch, su2_from_axis_angle_batch
+from .harmonics import (
+    HarmonicCoeffs,
+    _coeffs,
+    _row_norms,
+    _sector_checked,
+    apply_L,
+    off_sector_mask,
+    project_sector,
+    rotate_stack,
+)
 from .manifold import QuadratureGrid, WFunctional
 from .bundles import module_iso_forward
 
@@ -81,30 +97,26 @@ def log_uniform_grid(rmin: float, rmax: float, n: int) -> RadialGrid:
 
 @dataclass(frozen=True)
 class FullSection:
-    """One coefficient table per radial node, all in the same sector."""
+    """Coefficient tables on every radial node: one (n_radial, (lmax+1)²) matrix.
+
+    Row k is the table at radial node k; every row lies in ``sector``.  The
+    matrix is stored as a read-only complex copy, checked once for sector
+    purity (``harmonics._sector_checked``).
+    """
 
     radial: RadialGrid
-    tables: tuple[HarmonicCoeffs, ...]
+    lmax: int
+    sector: str
+    c: np.ndarray
 
     def __post_init__(self):
-        if len(self.tables) != self.radial.n:
+        if np.ndim(self.c) != 2 or np.shape(self.c)[0] != self.radial.n:
             raise ValueError("need one table per radial node")
-        sectors = {t.sector for t in self.tables}
-        lmaxes = {t.lmax for t in self.tables}
-        if len(sectors) != 1 or len(lmaxes) != 1:
-            raise ValueError("tables must share sector and lmax")
-
-    @property
-    def sector(self) -> str:
-        return self.tables[0].sector
-
-    @property
-    def lmax(self) -> int:
-        return self.tables[0].lmax
+        object.__setattr__(self, "c", _sector_checked(self.c, self.lmax, self.sector))
 
     def matrix(self) -> np.ndarray:
-        """(n_radial, n_coeff) stack of the coefficient tables."""
-        return np.stack([t.c for t in self.tables])
+        """The read-only (n_radial, n_coeff) stack of coefficient tables."""
+        return self.c
 
     def norm(self) -> float:
         w = self.radial.weights_r2dr()
@@ -115,8 +127,7 @@ class FullSection:
 def full_section_from_matrix(
     radial: RadialGrid, m: np.ndarray, lmax: int, sector: str
 ) -> FullSection:
-    tables = tuple(HarmonicCoeffs(lmax, sector, row) for row in m)
-    return FullSection(radial, tables)
+    return FullSection(radial, lmax, sector, m)
 
 
 def separable_section(
@@ -215,9 +226,25 @@ def check_group_law(
 # the offsets t = h, -h, h/2, -h/2 (h = FD_STEP) of the Richardson derivative
 RICHARDSON_OFFSETS = (FD_STEP, -FD_STEP, FD_STEP / 2.0, -FD_STEP / 2.0)
 
+# rows g_t = e^{-itσ_i/2}: axis i = 1, 2, 3 on the first index, t in
+# RICHARDSON_OFFSETS order on the second (read-only, shape (3, 4, 2))
+FD_ELEMENTS = su2_from_axis_angle_batch(np.array(RICHARDSON_OFFSETS), np.eye(3)[:, None, :])
+FD_ELEMENTS.flags.writeable = False
+
+
+def _fd_elements(i: int, ndim: int = 1) -> np.ndarray:
+    """The four rows of axis i, shaped (4, 1, ..., 1, 2) to broadcast on ndim - 1 axes.
+
+    Stacked in front of tables (..., n) with ndim - 1 leading axes, one
+    ``rotate_stack`` call gives every offset on a new leading axis.
+    """
+    if i not in (1, 2, 3):
+        raise ValueError("component must be 1, 2 or 3")
+    return FD_ELEMENTS[i - 1].reshape((len(RICHARDSON_OFFSETS),) + (1,) * (ndim - 1) + (2,))
+
 
 def _richardson(values) -> np.ndarray:
-    """O(h⁴) derivative at t = 0 from the values at RICHARDSON_OFFSETS, in order.
+    """O(h⁴) derivative at t = 0 from values at RICHARDSON_OFFSETS on axis 0.
 
     Central differences at h and h/2, combined as (4·d_{h/2} - d_h)/3.
     """
@@ -227,61 +254,78 @@ def _richardson(values) -> np.ndarray:
     return (4.0 * d_h2 - d_h) / 3.0
 
 
-def _richardson_derivative(apply_at) -> np.ndarray:
-    """O(h⁴) derivative at t = 0 of apply_at(t), one call per offset."""
-    return _richardson([apply_at(t) for t in RICHARDSON_OFFSETS])
-
-
-def generator_J(i: int, a: HarmonicCoeffs) -> HarmonicCoeffs:
+def generator_J(i: int, a):
     """J_i a = i · d/dt|₀ U(e^{-it σ_i/2}) a, Richardson finite differences.
 
-    Normalized so that J₃ on a Y₁₁ section returns the section itself.
+    One ``rotate_stack`` call takes the four offsets of ``_fd_elements(i)``.
+    a is a ``HarmonicCoeffs`` (the result is projected back onto a's sector)
+    or a (..., (lmax+1)²) stack (the result is the raw derivative, each row
+    equal to its single-table call bit for bit; rotation never mixes degree
+    blocks, so a sector-pure row stays pure).  Normalized so that J₃ on a
+    Y₁₁ section returns the section itself.
     """
-    axis = np.eye(3)[i - 1]
-
-    def apply_at(t: float) -> np.ndarray:
-        return rotate_stack(su2_from_axis_angle(t, axis), a.c)
-
-    deriv = 1j * _richardson_derivative(apply_at)
+    c = _coeffs(a)
+    deriv = 1j * _richardson(rotate_stack(_fd_elements(i, c.ndim), c))
+    if not isinstance(a, HarmonicCoeffs):
+        return deriv
     return project_sector(HarmonicCoeffs(a.lmax, "full", deriv), a.sector)
 
 
-def generator_vs_ladder_residual(i: int, a: HarmonicCoeffs) -> float:
-    """Coefficientwise relative gap between the FD generator and exact L_i."""
-    fd = generator_J(i, a)
-    exact = apply_L(i, a)
-    scale = max(exact.norm(), a.norm())
-    return float(np.linalg.norm(fd.c - exact.c) / scale)
+def _per_table(a, residual):
+    """A float for one ``HarmonicCoeffs``, the (...,) array of a stack's residuals."""
+    return float(residual) if isinstance(a, HarmonicCoeffs) else residual
 
 
-def check_intertwining(i: int, a: HarmonicCoeffs, grid: QuadratureGrid) -> float:
+def generator_vs_ladder_residual(i: int, a):
+    """Coefficientwise relative gap between the FD generator and exact L_i.
+
+    One table gives a float, a (..., (lmax+1)²) stack one residual per table.
+    """
+    c = _coeffs(a)
+    fd, exact = _coeffs(generator_J(i, a)), apply_L(i, c)
+    scale = np.maximum(_row_norms(exact), _row_norms(c))
+    return _per_table(a, _row_norms(fd - exact) / scale)
+
+
+def _module_triple(c: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
+    """(3, n') coefficients of ``module_iso_forward`` on one odd table."""
+    lmax = math.isqrt(c.size) - 1
+    return np.stack([t.c for t in module_iso_forward(HarmonicCoeffs(lmax, "odd", c), grid)])
+
+
+def check_intertwining(i: int, a, grid: QuadratureGrid):
     """Residual of (J_i ∘ Φ)(a) = (Φ ∘ L_i)(a), relative to ‖a‖.
 
     Φ(a) is the frame-valued section a·φ, realized as the triple of even
     component functions a(x)·x_i; the generator on that side is computed by
     finite differences of the full vector rotation (base motion plus fiber
-    mixing), the other side by the exact ladder action pushed through Φ.
+    mixing, one stacked call over the four offsets), the other side by the
+    exact ladder action pushed through Φ.  a is one odd ``HarmonicCoeffs``
+    (a float) or a (..., (lmax+1)²) stack of odd tables (one residual per
+    table).  Φ runs table by table: a grid transform on a stack rounds
+    differently from one on a single table.
     """
-    if a.sector != "odd":
+    if isinstance(a, HarmonicCoeffs) and a.sector != "odd":
         raise ValueError("intertwining check expects an odd-sector table")
-    triple = np.stack([t.c for t in module_iso_forward(a, grid)])
-    axis = np.eye(3)[i - 1]
-    ncoef = triple.shape[1]
-
-    def apply_at(t: float) -> np.ndarray:
-        g = su2_from_axis_angle(t, axis)
-        return (spinor_map(g) @ rotate_stack(g, triple)).ravel()
-
-    lhs = 1j * _richardson_derivative(apply_at)
-    rhs = np.concatenate([t.c for t in module_iso_forward(apply_L(i, a), grid)])
-    assert lhs.shape == rhs.shape == (3 * ncoef,)
-    return float(np.linalg.norm(lhs - rhs) / a.norm())
+    c = _coeffs(a)
+    rows = c.reshape(-1, c.shape[-1])
+    triples = np.stack([_module_triple(row, grid) for row in rows])            # (k, 3, n')
+    g = _fd_elements(i, 3)
+    moved = spinor_map_batch(g.reshape(-1, 2))[:, None] @ rotate_stack(g, triples)
+    lhs = 1j * _richardson(moved)
+    rhs = np.stack([_module_triple(row, grid) for row in apply_L(i, rows)])
+    gap = _row_norms((lhs - rhs).reshape(len(rows), -1)) / _row_norms(rows)
+    return _per_table(a, gap.reshape(c.shape[:-1]))
 
 
-def su2_closure_residual(a: HarmonicCoeffs) -> float:
-    """‖[J₁, J₂]a - i J₃ a‖ / ‖a‖ with all generators finite-differenced."""
-    comm = generator_J(1, generator_J(2, a)).c - generator_J(2, generator_J(1, a)).c
-    return float(np.linalg.norm(comm - 1j * generator_J(3, a).c) / a.norm())
+def su2_closure_residual(a):
+    """‖[J₁, J₂]a - i J₃ a‖ / ‖a‖ with all generators finite-differenced.
+
+    One table gives a float, a (..., (lmax+1)²) stack one residual per table.
+    """
+    comm = _coeffs(generator_J(1, generator_J(2, a))) - _coeffs(generator_J(2, generator_J(1, a)))
+    gap = _row_norms(comm - 1j * _coeffs(generator_J(3, a))) / _row_norms(_coeffs(a))
+    return _per_table(a, gap)
 
 
 EXCHANGE_TOL = 1e-10     # off-parity part of an exchange eigenstate, relative to its peak

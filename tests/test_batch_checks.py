@@ -35,14 +35,14 @@ from rp2quant.checks import (
     _draw_rows,
     _h_rows,
     _haar_and_h,
-    _random_assoc,
+    _grid,
     _random_axis,
-    _random_h,
     _random_interior_point,
     _safe_point,
     check_rng,
 )
 from rp2quant.groups import (
+    HElement,
     h_membership,
     su2_from_normals,
     quotient_to_rp2,
@@ -70,7 +70,12 @@ from rp2quant.manifold import (
     transition_function,
     w_action,
 )
-from rp2quant.representation import exchange_parities
+from rp2quant.representation import (
+    check_intertwining,
+    exchange_parities,
+    generator_vs_ladder_residual,
+    su2_closure_residual,
+)
 
 EPS = np.finfo(float).eps
 # Residuals are maxima of |a - b| over quantities of size ≤ ~5 (unit-modulus
@@ -80,6 +85,17 @@ REORDERED_TOL = 64 * EPS
 # no-obstruction pairs terms of size up to ~|A|²·|u|·|ψ| ≈ 1e2 with normal draws.
 NO_OBSTRUCTION_TOL = 1024 * EPS
 PEAK_BYTES = 2 * 1024 * 1024
+
+
+# The H and associated-bundle ensembles the bundles and groups loops draw from.
+def _random_h(rng) -> HElement:
+    kind = "diagonal" if rng.random() < 0.5 else "antidiagonal"
+    return HElement(kind, np.exp(1j * rng.uniform(0, 2 * np.pi)))
+
+
+def _random_assoc(rng) -> bundles.AssocElement:
+    v = rng.normal() + 1j * rng.normal()
+    return bundles.AssocElement(random_su2(rng), v)
 
 
 def ref_spinor_hom(rng, cfg):
@@ -278,8 +294,8 @@ def ref_wigner_defining(rng, cfg):
 
 
 def ref_exchange(rng, cfg):
-    # one rotate_stack call per sample for its g₁ rotation
-    grid = build_quadrature(cfg.lmax)
+    # one HarmonicCoeffs and two SU2Element objects per sample
+    grid = _grid(cfg.lmax)
     chunk = max(1, _EXCHANGE_POINTS // grid.n)
     worst = 0.0
     for first in range(0, cfg.samples, chunk):
@@ -289,7 +305,7 @@ def ref_exchange(rng, cfg):
             table = random_coeffs(cfg.lmax, sector, rng).c
             draws.append((sector, table, random_su2(rng), random_su2(rng)))
         sectors, tables, g1s, g2s = zip(*draws)
-        rotated = np.stack([rotate_stack(g, c) for g, c in zip(g1s, tables)])
+        rotated = rotate_stack(np.array([(g.z0, g.z1) for g in g1s]), np.stack(tables))
         parities = exchange_parities(rotated, grid)
         wrong = np.flatnonzero(parities != [-1 if s == "odd" else 1 for s in sectors])
         if wrong.size:
@@ -300,6 +316,33 @@ def ref_exchange(rng, cfg):
         raw = grid.project(ylm_synthesize(nodes, cfg.lmax, np.stack(tables)), cfg.lmax)
         leak = np.where([off_sector_mask(cfg.lmax, s) for s in sectors], raw, 0.0)
         worst = max([worst] + [float(np.linalg.norm(row)) for row in leak])
+    return worst
+
+
+def ref_gen_vs_ladder(rng, cfg):
+    worst = 0.0
+    for _ in range(10):
+        sector = "odd" if rng.random() < 0.5 else "even"
+        a = random_coeffs(cfg.lmax, sector, rng)
+        for i in (1, 2, 3):
+            worst = max(worst, generator_vs_ladder_residual(i, a))
+    return worst
+
+
+def ref_intertwining(rng, cfg):
+    grid = _grid(cfg.lmax + 1)
+    worst = 0.0
+    for _ in range(5):
+        a = random_coeffs(cfg.lmax, "odd", rng)
+        for i in (1, 2, 3):
+            worst = max(worst, check_intertwining(i, a, grid))
+    return worst
+
+
+def ref_closure(rng, cfg):
+    worst = 0.0
+    for _ in range(3):
+        worst = max(worst, su2_closure_residual(random_coeffs(cfg.lmax, "odd", rng)))
     return worst
 
 
@@ -564,6 +607,9 @@ REWRITTEN = {
     "wigner-homomorphism": (ref_wigner_hom, 0.0),
     "wigner-defining-unitary": (ref_wigner_defining, 0.0),
     "exchange-statistics": (ref_exchange, 0.0),
+    "generator-vs-ladder": (ref_gen_vs_ladder, 0.0),
+    "section-intertwining": (ref_intertwining, 0.0),
+    "su2-closure-fd": (ref_closure, 0.0),
     "transport-unitarity": (ref_transport_unitary, 0.0),
     "transported-spin-spectrum-algebra": (ref_spin_props, 0.0),
     "lift-composition": (ref_br_compose, 0.0),
@@ -611,6 +657,21 @@ def test_chunked_check_matches_reference_loop(name, samples):
     ref, tol = REWRITTEN[name]
     cfg = SuiteConfig(rng_seed=3, samples=samples)
     rng_ref, rng_new = check_rng(3, name), check_rng(3, name)
+    want = float(ref(rng_ref, cfg))
+    got = float(CHECKS[name].fn(rng_new, cfg))
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    assert abs(got - want) <= tol, (got, want)
+
+
+@pytest.mark.parametrize(
+    "name", ["generator-vs-ladder", "section-intertwining", "su2-closure-fd", "exchange-statistics"])
+@pytest.mark.parametrize("lmax", [1, 2, 3, 8])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_representation_check_matches_reference_loop_at_each_lmax(name, lmax, seed):
+    # the harness's own sample counts; the honest low-lmax residuals included
+    ref, tol = REWRITTEN[name]
+    cfg = SuiteConfig(lmax=lmax, rng_seed=seed)
+    rng_ref, rng_new = check_rng(seed, name), check_rng(seed, name)
     want = float(ref(rng_ref, cfg))
     got = float(CHECKS[name].fn(rng_new, cfg))
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state

@@ -24,6 +24,7 @@ from rp2quant.groups import (
 )
 from rp2quant.harmonics import analyze, random_coeffs, rotate_values, unit, wigner_d, zeros
 from rp2quant.manifold import build_quadrature
+from rp2quant.representation import RICHARDSON_OFFSETS, _richardson
 
 
 def safe_point(rng):
@@ -298,6 +299,18 @@ class TestFixedBasisLift:
             fd = total_generator_fd(i, field)
             exact = total_generator_exact(i, field)
             assert np.max(np.abs(fd - exact)) < 1e-7
+
+    def test_stacked_offsets_equal_per_offset_lifts(self, rng):
+        # before, each offset t lifted the field on its own, one element at a time
+        for j in (0.0, 0.5, 1.0):
+            dim = int(2 * j) + 1
+            field = SpinorField(j, tuple(random_coeffs(5, "full", rng) for _ in range(dim)))
+            for i in (1, 2, 3):
+                axis = np.eye(3)[i - 1]
+                lifts = [fixed_basis_lift(su2_from_axis_angle(t, axis), field).stack()
+                         for t in RICHARDSON_OFFSETS]
+                want = 1j * _richardson(lifts)
+                assert total_generator_fd(i, field).tobytes() == want.tobytes()
 
     def test_random_fields_addition(self, rng):
         for j in (0.5, 1.0):

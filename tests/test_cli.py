@@ -2,11 +2,13 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import asdict, replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,15 @@ from rp2quant.checks import (
     check_rng,
     checks_for_suite,
 )
-from rp2quant.cli import MARGIN_CLAMP, emit_report, main, render_report, run_suite
+from rp2quant import backend_name
+from rp2quant.cli import (
+    BLAS_THREAD_VARS,
+    MARGIN_CLAMP,
+    emit_report,
+    main,
+    render_report,
+    run_suite,
+)
 from rp2quant.errors import ConfigError, RadialRangeError
 
 
@@ -108,13 +118,28 @@ class TestReports:
     def test_json_schema(self):
         cfg = SuiteConfig(rng_seed=5, samples=20)
         report = json.loads(render_report(self._results(), "json", cfg))
-        assert set(report) == {"version", "seed", "config", "checks", "summary"}
+        assert set(report) == {"version", "env", "seed", "config", "checks", "summary"}
         assert report["seed"] == 5
         for c in report["checks"]:
             assert {"name", "residual", "tolerance", "passed",
                     "wall_time_ms", "paper_anchor"} <= set(c)
         s = report["summary"]
         assert s["total"] == s["passed"] + s["failed"] == len(report["checks"])
+
+    def test_json_env_block(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        cfg = SuiteConfig(rng_seed=5, samples=20)
+        env = json.loads(render_report(self._results(), "json", cfg))["env"]
+        assert set(env) == {"backend", "numpy", "blas", "blas_threads_env", "cpu_count"}
+        assert env["backend"] == backend_name() == "numpy"
+        assert env["numpy"] == np.__version__
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["blas"]["name"] and env["blas"]["version"]
+        assert env["blas_threads_env"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["blas_threads_env"]["OMP_NUM_THREADS"] is None
+        assert set(env["blas_threads_env"]) == set(BLAS_THREAD_VARS)
+        assert json.loads(render_report([], "json", cfg))["env"] == env
 
     def test_json_deterministic_modulo_times(self):
         cfg = SuiteConfig(rng_seed=5, samples=20)

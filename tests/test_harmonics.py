@@ -129,6 +129,41 @@ class TestLadders:
         for i in (1, 2, 3):
             assert apply_L(i, a).sector == "odd"
 
+    def test_stack_equals_single_tables_and_degree_loop_bitwise(self, rng):
+        # the per-degree loop apply_L ran before it gathered over all degrees
+        def degree_loop(i, c, lmax):
+            out = np.zeros_like(c)
+            for l in range(lmax + 1):
+                sl = slice(l * l, (l + 1) * (l + 1))
+                block, m = c[sl], np.arange(-l, l + 1)
+                if i == 3:
+                    out[sl] = m * block
+                    continue
+                up, down = np.zeros_like(block), np.zeros_like(block)
+                if l > 0:
+                    ladder = np.sqrt(l * (l + 1.0) - np.arange(-l, l) * (np.arange(-l, l) + 1.0))
+                    up[1:] = ladder * block[:-1]
+                    down[:-1] = ladder * block[1:]
+                out[sl] = 0.5 * (up + down) if i == 1 else -0.5j * (up - down)
+            return out
+
+        for lmax in (0, 1, 2, 3, 8, 17):
+            tables = [random_coeffs(lmax, s, rng) for s in ("odd", "even", "full") * 2]
+            stack = np.stack([a.c for a in tables]).reshape(2, 3, -1)
+            for i in (1, 2, 3):
+                out = apply_L(i, stack).reshape(6, -1)
+                for row, a in zip(out, tables):
+                    single = apply_L(i, a)
+                    assert single.sector == a.sector
+                    assert row.tobytes() == single.c.tobytes()
+                    assert row.tobytes() == degree_loop(i, a.c, lmax).tobytes()
+
+    def test_stack_shape_checked(self):
+        with pytest.raises(ValueError):
+            apply_L(1, np.zeros((2, 10)))
+        with pytest.raises(ValueError):
+            apply_L(4, np.zeros(9))
+
     def test_matrices_algebra(self):
         for j in (0.5, 1.0, 2.5):
             s1, s2, s3 = angular_momentum_matrices(j)

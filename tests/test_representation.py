@@ -6,20 +6,25 @@ import pytest
 from rp2quant._kernels import ylm_basis
 from rp2quant.classical import w_matrix
 from rp2quant.errors import RadialRangeError
-from rp2quant.groups import SU2_IDENTITY, random_su2, spinor_map
+from rp2quant.groups import SU2_IDENTITY, random_su2, spinor_map, su2_from_axis_angle
 from rp2quant.checks import REGISTRY, SuiteConfig, check_rng
 from rp2quant.harmonics import (
     HarmonicCoeffs,
     analyze,
+    off_sector_mask,
     parity_decompose,
     random_coeffs,
     rotate_coeffs,
+    rotate_stack,
     rotate_values,
     unit,
 )
 from rp2quant.manifold import WFunctional, build_quadrature
 from rp2quant.representation import (
+    RICHARDSON_OFFSETS,
+    FullSection,
     RadialGrid,
+    _richardson,
     _spectral_log_shift,
     act_canonical,
     canonical_product,
@@ -27,6 +32,7 @@ from rp2quant.representation import (
     check_intertwining,
     exchange_parities,
     exchange_parity,
+    full_section_from_matrix,
     generator_J,
     generator_vs_ladder_residual,
     log_uniform_grid,
@@ -130,6 +136,54 @@ class TestGeneratorJ:
                 assert generator_vs_ladder_residual(i, a) < 1e-8
 
 
+def per_offset_generator(i, c):
+    """J_i of one table as it was differentiated before: one rotation per offset."""
+    axis = np.eye(3)[i - 1]
+    return 1j * _richardson([rotate_stack(su2_from_axis_angle(t, axis), c)
+                             for t in RICHARDSON_OFFSETS])
+
+
+class TestStackedGenerators:
+    """Stacked generators and residuals against one table at a time, bit for bit."""
+
+    @pytest.mark.parametrize("lmax", [1, 2, 8])
+    def test_generator_stack_equals_single_tables(self, lmax, rng):
+        tables = [random_coeffs(lmax, s, rng) for s in ("odd", "even", "full", "odd")]
+        stack = np.stack([a.c for a in tables]).reshape(2, 2, -1)
+        for i in (1, 2, 3):
+            out = generator_J(i, stack).reshape(4, -1)
+            for row, a in zip(out, tables):
+                assert row.tobytes() == generator_J(i, a.c).tobytes()
+                assert row.tobytes() == per_offset_generator(i, a.c).tobytes()
+                single = generator_J(i, a)
+                assert single.sector == a.sector
+                projected = np.where(off_sector_mask(lmax, a.sector), 0, row)
+                assert single.c.tobytes() == projected.tobytes()
+
+    @pytest.mark.parametrize("lmax", [1, 2, 8])
+    def test_residual_stacks_equal_single_tables(self, lmax, grid9, rng):
+        grid = grid9 if lmax == 8 else build_quadrature(lmax + 1 + lmax % 2)
+        odd = [random_coeffs(lmax, "odd", rng) for _ in range(3)]
+        mixed = odd[:2] + [random_coeffs(lmax, "even", rng)]
+        for i in (1, 2, 3):
+            got = generator_vs_ladder_residual(i, np.stack([a.c for a in mixed]))
+            assert got.tolist() == [generator_vs_ladder_residual(i, a) for a in mixed]
+            got = check_intertwining(i, np.stack([a.c for a in odd]), grid)
+            assert got.tolist() == [check_intertwining(i, a, grid) for a in odd]
+        got = su2_closure_residual(np.stack([a.c for a in odd]))
+        assert got.tolist() == [su2_closure_residual(a) for a in odd]
+
+    def test_single_table_gives_float(self, grid9, rng):
+        a = random_coeffs(8, "odd", rng)
+        assert type(generator_vs_ladder_residual(1, a)) is float
+        assert type(check_intertwining(2, a, grid9)) is float
+        assert type(su2_closure_residual(a)) is float
+
+    def test_intertwining_rejects_even_table(self, grid9, rng):
+        with pytest.raises(ValueError):
+            check_intertwining(1, random_coeffs(8, "even", rng), grid9)
+
+
 class TestIntertwining:
     def test_y10_with_j3(self, grid9):
         assert check_intertwining(3, unit(8, 1, 0), grid9) < 1e-10
@@ -165,6 +219,45 @@ class TestRadialGrid:
         vals = np.exp(-np.log(radial.nodes) ** 2 / (2 * sig**2))
         want = sig * np.sqrt(2 * np.pi) * np.exp(9 * sig**2 / 2)
         assert abs(np.sum(radial.weights_r2dr() * vals) - want) < 1e-10 * want
+
+
+class TestFullSection:
+    def test_holds_one_read_only_matrix(self, rng):
+        radial = radial64()
+        a = random_coeffs(8, "odd", rng)
+        m = gaussian_profile(radial)[:, None] * a.c[None, :]
+        fs = full_section_from_matrix(radial, m, 8, "odd")
+        assert (fs.lmax, fs.sector, fs.matrix().shape) == (8, "odd", (64, 81))
+        assert fs.matrix().tobytes() == m.tobytes()
+        m[0, 1] = 5.0                      # the section keeps its own copy
+        assert fs.matrix()[0, 1] != 5.0
+        with pytest.raises(ValueError):
+            fs.matrix()[0, 1] = 0.0
+        assert fs.matrix().tobytes() == separable_section(radial, gaussian_profile(radial), a).matrix().tobytes()
+
+    def test_rejects_off_sector_matrix(self, rng):
+        radial = radial64()
+        m = np.zeros((64, 81), dtype=complex)
+        m[:, 1] = 1.0                          # degree 1
+        full_section_from_matrix(radial, m, 8, "odd")
+        m[10, 0] = 1e-13                       # degree 0 content in an odd section
+        with pytest.raises(ValueError, match="sector 'odd' violated by 1.000e-13"):
+            full_section_from_matrix(radial, m, 8, "odd")
+        with pytest.raises(ValueError, match="sector 'even' violated"):
+            FullSection(radial, 8, "even", m)
+        m[10, 0] = 1e-15                       # within SECTOR_PURITY_TOL, as per table
+        full_section_from_matrix(radial, m, 8, "odd")
+
+    def test_rejects_bad_shapes_and_sector(self):
+        radial = radial64()
+        with pytest.raises(ValueError):
+            full_section_from_matrix(radial, np.zeros((63, 81)), 8, "odd")
+        with pytest.raises(ValueError):
+            full_section_from_matrix(radial, np.zeros((64, 80)), 8, "odd")
+        with pytest.raises(ValueError):
+            full_section_from_matrix(radial, np.zeros(81), 8, "odd")
+        with pytest.raises(ValueError):
+            full_section_from_matrix(radial, np.zeros((64, 81)), 8, "neither")
 
 
 def act_canonical_per_node(w, g, lam, fs, grid):
@@ -332,16 +425,24 @@ class TestExchangeParity:
         """A flipped sector returns 1.0, a non-eigenstate raises, in sample order."""
         from rp2quant import checks
 
-        drawn = []
+        drawn = [0]
+        tables_from_normals = checks._tables_from_normals
 
-        def faulty_coeffs(lmax, sector, rng):
-            fault = faults.get(len(drawn))
-            drawn.append(sector)
-            if fault == "flip":
-                return random_coeffs(lmax, "even" if sector == "odd" else "odd", rng)
-            return random_coeffs(lmax, "full" if fault else sector, rng)
+        def faulty_tables(normals, lmax, odd):
+            # samples drawn so far, then this chunk's: flip a sector, or keep the
+            # off-sector draws of a table (neither parity)
+            first, drawn[0] = drawn[0], drawn[0] + len(odd)
+            kinds = [faults.get(first + k) for k in range(len(odd))]
+            flip = np.array([kind == "flip" for kind in kinds])
+            tables = tables_from_normals(normals, lmax, np.asarray(odd) != flip)
+            size = (lmax + 1) ** 2
+            for k, kind in enumerate(kinds):
+                if kind == "full":
+                    c = normals[k, :size] + 1j * normals[k, size:2 * size]
+                    tables[k] = c / np.linalg.norm(c)
+            return tables
 
-        monkeypatch.setattr(checks, "random_coeffs", faulty_coeffs)
+        monkeypatch.setattr(checks, "_tables_from_normals", faulty_tables)
         check = next(c for c in REGISTRY if c.name == "exchange-statistics")
         cfg = SuiteConfig(lmax=8)
         if outcome is ValueError:
