@@ -1,10 +1,12 @@
-"""Per-sample cost of the group-layer primitives, scalar and batch.
+"""Cost of the group-layer primitives on one object and on one stack.
 
-For each primitive the scalar form is timed one sample per call and the
-batch form on one (n, 2) or (n, 3) array; both report microseconds per
-sample (best of REPEATS).  The cases are the ones the harness applies per
-sample: the spinor map, the SU(2) product, the ℝP² canonical representative
-and the chart transition signs (all nine at one point).
+Each primitive has one name that takes one element or point, or a stack of
+them.  For each case the name is timed once per sample on single objects
+(microseconds per call) and once on an (n, 2) or (n, 3) stack (microseconds
+per row), best of REPEATS.  The cases are the ones the harness applies: the
+spinor map (on ``SU2Element`` objects, as the harness calls it), the SU(2)
+product, the unit-vector check, the ℝP² canonical representative, the chart
+transition signs (all nine at one point) and the sphere section.
 
 Run:
     PYTHONPATH=src python benchmarks/bench_groups.py            # table
@@ -19,15 +21,15 @@ import numpy as np
 
 from rp2quant.groups import (
     SU2Element,
-    quotient_to_sphere_batch,
-    rp2_point,
-    rp2_rep_batch,
+    quotient_to_sphere,
+    rp2_rep,
     spinor_map,
-    spinor_map_batch,
     su2_from_normals,
-    su2_product_batch,
+    su2_from_sphere_point,
+    su2_product,
+    unit_vector,
 )
-from rp2quant.manifold import transition_function, transition_signs_batch
+from rp2quant.manifold import transition_signs
 
 N = 2000
 REPEATS = 5
@@ -43,43 +45,33 @@ def best_us_per_sample(fn, n: int) -> float:
 
 
 def cases():
+    """name -> (the name called once per sample, the name called on the stack)."""
     rng = np.random.default_rng(0)
     rows = su2_from_normals(rng.normal(size=(N, 4)))
     other = rows[::-1].copy()
     els = [SU2Element(*z) for z in rows]
-    pairs = list(zip(els, els[::-1]))
-    pts = -quotient_to_sphere_batch(rows)       # negated: most need a sign flip
-    points = [rp2_point(x) for x in pts]
-    charts = (1, 2, 3)
+    pts = -quotient_to_sphere(rows)       # negated: most need a sign flip
     return {
-        "spinor_map": (
-            lambda: [spinor_map(g) for g in els],
-            lambda: spinor_map_batch(rows),
-        ),
-        "su2_product": (
-            lambda: [g * h for g, h in pairs],
-            lambda: su2_product_batch(rows, other),
-        ),
-        "rp2_canonical": (
-            lambda: [rp2_point(x) for x in pts],
-            lambda: rp2_rep_batch(pts),
-        ),
-        "transition_signs": (
-            lambda: [[transition_function(a, b, p) for a in charts for b in charts]
-                     for p in points],
-            lambda: transition_signs_batch(pts),
-        ),
+        "spinor_map": (lambda: [spinor_map(g) for g in els], lambda: spinor_map(rows)),
+        "su2_product": (lambda: [su2_product(g, h) for g, h in zip(rows, other)],
+                        lambda: su2_product(rows, other)),
+        "unit_vector": (lambda: [unit_vector(x) for x in pts], lambda: unit_vector(pts)),
+        "rp2_rep": (lambda: [rp2_rep(x) for x in pts], lambda: rp2_rep(pts)),
+        "transition_signs": (lambda: [transition_signs(x) for x in pts],
+                             lambda: transition_signs(pts)),
+        "su2_from_sphere_point": (lambda: [su2_from_sphere_point(x) for x in pts],
+                                  lambda: su2_from_sphere_point(pts)),
     }
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     out = {}
-    print(f"{'primitive':>18} {'scalar us/sample':>17} {'batch us/sample':>16} {'ratio':>7}")
-    for name, (scalar, batch) in cases().items():
-        s, b = best_us_per_sample(scalar, N), best_us_per_sample(batch, N)
-        out[name] = {"scalar_us": round(s, 4), "batch_us": round(b, 4), "samples": N}
-        print(f"{name:>18} {s:>17.3f} {b:>16.4f} {s / b:>6.0f}x")
+    print(f"{'primitive':>22} {'single us/call':>15} {'stack us/row':>13} {'ratio':>7}")
+    for name, (single, stack) in cases().items():
+        s, b = best_us_per_sample(single, N), best_us_per_sample(stack, N)
+        out[name] = {"single_us": round(s, 4), "stack_us": round(b, 4), "samples": N}
+        print(f"{name:>22} {s:>15.3f} {b:>13.4f} {s / b:>6.0f}x")
     if "--json" in argv:
         print(json.dumps(out, sort_keys=True))
 

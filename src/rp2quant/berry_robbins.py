@@ -33,10 +33,9 @@ import numpy as np
 
 from .groups import (
     SU2Element,
-    _su2_rows,
-    spinor_map_batch,
-    su2_from_sphere_point_batch,
-    unit_vector_batch,
+    spinor_map,
+    su2_from_sphere_point,
+    unit_vector,
 )
 from .harmonics import (
     HarmonicCoeffs,
@@ -57,7 +56,7 @@ def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _rotate_points(g, r: np.ndarray) -> np.ndarray:
     """Spin(g)·r for an ``SU2Element`` or (..., 2) rows and (..., 3) points."""
-    return _apply(spinor_map_batch(_su2_rows(g)), r)
+    return _apply(spinor_map(g), r)
 
 
 @dataclass(frozen=True)
@@ -79,16 +78,16 @@ class TransportFrame:
     def unitary(self, r) -> np.ndarray:
         """U(r) = D^j(g_r), g_r = exp(-iθ m̂·σ/2) the geodesic rotation ẑ → r.
 
-        ``wigner_d`` of ``su2_from_sphere_point_batch(r)``; this equals
+        ``wigner_d`` of ``su2_from_sphere_point(r)``; this equals
         exp(-iθ m̂·S).  r is one point (a (d, d) result) or an (..., 3) stack
         (a (..., d, d) stack).  A row whose geodesic element is the exact
         identity (1, 0), i.e. every point ``groups`` treats as the north pole,
         gives the identity exactly; any row at the south pole raises.
         """
-        v = unit_vector_batch(r)
+        v = unit_vector(r)
         if np.any(v[..., 2] <= -1.0 + SOUTH_POLE_TOL):
             raise ValueError("frame is undefined at the south pole")
-        g = su2_from_sphere_point_batch(v)
+        g = su2_from_sphere_point(v)
         north = (g[..., 0] == 1.0) & (g[..., 1] == 0.0)
         return np.where(north[..., None, None], np.eye(self.dim), wigner_d(self.j, g))
 
@@ -112,7 +111,7 @@ class BRState:
     lam: np.ndarray
 
     def __post_init__(self):
-        r = unit_vector_batch(self.r)
+        r = unit_vector(self.r)
         lam = np.asarray(self.lam, dtype=complex)
         if lam.shape[:-1] != r.shape[:-1]:
             raise ValueError("base points and coefficient vectors do not pair up")
@@ -158,7 +157,7 @@ def recover_spin_generator(i: int, r, frame: TransportFrame) -> np.ndarray:
     Richardson offsets run as one stack on a new leading axis, and both
     paths share one frame evaluation U(g_t·r) per offset.
     """
-    v = unit_vector_batch(r)
+    v = unit_vector(r)
     u0d = frame.unitary(v).conj().mT
     g = _fd_elements(i, v.ndim)
     moved = frame.unitary(_rotate_points(g, v))

@@ -13,46 +13,38 @@ natural left lift l↑_g[(p, v)] = [(g p, v)] with the transported lift τ_g on
 the sub-bundle picture.  Sections of the nontrivial bundle are odd functions
 a on S² through Ψ_a([x]) = a(x)·φ(x), and the projector p(x) = |φ(x)⟩⟨φ(x)|
 realizes them inside a free rank-3 module over the even functions.
-"""
 
-from dataclasses import dataclass
+Both presentations are carried as arrays, one point or a stack: a
+representative (g, v) as (z0, z1) rows and fiber values, a point of the
+sub-bundle as its canonical base representative and fiber vector.
+"""
 
 import numpy as np
 
 from .errors import PointNotInChart, ProjectorConstraintViolated
 from .groups import (
     H_CLASSIFY_TOL,
-    HElement,
-    RP2Point,
-    SU2Element,
+    _su2_rows,
     quotient_to_sphere,
-    quotient_to_sphere_batch,
-    rp2_point,
-    rp2_rep_batch,
+    rp2_rep,
     su2_from_sphere_point,
-    su2_from_sphere_point_batch,
-    su2_product_batch,
-    unit_vector_batch,
+    su2_product,
+    unit_vector,
 )
 from .harmonics import HarmonicCoeffs, off_sector_mask
 from .manifold import CHART_TOL, QuadratureGrid
 
-FIBER_TOL = 1e-10
 PROJECTOR_CONSTRAINT_TOL = 1e-8   # p·f - f accepted by module_iso_inverse, relative
 
 
-def kappa(h: HElement) -> int:
-    """The nontrivial character of H: +1 on diagonal, -1 on antidiagonal."""
-    return 1 if h.kind == "diagonal" else -1
-
-
-def kappa_batch(g) -> np.ndarray:
-    """κ of each row of an (n, 2) SU(2) batch, classified as ``h_membership`` does.
+def kappa(g) -> np.ndarray:
+    """The nontrivial character κ of H at an element or at each row of a stack.
 
     +1 where |z1| ≤ H_CLASSIFY_TOL (diagonal), else -1 where |z0| ≤
-    H_CLASSIFY_TOL (antidiagonal), and 0 for a row outside H.
+    H_CLASSIFY_TOL (antidiagonal), and 0 for an element outside H; the
+    classification is ``h_membership``'s.
     """
-    g = np.asarray(g, dtype=complex)
+    g = _su2_rows(g)
     return np.where(np.abs(g[..., 1]) <= H_CLASSIFY_TOL, 1,
                     np.where(np.abs(g[..., 0]) <= H_CLASSIFY_TOL, -1, 0))
 
@@ -62,104 +54,45 @@ def phi(x) -> np.ndarray:
 
     An (..., 3) stack gives one frame vector per row.
     """
-    return unit_vector_batch(x).astype(complex)
+    return unit_vector(x).astype(complex)
 
 
-@dataclass(frozen=True)
-class AssocElement:
-    """Representative (g, v) of the class [(g, v)] in SU(2) ×_κ ℂ."""
+def iso_Phi(g, v) -> tuple[np.ndarray, np.ndarray]:
+    """Φ[(g, v)] = ([x(g)], v·φ(x(g))); well defined on classes.
 
-    g: SU2Element
-    v: complex
-
-
-@dataclass(frozen=True)
-class LMinusElement:
-    """Point of the sub-bundle: base class plus a fiber vector ∝ φ(rep)."""
-
-    base: RP2Point
-    fiber: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.fiber, dtype=complex)
-        frame = phi(self.base.rep)
-        lam = np.vdot(frame, f)
-        if np.linalg.norm(f - lam * frame) > FIBER_TOL * max(1.0, np.linalg.norm(f)):
-            raise ValueError("fiber vector is not proportional to the frame")
-        f = f.copy()
-        f.flags.writeable = False
-        object.__setattr__(self, "fiber", f)
-
-    def coefficient(self) -> complex:
-        """λ with fiber = λ·φ(rep(base))."""
-        return complex(np.vdot(phi(self.base.rep), self.fiber))
+    Takes an element g (or (..., 2) rows) and fiber values v; returns the
+    canonical base representative (..., 3) and the fiber (..., 3, complex).
+    """
+    x = quotient_to_sphere(g)
+    fiber = np.asarray(v, dtype=complex)[..., None] * phi(x)
+    return rp2_rep(x), fiber
 
 
-def assoc_translate(e: AssocElement, h: HElement) -> AssocElement:
-    """The equivalent representative (g h, κ(h⁻¹) v) of the same class."""
-    # κ(h⁻¹) = κ(h) since κ is ±1-valued
-    return AssocElement(e.g * h.embed(), kappa(h) * e.v)
+def iso_Phi_inverse(base, fiber) -> tuple[np.ndarray, np.ndarray]:
+    """A class representative (g, v) mapping to (base, fiber) under Φ.
+
+    g is the canonical section ``su2_from_sphere_point(base)`` as (z0, z1)
+    rows and v = ⟨φ(base), fiber⟩; stacks give one pair per row.
+    """
+    return su2_from_sphere_point(base), np.vecdot(phi(base), fiber)
 
 
-def iso_Phi(e: AssocElement) -> LMinusElement:
-    """Φ[(g, v)] = ([x(g)], v·φ(x(g))); well defined on classes."""
-    x = quotient_to_sphere(e.g)
-    return LMinusElement(rp2_point(x), e.v * phi(x))
-
-
-def iso_Phi_inverse(el: LMinusElement) -> AssocElement:
-    """A class representative mapping to el under Φ (canonical section)."""
-    x = el.base.rep
-    g = su2_from_sphere_point(x)
-    lam = complex(np.vdot(phi(x), el.fiber))
-    return AssocElement(g, lam)
-
-
-def natural_lift(g: SU2Element, e: AssocElement) -> AssocElement:
-    """l↑_g[(p, v)] = [(g p, v)]: left multiplication, fiber fixed."""
-    return AssocElement(g * e.g, e.v)
-
-
-def lift_tau(g: SU2Element, el: LMinusElement) -> LMinusElement:
+def lift_tau(g, base, fiber) -> tuple[np.ndarray, np.ndarray]:
     """τ_g = Φ ∘ l↑_g ∘ Φ⁻¹: ([x], λ φ(x)) ↦ ([g·x], λ φ(g·x)).
 
-    The fiber coefficient λ rides along unchanged relative to the
-    transported frame; g·x is computed through the class representative.
+    l↑_g[(p, v)] = [(g p, v)] is the natural left lift.  The fiber
+    coefficient λ rides along unchanged relative to the transported frame;
+    g·x is computed through the class representative.
     """
-    rep = iso_Phi_inverse(el)
-    return iso_Phi(natural_lift(g, rep))
+    h, lam = iso_Phi_inverse(base, fiber)
+    return iso_Phi(su2_product(g, h), lam)
 
 
-def iso_Phi_batch(g, v) -> tuple[np.ndarray, np.ndarray]:
-    """Φ on rows: (n, 2) group rows and (n,) values ↦ (base reps, fibers).
+def local_trivialization(alpha: int, base, fiber) -> np.ndarray:
+    """Chart-α fiber coordinate sign(x_α)·λ of ([x], λ φ(x)), λ = ⟨φ(x), fiber⟩.
 
-    Row k holds ``iso_Phi(AssocElement(g_k, v_k))``: its canonical base
-    representative (n, 3) and its fiber v_k·φ(x(g_k)) (n, 3, complex).
-    """
-    x = quotient_to_sphere_batch(g)
-    fiber = np.asarray(v, dtype=complex)[:, None] * phi(x)
-    return rp2_rep_batch(x), fiber
-
-
-def iso_Phi_inverse_batch(base, fiber) -> tuple[np.ndarray, np.ndarray]:
-    """Φ⁻¹ on rows: (base reps, fibers) ↦ canonical (group rows, values).
-
-    Row k holds ``iso_Phi_inverse(LMinusElement(rp2_point(base_k), fiber_k))``.
-    """
-    return su2_from_sphere_point_batch(base), np.vecdot(phi(base), fiber)
-
-
-def lift_tau_batch(g, base, fiber) -> tuple[np.ndarray, np.ndarray]:
-    """τ_g on rows (base reps, fibers), composed as ``lift_tau`` composes it."""
-    h, lam = iso_Phi_inverse_batch(base, fiber)
-    return iso_Phi_batch(su2_product_batch(g, h), lam)
-
-
-def local_trivialization_batch(alpha: int, base, fiber) -> np.ndarray:
-    """Chart-α fiber coordinates sign(x_α)·λ of rows (base reps, fibers ∝ φ(base)).
-
-    λ = ⟨φ(x), fiber⟩ per row; returns (n,) complex.  A row with |x_α| ≤
-    CHART_TOL raises PointNotInChart.
+    A point gives one complex value, (..., 3) stacks one per row.  A point
+    with |x_α| ≤ CHART_TOL raises PointNotInChart.
     """
     if alpha not in (1, 2, 3):
         raise ValueError("chart index must be 1, 2 or 3")
@@ -168,11 +101,6 @@ def local_trivialization_batch(alpha: int, base, fiber) -> np.ndarray:
     if np.any(np.abs(xa) <= CHART_TOL):
         raise PointNotInChart(f"x_{alpha} vanishes for {x[np.abs(xa) <= CHART_TOL][0]}")
     return np.where(xa > 0, 1.0, -1.0) * np.vecdot(phi(x), fiber)
-
-
-def local_trivialization(alpha: int, el: LMinusElement) -> tuple[RP2Point, complex]:
-    """Chart-α trivialization ([x], λ φ(x)) ↦ ([x], sign(x_α) λ)."""
-    return (el.base, complex(local_trivialization_batch(alpha, el.base.rep, el.fiber)))
 
 
 def projector(x) -> np.ndarray:

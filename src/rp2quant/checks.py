@@ -28,19 +28,17 @@ from ._kernels import ylm_synthesize
 from .errors import ConfigError
 from .groups import (
     H_CLASSIFY_TOL,
-    h_embed_batch,
-    quotient_to_sphere_batch,
+    h_embed,
+    quotient_to_sphere,
     random_su2,
-    rotation_from_axis_angle_batch,
-    rp2_rep_batch,
+    rotation_from_axis_angle,
+    rp2_rep,
     spinor_map,
-    spinor_map_batch,
-    su2_batch,
-    su2_from_axis_angle_batch,
+    su2_from_axis_angle,
     su2_from_normals,
-    su2_product_batch,
+    su2_product,
     unit_vector,
-    unit_vector_batch,
+    validate_normalize_su2,
 )
 from .harmonics import (
     HarmonicCoeffs,
@@ -63,11 +61,11 @@ from .manifold import (
     QuadratureGrid,
     WFunctional,
     build_quadrature,
-    chart_coords_batch,
-    f_embedding_batch,
+    chart_coords,
+    f_embedding,
     f_from_moment,
-    moment_embedding_batch,
-    transition_signs_batch,
+    moment_embedding,
+    transition_signs,
     w_action,
     w_values,
 )
@@ -187,7 +185,7 @@ def _h_rows(u) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     angle = 0.0 + (2 * np.pi - 0.0) * u[:, 1]
-    return h_embed_batch(u[:, 0] >= 0.5, np.exp(1j * angle))
+    return h_embed(u[:, 0] >= 0.5, np.exp(1j * angle))
 
 
 def _draw_rows(rng, n: int, draw) -> np.ndarray:
@@ -249,9 +247,7 @@ def _apply(m, x) -> np.ndarray:
 def _spinor_hom(rng, cfg):
     g = su2_from_normals(rng.normal(size=(2000, 4)))
     g1, g2 = g[0::2], g[1::2]
-    gap = spinor_map_batch(su2_product_batch(g1, g2)) - (
-        spinor_map_batch(g1) @ spinor_map_batch(g2)
-    )
+    gap = spinor_map(su2_product(g1, g2)) - spinor_map(g1) @ spinor_map(g2)
     return float(np.max(_frobenius(gap)))
 
 
@@ -259,7 +255,7 @@ def _spinor_hom(rng, cfg):
 def _spinor_kernel(rng, cfg):
     def batch(n):
         g = su2_from_normals(rng.normal(size=(n, 4)))
-        return float(np.max(np.abs(spinor_map_batch(g) - spinor_map_batch(su2_batch(-g)))))
+        return float(np.max(np.abs(spinor_map(g) - spinor_map(validate_normalize_su2(-g)))))
 
     return _worst_over_chunks(cfg.samples, batch)
 
@@ -271,9 +267,7 @@ def _axis_angle(rng, cfg):
             rng, n, lambda r: np.concatenate([[r.uniform(0, 2 * np.pi)], _random_axis(r)])
         )
         psi, axes = draws[:, 0], draws[:, 1:]
-        gap = rotation_from_axis_angle_batch(psi, axes) - spinor_map_batch(
-            su2_from_axis_angle_batch(psi, axes)
-        )
+        gap = rotation_from_axis_angle(psi, axes) - spinor_map(su2_from_axis_angle(psi, axes))
         return float(np.max(np.abs(gap)))
 
     return _worst_over_chunks(cfg.samples, batch)
@@ -283,7 +277,7 @@ def _axis_angle(rng, cfg):
 def _h_closure(rng, cfg):
     def batch(n):
         u = rng.random(size=(n, 4))
-        prod = su2_product_batch(_h_rows(u[:, :2]), _h_rows(u[:, 2:]))
+        prod = su2_product(_h_rows(u[:, :2]), _h_rows(u[:, 2:]))
         # distance from H = size of the entry that should vanish (abs() rounding)
         dist = np.min(np.hypot(prod.real, prod.imag), axis=1)
         if np.any(dist > H_CLASSIFY_TOL):          # h_membership would be None
@@ -301,7 +295,7 @@ def _h_orbit(rng, cfg):
         anti = draws[:, 4] >= 0.5                   # the H sample's kind draw
         lam = np.where(anti, h[:, 1], h[:, 0])[:, None]
         swapped = np.stack([-g[:, 1].conj(), g[:, 0].conj()], axis=1)
-        gap = su2_product_batch(g, h) - np.where(anti[:, None], swapped, g) * lam
+        gap = su2_product(g, h) - np.where(anti[:, None], swapped, g) * lam
         return float(np.max(np.hypot(gap.real, gap.imag)))
 
     return _worst_over_chunks(cfg.samples, batch)
@@ -311,7 +305,7 @@ def _h_orbit(rng, cfg):
 def _h_o2(rng, cfg):
     def batch(n):
         u = rng.random(size=(n, 2))
-        r = spinor_map_batch(_h_rows(u))
+        r = spinor_map(_h_rows(u))
         s = np.where(u[:, 0] < 0.5, 1.0, -1.0)      # +1 diagonal, -1 antidiagonal
         # diagonal: rotation about e3 (orthogonal 2x2 block with det +1, R33 = 1);
         # antidiagonal: reflection type (R33 = -1, symmetric traceless block)
@@ -329,8 +323,8 @@ def _rp2_invariance(rng, cfg):
     def batch(n):
         draws = _draw_rows(rng, n, _haar_and_h)
         g = su2_from_normals(draws[:, :4])
-        gh = su2_product_batch(g, _h_rows(draws[:, 4:]))
-        p1, p2 = rp2_rep_batch(quotient_to_sphere_batch(g)), rp2_rep_batch(quotient_to_sphere_batch(gh))
+        gh = su2_product(g, _h_rows(draws[:, 4:]))
+        p1, p2 = rp2_rep(quotient_to_sphere(g)), rp2_rep(quotient_to_sphere(gh))
         return float(np.max(np.abs(p1 - p2)))
 
     return _worst_over_chunks(cfg.samples, batch)
@@ -350,7 +344,7 @@ def _random_interior_point(rng) -> np.ndarray:
 
 @register("manifold", "transition-cocycle", "chart-transition-signs", 1e-15)
 def _cocycle(rng, cfg):
-    s = transition_signs_batch(rp2_rep_batch(_draw_rows(rng, 1000, _random_interior_point)))
+    s = transition_signs(rp2_rep(_draw_rows(rng, 1000, _random_interior_point)))
     # gap[k, a, b, c] = g_ab g_bc - g_ac
     gap = s[:, :, :, None] * s[:, None, :, :] - s[:, :, None, :]
     return float(np.max(np.abs(gap)))
@@ -360,8 +354,8 @@ def _cocycle(rng, cfg):
 def _chart_rep(rng, cfg):
     def batch(n):
         v = _draw_rows(rng, n, _random_interior_point)
-        p, q = rp2_rep_batch(v), rp2_rep_batch(-v)
-        gaps = [chart_coords_batch(p, a) - chart_coords_batch(q, a) for a in (1, 2, 3)]
+        p, q = rp2_rep(v), rp2_rep(-v)
+        gaps = [chart_coords(p, a) - chart_coords(q, a) for a in (1, 2, 3)]
         return float(np.max(np.abs(gaps)))
 
     return _worst_over_chunks(cfg.samples, batch)
@@ -390,9 +384,9 @@ def _moment_inject(rng, cfg):
             _moment_draws(rng, row)
         x, s = _unit_rows(d[:, :3]), d[:, 3:4]
         y = _unit_rows(np.where(s != 0.0, s * x + d[:, 4:] * 1e-10, d[:, 4:]))
-        close = _frobenius(moment_embedding_batch(x) - moment_embedding_batch(y)) < 1e-8
+        close = _frobenius(moment_embedding(x) - moment_embedding(y)) < 1e-8
         if np.any(close):
-            gap = np.abs(rp2_rep_batch(x[close]) - rp2_rep_batch(y[close]))
+            gap = np.abs(rp2_rep(x[close]) - rp2_rep(y[close]))
             worst = max(worst, float(np.max(gap)))
     return worst
 
@@ -400,8 +394,8 @@ def _moment_inject(rng, cfg):
 @register("manifold", "moment-equivariance", "linear-action-on-orbit", 1e-12)
 def _moment_equiv(rng, cfg):
     draws = rng.normal(size=(100, 7))               # random_su2, then _random_axis
-    r, x = spinor_map_batch(su2_from_normals(draws[:, :4])), _unit_rows(draws[:, 4:])
-    gap = w_action(r, moment_embedding_batch(x)) - moment_embedding_batch(_apply(r, x))
+    r, x = spinor_map(su2_from_normals(draws[:, :4])), _unit_rows(draws[:, 4:])
+    gap = w_action(r, moment_embedding(x)) - moment_embedding(_apply(r, x))
     return float(np.max(np.abs(gap)))
 
 
@@ -409,10 +403,10 @@ def _moment_equiv(rng, cfg):
 def _f_components(rng, cfg):
     def batch(n):
         v = _unit_rows(rng.normal(size=(n, 3)))     # n _random_axis draws
-        p, q = rp2_rep_batch(v), rp2_rep_batch(-v)
-        f = f_embedding_batch(p)
-        return max(float(np.max(np.abs(f - f_from_moment(moment_embedding_batch(p))))),
-                   float(np.max(np.abs(f - f_embedding_batch(q)))))
+        p, q = rp2_rep(v), rp2_rep(-v)
+        f = f_embedding(p)
+        return max(float(np.max(np.abs(f - f_from_moment(moment_embedding(p))))),
+                   float(np.max(np.abs(f - f_embedding(q)))))
 
     return _worst_over_chunks(cfg.samples, batch)
 
@@ -435,7 +429,7 @@ def _w_even(rng, cfg):
         c, c0, x = classical.w_matrix(draws[:, :5]), draws[:, 5], _unit_rows(draws[:, 6:])
         wx = w_values(c, c0, x)
         return max(float(np.max(np.abs(wx - w_values(c, c0, -x)))),
-                   float(np.max(np.abs(wx - w_values(c, c0, rp2_rep_batch(x))))))
+                   float(np.max(np.abs(wx - w_values(c, c0, rp2_rep(x))))))
 
     return _worst_over_chunks(cfg.samples, batch)
 
@@ -546,7 +540,7 @@ def _rot_wigner(rng, cfg):
 def _wigner_hom(rng, cfg):
     pairs = su2_from_normals(rng.normal(size=(200, 2, 4)))   # (g1, g2) per sample
     g1, g2 = pairs[:, 0], pairs[:, 1]
-    g12 = su2_product_batch(g1, g2)
+    g12 = su2_product(g1, g2)
     worst = 0.0
     for j in (0.5, 1.0, 1.5, 2.0):
         gap = wigner_d(j, g12) - wigner_d(j, g1) @ wigner_d(j, g2)
@@ -577,10 +571,10 @@ def _kappa_mult(rng, cfg):
     def batch(n):
         u = rng.random(size=(n, 4))                 # two H samples per sample
         h1, h2 = _h_rows(u[:, :2]), _h_rows(u[:, 2:])
-        prod = bundles.kappa_batch(su2_product_batch(h1, h2))
+        prod = bundles.kappa(su2_product(h1, h2))
         if np.any(prod == 0):                       # h_membership would be None
             return 1.0
-        return float(np.max(np.abs(prod - bundles.kappa_batch(h1) * bundles.kappa_batch(h2))))
+        return float(np.max(np.abs(prod - bundles.kappa(h1) * bundles.kappa(h2))))
 
     return _worst_over_chunks(cfg.samples, batch)
 
@@ -611,8 +605,8 @@ def _iso_well_defined(rng, cfg):
         draws = _draw_rows(rng, n, _assoc_and_h)
         g, v = _assoc_rows(draws)
         kappa = np.where(draws[:, 6] < 0.5, 1, -1)  # +1 diagonal, -1 antidiagonal
-        base1, fiber1 = bundles.iso_Phi_batch(g, v)
-        base2, fiber2 = bundles.iso_Phi_batch(su2_product_batch(g, _h_rows(draws[:, 6:])), kappa * v)
+        base1, fiber1 = bundles.iso_Phi(g, v)
+        base2, fiber2 = bundles.iso_Phi(su2_product(g, _h_rows(draws[:, 6:])), kappa * v)
         return max(float(np.max(np.abs(base1 - base2))), float(np.max(np.abs(fiber1 - fiber2))))
 
     return _worst_over_chunks(cfg.samples, batch)
@@ -620,8 +614,8 @@ def _iso_well_defined(rng, cfg):
 
 @register("bundles", "iso-roundtrip", "bundle-isomorphism", 1e-10)
 def _iso_roundtrip(rng, cfg):
-    base, fiber = bundles.iso_Phi_batch(*_assoc_rows(rng.normal(size=(100, 6))))
-    back_base, back_fiber = bundles.iso_Phi_batch(*bundles.iso_Phi_inverse_batch(base, fiber))
+    base, fiber = bundles.iso_Phi(*_assoc_rows(rng.normal(size=(100, 6))))
+    back_base, back_fiber = bundles.iso_Phi(*bundles.iso_Phi_inverse(base, fiber))
     return max(float(np.max(np.abs(back_fiber - fiber))), float(np.max(np.abs(back_base - base))))
 
 
@@ -630,8 +624,8 @@ def _lift_intertwine(rng, cfg):
     draws = rng.normal(size=(200, 10))              # random_su2, then an assoc sample
     g = su2_from_normals(draws[:, :4])
     eg, v = _assoc_rows(draws[:, 4:])
-    base_a, fiber_a = bundles.iso_Phi_batch(su2_product_batch(g, eg), v)
-    base_t, fiber_t = bundles.lift_tau_batch(g, *bundles.iso_Phi_batch(eg, v))
+    base_a, fiber_a = bundles.iso_Phi(su2_product(g, eg), v)
+    base_t, fiber_t = bundles.lift_tau(g, *bundles.iso_Phi(eg, v))
     return max(float(np.max(np.abs(fiber_a - fiber_t))), float(np.max(np.abs(base_a - base_t))))
 
 
@@ -640,11 +634,11 @@ def _lift_compose(rng, cfg):
     def batch(n):
         draws = rng.normal(size=(n, 14))            # g1, g2, then an assoc sample
         g1, g2 = su2_from_normals(draws[:, :4]), su2_from_normals(draws[:, 4:8])
-        g12 = su2_product_batch(g1, g2)
-        base, fiber = bundles.iso_Phi_batch(*_assoc_rows(draws[:, 8:]))
-        _, seq_fiber = bundles.lift_tau_batch(g1, *bundles.lift_tau_batch(g2, base, fiber))
-        prod_base, prod_fiber = bundles.lift_tau_batch(g12, base, fiber)
-        covered = rp2_rep_batch(_apply(spinor_map_batch(g12), base))
+        g12 = su2_product(g1, g2)
+        base, fiber = bundles.iso_Phi(*_assoc_rows(draws[:, 8:]))
+        _, seq_fiber = bundles.lift_tau(g1, *bundles.lift_tau(g2, base, fiber))
+        prod_base, prod_fiber = bundles.lift_tau(g12, base, fiber)
+        covered = rp2_rep(_apply(spinor_map(g12), base))
         return max(float(np.max(np.abs(seq_fiber - prod_fiber))),
                    float(np.max(np.abs(prod_base - covered))))
 
@@ -660,11 +654,11 @@ def _interior_and_scalar(rng) -> np.ndarray:
 def _triv_transitions(rng, cfg):
     def batch(n):
         draws = _draw_rows(rng, n, _interior_and_scalar)
-        base = rp2_rep_batch(draws[:, :3])
+        base = rp2_rep(draws[:, :3])
         fiber = (draws[:, 3] + 1j * draws[:, 4])[:, None] * bundles.phi(base)
         # c[k, a-1] is the chart-a coordinate; gap[k, a-1, b-1] = c_b - g_ba c_a
-        c = np.stack([bundles.local_trivialization_batch(a, base, fiber) for a in (1, 2, 3)], -1)
-        gap = c[:, None, :] - transition_signs_batch(base).mT * c[:, :, None]
+        c = np.stack([bundles.local_trivialization(a, base, fiber) for a in (1, 2, 3)], -1)
+        gap = c[:, None, :] - transition_signs(base).mT * c[:, :, None]
         return float(np.max(np.abs(gap)))
 
     return _worst_over_chunks(cfg.samples, batch)
@@ -674,7 +668,7 @@ def _triv_transitions(rng, cfg):
 def _projector_props(rng, cfg):
     def batch(n):
         draws = rng.normal(size=(n, 7))             # _random_axis, then random_su2
-        x, r = _unit_rows(draws[:, :3]), spinor_map_batch(su2_from_normals(draws[:, 3:]))
+        x, r = _unit_rows(draws[:, :3]), spinor_map(su2_from_normals(draws[:, 3:]))
         p = bundles.projector(x)
         gaps = (p @ p - p, p - p.conj().mT, bundles.projector(-x) - p,
                 bundles.projector(_apply(r, x)) - r @ p @ r.mT)
@@ -704,8 +698,8 @@ def _section_well_defined(rng, cfg):
 
     def batch(n):
         x = _unit_rows(rng.normal(size=(n, 3)))     # n _random_axis draws
-        plus = evaluate(a, x)[:, None] * unit_vector_batch(x).astype(complex)
-        minus = evaluate(a, -x)[:, None] * unit_vector_batch(-x).astype(complex)
+        plus = evaluate(a, x)[:, None] * unit_vector(x).astype(complex)
+        minus = evaluate(a, -x)[:, None] * unit_vector(-x).astype(complex)
         return float(np.max(np.abs(plus - minus)))
 
     # at most 2¹⁵/(lmax+1)² points per chunk; chunks draw in stream order, so the
@@ -848,7 +842,7 @@ def _exchange(rng, cfg):
             if parities[wrong[0]] == 0:
                 raise ValueError("section is not an exchange eigenstate")
             return 1.0
-        nodes = grid.nodes @ spinor_map_batch(g2)
+        nodes = grid.nodes @ spinor_map(g2)
         raw = grid.project(ylm_synthesize(nodes, cfg.lmax, tables), cfg.lmax)
         leak = np.where(_odd_degree_mask(cfg.lmax)[None, :] != odd[:, None], raw, 0.0)
         worst = max(worst, float(np.max(_row_norms(leak))))
@@ -858,13 +852,13 @@ def _exchange(rng, cfg):
 # -------------------------------------------------------------- classical
 
 def _elements(draws) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(c, A) stacks from (n, 8k) normal draws, as k ``random_element`` calls per row make them."""
+    """(c, A) stacks from (n, 8k) normal draws: per element, five W coordinates, then A."""
     return [(classical.w_matrix(draws[:, lo:lo + 5]), draws[:, lo + 5:lo + 8])
             for lo in range(0, draws.shape[1], 8)]
 
 
 def _phase_points(draws) -> tuple[np.ndarray, np.ndarray]:
-    """(u, ψ) stacks from (n, 10) normal draws, as ``random_phase_point`` makes one per row."""
+    """(u, ψ) stacks from (n, 10) normal draws: five W coordinates each."""
     return classical.w_matrix(draws[:, :5]), classical.w_matrix(draws[:, 5:])
 
 
@@ -875,12 +869,12 @@ def _p_linear(rng, cfg):
         (c1, a1), (c2, a2) = _elements(draws[:, :16])
         al, be = draws[:, 16], draws[:, 17]
         pt = _phase_points(draws[:, 18:])
-        combo = classical.P_observable_batch(
+        combo = classical.P_observable(
             al[:, None, None] * c1 + be[:, None, None] * c2,
             al[:, None] * a1 + be[:, None] * a2, *pt,
         )
-        gap = combo - (al * classical.P_observable_batch(c1, a1, *pt)
-                       + be * classical.P_observable_batch(c2, a2, *pt))
+        gap = combo - (al * classical.P_observable(c1, a1, *pt)
+                       + be * classical.P_observable(c2, a2, *pt))
         return float(np.max(np.abs(gap)))
 
     return _worst_over_chunks(cfg.samples, batch)
@@ -891,14 +885,14 @@ def _bracket_fd(rng, cfg):
     draws = rng.normal(size=(50, 26))               # e1, e2, then the phase point
     (c1, a1), (c2, a2) = _elements(draws[:, :16])
     args = (c1, a1, c2, a2, *_phase_points(draws[:, 16:]))
-    gap = classical.poisson_bracket_batch(*args) - classical.poisson_bracket_fd_batch(*args)
+    gap = classical.poisson_bracket(*args) - classical.poisson_bracket_fd(*args)
     return float(np.max(np.abs(gap)))
 
 
 @register("classical", "no-obstruction", "bracket-homomorphism", 1e-9)
 def _no_obstruction(rng, cfg):
-    # 100 random_phase_point draws (u, ψ coordinates), then 1000 pairs of
-    # random_element draws (φ coordinates, A) for e1 and e2
+    # 100 phase points (u, ψ coordinates), then 1000 pairs of elements
+    # (φ coordinates, A) for e1 and e2
     pts = classical.w_matrix(rng.normal(size=(100, 2, 5)))
     e = rng.normal(size=(1000, 16))
     c1, c2 = classical.w_matrix(e[:, 0:5]), classical.w_matrix(e[:, 8:13])
@@ -909,13 +903,13 @@ def _no_obstruction(rng, cfg):
 def _jacobi(rng, cfg):
     draws = rng.normal(size=(50, 34))               # three elements, then the phase point
     es, pt = _elements(draws[:, :24]), _phase_points(draws[:, 24:])
-    self_bracket = classical.poisson_bracket_batch(*es[0], *es[0], *pt)
-    swapped = (classical.poisson_bracket_batch(*es[0], *es[1], *pt)
-               + classical.poisson_bracket_batch(*es[1], *es[0], *pt))
+    self_bracket = classical.poisson_bracket(*es[0], *es[0], *pt)
+    swapped = (classical.poisson_bracket(*es[0], *es[1], *pt)
+               + classical.poisson_bracket(*es[1], *es[0], *pt))
     cyc = 0.0
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        nested = classical.lie_bracket_batch(*classical.lie_bracket_batch(*es[i], *es[j]), *es[k])
-        cyc += classical.P_observable_batch(*nested, *pt)
+        nested = classical.lie_bracket(*classical.lie_bracket(*es[i], *es[j]), *es[k])
+        cyc += classical.P_observable(*nested, *pt)
     return float(np.max(np.abs([self_bracket, swapped, cyc])))
 
 
@@ -1101,7 +1095,7 @@ def _br_compose(rng, cfg):
     r, lam, g1, g2 = (np.array(column) for column in zip(*kept))
     st = BRState(r, lam)
     lhs = br_lift(g1, br_lift(g2, st, frame), frame)
-    rhs = br_lift(su2_product_batch(g1, g2), st, frame)
+    rhs = br_lift(su2_product(g1, g2), st, frame)
     norm_gap = _row_norms(rhs.lam) - _row_norms(st.lam)
     return max(float(np.max(np.abs(lhs.lam - rhs.lam))),
                float(np.max(np.abs(lhs.r - rhs.r))),

@@ -21,12 +21,10 @@ bracket homomorphism holds with {q, p} = +1; the identity holding without any
 central correction is the no-obstruction statement verified here.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .groups import skew_matrix
-from .manifold import WFunctional, check_symmetric_traceless
+from .manifold import WFunctional  # noqa: F401  (the type of φ, re-exported)
 
 BRACKET_FD_STEP = 1e-5   # central-difference step of poisson_bracket_fd
 
@@ -63,30 +61,6 @@ def w_matrix(coords: np.ndarray) -> np.ndarray:
     return np.einsum("...k,kij->...ij", coords, W_BASIS)
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """Point (u, ψ) of W × W*; u need not lie on the projective orbit."""
-
-    u: np.ndarray
-    psi: WFunctional
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", check_symmetric_traceless(self.u))
-        if self.psi.c0 != 0.0:
-            raise ValueError("momentum functional must have zero offset")
-
-
-@dataclass(frozen=True)
-class SemidirectLieElement:
-    """Pair (φ, A): functional part plus rotation generator."""
-
-    phi_w: WFunctional
-    A: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
-
-
 def infinitesimal_action(A, u: np.ndarray) -> np.ndarray:
     """R(A)u = [Â, u], the derivative of R·u·Rᵀ along the rotation A; stacks broadcast."""
     ahat = skew_matrix(A)
@@ -103,25 +77,29 @@ def _commutator(x, y):
     return x @ y - y @ x
 
 
-# Stacked forms.  An element stack is its functional matrices c (..., 3, 3)
-# and generators a (..., 3); a phase-point stack is u and ψ (..., 3, 3).
-# Leading axes broadcast.  The dataclass forms below call these on single
-# matrices, so row k of a stack equals the dataclass call on row k bit for bit.
+# An element of the semidirect algebra is its functional matrix c (3, 3),
+# offset c0 and generator a (3,); a phase point is u and ψ (3, 3).  Every
+# form below takes these for one element and point, or stacks of them with
+# leading axes that broadcast; row k of a stack equals the call on row k bit
+# for bit.
 
-def P_observable_batch(c, a, u, psi, c0=0.0) -> np.ndarray:
-    """P(Ã)(u, ψ) = ψ([Â, u]) + φ(u) with φ = tr(c ·) + c0."""
+def P_observable(c, a, u, psi, c0=0.0) -> np.ndarray:
+    """P(Ã)(u, ψ) = ψ([Â, u]) + φ(u) with φ = tr(c ·) + c0, trace pairings throughout."""
     return _trace(psi @ infinitesimal_action(a, u)) + _trace(c @ u) + c0
 
 
-def lie_bracket_batch(c1, a1, c2, a2) -> tuple[np.ndarray, np.ndarray]:
-    """(c, A) of [(φ₁, A₁), (φ₂, A₂)]; the bracket's functional has zero offset."""
+def lie_bracket(c1, a1, c2, a2) -> tuple[np.ndarray, np.ndarray]:
+    """(c, A) of [(φ₁, A₁), (φ₂, A₂)] = (φ₁∘R(A₂) - φ₂∘R(A₁), A₁ × A₂).
+
+    The offsets of φ₁ and φ₂ drop out: the bracket's functional has zero offset.
+    """
     # coefficient matrix of u ↦ tr(c [Â, u]) is [c, Â]
     c = _commutator(c1, skew_matrix(a2)) - _commutator(c2, skew_matrix(a1))
     return c, np.cross(a1, a2)
 
 
-def poisson_bracket_batch(c1, a1, c2, a2, u, psi) -> np.ndarray:
-    """Closed-form bracket {P(e₁), P(e₂)}(u, ψ).
+def poisson_bracket(c1, a1, c2, a2, u, psi) -> np.ndarray:
+    """Canonical bracket {P(e₁), P(e₂)}(u, ψ), in closed form.
 
     It equals ψ([[Â₁, Â₂], u]) + φ₁([Â₂, u]) - φ₂([Â₁, u]).
     """
@@ -132,7 +110,7 @@ def poisson_bracket_batch(c1, a1, c2, a2, u, psi) -> np.ndarray:
     return val
 
 
-def poisson_bracket_fd_batch(c1, a1, c2, a2, u, psi) -> np.ndarray:
+def poisson_bracket_fd(c1, a1, c2, a2, u, psi) -> np.ndarray:
     """Finite-difference bracket Σ_k (∂F/∂u_k ∂G/∂ψ_k - ∂F/∂ψ_k ∂G/∂u_k).
 
     Central differences of step BRACKET_FD_STEP in the orthonormal
@@ -142,7 +120,7 @@ def poisson_bracket_fd_batch(c1, a1, c2, a2, u, psi) -> np.ndarray:
     step = BRACKET_FD_STEP
 
     def observable(c, a, uc, pc):
-        return P_observable_batch(c, a, w_matrix(uc), w_matrix(pc))
+        return P_observable(c, a, w_matrix(uc), w_matrix(pc))
 
     uc0, pc0 = w_coords(u), w_coords(psi)
     total = 0.0
@@ -157,56 +135,6 @@ def poisson_bracket_fd_batch(c1, a1, c2, a2, u, psi) -> np.ndarray:
     return total
 
 
-def P_observable(e: SemidirectLieElement, pt: PhasePoint) -> float:
-    """P(Ã)(u, ψ) = ψ([Â, u]) + φ(u), trace pairings throughout."""
-    return float(P_observable_batch(e.phi_w.c, e.A, pt.u, pt.psi.c, e.phi_w.c0))
-
-
-def lie_bracket(
-    e1: SemidirectLieElement, e2: SemidirectLieElement
-) -> SemidirectLieElement:
-    """[(φ₁, A₁), (φ₂, A₂)] = (φ₁∘R(A₂) - φ₂∘R(A₁), A₁ × A₂)."""
-    c, a = lie_bracket_batch(e1.phi_w.c, e1.A, e2.phi_w.c, e2.A)
-    return SemidirectLieElement(WFunctional(c, 0.0), a)
-
-
-def poisson_bracket(
-    e1: SemidirectLieElement, e2: SemidirectLieElement, pt: PhasePoint
-) -> float:
-    """Canonical bracket {P(e₁), P(e₂)} at pt, in closed form."""
-    return float(poisson_bracket_batch(e1.phi_w.c, e1.A, e2.phi_w.c, e2.A, pt.u, pt.psi.c))
-
-
-def poisson_bracket_fd(
-    e1: SemidirectLieElement,
-    e2: SemidirectLieElement,
-    pt: PhasePoint,
-) -> float:
-    """Finite-difference bracket at pt (see ``poisson_bracket_fd_batch``)."""
-    return float(poisson_bracket_fd_batch(e1.phi_w.c, e1.A, e2.phi_w.c, e2.A, pt.u, pt.psi.c))
-
-
-def check_homomorphism(
-    e1: SemidirectLieElement | list[SemidirectLieElement],
-    e2: SemidirectLieElement | list[SemidirectLieElement],
-    sample_points: list[PhasePoint],
-) -> float:
-    """max |{P(e₁), P(e₂)}(pt) - P([e₁, e₂])(pt)| over the samples.
-
-    ``e1`` and ``e2`` are one element each or equally long lists of paired
-    elements; the maximum then runs over every pair and every sample.
-    Identical pointwise, up to rounding, to
-    poisson_bracket(e1, e2, pt) - P_observable(lie_bracket(e1, e2), pt).
-    """
-    pairs = [(e1, e2)] if isinstance(e1, SemidirectLieElement) else list(zip(e1, e2))
-    return homomorphism_defect(
-        np.stack([p.phi_w.c for p, _ in pairs]), np.stack([p.A for p, _ in pairs]),
-        np.stack([q.phi_w.c for _, q in pairs]), np.stack([q.A for _, q in pairs]),
-        np.stack([pt.u for pt in sample_points]),
-        np.stack([pt.psi.c for pt in sample_points]),
-    )
-
-
 _CHUNK_BYTES = 1 << 17   # per (pairs × points) float64 temporary in homomorphism_defect
 
 
@@ -215,7 +143,7 @@ def _rows9(m: np.ndarray) -> np.ndarray:
 
 
 def homomorphism_defect(c1, a1, c2, a2, u, psi) -> float:
-    """Batch form of ``check_homomorphism`` on arrays.
+    """max |{P(e₁), P(e₂)}(pt) - P([e₁, e₂])(pt)| over pairs and phase points.
 
     ``c1``, ``c2`` are (k, 3, 3) functional matrices and ``a1``, ``a2`` the
     (k, 3) generators of k element pairs (zero offsets); ``u``, ``psi`` are
@@ -236,7 +164,7 @@ def homomorphism_defect(c1, a1, c2, a2, u, psi) -> float:
     for lo in range(0, len(a1), step):
         s = slice(lo, lo + step)
         a1h, a2h = skew_matrix(a1[s]), skew_matrix(a2[s])
-        cb, ab = lie_bracket_batch(c1[s], a1[s], c2[s], a2[s])
+        cb, ab = lie_bracket(c1[s], a1[s], c2[s], a2[s])
         lhs = _rows9(_commutator(a1h, a2h)) @ wt
         lhs += _rows9(_commutator(c1[s], a2h)) @ ut
         lhs -= _rows9(_commutator(c2[s], a1h)) @ ut
@@ -244,14 +172,3 @@ def homomorphism_defect(c1, a1, c2, a2, u, psi) -> float:
         rhs += _rows9(cb) @ ut
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
-
-
-def random_element(rng: np.random.Generator) -> SemidirectLieElement:
-    c = w_matrix(rng.normal(size=5))
-    return SemidirectLieElement(WFunctional(c, 0.0), rng.normal(size=3))
-
-
-def random_phase_point(rng: np.random.Generator) -> PhasePoint:
-    return PhasePoint(
-        w_matrix(rng.normal(size=5)), WFunctional(w_matrix(rng.normal(size=5)), 0.0)
-    )

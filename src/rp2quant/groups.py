@@ -17,15 +17,16 @@ Projective points carry a canonical sign: the representative is flipped so
 that the last coordinate that is nonzero at tolerance 1e-12, scanning
 (x₃, x₂, x₁), is positive.
 
-Batch forms.  The primitives the harness applies per sample also come in a
-``*_batch`` form on arrays of rows: a batch of SU(2) elements is an (n, 2)
-complex array whose rows are (z0, z1), a batch of points an (n, 3) float
-array.  Each formula is written once, as a private helper doing plain real
-arithmetic that runs on floats and on arrays alike; the scalar form calls it
-on floats, the batch form on columns.  A batch row therefore equals the
-scalar result bit for bit (norms go through ``np.vecdot``, which rounds as
-``np.linalg.norm`` of one vector does).  ``SU2Element``, ``HElement`` and
-``RP2Point`` remain the scalar public API.
+One name per operation.  Each primitive takes one element or point, or a
+stack of them, and returns arrays; one input gives the zero-axis result.  A
+stack of SU(2) elements is a (..., 2) complex array whose rows are (z0, z1),
+and an ``SU2Element`` is accepted wherever one element is; a stack of points
+is a (..., 3) float array.  Each formula is written once, as a private
+helper doing plain real arithmetic that runs on floats and on arrays alike,
+so row k of a stacked call equals the call on row k bit for bit (norms go
+through ``np.vecdot``, which rounds as ``np.linalg.norm`` of one vector
+does).  ``SU2Element``, ``HElement`` and ``RP2Point`` are the object forms:
+values with the group product, the H components and hashing.
 """
 
 from dataclasses import dataclass
@@ -125,21 +126,18 @@ def _scan_flip(x1, x2, x3):
     return flip
 
 
-def _columns(a):
-    """Real components (Re z0, Im z0, Re z1, Im z1) of (..., 2) complex rows."""
-    a = np.asarray(a, dtype=complex)
-    return a[..., 0].real, a[..., 0].imag, a[..., 1].real, a[..., 1].imag
-
-
 def _complex(re, im) -> np.ndarray:
     """re + i·im without arithmetic, so signed zeros and bits carry over."""
-    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
-    out.real, out.imag = re, im
-    return out
+    out = np.empty(np.broadcast(re, im).shape + (2,))
+    out[..., 0], out[..., 1] = re, im
+    return out.view(complex)[..., 0]
 
 
 def _pack(r0, i0, r1, i1) -> np.ndarray:
-    return np.stack(np.broadcast_arrays(_complex(r0, i0), _complex(r1, i1)), axis=-1)
+    """(..., 2) complex rows (r0 + i·i0, r1 + i·i1), as ``_complex`` builds them."""
+    out = np.empty(np.broadcast(r0, i0, r1, i1).shape + (2, 2))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = r0, i0, r1, i1
+    return out.view(complex)[..., 0]
 
 
 def _stack3x3(rows) -> np.ndarray:
@@ -184,15 +182,6 @@ class SU2Element:
 SU2_IDENTITY = SU2Element(1.0, 0.0)
 
 
-def su2_batch(z) -> np.ndarray:
-    """Validate and normalize (n, 2) rows (z0, z1) as ``SU2Element`` does."""
-    r0, i0, r1, i1 = _columns(z)
-    n, *parts = _unit_pair(np.hypot(r0, i0), np.hypot(r1, i1), r0, i0, r1, i1)
-    if not np.all(np.abs(n - 1.0) <= UNIT_TOL):
-        raise ValueError(f"(z0, z1) norms depart from 1 beyond {UNIT_TOL}")
-    return _pack(*parts)
-
-
 def _su2_rows(g) -> np.ndarray:
     """(z0, z1) as a (2,) array for an ``SU2Element``; (..., 2) rows as given."""
     if isinstance(g, SU2Element):
@@ -203,9 +192,24 @@ def _su2_rows(g) -> np.ndarray:
     return g
 
 
-def su2_product_batch(g, h) -> np.ndarray:
-    """Row-wise products g·h of two (n, 2) batches (or one row against a batch)."""
-    return su2_batch(_pack(*_product(*_columns(g), *_columns(h))))
+def _columns(g):
+    """Real components (Re z0, Im z0, Re z1, Im z1) of an element or (..., 2) rows."""
+    a = _su2_rows(g)
+    return a[..., 0].real, a[..., 0].imag, a[..., 1].real, a[..., 1].imag
+
+
+def validate_normalize_su2(z) -> np.ndarray:
+    """Validate (..., 2) rows (z0, z1) as unit pairs and normalize them as ``SU2Element`` does."""
+    r0, i0, r1, i1 = _columns(z)
+    n, *parts = _unit_pair(np.hypot(r0, i0), np.hypot(r1, i1), r0, i0, r1, i1)
+    if not np.all(np.abs(n - 1.0) <= UNIT_TOL):
+        raise ValueError(f"(z0, z1) norms depart from 1 beyond {UNIT_TOL}")
+    return _pack(*parts)
+
+
+def su2_product(g, h) -> np.ndarray:
+    """Products g·h as rows; elements or stacks of rows broadcast."""
+    return validate_normalize_su2(_pack(*_product(*_columns(g), *_columns(h))))
 
 
 @dataclass(frozen=True)
@@ -231,11 +235,11 @@ class HElement:
         return SU2Element(0.0, self.lam)
 
 
-def h_embed_batch(antidiagonal, lam) -> np.ndarray:
+def h_embed(antidiagonal, lam) -> np.ndarray:
     """Rows of the embedded H elements ``HElement(kind, lam).embed()``.
 
-    ``antidiagonal`` is a boolean array selecting the component, ``lam`` the
-    unimodular parameters (normalized as ``HElement`` does).
+    ``antidiagonal`` is a boolean (array) selecting the component, ``lam``
+    the unimodular parameters (normalized as ``HElement`` does).
     """
     lam = np.asarray(lam, dtype=complex)
     a, re, im = _unimodular(lam.real, lam.imag)
@@ -245,25 +249,21 @@ def h_embed_batch(antidiagonal, lam) -> np.ndarray:
     zero = np.zeros_like(lam)
     rows = np.where(np.asarray(antidiagonal)[..., None],
                     np.stack([zero, lam], axis=-1), np.stack([lam, zero], axis=-1))
-    return su2_batch(rows)
+    return validate_normalize_su2(rows)
 
 
-def su2_from_axis_angle(psi: float, n_hat) -> SU2Element:
-    """u(ψ, n̂) = cos(ψ/2)·Id - i·sin(ψ/2)·(n̂·σ) as a tuple (z0, z1)."""
-    n = np.asarray(n_hat, dtype=float)
-    if not abs(_norm(n) - 1.0) <= UNIT_TOL:
-        raise ValueError("axis must be a unit vector")
-    r0, i0, r1, i1 = _axis_angle_pair(psi, n[0], n[1], n[2])
-    return SU2Element(complex(r0, i0), complex(r1, i1))
-
-
-def su2_from_axis_angle_batch(psi, n_hat) -> np.ndarray:
-    """Rows u(ψ_k, n̂_k) for (n,) angles and (n, 3) unit axes."""
+def _unit_axis(n_hat):
+    """Components of one unit axis or of an (..., 3) stack; non-unit axes raise."""
     n = np.asarray(n_hat, dtype=float)
     if not np.all(np.abs(_norm(n) - 1.0) <= UNIT_TOL):
         raise ValueError("axis must be a unit vector")
-    return su2_batch(_pack(*_axis_angle_pair(np.asarray(psi, dtype=float),
-                                             n[..., 0], n[..., 1], n[..., 2])))
+    return n[..., 0], n[..., 1], n[..., 2]
+
+
+def su2_from_axis_angle(psi, n_hat) -> np.ndarray:
+    """u(ψ, n̂) = cos(ψ/2)·Id - i·sin(ψ/2)·(n̂·σ) as (z0, z1); angles and axes broadcast."""
+    pair = _axis_angle_pair(np.asarray(psi, dtype=float), *_unit_axis(n_hat))
+    return validate_normalize_su2(_pack(*pair))
 
 
 def _haar_pair(v):
@@ -284,13 +284,13 @@ def su2_from_normals(v) -> np.ndarray:
     ``rng.normal(size=(n, 4))`` draws what n calls of ``random_su2`` draw, so
     ``su2_from_normals(rng.normal(size=(n, 4)))`` equals those n elements.
     """
-    return su2_batch(_pack(*_haar_pair(np.asarray(v, dtype=float))))
+    return validate_normalize_su2(_pack(*_haar_pair(np.asarray(v, dtype=float))))
 
 
 # --------------------------------------------------------------- SO(3)
 
-def spinor_map(g: SU2Element) -> np.ndarray:
-    """The 2:1 homomorphism SU(2) → SO(3).
+def spinor_map(g) -> np.ndarray:
+    """The 2:1 homomorphism SU(2) → SO(3): (3, 3), or (..., 3, 3) for rows.
 
     Returns the unique rotation R with g (x·σ) g† = (R x)·σ for all x ∈ ℝ³,
     i.e. R_ij = ½ tr(σ_i g σ_j g†).  It is evaluated in closed form from the
@@ -299,11 +299,8 @@ def spinor_map(g: SU2Element) -> np.ndarray:
     so on), so R(-g) = R(g) holds to rounding even after -g is renormalized.
     The Pauli-trace definition is kept as the test oracle.
     """
-    return np.array(_spin_rows(g.z0.real, g.z0.imag, g.z1.real, g.z1.imag))
-
-
-def spinor_map_batch(g) -> np.ndarray:
-    """Spin of each row of an (n, 2) batch: an (n, 3, 3) stack of rotations."""
+    if isinstance(g, SU2Element):      # one object: plain floats, no row arrays
+        return np.array(_spin_rows(g.z0.real, g.z0.imag, g.z1.real, g.z1.imag))
     return _stack3x3(_spin_rows(*_columns(g)))
 
 
@@ -318,21 +315,9 @@ def skew_matrix(n) -> np.ndarray:
     return out
 
 
-def rotation_from_axis_angle(psi: float, n_hat) -> np.ndarray:
-    """Rodrigues form R(ψ, n̂) = Id + sin(ψ)·N + (1 - cos(ψ))·N²."""
-    n = np.asarray(n_hat, dtype=float)
-    if not abs(_norm(n) - 1.0) <= UNIT_TOL:
-        raise ValueError("axis must be a unit vector")
-    return np.array(_rodrigues_rows(psi, n[0], n[1], n[2]))
-
-
-def rotation_from_axis_angle_batch(psi, n_hat) -> np.ndarray:
-    """Rodrigues rotations for (n,) angles and (n, 3) unit axes: (n, 3, 3)."""
-    n = np.asarray(n_hat, dtype=float)
-    if not np.all(np.abs(_norm(n) - 1.0) <= UNIT_TOL):
-        raise ValueError("axis must be a unit vector")
-    return _stack3x3(_rodrigues_rows(np.asarray(psi, dtype=float),
-                                     n[..., 0], n[..., 1], n[..., 2]))
+def rotation_from_axis_angle(psi, n_hat) -> np.ndarray:
+    """Rodrigues form R(ψ, n̂) = Id + sin(ψ)·N + (1 - cos(ψ))·N²; angles and axes broadcast."""
+    return _stack3x3(_rodrigues_rows(np.asarray(psi, dtype=float), *_unit_axis(n_hat)))
 
 
 # ------------------------------------------------------------------- H
@@ -349,33 +334,29 @@ def h_membership(g: SU2Element) -> HElement | None:
 # ------------------------------------------------------- S² and ℝP²
 
 def unit_vector(x) -> np.ndarray:
-    """Validate and renormalize a unit 3-vector (tolerance 1e-9).
+    """Validate and renormalize a unit 3-vector, or each row of an (..., 3) stack.
 
-    Vectors already unit to 1e-14 are passed through unchanged, which keeps
-    canonicalization bitwise idempotent.
+    The tolerance is 1e-9.  Vectors already unit to 1e-14 are passed through
+    unchanged, which keeps canonicalization bitwise idempotent.
     """
     v = np.asarray(x, dtype=float)
-    n = _norm(v)
-    if not abs(n - 1.0) <= UNIT_TOL:
-        raise ValueError(f"|x| = {n} departs from 1 beyond {UNIT_TOL}")
-    if abs(n - 1.0) > 1e-14:
-        return v / n
-    return v.copy()
-
-
-def unit_vector_batch(x) -> np.ndarray:
-    """``unit_vector`` applied to each row of an (n, 3) array."""
-    v = np.asarray(x, dtype=float)
     n = _norm(v)[..., None]
-    if not np.all(np.abs(n - 1.0) <= UNIT_TOL):
-        raise ValueError(f"row norms depart from 1 beyond {UNIT_TOL}")
-    return np.where(np.abs(n - 1.0) > 1e-14, v / n, v)
+    off = abs(n - 1.0)
+    if not (off <= UNIT_TOL).all():
+        raise ValueError(f"vector norms depart from 1 beyond {UNIT_TOL}")
+    return np.where(off > 1e-14, v / n, v)
 
 
-def canonical_sign(x) -> float:
-    """Sign flip making the last nonzero coordinate of (x₃, x₂, x₁) positive."""
-    x1, x2, x3 = np.asarray(x, dtype=float).tolist()
-    return -1.0 if _scan_flip(x1, x2, x3) else 1.0
+def rp2_rep(x) -> np.ndarray:
+    """Canonical representative of a unit 3-vector's class, or of each row of a stack.
+
+    The vector is renormalized as ``unit_vector`` does and flipped so that
+    the last coordinate that is nonzero at ZERO_TOL, scanning (x₃, x₂, x₁),
+    is positive; adding 0.0 maps any -0.0 entry to +0.0.
+    """
+    v = np.asarray(x, dtype=float)
+    sign = np.where(_scan_flip(v[..., 0], v[..., 1], v[..., 2]), -1.0, 1.0)
+    return unit_vector(v) * sign[..., None] + 0.0
 
 
 @dataclass(frozen=True)
@@ -385,8 +366,9 @@ class RP2Point:
     rep: np.ndarray
 
     def __post_init__(self):
-        # adding 0.0 maps any -0.0 entries to +0.0 so byte-level hashing agrees
-        v = unit_vector(self.rep) * canonical_sign(self.rep) + 0.0
+        v = rp2_rep(self.rep)          # no -0.0 entries, so byte-level hashing agrees
+        if v.shape != (3,):
+            raise ValueError("an RP2Point is one 3-vector")
         v.flags.writeable = False
         object.__setattr__(self, "rep", v)
 
@@ -402,23 +384,8 @@ def rp2_point(x) -> RP2Point:
     return RP2Point(np.asarray(x, dtype=float))
 
 
-def rp2_rep_batch(x) -> np.ndarray:
-    """Canonical representatives of the rows of an (n, 3) array.
-
-    Row k equals ``rp2_point(x[k]).rep`` bit for bit.
-    """
-    v = np.asarray(x, dtype=float)
-    sign = np.where(_scan_flip(v[..., 0], v[..., 1], v[..., 2]), -1.0, 1.0)
-    return unit_vector_batch(v) * sign[..., None] + 0.0
-
-
-def quotient_to_sphere(g: SU2Element) -> np.ndarray:
-    """x(g) = Spin(g)·e₃, the S² point of the class g·U(1)."""
-    return np.array(_image_of_e3(g.z0.real, g.z0.imag, g.z1.real, g.z1.imag))
-
-
-def quotient_to_sphere_batch(g) -> np.ndarray:
-    """x(g) for each row of an (n, 2) batch: an (n, 3) array."""
+def quotient_to_sphere(g) -> np.ndarray:
+    """x(g) = Spin(g)·e₃, the S² point of the class g·U(1): (3,), or (..., 3) for rows."""
     return np.stack(_image_of_e3(*_columns(g)), axis=-1)
 
 
@@ -427,34 +394,25 @@ def quotient_to_rp2(g: SU2Element) -> RP2Point:
     return rp2_point(quotient_to_sphere(g))
 
 
-def su2_from_sphere_point(x) -> SU2Element:
-    """A section of SU(2) → S²: the geodesic rotation taking e₃ to x.
+_SOUTH_POLE_ROW = su2_from_axis_angle(np.pi, (1.0, 0.0, 0.0))
 
-    Deterministic choice used when a concrete class representative is needed;
-    at the south pole the π-rotation about e₁ is returned.
+
+def su2_from_sphere_point(x) -> np.ndarray:
+    """A section of SU(2) → S²: the geodesic rotation taking e₃ to x, as (z0, z1).
+
+    Deterministic choice used when a concrete class representative is needed:
+    the rotation by arctan2(ρ, x₃) about (-x₂, x₁, 0)/ρ, ρ = |(-x₂, x₁, 0)|.
+    At the south pole the π-rotation about e₁ is returned, and where
+    ρ < ZERO_TOL the exact identity.  An (..., 3) stack gives (..., 2) rows.
     """
     v = unit_vector(x)
-    if v[2] <= -1.0 + ZERO_TOL:
-        return su2_from_axis_angle(np.pi, (1.0, 0.0, 0.0))
-    s = _norm(np.array([-v[1], v[0], 0.0]))
-    if s < ZERO_TOL:
-        return SU2_IDENTITY
-    x, y, z = v.tolist()
-    r0, i0, r1, i1 = _axis_angle_pair(np.arctan2(s, z), -y / s, x / s, 0.0 / s)
-    return SU2Element(complex(r0, i0), complex(r1, i1))
-
-
-def su2_from_sphere_point_batch(x) -> np.ndarray:
-    """``su2_from_sphere_point`` for each row of an (n, 3) array: (n, 2) rows."""
-    v = unit_vector_batch(x)
-    axis = np.stack([-v[..., 1], v[..., 0], np.zeros_like(v[..., 0])], axis=-1)
-    s = _norm(axis)
-    south = v[..., 2] <= -1.0 + ZERO_TOL
-    pole = ~south & (s < ZERO_TOL)
-    generic = ~(south | pole)
-    safe = np.where(generic, s, 1.0)[..., None]
-    axis = np.where(generic[..., None], axis / safe, [1.0, 0.0, 0.0])
-    psi = np.where(generic, np.arctan2(s, v[..., 2]), np.pi)
-    rows = su2_from_axis_angle_batch(psi, axis)
-    rows[pole] = (1.0, 0.0)
+    x1, x2, x3 = v[..., 0], v[..., 1], v[..., 2]
+    rho = _norm(v[..., [1, 0, 2]] * (-1.0, 1.0, 0.0))     # |(-x₂, x₁, 0)|
+    south = x3 <= -1.0 + ZERO_TOL
+    generic = ~south & (rho >= ZERO_TOL)
+    safe = np.where(generic, rho, 1.0)
+    psi = np.where(generic, np.arctan2(rho, x3), 0.0)     # the angle 0 keeps other rows valid
+    rows = validate_normalize_su2(_pack(*_axis_angle_pair(psi, -x2 / safe, x1 / safe, 0.0)))
+    rows[~generic] = (1.0, 0.0)
+    rows[south] = _SOUTH_POLE_ROW
     return rows

@@ -18,19 +18,20 @@ import numpy as np
 
 from .errors import PointNotInChart
 from ._kernels import ylm_basis
-from .groups import UNIT_TOL, RP2Point, unit_vector, unit_vector_batch
+from .groups import UNIT_TOL, unit_vector
 
 CHART_TOL = 1e-9
 SYMMETRIC_TRACELESS_TOL = 1e-12   # asymmetry and trace accepted for a matrix in W
 MAX_GRID_LMAX = 32       # largest band build_quadrature integrates exactly
 
 
-def chart_coords_batch(x, alpha: int) -> np.ndarray:
-    """Affine coordinates (x_i/x_α, x_j/x_α) of each row of an (..., 3) array.
+def chart_coords(x, alpha: int) -> np.ndarray:
+    """Affine coordinates (x_i/x_α, x_j/x_α) of a point or of each row of a stack.
 
-    i < j are the non-chart indices; returns (..., 2).  The ratios do not
-    change under x ↦ -x, so any representative of a class gives its
-    coordinates.  A row with |x_α| ≤ CHART_TOL raises PointNotInChart.
+    i < j are the non-chart indices; a (3,) point gives (2,), an (..., 3)
+    stack (..., 2).  The ratios do not change under x ↦ -x, so any
+    representative of a class gives its coordinates.  A point with
+    |x_α| ≤ CHART_TOL raises PointNotInChart.
     """
     if alpha not in (1, 2, 3):
         raise ValueError("chart index must be 1, 2 or 3")
@@ -43,44 +44,23 @@ def chart_coords_batch(x, alpha: int) -> np.ndarray:
     return np.stack([x[..., i] / x[..., a], x[..., j] / x[..., a]], axis=-1)
 
 
-def chart_coords(p: RP2Point, alpha: int) -> tuple[float, float]:
-    """Affine coordinates (x_i/x_α, x_j/x_α), i < j the non-chart indices."""
-    c = chart_coords_batch(p.rep, alpha)
-    return (c[0], c[1])
+def transition_signs(x) -> np.ndarray:
+    """All transition signs g_αβ([x]) = sign(x_α x_β) at a point: (3, 3) ints.
 
-
-def _transition_sign(xa, xb):
-    """sign(x_α x_β) as ±1, for floats or arrays (both coordinates nonzero)."""
-    return (xa * xb > 0.0) * 2 - 1
-
-
-def transition_function(alpha: int, beta: int, p: RP2Point) -> int:
-    """g_αβ([x]) = sign(x_α x_β) ∈ {+1, -1}; representative-independent."""
-    x = p.rep.tolist()
-    for idx in (alpha, beta):
-        if idx not in (1, 2, 3):
-            raise ValueError("chart index must be 1, 2 or 3")
-        if abs(x[idx - 1]) <= CHART_TOL:
-            raise PointNotInChart(f"x_{idx} vanishes for {p.rep}")
-    return _transition_sign(x[alpha - 1], x[beta - 1])
-
-
-def transition_signs_batch(x) -> np.ndarray:
-    """All transition signs at the rows of an (n, 3) array: (n, 3, 3) ints.
-
-    Entry [k, α-1, β-1] is ``transition_function(α, β, rp2_point(x[k]))``;
-    any row with a coordinate of size ≤ CHART_TOL raises PointNotInChart.
+    Entry [α-1, β-1] is g_αβ; an (..., 3) stack gives (..., 3, 3).  The
+    signs are representative-independent.  A point with a coordinate of
+    size ≤ CHART_TOL lies outside some chart and raises PointNotInChart.
     """
     x = np.asarray(x, dtype=float)
     outside = np.abs(x) <= CHART_TOL
     if np.any(outside):
-        k, i = np.argwhere(outside)[0]
-        raise PointNotInChart(f"x_{i + 1} vanishes for {x[k]}")
-    return _transition_sign(x[..., :, None], x[..., None, :])
+        *k, i = np.argwhere(outside)[0]
+        raise PointNotInChart(f"x_{i + 1} vanishes for {x[tuple(k)]}")
+    return (x[..., :, None] * x[..., None, :] > 0.0) * 2 - 1
 
 
-def f_embedding_batch(x) -> np.ndarray:
-    """(yz, xz, xy, y² - z²) at each row of an (..., 3) array: (..., 4).
+def f_embedding(x) -> np.ndarray:
+    """(yz, xz, xy, y² - z²) at a point (4,), or at each row of a stack (..., 4).
 
     F is even, so any representative of a class gives its value.
     """
@@ -89,24 +69,13 @@ def f_embedding_batch(x) -> np.ndarray:
     return np.stack([y * z, x * z, x * y, y * y - z * z], axis=-1)
 
 
-def f_embedding(p: RP2Point) -> np.ndarray:
-    """The 4-vector (yz, xz, xy, y² - z²) of even quadratics at [x:y:z]."""
-    return f_embedding_batch(p.rep)
-
-
-def _moment(v):
-    """v vᵀ - Id/3 for one unit vector or along the last axis of a stack."""
-    return v[..., :, None] * v[..., None, :] - np.eye(3) / 3.0
-
-
 def moment_embedding(x) -> np.ndarray:
-    """M(x) = x xᵀ - Id/3, a symmetric traceless matrix; M(-x) = M(x)."""
-    return _moment(unit_vector(x))
+    """M(x) = x xᵀ - Id/3, a symmetric traceless matrix; M(-x) = M(x).
 
-
-def moment_embedding_batch(x) -> np.ndarray:
-    """M at each row of an (n, 3) array of unit vectors: (n, 3, 3)."""
-    return _moment(unit_vector_batch(x))
+    An (..., 3) stack of unit vectors gives an (..., 3, 3) stack.
+    """
+    v = unit_vector(x)
+    return v[..., :, None] * v[..., None, :] - np.eye(3) / 3.0
 
 
 def f_from_moment(m: np.ndarray) -> np.ndarray:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RadialRangeError
-from .groups import SU2Element, spinor_map, spinor_map_batch, su2_from_axis_angle_batch
+from .groups import SU2Element, spinor_map, su2_from_axis_angle
 from .harmonics import (
     HarmonicCoeffs,
     _coeffs,
@@ -228,7 +228,7 @@ RICHARDSON_OFFSETS = (FD_STEP, -FD_STEP, FD_STEP / 2.0, -FD_STEP / 2.0)
 
 # rows g_t = e^{-itσ_i/2}: axis i = 1, 2, 3 on the first index, t in
 # RICHARDSON_OFFSETS order on the second (read-only, shape (3, 4, 2))
-FD_ELEMENTS = su2_from_axis_angle_batch(np.array(RICHARDSON_OFFSETS), np.eye(3)[:, None, :])
+FD_ELEMENTS = su2_from_axis_angle(np.array(RICHARDSON_OFFSETS), np.eye(3)[:, None, :])
 FD_ELEMENTS.flags.writeable = False
 
 
@@ -311,7 +311,7 @@ def check_intertwining(i: int, a, grid: QuadratureGrid):
     rows = c.reshape(-1, c.shape[-1])
     triples = np.stack([_module_triple(row, grid) for row in rows])            # (k, 3, n')
     g = _fd_elements(i, 3)
-    moved = spinor_map_batch(g.reshape(-1, 2))[:, None] @ rotate_stack(g, triples)
+    moved = spinor_map(g.reshape(-1, 2))[:, None] @ rotate_stack(g, triples)
     lhs = 1j * _richardson(moved)
     rhs = np.stack([_module_triple(row, grid) for row in apply_L(i, rows)])
     gap = _row_norms((lhs - rhs).reshape(len(rows), -1)) / _row_norms(rows)

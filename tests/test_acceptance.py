@@ -12,18 +12,11 @@ import pytest
 
 from rp2quant import bundles, heisenberg
 from rp2quant.checks import SuiteConfig
-from rp2quant.classical import (
-    check_homomorphism,
-    lie_bracket,
-    P_observable,
-    poisson_bracket,
-    random_element,
-    random_phase_point,
-)
+from rp2quant.classical import lie_bracket, P_observable, poisson_bracket
 from rp2quant.cli import render_report, run_suite
 from rp2quant.groups import random_su2, rotation_from_axis_angle, rp2_point, spinor_map, su2_from_axis_angle
 from rp2quant.harmonics import analyze, parity_decompose, random_coeffs, rotate_coeffs, rotate_values
-from rp2quant.manifold import build_quadrature, transition_function
+from rp2quant.manifold import build_quadrature, transition_signs
 from rp2quant.representation import (
     act_canonical,
     check_group_law,
@@ -41,6 +34,7 @@ from rp2quant.berry_robbins import (
     scalar_lift,
     transported_spin,
 )
+from tests.test_classical import check_homomorphism, random_element, random_phase_point
 from tests.test_representation import (
     gaussian_profile,
     low_degree_odd,
@@ -118,22 +112,20 @@ def test_05_bundle_structure():
         v /= np.linalg.norm(v)
         if np.min(np.abs(v)) < 0.02:
             continue
-        p = rp2_point(v)
-        for a in (1, 2, 3):
-            for b in (1, 2, 3):
-                for c in (1, 2, 3):
-                    assert transition_function(a, b, p) * transition_function(
-                        b, c, p
-                    ) == transition_function(a, c, p)
+        g = transition_signs(rp2_point(v).rep)
+        for a in range(3):
+            for b in range(3):
+                for c in range(3):
+                    assert g[a, b] * g[b, c] == g[a, c]
     # lift intertwining on 200 random cases
     worst = 0.0
     for _ in range(200):
         g = random_su2(rng)
-        e = bundles.AssocElement(random_su2(rng), rng.normal() + 1j * rng.normal())
-        via_assoc = bundles.iso_Phi(bundles.natural_lift(g, e))
-        via_tau = bundles.lift_tau(g, bundles.iso_Phi(e))
-        worst = max(worst, float(np.max(np.abs(via_assoc.fiber - via_tau.fiber))))
-        worst = max(worst, float(np.max(np.abs(via_assoc.base.rep - via_tau.base.rep))))
+        p, v = random_su2(rng), rng.normal() + 1j * rng.normal()
+        assoc_base, assoc_fiber = bundles.iso_Phi(g * p, v)     # the natural lift (g p, v)
+        tau_base, tau_fiber = bundles.lift_tau(g, *bundles.iso_Phi(p, v))
+        worst = max(worst, float(np.max(np.abs(assoc_fiber - tau_fiber))))
+        worst = max(worst, float(np.max(np.abs(assoc_base - tau_base))))
     report("criterion-05a transported lift equals conjugated natural lift", worst, 1e-10)
     worst = 0.0
     for _ in range(10):
@@ -189,13 +181,13 @@ def test_08_classical_no_obstruction():
         es = [random_element(rng) for _ in range(3)]
         pt = random_phase_point(rng)
         cyc = sum(
-            P_observable(lie_bracket(lie_bracket(es[i], es[j]), es[k]), pt)
+            P_observable(*lie_bracket(*lie_bracket(*es[i], *es[j]), *es[k]), *pt)
             for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
         )
         worst = max(worst, abs(cyc))
         worst = max(
             worst,
-            abs(poisson_bracket(es[0], es[1], pt) + poisson_bracket(es[1], es[0], pt)),
+            abs(poisson_bracket(*es[0], *es[1], *pt) + poisson_bracket(*es[1], *es[0], *pt)),
         )
     report("criterion-08b antisymmetry and Jacobi identity", worst, 1e-8)
 

@@ -1,7 +1,8 @@
 """Each batched harness check against the scalar loop it replaced.
 
 The reference loops below are the per-sample check bodies as they were
-written before the checks ran over batches; they use the scalar public API.
+written before the checks ran over batches; they use the one-object forms
+frozen in ``scalar_reference``.
 For every rewritten check the batched body must consume its RNG stream
 exactly as the loop does (same generator state afterwards) and give the same
 residual: bit for bit where only the layout changed, and within a tolerance
@@ -47,10 +48,7 @@ from rp2quant.groups import (
     su2_from_normals,
     quotient_to_rp2,
     random_su2,
-    rotation_from_axis_angle,
     rp2_point,
-    spinor_map,
-    su2_from_axis_angle,
 )
 from rp2quant.harmonics import (
     evaluate,
@@ -60,21 +58,22 @@ from rp2quant.harmonics import (
     unit,
     wigner_d,
 )
-from rp2quant.manifold import (
-    WFunctional,
-    build_quadrature,
-    chart_coords,
-    f_embedding,
-    f_from_moment,
-    moment_embedding,
-    transition_function,
-    w_action,
-)
+from rp2quant.manifold import WFunctional, build_quadrature, f_from_moment, w_action
 from rp2quant.representation import (
     check_intertwining,
     exchange_parities,
     generator_vs_ladder_residual,
     su2_closure_residual,
+)
+from tests import scalar_reference as ref
+from tests.scalar_reference import (
+    chart_coords,
+    f_embedding,
+    moment_embedding,
+    rotation_from_axis_angle,
+    spinor_map,
+    su2_from_axis_angle,
+    transition_function,
 )
 
 EPS = np.finfo(float).eps
@@ -93,9 +92,9 @@ def _random_h(rng) -> HElement:
     return HElement(kind, np.exp(1j * rng.uniform(0, 2 * np.pi)))
 
 
-def _random_assoc(rng) -> bundles.AssocElement:
+def _random_assoc(rng) -> ref.AssocElement:
     v = rng.normal() + 1j * rng.normal()
-    return bundles.AssocElement(random_su2(rng), v)
+    return ref.AssocElement(random_su2(rng), v)
 
 
 def ref_spinor_hom(rng, cfg):
@@ -207,8 +206,8 @@ def ref_iso_well_defined(rng, cfg):
     worst = 0.0
     for _ in range(cfg.samples):
         e = _random_assoc(rng)
-        e2 = bundles.assoc_translate(e, _random_h(rng))
-        el1, el2 = bundles.iso_Phi(e), bundles.iso_Phi(e2)
+        e2 = ref.assoc_translate(e, _random_h(rng))
+        el1, el2 = ref.iso_Phi(e), ref.iso_Phi(e2)
         worst = max(worst, float(np.max(np.abs(el1.base.rep - el2.base.rep))))
         worst = max(worst, float(np.max(np.abs(el1.fiber - el2.fiber))))
     return worst
@@ -218,8 +217,8 @@ def ref_lift_intertwine(rng, cfg):
     worst = 0.0
     for _ in range(200):
         g, e = random_su2(rng), _random_assoc(rng)
-        via_assoc = bundles.iso_Phi(bundles.natural_lift(g, e))
-        via_tau = bundles.lift_tau(g, bundles.iso_Phi(e))
+        via_assoc = ref.iso_Phi(ref.natural_lift(g, e))
+        via_tau = ref.lift_tau(g, ref.iso_Phi(e))
         worst = max(worst, float(np.max(np.abs(via_assoc.fiber - via_tau.fiber))))
         worst = max(
             worst, float(np.max(np.abs(via_assoc.base.rep - via_tau.base.rep)))
@@ -231,9 +230,9 @@ def ref_lift_compose(rng, cfg):
     worst = 0.0
     for _ in range(cfg.samples):
         g1, g2 = random_su2(rng), random_su2(rng)
-        el = bundles.iso_Phi(_random_assoc(rng))
-        seq = bundles.lift_tau(g1, bundles.lift_tau(g2, el))
-        prod = bundles.lift_tau(g1 * g2, el)
+        el = ref.iso_Phi(_random_assoc(rng))
+        seq = ref.lift_tau(g1, ref.lift_tau(g2, el))
+        prod = ref.lift_tau(g1 * g2, el)
         worst = max(worst, float(np.max(np.abs(seq.fiber - prod.fiber))))
         covered = rp2_point(spinor_map(g1 * g2) @ el.base.rep)
         worst = max(worst, float(np.max(np.abs(prod.base.rep - covered.rep))))
@@ -264,10 +263,10 @@ def ref_antipodal(rng, cfg):
 
 def ref_no_obstruction(rng, cfg):
     worst = 0.0
-    pts = [classical.random_phase_point(rng) for _ in range(100)]
+    pts = [ref.random_phase_point(rng) for _ in range(100)]
     for _ in range(1000):
-        e1, e2 = classical.random_element(rng), classical.random_element(rng)
-        worst = max(worst, classical.check_homomorphism(e1, e2, pts))
+        e1, e2 = ref.random_element(rng), ref.random_element(rng)
+        worst = max(worst, ref.check_homomorphism(e1, e2, pts))
     return worst
 
 
@@ -430,16 +429,16 @@ def ref_j0_reduction(rng, cfg):
 def ref_p_linear(rng, cfg):
     worst = 0.0
     for _ in range(cfg.samples):
-        e1 = classical.random_element(rng)
-        e2 = classical.random_element(rng)
+        e1 = ref.random_element(rng)
+        e2 = ref.random_element(rng)
         al, be = rng.normal(), rng.normal()
-        combo = classical.SemidirectLieElement(
+        combo = ref.SemidirectLieElement(
             WFunctional(al * e1.phi_w.c + be * e2.phi_w.c, 0.0),
             al * e1.A + be * e2.A,
         )
-        pt = classical.random_phase_point(rng)
-        gap = classical.P_observable(combo, pt) - (
-            al * classical.P_observable(e1, pt) + be * classical.P_observable(e2, pt)
+        pt = ref.random_phase_point(rng)
+        gap = ref.P_observable(combo, pt) - (
+            al * ref.P_observable(e1, pt) + be * ref.P_observable(e2, pt)
         )
         worst = max(worst, abs(gap))
     return worst
@@ -448,9 +447,9 @@ def ref_p_linear(rng, cfg):
 def ref_bracket_fd(rng, cfg):
     worst = 0.0
     for _ in range(50):
-        e1, e2 = classical.random_element(rng), classical.random_element(rng)
-        pt = classical.random_phase_point(rng)
-        gap = classical.poisson_bracket(e1, e2, pt) - classical.poisson_bracket_fd(
+        e1, e2 = ref.random_element(rng), ref.random_element(rng)
+        pt = ref.random_phase_point(rng)
+        gap = ref.poisson_bracket(e1, e2, pt) - ref.poisson_bracket_fd(
             e1, e2, pt
         )
         worst = max(worst, abs(gap))
@@ -460,20 +459,20 @@ def ref_bracket_fd(rng, cfg):
 def ref_jacobi(rng, cfg):
     worst = 0.0
     for _ in range(50):
-        es = [classical.random_element(rng) for _ in range(3)]
-        pt = classical.random_phase_point(rng)
-        worst = max(worst, abs(classical.poisson_bracket(es[0], es[0], pt)))
+        es = [ref.random_element(rng) for _ in range(3)]
+        pt = ref.random_phase_point(rng)
+        worst = max(worst, abs(ref.poisson_bracket(es[0], es[0], pt)))
         worst = max(
             worst,
             abs(
-                classical.poisson_bracket(es[0], es[1], pt)
-                + classical.poisson_bracket(es[1], es[0], pt)
+                ref.poisson_bracket(es[0], es[1], pt)
+                + ref.poisson_bracket(es[1], es[0], pt)
             ),
         )
         cyc = 0.0
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            cyc += classical.P_observable(
-                classical.lie_bracket(classical.lie_bracket(es[i], es[j]), es[k]), pt
+            cyc += ref.P_observable(
+                ref.lie_bracket(ref.lie_bracket(es[i], es[j]), es[k]), pt
             )
         worst = max(worst, abs(cyc))
     return worst
@@ -527,11 +526,11 @@ def ref_triv_transitions(rng, cfg):
     for _ in range(cfg.samples):
         x = _random_interior_point(rng)
         lam = rng.normal() + 1j * rng.normal()
-        el = bundles.LMinusElement(rp2_point(x), lam * bundles.phi(rp2_point(x).rep))
+        el = ref.LMinusElement(rp2_point(x), lam * bundles.phi(rp2_point(x).rep))
         for a in (1, 2, 3):
             for b in (1, 2, 3):
-                _, ca = bundles.local_trivialization(a, el)
-                _, cb = bundles.local_trivialization(b, el)
+                _, ca = ref.local_trivialization(a, el)
+                _, cb = ref.local_trivialization(b, el)
                 sign = transition_function(b, a, el.base)
                 worst = max(worst, abs(cb - sign * ca))
     return worst
@@ -554,8 +553,8 @@ def ref_projector_props(rng, cfg):
 def ref_iso_roundtrip(rng, cfg):
     worst = 0.0
     for _ in range(100):
-        el = bundles.iso_Phi(_random_assoc(rng))
-        back = bundles.iso_Phi(bundles.iso_Phi_inverse(el))
+        el = ref.iso_Phi(_random_assoc(rng))
+        back = ref.iso_Phi(ref.iso_Phi_inverse(el))
         worst = max(worst, float(np.max(np.abs(back.fiber - el.fiber))))
         worst = max(worst, float(np.max(np.abs(back.base.rep - el.base.rep))))
     return worst
@@ -569,7 +568,7 @@ def ref_kappa_mult(rng, cfg):
         if prod is None:
             return 1.0
         worst = max(
-            worst, abs(bundles.kappa(prod) - bundles.kappa(h1) * bundles.kappa(h2))
+            worst, abs(ref.kappa(prod) - ref.kappa(h1) * ref.kappa(h2))
         )
     return worst
 
@@ -727,10 +726,10 @@ def test_no_obstruction_draws_match_elements():
     # the same draws turned into objects by the scalar helpers, then checked as
     # one stack of pairs, give the batched check's residual bit for bit
     def from_elements(rng, cfg):
-        pts = [classical.random_phase_point(rng) for _ in range(100)]
-        pairs = [(classical.random_element(rng), classical.random_element(rng))
+        pts = [ref.random_phase_point(rng) for _ in range(100)]
+        pairs = [(ref.random_element(rng), ref.random_element(rng))
                  for _ in range(1000)]
-        return classical.check_homomorphism(*zip(*pairs), pts)
+        return ref.check_homomorphism(*zip(*pairs), pts)
 
     for seed in (0, 7):
         cfg = SuiteConfig(rng_seed=seed)
@@ -740,11 +739,11 @@ def test_no_obstruction_draws_match_elements():
 
 
 def test_homomorphism_accepts_pair_stacks(rng):
-    pts = [classical.random_phase_point(rng) for _ in range(30)]
-    e1 = [classical.random_element(rng) for _ in range(40)]
-    e2 = [classical.random_element(rng) for _ in range(40)]
-    stacked = classical.check_homomorphism(e1, e2, pts)
-    single = max(classical.check_homomorphism(a, b, pts) for a, b in zip(e1, e2))
+    pts = [ref.random_phase_point(rng) for _ in range(30)]
+    e1 = [ref.random_element(rng) for _ in range(40)]
+    e2 = [ref.random_element(rng) for _ in range(40)]
+    stacked = ref.check_homomorphism(e1, e2, pts)
+    single = max(ref.check_homomorphism(a, b, pts) for a, b in zip(e1, e2))
     assert stacked == single
     assert stacked < 1e-12
 
@@ -753,22 +752,22 @@ def test_stacked_classical_forms_match_dataclass_rows():
     # row k of each stacked form equals the dataclass call on row k bit for bit
     rng = np.random.default_rng(11)
     n = 64
-    e1 = [classical.random_element(rng) for _ in range(n)]
-    e2 = [classical.random_element(rng) for _ in range(n)]
-    pts = [classical.random_phase_point(rng) for _ in range(n)]
+    e1 = [ref.random_element(rng) for _ in range(n)]
+    e2 = [ref.random_element(rng) for _ in range(n)]
+    pts = [ref.random_phase_point(rng) for _ in range(n)]
     c1, a1 = np.stack([e.phi_w.c for e in e1]), np.stack([e.A for e in e1])
     c2, a2 = np.stack([e.phi_w.c for e in e2]), np.stack([e.A for e in e2])
     u, psi = np.stack([p.u for p in pts]), np.stack([p.psi.c for p in pts])
-    observable = classical.P_observable_batch(c1, a1, u, psi)
-    closed = classical.poisson_bracket_batch(c1, a1, c2, a2, u, psi)
-    fd = classical.poisson_bracket_fd_batch(c1, a1, c2, a2, u, psi)
-    bracket_c, bracket_a = classical.lie_bracket_batch(c1, a1, c2, a2)
+    observable = classical.P_observable(c1, a1, u, psi)
+    closed = classical.poisson_bracket(c1, a1, c2, a2, u, psi)
+    fd = classical.poisson_bracket_fd(c1, a1, c2, a2, u, psi)
+    bracket_c, bracket_a = classical.lie_bracket(c1, a1, c2, a2)
     coords = classical.w_coords(u)
     for k in range(n):
-        assert observable[k] == classical.P_observable(e1[k], pts[k])
-        assert closed[k] == classical.poisson_bracket(e1[k], e2[k], pts[k])
-        assert fd[k] == classical.poisson_bracket_fd(e1[k], e2[k], pts[k])
-        want = classical.lie_bracket(e1[k], e2[k])
+        assert observable[k] == ref.P_observable(e1[k], pts[k])
+        assert closed[k] == ref.poisson_bracket(e1[k], e2[k], pts[k])
+        assert fd[k] == ref.poisson_bracket_fd(e1[k], e2[k], pts[k])
+        want = ref.lie_bracket(e1[k], e2[k])
         assert bracket_c[k].tobytes() == want.phi_w.c.tobytes()
         assert bracket_a[k].tobytes() == want.A.tobytes()
         assert coords[k].tobytes() == classical.w_coords(u[k]).tobytes()

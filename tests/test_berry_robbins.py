@@ -20,7 +20,7 @@ from rp2quant.groups import (
     random_su2,
     spinor_map,
     su2_from_axis_angle,
-    su2_from_sphere_point_batch,
+    su2_from_sphere_point,
 )
 from rp2quant.harmonics import analyze, random_coeffs, rotate_values, unit, wigner_d, zeros
 from rp2quant.manifold import build_quadrature
@@ -84,7 +84,7 @@ class TestTransportFrame:
     def test_near_north_points_give_identity_exactly(self, rng):
         # 1e-15 ≤ ρ < ZERO_TOL: groups returns the exact identity element there
         near = [[rho, 0.0, np.sqrt(1.0 - rho * rho)] for rho in (1e-14, 5e-13)]
-        assert np.array_equal(su2_from_sphere_point_batch(near), [[1.0, 0.0], [1.0, 0.0]])
+        assert np.array_equal(su2_from_sphere_point(near), [[1.0, 0.0], [1.0, 0.0]])
         pts = np.array([safe_point(rng) for _ in range(4)] + near)
         for j in (0.5, 1.0, 2.0):
             frame = TransportFrame(j)
@@ -212,7 +212,7 @@ class TestStacks:
         pts = np.array([safe_point(rng) for _ in range(n)])
         # rotations by 0.2 rad keep every image off the south pole
         elements = [su2_from_axis_angle(0.2, safe_point(rng)) for _ in range(n)]
-        rows = np.array([[g.z0, g.z1] for g in elements])
+        rows = np.array(elements)
         for j in (0.0, 1.0, 1.5):
             frame = TransportFrame(j)
             lam = rng.normal(size=(n, frame.dim)) + 1j * rng.normal(size=(n, frame.dim))

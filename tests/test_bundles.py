@@ -1,23 +1,15 @@
 import numpy as np
 import pytest
 
+from rp2quant import bundles
 from rp2quant.bundles import (
-    AssocElement,
-    LMinusElement,
-    assoc_translate,
     iso_Phi,
-    iso_Phi_batch,
     iso_Phi_inverse,
-    iso_Phi_inverse_batch,
     kappa,
-    kappa_batch,
     lift_tau,
-    lift_tau_batch,
     local_trivialization,
-    local_trivialization_batch,
     module_iso_forward,
     module_iso_inverse,
-    natural_lift,
     phi,
     projector,
     projector_residual,
@@ -26,15 +18,18 @@ from rp2quant.errors import PointNotInChart, ProjectorConstraintViolated
 from rp2quant.groups import (
     SU2_IDENTITY,
     HElement,
+    SU2Element,
     h_membership,
     quotient_to_rp2,
     random_su2,
     rp2_point,
-    rp2_rep_batch,
+    rp2_rep,
     spinor_map,
 )
 from rp2quant.harmonics import evaluate, random_coeffs, unit, zeros
-from rp2quant.manifold import transition_function
+from rp2quant.manifold import CHART_TOL, transition_signs
+from tests import scalar_reference as ref
+from tests.scalar_reference import as_row, check_raise_alike, check_single_and_stack
 
 
 def random_h(rng):
@@ -43,25 +38,31 @@ def random_h(rng):
 
 
 def random_assoc(rng):
-    return AssocElement(random_su2(rng), rng.normal() + 1j * rng.normal())
+    """A representative (g, v) of a class in SU(2) ×_κ ℂ."""
+    return random_su2(rng), rng.normal() + 1j * rng.normal()
+
+
+def translate(g, v, h):
+    """The representative (g h, κ(h⁻¹) v) of the same class; κ(h⁻¹) = κ(h)."""
+    return g * h.embed(), kappa(h.embed()) * v
 
 
 class TestKappa:
     def test_values(self):
-        assert kappa(HElement("diagonal", np.exp(0.4j))) == 1
-        assert kappa(HElement("antidiagonal", np.exp(0.4j))) == -1
+        assert kappa(HElement("diagonal", np.exp(0.4j)).embed()) == 1
+        assert kappa(HElement("antidiagonal", np.exp(0.4j)).embed()) == -1
 
     def test_multiplicative(self, rng):
         for _ in range(100):
             h1, h2 = random_h(rng), random_h(rng)
             prod = h_membership(h1.embed() * h2.embed())
             assert prod is not None
-            assert kappa(prod) == kappa(h1) * kappa(h2)
+            assert kappa(prod.embed()) == kappa(h1.embed()) * kappa(h2.embed())
 
     def test_two_antidiagonals(self, rng):
         h1, h2 = (HElement("antidiagonal", np.exp(1j * t)) for t in rng.uniform(0, 6, 2))
         prod = h_membership(h1.embed() * h2.embed())
-        assert prod.kind == "diagonal" and kappa(prod) == 1
+        assert prod.kind == "diagonal" and kappa(prod.embed()) == 1
 
 
 class TestPhi:
@@ -84,133 +85,116 @@ class TestAssociatedBundle:
     # the projection π_κ[(g, v)] = [x(g)] is quotient_to_rp2(g)
 
     def test_projection_at_identity(self):
-        assert np.allclose(quotient_to_rp2(AssocElement(SU2_IDENTITY, 2.0).g).rep, [0, 0, 1])
+        assert np.allclose(quotient_to_rp2(SU2_IDENTITY).rep, [0, 0, 1])
 
     def test_projection_ignores_fiber(self, rng):
         g = random_su2(rng)
-        p1 = iso_Phi(AssocElement(g, 1.0)).base
-        p2 = iso_Phi(AssocElement(g, -3.7j)).base
-        assert np.array_equal(p1.rep, p2.rep)
-        assert p1 == quotient_to_rp2(g)
+        p1, _ = iso_Phi(g, 1.0)
+        p2, _ = iso_Phi(g, -3.7j)
+        assert np.array_equal(p1, p2)
+        assert rp2_point(p1) == quotient_to_rp2(g)
 
     def test_projection_representative_independent(self, rng):
         for _ in range(100):
-            e = random_assoc(rng)
-            e2 = assoc_translate(e, random_h(rng))
-            assert np.max(np.abs(quotient_to_rp2(e.g).rep - quotient_to_rp2(e2.g).rep)) < 1e-12
+            g, v = random_assoc(rng)
+            g2, _ = translate(g, v, random_h(rng))
+            assert np.max(np.abs(quotient_to_rp2(g).rep - quotient_to_rp2(g2).rep)) < 1e-12
 
 
 class TestIsoPhi:
     def test_identity_element(self):
-        el = iso_Phi(AssocElement(SU2_IDENTITY, 1.0))
-        assert np.allclose(el.base.rep, [0, 0, 1])
-        assert np.allclose(el.fiber, [0, 0, 1])
+        base, fiber = iso_Phi(SU2_IDENTITY, 1.0)
+        assert np.allclose(base, [0, 0, 1])
+        assert np.allclose(fiber, [0, 0, 1])
 
     def test_zero_fiber(self, rng):
-        el = iso_Phi(AssocElement(random_su2(rng), 0.0))
-        assert np.max(np.abs(el.fiber)) == 0.0
+        _, fiber = iso_Phi(random_su2(rng), 0.0)
+        assert np.max(np.abs(fiber)) == 0.0
 
     def test_well_defined_on_classes(self, rng):
         for _ in range(100):
             e = random_assoc(rng)
-            el1 = iso_Phi(e)
-            el2 = iso_Phi(assoc_translate(e, random_h(rng)))
-            assert np.max(np.abs(el1.fiber - el2.fiber)) < 1e-12
-            assert np.max(np.abs(el1.base.rep - el2.base.rep)) < 1e-12
+            base1, fiber1 = iso_Phi(*e)
+            base2, fiber2 = iso_Phi(*translate(*e, random_h(rng)))
+            assert np.max(np.abs(fiber1 - fiber2)) < 1e-12
+            assert np.max(np.abs(base1 - base2)) < 1e-12
 
     def test_antidiagonal_sign_cancellation(self, rng):
-        e = random_assoc(rng)
+        g, v = random_assoc(rng)
         h = HElement("antidiagonal", np.exp(1j * rng.uniform(0, 2 * np.pi)))
-        flipped = AssocElement(e.g * h.embed(), -e.v)
+        flipped = (g * h.embed(), -v)
         # kappa(h) = -1 so (g·h, -v) is the same class as (g, v)
-        assert np.max(np.abs(iso_Phi(e).fiber - iso_Phi(flipped).fiber)) < 1e-12
+        assert np.max(np.abs(iso_Phi(g, v)[1] - iso_Phi(*flipped)[1])) < 1e-12
 
     def test_roundtrip(self, rng):
         for _ in range(100):
-            el = iso_Phi(random_assoc(rng))
-            back = iso_Phi(iso_Phi_inverse(el))
-            assert np.max(np.abs(back.fiber - el.fiber)) < 1e-10
-            assert np.max(np.abs(back.base.rep - el.base.rep)) < 1e-10
+            base, fiber = iso_Phi(*random_assoc(rng))
+            back_base, back_fiber = iso_Phi(*iso_Phi_inverse(base, fiber))
+            assert np.max(np.abs(back_fiber - fiber)) < 1e-10
+            assert np.max(np.abs(back_base - base)) < 1e-10
 
     def test_inverse_zero_fiber(self):
-        el = LMinusElement(rp2_point([0, 0, 1]), np.zeros(3, dtype=complex))
-        assert iso_Phi_inverse(el).v == 0.0
+        _, v = iso_Phi_inverse(rp2_rep([0, 0, 1]), np.zeros(3, dtype=complex))
+        assert v == 0.0
 
     def test_inverse_solves_fiber_scale(self):
-        el = LMinusElement(rp2_point([0, 0, 1]), np.array([0, 0, 2j]))
-        e = iso_Phi_inverse(el)
-        assert abs(abs(e.v) - 2.0) < 1e-12
-        back = iso_Phi(e)
-        assert np.max(np.abs(back.fiber - el.fiber)) < 1e-12
-
-    def test_fiber_constraint_enforced(self):
-        with pytest.raises(ValueError):
-            LMinusElement(rp2_point([0, 0, 1]), np.array([1.0, 0, 0], dtype=complex))
+        fiber = np.array([0, 0, 2j])
+        g, v = iso_Phi_inverse(rp2_rep([0, 0, 1]), fiber)
+        assert abs(abs(v) - 2.0) < 1e-12
+        _, back = iso_Phi(g, v)
+        assert np.max(np.abs(back - fiber)) < 1e-12
 
 
 class TestLifts:
-    def test_natural_identity(self, rng):
-        e = random_assoc(rng)
-        out = natural_lift(SU2_IDENTITY, e)
-        assert out.g.z0 == e.g.z0 and out.v == e.v
-
-    def test_natural_composition(self, rng):
-        g1, g2, e = random_su2(rng), random_su2(rng), random_assoc(rng)
-        seq = natural_lift(g1, natural_lift(g2, e))
-        prod = natural_lift(g1 * g2, e)
-        assert np.max(np.abs(seq.g.matrix() - prod.g.matrix())) < 1e-14
-        assert seq.v == prod.v
-
     def test_natural_covers_base_action(self, rng):
+        # the natural lift l↑_g[(p, v)] = [(g p, v)] moves the base by Spin(g)
         for _ in range(50):
-            g, e = random_su2(rng), random_assoc(rng)
-            lifted = quotient_to_rp2(natural_lift(g, e).g)
-            moved = rp2_point(spinor_map(g) @ quotient_to_rp2(e.g).rep)
+            g, (p, _) = random_su2(rng), random_assoc(rng)
+            lifted = quotient_to_rp2(g * p)
+            moved = rp2_point(spinor_map(g) @ quotient_to_rp2(p).rep)
             assert np.max(np.abs(lifted.rep - moved.rep)) < 1e-12
 
     def test_tau_identity(self, rng):
-        el = iso_Phi(random_assoc(rng))
-        out = lift_tau(SU2_IDENTITY, el)
-        assert np.max(np.abs(out.fiber - el.fiber)) < 1e-12
+        base, fiber = iso_Phi(*random_assoc(rng))
+        _, out = lift_tau(SU2_IDENTITY, base, fiber)
+        assert np.max(np.abs(out - fiber)) < 1e-12
 
     def test_tau_is_conjugated_natural_lift(self, rng):
         # oracle path uses a random non-canonical representative
         for _ in range(100):
             g, e = random_su2(rng), random_assoc(rng)
-            el = iso_Phi(e)
-            via_tau = lift_tau(g, el)
-            via_assoc = iso_Phi(natural_lift(g, assoc_translate(e, random_h(rng))))
-            assert np.max(np.abs(via_tau.fiber - via_assoc.fiber)) < 1e-10
-            assert np.max(np.abs(via_tau.base.rep - via_assoc.base.rep)) < 1e-12
+            tau_base, tau_fiber = lift_tau(g, *iso_Phi(*e))
+            p, v = translate(*e, random_h(rng))
+            assoc_base, assoc_fiber = iso_Phi(g * p, v)
+            assert np.max(np.abs(tau_fiber - assoc_fiber)) < 1e-10
+            assert np.max(np.abs(tau_base - assoc_base)) < 1e-12
 
     def test_tau_composition_and_covering(self, rng):
         for _ in range(50):
             g1, g2 = random_su2(rng), random_su2(rng)
-            el = iso_Phi(random_assoc(rng))
-            seq = lift_tau(g1, lift_tau(g2, el))
-            prod = lift_tau(g1 * g2, el)
-            assert np.max(np.abs(seq.fiber - prod.fiber)) < 1e-10
-            covered = rp2_point(spinor_map(g1 * g2) @ el.base.rep)
-            assert np.max(np.abs(prod.base.rep - covered.rep)) < 1e-12
+            base, fiber = iso_Phi(*random_assoc(rng))
+            _, seq_fiber = lift_tau(g1, *lift_tau(g2, base, fiber))
+            prod_base, prod_fiber = lift_tau(g1 * g2, base, fiber)
+            assert np.max(np.abs(seq_fiber - prod_fiber)) < 1e-10
+            covered = rp2_point(spinor_map(g1 * g2) @ base)
+            assert np.max(np.abs(prod_base - covered.rep)) < 1e-12
 
     def test_fiberwise_linear(self, rng):
         g = random_su2(rng)
-        e = random_assoc(rng)
-        el1 = lift_tau(g, iso_Phi(e))
-        el2 = lift_tau(g, iso_Phi(AssocElement(e.g, 2.5 * e.v)))
-        assert np.max(np.abs(el2.fiber - 2.5 * el1.fiber)) < 1e-10
+        p, v = random_assoc(rng)
+        _, fiber1 = lift_tau(g, *iso_Phi(p, v))
+        _, fiber2 = lift_tau(g, *iso_Phi(p, 2.5 * v))
+        assert np.max(np.abs(fiber2 - 2.5 * fiber1)) < 1e-10
 
 
 class TestTrivializations:
     def test_north_pole_chart3(self):
-        el = LMinusElement(rp2_point([0, 0, 1]), np.array([0, 0, 1], dtype=complex))
-        base, c = local_trivialization(3, el)
+        c = local_trivialization(3, [0.0, 0.0, 1.0], np.array([0, 0, 1], dtype=complex))
         assert abs(c - 1.0) < 1e-14
 
     def test_out_of_chart(self):
-        el = LMinusElement(rp2_point([1, 0, 0]), np.array([1, 0, 0], dtype=complex))
         with pytest.raises(PointNotInChart):
-            local_trivialization(3, el)
+            local_trivialization(3, [1.0, 0.0, 0.0], np.array([1, 0, 0], dtype=complex))
 
     def test_transition_consistency(self, rng):
         for _ in range(100):
@@ -220,12 +204,13 @@ class TestTrivializations:
                 continue
             p = rp2_point(x)
             lam = rng.normal() + 1j * rng.normal()
-            el = LMinusElement(p, lam * phi(p.rep))
+            fiber = lam * phi(p.rep)
+            signs = transition_signs(p.rep)
             for a in (1, 2, 3):
                 for b in (1, 2, 3):
-                    _, ca = local_trivialization(a, el)
-                    _, cb = local_trivialization(b, el)
-                    assert cb == transition_function(b, a, p) * ca
+                    ca = local_trivialization(a, p.rep, fiber)
+                    cb = local_trivialization(b, p.rep, fiber)
+                    assert cb == signs[b - 1, a - 1] * ca
 
 
 class TestProjector:
@@ -316,45 +301,117 @@ class TestSectionWellDefined:
         assert np.max(np.abs(plus - minus)) < 1e-12
 
 
+def _samples():
+    """Elements (edges, H elements and Haar draws), fiber values, and canonical base points."""
+    rng = np.random.default_rng(2009)
+    edge = [SU2_IDENTITY, -SU2_IDENTITY, SU2Element(0.0, 1.0), SU2Element(1j, 0.0),
+            SU2Element(np.sqrt(0.5), np.sqrt(0.5) * 1j)]
+    hs = [random_h(rng).embed() for _ in range(40)]
+    elements = edge + hs + [random_su2(rng) for _ in range(100)]
+    values = [0.0, -0.0, 1.0, -2.5j] + list(rng.normal(size=len(elements) - 4)
+                                           + 1j * rng.normal(size=len(elements) - 4))
+    x = rng.normal(size=(len(elements) - 6, 3))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    t = 1e-12
+    edge_x = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1e-14, 0.0, 1.0], [0.6, 0.8, -0.0],
+              [0.6, -0.8, t], [-0.0, 0.6, -0.8]]
+    base = rp2_rep(np.concatenate([edge_x, x]))
+    return elements, values, base
+
+
+ELEMENTS, VALUES, BASE = _samples()
+FIBER = np.array(VALUES)[:, None] * phi(BASE)
+
+
+def _el(base, fiber):
+    return ref.LMinusElement(rp2_point(base), fiber)
+
+
+def _kappa_ref(g):
+    h = h_membership(g)
+    return 0 if h is None else ref.kappa(h)
+
+
+def _phi_ref(g, v):
+    el = ref.iso_Phi(ref.AssocElement(g, v))
+    return el.base.rep, el.fiber
+
+
+def _phi_inverse_ref(base, fiber):
+    e = ref.iso_Phi_inverse(_el(base, fiber))
+    return as_row(e.g), np.asarray(e.v)
+
+
+def _tau_ref(g, base, fiber):
+    el = ref.lift_tau(g, _el(base, fiber))
+    return el.base.rep, el.fiber
+
+
+def _chart(alpha):
+    inside = [(b, f) for b, f in zip(BASE, FIBER) if abs(b[alpha - 1]) > CHART_TOL]
+    return (lambda b, f: local_trivialization(alpha, b, f),
+            lambda b, f: np.asarray(ref.local_trivialization(alpha, _el(b, f))[1]), inside)
+
+
+# merged name -> [(the name, its frozen one-object reference, single inputs), ...]
+BITWISE = {
+    "kappa": [(kappa, _kappa_ref, [(g,) for g in ELEMENTS])],
+    "iso_Phi": [(iso_Phi, _phi_ref, list(zip(ELEMENTS, VALUES)))],
+    "iso_Phi_inverse": [(iso_Phi_inverse, _phi_inverse_ref, list(zip(BASE, FIBER)))],
+    "lift_tau": [(lift_tau, _tau_ref, list(zip(ELEMENTS, BASE, FIBER)))],
+    "local_trivialization": [_chart(alpha) for alpha in (1, 2, 3)],
+}
+# public names with no one-object twin to merge
+NOT_MERGED = {"module_iso_forward", "module_iso_inverse", "phi", "projector", "projector_residual"}
+
+OFF, NAN = 1.0 + 2e-9, float("nan")
+_F = np.array([0.0, 0.0, 1.0 + 0j])
+_POINT_CASES = [((0.0, 0.0, OFF), _F), ((0.0, NAN, 1.0), _F)]
+# merged name -> (the name, a good input, bad inputs)
+RAISES = {
+    "iso_Phi": (iso_Phi, ((1.0, 0.0), 1.0), [((OFF, 0.0), 1.0), ((NAN, 0.0), 1.0)]),
+    "iso_Phi_inverse": (iso_Phi_inverse, ((0.0, 0.0, 1.0), _F), _POINT_CASES),
+    "lift_tau": (lambda b, f: lift_tau(SU2_IDENTITY, b, f), ((0.0, 0.0, 1.0), _F), _POINT_CASES),
+    "local_trivialization": (lambda b, f: local_trivialization(3, b, f), ((0.6, 0.0, 0.8), _F),
+                             [((0.6, 0.8, CHART_TOL), _F), ((0.8, 0.6, -0.0), _F)]),
+}
+
+
+def _check(name):
+    for row in BITWISE[name]:
+        check_single_and_stack(*row)
+
+
 class TestBatchForms:
-    def test_iso_and_lift_rows_match_scalar(self, rng):
-        es = [random_assoc(rng) for _ in range(100)]
-        gs = [random_su2(rng) for _ in es]
-        g = np.array([[e.g.z0, e.g.z1] for e in es])
-        v = np.array([e.v for e in es])
-        base, fiber = iso_Phi_batch(g, v)
-        moved = lift_tau_batch(np.array([[h.z0, h.z1] for h in gs]), base, fiber)
-        for k, (e, h) in enumerate(zip(es, gs)):
-            el = iso_Phi(e)
-            assert base[k].tobytes() == el.base.rep.tobytes()
-            assert fiber[k].tobytes() == el.fiber.tobytes()
-            want = lift_tau(h, el)
-            assert moved[0][k].tobytes() == want.base.rep.tobytes()
-            assert moved[1][k].tobytes() == want.fiber.tobytes()
+    """Each name on one element or point and on a stack, against its frozen reference."""
 
-    def test_frame_projector_and_trivialization_rows_match_scalar(self, rng):
-        x = rng.normal(size=(200, 3))
-        x /= np.linalg.norm(x, axis=1)[:, None]
-        base = rp2_rep_batch(x)
-        lam = rng.normal(size=200) + 1j * rng.normal(size=200)
-        fiber = lam[:, None] * phi(base)
-        frames, projectors = phi(x), projector(x)
-        charts = [local_trivialization_batch(a, base, fiber) for a in (1, 2, 3)]
-        g, coef = iso_Phi_inverse_batch(base, fiber)
-        for k in range(200):
-            assert frames[k].tobytes() == phi(x[k]).tobytes()
-            assert projectors[k].tobytes() == projector(x[k]).tobytes()
-            el = LMinusElement(rp2_point(x[k]), fiber[k])
-            for a, chart in zip((1, 2, 3), charts):
-                assert chart[k] == local_trivialization(a, el)[1]
-            want = iso_Phi_inverse(el)
-            assert g[k].tobytes() == np.array([want.g.z0, want.g.z1]).tobytes()
-            assert coef[k] == want.v
+    def test_one_row_per_public_name(self):
+        public = {name for name, obj in vars(bundles).items()
+                  if callable(obj) and not isinstance(obj, type) and not name.startswith("_")
+                  and obj.__module__ == bundles.__name__}
+        assert set(BITWISE) == public - NOT_MERGED
+        assert set(RAISES) <= set(BITWISE)
+
+    def test_iso_and_lift_rows_match_scalar(self):
+        _check("iso_Phi")
+        _check("lift_tau")
+
+    def test_frame_projector_and_trivialization_rows_match_scalar(self):
+        frames, projectors = phi(BASE), projector(BASE)
+        for k, x in enumerate(BASE):
+            assert frames[k].tobytes() == phi(x).tobytes()
+            assert projectors[k].tobytes() == projector(x).tobytes()
+        _check("local_trivialization")
+        _check("iso_Phi_inverse")
         with pytest.raises(PointNotInChart):
-            local_trivialization_batch(3, [[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]])
+            local_trivialization(3, [[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]])
 
-    def test_kappa_rows_classify_as_h_membership(self, rng):
-        hs = [random_h(rng) for _ in range(100)]
-        rows = np.array([[h.embed().z0, h.embed().z1] for h in hs] + [[0.6, 0.8j]])
-        want = [kappa(h_membership(h.embed())) for h in hs] + [0]
-        assert kappa_batch(rows).tolist() == want
+    def test_kappa_rows_classify_as_h_membership(self):
+        _check("kappa")
+        assert kappa(np.array([[0.6, 0.8j]])).tolist() == [0]
+
+    @pytest.mark.parametrize("name, case", [(name, k) for name, (_, _, bad) in RAISES.items()
+                                            for k in range(len(bad))])
+    def test_single_and_stack_raise_alike(self, name, case):
+        fn, good, bad = RAISES[name]
+        check_raise_alike(fn, good, bad[case])

@@ -1,23 +1,36 @@
 import numpy as np
-import pytest
 
 from rp2quant.classical import (
-    PhasePoint,
-    SemidirectLieElement,
     P_observable,
     W_BASIS,
-    check_homomorphism,
+    homomorphism_defect,
     infinitesimal_action,
     lie_bracket,
     poisson_bracket,
     poisson_bracket_fd,
-    random_element,
-    random_phase_point,
     w_coords,
     w_matrix,
 )
 from rp2quant.groups import skew_matrix
 from rp2quant.manifold import WFunctional, moment_embedding
+
+ZERO = np.zeros((3, 3))
+
+
+def random_element(rng):
+    """(c, A) of a semidirect element with zero offset."""
+    return w_matrix(rng.normal(size=5)), rng.normal(size=3)
+
+
+def random_phase_point(rng):
+    """(u, ψ) matrices of a phase point."""
+    return w_matrix(rng.normal(size=5)), w_matrix(rng.normal(size=5))
+
+
+def check_homomorphism(e1, e2, pts):
+    """max |{P(e₁), P(e₂)}(pt) - P([e₁, e₂])(pt)| over the phase points."""
+    u, psi = (np.stack(m) for m in zip(*pts))
+    return homomorphism_defect(e1[0][None], e1[1][None], e2[0][None], e2[1][None], u, psi)
 
 
 def functional_picking_M12():
@@ -38,32 +51,28 @@ class TestBasis:
 
 class TestObservable:
     def test_zero_element(self, rng):
-        e = SemidirectLieElement(WFunctional(np.zeros((3, 3))), np.zeros(3))
-        assert P_observable(e, random_phase_point(rng)) == 0.0
+        assert P_observable(ZERO, np.zeros(3), *random_phase_point(rng)) == 0.0
 
     def test_pure_functional_part(self, rng):
         c = w_matrix(rng.normal(size=5))
-        e = SemidirectLieElement(WFunctional(c), np.zeros(3))
-        pt = random_phase_point(rng)
-        assert abs(P_observable(e, pt) - np.trace(c @ pt.u)) < 1e-14
+        u, psi = random_phase_point(rng)
+        assert abs(P_observable(c, np.zeros(3), u, psi) - np.trace(c @ u)) < 1e-14
 
     def test_rotation_part_commutator_oracle(self):
         # A = e3, u = M(e1), momentum functional picking the (1,2) entry
-        e = SemidirectLieElement(WFunctional(np.zeros((3, 3))), np.array([0.0, 0.0, 1.0]))
+        e = (ZERO, np.array([0.0, 0.0, 1.0]))
         u = moment_embedding([1.0, 0.0, 0.0])
-        pt = PhasePoint(u, functional_picking_M12())
+        pt = (u, functional_picking_M12().c)
         moved = skew_matrix([0, 0, 1]) @ u - u @ skew_matrix([0, 0, 1])
-        assert abs(P_observable(e, pt) - moved[0, 1]) < 1e-14
+        assert abs(P_observable(*e, *pt) - moved[0, 1]) < 1e-14
 
     def test_linearity(self, rng):
         e1, e2 = random_element(rng), random_element(rng)
         al, be = rng.normal(), rng.normal()
-        combo = SemidirectLieElement(
-            WFunctional(al * e1.phi_w.c + be * e2.phi_w.c), al * e1.A + be * e2.A
-        )
+        combo = (al * e1[0] + be * e2[0], al * e1[1] + be * e2[1])
         pt = random_phase_point(rng)
-        want = al * P_observable(e1, pt) + be * P_observable(e2, pt)
-        assert abs(P_observable(combo, pt) - want) < 1e-12
+        want = al * P_observable(*e1, *pt) + be * P_observable(*e2, *pt)
+        assert abs(P_observable(*combo, *pt) - want) < 1e-12
 
     def test_infinitesimal_action_is_rotation_derivative(self, rng):
         from rp2quant.groups import rotation_from_axis_angle
@@ -81,30 +90,30 @@ class TestObservable:
 class TestBracket:
     def test_self_bracket_vanishes(self, rng):
         e = random_element(rng)
-        assert poisson_bracket(e, e, random_phase_point(rng)) == 0.0
+        assert poisson_bracket(*e, *e, *random_phase_point(rng)) == 0.0
 
     def test_pure_functionals_commute(self, rng):
-        e1 = SemidirectLieElement(WFunctional(w_matrix(rng.normal(size=5))), np.zeros(3))
-        e2 = SemidirectLieElement(WFunctional(w_matrix(rng.normal(size=5))), np.zeros(3))
-        assert poisson_bracket(e1, e2, random_phase_point(rng)) == 0.0
+        e1 = (w_matrix(rng.normal(size=5)), np.zeros(3))
+        e2 = (w_matrix(rng.normal(size=5)), np.zeros(3))
+        assert poisson_bracket(*e1, *e2, *random_phase_point(rng)) == 0.0
 
     def test_pure_rotations_give_cross_product(self, rng):
-        e1 = SemidirectLieElement(WFunctional(np.zeros((3, 3))), np.array([1.0, 0, 0]))
-        e2 = SemidirectLieElement(WFunctional(np.zeros((3, 3))), np.array([0, 1.0, 0]))
-        e3 = SemidirectLieElement(WFunctional(np.zeros((3, 3))), np.array([0, 0, 1.0]))
+        e1 = (ZERO, np.array([1.0, 0, 0]))
+        e2 = (ZERO, np.array([0, 1.0, 0]))
+        e3 = (ZERO, np.array([0, 0, 1.0]))
         pt = random_phase_point(rng)
-        assert abs(poisson_bracket(e1, e2, pt) - P_observable(e3, pt)) < 1e-13
+        assert abs(poisson_bracket(*e1, *e2, *pt) - P_observable(*e3, *pt)) < 1e-13
 
     def test_antisymmetry(self, rng):
         e1, e2 = random_element(rng), random_element(rng)
         pt = random_phase_point(rng)
-        assert abs(poisson_bracket(e1, e2, pt) + poisson_bracket(e2, e1, pt)) < 1e-13
+        assert abs(poisson_bracket(*e1, *e2, *pt) + poisson_bracket(*e2, *e1, *pt)) < 1e-13
 
     def test_finite_difference_cross_check(self, rng):
         for _ in range(50):
             e1, e2 = random_element(rng), random_element(rng)
             pt = random_phase_point(rng)
-            gap = poisson_bracket(e1, e2, pt) - poisson_bracket_fd(e1, e2, pt)
+            gap = poisson_bracket(*e1, *e2, *pt) - poisson_bracket_fd(*e1, *e2, *pt)
             assert abs(gap) < 1e-7
 
 
@@ -115,10 +124,10 @@ class TestHomomorphism:
         assert check_homomorphism(e, e, pts) < 1e-14
 
     def test_pure_rotations(self, rng):
-        e1 = SemidirectLieElement(WFunctional(np.zeros((3, 3))), rng.normal(size=3))
-        e2 = SemidirectLieElement(WFunctional(np.zeros((3, 3))), rng.normal(size=3))
-        br = lie_bracket(e1, e2)
-        assert np.allclose(br.A, np.cross(e1.A, e2.A))
+        e1 = (ZERO, rng.normal(size=3))
+        e2 = (ZERO, rng.normal(size=3))
+        _, br_a = lie_bracket(*e1, *e2)
+        assert np.allclose(br_a, np.cross(e1[1], e2[1]))
         pts = [random_phase_point(rng) for _ in range(50)]
         assert check_homomorphism(e1, e2, pts) < 1e-12
 
@@ -134,19 +143,12 @@ class TestHomomorphism:
     def test_no_central_term_needed(self, rng):
         # residual vanishes identically, not merely up to a constant shift
         e1, e2 = random_element(rng), random_element(rng)
-        br = lie_bracket(e1, e2)
+        br = lie_bracket(*e1, *e2)
         vals = []
         for _ in range(50):
             pt = random_phase_point(rng)
-            vals.append(poisson_bracket(e1, e2, pt) - P_observable(br, pt))
+            vals.append(poisson_bracket(*e1, *e2, *pt) - P_observable(*br, *pt))
         assert np.max(np.abs(vals)) < 1e-12
-
-    def test_bracket_kills_offsets(self, rng):
-        e1 = SemidirectLieElement(
-            WFunctional(w_matrix(rng.normal(size=5)), 2.7), rng.normal(size=3)
-        )
-        e2 = random_element(rng)
-        assert lie_bracket(e1, e2).phi_w.c0 == 0.0
 
 
 class TestJacobi:
@@ -156,17 +158,5 @@ class TestJacobi:
             pt = random_phase_point(rng)
             cyc = 0.0
             for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-                cyc += P_observable(lie_bracket(lie_bracket(es[i], es[j]), es[k]), pt)
+                cyc += P_observable(*lie_bracket(*lie_bracket(*es[i], *es[j]), *es[k]), *pt)
             assert abs(cyc) < 1e-8
-
-
-class TestPhasePoint:
-    def test_rejects_offset_momentum(self):
-        with pytest.raises(ValueError):
-            PhasePoint(np.zeros((3, 3)), WFunctional(np.zeros((3, 3)), 1.0))
-
-    def test_rejects_non_symmetric_u(self):
-        bad = np.zeros((3, 3))
-        bad[0, 1] = 1.0
-        with pytest.raises(ValueError):
-            PhasePoint(bad, WFunctional(np.zeros((3, 3))))

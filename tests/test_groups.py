@@ -3,34 +3,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rp2quant import groups
 from rp2quant.groups import (
     PAULI,
     ZERO_TOL,
     HElement,
     SU2Element,
     SU2_IDENTITY,
-    h_embed_batch,
+    h_embed,
     h_membership,
     quotient_to_rp2,
     quotient_to_sphere,
-    quotient_to_sphere_batch,
     random_su2,
     rotation_from_axis_angle,
-    rotation_from_axis_angle_batch,
     rp2_point,
-    rp2_rep_batch,
+    rp2_rep,
     spinor_map,
-    spinor_map_batch,
-    su2_batch,
     su2_from_axis_angle,
-    su2_from_axis_angle_batch,
     su2_from_normals,
     su2_from_sphere_point,
-    su2_from_sphere_point_batch,
-    su2_product_batch,
+    su2_product,
     unit_vector,
-    unit_vector_batch,
+    validate_normalize_su2,
 )
+from tests import scalar_reference as ref
+from tests.scalar_reference import as_row, check_raise_alike, check_single_and_stack, same_bits
 
 
 def pauli_vector(x):
@@ -64,17 +61,17 @@ class TestSU2Element:
 
 class TestAxisAngle:
     def test_identity_angle(self):
-        g = su2_from_axis_angle(0.0, (0.0, 1.0, 0.0))
-        assert g.z0 == 1.0 and g.z1 == 0.0
+        z0, z1 = su2_from_axis_angle(0.0, (0.0, 1.0, 0.0))
+        assert z0 == 1.0 and z1 == 0.0
 
     def test_full_turn_is_minus_identity(self):
-        g = su2_from_axis_angle(2 * np.pi, (0.0, 0.0, 1.0))
-        assert abs(g.z0 + 1.0) < 1e-15 and abs(g.z1) < 1e-15
+        z0, z1 = su2_from_axis_angle(2 * np.pi, (0.0, 0.0, 1.0))
+        assert abs(z0 + 1.0) < 1e-15 and abs(z1) < 1e-15
 
     def test_half_turn_about_z(self):
         # cos(pi/2) - i sin(pi/2) = -i in the upper-left entry
-        g = su2_from_axis_angle(np.pi, (0.0, 0.0, 1.0))
-        assert abs(g.z0 - (-1j)) < 1e-15 and abs(g.z1) < 1e-15
+        z0, z1 = su2_from_axis_angle(np.pi, (0.0, 0.0, 1.0))
+        assert abs(z0 - (-1j)) < 1e-15 and abs(z1) < 1e-15
 
     def test_rejects_non_unit_axis(self):
         with pytest.raises(ValueError):
@@ -277,6 +274,16 @@ class TestCanonicalization:
         p, q = rp2_point([0.6, 0.0, -0.8]), rp2_point([-0.6, 0.0, 0.8])
         assert p == q and hash(p) == hash(q)
 
+    def test_negative_zero_entries_hash_alike(self):
+        for x in ([-0.0, 0.6, 0.8], [0.6, -0.0, -0.8], [-0.0, -0.0, -1.0]):
+            p, q = rp2_point(x), rp2_point(np.asarray(x) + 0.0)   # -0.0 entries made +0.0
+            assert p == q and hash(p) == hash(q)
+            assert p.rep.tobytes() == ref.rp2_rep(x).tobytes()
+
+    def test_rejects_a_stack(self):
+        with pytest.raises(ValueError):
+            rp2_point([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+
 
 def _pauli_trace_map(g):
     """R_ij = ½ tr(σ_i g σ_j g†), the defining formula the closed form replaces."""
@@ -301,18 +308,99 @@ def _edge_rows():
     ], dtype=complex)
 
 
-def _elements(rng, n=200):
-    """Scalar elements over the edge rows and n Haar draws, with their batch."""
-    rows = np.concatenate([_edge_rows(), su2_from_normals(rng.normal(size=(n, 4)))])
-    gs = [SU2Element(*z) for z in rows]
-    return gs, np.array([[g.z0, g.z1] for g in gs])
+_RNG = np.random.default_rng(2009)
+# the edge rows and 200 Haar draws, as SU2Element objects
+ELEMENTS = [SU2Element(*z) for z in
+            np.concatenate([_edge_rows(), su2_from_normals(_RNG.normal(size=(200, 4)))])]
+_T = ZERO_TOL
+EDGE_POINTS = np.array([
+    [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1e-14, 0.0, 1.0], [5e-13, 0.0, 1.0],
+    [_T, 0.0, -1.0], [0.0, -_T / 2, 1.0], [1.0, 0.0, 0.0], [-0.0, 0.6, -0.8],
+    [0.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [-0.0, -0.0, -1.0], [0.6, 0.8, -0.0],
+    [-0.6, -0.0, 0.8], [0.6, -0.8, _T], [0.6, -0.8, -_T], [-1.0, _T, -0.5 * _T],
+    [-0.8, -_T, 0.6], [0.6, 0.8, _T * (1 - 1e-3)], [0.6, -0.8, -_T * (1 - 1e-3)],
+    [-1.0, _T, -_T], [1.0 + 1e-12, 0.0, 0.0], [0.0, -(1.0 - 5e-10), 0.0],
+])
+POINTS = np.concatenate([EDGE_POINTS, quotient_to_sphere(np.array([as_row(g) for g in ELEMENTS])),
+                         -EDGE_POINTS])
+PSI = np.concatenate([[0.0, np.pi, 2 * np.pi, -0.0], _RNG.uniform(-7, 7, 100)])
+AXES = _RNG.normal(size=(PSI.size, 3))
+AXES[:4] = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [-0.6, 0.0, 0.8]]
+AXES /= np.linalg.norm(AXES, axis=1)[:, None]
+LAM = np.exp(1j * _RNG.uniform(0, 2 * np.pi, 60))
+LAM[:3] = [1.0, -1.0, 1j]
+ANTI = _RNG.random(60) < 0.5
 
 
-def _same_bits(a, b):
-    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+def _h_row(antidiagonal, lam):
+    return as_row(HElement("antidiagonal" if antidiagonal else "diagonal", lam).embed())
+
+
+# merged name -> (the name, its frozen one-object reference, single inputs);
+# check_single_and_stack runs each single input and their stack
+BITWISE = {
+    "validate_normalize_su2": (validate_normalize_su2, lambda z: as_row(SU2Element(*z)),
+                               [(as_row(g) * (1.0 + 1e-10),) for g in ELEMENTS]),
+    "su2_product": (su2_product, lambda g, h: as_row(g * h), list(zip(ELEMENTS, ELEMENTS[::-1]))),
+    "h_embed": (h_embed, _h_row, list(zip(ANTI, LAM))),
+    "su2_from_axis_angle": (su2_from_axis_angle,
+                            lambda p, n: as_row(ref.su2_from_axis_angle(p, n)), list(zip(PSI, AXES))),
+    "spinor_map": (spinor_map, ref.spinor_map, [(g,) for g in ELEMENTS]),
+    "rotation_from_axis_angle": (rotation_from_axis_angle, ref.rotation_from_axis_angle,
+                                 list(zip(PSI, AXES))),
+    "unit_vector": (unit_vector, ref.unit_vector, [(x,) for x in POINTS]),
+    "rp2_rep": (rp2_rep, ref.rp2_rep, [(x,) for x in POINTS]),
+    "quotient_to_sphere": (quotient_to_sphere, ref.quotient_to_sphere, [(g,) for g in ELEMENTS]),
+    "su2_from_sphere_point": (su2_from_sphere_point,
+                              lambda x: as_row(ref.su2_from_sphere_point(x)), [(x,) for x in POINTS]),
+}
+# public names with no one-object twin to merge
+NOT_MERGED = {"h_membership", "quotient_to_rp2", "random_su2", "rp2_point", "skew_matrix",
+              "su2_from_normals"}
+
+OFF, NAN = 1.0 + 2e-9, float("nan")
+_POINT_CASES = (((0.0, 0.0, 1.0),), [((0.0, 0.0, OFF),), ((0.0, NAN, 1.0),)])
+_AXIS_CASES = ((0.3, (0.0, 0.0, 1.0)), [(0.3, (0.0, 0.0, OFF)), (0.3, (0.0, NAN, 1.0))])
+# merged name -> (the name, a good input, bad inputs: a norm off by 2e-9, a NaN, ...)
+RAISES = {
+    "validate_normalize_su2": (validate_normalize_su2, ((1.0, 0.0),),
+                               [((OFF, 0.0),), ((NAN, 0.0),), ((1.0, complex(0.0, NAN)),)]),
+    "su2_product": (su2_product, ((1.0, 0.0), (0.6, 0.8j)),
+                    [((OFF, 0.0), (0.6, 0.8j)), ((NAN, 0.0), (0.6, 0.8j))]),
+    "h_embed": (h_embed, (False, 1.0), [(True, OFF), (False, NAN), (True, complex(1.0, NAN))]),
+    "su2_from_axis_angle": (su2_from_axis_angle, *_AXIS_CASES),
+    "rotation_from_axis_angle": (rotation_from_axis_angle, *_AXIS_CASES),
+    "unit_vector": (unit_vector, *_POINT_CASES),
+    "rp2_rep": (rp2_rep, *_POINT_CASES),
+    "su2_from_sphere_point": (su2_from_sphere_point, *_POINT_CASES),
+}
+
+
+def _check(name):
+    check_single_and_stack(*BITWISE[name])
+
+
+def _pauli_trace_map(g):
+    """R_ij = ½ tr(σ_i g σ_j g†), the defining formula the closed form replaces."""
+    u = g.matrix()
+    r = np.empty((3, 3))
+    for j in range(3):
+        m = u @ PAULI[j] @ u.conj().T
+        for i in range(3):
+            r[i, j] = 0.5 * np.trace(PAULI[i] @ m).real
+    return r
 
 
 class TestBatchForms:
+    """Each name on one element or point, and on a stack, against its frozen reference."""
+
+    def test_one_row_per_public_name(self):
+        public = {name for name, obj in vars(groups).items()
+                  if callable(obj) and not isinstance(obj, type) and not name.startswith("_")
+                  and obj.__module__ == groups.__name__}
+        assert set(BITWISE) == public - NOT_MERGED
+        assert set(RAISES) <= set(BITWISE)
+
     def test_closed_form_matches_pauli_traces(self, rng):
         for _ in range(500):
             g = random_su2(rng)
@@ -329,79 +417,42 @@ class TestBatchForms:
             assert complex(row[0]) == g.z0 and complex(row[1]) == g.z1
         assert r1.bit_generator.state == r2.bit_generator.state
 
-    def test_constructor_rows(self, rng):
-        scaled = _elements(rng)[1] * (1.0 + 1e-10)
-        got = su2_batch(scaled)
-        for z, row in zip(scaled, got):
-            g = SU2Element(*z)
-            assert _same_bits(row, [g.z0, g.z1])
+    def test_constructor_rows(self):
+        _check("validate_normalize_su2")
         with pytest.raises(ValueError):
-            su2_batch([[1.0, 1.0]])
+            validate_normalize_su2([[1.0, 1.0]])
 
-    def test_product_rows(self, rng):
-        gs, rows = _elements(rng)
-        prod = su2_product_batch(rows, rows[::-1])
-        for g, h, p in zip(gs, gs[::-1], prod):
-            assert _same_bits(p, [(g * h).z0, (g * h).z1])
+    def test_product_rows(self):
+        _check("su2_product")
 
-    def test_spinor_map_and_sphere_rows(self, rng):
-        gs, rows = _elements(rng)
-        spins, xs = spinor_map_batch(rows), quotient_to_sphere_batch(rows)
-        assert spins.shape == (len(rows), 3, 3) and xs.shape == (len(rows), 3)
-        for g, r, x in zip(gs, spins, xs):
-            assert _same_bits(r, spinor_map(g))
-            assert _same_bits(x, quotient_to_sphere(g))
+    def test_spinor_map_and_sphere_rows(self):
+        _check("spinor_map")
+        _check("quotient_to_sphere")
+        assert spinor_map(np.array([as_row(g) for g in ELEMENTS])).shape == (len(ELEMENTS), 3, 3)
 
-    def test_canonical_representatives_bit_identical(self, rng):
-        t = ZERO_TOL
-        edge = np.array([
-            [0.0, 0.0, -1.0], [0.0, -1.0, 0.0], [-1.0, 0.0, 0.0],
-            [-0.0, -0.0, -1.0], [0.6, 0.8, -0.0], [-0.6, -0.0, 0.8],
-            [0.6, -0.8, t], [0.6, -0.8, -t], [-1.0, t, -0.5 * t],
-            [-0.8, -t, 0.6], [0.6, 0.8, t * (1 - 1e-3)], [0.6, -0.8, -t * (1 - 1e-3)],
-            [-1.0, t, -t], [1.0 + 1e-12, 0.0, 0.0], [0.0, -(1.0 - 5e-10), 0.0],
-        ])
-        pts = np.concatenate([edge, quotient_to_sphere_batch(_elements(rng)[1]), -edge])
-        reps = rp2_rep_batch(pts)
-        for x, r in zip(pts, reps):
-            assert _same_bits(r, rp2_point(x).rep)
+    def test_canonical_representatives_bit_identical(self):
+        _check("unit_vector")
+        _check("rp2_rep")
+        for x in POINTS:
+            assert same_bits(rp2_point(x).rep, ref.rp2_rep(x))
 
-    def test_axis_angle_and_rodrigues_rows(self, rng):
-        psi = np.concatenate([[0.0, np.pi, 2 * np.pi, -0.0], rng.uniform(-7, 7, 100)])
-        axes = rng.normal(size=(psi.size, 3))
-        axes[:4] = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [-0.6, 0.0, 0.8]]
-        axes /= np.linalg.norm(axes, axis=1)[:, None]
-        us = su2_from_axis_angle_batch(psi, axes)
-        rs = rotation_from_axis_angle_batch(psi, axes)
-        for p, n, u, r in zip(psi, axes, us, rs):
-            g = su2_from_axis_angle(p, n)
-            assert _same_bits(u, [g.z0, g.z1])
-            assert _same_bits(r, rotation_from_axis_angle(p, n))
-        with pytest.raises(ValueError):
-            su2_from_axis_angle_batch([1.0], [[1.0, 1.0, 0.0]])
+    def test_axis_angle_and_rodrigues_rows(self):
+        _check("su2_from_axis_angle")
+        _check("rotation_from_axis_angle")
 
-    def test_sphere_section_rows(self, rng):
-        pts = np.concatenate([
-            [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [ZERO_TOL, 0.0, -1.0],
-             [0.0, -ZERO_TOL / 2, 1.0], [1.0, 0.0, 0.0], [-0.0, 0.6, -0.8]],
-            quotient_to_sphere_batch(_elements(rng)[1]),
-        ])
-        for x, row in zip(pts, su2_from_sphere_point_batch(pts)):
-            g = su2_from_sphere_point(x)
-            assert _same_bits(row, [g.z0, g.z1])
+    def test_sphere_section_rows(self):
+        _check("su2_from_sphere_point")
 
-    def test_h_embedding_rows(self, rng):
-        lam = np.exp(1j * rng.uniform(0, 2 * np.pi, 60))
-        lam[:3] = [1.0, -1.0, 1j]
-        anti = rng.random(60) < 0.5
-        for a, l, row in zip(anti, lam, h_embed_batch(anti, lam)):
-            g = HElement("antidiagonal" if a else "diagonal", l).embed()
-            assert _same_bits(row, [g.z0, g.z1])
-        with pytest.raises(ValueError):
-            h_embed_batch([True], [2.0])
+    def test_h_embedding_rows(self):
+        _check("h_embed")
+
+    @pytest.mark.parametrize("name, case", [(name, k) for name, (_, _, bad) in RAISES.items()
+                                            for k in range(len(bad))])
+    def test_single_and_stack_raise_alike(self, name, case):
+        fn, good, bad = RAISES[name]
+        check_raise_alike(fn, good, bad[case])
 
 
-NAN = float("nan")
 UNIT_ROWS = np.array([[0.0, 0.0, 1.0], [0.6, 0.8, 0.0], [1.0, 0.0, 0.0]])
 SU2_ROWS = np.array([[1.0, 0.0], [0.6, 0.8j], [0.0, 1.0]], dtype=complex)
 
@@ -442,12 +493,12 @@ class TestRejectsNaN:
 
     @pytest.mark.parametrize("k", range(3))
     @pytest.mark.parametrize("build", [
-        unit_vector_batch,
-        rp2_rep_batch,
-        su2_from_sphere_point_batch,
-        lambda x: su2_from_axis_angle_batch(np.full(len(x), 0.3), x),
-        lambda x: rotation_from_axis_angle_batch(np.full(len(x), 0.3), x),
-    ])
+        unit_vector,
+        rp2_rep,
+        su2_from_sphere_point,
+        lambda x: su2_from_axis_angle(np.full(len(x), 0.3), x),
+        lambda x: rotation_from_axis_angle(np.full(len(x), 0.3), x),
+    ], ids=lambda f: None if f.__name__ == "<lambda>" else f"{f.__name__}_batch")  # on a stack
     def test_batch_with_one_nan_row(self, build, k):
         build(UNIT_ROWS)
         with pytest.raises(ValueError):
@@ -455,12 +506,21 @@ class TestRejectsNaN:
 
     @pytest.mark.parametrize("k", range(2))
     def test_su2_batch_with_one_nan_row(self, k):
-        su2_batch(SU2_ROWS)
+        validate_normalize_su2(SU2_ROWS)
         with pytest.raises(ValueError):
-            su2_batch(_nan_at(SU2_ROWS, (1, k)))
+            validate_normalize_su2(_nan_at(SU2_ROWS, (1, k)))
 
     def test_h_embed_batch_with_one_nan_row(self):
         lam = np.array([1.0, 1j, -1.0])
-        h_embed_batch([False, True, False], lam)
+        h_embed([False, True, False], lam)
         with pytest.raises(ValueError):
-            h_embed_batch([False, True, False], _nan_at(lam, 1))
+            h_embed([False, True, False], _nan_at(lam, 1))
+
+
+@pytest.mark.parametrize("module", ["groups", "manifold", "bundles", "classical"])
+def test_one_name_per_operation(module):
+    # one name takes one object or a stack: no separate `*_batch` twins
+    import importlib
+
+    mod = importlib.import_module(f"rp2quant.{module}")
+    assert [name for name in vars(mod) if name.endswith("_batch") and not name.startswith("_")] == []

@@ -3,47 +3,40 @@ import pytest
 
 from rp2quant.errors import PointNotInChart
 from rp2quant.classical import w_matrix
-from rp2quant.groups import (
-    random_su2,
-    rp2_point,
-    rp2_rep_batch,
-    spinor_map,
-    spinor_map_batch,
-    su2_from_normals,
-)
+from rp2quant import manifold
+from rp2quant.groups import ZERO_TOL, random_su2, rp2_point, rp2_rep, spinor_map, su2_from_normals
 from rp2quant.manifold import (
+    CHART_TOL,
     WFunctional,
     build_quadrature,
     chart_coords,
-    chart_coords_batch,
     f_embedding,
-    f_embedding_batch,
     f_from_moment,
     moment_embedding,
-    moment_embedding_batch,
-    transition_function,
-    transition_signs_batch,
+    transition_signs,
     w_action,
     w_values,
 )
+from tests import scalar_reference as ref
+from tests.scalar_reference import check_raise_alike, check_single_and_stack
 
 
 class TestCharts:
     def test_chart_center(self):
-        assert chart_coords(rp2_point([0, 0, 1]), 3) == (0.0, 0.0)
+        assert tuple(chart_coords(rp2_point([0, 0, 1]).rep, 3)) == (0.0, 0.0)
 
     def test_ratio_formula(self):
         p = rp2_point(np.array([1.0, 1.0, 1.0]) / np.sqrt(3))
-        x, y = chart_coords(p, 1)
+        x, y = chart_coords(p.rep, 1)
         assert abs(x - 1.0) < 1e-12 and abs(y - 1.0) < 1e-12
 
     def test_out_of_chart(self):
         with pytest.raises(PointNotInChart):
-            chart_coords(rp2_point([1, 0, 0]), 3)
+            chart_coords(rp2_point([1, 0, 0]).rep, 3)
 
     def test_bad_index(self):
         with pytest.raises(ValueError):
-            chart_coords(rp2_point([0, 0, 1]), 4)
+            chart_coords(rp2_point([0, 0, 1]).rep, 4)
 
 
 class TestTransitions:
@@ -53,17 +46,17 @@ class TestTransitions:
             v /= np.linalg.norm(v)
             if np.min(np.abs(v)) < 0.05:
                 continue
-            p = rp2_point(v)
+            g = transition_signs(rp2_point(v).rep)
             for a in (1, 2, 3):
-                assert transition_function(a, a, p) == 1
+                assert g[a - 1, a - 1] == 1
 
     def test_sign_formula(self):
-        assert transition_function(1, 2, rp2_point([2 / 3, 1 / 3, 2 / 3])) == 1
-        assert transition_function(1, 2, rp2_point([2 / 3, -1 / 3, 2 / 3])) == -1
+        assert transition_signs(rp2_point([2 / 3, 1 / 3, 2 / 3]).rep)[0, 1] == 1
+        assert transition_signs(rp2_point([2 / 3, -1 / 3, 2 / 3]).rep)[0, 1] == -1
 
     def test_vanishing_coordinate_raises(self):
         with pytest.raises(PointNotInChart):
-            transition_function(1, 3, rp2_point([1, 0, 0]))
+            transition_signs(rp2_point([1, 0, 0]).rep)
 
     def test_cocycle(self, rng):
         for _ in range(200):
@@ -71,26 +64,26 @@ class TestTransitions:
             v /= np.linalg.norm(v)
             if np.min(np.abs(v)) < 0.05:
                 continue
-            p = rp2_point(v)
-            for a in (1, 2, 3):
-                for b in (1, 2, 3):
-                    for c in (1, 2, 3):
-                        lhs = transition_function(a, b, p) * transition_function(b, c, p)
-                        assert lhs == transition_function(a, c, p)
+            g = transition_signs(rp2_point(v).rep)
+            for a in range(3):
+                for b in range(3):
+                    for c in range(3):
+                        lhs = g[a, b] * g[b, c]
+                        assert lhs == g[a, c]
 
 
 class TestEmbeddings:
     def test_f_at_poles(self):
-        assert np.allclose(f_embedding(rp2_point([0, 0, 1])), [0, 0, 0, -1])
-        assert np.allclose(f_embedding(rp2_point([0, 1, 0])), [0, 0, 0, 1])
-        assert np.allclose(f_embedding(rp2_point([1, 0, 0])), [0, 0, 0, 0])
+        assert np.allclose(f_embedding(rp2_point([0, 0, 1]).rep), [0, 0, 0, -1])
+        assert np.allclose(f_embedding(rp2_point([0, 1, 0]).rep), [0, 0, 0, 1])
+        assert np.allclose(f_embedding(rp2_point([1, 0, 0]).rep), [0, 0, 0, 0])
 
     def test_f_even(self, rng):
         for _ in range(100):
             v = rng.normal(size=3)
             v /= np.linalg.norm(v)
             assert np.array_equal(
-                f_embedding(rp2_point(v)), f_embedding(rp2_point(-v))
+                f_embedding(rp2_point(v).rep), f_embedding(rp2_point(-v).rep)
             )
 
     def test_moment_at_pole(self):
@@ -113,7 +106,7 @@ class TestEmbeddings:
             v /= np.linalg.norm(v)
             p = rp2_point(v)
             assert np.allclose(
-                f_embedding(p), f_from_moment(moment_embedding(p.rep)), atol=1e-14
+                f_embedding(p.rep), f_from_moment(moment_embedding(p.rep)), atol=1e-14
             )
 
     def test_f_separates_sampled_classes(self, rng):
@@ -122,7 +115,7 @@ class TestEmbeddings:
         # from antipodal representatives close to the x3 = 0 ambiguity set)
         pts = rng.normal(size=(2000, 3))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
-        F = np.array([f_embedding(rp2_point(p)) for p in pts])
+        F = np.array([f_embedding(rp2_point(p).rep) for p in pts])
         reps = np.array([rp2_point(p).rep for p in pts])
         from scipy.spatial import cKDTree
 
@@ -235,52 +228,108 @@ class TestQuadrature:
         assert abs(grid8.integrate(np.conj(y21) * y21) - 1.0) < 1e-10
 
 
+def _points():
+    """300 unit points and edge rows: poles, ρ = 1e-14, ±ZERO_TOL, ±CHART_TOL and -0.0."""
+    rng = np.random.default_rng(2009)
+    x = rng.normal(size=(300, 3))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    t, c = ZERO_TOL, CHART_TOL
+    edge = np.array([
+        [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1e-14, 0.0, 1.0], [-0.0, 1.0, -0.0],
+        [0.6, -0.8, t], [-t, 0.6, -0.8], [0.6, -0.8, 1.5 * c], [-0.8, 1.5 * c, -0.6],
+        [0.6, 0.8, c], [-c, 0.8, 0.6], [0.6, -0.0, -0.8], [1.0 + 1e-12, 0.0, 0.0],
+    ])
+    return np.concatenate([edge, x, -edge])
+
+
+PTS = _points()
+REPS = rp2_rep(PTS)
+
+
+def _inside(alphas):
+    """Representatives whose coordinates at the given chart indices exceed CHART_TOL."""
+    return [(x,) for x in REPS if all(abs(x[a - 1]) > CHART_TOL for a in alphas)]
+
+
+def _signs(x):
+    return np.array([[ref.transition_function(a, b, rp2_point(x)) for b in (1, 2, 3)]
+                     for a in (1, 2, 3)])
+
+
+# merged name -> [(the name, its frozen one-object reference, single inputs), ...]
+BITWISE = {
+    "chart_coords": [(lambda x, a=a: chart_coords(x, a),
+                      lambda x, a=a: np.array(ref.chart_coords(rp2_point(x), a)), _inside([a]))
+                     for a in (1, 2, 3)],
+    "transition_signs": [(transition_signs, _signs, _inside([1, 2, 3]))],
+    "f_embedding": [(f_embedding, lambda x: ref.f_embedding(rp2_point(x)), [(x,) for x in REPS])],
+    "moment_embedding": [(moment_embedding, ref.moment_embedding, [(x,) for x in PTS])],
+}
+# public names with no one-object twin to merge
+NOT_MERGED = {"build_quadrature", "check_symmetric_traceless", "f_from_moment", "w_action",
+              "w_values"}
+
+OFF, NAN = 1.0 + 2e-9, float("nan")
+# merged name -> (the name, a good input, bad inputs)
+RAISES = {
+    "chart_coords": (lambda x: chart_coords(x, 3), ((0.6, 0.0, 0.8),),
+                     [((0.6, 0.8, CHART_TOL),), ((0.8, 0.6, -0.0),)]),
+    "transition_signs": (transition_signs, ((0.6, 0.48, 0.64),),
+                         [((0.6, 0.8, CHART_TOL),), ((-CHART_TOL, 0.6, 0.8),)]),
+    "moment_embedding": (moment_embedding, ((0.0, 0.0, 1.0),),
+                         [((0.0, 0.0, OFF),), ((0.0, NAN, 1.0),)]),
+}
+
+
+def _check(name):
+    for row in BITWISE[name]:
+        check_single_and_stack(*row)
+
+
 class TestBatchForms:
-    def _points(self, rng):
-        x = rng.normal(size=(300, 3))
-        x /= np.linalg.norm(x, axis=1)[:, None]
-        return np.concatenate([x, [[0.6, -0.8, 1e-9 * 1.5], [-0.0, 1.0, -0.0]]])
+    """Each name on one point and on a stack, against its frozen reference."""
 
-    def test_transition_signs_match_scalar(self, rng):
-        pts = self._points(rng)[:-1]
-        signs = transition_signs_batch(pts)
-        assert signs.shape == (len(pts), 3, 3)
-        for x, s in zip(pts, signs):
-            p = rp2_point(x)
-            want = [[transition_function(a, b, p) for b in (1, 2, 3)] for a in (1, 2, 3)]
-            assert np.array_equal(s, want)
+    def test_one_row_per_public_name(self):
+        public = {name for name, obj in vars(manifold).items()
+                  if callable(obj) and not isinstance(obj, type) and not name.startswith("_")
+                  and obj.__module__ == manifold.__name__}
+        assert set(BITWISE) == public - NOT_MERGED
+        assert set(RAISES) <= set(BITWISE)
+
+    def test_transition_signs_match_scalar(self):
+        _check("transition_signs")
         # representative-independent
-        assert np.array_equal(transition_signs_batch(-pts), signs)
+        pts = np.array(_inside([1, 2, 3]))[:, 0]
+        assert np.array_equal(transition_signs(-pts), transition_signs(pts))
 
-    def test_transition_signs_reject_points_outside_a_chart(self, rng):
+    def test_transition_signs_reject_points_outside_a_chart(self):
         with pytest.raises(PointNotInChart):
-            transition_signs_batch(self._points(rng))
+            transition_signs(PTS)
 
-    def test_moment_rows_match_scalar(self, rng):
-        pts = self._points(rng)
-        for x, m in zip(pts, moment_embedding_batch(pts)):
-            assert m.tobytes() == moment_embedding(x).tobytes()
+    def test_moment_rows_match_scalar(self):
+        _check("moment_embedding")
 
-    def test_chart_and_embedding_rows_match_scalar(self, rng):
-        pts = self._points(rng)
-        reps = rp2_rep_batch(pts[:-2])
-        moments = moment_embedding_batch(reps)
+    def test_chart_and_embedding_rows_match_scalar(self):
+        _check("chart_coords")
+        _check("f_embedding")
         for alpha in (1, 2, 3):
-            coords = chart_coords_batch(reps, alpha)
-            assert np.array_equal(chart_coords_batch(-reps, alpha), coords)
-            for x, c in zip(pts, coords):
-                assert c.tobytes() == np.array(chart_coords(rp2_point(x), alpha)).tobytes()
+            reps = np.array(_inside([alpha]))[:, 0]
+            assert np.array_equal(chart_coords(-reps, alpha), chart_coords(reps, alpha))
         with pytest.raises(PointNotInChart):
-            chart_coords_batch(pts, 3)
-        for x, f, m in zip(pts, f_embedding_batch(reps), f_from_moment(moments)):
-            p = rp2_point(x)
-            assert f.tobytes() == f_embedding(p).tobytes()
-            assert m.tobytes() == f_from_moment(moment_embedding(p.rep)).tobytes()
+            chart_coords(PTS, 3)
+        for x, m in zip(REPS, f_from_moment(moment_embedding(REPS))):
+            assert m.tobytes() == f_from_moment(ref.moment_embedding(x)).tobytes()
+
+    @pytest.mark.parametrize("name, case", [(name, k) for name, (_, _, bad) in RAISES.items()
+                                            for k in range(len(bad))])
+    def test_single_and_stack_raise_alike(self, name, case):
+        fn, good, bad = RAISES[name]
+        check_raise_alike(fn, good, bad[case])
 
     def test_w_values_and_action_rows_match_scalar(self, rng):
-        pts = self._points(rng)
+        pts = PTS
         c, c0 = w_matrix(rng.normal(size=(len(pts), 5))), rng.normal(size=len(pts))
-        r = spinor_map_batch(su2_from_normals(rng.normal(size=(len(pts), 4))))
+        r = spinor_map(su2_from_normals(rng.normal(size=(len(pts), 4))))
         values = w_values(c, c0, pts)
         moved = w_action(r, c)
         for k, x in enumerate(pts):
