@@ -193,9 +193,14 @@ def _su2_rows(g) -> np.ndarray:
 
 
 def _columns(g):
-    """Real components (Re z0, Im z0, Re z1, Im z1) of an element or (..., 2) rows."""
+    """Real components (Re z0, Im z0, Re z1, Im z1) of an element or (..., 2) rows.
+
+    Indexing with ``[()]`` turns the components of one row into numpy scalars,
+    whose arithmetic skips the array machinery; on a stack it is a no-op view.
+    """
     a = _su2_rows(g)
-    return a[..., 0].real, a[..., 0].imag, a[..., 1].real, a[..., 1].imag
+    z0, z1 = a[..., 0][()], a[..., 1][()]
+    return z0.real, z0.imag, z1.real, z1.imag
 
 
 def validate_normalize_su2(z) -> np.ndarray:
@@ -257,7 +262,7 @@ def _unit_axis(n_hat):
     n = np.asarray(n_hat, dtype=float)
     if not np.all(np.abs(_norm(n) - 1.0) <= UNIT_TOL):
         raise ValueError("axis must be a unit vector")
-    return n[..., 0], n[..., 1], n[..., 2]
+    return n[..., 0][()], n[..., 1][()], n[..., 2][()]      # scalars for one axis, as in _columns
 
 
 def su2_from_axis_angle(psi, n_hat) -> np.ndarray:
@@ -355,7 +360,7 @@ def rp2_rep(x) -> np.ndarray:
     is positive; adding 0.0 maps any -0.0 entry to +0.0.
     """
     v = np.asarray(x, dtype=float)
-    sign = np.where(_scan_flip(v[..., 0], v[..., 1], v[..., 2]), -1.0, 1.0)
+    sign = np.where(_scan_flip(v[..., 0][()], v[..., 1][()], v[..., 2][()]), -1.0, 1.0)
     return unit_vector(v) * sign[..., None] + 0.0
 
 
@@ -406,7 +411,7 @@ def su2_from_sphere_point(x) -> np.ndarray:
     ρ < ZERO_TOL the exact identity.  An (..., 3) stack gives (..., 2) rows.
     """
     v = unit_vector(x)
-    x1, x2, x3 = v[..., 0], v[..., 1], v[..., 2]
+    x1, x2, x3 = v[..., 0][()], v[..., 1][()], v[..., 2][()]
     rho = _norm(v[..., [1, 0, 2]] * (-1.0, 1.0, 0.0))     # |(-x₂, x₁, 0)|
     south = x3 <= -1.0 + ZERO_TOL
     generic = ~south & (rho >= ZERO_TOL)
