@@ -23,22 +23,17 @@ point or an (..., 3) stack of points (and lifts one ``SU2Element`` or
 (..., 2) rows); each stacked matrix equals its single-point call bit for bit.
 
 The fixed-basis (untransported) lift (r, v) ↦ (g·r, D^j(g) v) of a spinor of
-sphere functions is included as the trivial-frame case; its generators
-decompose by angular-momentum addition as J_i = L_i ⊗ Id + Id ⊗ S_i.
+sphere functions is included as the trivial-frame case; a spin-j field is a
+(..., 2j+1, (lmax+1)²) stack, one coefficient table per m value, and its
+generators decompose by angular-momentum addition as J_i = L_i ⊗ Id + Id ⊗ S_i.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (
-    SU2Element,
-    spinor_map,
-    su2_from_sphere_point,
-    unit_vector,
-)
+from .groups import _su2_rows, spinor_map, su2_from_sphere_point, unit_vector
 from .harmonics import (
-    HarmonicCoeffs,
     angular_momentum_matrices,
     apply_L,
     rotate_stack,
@@ -166,46 +161,37 @@ def recover_spin_generator(i: int, r, frame: TransportFrame) -> np.ndarray:
     return total - base
 
 
-@dataclass(frozen=True)
-class SpinorField:
-    """Fixed-basis spin-j wave function: one sphere function per m value."""
-
-    j: float
-    components: tuple[HarmonicCoeffs, ...]
-
-    def __post_init__(self):
-        if len(self.components) != int(round(2 * self.j)) + 1:
-            raise ValueError("need 2j + 1 component tables")
-        if len({c.lmax for c in self.components}) != 1:
-            raise ValueError("components must share lmax")
-
-    def stack(self) -> np.ndarray:
-        return np.stack([c.c for c in self.components])
+def _field(j: float, c) -> np.ndarray:
+    """A spin-j field (..., 2j+1, (lmax+1)²) as a complex array: one table per m value."""
+    c = np.asarray(c, dtype=np.complex128)
+    if c.ndim < 2 or c.shape[-2] != int(round(2 * j)) + 1:
+        raise ValueError("need 2j + 1 component tables")
+    return c
 
 
-def fixed_basis_lift(g: SU2Element, field: SpinorField) -> SpinorField:
+def fixed_basis_lift(g, j: float, c) -> np.ndarray:
     """Untransported lift: rotate the base, mix components by constant D^j(g).
 
-    All components rotate in one ``rotate_stack`` call on coefficients.
+    c is a spin-j field (..., 2j+1, (lmax+1)²); g is an ``SU2Element`` or
+    (..., 2) rows that broadcast against c's leading axes.  All components
+    rotate in one ``rotate_stack`` call on coefficients.
     """
-    mixed = wigner_d(field.j, g) @ rotate_stack(g, field.stack())
-    lmax = field.components[0].lmax
-    return SpinorField(field.j, tuple(HarmonicCoeffs(lmax, "full", c) for c in mixed))
+    g = _su2_rows(g)
+    return wigner_d(j, g) @ rotate_stack(g[..., None, :], _field(j, c))
 
 
-def total_generator_fd(i: int, field: SpinorField) -> np.ndarray:
-    """J_i by finite differences of the fixed-basis lift, stacked layout.
+def total_generator_fd(i: int, j: float, c) -> np.ndarray:
+    """J_i by finite differences of the fixed-basis lift on a spin-j field.
 
-    The four Richardson offsets run as one stack: one ``wigner_d`` and one
-    ``rotate_stack`` call, as ``fixed_basis_lift`` makes them per element.
+    The four Richardson offsets run as one stack on a new leading axis: one
+    ``wigner_d`` and one ``rotate_stack`` call.
     """
-    g = _fd_elements(i)
-    lifted = wigner_d(field.j, g) @ rotate_stack(g[:, None], field.stack())
-    return 1j * _richardson(lifted)
+    c = _field(j, c)
+    return 1j * _richardson(fixed_basis_lift(_fd_elements(i, c.ndim - 1), j, c))
 
 
-def total_generator_exact(i: int, field: SpinorField) -> np.ndarray:
-    """L_i ⊗ Id + Id ⊗ S_i on the stacked layout (angular-momentum addition)."""
-    spin = angular_momentum_matrices(field.j)[i - 1]
-    orbital = apply_L(i, field.stack())
-    return orbital + np.einsum("mn,nk->mk", spin, field.stack())
+def total_generator_exact(i: int, j: float, c) -> np.ndarray:
+    """L_i ⊗ Id + Id ⊗ S_i on a spin-j field (angular-momentum addition)."""
+    c = _field(j, c)
+    spin = angular_momentum_matrices(j)[i - 1]
+    return apply_L(i, c) + np.einsum("mn,...nk->...mk", spin, c)

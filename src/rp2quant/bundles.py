@@ -16,7 +16,9 @@ realizes them inside a free rank-3 module over the even functions.
 
 Both presentations are carried as arrays, one point or a stack: a
 representative (g, v) as (z0, z1) rows and fiber values, a point of the
-sub-bundle as its canonical base representative and fiber vector.
+sub-bundle as its canonical base representative and fiber vector.  The
+module maps carry odd tables (..., n) to even triples (..., 3, n′) and
+back, through one grid transform for the whole stack.
 """
 
 import numpy as np
@@ -31,7 +33,7 @@ from .groups import (
     su2_product,
     unit_vector,
 )
-from .harmonics import HarmonicCoeffs, off_sector_mask
+from .harmonics import _row_norms, _sector_checked, _table_band, off_sector_mask
 from .manifold import CHART_TOL, QuadratureGrid
 
 PROJECTOR_CONSTRAINT_TOL = 1e-8   # p·f - f accepted by module_iso_inverse, relative
@@ -112,55 +114,55 @@ def projector(x) -> np.ndarray:
     return f[..., :, None] * f.conj()[..., None, :]
 
 
-def module_iso_forward(
-    a: HarmonicCoeffs, grid: QuadratureGrid
-) -> tuple[HarmonicCoeffs, ...]:
-    """Odd function a ↦ triple f_i = coefficients of x ↦ a(x)·x_i (all even).
+def module_iso_forward(c, grid: QuadratureGrid) -> np.ndarray:
+    """Odd tables (..., n) ↦ triples (..., 3, n′): coefficients of x ↦ a(x)·x_i.
 
-    The triple satisfies the pointwise constraint p·f = f, exhibiting the
-    odd functions as the projective module cut out by the projector.
+    Each component is even, and the triple satisfies the pointwise
+    constraint p·f = f, exhibiting the odd functions as the projective
+    module cut out by the projector.  Content off the odd sector raises
+    ValueError.
     """
-    if a.sector != "odd":
-        raise ValueError("forward module map expects an odd-sector table")
-    top = a.lmax if a.lmax % 2 else a.lmax - 1   # largest populated odd degree
+    c, lmax = _table_band(c)
+    c = _sector_checked(c, lmax, "odd")
+    top = lmax if lmax % 2 else lmax - 1    # largest populated odd degree
     lout = top + 1
     if lout > grid.lmax_exact:
         raise ValueError("grid not exact enough for the product coefficients")
-    c = grid.project(grid.synthesize(a.c) * grid.nodes.T, lout)
-    c[:, off_sector_mask(lout, "even")] = 0.0   # odd-degree residue is quadrature noise
-    return tuple(HarmonicCoeffs(lout, "even", row) for row in c)
+    f = grid.project(grid.synthesize(c)[..., None, :] * grid.nodes.T, lout)
+    f[..., off_sector_mask(lout, "even")] = 0.0   # odd-degree residue is quadrature noise
+    return f
 
 
-def _component_values(f: tuple[HarmonicCoeffs, ...], grid: QuadratureGrid) -> np.ndarray:
-    """Node values of the triple's components: shape (n, 3)."""
-    return np.stack([grid.synthesize(fi.c) for fi in f], axis=1)
+def _projector_gap(vals: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
+    """Sup-norm of (p·f - f) per triple, from component values (..., 3, N) at the nodes."""
+    x = grid.nodes.T
+    proj = x * np.sum(vals * x, axis=-2, keepdims=True)
+    return np.max(np.abs(proj - vals), axis=(-2, -1))
 
 
-def _projector_gap(vals: np.ndarray, grid: QuadratureGrid) -> float:
-    """Sup-norm of (p·f - f) from the (n, 3) component values at the nodes."""
-    proj = grid.nodes * np.sum(vals * grid.nodes, axis=1)[:, None]
-    return float(np.max(np.abs(proj - vals)))
+def projector_residual(f, grid: QuadratureGrid) -> np.ndarray:
+    """Sup-norm of (p·f - f) over the grid nodes, one per triple of (..., 3, n′)."""
+    return _projector_gap(grid.synthesize(f), grid)
 
 
-def projector_residual(
-    f: tuple[HarmonicCoeffs, ...], grid: QuadratureGrid
-) -> float:
-    """Sup-norm of (p·f - f) over the grid nodes."""
-    return _projector_gap(_component_values(f, grid), grid)
+def module_iso_inverse(f, grid: QuadratureGrid) -> np.ndarray:
+    """Triples (..., 3, n′) ↦ odd tables a(x) = Σ_i f_i(x)·x_i = ⟨φ(x), f(x)⟩.
 
-
-def module_iso_inverse(f: tuple[HarmonicCoeffs, ...], grid: QuadratureGrid) -> HarmonicCoeffs:
-    """Triple f ↦ odd function a(x) = Σ_i f_i(x)·x_i = ⟨φ(x), f(x)⟩."""
-    scale = max(max(fi.norm() for fi in f), 1.0)
-    vals = _component_values(f, grid)
+    A triple off the module, with p·f - f above PROJECTOR_CONSTRAINT_TOL
+    times max(1, its largest component norm), raises
+    ProjectorConstraintViolated.
+    """
+    f, lmax = _table_band(f)
+    vals = grid.synthesize(f)
     res = _projector_gap(vals, grid)
-    if res > PROJECTOR_CONSTRAINT_TOL * scale:
+    scale = np.maximum(np.max(_row_norms(f), axis=-1), 1.0)
+    if np.any(res > PROJECTOR_CONSTRAINT_TOL * scale):
         raise ProjectorConstraintViolated(
-            f"p·f - f residual {res:.3e} exceeds {PROJECTOR_CONSTRAINT_TOL:.1e} (scaled)"
+            f"p·f - f residual {np.max(res):.3e} exceeds {PROJECTOR_CONSTRAINT_TOL:.1e} (scaled)"
         )
-    lout = max(fi.lmax for fi in f) + 1
+    lout = lmax + 1
     if lout > grid.lmax_exact:
         raise ValueError("grid not exact enough for the product coefficients")
-    c = grid.project(np.sum(vals * grid.nodes, axis=1), lout)
-    c[off_sector_mask(lout, "odd")] = 0.0
-    return HarmonicCoeffs(lout, "odd", c)
+    c = grid.project(np.sum(vals * grid.nodes.T, axis=-2), lout)
+    c[..., off_sector_mask(lout, "odd")] = 0.0
+    return c

@@ -15,8 +15,8 @@ import numpy as np
 from . import bundles, classical, heisenberg
 from .berry_robbins import (
     BRState,
-    SpinorField,
     TransportFrame,
+    _apply,
     br_lift,
     recover_spin_generator,
     scalar_lift,
@@ -218,6 +218,26 @@ def _unit_rows(v) -> np.ndarray:
     return v / np.sqrt(np.vecdot(v, v))[:, None]
 
 
+def _tables_from_normals(normals, lmax: int, odd) -> np.ndarray:
+    """Tables from (n, 2·(lmax+1)²) normal draws, as ``random_coeffs`` makes one per row.
+
+    ``odd`` (n,) picks each row's sector (odd where True, else even): the
+    draws are real then imaginary parts, the off-sector entries are zeroed
+    and each row is scaled to unit norm.
+    """
+    size = num_coeffs(lmax)
+    c = normals[:, :size] + 1j * normals[:, size:2 * size]
+    c[_odd_degree_mask(lmax)[None, :] != odd[:, None]] = 0.0
+    norms = _row_norms(c)
+    return c / np.where(norms > 0, norms, 1.0)[:, None]
+
+
+def _odd_tables(rng, n: int, lmax: int) -> np.ndarray:
+    """n draws of ``random_coeffs(lmax, "odd", rng)`` as one (n, (lmax+1)²) stack."""
+    normals = rng.normal(size=(n, 2 * num_coeffs(lmax)))
+    return _tables_from_normals(normals, lmax, np.ones(n, dtype=bool))
+
+
 _CHUNK_ROWS = 4096   # samples per batch: an (n, 3, 3) float64 temporary stays near 300 KB
 
 
@@ -234,11 +254,6 @@ def _frobenius(m) -> np.ndarray:
     """np.linalg.norm of each (3, 3) matrix of a stack, rounded the same way."""
     flat = m.reshape(-1, 9)
     return np.sqrt(np.vecdot(flat, flat))
-
-
-def _apply(m, x) -> np.ndarray:
-    """m @ x for stacks of matrices (n, d, d) and vectors (n, d)."""
-    return (m @ x[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------- groups
@@ -488,10 +503,10 @@ def _ladder_algebra(rng, cfg):
     worst = 0.0
     eps = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
     for _ in range(5):
-        a = random_coeffs(cfg.lmax, "full", rng)
+        c = random_coeffs(cfg.lmax, "full", rng).c
         for (i, j), k in eps.items():
-            comm = apply_L(i, apply_L(j, a)).c - apply_L(j, apply_L(i, a)).c
-            worst = max(worst, float(np.linalg.norm(comm - 1j * apply_L(k, a).c)))
+            comm = apply_L(i, apply_L(j, c)) - apply_L(j, apply_L(i, c))
+            worst = max(worst, float(np.linalg.norm(comm - 1j * apply_L(k, c))))
     return worst
 
 
@@ -680,16 +695,13 @@ def _projector_props(rng, cfg):
 @register("bundles", "module-roundtrip", "projective-module-isomorphism", 1e-9)
 def _module_roundtrip(rng, cfg):
     grid = _grid(_module_grid_order(cfg.lmax))
-    worst = 0.0
-    for _ in range(5):
-        a = random_coeffs(cfg.lmax, "odd", rng)
-        f = bundles.module_iso_forward(a, grid)
-        worst = max(worst, bundles.projector_residual(f, grid))
-        back = bundles.module_iso_inverse(f, grid)
-        gap = back.c[: a.c.size] - a.c
-        worst = max(worst, float(np.linalg.norm(gap)))
-        worst = max(worst, float(np.linalg.norm(back.c[a.c.size :])))
-    return worst
+    a = _odd_tables(rng, 5, cfg.lmax)
+    f = bundles.module_iso_forward(a, grid)
+    back = bundles.module_iso_inverse(f, grid)
+    n = a.shape[-1]
+    return max(float(np.max(bundles.projector_residual(f, grid))),
+               float(np.max(_row_norms(back[:, :n] - a))),
+               float(np.max(_row_norms(back[:, n:]))))
 
 
 @register("bundles", "section-well-defined", "odd-sections-from-functions", 1e-12)
@@ -708,26 +720,6 @@ def _section_well_defined(rng, cfg):
 
 
 # -------------------------------------------------------- representation
-
-def _tables_from_normals(normals, lmax: int, odd) -> np.ndarray:
-    """Tables from (n, 2·(lmax+1)²) normal draws, as ``random_coeffs`` makes one per row.
-
-    ``odd`` (n,) picks each row's sector (odd where True, else even): the
-    draws are real then imaginary parts, the off-sector entries are zeroed
-    and each row is scaled to unit norm.
-    """
-    size = num_coeffs(lmax)
-    c = normals[:, :size] + 1j * normals[:, size:2 * size]
-    c[_odd_degree_mask(lmax)[None, :] != odd[:, None]] = 0.0
-    norms = _row_norms(c)
-    return c / np.where(norms > 0, norms, 1.0)[:, None]
-
-
-def _odd_tables(rng, n: int, lmax: int) -> np.ndarray:
-    """n draws of ``random_coeffs(lmax, "odd", rng)`` as one (n, (lmax+1)²) stack."""
-    normals = rng.normal(size=(n, 2 * num_coeffs(lmax)))
-    return _tables_from_normals(normals, lmax, np.ones(n, dtype=bool))
-
 
 def _sector_draw(rng, extra: int, lmax: int) -> np.ndarray:
     """One sample's raw draws: the sector's ``random()``, a table's normals, then ``extra`` normals."""
@@ -1142,11 +1134,9 @@ def _fixed_basis(rng, cfg):
     lmax = min(cfg.lmax, 6) - 1
     worst = 0.0
     for j in (0.5, 1.0):
-        dim = int(2 * j) + 1
-        comps = tuple(random_coeffs(lmax, "full", rng) for _ in range(dim))
-        field_ = SpinorField(j, comps)
+        field_ = np.stack([random_coeffs(lmax, "full", rng).c for _ in range(int(2 * j) + 1)])
         for i in (1, 2, 3):
-            gap = total_generator_fd(i, field_) - total_generator_exact(i, field_)
+            gap = total_generator_fd(i, j, field_) - total_generator_exact(i, j, field_)
             worst = max(worst, float(np.max(np.abs(gap))))
     return worst
 

@@ -5,7 +5,8 @@ Usage:
     rp2quant heisenberg --grid-n 2048 --tol ccr-residual=1e-9
 
 Exit codes: 0 all checks passed, 1 at least one failure (a check that
-raises is reported as a failure), 2 configuration error.  Fixed (seed,
+raises is reported as a failure), 2 configuration error, or an ``--out``
+path that cannot be written (refused before any check runs).  Fixed (seed,
 config) reproduces every residual bit-for-bit; wall times are the only
 volatile report fields.
 """
@@ -272,6 +273,8 @@ def main(argv=None) -> int:
         unknown = set(tol) - known
         if unknown:
             raise ConfigError(f"tolerance overrides for unknown checks: {sorted(unknown)}")
+        if out is not None:
+            open(out, "a").close()      # an unwritable report path is refused before any check runs
         results = run_suite(args.suite, cfg)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

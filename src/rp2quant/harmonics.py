@@ -5,7 +5,12 @@ harmonics with the Condon-Shortley phase (ħ = 1 throughout).  The antipodal
 map acts as (-1)^l on degree l, so the even-l/odd-l subspaces are exactly the
 functions that descend to ℝP² and the sections of the nontrivial line bundle
 respectively; coefficient tables carry a sector tag ("even" | "odd" | "full")
-enforcing the split through one cached mask of odd degrees per lmax.
+enforcing the split through one cached mask of odd degrees per lmax.  The
+tagged ``HarmonicCoeffs`` is the public form of one table (``random_coeffs``,
+``unit``, ``zeros``, ``analyze``, ``evaluate``, ``rotate_coeffs``,
+``parity_decompose``); below it, ``apply_L``, ``rotate_stack`` and the
+generators, module maps and spinor fields built on them take bare
+(..., (lmax+1)²) coefficient stacks.
 
 Analysis and synthesis on a quadrature grid are separable
 (``QuadratureGrid.project`` / ``synthesize``): an FFT over the azimuths of
@@ -16,7 +21,7 @@ each order m times e^{imφ} and forms no (n × (lmax+1)²) basis.
 Angular momentum acts exactly in this basis:
     L₃ c[l, m] = m c[l, m],
     L± c[l, m] = sqrt(l(l+1) - m(m∓1)) c[l, m∓1]   (as coefficient maps);
-``apply_L`` applies them to one table or a stack, all degrees at once.
+``apply_L`` applies them to a (..., (lmax+1)²) stack, all degrees at once.
 One primitive builds every spin-j rotation matrix, for any half-integer j:
 ``wigner_d`` is D^j(g) = e^{-iαS₃} V e^{-iβΛ} V† e^{-iγS₃}, with V from a
 read-only cache of S₂ eigenvectors keyed by 2j and (α, β, γ) read from
@@ -50,6 +55,18 @@ def coeff_index(l: int, m: int) -> int:
 
 def num_coeffs(lmax: int) -> int:
     return (lmax + 1) * (lmax + 1)
+
+
+def _table_band(c) -> tuple[np.ndarray, int]:
+    """A stack (..., (lmax+1)²) as a complex array, and its lmax.
+
+    A last axis of any other length raises ValueError.
+    """
+    c = np.asarray(c, dtype=np.complex128)
+    lmax = math.isqrt(c.shape[-1]) - 1
+    if num_coeffs(lmax) != c.shape[-1]:
+        raise ValueError("last axis must hold (lmax+1)² coefficients")
+    return c, lmax
 
 
 _ODD_DEGREE: dict[int, np.ndarray] = {}
@@ -177,11 +194,6 @@ def parity_decompose(a: HarmonicCoeffs) -> tuple[HarmonicCoeffs, HarmonicCoeffs]
     )
 
 
-def project_sector(a: HarmonicCoeffs, sector: str) -> HarmonicCoeffs:
-    """Drop the opposite parity content and retag."""
-    return HarmonicCoeffs(a.lmax, sector, np.where(off_sector_mask(a.lmax, sector), 0, a.c))
-
-
 def _ladder(j: float) -> np.ndarray:
     """sqrt(j(j+1) - m(m+1)) for m = -j ... j-1: the J₊ entry from m to m+1.
 
@@ -190,11 +202,6 @@ def _ladder(j: float) -> np.ndarray:
     """
     m = np.arange(-j, j)
     return np.sqrt(j * (j + 1.0) - m * (m + 1.0))
-
-
-def _coeffs(a) -> np.ndarray:
-    """The table of a ``HarmonicCoeffs``, or a stack as a complex array."""
-    return a.c if isinstance(a, HarmonicCoeffs) else np.asarray(a, dtype=np.complex128)
 
 
 _LADDERS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -218,32 +225,26 @@ def _ladder_tables(lmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _LADDERS[lmax]
 
 
-def apply_L(i: int, a):
-    """Exact orbital angular momentum L_i on a table or a stack of tables.
+def apply_L(i: int, c) -> np.ndarray:
+    """Exact orbital angular momentum L_i on a stack of tables (..., (lmax+1)²).
 
-    a is a ``HarmonicCoeffs`` (the result is one, in the same sector: degree
-    is preserved) or a (..., (lmax+1)²) stack (the result is a stack, each
-    row equal to its single-table call bit for bit).  L₃ is diagonal
+    Each row of the result equals its single-table call bit for bit, and
+    degree is preserved, so a sector-pure row stays pure.  L₃ is diagonal
     (eigenvalue m); L₁ = (L₊+L₋)/2 and L₂ = (L₊-L₋)/(2i) act through the
     ladder coefficients sqrt(l(l+1) - m(m±1)), gathered over all degrees at
     once from the cached ``_ladder_tables``.
     """
     if i not in (1, 2, 3):
         raise ValueError("component must be 1, 2 or 3")
-    c = _coeffs(a)
-    lmax = math.isqrt(c.shape[-1]) - 1
-    if num_coeffs(lmax) != c.shape[-1]:
-        raise ValueError("last axis must hold (lmax+1)² coefficients")
+    c, lmax = _table_band(c)
     m, src, ladder = _ladder_tables(lmax)
     if i == 3:
-        out = m * c
-    else:
-        up = np.zeros_like(c)      # L₊: Y_lm -> sqrt(l(l+1)-m(m+1)) Y_{l,m+1}
-        down = np.zeros_like(c)    # L₋: Y_lm -> sqrt(l(l+1)-m(m-1)) Y_{l,m-1}
-        up[..., src + 1] = ladder * c[..., src]
-        down[..., src] = ladder * c[..., src + 1]
-        out = 0.5 * (up + down) if i == 1 else -0.5j * (up - down)
-    return HarmonicCoeffs(a.lmax, a.sector, out) if isinstance(a, HarmonicCoeffs) else out
+        return m * c
+    up = np.zeros_like(c)      # L₊: Y_lm -> sqrt(l(l+1)-m(m+1)) Y_{l,m+1}
+    down = np.zeros_like(c)    # L₋: Y_lm -> sqrt(l(l+1)-m(m-1)) Y_{l,m-1}
+    up[..., src + 1] = ladder * c[..., src]
+    down[..., src] = ladder * c[..., src + 1]
+    return 0.5 * (up + down) if i == 1 else -0.5j * (up - down)
 
 
 def _twice_spin(j: float) -> int:
@@ -334,10 +335,7 @@ def rotate_stack(g, c: np.ndarray) -> np.ndarray:
     through the same matrix-vector products, so a stack gives bit for bit the
     rows of its single tables and single elements.
     """
-    c = np.asarray(c, dtype=np.complex128)
-    lmax = math.isqrt(c.shape[-1]) - 1
-    if num_coeffs(lmax) != c.shape[-1]:
-        raise ValueError("last axis must hold (lmax+1)² coefficients")
+    c, lmax = _table_band(c)
     phase_alpha, phase_beta, phase_gamma = _euler_phases(g, 2 * lmax)[..., None, :]
     n = c.shape[-1]
     out = np.empty(np.broadcast_shapes(phase_alpha.shape[:-2], c.shape[:-1]) + (n,),

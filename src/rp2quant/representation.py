@@ -14,8 +14,8 @@ which reproduces the exact ladder action L_i on coefficients.  The twelve
 elements g_t (three axes, four offsets) are one read-only (3, 4, 2) stack,
 ``FD_ELEMENTS``; each generator rotates all four offsets of its axis in one
 ``rotate_stack`` call.  The generators and the residuals built on them take
-one ``HarmonicCoeffs`` or a (..., (lmax+1)²) stack of tables, whose rows
-equal the single-table calls bit for bit.
+a (..., (lmax+1)²) stack of tables; a (n,) table is a stack with no leading
+axes and gives a 0-d residual.
 
 The full canonical operator on ℝP² × ℝ₊ acts on radial stacks of tables
 (``FullSection``: one (n_radial, (lmax+1)²) matrix in one sector) by
@@ -34,7 +34,6 @@ device the periodic position grid uses for e^{-iap̂}); section support must
 stay clear of the radial window's ends.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +42,10 @@ from .errors import RadialRangeError
 from .groups import SU2Element, spinor_map, su2_from_axis_angle
 from .harmonics import (
     HarmonicCoeffs,
-    _coeffs,
     _row_norms,
     _sector_checked,
     apply_L,
     off_sector_mask,
-    project_sector,
     rotate_stack,
 )
 from .manifold import QuadratureGrid, WFunctional
@@ -254,78 +251,50 @@ def _richardson(values) -> np.ndarray:
     return (4.0 * d_h2 - d_h) / 3.0
 
 
-def generator_J(i: int, a):
-    """J_i a = i · d/dt|₀ U(e^{-it σ_i/2}) a, Richardson finite differences.
+def generator_J(i: int, c) -> np.ndarray:
+    """J_i c = i · d/dt|₀ U(e^{-it σ_i/2}) c on a stack of tables (..., (lmax+1)²).
 
-    One ``rotate_stack`` call takes the four offsets of ``_fd_elements(i)``.
-    a is a ``HarmonicCoeffs`` (the result is projected back onto a's sector)
-    or a (..., (lmax+1)²) stack (the result is the raw derivative, each row
-    equal to its single-table call bit for bit; rotation never mixes degree
-    blocks, so a sector-pure row stays pure).  Normalized so that J₃ on a
-    Y₁₁ section returns the section itself.
+    Richardson finite differences; one ``rotate_stack`` call takes the four
+    offsets of ``_fd_elements(i)``.  Each row equals its single-table call
+    bit for bit, and rotation never mixes degree blocks, so a sector-pure row
+    stays pure.  Normalized so that J₃ on a Y₁₁ section returns the section
+    itself.
     """
-    c = _coeffs(a)
-    deriv = 1j * _richardson(rotate_stack(_fd_elements(i, c.ndim), c))
-    if not isinstance(a, HarmonicCoeffs):
-        return deriv
-    return project_sector(HarmonicCoeffs(a.lmax, "full", deriv), a.sector)
+    c = np.asarray(c, dtype=np.complex128)
+    return 1j * _richardson(rotate_stack(_fd_elements(i, c.ndim), c))
 
 
-def _per_table(a, residual):
-    """A float for one ``HarmonicCoeffs``, the (...,) array of a stack's residuals."""
-    return float(residual) if isinstance(a, HarmonicCoeffs) else residual
-
-
-def generator_vs_ladder_residual(i: int, a):
-    """Coefficientwise relative gap between the FD generator and exact L_i.
-
-    One table gives a float, a (..., (lmax+1)²) stack one residual per table.
-    """
-    c = _coeffs(a)
-    fd, exact = _coeffs(generator_J(i, a)), apply_L(i, c)
+def generator_vs_ladder_residual(i: int, c) -> np.ndarray:
+    """Coefficientwise relative gap between the FD generator and exact L_i, per table."""
+    c = np.asarray(c, dtype=np.complex128)
+    exact = apply_L(i, c)
     scale = np.maximum(_row_norms(exact), _row_norms(c))
-    return _per_table(a, _row_norms(fd - exact) / scale)
+    return _row_norms(generator_J(i, c) - exact) / scale
 
 
-def _module_triple(c: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
-    """(3, n') coefficients of ``module_iso_forward`` on one odd table."""
-    lmax = math.isqrt(c.size) - 1
-    return np.stack([t.c for t in module_iso_forward(HarmonicCoeffs(lmax, "odd", c), grid)])
-
-
-def check_intertwining(i: int, a, grid: QuadratureGrid):
-    """Residual of (J_i ∘ Φ)(a) = (Φ ∘ L_i)(a), relative to ‖a‖.
+def check_intertwining(i: int, c, grid: QuadratureGrid) -> np.ndarray:
+    """Residual of (J_i ∘ Φ)(a) = (Φ ∘ L_i)(a) per odd table a, relative to ‖a‖.
 
     Φ(a) is the frame-valued section a·φ, realized as the triple of even
-    component functions a(x)·x_i; the generator on that side is computed by
-    finite differences of the full vector rotation (base motion plus fiber
-    mixing, one stacked call over the four offsets), the other side by the
-    exact ladder action pushed through Φ.  a is one odd ``HarmonicCoeffs``
-    (a float) or a (..., (lmax+1)²) stack of odd tables (one residual per
-    table).  Φ runs table by table: a grid transform on a stack rounds
-    differently from one on a single table.
+    component functions a(x)·x_i (``module_iso_forward``).  One Φ call takes
+    the tables and their exact ladder images L_i a together.  The generator
+    on the Φ side is computed by finite differences of the full vector
+    rotation (base motion plus fiber mixing, one stacked call over the four
+    offsets).  Content off the odd sector raises ValueError.
     """
-    if isinstance(a, HarmonicCoeffs) and a.sector != "odd":
-        raise ValueError("intertwining check expects an odd-sector table")
-    c = _coeffs(a)
-    rows = c.reshape(-1, c.shape[-1])
-    triples = np.stack([_module_triple(row, grid) for row in rows])            # (k, 3, n')
-    g = _fd_elements(i, 3)
-    moved = spinor_map(g.reshape(-1, 2))[:, None] @ rotate_stack(g, triples)
-    lhs = 1j * _richardson(moved)
-    rhs = np.stack([_module_triple(row, grid) for row in apply_L(i, rows)])
-    gap = _row_norms((lhs - rhs).reshape(len(rows), -1)) / _row_norms(rows)
-    return _per_table(a, gap.reshape(c.shape[:-1]))
+    c = np.asarray(c, dtype=np.complex128)
+    triples, rhs = module_iso_forward(np.stack([c, apply_L(i, c)]), grid)     # (..., 3, n')
+    g = _fd_elements(i, c.ndim + 1)
+    lhs = 1j * _richardson(spinor_map(g[..., 0, :]) @ rotate_stack(g, triples))
+    gap = (lhs - rhs).reshape(c.shape[:-1] + (-1,))
+    return _row_norms(gap) / _row_norms(c)
 
 
-def su2_closure_residual(a):
-    """‖[J₁, J₂]a - i J₃ a‖ / ‖a‖ with all generators finite-differenced.
-
-    One table gives a float, a (..., (lmax+1)²) stack one residual per table.
-    """
-    comm = _coeffs(generator_J(1, generator_J(2, a))) - _coeffs(generator_J(2, generator_J(1, a)))
-    gap = _row_norms(comm - 1j * _coeffs(generator_J(3, a))) / _row_norms(_coeffs(a))
-    return _per_table(a, gap)
+def su2_closure_residual(c) -> np.ndarray:
+    """‖[J₁, J₂]a - i J₃ a‖ / ‖a‖ per table, with all generators finite-differenced."""
+    c = np.asarray(c, dtype=np.complex128)
+    comm = generator_J(1, generator_J(2, c)) - generator_J(2, generator_J(1, c))
+    return _row_norms(comm - 1j * generator_J(3, c)) / _row_norms(c)
 
 
 EXCHANGE_TOL = 1e-10     # off-parity part of an exchange eigenstate, relative to its peak
@@ -344,12 +313,3 @@ def exchange_parities(c, grid: QuadratureGrid) -> np.ndarray:
     even = np.max(np.abs(vals - anti), axis=-1) <= EXCHANGE_TOL * scale
     odd = np.max(np.abs(vals + anti), axis=-1) <= EXCHANGE_TOL * scale
     return np.where(even, 1, np.where(odd, -1, 0))
-
-
-def exchange_parity(a: HarmonicCoeffs, grid: QuadratureGrid) -> int:
-    """Eigenvalue of the particle-exchange (antipodal) map on the section a."""
-    parity = int(exchange_parities(a.c, grid))
-    if parity == 0:
-        raise ValueError("section is not an exchange eigenstate")
-    return parity
-

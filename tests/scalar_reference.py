@@ -2,7 +2,8 @@
 
 rp2quant gives each operation one name that takes one element or point, or
 a stack of them.  The forms below are the earlier one-object API: scalar
-bodies on ``SU2Element``, ``RP2Point`` and small dataclasses, kept verbatim.
+bodies on ``SU2Element``, ``RP2Point`` and small dataclasses, and the module
+maps on tuples of ``HarmonicCoeffs``, kept verbatim.
 The reference loops of ``test_batch_checks`` and the bitwise tables of the
 library tests compare the library against them.  Where a form below calls
 a library name, it wrapped that stacked form already.
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from rp2quant import bundles, classical, manifold
-from rp2quant.errors import PointNotInChart
-from rp2quant.bundles import phi
+from rp2quant.errors import PointNotInChart, ProjectorConstraintViolated
+from rp2quant.bundles import PROJECTOR_CONSTRAINT_TOL, phi
 from rp2quant.classical import homomorphism_defect, w_matrix
 from rp2quant.groups import (
     SU2_IDENTITY,
@@ -31,7 +32,8 @@ from rp2quant.groups import (
     _spin_rows,
     rp2_point,
 )
-from rp2quant.manifold import CHART_TOL, WFunctional, check_symmetric_traceless
+from rp2quant.harmonics import HarmonicCoeffs, off_sector_mask
+from rp2quant.manifold import CHART_TOL, QuadratureGrid, WFunctional, check_symmetric_traceless
 
 FIBER_TOL = 1e-10
 
@@ -223,6 +225,60 @@ def lift_tau(g: SU2Element, el: LMinusElement) -> LMinusElement:
 def local_trivialization(alpha: int, el: LMinusElement) -> tuple[RP2Point, complex]:
     """Chart-α trivialization ([x], λ φ(x)) ↦ ([x], sign(x_α) λ)."""
     return (el.base, complex(bundles.local_trivialization(alpha, el.base.rep, el.fiber)))
+
+
+def module_iso_forward(
+    a: HarmonicCoeffs, grid: QuadratureGrid
+) -> tuple[HarmonicCoeffs, ...]:
+    """Odd function a ↦ triple f_i = coefficients of x ↦ a(x)·x_i (all even).
+
+    The triple satisfies the pointwise constraint p·f = f, exhibiting the
+    odd functions as the projective module cut out by the projector.
+    """
+    if a.sector != "odd":
+        raise ValueError("forward module map expects an odd-sector table")
+    top = a.lmax if a.lmax % 2 else a.lmax - 1   # largest populated odd degree
+    lout = top + 1
+    if lout > grid.lmax_exact:
+        raise ValueError("grid not exact enough for the product coefficients")
+    c = grid.project(grid.synthesize(a.c) * grid.nodes.T, lout)
+    c[:, off_sector_mask(lout, "even")] = 0.0   # odd-degree residue is quadrature noise
+    return tuple(HarmonicCoeffs(lout, "even", row) for row in c)
+
+
+def _component_values(f: tuple[HarmonicCoeffs, ...], grid: QuadratureGrid) -> np.ndarray:
+    """Node values of the triple's components: shape (n, 3)."""
+    return np.stack([grid.synthesize(fi.c) for fi in f], axis=1)
+
+
+def _projector_gap(vals: np.ndarray, grid: QuadratureGrid) -> float:
+    """Sup-norm of (p·f - f) from the (n, 3) component values at the nodes."""
+    proj = grid.nodes * np.sum(vals * grid.nodes, axis=1)[:, None]
+    return float(np.max(np.abs(proj - vals)))
+
+
+def projector_residual(
+    f: tuple[HarmonicCoeffs, ...], grid: QuadratureGrid
+) -> float:
+    """Sup-norm of (p·f - f) over the grid nodes."""
+    return _projector_gap(_component_values(f, grid), grid)
+
+
+def module_iso_inverse(f: tuple[HarmonicCoeffs, ...], grid: QuadratureGrid) -> HarmonicCoeffs:
+    """Triple f ↦ odd function a(x) = Σ_i f_i(x)·x_i = ⟨φ(x), f(x)⟩."""
+    scale = max(max(fi.norm() for fi in f), 1.0)
+    vals = _component_values(f, grid)
+    res = _projector_gap(vals, grid)
+    if res > PROJECTOR_CONSTRAINT_TOL * scale:
+        raise ProjectorConstraintViolated(
+            f"p·f - f residual {res:.3e} exceeds {PROJECTOR_CONSTRAINT_TOL:.1e} (scaled)"
+        )
+    lout = max(fi.lmax for fi in f) + 1
+    if lout > grid.lmax_exact:
+        raise ValueError("grid not exact enough for the product coefficients")
+    c = grid.project(np.sum(vals * grid.nodes, axis=1), lout)
+    c[off_sector_mask(lout, "odd")] = 0.0
+    return HarmonicCoeffs(lout, "odd", c)
 
 
 # -------------------------------------------------------------- classical

@@ -37,6 +37,7 @@ from rp2quant.checks import (
     _h_rows,
     _haar_and_h,
     _grid,
+    _module_grid_order,
     _random_axis,
     _random_interior_point,
     _safe_point,
@@ -324,7 +325,7 @@ def ref_gen_vs_ladder(rng, cfg):
         sector = "odd" if rng.random() < 0.5 else "even"
         a = random_coeffs(cfg.lmax, sector, rng)
         for i in (1, 2, 3):
-            worst = max(worst, generator_vs_ladder_residual(i, a))
+            worst = max(worst, float(generator_vs_ladder_residual(i, a.c)))
     return worst
 
 
@@ -334,14 +335,14 @@ def ref_intertwining(rng, cfg):
     for _ in range(5):
         a = random_coeffs(cfg.lmax, "odd", rng)
         for i in (1, 2, 3):
-            worst = max(worst, check_intertwining(i, a, grid))
+            worst = max(worst, float(check_intertwining(i, a.c, grid)))
     return worst
 
 
 def ref_closure(rng, cfg):
     worst = 0.0
     for _ in range(3):
-        worst = max(worst, su2_closure_residual(random_coeffs(cfg.lmax, "odd", rng)))
+        worst = max(worst, float(su2_closure_residual(random_coeffs(cfg.lmax, "odd", rng).c)))
     return worst
 
 
@@ -550,6 +551,20 @@ def ref_projector_props(rng, cfg):
     return worst
 
 
+def ref_module_roundtrip(rng, cfg):
+    # one table at a time through the tuple-of-tables module maps
+    grid = _grid(_module_grid_order(cfg.lmax))
+    worst = 0.0
+    for _ in range(5):
+        a = random_coeffs(cfg.lmax, "odd", rng)
+        f = ref.module_iso_forward(a, grid)
+        worst = max(worst, ref.projector_residual(f, grid))
+        back = ref.module_iso_inverse(f, grid)
+        worst = max(worst, float(np.linalg.norm(back.c[: a.c.size] - a.c)))
+        worst = max(worst, float(np.linalg.norm(back.c[a.c.size :])))
+    return worst
+
+
 def ref_iso_roundtrip(rng, cfg):
     worst = 0.0
     for _ in range(100):
@@ -623,6 +638,7 @@ REWRITTEN = {
     "moment-equivariance": (ref_moment_equiv, 0.0),
     "trivialization-transitions": (ref_triv_transitions, 0.0),
     "projector-properties": (ref_projector_props, 0.0),
+    "module-roundtrip": (ref_module_roundtrip, 0.0),
     "iso-roundtrip": (ref_iso_roundtrip, 0.0),
     "kappa-multiplicative": (ref_kappa_mult, 0.0),
     "frame-map-odd-unit": (ref_phi_props, 0.0),
@@ -663,7 +679,8 @@ def test_chunked_check_matches_reference_loop(name, samples):
 
 
 @pytest.mark.parametrize(
-    "name", ["generator-vs-ladder", "section-intertwining", "su2-closure-fd", "exchange-statistics"])
+    "name", ["generator-vs-ladder", "section-intertwining", "su2-closure-fd", "exchange-statistics",
+             "module-roundtrip"])
 @pytest.mark.parametrize("lmax", [1, 2, 3, 8])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_representation_check_matches_reference_loop_at_each_lmax(name, lmax, seed):

@@ -5,7 +5,6 @@ from scipy.linalg import expm
 from rp2quant.berry_robbins import (
     SOUTH_POLE_TOL,
     BRState,
-    SpinorField,
     TransportFrame,
     br_lift,
     fixed_basis_lift,
@@ -268,54 +267,73 @@ class TestGeneratorRecovery:
         assert np.max(np.abs(rec)) < 1e-9
 
 
+def random_field(j, lmax, rng):
+    """A spin-j field: 2j + 1 random tables, one per m value, as a (2j+1, n) stack."""
+    return np.stack([random_coeffs(lmax, "full", rng).c for _ in range(int(2 * j) + 1)])
+
+
 class TestFixedBasisLift:
     def test_identity(self, rng):
-        field = SpinorField(0.5, (random_coeffs(5, "full", rng), random_coeffs(5, "full", rng)))
-        out = fixed_basis_lift(SU2_IDENTITY, field)
-        assert np.max(np.abs(out.stack() - field.stack())) < 1e-12
+        field = random_field(0.5, 5, rng)
+        out = fixed_basis_lift(SU2_IDENTITY, 0.5, field)
+        assert np.max(np.abs(out - field)) < 1e-12
 
     def test_composition(self, rng):
-        field = SpinorField(0.5, (random_coeffs(5, "full", rng), random_coeffs(5, "full", rng)))
+        field = random_field(0.5, 5, rng)
         g1, g2 = random_su2(rng), random_su2(rng)
-        seq = fixed_basis_lift(g1, fixed_basis_lift(g2, field))
-        prod = fixed_basis_lift(g1 * g2, field)
-        assert np.max(np.abs(seq.stack() - prod.stack())) < 1e-9
+        seq = fixed_basis_lift(g1, 0.5, fixed_basis_lift(g2, 0.5, field))
+        prod = fixed_basis_lift(g1 * g2, 0.5, field)
+        assert np.max(np.abs(seq - prod)) < 1e-9
 
     def test_matches_componentwise_resampling(self, rng):
         grid = build_quadrature(6)
-        field = SpinorField(1.0, tuple(random_coeffs(6, "full", rng) for _ in range(3)))
+        components = [random_coeffs(6, "full", rng) for _ in range(3)]
+        field = np.stack([a.c for a in components])
         for _ in range(3):
             g = random_su2(rng)
             resampled = np.stack(
-                [analyze(rotate_values(g, c, grid.nodes), 6, grid).c for c in field.components]
+                [analyze(rotate_values(g, a, grid.nodes), 6, grid).c for a in components]
             )
             want = wigner_d(1.0, g) @ resampled
-            assert np.max(np.abs(fixed_basis_lift(g, field).stack() - want)) < 1e-12
+            assert np.max(np.abs(fixed_basis_lift(g, 1.0, field) - want)) < 1e-12
 
     def test_product_state_addition_oracle(self):
         # Y10 ⊗ |1/2, +1/2⟩: total generator = orbital part + spin part
-        field = SpinorField(0.5, (unit(5, 1, 0), zeros(5)))
+        field = np.stack([unit(5, 1, 0).c, zeros(5).c])
         for i in (1, 2, 3):
-            fd = total_generator_fd(i, field)
-            exact = total_generator_exact(i, field)
+            fd = total_generator_fd(i, 0.5, field)
+            exact = total_generator_exact(i, 0.5, field)
             assert np.max(np.abs(fd - exact)) < 1e-7
 
     def test_stacked_offsets_equal_per_offset_lifts(self, rng):
         # before, each offset t lifted the field on its own, one element at a time
         for j in (0.0, 0.5, 1.0):
-            dim = int(2 * j) + 1
-            field = SpinorField(j, tuple(random_coeffs(5, "full", rng) for _ in range(dim)))
+            field = random_field(j, 5, rng)
             for i in (1, 2, 3):
                 axis = np.eye(3)[i - 1]
-                lifts = [fixed_basis_lift(su2_from_axis_angle(t, axis), field).stack()
+                lifts = [fixed_basis_lift(su2_from_axis_angle(t, axis), j, field)
                          for t in RICHARDSON_OFFSETS]
                 want = 1j * _richardson(lifts)
-                assert total_generator_fd(i, field).tobytes() == want.tobytes()
+                assert total_generator_fd(i, j, field).tobytes() == want.tobytes()
 
     def test_random_fields_addition(self, rng):
         for j in (0.5, 1.0):
-            dim = int(2 * j) + 1
-            field = SpinorField(j, tuple(random_coeffs(5, "full", rng) for _ in range(dim)))
+            field = random_field(j, 5, rng)
             for i in (1, 2, 3):
-                gap = total_generator_fd(i, field) - total_generator_exact(i, field)
+                gap = total_generator_fd(i, j, field) - total_generator_exact(i, j, field)
                 assert np.max(np.abs(gap)) < 1e-7
+
+    def test_field_stack_equals_single_fields(self, rng):
+        fields = np.stack([random_field(1.0, 4, rng) for _ in range(3)])     # (3, 3, n)
+        rows = np.stack([su2_from_axis_angle(0.3 * k, np.eye(3)[k]) for k in range(3)])
+        lifted = fixed_basis_lift(rows, 1.0, fields)
+        for i in (1, 2, 3):
+            fd, exact = total_generator_fd(i, 1.0, fields), total_generator_exact(i, 1.0, fields)
+            for k, field in enumerate(fields):
+                assert fd[k].tobytes() == total_generator_fd(i, 1.0, field).tobytes()
+                assert exact[k].tobytes() == total_generator_exact(i, 1.0, field).tobytes()
+                assert lifted[k].tobytes() == fixed_basis_lift(rows[k], 1.0, field).tobytes()
+
+    def test_component_count_checked(self, rng):
+        with pytest.raises(ValueError, match="2j \\+ 1"):
+            total_generator_exact(1, 1.0, random_field(0.5, 4, rng))

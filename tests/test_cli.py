@@ -221,6 +221,14 @@ class TestMainEntry:
     def test_exit_two_on_bad_config(self):
         assert main(["groups", "--lmax", "0"]) == 2
 
+    def test_exit_two_on_unwritable_out_before_any_check(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr("rp2quant.cli.run_suite", lambda *a: ran.append(a) or [])
+        out = tmp_path / "no" / "such" / "dir" / "r.json"
+        assert main(["groups", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert ran == [] and not out.parent.exists()
+
     def test_odd_lmax_runs_bundles(self, tmp_path):
         # module maps need a grid of order lmax + 2 at odd lmax
         assert main(["bundles", "--lmax", "9", "--out", str(tmp_path / "r.txt")]) == 0

@@ -1,9 +1,12 @@
+import importlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from rp2quant._kernels import ylm_basis
+from rp2quant.berry_robbins import fixed_basis_lift, total_generator_exact, total_generator_fd
+from rp2quant.bundles import module_iso_forward, module_iso_inverse, projector_residual
 from rp2quant.classical import w_matrix
 from rp2quant.errors import RadialRangeError
 from rp2quant.groups import SU2_IDENTITY, random_su2, spinor_map, su2_from_axis_angle
@@ -11,7 +14,7 @@ from rp2quant.checks import REGISTRY, SuiteConfig, check_rng
 from rp2quant.harmonics import (
     HarmonicCoeffs,
     analyze,
-    off_sector_mask,
+    apply_L,
     parity_decompose,
     random_coeffs,
     rotate_coeffs,
@@ -31,7 +34,6 @@ from rp2quant.representation import (
     check_group_law,
     check_intertwining,
     exchange_parities,
-    exchange_parity,
     full_section_from_matrix,
     generator_J,
     generator_vs_ladder_residual,
@@ -50,7 +52,7 @@ def exchange_statistics_loop(rng, lmax, samples, grid):
         sector = "odd" if rng.random() < 0.5 else "even"
         a = random_coeffs(lmax, sector, rng)
         rotated = rotate_coeffs(random_su2(rng), a, grid)
-        if exchange_parity(rotated, grid) != (-1 if sector == "odd" else 1):
+        if exchange_parities(rotated.c, grid) != (-1 if sector == "odd" else 1):
             return 1.0
         raw = analyze(rotate_values(random_su2(rng), a, grid.nodes), lmax, grid)
         even, odd = parity_decompose(raw)
@@ -120,20 +122,20 @@ class TestActU:
 
 class TestGeneratorJ:
     def test_j3_kills_m0(self):
-        out = generator_J(3, unit(8, 1, 0))
-        assert out.norm() < 1e-8
+        out = generator_J(3, unit(8, 1, 0).c)
+        assert np.linalg.norm(out) < 1e-8
 
     def test_j3_eigenvalue_on_y11(self):
         a = unit(8, 1, 1)
-        out = generator_J(3, a)
-        assert np.linalg.norm(out.c - a.c) < 1e-8
+        out = generator_J(3, a.c)
+        assert np.linalg.norm(out - a.c) < 1e-8
 
     def test_matches_exact_ladders(self, rng):
         for _ in range(5):
             sector = "odd" if rng.random() < 0.5 else "even"
             a = random_coeffs(8, sector, rng)
             for i in (1, 2, 3):
-                assert generator_vs_ladder_residual(i, a) < 1e-8
+                assert generator_vs_ladder_residual(i, a.c) < 1e-8
 
 
 def per_offset_generator(i, c):
@@ -155,10 +157,6 @@ class TestStackedGenerators:
             for row, a in zip(out, tables):
                 assert row.tobytes() == generator_J(i, a.c).tobytes()
                 assert row.tobytes() == per_offset_generator(i, a.c).tobytes()
-                single = generator_J(i, a)
-                assert single.sector == a.sector
-                projected = np.where(off_sector_mask(lmax, a.sector), 0, row)
-                assert single.c.tobytes() == projected.tobytes()
 
     @pytest.mark.parametrize("lmax", [1, 2, 8])
     def test_residual_stacks_equal_single_tables(self, lmax, grid9, rng):
@@ -167,40 +165,42 @@ class TestStackedGenerators:
         mixed = odd[:2] + [random_coeffs(lmax, "even", rng)]
         for i in (1, 2, 3):
             got = generator_vs_ladder_residual(i, np.stack([a.c for a in mixed]))
-            assert got.tolist() == [generator_vs_ladder_residual(i, a) for a in mixed]
+            assert got.tolist() == [generator_vs_ladder_residual(i, a.c) for a in mixed]
             got = check_intertwining(i, np.stack([a.c for a in odd]), grid)
-            assert got.tolist() == [check_intertwining(i, a, grid) for a in odd]
+            assert got.tolist() == [check_intertwining(i, a.c, grid) for a in odd]
         got = su2_closure_residual(np.stack([a.c for a in odd]))
-        assert got.tolist() == [su2_closure_residual(a) for a in odd]
+        assert got.tolist() == [su2_closure_residual(a.c) for a in odd]
 
-    def test_single_table_gives_float(self, grid9, rng):
-        a = random_coeffs(8, "odd", rng)
-        assert type(generator_vs_ladder_residual(1, a)) is float
-        assert type(check_intertwining(2, a, grid9)) is float
-        assert type(su2_closure_residual(a)) is float
+    def test_one_residual_per_table(self, grid9, rng):
+        c = np.stack([random_coeffs(8, "odd", rng).c for _ in range(2)])
+        for residual in (lambda t: generator_vs_ladder_residual(1, t),
+                         lambda t: check_intertwining(2, t, grid9), su2_closure_residual):
+            single, stack = residual(c[0]), residual(c)
+            assert (single.shape, single.dtype) == ((), np.float64)
+            assert (stack.shape, stack.dtype) == ((2,), np.float64)
 
     def test_intertwining_rejects_even_table(self, grid9, rng):
         with pytest.raises(ValueError):
-            check_intertwining(1, random_coeffs(8, "even", rng), grid9)
+            check_intertwining(1, random_coeffs(8, "even", rng).c, grid9)
 
 
 class TestIntertwining:
     def test_y10_with_j3(self, grid9):
-        assert check_intertwining(3, unit(8, 1, 0), grid9) < 1e-10
+        assert check_intertwining(3, unit(8, 1, 0).c, grid9) < 1e-10
 
     def test_y11_with_j3(self, grid9):
-        assert check_intertwining(3, unit(8, 1, 1), grid9) < 1e-8
+        assert check_intertwining(3, unit(8, 1, 1).c, grid9) < 1e-8
 
     def test_random_sections_all_components(self, grid9, rng):
         for _ in range(3):
             a = random_coeffs(8, "odd", rng)
             for i in (1, 2, 3):
-                assert check_intertwining(i, a, grid9) < 1e-7
+                assert check_intertwining(i, a.c, grid9) < 1e-7
 
 
 class TestClosure:
     def test_su2_commutator(self, rng):
-        assert su2_closure_residual(random_coeffs(8, "odd", rng)) < 1e-6
+        assert su2_closure_residual(random_coeffs(8, "odd", rng).c) < 1e-6
 
 
 class TestRadialGrid:
@@ -364,15 +364,15 @@ class TestGroupLaw:
 
 class TestExchangeParity:
     def test_even_sector(self, grid8, rng):
-        assert exchange_parity(random_coeffs(8, "even", rng), grid8) == 1
+        assert exchange_parities(random_coeffs(8, "even", rng).c, grid8) == 1
 
     def test_odd_sector(self, grid8, rng):
-        assert exchange_parity(random_coeffs(8, "odd", rng), grid8) == -1
+        assert exchange_parities(random_coeffs(8, "odd", rng).c, grid8) == -1
 
     def test_survives_rotation(self, grid8, rng):
         for _ in range(20):
             a = random_coeffs(8, "odd", rng)
-            assert exchange_parity(rotate_coeffs(random_su2(rng), a, grid8), grid8) == -1
+            assert exchange_parities(rotate_coeffs(random_su2(rng), a, grid8).c, grid8) == -1
 
     def test_statistics_check_runs_samples_iterations(self, grid8):
         """exchange-statistics draws cfg.samples sections, not a fixed count."""
@@ -387,14 +387,13 @@ class TestExchangeParity:
         for _ in range(5):
             a = random_coeffs(8, sector, rng)
             for section in (a, rotate_coeffs(random_su2(rng), a, grid8)):
-                assert exchange_parity(section, grid8) == dense_exchange_parity(section, grid8)
+                assert exchange_parities(section.c, grid8) == dense_exchange_parity(section, grid8)
 
     def test_mixed_section_raises(self, grid8, rng):
         full = random_coeffs(8, "full", rng)
         with pytest.raises(ValueError, match="not an exchange eigenstate"):
             dense_exchange_parity(full, grid8)
-        with pytest.raises(ValueError, match="not an exchange eigenstate"):
-            exchange_parity(full, grid8)
+        assert exchange_parities(full.c, grid8) == 0
         even, odd = parity_decompose(full)
         stack = np.stack([even.c, odd.c, full.c])
         assert exchange_parities(stack, grid8).tolist() == [1, -1, 0]
@@ -462,3 +461,31 @@ class TestExchangeParity:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 1024 * 1024, peak
+
+
+# stack-only name -> a call handing it the tagged table (module maps and fields:
+# the tuple of tables they took before)
+STACK_ONLY = {
+    "harmonics.apply_L": lambda a, grid: apply_L(1, a),
+    "representation.generator_J": lambda a, grid: generator_J(1, a),
+    "representation.generator_vs_ladder_residual":
+        lambda a, grid: generator_vs_ladder_residual(1, a),
+    "representation.check_intertwining": lambda a, grid: check_intertwining(1, a, grid),
+    "representation.su2_closure_residual": lambda a, grid: su2_closure_residual(a),
+    "bundles.module_iso_forward": lambda a, grid: module_iso_forward(a, grid),
+    "bundles.module_iso_inverse": lambda a, grid: module_iso_inverse((a, a, a), grid),
+    "bundles.projector_residual": lambda a, grid: projector_residual((a, a, a), grid),
+    "berry_robbins.fixed_basis_lift": lambda a, grid: fixed_basis_lift(SU2_IDENTITY, 0.5, (a, a)),
+    "berry_robbins.total_generator_fd": lambda a, grid: total_generator_fd(1, 0.5, (a, a)),
+    "berry_robbins.total_generator_exact": lambda a, grid: total_generator_exact(1, 0.5, (a, a)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACK_ONLY))
+def test_stack_only_names_refuse_tagged_tables(name, grid9):
+    # HarmonicCoeffs stays at the public edge; below it a table is a stack
+    with pytest.raises(TypeError):
+        STACK_ONLY[name](unit(8, 1, 0), grid9)
+    for module, gone in (("berry_robbins", "SpinorField"), ("representation", "exchange_parity"),
+                         ("harmonics", "project_sector")):
+        assert not hasattr(importlib.import_module(f"rp2quant.{module}"), gone)
