@@ -218,6 +218,69 @@ def _unit_rows(v) -> np.ndarray:
     return v / np.sqrt(np.vecdot(v, v))[:, None]
 
 
+def _kept_points(rng, n: int, ok) -> np.ndarray:
+    """n unit points that ``ok`` keeps, as a loop drawing ``_random_axis`` until ok holds draws them.
+
+    ``ok`` maps (k, 3) unit rows to k flags.  Only the rows still missing are
+    drawn, as one (need, 3) block, and its kept rows are taken in order: the
+    loop draws at least that many more rows, so the stream ends where the
+    loop's does.
+    """
+    kept, need = [], n
+    while need:
+        v = _unit_rows(rng.normal(size=(need, 3)))
+        v = v[ok(v)]
+        kept.append(v)
+        need -= len(v)
+    return np.concatenate(kept)
+
+
+def _kept_attempts(rng, n: int, ok, tail: int, keep=None) -> np.ndarray:
+    """(n, 3 + tail) rows: the attempts a per-sample rejection loop keeps, in stream order.
+
+    An attempt draws a point as ``_kept_points(rng, 1, ok)`` does (three
+    normals a try), then ``tail`` normals, and is kept when
+    ``keep(points, tails)`` holds, where ``points`` are (k, 3) unit rows and
+    ``tails`` (k, tail) normals.  A row is the point, then the tail.
+
+    The rejections decide where each attempt starts, so each round saves the
+    generator state and draws one block of normals, with ``ok`` and ``keep``
+    evaluated at every offset as if an attempt started there.  The block is
+    walked with integer logic only; then the state is restored and exactly
+    the normals the walked attempts consumed are drawn again, so the stream
+    ends where the loop's does.
+    """
+    width = 3 + tail
+    kept, need, grow = [], n, 1
+    while need:
+        # about (width + 3) normals per kept attempt; a short block costs one more round
+        size = (need + 8) * (width + 3) * 5 // 4 * grow
+        state = rng.bit_generator.state
+        windows = np.lib.stride_tricks.sliding_window_view(rng.normal(size=size), width)
+        points, tails = _unit_rows(windows[:, :3]), windows[:, 3:]
+        head_ok = ok(points).tolist()
+        kept_at = None if keep is None else keep(points, tails).tolist()
+        last = len(head_ok)                        # attempts start below this offset
+        taken, pos = [], 0
+        while len(taken) < need:
+            q = pos
+            while q < last and not head_ok[q]:
+                q += 3
+            if q >= last:
+                break                              # the block ends inside this attempt
+            if kept_at is None or kept_at[q]:
+                taken.append(q)
+            pos = q + width
+        rng.bit_generator.state = state
+        if pos == 0:                               # not one whole attempt: draw a longer block
+            grow *= 2
+            continue
+        rng.normal(size=pos)
+        kept.append(np.concatenate([points[taken], tails[taken]], axis=1))
+        need -= len(taken)
+    return np.concatenate(kept)
+
+
 def _tables_from_normals(normals, lmax: int, odd) -> np.ndarray:
     """Tables from (n, 2·(lmax+1)²) normal draws, as ``random_coeffs`` makes one per row.
 
@@ -350,16 +413,14 @@ def _rp2_invariance(rng, cfg):
 INTERIOR_MARGIN = 0.05   # least |coordinate| of a point drawn inside all three charts
 
 
-def _random_interior_point(rng) -> np.ndarray:
-    while True:
-        v = _random_axis(rng)
-        if np.min(np.abs(v)) > INTERIOR_MARGIN:
-            return v
+def _interior(v) -> np.ndarray:
+    """Which unit rows lie inside all three charts, each |coordinate| above INTERIOR_MARGIN."""
+    return np.min(np.abs(v), axis=1) > INTERIOR_MARGIN
 
 
 @register("manifold", "transition-cocycle", "chart-transition-signs", 1e-15)
 def _cocycle(rng, cfg):
-    s = transition_signs(rp2_rep(_draw_rows(rng, 1000, _random_interior_point)))
+    s = transition_signs(rp2_rep(_kept_points(rng, 1000, _interior)))
     # gap[k, a, b, c] = g_ab g_bc - g_ac
     gap = s[:, :, :, None] * s[:, None, :, :] - s[:, :, None, :]
     return float(np.max(np.abs(gap)))
@@ -368,7 +429,7 @@ def _cocycle(rng, cfg):
 @register("manifold", "chart-representative-independence", "chart-transition-signs", 1e-13)
 def _chart_rep(rng, cfg):
     def batch(n):
-        v = _draw_rows(rng, n, _random_interior_point)
+        v = _kept_points(rng, n, _interior)
         p, q = rp2_rep(v), rp2_rep(-v)
         gaps = [chart_coords(p, a) - chart_coords(q, a) for a in (1, 2, 3)]
         return float(np.max(np.abs(gaps)))
@@ -376,29 +437,22 @@ def _chart_rep(rng, cfg):
     return _worst_over_chunks(cfg.samples, batch)
 
 
-def _moment_draws(rng, row) -> None:
-    """Write the raw draws of one pair into row: x, the branch, then y or the sign and the noise.
-
-    Row layout (x₀, x₁, x₂, s, n₀, n₁, n₂): s = 0 marks an independent y
-    (n is its normal draw), s = ±1 marks y = s·x + 1e-10·n.
-    """
-    row[:3] = rng.normal(size=3)
-    if rng.random() < 0.5:
-        row[3] = 0.0
-    else:
-        row[3] = -1.0 if rng.random() < 0.5 else 1.0
-    row[4:] = rng.normal(size=3)
-
-
 @register("manifold", "moment-injectivity", "projective-orbit-embedding", 1e-6)
 def _moment_inject(rng, cfg):
+    # A pair draws x, then the branch: y is independent (s = 0, n its normals)
+    # or y = s·x + 1e-10·n with the sign s drawn next.  The branch decides how
+    # many doubles a pair consumes, so pairs are drawn one at a time, each
+    # straight into its rows.
+    normal, random = rng.standard_normal, rng.random
     worst = 0.0
     for _ in range(5):                               # 5 chunks of 2000 pairs
-        d = np.empty((2000, 7))
-        for row in d:
-            _moment_draws(rng, row)
-        x, s = _unit_rows(d[:, :3]), d[:, 3:4]
-        y = _unit_rows(np.where(s != 0.0, s * x + d[:, 4:] * 1e-10, d[:, 4:]))
+        x, n, s = np.empty((2000, 3)), np.empty((2000, 3)), []
+        for xk, nk in zip(x, n):
+            normal(out=xk)
+            s.append(0.0 if random() < 0.5 else -1.0 if random() < 0.5 else 1.0)
+            normal(out=nk)
+        x, s = _unit_rows(x), np.array(s)[:, None]
+        y = _unit_rows(np.where(s != 0.0, s * x + n * 1e-10, n))
         close = _frobenius(moment_embedding(x) - moment_embedding(y)) < 1e-8
         if np.any(close):
             gap = np.abs(rp2_rep(x[close]) - rp2_rep(y[close]))
@@ -660,15 +714,10 @@ def _lift_compose(rng, cfg):
     return _worst_over_chunks(cfg.samples, batch)
 
 
-def _interior_and_scalar(rng) -> np.ndarray:
-    """One ``_random_interior_point`` followed by the (re, im) normals of a fiber scalar."""
-    return np.concatenate([_random_interior_point(rng), rng.normal(size=2)])
-
-
 @register("bundles", "trivialization-transitions", "chart-transition-signs", 1e-12)
 def _triv_transitions(rng, cfg):
     def batch(n):
-        draws = _draw_rows(rng, n, _interior_and_scalar)
+        draws = _kept_attempts(rng, n, _interior, 2)   # an interior point, then (re, im)
         base = rp2_rep(draws[:, :3])
         fiber = (draws[:, 3] + 1j * draws[:, 4])[:, None] * bundles.phi(base)
         # c[k, a-1] is the chart-a coordinate; gap[k, a-1, b-1] = c_b - g_ba c_a
@@ -979,29 +1028,18 @@ def _op_unitary(rng, cfg):
 
 @register("heisenberg", "product-associativity", "heisenberg-group-product", 1e-14)
 def _assoc(rng, cfg):
-    worst = 0.0
-    for _ in range(cfg.samples):
-        es = [
-            heisenberg.HeisenbergElement(
-                rng.normal(size=2), rng.normal(size=2), rng.normal()
-            )
-            for _ in range(3)
-        ]
-        lhs = heisenberg.heisenberg_product(
-            heisenberg.heisenberg_product(es[0], es[1]), es[2]
-        )
-        rhs = heisenberg.heisenberg_product(
-            es[0], heisenberg.heisenberg_product(es[1], es[2])
-        )
-        worst = max(
-            worst,
-            float(np.max(np.abs(lhs.a - rhs.a))),
-            float(np.max(np.abs(lhs.b - rhs.b))),
-            abs(lhs.r - rhs.r),
-        )
-        inv = heisenberg.heisenberg_product(es[0], es[0].inverse())
-        worst = max(worst, float(np.max(np.abs(inv.a))), abs(inv.r))
-    return worst
+    product = heisenberg.heisenberg_product
+
+    def batch(n):
+        draws = rng.normal(size=(n, 3, 5))          # three elements: a (2), b (2), then r
+        e0, e1, e2 = (heisenberg.HeisenbergElement(d[:, :2], d[:, 2:4], d[:, 4])
+                      for d in draws.transpose(1, 0, 2))
+        lhs, rhs = product(product(e0, e1), e2), product(e0, product(e1, e2))
+        inv = product(e0, e0.inverse())
+        gaps = (lhs.a - rhs.a, lhs.b - rhs.b, lhs.r - rhs.r, inv.a, inv.r)
+        return max(float(np.max(np.abs(gap))) for gap in gaps)
+
+    return _worst_over_chunks(cfg.samples, batch)
 
 
 @register("heisenberg", "two-route-quantization-gap", "symmetrized-square-discrepancy", 1e-7)
@@ -1036,11 +1074,9 @@ def _halfline(rng, cfg):
 
 # ---------------------------------------------------------- berry-robbins
 
-def _safe_point(rng):
-    while True:
-        v = _random_axis(rng)
-        if v[2] > -0.8:
-            return v
+def _off_south_cap(v) -> np.ndarray:
+    """Which unit rows keep clear of the frame's excluded south cap (z ≤ -0.8)."""
+    return v[:, 2] > -0.8
 
 
 @register("berry-robbins", "transport-unitarity", "transported-frame", 1e-12)
@@ -1048,7 +1084,7 @@ def _transport_unitary(rng, cfg):
     worst = 0.0
     for j in (0.5, 1.0):
         frame = TransportFrame(j)
-        u = frame.unitary(_draw_rows(rng, 500, _safe_point))
+        u = frame.unitary(_kept_points(rng, 500, _off_south_cap))
         worst = max(worst, float(np.max(np.abs(u @ u.conj().mT - np.eye(frame.dim)))))
     return worst
 
@@ -1059,7 +1095,7 @@ def _spin_props(rng, cfg):
     for j in (0.5, 1.0, 1.5):
         frame = TransportFrame(j)
         want = np.arange(-j, j + 1)
-        r = _draw_rows(rng, 20, _safe_point)
+        r = _kept_points(rng, 20, _off_south_cap)
         mats = [transported_spin(i, r, frame) for i in (1, 2, 3)]
         for s in mats:
             ev = np.sort(np.linalg.eigvalsh(s))
@@ -1071,21 +1107,18 @@ def _spin_props(rng, cfg):
 
 @register("berry-robbins", "lift-composition", "transported-basis-lift", 1e-10)
 def _br_compose(rng, cfg):
-    # samples are drawn one at a time and kept while both images avoid the
-    # south cap, then lifted as one stack
+    # an attempt draws a base point off the south cap, λ's (re, im) normals
+    # and g1, g2 as two random_su2; it is kept while both images of the point
+    # avoid the cap.  The kept samples are lifted as one stack.
+    def images_off_cap(points, tails):
+        mid = _apply(spinor_map(su2_from_normals(tails[:, 10:])), unit_vector(points))
+        end = _apply(spinor_map(su2_from_normals(tails[:, 6:10])), mid)
+        return ~((mid[:, 2] < -0.8) | (end[:, 2] < -0.8))
+
     frame = TransportFrame(1.0)
-    kept = []
-    while len(kept) < 200:
-        r = unit_vector(_safe_point(rng))
-        lam = rng.normal(size=3) + 1j * rng.normal(size=3)
-        g1, g2 = random_su2(rng), random_su2(rng)
-        mid = spinor_map(g2) @ r
-        end = spinor_map(g1) @ mid
-        if mid[2] < -0.8 or end[2] < -0.8:
-            continue
-        kept.append((r, lam, (g1.z0, g1.z1), (g2.z0, g2.z1)))
-    r, lam, g1, g2 = (np.array(column) for column in zip(*kept))
-    st = BRState(r, lam)
+    rows = _kept_attempts(rng, 200, _off_south_cap, 14, images_off_cap)
+    g1, g2 = su2_from_normals(rows[:, 9:13]), su2_from_normals(rows[:, 13:])
+    st = BRState(unit_vector(rows[:, :3]), rows[:, 3:6] + 1j * rows[:, 6:9])
     lhs = br_lift(g1, br_lift(g2, st, frame), frame)
     rhs = br_lift(su2_product(g1, g2), st, frame)
     norm_gap = _row_norms(rhs.lam) - _row_norms(st.lam)
@@ -1099,16 +1132,11 @@ def _br_recover(rng, cfg):
     worst = 0.0
     for j in (0.5, 1.0):
         frame = TransportFrame(j)
-        r = _draw_rows(rng, 10, _safe_point)
+        r = _kept_points(rng, 10, _off_south_cap)
         for i in (1, 2, 3):
             gap = recover_spin_generator(i, r, frame) - transported_spin(i, r, frame)
             worst = max(worst, float(np.max(np.abs(gap))))
     return worst
-
-
-def _j0_draws(rng) -> np.ndarray:
-    """One spin-zero-reduction sample: base point, scalar (re, im), ``random_su2`` normals."""
-    return np.concatenate([_safe_point(rng), [rng.normal(), rng.normal()], rng.normal(size=4)])
 
 
 @register("berry-robbins", "spin-zero-reduction", "transported-basis-lift", 1e-15)
@@ -1116,7 +1144,8 @@ def _j0_reduction(rng, cfg):
     frame = TransportFrame(0.0)
 
     def batch(k):
-        draws = _draw_rows(rng, k, _j0_draws)
+        # a base point off the south cap, the scalar's (re, im), random_su2's normals
+        draws = _kept_attempts(rng, k, _off_south_cap, 6)
         st = BRState(draws[:, :3], (draws[:, 3] + 1j * draws[:, 4])[:, None])
         g = su2_from_normals(draws[:, 5:])
         scalar = scalar_lift(g, st)

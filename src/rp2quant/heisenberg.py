@@ -26,10 +26,30 @@ operators differ by the constant (3/4)ħ².
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 SUPPORT_TOL = 1e-12
+
+
+@lru_cache(maxsize=8)
+def _grid_axes(N: int, L: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (x, k, |x| ≥ L/2) of the (N, L) grid, built once per grid."""
+    dx = 2.0 * L / N
+    x = -L + dx * np.arange(N)
+    axes = (x, 2.0 * np.pi * np.fft.fftfreq(N, dx), np.abs(x) >= L / 2.0)
+    for a in axes:
+        a.flags.writeable = False
+    return axes
+
+
+def _phase(theta: np.ndarray) -> np.ndarray:
+    """e^{iθ} of a real array, written as cos θ and sin θ into one complex array."""
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
 
 
 @dataclass(frozen=True)
@@ -57,11 +77,13 @@ class GridWavefunction:
 
     @property
     def x(self) -> np.ndarray:
-        return -self.L + self.dx * np.arange(self.N)
+        """Read-only grid points, shared by every wave function on the same (N, L)."""
+        return _grid_axes(self.N, self.L)[0]
 
     @property
     def k(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.N, self.dx)
+        """Read-only angular wavenumbers in FFT order, shared like ``x``."""
+        return _grid_axes(self.N, self.L)[1]
 
     def with_values(self, values: np.ndarray) -> "GridWavefunction":
         return GridWavefunction(self.N, self.L, values, self.hbar)
@@ -87,7 +109,7 @@ def gaussian_packet(
 
 def boundary_mass(psi: GridWavefunction) -> float:
     """Probability mass outside |x| < L/2 (should be < 1e-12 for safe use)."""
-    outside = np.abs(psi.x) >= psi.L / 2.0
+    outside = _grid_axes(psi.N, psi.L)[2]
     return float(psi.dx * np.sum(np.abs(psi.values[outside]) ** 2))
 
 
@@ -120,14 +142,12 @@ def weyl_U(a: float, psi: GridWavefunction) -> GridWavefunction:
     if a == 0.0:
         return psi
     shift = psi.hbar * a
-    return psi.with_values(
-        np.fft.ifft(np.exp(-1j * psi.k * shift) * np.fft.fft(psi.values))
-    )
+    return psi.with_values(np.fft.ifft(_phase(-psi.k * shift) * np.fft.fft(psi.values)))
 
 
 def weyl_V(b: float, psi: GridWavefunction) -> GridWavefunction:
     """V(b) = e^{-ib q̂}: multiplication by e^{-ibx}."""
-    return psi.with_values(np.exp(-1j * b * psi.x) * psi.values)
+    return psi.with_values(_phase(-b * psi.x) * psi.values)
 
 
 def check_weyl_relation(a: float, b: float, psi: GridWavefunction) -> float:
@@ -141,7 +161,10 @@ def check_weyl_relation(a: float, b: float, psi: GridWavefunction) -> float:
 
 @dataclass(frozen=True)
 class HeisenbergElement:
-    """(a, b, r) with n-vector translation parts and central coordinate r."""
+    """(a, b, r) with n-vector translation parts and central coordinate r.
+
+    a and b may also be (..., n) stacks with r of shape (...): one element per row.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -160,10 +183,10 @@ class HeisenbergElement:
 def heisenberg_product(
     e1: HeisenbergElement, e2: HeisenbergElement
 ) -> HeisenbergElement:
-    """(a₁,b₁,r₁)·(a₂,b₂,r₂) = (a₁+a₂, b₁+b₂, r₁+r₂+½(b₁·a₂ - b₂·a₁))."""
+    """(a₁,b₁,r₁)·(a₂,b₂,r₂) = (a₁+a₂, b₁+b₂, r₁+r₂+½(b₁·a₂ - b₂·a₁)), row by row on stacks."""
     if e1.a.shape != e2.a.shape:
         raise ValueError("dimension mismatch")
-    r = e1.r + e2.r + 0.5 * (np.dot(e1.b, e2.a) - np.dot(e2.b, e1.a))
+    r = e1.r + e2.r + 0.5 * (np.vecdot(e1.b, e2.a) - np.vecdot(e2.b, e1.a))
     return HeisenbergElement(e1.a + e2.a, e1.b + e2.b, r)
 
 

@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rp2quant import bundles, classical
+from rp2quant import bundles, classical, heisenberg
 from rp2quant._kernels import ylm_synthesize
 from rp2quant.berry_robbins import (
     BRState,
@@ -37,10 +37,13 @@ from rp2quant.checks import (
     _h_rows,
     _haar_and_h,
     _grid,
+    _interior,
+    _kept_attempts,
+    _kept_points,
     _module_grid_order,
+    INTERIOR_MARGIN,
+    _off_south_cap,
     _random_axis,
-    _random_interior_point,
-    _safe_point,
     check_rng,
 )
 from rp2quant.groups import (
@@ -96,6 +99,21 @@ def _random_h(rng) -> HElement:
 def _random_assoc(rng) -> ref.AssocElement:
     v = rng.normal() + 1j * rng.normal()
     return ref.AssocElement(random_su2(rng), v)
+
+
+# The rejection-sampled points the manifold, bundles and berry-robbins loops draw.
+def _random_interior_point(rng):
+    while True:
+        v = _random_axis(rng)
+        if np.min(np.abs(v)) > INTERIOR_MARGIN:
+            return v
+
+
+def _safe_point(rng):
+    while True:
+        v = _random_axis(rng)
+        if v[2] > -0.8:
+            return v
 
 
 def ref_spinor_hom(rng, cfg):
@@ -427,6 +445,32 @@ def ref_j0_reduction(rng, cfg):
     return 0.0
 
 
+def ref_assoc(rng, cfg):
+    worst = 0.0
+    for _ in range(cfg.samples):
+        es = [
+            heisenberg.HeisenbergElement(
+                rng.normal(size=2), rng.normal(size=2), rng.normal()
+            )
+            for _ in range(3)
+        ]
+        lhs = heisenberg.heisenberg_product(
+            heisenberg.heisenberg_product(es[0], es[1]), es[2]
+        )
+        rhs = heisenberg.heisenberg_product(
+            es[0], heisenberg.heisenberg_product(es[1], es[2])
+        )
+        worst = max(
+            worst,
+            float(np.max(np.abs(lhs.a - rhs.a))),
+            float(np.max(np.abs(lhs.b - rhs.b))),
+            abs(lhs.r - rhs.r),
+        )
+        inv = heisenberg.heisenberg_product(es[0], es[0].inverse())
+        worst = max(worst, float(np.max(np.abs(inv.a))), abs(inv.r))
+    return worst
+
+
 def ref_p_linear(rng, cfg):
     worst = 0.0
     for _ in range(cfg.samples):
@@ -629,6 +673,7 @@ REWRITTEN = {
     "lift-composition": (ref_br_compose, 0.0),
     "generator-recovery": (ref_br_recover, 0.0),
     "spin-zero-reduction": (ref_j0_reduction, 0.0),
+    "product-associativity": (ref_assoc, 0.0),
     "observable-linearity": (ref_p_linear, 0.0),
     "bracket-closed-vs-fd": (ref_bracket_fd, 0.0),
     "antisymmetry-jacobi": (ref_jacobi, 0.0),
@@ -665,7 +710,8 @@ def test_batched_check_matches_reference_loop(name, seed):
      ("wigner-defining-unitary", 4100), ("spin-zero-reduction", 4100),
      ("observable-linearity", 4100), ("w-functional-evenness", 4100),
      ("trivialization-transitions", 4100), ("projector-properties", 4100),
-     ("kappa-multiplicative", 4100)],
+     ("kappa-multiplicative", 4100), ("chart-representative-independence", 4100),
+     ("product-associativity", 4100)],
 )
 def test_chunked_check_matches_reference_loop(name, samples):
     # more samples than one chunk holds: the chunks draw in stream order
@@ -710,6 +756,66 @@ def test_batched_check_memory_at_defaults(name):
     finally:
         tracemalloc.stop()
     assert peak <= PEAK_BYTES, peak
+
+
+def _north_cap(v):
+    # keeps z > 0.8, a tenth of the sphere: rejects about 90 % of the points
+    return v[:, 2] > 0.8
+
+
+def _polar_cap(v):
+    # keeps z > 0.98: rejects about 99 %, so short blocks hold no whole attempt
+    return v[:, 2] > 0.98
+
+
+def _scalar_point(ok):
+    # the per-sample loop: one _random_axis at a time until ok keeps it
+    def draw(rng):
+        while True:
+            v = _random_axis(rng)
+            if ok(v[None])[0]:
+                return v
+    return draw
+
+
+def _scalar_attempt(ok, tail, keep):
+    # a point as _scalar_point draws it, then tail normals; redrawn whole until kept
+    def draw(rng):
+        while True:
+            point, normals = _scalar_point(ok)(rng), rng.normal(size=tail)
+            if keep is None or keep(point[None], normals[None])[0]:
+                return np.concatenate([point, normals])
+    return draw
+
+
+def _rare_tail(points, tails):
+    # P(normal > 1.2816) ≈ 0.1: rejects about 90 % of the attempts
+    return tails[:, 0] > 1.2816
+
+
+@pytest.mark.parametrize("ok", [_interior, _off_south_cap, _north_cap])
+@pytest.mark.parametrize("n", [1, 7, 300])
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_kept_points_match_scalar_loop(ok, n, seed):
+    ref, new = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _draw_rows(ref, n, _scalar_point(ok))
+    got = _kept_points(new, n, ok)
+    assert new.bit_generator.state == ref.bit_generator.state
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "ok, tail, keep",
+    [(_off_south_cap, 6, None), (_interior, 2, None), (_north_cap, 2, None),
+     (_polar_cap, 2, None), (_off_south_cap, 4, _rare_tail), (_north_cap, 14, _rare_tail)])
+@pytest.mark.parametrize("n", [1, 7, 300])
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_kept_attempts_match_scalar_loop(ok, tail, keep, n, seed):
+    ref, new = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _draw_rows(ref, n, _scalar_attempt(ok, tail, keep))
+    got = _kept_attempts(new, n, ok, tail, keep)
+    assert new.bit_generator.state == ref.bit_generator.state
+    assert got.tobytes() == want.tobytes()
 
 
 def _same_rows(rows, elements):

@@ -39,6 +39,24 @@ class TestGridWavefunction:
     def test_boundary_mass_small(self, packet):
         assert boundary_mass(packet) < 1e-12
 
+    @pytest.mark.parametrize("n, length", [(N, L), (2048, 20.0), (64, 3.5)])
+    def test_grid_axes_are_shared_read_only_formulas(self, n, length):
+        psi = GridWavefunction(n, length, np.zeros(n, dtype=complex))
+        dx = 2.0 * length / n
+        assert psi.x.tobytes() == (-length + dx * np.arange(n)).tobytes()
+        assert psi.k.tobytes() == (2.0 * np.pi * np.fft.fftfreq(n, dx)).tobytes()
+        assert not psi.x.flags.writeable and not psi.k.flags.writeable
+        with pytest.raises(ValueError):
+            psi.x[0] = 0.0
+        other = psi.with_values(np.ones(n, dtype=complex))
+        assert other.x is psi.x and other.k is psi.k
+
+    def test_boundary_mass_matches_formula(self, rng):
+        psi = GridWavefunction(N, L, rng.normal(size=N) + 1j * rng.normal(size=N))
+        outside = np.abs(-L + psi.dx * np.arange(N)) >= L / 2.0
+        want = float(psi.dx * np.sum(np.abs(psi.values[outside]) ** 2))
+        assert boundary_mass(psi) == want
+
 
 class TestPositionMomentum:
     def test_position_expectation_symmetric_packet(self):
@@ -102,6 +120,18 @@ class TestWeylOperators:
         assert check_weyl_relation(1.0, 0.0, packet) < 1e-14
         assert check_weyl_relation(1.0, 1.0, packet) < 1e-9
 
+    @pytest.mark.parametrize("n", [N, 2048, 65536])
+    def test_phases_equal_complex_exp(self, n, rng):
+        # the phases were e^{iθ} by np.exp of a complex array; cos/sin give the same bits
+        psi = gaussian_packet(n, L, x0=0.4, sigma=1.0, k0=0.6)
+        for _ in range(5):
+            a, b = rng.uniform(-3, 3), rng.uniform(-4, 4)
+            shift = psi.hbar * a
+            want_u = np.fft.ifft(np.exp(-1j * psi.k * shift) * np.fft.fft(psi.values))
+            want_v = np.exp(-1j * b * psi.x) * psi.values
+            assert weyl_U(a, psi).values.tobytes() == want_u.tobytes()
+            assert weyl_V(b, psi).values.tobytes() == want_v.tobytes()
+
     def test_phase_sign_flips_with_order(self, packet, rng):
         a, b = 1.2, -0.8
         mu = packet.hbar
@@ -150,6 +180,19 @@ class TestHeisenbergGroup:
         assert np.max(np.abs(lhs.a - rhs.a)) < 1e-14
         assert np.max(np.abs(lhs.b - rhs.b)) < 1e-14
         assert abs(lhs.r - rhs.r) < 1e-13
+
+    def test_stacked_product_matches_single_rows(self, rng):
+        # (k, 2) stacks of a and b with (k,) r, against one element per row and
+        # against the np.dot form of the central part, bit for bit
+        d = rng.normal(size=(2, 50, 5))
+        e1, e2 = (HeisenbergElement(x[:, :2], x[:, 2:4], x[:, 4]) for x in d)
+        prod = heisenberg_product(e1, e2)
+        for k in range(50):
+            (a1, b1, r1), (a2, b2, r2) = ((x[k, :2], x[k, 2:4], x[k, 4]) for x in d)
+            one = heisenberg_product(HeisenbergElement(a1, b1, r1), HeisenbergElement(a2, b2, r2))
+            assert prod.a[k].tobytes() == one.a.tobytes()
+            assert prod.b[k].tobytes() == one.b.tobytes()
+            assert prod.r[k] == one.r == r1 + r2 + 0.5 * (np.dot(b1, a2) - np.dot(b2, a1))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
