@@ -3,10 +3,12 @@
 Each primitive has one name that takes one element or point, or a stack of
 them.  For each case the name is timed once per sample on single objects
 (microseconds per call) and once on an (n, 2) or (n, 3) stack (microseconds
-per row), best of REPEATS.  The cases are the ones the harness applies: the
-spinor map (on ``SU2Element`` objects, as the harness calls it), the SU(2)
-product, the unit-vector check, the ℝP² canonical representative, the chart
-transition signs (all nine at one point) and the sphere section.
+per row), best of REPEATS.  The cases are the ones the harness applies, on
+(2,) SU(2) rows as it passes them: the spinor map, the SU(2) product, the
+unit-vector check, the ℝP² canonical representative, the chart transition
+signs (all nine at one point) and the sphere section.  One more case times
+the product of the public ``SU2Element`` object (``g * h``, one
+``su2_product`` and one constructor call) against the stacked product.
 
 Run:
     PYTHONPATH=src python benchmarks/bench_groups.py            # table
@@ -52,9 +54,11 @@ def cases():
     els = [SU2Element(*z) for z in rows]
     pts = -quotient_to_sphere(rows)       # negated: most need a sign flip
     return {
-        "spinor_map": (lambda: [spinor_map(g) for g in els], lambda: spinor_map(rows)),
+        "spinor_map": (lambda: [spinor_map(g) for g in rows], lambda: spinor_map(rows)),
         "su2_product": (lambda: [su2_product(g, h) for g, h in zip(rows, other)],
                         lambda: su2_product(rows, other)),
+        "SU2Element * h": (lambda: [g * h for g, h in zip(els, other)],
+                           lambda: su2_product(rows, other)),
         "unit_vector": (lambda: [unit_vector(x) for x in pts], lambda: unit_vector(pts)),
         "rp2_rep": (lambda: [rp2_rep(x) for x in pts], lambda: rp2_rep(pts)),
         "transition_signs": (lambda: [transition_signs(x) for x in pts],

@@ -32,7 +32,7 @@ from rp2quant._kernels import ylm_basis, ylm_synthesize
 from rp2quant.berry_robbins import TransportFrame
 from rp2quant.checks import REGISTRY, SuiteConfig, _symmetrized_power_d, check_rng
 from rp2quant.classical import w_matrix
-from rp2quant.groups import random_su2, spinor_map, su2_from_axis_angle
+from rp2quant.groups import random_su2, spinor_map, su2_from_axis_angle, su2_from_normals
 from rp2quant.harmonics import (
     HarmonicCoeffs,
     analyze,
@@ -173,7 +173,7 @@ def main():
         print(f"{j:>5} {t_prim*1e6:>9.1f}us {t_orac*1e6:>9.1f}us")
     print(f"\nstacks of {STACK_ROWS} rows against a per-call loop, time per row")
     print(f"{'':>26} {'stack':>9} {'loop':>9}")
-    rows = np.array([[g.z0, g.z1] for g in (random_su2(rng) for _ in range(STACK_ROWS))])
+    rows = su2_from_normals(rng.normal(size=(STACK_ROWS, 4)))    # STACK_ROWS random_su2 draws
     t_stack = best_of(wigner_d, 1.0, rows) / STACK_ROWS
     t_loop = best_of(lambda: [wigner_d(1.0, row) for row in rows]) / STACK_ROWS
     print(f"{'wigner_d(1, .)':>26} {t_stack*1e6:>7.2f}us {t_loop*1e6:>7.2f}us")

@@ -9,13 +9,10 @@ relative configuration space of two indistinguishable spin-zero particles.
 from ._kernels import backend_name
 from .groups import (
     SU2Element,
-    HElement,
-    RP2Point,
     su2_from_axis_angle,
     spinor_map,
     rotation_from_axis_angle,
     quotient_to_sphere,
-    quotient_to_rp2,
 )
 from .harmonics import HarmonicCoeffs, analyze, evaluate, apply_L, rotate_coeffs, wigner_d
 from .manifold import build_quadrature, QuadratureGrid, WFunctional
@@ -24,8 +21,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SU2Element",
-    "HElement",
-    "RP2Point",
     "HarmonicCoeffs",
     "QuadratureGrid",
     "WFunctional",
@@ -34,7 +29,6 @@ __all__ = [
     "backend_name",
     "build_quadrature",
     "evaluate",
-    "quotient_to_rp2",
     "quotient_to_sphere",
     "rotate_coeffs",
     "rotation_from_axis_angle",

@@ -19,8 +19,8 @@ transported rotation; differentiating it along g_t = exp(-it σ_i/2) and
 removing the pure frame-motion term recovers S_i(r).
 
 Frames, transported spins, states, lifts and recovered generators take one
-point or an (..., 3) stack of points (and lifts one ``SU2Element`` or
-(..., 2) rows); each stacked matrix equals its single-point call bit for bit.
+point or an (..., 3) stack of points (and lifts take (..., 2) SU(2) rows);
+each stacked matrix equals its single-point call bit for bit.
 
 The fixed-basis (untransported) lift (r, v) ↦ (g·r, D^j(g) v) of a spinor of
 sphere functions is included as the trivial-frame case; a spin-j field is a
@@ -50,7 +50,7 @@ def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _rotate_points(g, r: np.ndarray) -> np.ndarray:
-    """Spin(g)·r for an ``SU2Element`` or (..., 2) rows and (..., 3) points."""
+    """Spin(g)·r for (..., 2) SU(2) rows and (..., 3) points."""
     return _apply(spinor_map(g), r)
 
 
@@ -117,10 +117,9 @@ class BRState:
 def br_lift(g, st: BRState, frame: TransportFrame) -> BRState:
     """Move the base by Spin(g), the coefficients by the transported rotation.
 
-    g is an ``SU2Element`` or (..., 2) rows that broadcast against the
-    state's points.  The composition keeps all frame factors explicit (no
-    algebraic cancellation is assumed); both r and Spin(g)·r must avoid the
-    south pole.
+    g is (..., 2) rows that broadcast against the state's points.  The
+    composition keeps all frame factors explicit (no algebraic cancellation
+    is assumed); both r and Spin(g)·r must avoid the south pole.
     """
     if st.lam.shape[-1:] != (frame.dim,):
         raise ValueError("coefficient vector has wrong dimension")
@@ -172,9 +171,9 @@ def _field(j: float, c) -> np.ndarray:
 def fixed_basis_lift(g, j: float, c) -> np.ndarray:
     """Untransported lift: rotate the base, mix components by constant D^j(g).
 
-    c is a spin-j field (..., 2j+1, (lmax+1)²); g is an ``SU2Element`` or
-    (..., 2) rows that broadcast against c's leading axes.  All components
-    rotate in one ``rotate_stack`` call on coefficients.
+    c is a spin-j field (..., 2j+1, (lmax+1)²); g is (..., 2) rows that
+    broadcast against c's leading axes.  All components rotate in one
+    ``rotate_stack`` call on coefficients.
     """
     g = _su2_rows(g)
     return wigner_d(j, g) @ rotate_stack(g[..., None, :], _field(j, c))

@@ -43,8 +43,7 @@ def kappa(g) -> np.ndarray:
     """The nontrivial character κ of H at an element or at each row of a stack.
 
     +1 where |z1| ≤ H_CLASSIFY_TOL (diagonal), else -1 where |z0| ≤
-    H_CLASSIFY_TOL (antidiagonal), and 0 for an element outside H; the
-    classification is ``h_membership``'s.
+    H_CLASSIFY_TOL (antidiagonal), and 0 for an element outside H.
     """
     g = _su2_rows(g)
     return np.where(np.abs(g[..., 1]) <= H_CLASSIFY_TOL, 1,

@@ -8,6 +8,7 @@ are grouped into suites mirroring the package modules.
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,6 +109,14 @@ class SuiteConfig:
     tol_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for key in ("lmax", "grid_n", "radial_nodes", "samples", "rng_seed"):
+            try:
+                object.__setattr__(self, key, operator.index(getattr(self, key)))
+            except TypeError as exc:
+                raise ConfigError(f"{key} must be an integer, got {getattr(self, key)!r}") from exc
+        unknown = set(self.tol_overrides) - {c.name for c in REGISTRY}
+        if unknown:
+            raise ConfigError(f"tolerance overrides for unknown checks: {sorted(unknown)}")
         if not (1 <= self.lmax <= 32):
             raise ConfigError("lmax must lie in [1, 32]")
         if _module_grid_order(self.lmax) > MAX_GRID_LMAX:
@@ -358,7 +367,7 @@ def _h_closure(rng, cfg):
         prod = su2_product(_h_rows(u[:, :2]), _h_rows(u[:, 2:]))
         # distance from H = size of the entry that should vanish (abs() rounding)
         dist = np.min(np.hypot(prod.real, prod.imag), axis=1)
-        if np.any(dist > H_CLASSIFY_TOL):          # h_membership would be None
+        if np.any(dist > H_CLASSIFY_TOL):          # a product outside H
             return 1.0
         return float(np.max(dist))
 
@@ -565,16 +574,18 @@ def _ladder_algebra(rng, cfg):
 
 
 def _symmetrized_power_d(j: float, g) -> np.ndarray:
-    """Oracle for ``wigner_d``: the 2j-fold symmetrized power of g.matrix().
+    """Oracle for ``wigner_d``: the 2j-fold symmetrized power of the matrix of a row g.
 
-    With [[a, b], [c, d]] = g.matrix() acting as x ↦ ax + cy, y ↦ bx + dy on
+    With [[a, b], [c, d]] = [[z0, conj(z1)], [-z1, conj(z0)]] for g = (z0, z1),
+    acting as x ↦ ax + cy, y ↦ bx + dy on
     f_m = x^{j+m} y^{j-m} / sqrt((j+m)!(j-m)!), m = +j ... -j:
 
         D_{m'm} = sqrt((j+m')!(j-m')!/((j+m)!(j-m)!)) ·
                   Σ_k C(j+m, k) C(j-m, j-m'-k) a^{j+m-k} c^k b^{m'-m+k} d^{j-m'-k}.
     """
     n = round(2 * j)
-    (a, b), (c, d) = g.matrix()
+    z0, z1 = g
+    a, b, c, d = z0, z1.conjugate(), -z1, z0.conjugate()
     f = [math.factorial(k) for k in range(n + 1)]
     out = np.zeros((n + 1, n + 1), dtype=complex)
     for p, q in np.ndindex(n + 1, n + 1):           # row m' = j - p, column m = j - q
@@ -641,7 +652,7 @@ def _kappa_mult(rng, cfg):
         u = rng.random(size=(n, 4))                 # two H samples per sample
         h1, h2 = _h_rows(u[:, :2]), _h_rows(u[:, 2:])
         prod = bundles.kappa(su2_product(h1, h2))
-        if np.any(prod == 0):                       # h_membership would be None
+        if np.any(prod == 0):                       # a product outside H
             return 1.0
         return float(np.max(np.abs(prod - bundles.kappa(h1) * bundles.kappa(h2))))
 
@@ -787,7 +798,7 @@ def _gen_vs_ladder(rng, cfg):
 def _intertwining(rng, cfg):
     grid = _grid(cfg.lmax + 1)
     tables = _odd_tables(rng, 5, cfg.lmax)
-    return max(float(np.max(check_intertwining(i, tables, grid))) for i in (1, 2, 3))
+    return float(np.max(check_intertwining(tables, grid)))
 
 
 @register("representation", "su2-closure-fd", "generator-commutators", 1e-6)
@@ -803,7 +814,7 @@ def _act_u(rng, cfg):
         a = random_coeffs(cfg.lmax, "odd", rng)
         g1, g2 = random_su2(rng), random_su2(rng)
         seq = rotate_coeffs(g1, rotate_coeffs(g2, a, grid), grid)
-        prod = rotate_coeffs(g1 * g2, a, grid)
+        prod = rotate_coeffs(su2_product(g1, g2), a, grid)
         worst = max(worst, float(np.linalg.norm(seq.c - prod.c)))
         worst = max(worst, abs(seq.norm() - a.norm()))
     return worst

@@ -25,8 +25,8 @@ is a (..., 3) float array.  Each formula is written once, as a private
 helper doing plain real arithmetic that runs on floats and on arrays alike,
 so row k of a stacked call equals the call on row k bit for bit (norms go
 through ``np.vecdot``, which rounds as ``np.linalg.norm`` of one vector
-does).  ``SU2Element``, ``HElement`` and ``RP2Point`` are the object forms:
-values with the group product, the H components and hashing.
+does).  ``SU2Element`` is the one object form, kept at the public edge: a
+frozen pair validated as rows are, whose product is ``su2_product``'s.
 """
 
 from dataclasses import dataclass
@@ -49,23 +49,6 @@ PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 def _norm(v):
     """Euclidean norm along the last axis, rounded as np.linalg.norm(row)."""
     return np.sqrt(np.vecdot(v, v))
-
-
-def _unit_pair(a, b, r0, i0, r1, i1):
-    """(|z0|² + |z1|², and the pair scaled to unit norm) from the moduli a, b.
-
-    a = |z0| and b = |z1| are hypot values: abs() of a complex scalar, or
-    np.hypot of the components, which rounds the same way.
-    """
-    n = a * a + b * b
-    s = 1.0 / np.sqrt(n)
-    return n, r0 * s, i0 * s, r1 * s, i1 * s
-
-
-def _unimodular(re, im):
-    """(|λ|, and λ/|λ| in real parts); |λ| is a hypot, as abs() of a complex is."""
-    a = np.hypot(re, im)
-    return a, re / a, im / a
 
 
 def _product(a0r, a0i, a1r, a1i, b0r, b0i, b1r, b1i):
@@ -141,46 +124,11 @@ def _pack(r0, i0, r1, i1) -> np.ndarray:
 
 
 def _stack3x3(rows) -> np.ndarray:
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    """(..., 3, 3) from 3 × 3 nested entries of one shape (one np.array call, not four stacks)."""
+    return np.ascontiguousarray(np.moveaxis(np.array(rows), (0, 1), (-2, -1)))
 
 
 # ---------------------------------------------------------------- SU(2)
-
-@dataclass(frozen=True)
-class SU2Element:
-    """Unit pair (z0, z1); normalized on construction."""
-
-    z0: complex
-    z1: complex
-
-    def __post_init__(self):
-        z0, z1 = complex(self.z0), complex(self.z1)
-        n, r0, i0, r1, i1 = _unit_pair(abs(z0), abs(z1), z0.real, z0.imag, z1.real, z1.imag)
-        if not abs(n - 1.0) <= UNIT_TOL:
-            raise ValueError(f"(z0, z1) norm {n} departs from 1 beyond {UNIT_TOL}")
-        object.__setattr__(self, "z0", complex(r0, i0))
-        object.__setattr__(self, "z1", complex(r1, i1))
-
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.z0, np.conj(self.z1)], [-self.z1, np.conj(self.z0)]],
-            dtype=complex,
-        )
-
-    def inverse(self) -> "SU2Element":
-        return SU2Element(self.z0.conjugate(), -self.z1)
-
-    def __mul__(self, other: "SU2Element") -> "SU2Element":
-        a, b, c, d = self.z0, self.z1, other.z0, other.z1
-        p = _product(a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag)
-        return SU2Element(complex(p[0], p[1]), complex(p[2], p[3]))
-
-    def __neg__(self) -> "SU2Element":
-        return SU2Element(-self.z0, -self.z1)
-
-
-SU2_IDENTITY = SU2Element(1.0, 0.0)
-
 
 def _su2_rows(g) -> np.ndarray:
     """(z0, z1) as a (2,) array for an ``SU2Element``; (..., 2) rows as given."""
@@ -204,53 +152,61 @@ def _columns(g):
 
 
 def validate_normalize_su2(z) -> np.ndarray:
-    """Validate (..., 2) rows (z0, z1) as unit pairs and normalize them as ``SU2Element`` does."""
+    """Validate (..., 2) rows (z0, z1) as unit pairs (to UNIT_TOL) and scale them to unit norm."""
     r0, i0, r1, i1 = _columns(z)
-    n, *parts = _unit_pair(np.hypot(r0, i0), np.hypot(r1, i1), r0, i0, r1, i1)
+    a, b = np.hypot(r0, i0), np.hypot(r1, i1)         # |z0|, |z1|
+    n = a * a + b * b
     if not np.all(np.abs(n - 1.0) <= UNIT_TOL):
         raise ValueError(f"(z0, z1) norms depart from 1 beyond {UNIT_TOL}")
-    return _pack(*parts)
+    s = 1.0 / np.sqrt(n)
+    return _pack(r0 * s, i0 * s, r1 * s, i1 * s)
+
+
+def _raw_product(g, h) -> np.ndarray:
+    """Products g·h as rows, before normalization."""
+    return _pack(*_product(*_columns(g), *_columns(h)))
 
 
 def su2_product(g, h) -> np.ndarray:
     """Products g·h as rows; elements or stacks of rows broadcast."""
-    return validate_normalize_su2(_pack(*_product(*_columns(g), *_columns(h))))
+    return validate_normalize_su2(_raw_product(g, h))
 
 
 @dataclass(frozen=True)
-class HElement:
-    """Element of the stabilizer subgroup H, tagged by its component."""
+class SU2Element:
+    """One unit pair (z0, z1), validated and normalized as ``validate_normalize_su2`` does.
 
-    kind: str        # "diagonal" | "antidiagonal"
-    lam: complex     # unimodular parameter
+    ``g * h`` takes an element or a (2,) row h and equals ``su2_product(g, h)``
+    bit for bit.
+    """
+
+    z0: complex
+    z1: complex
 
     def __post_init__(self):
-        if self.kind not in ("diagonal", "antidiagonal"):
-            raise ValueError(f"unknown H component {self.kind!r}")
-        lam = complex(self.lam)
-        a, re, im = _unimodular(lam.real, lam.imag)
-        if not abs(a - 1.0) <= UNIT_TOL:
-            raise ValueError("lambda must be unimodular")
-        object.__setattr__(self, "lam", complex(re, im))
+        z0, z1 = validate_normalize_su2((self.z0, self.z1))
+        object.__setattr__(self, "z0", complex(z0))
+        object.__setattr__(self, "z1", complex(z1))
 
-    def embed(self) -> SU2Element:
-        """The SU(2) element this H element embeds as."""
-        if self.kind == "diagonal":
-            return SU2Element(self.lam, 0.0)
-        return SU2Element(0.0, self.lam)
+    def __mul__(self, other) -> "SU2Element":
+        # the constructor's normalization is su2_product's: normalizing twice moves bits
+        return SU2Element(*_raw_product(self, other))
+
+
+SU2_IDENTITY = SU2Element(1.0, 0.0)
 
 
 def h_embed(antidiagonal, lam) -> np.ndarray:
-    """Rows of the embedded H elements ``HElement(kind, lam).embed()``.
+    """Rows of the embedded H elements: diag(λ, conj(λ)), or [[0, conj(λ)], [-λ, 0]].
 
     ``antidiagonal`` is a boolean (array) selecting the component, ``lam``
-    the unimodular parameters (normalized as ``HElement`` does).
+    the unimodular parameters, normalized to |λ| = 1.
     """
     lam = np.asarray(lam, dtype=complex)
-    a, re, im = _unimodular(lam.real, lam.imag)
+    a = np.hypot(lam.real, lam.imag)
     if not np.all(np.abs(a - 1.0) <= UNIT_TOL):
         raise ValueError("lambda must be unimodular")
-    lam = _complex(re, im)
+    lam = _complex(lam.real / a, lam.imag / a)
     zero = np.zeros_like(lam)
     rows = np.where(np.asarray(antidiagonal)[..., None],
                     np.stack([zero, lam], axis=-1), np.stack([lam, zero], axis=-1))
@@ -271,25 +227,20 @@ def su2_from_axis_angle(psi, n_hat) -> np.ndarray:
     return validate_normalize_su2(_pack(*pair))
 
 
-def _haar_pair(v):
-    """(z0, z1) components of a random unit 4-vector, as random_su2 builds them."""
-    v = v / _norm(v)[..., None]
-    return v[..., 0], v[..., 1], v[..., 2], v[..., 3]
-
-
-def random_su2(rng: np.random.Generator) -> SU2Element:
-    """Haar-uniform SU(2) element via a random unit 4-vector."""
-    r0, i0, r1, i1 = _haar_pair(rng.normal(size=4))
-    return SU2Element(complex(r0, i0), complex(r1, i1))
+def random_su2(rng: np.random.Generator) -> np.ndarray:
+    """Haar-uniform SU(2) element via a random unit 4-vector, as a (2,) row."""
+    return su2_from_normals(rng.normal(size=4))
 
 
 def su2_from_normals(v) -> np.ndarray:
-    """Rows built from (n, 4) normal draws exactly as ``random_su2`` builds one.
+    """Rows (z0, z1) from (..., 4) normal draws, each a random unit 4-vector.
 
     ``rng.normal(size=(n, 4))`` draws what n calls of ``random_su2`` draw, so
-    ``su2_from_normals(rng.normal(size=(n, 4)))`` equals those n elements.
+    ``su2_from_normals(rng.normal(size=(n, 4)))`` equals those n rows.
     """
-    return validate_normalize_su2(_pack(*_haar_pair(np.asarray(v, dtype=float))))
+    v = np.asarray(v, dtype=float)
+    v = v / _norm(v)[..., None]
+    return validate_normalize_su2(_pack(v[..., 0], v[..., 1], v[..., 2], v[..., 3]))
 
 
 # --------------------------------------------------------------- SO(3)
@@ -304,8 +255,6 @@ def spinor_map(g) -> np.ndarray:
     so on), so R(-g) = R(g) holds to rounding even after -g is renormalized.
     The Pauli-trace definition is kept as the test oracle.
     """
-    if isinstance(g, SU2Element):      # one object: plain floats, no row arrays
-        return np.array(_spin_rows(g.z0.real, g.z0.imag, g.z1.real, g.z1.imag))
     return _stack3x3(_spin_rows(*_columns(g)))
 
 
@@ -323,17 +272,6 @@ def skew_matrix(n) -> np.ndarray:
 def rotation_from_axis_angle(psi, n_hat) -> np.ndarray:
     """Rodrigues form R(ψ, n̂) = Id + sin(ψ)·N + (1 - cos(ψ))·N²; angles and axes broadcast."""
     return _stack3x3(_rodrigues_rows(np.asarray(psi, dtype=float), *_unit_axis(n_hat)))
-
-
-# ------------------------------------------------------------------- H
-
-def h_membership(g: SU2Element) -> HElement | None:
-    """Classify g as diagonal/antidiagonal H element, or None if outside H."""
-    if abs(g.z1) <= H_CLASSIFY_TOL:
-        return HElement("diagonal", g.z0)
-    if abs(g.z0) <= H_CLASSIFY_TOL:
-        return HElement("antidiagonal", g.z1)
-    return None
 
 
 # ------------------------------------------------------- S² and ℝP²
@@ -364,39 +302,9 @@ def rp2_rep(x) -> np.ndarray:
     return unit_vector(v) * sign[..., None] + 0.0
 
 
-@dataclass(frozen=True)
-class RP2Point:
-    """Point of ℝP² stored through its canonical unit representative."""
-
-    rep: np.ndarray
-
-    def __post_init__(self):
-        v = rp2_rep(self.rep)          # no -0.0 entries, so byte-level hashing agrees
-        if v.shape != (3,):
-            raise ValueError("an RP2Point is one 3-vector")
-        v.flags.writeable = False
-        object.__setattr__(self, "rep", v)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RP2Point) and np.array_equal(self.rep, other.rep)
-
-    def __hash__(self):
-        return hash(self.rep.tobytes())
-
-
-def rp2_point(x) -> RP2Point:
-    """Class [x] of a unit 3-vector (antipodal points identify)."""
-    return RP2Point(np.asarray(x, dtype=float))
-
-
 def quotient_to_sphere(g) -> np.ndarray:
     """x(g) = Spin(g)·e₃, the S² point of the class g·U(1): (3,), or (..., 3) for rows."""
     return np.stack(_image_of_e3(*_columns(g)), axis=-1)
-
-
-def quotient_to_rp2(g: SU2Element) -> RP2Point:
-    """[x(g)], the ℝP² point of the class g·H."""
-    return rp2_point(quotient_to_sphere(g))
 
 
 _SOUTH_POLE_ROW = su2_from_axis_angle(np.pi, (1.0, 0.0, 0.0))

@@ -25,8 +25,8 @@ Angular momentum acts exactly in this basis:
 One primitive builds every spin-j rotation matrix, for any half-integer j:
 ``wigner_d`` is D^j(g) = e^{-iαS₃} V e^{-iβΛ} V† e^{-iγS₃}, with V from a
 read-only cache of S₂ eigenvectors keyed by 2j and (α, β, γ) read from
-g = (z0, z1).  g is one ``SU2Element`` or a stack of (..., 2) rows, and a
-stack of matrices equals its single-row calls bit for bit.  ``rotate_stack``
+g = (z0, z1).  g is one (2,) row or a stack of (..., 2) rows, and a stack
+of matrices equals its single-row calls bit for bit.  ``rotate_stack``
 applies the same factors to each degree-l block of a coefficient stack (one
 element, or one per table), and ``berry_robbins.TransportFrame`` is D^j of
 the geodesic element.  Blocks never mix, so rotations preserve parity
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import ylm_synthesize
-from .groups import SU2Element, _su2_rows, spinor_map
+from .groups import _su2_rows, spinor_map
 from .manifold import QuadratureGrid
 
 SECTORS = ("even", "odd", "full")
@@ -262,7 +262,7 @@ def angular_momentum_matrices(j: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     return 0.5 * (sp + sm), -0.5j * (sp - sm), np.diag(m.astype(complex))
 
 
-def rotate_values(g: SU2Element, a: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
+def rotate_values(g, a: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
     """Values of x ↦ a(Spin(g)⁻¹ x) at the given points.
 
     With ``analyze`` this is the resampling route, kept as the independent
@@ -294,7 +294,7 @@ _ARG_SIGNS = np.array([1.0, -1.0])
 def _euler_phases(g, twoj: int) -> np.ndarray:
     """Rows e^{-iαm}, e^{-iβλ}, e^{-iγm} (m = +j ... -j, λ = -j ... +j) of g.
 
-    g is an ``SU2Element`` or (..., 2) rows (z0, z1); the result has shape
+    g is (..., 2) rows (z0, z1); the result has shape
     (3, ..., 2j+1).  g = e^{-iασ₃/2} e^{-iβσ₂/2} e^{-iγσ₃/2} with
     β = 2·atan2(|z1|, |z0|), α+γ = -2·arg z0 and α-γ = 2·arg(-z1); α and γ
     are not reduced mod 2π, so half-integer m gets the right sign.  The
@@ -315,9 +315,10 @@ def wigner_d(j: float, g) -> np.ndarray:
         D^j(g) = e^{-iαS₃} V e^{-iβΛ} V† e^{-iγS₃},   Λ = diag(-j ... j),
 
     with V = ``_s2_eigvecs(2j)`` and the Euler angles of ``_euler_phases``.
-    g is an ``SU2Element`` (a (2j+1, 2j+1) matrix) or (..., 2) rows (z0, z1)
-    (a (..., 2j+1, 2j+1) stack whose matrices equal the single-row calls bit
-    for bit).  D^{1/2}(g) = g.matrix() and i·d/dt D(e^{-it σ_i/2})|₀ = S_i.
+    g is (..., 2) rows (z0, z1), giving a (..., 2j+1, 2j+1) stack whose
+    matrices equal the single-row calls bit for bit.  D^{1/2}(g) is the
+    defining matrix [[z0, conj(z1)], [-z1, conj(z0)]], and
+    i·d/dt D(e^{-it σ_i/2})|₀ = S_i.
     """
     twoj = _twice_spin(j)
     v = _s2_eigvecs(twoj)
@@ -328,8 +329,8 @@ def wigner_d(j: float, g) -> np.ndarray:
 def rotate_stack(g, c: np.ndarray) -> np.ndarray:
     """Coefficients of x ↦ a(Spin(g)⁻¹ x) for each table a in a stack.
 
-    ``c`` has shape (..., (lmax+1)²); g is an ``SU2Element`` or (..., 2)
-    rows whose leading axes broadcast against those of ``c``.  Each degree-l
+    ``c`` has shape (..., (lmax+1)²); g is (..., 2) rows whose leading axes
+    broadcast against those of ``c``.  Each degree-l
     block, read as m = +l ... -l, is multiplied by ``wigner_d(l, g)`` factor
     by factor (the same phases and cached V, no dense D^l).  Every row goes
     through the same matrix-vector products, so a stack gives bit for bit the
@@ -352,7 +353,7 @@ def rotate_stack(g, c: np.ndarray) -> np.ndarray:
 
 
 def rotate_coeffs(
-    g: SU2Element, a: HarmonicCoeffs, grid: QuadratureGrid
+    g, a: HarmonicCoeffs, grid: QuadratureGrid
 ) -> HarmonicCoeffs:
     """Coefficients of x ↦ a(Spin(g)⁻¹ x), on coefficients via ``rotate_stack``.
 

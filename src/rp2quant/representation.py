@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RadialRangeError
-from .groups import SU2Element, spinor_map, su2_from_axis_angle
+from .groups import spinor_map, su2_from_axis_angle, su2_product
 from .harmonics import (
     HarmonicCoeffs,
     _row_norms,
@@ -153,7 +153,7 @@ def _spectral_log_shift(m: np.ndarray, radial: RadialGrid, shift: float) -> np.n
 
 def act_canonical(
     w: WFunctional,
-    g: SU2Element,
+    g,
     lam: float,
     fs: FullSection,
     grid: QuadratureGrid,
@@ -189,9 +189,9 @@ def act_canonical(
 
 
 def canonical_product(
-    e1: tuple[WFunctional, SU2Element, float],
-    e2: tuple[WFunctional, SU2Element, float],
-) -> tuple[WFunctional, SU2Element, float]:
+    e1: tuple[WFunctional, np.ndarray, float],
+    e2: tuple[WFunctional, np.ndarray, float],
+) -> tuple[WFunctional, np.ndarray, float]:
     """Semidirect product matching 𝒰(e₁)∘𝒰(e₂) = 𝒰(e₁·e₂).
 
     The functional part of the right factor is pushed forward by the left
@@ -202,12 +202,12 @@ def canonical_product(
     w2, g2, l2 = e2
     moved = w2.pushforward(spinor_map(g1)).scaled(l1)
     w = WFunctional(w1.c + moved.c, w1.c0 + moved.c0)
-    return (w, g1 * g2, l1 * l2)
+    return (w, su2_product(g1, g2), l1 * l2)
 
 
 def check_group_law(
-    e1: tuple[WFunctional, SU2Element, float],
-    e2: tuple[WFunctional, SU2Element, float],
+    e1: tuple[WFunctional, np.ndarray, float],
+    e2: tuple[WFunctional, np.ndarray, float],
     fs: FullSection,
     grid: QuadratureGrid,
 ) -> float:
@@ -272,21 +272,24 @@ def generator_vs_ladder_residual(i: int, c) -> np.ndarray:
     return _row_norms(generator_J(i, c) - exact) / scale
 
 
-def check_intertwining(i: int, c, grid: QuadratureGrid) -> np.ndarray:
-    """Residual of (J_i ∘ Φ)(a) = (Φ ∘ L_i)(a) per odd table a, relative to ‖a‖.
+def check_intertwining(c, grid: QuadratureGrid) -> np.ndarray:
+    """Residuals of (J_i ∘ Φ)(a) = (Φ ∘ L_i)(a) per axis i and odd table a, relative to ‖a‖.
 
     Φ(a) is the frame-valued section a·φ, realized as the triple of even
     component functions a(x)·x_i (``module_iso_forward``).  One Φ call takes
-    the tables and their exact ladder images L_i a together.  The generator
-    on the Φ side is computed by finite differences of the full vector
-    rotation (base motion plus fiber mixing, one stacked call over the four
-    offsets).  Content off the odd sector raises ValueError.
+    the tables and their exact ladder images L₁a, L₂a, L₃a together.  The
+    generator on the Φ side is computed by finite differences of the full
+    vector rotation (base motion plus fiber mixing, one stacked call over the
+    three axes and four offsets).  Returns shape (3,) + c.shape[:-1], axis i - 1
+    on the first index.  Content off the odd sector raises ValueError.
     """
     c = np.asarray(c, dtype=np.complex128)
-    triples, rhs = module_iso_forward(np.stack([c, apply_L(i, c)]), grid)     # (..., 3, n')
-    g = _fd_elements(i, c.ndim + 1)
+    images = [apply_L(i, c) for i in (1, 2, 3)]
+    triples, *rhs = module_iso_forward(np.stack([c, *images]), grid)      # (..., 3, n')
+    # offsets on axis 0, the three axes on axis 1, then one axis per leading axis of triples
+    g = FD_ELEMENTS.swapaxes(0, 1).reshape((len(RICHARDSON_OFFSETS), 3) + (1,) * c.ndim + (2,))
     lhs = 1j * _richardson(spinor_map(g[..., 0, :]) @ rotate_stack(g, triples))
-    gap = (lhs - rhs).reshape(c.shape[:-1] + (-1,))
+    gap = (lhs - np.stack(rhs)).reshape((3,) + c.shape[:-1] + (-1,))
     return _row_norms(gap) / _row_norms(c)
 
 

@@ -1,9 +1,14 @@
 """Frozen one-object forms of the group, manifold, bundle and classical maps.
 
 rp2quant gives each operation one name that takes one element or point, or
-a stack of them.  The forms below are the earlier one-object API: scalar
-bodies on ``SU2Element``, ``RP2Point`` and small dataclasses, and the module
-maps on tuples of ``HarmonicCoeffs``, kept verbatim.
+a stack of them, and writes an SU(2) element as a (2,) row (z0, z1).  The
+forms below are the earlier one-object API: scalar bodies on ``SU2Element``,
+``HElement``, ``RP2Point`` and small dataclasses, and the module maps on
+tuples of ``HarmonicCoeffs``, kept verbatim.  ``SU2Element`` here is the
+retired scalar object (its own normalization, product, matrix, inverse and
+negation); it subclasses the library's, so every library name takes it as
+one element.  ``HElement``, ``h_membership``, ``RP2Point``, ``rp2_point`` and
+``quotient_to_rp2`` left the library with it.
 The reference loops of ``test_batch_checks`` and the bitwise tables of the
 library tests compare the library against them.  Where a form below calls
 a library name, it wrapped that stacked form already.
@@ -13,24 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rp2quant import bundles, classical, manifold
+from rp2quant import bundles, classical, groups, manifold
 from rp2quant.errors import PointNotInChart, ProjectorConstraintViolated
 from rp2quant.bundles import PROJECTOR_CONSTRAINT_TOL, phi
 from rp2quant.classical import homomorphism_defect, w_matrix
 from rp2quant.groups import (
-    SU2_IDENTITY,
+    H_CLASSIFY_TOL,
     UNIT_TOL,
     ZERO_TOL,
-    HElement,
-    RP2Point,
-    SU2Element,
     _axis_angle_pair,
     _image_of_e3,
     _norm,
+    _product,
     _rodrigues_rows,
     _scan_flip,
     _spin_rows,
-    rp2_point,
 )
 from rp2quant.harmonics import HarmonicCoeffs, off_sector_mask
 from rp2quant.manifold import CHART_TOL, QuadratureGrid, WFunctional, check_symmetric_traceless
@@ -39,6 +41,95 @@ FIBER_TOL = 1e-10
 
 
 # ----------------------------------------------------------------- groups
+
+def _unit_pair(a, b, r0, i0, r1, i1):
+    """(|z0|² + |z1|², and the pair scaled to unit norm) from the moduli a, b.
+
+    a = |z0| and b = |z1| are hypot values: abs() of a complex scalar, or
+    np.hypot of the components, which rounds the same way.
+    """
+    n = a * a + b * b
+    s = 1.0 / np.sqrt(n)
+    return n, r0 * s, i0 * s, r1 * s, i1 * s
+
+
+@dataclass(frozen=True)
+class SU2Element(groups.SU2Element):
+    """Unit pair (z0, z1); normalized on construction."""
+
+    def __post_init__(self):
+        z0, z1 = complex(self.z0), complex(self.z1)
+        n, r0, i0, r1, i1 = _unit_pair(abs(z0), abs(z1), z0.real, z0.imag, z1.real, z1.imag)
+        if not abs(n - 1.0) <= UNIT_TOL:
+            raise ValueError(f"(z0, z1) norm {n} departs from 1 beyond {UNIT_TOL}")
+        object.__setattr__(self, "z0", complex(r0, i0))
+        object.__setattr__(self, "z1", complex(r1, i1))
+
+    def matrix(self) -> np.ndarray:
+        return np.array(
+            [[self.z0, np.conj(self.z1)], [-self.z1, np.conj(self.z0)]],
+            dtype=complex,
+        )
+
+    def inverse(self) -> "SU2Element":
+        return SU2Element(self.z0.conjugate(), -self.z1)
+
+    def __mul__(self, other: "SU2Element") -> "SU2Element":
+        a, b, c, d = self.z0, self.z1, other.z0, other.z1
+        p = _product(a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag)
+        return SU2Element(complex(p[0], p[1]), complex(p[2], p[3]))
+
+    def __neg__(self) -> "SU2Element":
+        return SU2Element(-self.z0, -self.z1)
+
+
+SU2_IDENTITY = SU2Element(1.0, 0.0)
+
+
+def random_su2(rng: np.random.Generator) -> SU2Element:
+    """Haar-uniform SU(2) element via a random unit 4-vector."""
+    v = rng.normal(size=4)
+    v = v / _norm(v)[..., None]
+    return SU2Element(complex(v[0], v[1]), complex(v[2], v[3]))
+
+
+def su2_matrix(g) -> np.ndarray:
+    """The defining matrix [[z0, conj(z1)], [-z1, conj(z0)]] of a row or an element."""
+    z0, z1 = as_row(g)
+    return np.array([[z0, np.conj(z1)], [-z1, np.conj(z0)]], dtype=complex)
+
+
+@dataclass(frozen=True)
+class HElement:
+    """Element of the stabilizer subgroup H, tagged by its component."""
+
+    kind: str        # "diagonal" | "antidiagonal"
+    lam: complex     # unimodular parameter
+
+    def __post_init__(self):
+        if self.kind not in ("diagonal", "antidiagonal"):
+            raise ValueError(f"unknown H component {self.kind!r}")
+        lam = complex(self.lam)
+        a = np.hypot(lam.real, lam.imag)
+        if not abs(a - 1.0) <= UNIT_TOL:
+            raise ValueError("lambda must be unimodular")
+        object.__setattr__(self, "lam", complex(lam.real / a, lam.imag / a))
+
+    def embed(self) -> SU2Element:
+        """The SU(2) element this H element embeds as."""
+        if self.kind == "diagonal":
+            return SU2Element(self.lam, 0.0)
+        return SU2Element(0.0, self.lam)
+
+
+def h_membership(g: SU2Element) -> HElement | None:
+    """Classify g as diagonal/antidiagonal H element, or None if outside H."""
+    if abs(g.z1) <= H_CLASSIFY_TOL:
+        return HElement("diagonal", g.z0)
+    if abs(g.z0) <= H_CLASSIFY_TOL:
+        return HElement("antidiagonal", g.z1)
+    return None
+
 
 def su2_from_axis_angle(psi: float, n_hat) -> SU2Element:
     """u(ψ, n̂) = cos(ψ/2)·Id - i·sin(ψ/2)·(n̂·σ) as a tuple (z0, z1)."""
@@ -109,6 +200,36 @@ def su2_from_sphere_point(x) -> SU2Element:
     x, y, z = v.tolist()
     r0, i0, r1, i1 = _axis_angle_pair(np.arctan2(s, z), -y / s, x / s, 0.0 / s)
     return SU2Element(complex(r0, i0), complex(r1, i1))
+
+
+@dataclass(frozen=True)
+class RP2Point:
+    """Point of ℝP² stored through its canonical unit representative."""
+
+    rep: np.ndarray
+
+    def __post_init__(self):
+        v = groups.rp2_rep(self.rep)   # no -0.0 entries, so byte-level hashing agrees
+        if v.shape != (3,):
+            raise ValueError("an RP2Point is one 3-vector")
+        v.flags.writeable = False
+        object.__setattr__(self, "rep", v)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RP2Point) and np.array_equal(self.rep, other.rep)
+
+    def __hash__(self):
+        return hash(self.rep.tobytes())
+
+
+def rp2_point(x) -> RP2Point:
+    """Class [x] of a unit 3-vector (antipodal points identify)."""
+    return RP2Point(np.asarray(x, dtype=float))
+
+
+def quotient_to_rp2(g: SU2Element) -> RP2Point:
+    """[x(g)], the ℝP² point of the class g·H."""
+    return rp2_point(groups.quotient_to_sphere(g))
 
 
 # --------------------------------------------------------------- manifold
@@ -372,7 +493,7 @@ def random_phase_point(rng: np.random.Generator) -> PhasePoint:
 
 def as_row(g):
     """(z0, z1) of an ``SU2Element`` as a (2,) array; any other argument as given."""
-    return np.array([g.z0, g.z1]) if isinstance(g, SU2Element) else g
+    return np.array([g.z0, g.z1]) if isinstance(g, groups.SU2Element) else g
 
 
 def stack_args(singles):

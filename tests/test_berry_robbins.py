@@ -20,6 +20,7 @@ from rp2quant.groups import (
     spinor_map,
     su2_from_axis_angle,
     su2_from_sphere_point,
+    su2_product,
 )
 from rp2quant.harmonics import analyze, random_coeffs, rotate_values, unit, wigner_d, zeros
 from rp2quant.manifold import build_quadrature
@@ -154,7 +155,7 @@ class TestBRLift:
             if mid[2] < -0.8 or end[2] < -0.8:
                 continue
             lhs = br_lift(g1, br_lift(g2, st, frame), frame)
-            rhs = br_lift(g1 * g2, st, frame)
+            rhs = br_lift(su2_product(g1, g2), st, frame)
             assert np.max(np.abs(lhs.lam - rhs.lam)) < 1e-10
             assert np.max(np.abs(lhs.r - rhs.r)) < 1e-10
             done += 1
@@ -228,7 +229,7 @@ class TestStacks:
         pts = np.array([safe_point(rng) for _ in range(8)])
         elements = [random_su2(rng) for _ in range(8)]
         lam = rng.normal(size=(8, 1)) + 0j
-        out = scalar_lift(np.array([[g.z0, g.z1] for g in elements]), BRState(pts, lam))
+        out = scalar_lift(np.array(elements), BRState(pts, lam))
         for k, g in enumerate(elements):
             assert np.array_equal(out.r[k], scalar_lift(g, BRState(pts[k], lam[k])).r)
 
@@ -282,7 +283,7 @@ class TestFixedBasisLift:
         field = random_field(0.5, 5, rng)
         g1, g2 = random_su2(rng), random_su2(rng)
         seq = fixed_basis_lift(g1, 0.5, fixed_basis_lift(g2, 0.5, field))
-        prod = fixed_basis_lift(g1 * g2, 0.5, field)
+        prod = fixed_basis_lift(su2_product(g1, g2), 0.5, field)
         assert np.max(np.abs(seq - prod)) < 1e-9
 
     def test_matches_componentwise_resampling(self, rng):

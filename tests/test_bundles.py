@@ -19,14 +19,12 @@ from rp2quant.bundles import (
 from rp2quant.errors import PointNotInChart, ProjectorConstraintViolated
 from rp2quant.groups import (
     SU2_IDENTITY,
-    HElement,
-    SU2Element,
-    h_membership,
-    quotient_to_rp2,
+    h_embed,
+    quotient_to_sphere,
     random_su2,
-    rp2_point,
     rp2_rep,
     spinor_map,
+    su2_product,
 )
 from rp2quant.harmonics import HarmonicCoeffs, evaluate, off_sector_mask, random_coeffs, unit, zeros
 from rp2quant.manifold import CHART_TOL, build_quadrature, transition_signs
@@ -35,8 +33,8 @@ from tests.scalar_reference import as_row, check_raise_alike, check_single_and_s
 
 
 def random_h(rng):
-    kind = "diagonal" if rng.random() < 0.5 else "antidiagonal"
-    return HElement(kind, np.exp(1j * rng.uniform(0, 2 * np.pi)))
+    """An embedded H element: its kind (antidiagonal for random() ≥ 0.5), then the phase of λ."""
+    return h_embed(rng.random() >= 0.5, np.exp(1j * rng.uniform(0, 2 * np.pi)))
 
 
 def random_assoc(rng):
@@ -46,25 +44,29 @@ def random_assoc(rng):
 
 def translate(g, v, h):
     """The representative (g h, κ(h⁻¹) v) of the same class; κ(h⁻¹) = κ(h)."""
-    return g * h.embed(), kappa(h.embed()) * v
+    return su2_product(g, h), kappa(h) * v
+
+
+def projection(g):
+    """π_κ[(g, v)] = [x(g)], the canonical representative of the base point."""
+    return rp2_rep(quotient_to_sphere(g))
 
 
 class TestKappa:
     def test_values(self):
-        assert kappa(HElement("diagonal", np.exp(0.4j)).embed()) == 1
-        assert kappa(HElement("antidiagonal", np.exp(0.4j)).embed()) == -1
+        assert kappa(h_embed(False, np.exp(0.4j))) == 1
+        assert kappa(h_embed(True, np.exp(0.4j))) == -1
 
     def test_multiplicative(self, rng):
         for _ in range(100):
             h1, h2 = random_h(rng), random_h(rng)
-            prod = h_membership(h1.embed() * h2.embed())
-            assert prod is not None
-            assert kappa(prod.embed()) == kappa(h1.embed()) * kappa(h2.embed())
+            prod = kappa(su2_product(h1, h2))
+            assert prod != 0
+            assert prod == kappa(h1) * kappa(h2)
 
     def test_two_antidiagonals(self, rng):
-        h1, h2 = (HElement("antidiagonal", np.exp(1j * t)) for t in rng.uniform(0, 6, 2))
-        prod = h_membership(h1.embed() * h2.embed())
-        assert prod.kind == "diagonal" and kappa(prod.embed()) == 1
+        h1, h2 = h_embed(True, np.exp(1j * rng.uniform(0, 6, 2)))
+        assert kappa(su2_product(h1, h2)) == 1
 
 
 class TestPhi:
@@ -84,23 +86,21 @@ class TestPhi:
 
 
 class TestAssociatedBundle:
-    # the projection π_κ[(g, v)] = [x(g)] is quotient_to_rp2(g)
-
     def test_projection_at_identity(self):
-        assert np.allclose(quotient_to_rp2(SU2_IDENTITY).rep, [0, 0, 1])
+        assert np.allclose(projection(SU2_IDENTITY), [0, 0, 1])
 
     def test_projection_ignores_fiber(self, rng):
         g = random_su2(rng)
         p1, _ = iso_Phi(g, 1.0)
         p2, _ = iso_Phi(g, -3.7j)
         assert np.array_equal(p1, p2)
-        assert rp2_point(p1) == quotient_to_rp2(g)
+        assert np.array_equal(p1, projection(g))
 
     def test_projection_representative_independent(self, rng):
         for _ in range(100):
             g, v = random_assoc(rng)
             g2, _ = translate(g, v, random_h(rng))
-            assert np.max(np.abs(quotient_to_rp2(g).rep - quotient_to_rp2(g2).rep)) < 1e-12
+            assert np.max(np.abs(projection(g) - projection(g2))) < 1e-12
 
 
 class TestIsoPhi:
@@ -123,8 +123,8 @@ class TestIsoPhi:
 
     def test_antidiagonal_sign_cancellation(self, rng):
         g, v = random_assoc(rng)
-        h = HElement("antidiagonal", np.exp(1j * rng.uniform(0, 2 * np.pi)))
-        flipped = (g * h.embed(), -v)
+        h = h_embed(True, np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        flipped = (su2_product(g, h), -v)
         # kappa(h) = -1 so (g·h, -v) is the same class as (g, v)
         assert np.max(np.abs(iso_Phi(g, v)[1] - iso_Phi(*flipped)[1])) < 1e-12
 
@@ -152,9 +152,9 @@ class TestLifts:
         # the natural lift l↑_g[(p, v)] = [(g p, v)] moves the base by Spin(g)
         for _ in range(50):
             g, (p, _) = random_su2(rng), random_assoc(rng)
-            lifted = quotient_to_rp2(g * p)
-            moved = rp2_point(spinor_map(g) @ quotient_to_rp2(p).rep)
-            assert np.max(np.abs(lifted.rep - moved.rep)) < 1e-12
+            lifted = projection(su2_product(g, p))
+            moved = rp2_rep(spinor_map(g) @ projection(p))
+            assert np.max(np.abs(lifted - moved)) < 1e-12
 
     def test_tau_identity(self, rng):
         base, fiber = iso_Phi(*random_assoc(rng))
@@ -167,7 +167,7 @@ class TestLifts:
             g, e = random_su2(rng), random_assoc(rng)
             tau_base, tau_fiber = lift_tau(g, *iso_Phi(*e))
             p, v = translate(*e, random_h(rng))
-            assoc_base, assoc_fiber = iso_Phi(g * p, v)
+            assoc_base, assoc_fiber = iso_Phi(su2_product(g, p), v)
             assert np.max(np.abs(tau_fiber - assoc_fiber)) < 1e-10
             assert np.max(np.abs(tau_base - assoc_base)) < 1e-12
 
@@ -176,10 +176,11 @@ class TestLifts:
             g1, g2 = random_su2(rng), random_su2(rng)
             base, fiber = iso_Phi(*random_assoc(rng))
             _, seq_fiber = lift_tau(g1, *lift_tau(g2, base, fiber))
-            prod_base, prod_fiber = lift_tau(g1 * g2, base, fiber)
+            g12 = su2_product(g1, g2)
+            prod_base, prod_fiber = lift_tau(g12, base, fiber)
             assert np.max(np.abs(seq_fiber - prod_fiber)) < 1e-10
-            covered = rp2_point(spinor_map(g1 * g2) @ base)
-            assert np.max(np.abs(prod_base - covered.rep)) < 1e-12
+            covered = rp2_rep(spinor_map(g12) @ base)
+            assert np.max(np.abs(prod_base - covered)) < 1e-12
 
     def test_fiberwise_linear(self, rng):
         g = random_su2(rng)
@@ -204,14 +205,14 @@ class TestTrivializations:
             x /= np.linalg.norm(x)
             if np.min(np.abs(x)) < 0.05:
                 continue
-            p = rp2_point(x)
+            p = rp2_rep(x)
             lam = rng.normal() + 1j * rng.normal()
-            fiber = lam * phi(p.rep)
-            signs = transition_signs(p.rep)
+            fiber = lam * phi(p)
+            signs = transition_signs(p)
             for a in (1, 2, 3):
                 for b in (1, 2, 3):
-                    ca = local_trivialization(a, p.rep, fiber)
-                    cb = local_trivialization(b, p.rep, fiber)
+                    ca = local_trivialization(a, p, fiber)
+                    cb = local_trivialization(b, p, fiber)
                     assert cb == signs[b - 1, a - 1] * ca
 
 
@@ -303,12 +304,16 @@ class TestSectionWellDefined:
 
 
 def _samples():
-    """Elements (edges, H elements and Haar draws), fiber values, and canonical base points."""
+    """Elements (edges, H elements and Haar draws), fiber values, and canonical base points.
+
+    The elements are the frozen scalar objects, which the library takes as elements.
+    """
     rng = np.random.default_rng(2009)
-    edge = [SU2_IDENTITY, -SU2_IDENTITY, SU2Element(0.0, 1.0), SU2Element(1j, 0.0),
-            SU2Element(np.sqrt(0.5), np.sqrt(0.5) * 1j)]
-    hs = [random_h(rng).embed() for _ in range(40)]
-    elements = edge + hs + [random_su2(rng) for _ in range(100)]
+    edge = [ref.SU2_IDENTITY, -ref.SU2_IDENTITY, ref.SU2Element(0.0, 1.0), ref.SU2Element(1j, 0.0),
+            ref.SU2Element(np.sqrt(0.5), np.sqrt(0.5) * 1j)]
+    hs = [ref.HElement("diagonal" if rng.random() < 0.5 else "antidiagonal",
+                       np.exp(1j * rng.uniform(0, 2 * np.pi))).embed() for _ in range(40)]
+    elements = edge + hs + [ref.random_su2(rng) for _ in range(100)]
     values = [0.0, -0.0, 1.0, -2.5j] + list(rng.normal(size=len(elements) - 4)
                                            + 1j * rng.normal(size=len(elements) - 4))
     x = rng.normal(size=(len(elements) - 6, 3))
@@ -325,11 +330,11 @@ FIBER = np.array(VALUES)[:, None] * phi(BASE)
 
 
 def _el(base, fiber):
-    return ref.LMinusElement(rp2_point(base), fiber)
+    return ref.LMinusElement(ref.rp2_point(base), fiber)
 
 
 def _kappa_ref(g):
-    h = h_membership(g)
+    h = ref.h_membership(g)
     return 0 if h is None else ref.kappa(h)
 
 

@@ -71,6 +71,22 @@ class TestSuiteConfig:
         with pytest.raises(ConfigError):
             SuiteConfig(samples=0)
 
+    @pytest.mark.parametrize("values", [
+        {"lmax": 8.0}, {"samples": 2.5}, {"radial_nodes": 64.5}, {"rng_seed": 1.5},
+        {"grid_n": 1024.0}, {"lmax": "8"}, {"rng_seed": None},
+        {"tol_overrides": {"not-a-check": 1.0}},
+    ], ids=repr)
+    def test_rejects_what_the_harness_cannot_run(self, values):
+        # non-integers (what operator.index refuses) and unknown tolerance names
+        with pytest.raises(ConfigError):
+            SuiteConfig(**values)
+
+    def test_integer_likes_are_stored_as_int(self):
+        cfg = SuiteConfig(lmax=np.int64(4), rng_seed=np.uint8(3),
+                          tol_overrides={"spinor-homomorphism": 1e-3})
+        assert (type(cfg.lmax), type(cfg.rng_seed)) == (int, int)
+        assert (cfg.lmax, cfg.rng_seed) == (4, 3)
+
     def test_radial_floor_is_where_the_group_law_stops_raising(self):
         with pytest.raises(ConfigError):
             SuiteConfig(radial_nodes=RADIAL_NODES_MIN - 1)
@@ -239,6 +255,14 @@ class TestMainEntry:
 
     def test_exit_two_on_unknown_tolerance_name(self):
         assert main(["groups", "--tol", "not-a-check=1"]) == 2
+
+    def test_no_flags_report_the_dataclass_defaults(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["all", "--format", "json", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        defaults = asdict(SuiteConfig())
+        assert report["seed"] == defaults.pop("rng_seed")
+        assert report["config"] == defaults
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfgfile = tmp_path / "suite.cfg"

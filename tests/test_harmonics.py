@@ -3,7 +3,7 @@ import pytest
 from scipy.special import sph_harm_y
 
 from rp2quant.checks import _symmetrized_power_d
-from rp2quant.groups import SU2_IDENTITY, SU2Element, random_su2, su2_from_axis_angle
+from rp2quant.groups import SU2_IDENTITY, SU2Element, random_su2, su2_from_axis_angle, su2_product
 from rp2quant.harmonics import (
     HarmonicCoeffs,
     analyze,
@@ -23,6 +23,7 @@ from rp2quant.harmonics import (
     zeros,
 )
 from rp2quant.manifold import build_quadrature
+from tests.scalar_reference import as_row, su2_matrix
 
 
 class TestBasisAgainstScipy:
@@ -206,7 +207,7 @@ class TestRotation:
 def special_and_random_elements(rng):
     """Random elements plus the Euler-angle edge cases and FD step sizes."""
     out = [random_su2(rng) for _ in range(3)]
-    out += [SU2_IDENTITY, -SU2_IDENTITY]
+    out += [SU2_IDENTITY, SU2Element(-1.0, 0.0)]
     out += [SU2Element(np.exp(0.3j), 0.0), SU2Element(0.0, np.exp(-0.7j))]   # z1 = 0, z0 = 0
     for axis in np.eye(3):
         for t in (1e-3, -1e-3, 5e-4, -5e-4):      # generator_J steps h and h/2
@@ -236,7 +237,7 @@ class TestRotateStack:
         lmax = 32
         for _ in range(2):
             g1, g2 = random_su2(rng), random_su2(rng)
-            (b1, full), (b2, _), (b12, _) = (wigner_blocks(g, lmax) for g in (g1, g2, g1 * g2))
+            (b1, full), (b2, _), (b12, _) = (wigner_blocks(g, lmax) for g in (g1, g2, su2_product(g1, g2)))
             for l, (d1, d2, d12) in enumerate(zip(b1, b2, b12)):
                 assert np.max(np.abs(d1 @ d1.conj().T - np.eye(d1.shape[0]))) < 1e-13
                 assert np.max(np.abs(d12 - d1 @ d2)) < 1e-13
@@ -258,8 +259,8 @@ class TestRotateStack:
                 assert np.array_equal(row, rotate_coeffs(g, a, grid8).c)
 
     def test_element_rows_equal_single_elements_bitwise(self, rng):
-        elements = [random_su2(rng) for _ in range(4)] + [-SU2_IDENTITY, SU2Element(0, 1j)]
-        rows = np.array([[g.z0, g.z1] for g in elements])
+        elements = [random_su2(rng) for _ in range(4)] + [SU2Element(-1.0, 0.0), SU2Element(0, 1j)]
+        rows = np.array([as_row(g) for g in elements])
         for lmax in (1, 8, 17):
             stack = np.stack([random_coeffs(lmax, "full", rng).c for _ in range(6)])
             out = rotate_stack(rows, stack)
@@ -282,7 +283,7 @@ class TestWignerD:
             eye = np.eye(twoj + 1)
             assert np.max(np.abs(wigner_d(twoj / 2, SU2_IDENTITY) - eye)) < 1e-13
             # D^j(-1) = (-1)^{2j}·Id
-            assert np.max(np.abs(wigner_d(twoj / 2, -SU2_IDENTITY) - (-1) ** twoj * eye)) < 1e-13
+            assert np.max(np.abs(wigner_d(twoj / 2, SU2Element(-1.0, 0.0)) - (-1) ** twoj * eye)) < 1e-13
 
     def test_matches_symmetrized_power_oracle(self, rng):
         for _ in range(200):
@@ -293,13 +294,13 @@ class TestWignerD:
 
     def test_defining_representation(self, rng):
         g = random_su2(rng)
-        assert np.max(np.abs(wigner_d(0.5, g) - g.matrix())) < 1e-15
+        assert np.max(np.abs(wigner_d(0.5, g) - su2_matrix(g))) < 1e-15
 
     def test_homomorphism(self, rng):
         for _ in range(200):
             g1, g2 = random_su2(rng), random_su2(rng)
             for j in (0.5, 1.0, 1.5, 2.0, 4.5, 8.0, 20.0, 40.0):
-                gap = wigner_d(j, g1 * g2) - wigner_d(j, g1) @ wigner_d(j, g2)
+                gap = wigner_d(j, su2_product(g1, g2)) - wigner_d(j, g1) @ wigner_d(j, g2)
                 assert np.max(np.abs(gap)) < 1e-11
 
     def test_unitary(self, rng):
@@ -321,10 +322,10 @@ class TestWignerD:
 
     def test_stack_equals_single_rows_bitwise(self, rng):
         # ±identity, z1 = 0 and z0 = 0 rows beside Haar draws, in a (5, 5) stack
-        special = [SU2_IDENTITY, -SU2_IDENTITY, SU2Element(np.exp(-1.1j), 0),
+        special = [SU2_IDENTITY, SU2Element(-1.0, 0.0), SU2Element(np.exp(-1.1j), 0),
                    SU2Element(0, 1), SU2Element(0, np.exp(0.3j))]
         elements = special + [random_su2(rng) for _ in range(20)]
-        rows = np.array([[g.z0, g.z1] for g in elements])
+        rows = np.array([as_row(g) for g in elements])
         for twoj in range(17):
             dim = twoj + 1
             stack = wigner_d(twoj / 2, rows.reshape(5, 5, 2))

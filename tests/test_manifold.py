@@ -4,7 +4,7 @@ import pytest
 from rp2quant.errors import PointNotInChart
 from rp2quant.classical import w_matrix
 from rp2quant import manifold
-from rp2quant.groups import ZERO_TOL, random_su2, rp2_point, rp2_rep, spinor_map, su2_from_normals
+from rp2quant.groups import ZERO_TOL, random_su2, rp2_rep, spinor_map, su2_from_normals
 from rp2quant.manifold import (
     CHART_TOL,
     WFunctional,
@@ -23,20 +23,20 @@ from tests.scalar_reference import check_raise_alike, check_single_and_stack
 
 class TestCharts:
     def test_chart_center(self):
-        assert tuple(chart_coords(rp2_point([0, 0, 1]).rep, 3)) == (0.0, 0.0)
+        assert tuple(chart_coords(rp2_rep([0, 0, 1]), 3)) == (0.0, 0.0)
 
     def test_ratio_formula(self):
-        p = rp2_point(np.array([1.0, 1.0, 1.0]) / np.sqrt(3))
-        x, y = chart_coords(p.rep, 1)
+        p = rp2_rep(np.array([1.0, 1.0, 1.0]) / np.sqrt(3))
+        x, y = chart_coords(p, 1)
         assert abs(x - 1.0) < 1e-12 and abs(y - 1.0) < 1e-12
 
     def test_out_of_chart(self):
         with pytest.raises(PointNotInChart):
-            chart_coords(rp2_point([1, 0, 0]).rep, 3)
+            chart_coords(rp2_rep([1, 0, 0]), 3)
 
     def test_bad_index(self):
         with pytest.raises(ValueError):
-            chart_coords(rp2_point([0, 0, 1]).rep, 4)
+            chart_coords(rp2_rep([0, 0, 1]), 4)
 
 
 class TestTransitions:
@@ -46,17 +46,17 @@ class TestTransitions:
             v /= np.linalg.norm(v)
             if np.min(np.abs(v)) < 0.05:
                 continue
-            g = transition_signs(rp2_point(v).rep)
+            g = transition_signs(rp2_rep(v))
             for a in (1, 2, 3):
                 assert g[a - 1, a - 1] == 1
 
     def test_sign_formula(self):
-        assert transition_signs(rp2_point([2 / 3, 1 / 3, 2 / 3]).rep)[0, 1] == 1
-        assert transition_signs(rp2_point([2 / 3, -1 / 3, 2 / 3]).rep)[0, 1] == -1
+        assert transition_signs(rp2_rep([2 / 3, 1 / 3, 2 / 3]))[0, 1] == 1
+        assert transition_signs(rp2_rep([2 / 3, -1 / 3, 2 / 3]))[0, 1] == -1
 
     def test_vanishing_coordinate_raises(self):
         with pytest.raises(PointNotInChart):
-            transition_signs(rp2_point([1, 0, 0]).rep)
+            transition_signs(rp2_rep([1, 0, 0]))
 
     def test_cocycle(self, rng):
         for _ in range(200):
@@ -64,7 +64,7 @@ class TestTransitions:
             v /= np.linalg.norm(v)
             if np.min(np.abs(v)) < 0.05:
                 continue
-            g = transition_signs(rp2_point(v).rep)
+            g = transition_signs(rp2_rep(v))
             for a in range(3):
                 for b in range(3):
                     for c in range(3):
@@ -74,16 +74,16 @@ class TestTransitions:
 
 class TestEmbeddings:
     def test_f_at_poles(self):
-        assert np.allclose(f_embedding(rp2_point([0, 0, 1]).rep), [0, 0, 0, -1])
-        assert np.allclose(f_embedding(rp2_point([0, 1, 0]).rep), [0, 0, 0, 1])
-        assert np.allclose(f_embedding(rp2_point([1, 0, 0]).rep), [0, 0, 0, 0])
+        assert np.allclose(f_embedding(rp2_rep([0, 0, 1])), [0, 0, 0, -1])
+        assert np.allclose(f_embedding(rp2_rep([0, 1, 0])), [0, 0, 0, 1])
+        assert np.allclose(f_embedding(rp2_rep([1, 0, 0])), [0, 0, 0, 0])
 
     def test_f_even(self, rng):
         for _ in range(100):
             v = rng.normal(size=3)
             v /= np.linalg.norm(v)
             assert np.array_equal(
-                f_embedding(rp2_point(v).rep), f_embedding(rp2_point(-v).rep)
+                f_embedding(rp2_rep(v)), f_embedding(rp2_rep(-v))
             )
 
     def test_moment_at_pole(self):
@@ -104,9 +104,9 @@ class TestEmbeddings:
         for _ in range(50):
             v = rng.normal(size=3)
             v /= np.linalg.norm(v)
-            p = rp2_point(v)
+            p = rp2_rep(v)
             assert np.allclose(
-                f_embedding(p.rep), f_from_moment(moment_embedding(p.rep)), atol=1e-14
+                f_embedding(p), f_from_moment(moment_embedding(p)), atol=1e-14
             )
 
     def test_f_separates_sampled_classes(self, rng):
@@ -115,8 +115,8 @@ class TestEmbeddings:
         # from antipodal representatives close to the x3 = 0 ambiguity set)
         pts = rng.normal(size=(2000, 3))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
-        F = np.array([f_embedding(rp2_point(p).rep) for p in pts])
-        reps = np.array([rp2_point(p).rep for p in pts])
+        F = np.array([f_embedding(rp2_rep(p)) for p in pts])
+        reps = np.array([rp2_rep(p) for p in pts])
         from scipy.spatial import cKDTree
 
         for i, j in cKDTree(F).query_pairs(1e-4):
@@ -133,7 +133,7 @@ class TestEmbeddings:
             y = s * x + rng.normal(size=3) * 1e-10
             y /= np.linalg.norm(y)
             if np.linalg.norm(moment_embedding(x) - moment_embedding(y)) < 1e-8:
-                assert np.max(np.abs(rp2_point(x).rep - rp2_point(y).rep)) < 1e-6
+                assert np.max(np.abs(rp2_rep(x) - rp2_rep(y))) < 1e-6
 
 
 class TestWAction:
@@ -161,13 +161,13 @@ class TestWAction:
 class TestWFunctional:
     def test_constant(self):
         w = WFunctional(np.zeros((3, 3)), 1.0)
-        assert w(rp2_point([0, 0, 1]).rep) == 1.0
+        assert w(rp2_rep([0, 0, 1])) == 1.0
 
     def test_single_entry_functional(self):
         c = np.zeros((3, 3))
         c[0, 1] = c[1, 0] = 0.5          # picks out M12
         w = WFunctional(c)
-        val = w(rp2_point(np.array([1.0, 1.0, 0.0]) / np.sqrt(2)).rep)
+        val = w(rp2_rep(np.array([1.0, 1.0, 0.0]) / np.sqrt(2)))
         assert abs(val - 0.5) < 1e-14
 
     def test_evenness_machine_exact(self, rng):
@@ -252,17 +252,17 @@ def _inside(alphas):
 
 
 def _signs(x):
-    return np.array([[ref.transition_function(a, b, rp2_point(x)) for b in (1, 2, 3)]
+    return np.array([[ref.transition_function(a, b, ref.rp2_point(x)) for b in (1, 2, 3)]
                      for a in (1, 2, 3)])
 
 
 # merged name -> [(the name, its frozen one-object reference, single inputs), ...]
 BITWISE = {
     "chart_coords": [(lambda x, a=a: chart_coords(x, a),
-                      lambda x, a=a: np.array(ref.chart_coords(rp2_point(x), a)), _inside([a]))
+                      lambda x, a=a: np.array(ref.chart_coords(ref.rp2_point(x), a)), _inside([a]))
                      for a in (1, 2, 3)],
     "transition_signs": [(transition_signs, _signs, _inside([1, 2, 3]))],
-    "f_embedding": [(f_embedding, lambda x: ref.f_embedding(rp2_point(x)), [(x,) for x in REPS])],
+    "f_embedding": [(f_embedding, lambda x: ref.f_embedding(ref.rp2_point(x)), [(x,) for x in REPS])],
     "moment_embedding": [(moment_embedding, ref.moment_embedding, [(x,) for x in PTS])],
 }
 # public names with no one-object twin to merge

@@ -9,7 +9,7 @@ from rp2quant.berry_robbins import fixed_basis_lift, total_generator_exact, tota
 from rp2quant.bundles import module_iso_forward, module_iso_inverse, projector_residual
 from rp2quant.classical import w_matrix
 from rp2quant.errors import RadialRangeError
-from rp2quant.groups import SU2_IDENTITY, random_su2, spinor_map, su2_from_axis_angle
+from rp2quant.groups import SU2_IDENTITY, random_su2, spinor_map, su2_from_axis_angle, su2_product
 from rp2quant.checks import REGISTRY, SuiteConfig, check_rng
 from rp2quant.harmonics import (
     HarmonicCoeffs,
@@ -41,6 +41,7 @@ from rp2quant.representation import (
     separable_section,
     su2_closure_residual,
 )
+from tests.scalar_reference import su2_matrix
 
 W0 = WFunctional(np.zeros((3, 3)))
 
@@ -116,7 +117,7 @@ class TestActU:
             a = random_coeffs(8, "odd", rng)
             g1, g2 = random_su2(rng), random_su2(rng)
             seq = rotate_coeffs(g1, rotate_coeffs(g2, a, grid8), grid8)
-            prod = rotate_coeffs(g1 * g2, a, grid8)
+            prod = rotate_coeffs(su2_product(g1, g2), a, grid8)
             assert np.linalg.norm(seq.c - prod.c) < 1e-9
 
 
@@ -166,36 +167,36 @@ class TestStackedGenerators:
         for i in (1, 2, 3):
             got = generator_vs_ladder_residual(i, np.stack([a.c for a in mixed]))
             assert got.tolist() == [generator_vs_ladder_residual(i, a.c) for a in mixed]
-            got = check_intertwining(i, np.stack([a.c for a in odd]), grid)
-            assert got.tolist() == [check_intertwining(i, a.c, grid) for a in odd]
+        got = check_intertwining(np.stack([a.c for a in odd]), grid)      # (axis, table)
+        assert got.tobytes() == np.stack([check_intertwining(a.c, grid) for a in odd], 1).tobytes()
         got = su2_closure_residual(np.stack([a.c for a in odd]))
         assert got.tolist() == [su2_closure_residual(a.c) for a in odd]
 
     def test_one_residual_per_table(self, grid9, rng):
         c = np.stack([random_coeffs(8, "odd", rng).c for _ in range(2)])
         for residual in (lambda t: generator_vs_ladder_residual(1, t),
-                         lambda t: check_intertwining(2, t, grid9), su2_closure_residual):
+                         lambda t: check_intertwining(t, grid9)[1], su2_closure_residual):
             single, stack = residual(c[0]), residual(c)
             assert (single.shape, single.dtype) == ((), np.float64)
             assert (stack.shape, stack.dtype) == ((2,), np.float64)
 
     def test_intertwining_rejects_even_table(self, grid9, rng):
         with pytest.raises(ValueError):
-            check_intertwining(1, random_coeffs(8, "even", rng).c, grid9)
+            check_intertwining(random_coeffs(8, "even", rng).c, grid9)
 
 
 class TestIntertwining:
     def test_y10_with_j3(self, grid9):
-        assert check_intertwining(3, unit(8, 1, 0).c, grid9) < 1e-10
+        assert check_intertwining(unit(8, 1, 0).c, grid9)[2] < 1e-10
 
     def test_y11_with_j3(self, grid9):
-        assert check_intertwining(3, unit(8, 1, 1).c, grid9) < 1e-8
+        assert check_intertwining(unit(8, 1, 1).c, grid9)[2] < 1e-8
 
     def test_random_sections_all_components(self, grid9, rng):
         for _ in range(3):
             a = random_coeffs(8, "odd", rng)
-            for i in (1, 2, 3):
-                assert check_intertwining(i, a.c, grid9) < 1e-7
+            residuals = check_intertwining(a.c, grid9)
+            assert residuals.shape == (3,) and np.max(residuals) < 1e-7
 
 
 class TestClosure:
@@ -354,7 +355,7 @@ class TestGroupLaw:
         e1, e2 = random_canonical_element(rng), random_canonical_element(rng)
         w, g, lam = canonical_product(e1, e2)
         assert abs(lam - e1[2] * e2[2]) < 1e-15
-        assert np.max(np.abs(g.matrix() - (e1[1] * e2[1]).matrix())) < 1e-14
+        assert np.max(np.abs(su2_matrix(g) - su2_matrix(e1[1]) @ su2_matrix(e2[1]))) < 1e-14
         from rp2quant.groups import spinor_map
 
         r1 = spinor_map(e1[1])
@@ -470,7 +471,7 @@ STACK_ONLY = {
     "representation.generator_J": lambda a, grid: generator_J(1, a),
     "representation.generator_vs_ladder_residual":
         lambda a, grid: generator_vs_ladder_residual(1, a),
-    "representation.check_intertwining": lambda a, grid: check_intertwining(1, a, grid),
+    "representation.check_intertwining": lambda a, grid: check_intertwining(a, grid),
     "representation.su2_closure_residual": lambda a, grid: su2_closure_residual(a),
     "bundles.module_iso_forward": lambda a, grid: module_iso_forward(a, grid),
     "bundles.module_iso_inverse": lambda a, grid: module_iso_inverse((a, a, a), grid),
