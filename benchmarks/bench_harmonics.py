@@ -160,7 +160,7 @@ def main():
         grid = build_quadrature(lmax)
         a = random_coeffs(lmax, "full", rng)
         t_coef = best_of(rotate_coeffs, g, a, grid)
-        t_res = best_of(lambda: analyze(rotate_values(g, a, grid.nodes), lmax, grid))
+        t_res = best_of(lambda: analyze(rotate_values(g, a.c, grid.nodes), lmax, grid))
         print(f"{lmax:>5} {t_coef*1e3:>12.2f}ms {t_res*1e3:>10.2f}ms")
 
     print("\nWigner D^j: wigner_d (primitive) vs symmetrized power (oracle), per call")

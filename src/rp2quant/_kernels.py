@@ -32,17 +32,14 @@ with a(l,m) = sqrt((4l^2-1)/(l^2-m^2)),
 and Y[l,-m] = (-1)^m * conj(Y[l,m]).
 """
 
+import functools
 import math
 
 import numpy as np
 
-_COEFF_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _recurrence_tables(lmax: int):
-    """Precomputed diagonal/raising/two-term coefficients up to lmax."""
-    if lmax in _COEFF_CACHE:
-        return _COEFF_CACHE[lmax]
+    """Diagonal/raising/two-term coefficients up to lmax (cached, read-only)."""
     diag = np.zeros(lmax + 1)
     raise_ = np.zeros(lmax + 1)
     two_a = np.zeros((lmax + 1, lmax + 1))
@@ -56,8 +53,10 @@ def _recurrence_tables(lmax: int):
             two_b[l, m] = math.sqrt(
                 ((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0)
             )
-    _COEFF_CACHE[lmax] = (diag, raise_, two_a, two_b)
-    return _COEFF_CACHE[lmax]
+    tables = (diag, raise_, two_a, two_b)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
 
 
 def backend_name() -> str:
@@ -114,9 +113,7 @@ def ylm_basis(xyz: np.ndarray, lmax: int) -> np.ndarray:
     return out
 
 
-_M_MAJOR: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _m_major_rows(lmax: int):
     """How ``ylm_synthesize`` gathers coefficient rows per order m (cached, read-only).
 
@@ -126,20 +123,18 @@ def _m_major_rows(lmax: int):
     l = m … lmax, namely Re and Im of c[l, m], then Re and Im of
     (-1)^m c[l, -m] (zero at m = 0, whose -m column is c[l, m] itself).
     """
-    if lmax not in _M_MAJOR:
-        src, factor = [], []
-        for m in range(lmax + 1):
-            l = np.arange(m, lmax + 1)
-            plus, minus = 2 * (l * l + l + m), 2 * (l * l + l - m)
-            sign = 0.0 if m == 0 else (-1.0) ** m
-            src += [plus, plus + 1, minus, minus + 1]
-            factor += [np.ones(2 * l.size), np.full(2 * l.size, sign)]
-        start = np.concatenate([[0], np.cumsum(lmax + 1 - np.arange(lmax + 1))])
-        tables = (np.concatenate(src), np.concatenate(factor), start)
-        for a in tables:
-            a.flags.writeable = False
-        _M_MAJOR[lmax] = tables
-    return _M_MAJOR[lmax]
+    src, factor = [], []
+    for m in range(lmax + 1):
+        l = np.arange(m, lmax + 1)
+        plus, minus = 2 * (l * l + l + m), 2 * (l * l + l - m)
+        sign = 0.0 if m == 0 else (-1.0) ** m
+        src += [plus, plus + 1, minus, minus + 1]
+        factor += [np.ones(2 * l.size), np.full(2 * l.size, sign)]
+    start = np.concatenate([[0], np.cumsum(lmax + 1 - np.arange(lmax + 1))])
+    tables = (np.concatenate(src), np.concatenate(factor), start)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
 
 
 def ylm_synthesize(xyz: np.ndarray, lmax: int, c: np.ndarray) -> np.ndarray:

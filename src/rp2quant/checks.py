@@ -6,8 +6,10 @@ computes a residual, and is compared against its pinned tolerance.  Checks
 are grouped into suites mirroring the package modules.
 """
 
+import functools
 import hashlib
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -29,6 +31,7 @@ from ._kernels import ylm_synthesize
 from .errors import ConfigError
 from .groups import (
     H_CLASSIFY_TOL,
+    _norm,
     h_embed,
     quotient_to_sphere,
     random_su2,
@@ -43,12 +46,13 @@ from .groups import (
 )
 from .harmonics import (
     HarmonicCoeffs,
-    _odd_degree_mask,
     _row_norms,
+    _tables_from_normals,
     analyze,
     apply_L,
     evaluate,
     num_coeffs,
+    off_sector_mask,
     parity_decompose,
     random_coeffs,
     rotate_coeffs,
@@ -59,7 +63,6 @@ from .harmonics import (
 )
 from .manifold import (
     MAX_GRID_LMAX,
-    QuadratureGrid,
     WFunctional,
     build_quadrature,
     chart_coords,
@@ -117,6 +120,12 @@ class SuiteConfig:
         unknown = set(self.tol_overrides) - {c.name for c in REGISTRY}
         if unknown:
             raise ConfigError(f"tolerance overrides for unknown checks: {sorted(unknown)}")
+        for name, tol in self.tol_overrides.items():
+            if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+                raise ConfigError(f"tolerance for {name} must be a positive finite number, "
+                                  f"got {tol!r}")
+        object.__setattr__(self, "tol_overrides",
+                           {name: float(tol) for name, tol in self.tol_overrides.items()})
         if not (1 <= self.lmax <= 32):
             raise ConfigError("lmax must lie in [1, 32]")
         if _module_grid_order(self.lmax) > MAX_GRID_LMAX:
@@ -162,9 +171,6 @@ def check_rng(master_seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([master_seed & 0xFFFFFFFFFFFFFFFF, tag])
 
 
-_GRID_CACHE: dict[int, QuadratureGrid] = {}
-
-
 def _module_grid_order(lmax: int) -> int:
     """Grid order of the module maps at band lmax: the largest any check asks for.
 
@@ -174,15 +180,7 @@ def _module_grid_order(lmax: int) -> int:
     return lmax + 1 + lmax % 2
 
 
-def _grid(lmax: int) -> QuadratureGrid:
-    if lmax not in _GRID_CACHE:
-        _GRID_CACHE[lmax] = build_quadrature(lmax)
-    return _GRID_CACHE[lmax]
-
-
-def _random_axis(rng) -> np.ndarray:
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+_grid = functools.cache(build_quadrature)
 
 
 def _h_rows(u) -> np.ndarray:
@@ -222,13 +220,10 @@ def _assoc_and_h(rng) -> np.ndarray:
     return np.concatenate([rng.normal(size=6), _h_draws(rng)])
 
 
-def _unit_rows(v) -> np.ndarray:
-    """v / |v| per row, rounded as ``_random_axis`` normalizes one vector."""
-    return v / np.sqrt(np.vecdot(v, v))[:, None]
-
-
 def _kept_points(rng, n: int, ok) -> np.ndarray:
-    """n unit points that ``ok`` keeps, as a loop drawing ``_random_axis`` until ok holds draws them.
+    """n unit points that ``ok`` keeps, as a loop drawing one point at a time would keep them.
+
+    A point is three normals scaled to unit norm, v / |v|.
 
     ``ok`` maps (k, 3) unit rows to k flags.  Only the rows still missing are
     drawn, as one (need, 3) block, and its kept rows are taken in order: the
@@ -237,7 +232,8 @@ def _kept_points(rng, n: int, ok) -> np.ndarray:
     """
     kept, need = [], n
     while need:
-        v = _unit_rows(rng.normal(size=(need, 3)))
+        v = rng.normal(size=(need, 3))
+        v = v / _norm(v)[:, None]
         v = v[ok(v)]
         kept.append(v)
         need -= len(v)
@@ -266,7 +262,7 @@ def _kept_attempts(rng, n: int, ok, tail: int, keep=None) -> np.ndarray:
         size = (need + 8) * (width + 3) * 5 // 4 * grow
         state = rng.bit_generator.state
         windows = np.lib.stride_tricks.sliding_window_view(rng.normal(size=size), width)
-        points, tails = _unit_rows(windows[:, :3]), windows[:, 3:]
+        points, tails = windows[:, :3] / _norm(windows[:, :3])[:, None], windows[:, 3:]
         head_ok = ok(points).tolist()
         kept_at = None if keep is None else keep(points, tails).tolist()
         last = len(head_ok)                        # attempts start below this offset
@@ -290,24 +286,15 @@ def _kept_attempts(rng, n: int, ok, tail: int, keep=None) -> np.ndarray:
     return np.concatenate(kept)
 
 
-def _tables_from_normals(normals, lmax: int, odd) -> np.ndarray:
-    """Tables from (n, 2·(lmax+1)²) normal draws, as ``random_coeffs`` makes one per row.
-
-    ``odd`` (n,) picks each row's sector (odd where True, else even): the
-    draws are real then imaginary parts, the off-sector entries are zeroed
-    and each row is scaled to unit norm.
-    """
-    size = num_coeffs(lmax)
-    c = normals[:, :size] + 1j * normals[:, size:2 * size]
-    c[_odd_degree_mask(lmax)[None, :] != odd[:, None]] = 0.0
-    norms = _row_norms(c)
-    return c / np.where(norms > 0, norms, 1.0)[:, None]
+def _off_masks(lmax: int, odd) -> np.ndarray:
+    """(n, (lmax+1)²) off-sector masks: the odd sector's where ``odd`` (n,) holds, else even's."""
+    return np.where(odd[:, None], off_sector_mask(lmax, "odd"), off_sector_mask(lmax, "even"))
 
 
 def _odd_tables(rng, n: int, lmax: int) -> np.ndarray:
     """n draws of ``random_coeffs(lmax, "odd", rng)`` as one (n, (lmax+1)²) stack."""
     normals = rng.normal(size=(n, 2 * num_coeffs(lmax)))
-    return _tables_from_normals(normals, lmax, np.ones(n, dtype=bool))
+    return _tables_from_normals(normals, lmax, off_sector_mask(lmax, "odd"))
 
 
 _CHUNK_ROWS = 4096   # samples per batch: an (n, 3, 3) float64 temporary stays near 300 KB
@@ -322,12 +309,6 @@ def _worst_over_chunks(n: int, batch, rows: int = _CHUNK_ROWS) -> float:
     return max(batch(min(rows, n - lo)) for lo in range(0, n, rows))
 
 
-def _frobenius(m) -> np.ndarray:
-    """np.linalg.norm of each (3, 3) matrix of a stack, rounded the same way."""
-    flat = m.reshape(-1, 9)
-    return np.sqrt(np.vecdot(flat, flat))
-
-
 # ---------------------------------------------------------------- groups
 
 @register("groups", "spinor-homomorphism", "su2-so3-double-cover", 1e-12)
@@ -335,7 +316,7 @@ def _spinor_hom(rng, cfg):
     g = su2_from_normals(rng.normal(size=(2000, 4)))
     g1, g2 = g[0::2], g[1::2]
     gap = spinor_map(su2_product(g1, g2)) - spinor_map(g1) @ spinor_map(g2)
-    return float(np.max(_frobenius(gap)))
+    return float(np.max(_norm(gap.reshape(-1, 9))))     # Frobenius norm per matrix
 
 
 @register("groups", "spinor-double-cover-kernel", "su2-so3-double-cover", 1e-15)
@@ -351,9 +332,9 @@ def _spinor_kernel(rng, cfg):
 def _axis_angle(rng, cfg):
     def batch(n):
         draws = _draw_rows(
-            rng, n, lambda r: np.concatenate([[r.uniform(0, 2 * np.pi)], _random_axis(r)])
+            rng, n, lambda r: np.concatenate([[r.uniform(0, 2 * np.pi)], r.normal(size=3)])
         )
-        psi, axes = draws[:, 0], draws[:, 1:]
+        psi, axes = draws[:, 0], draws[:, 1:] / _norm(draws[:, 1:])[:, None]
         gap = rotation_from_axis_angle(psi, axes) - spinor_map(su2_from_axis_angle(psi, axes))
         return float(np.max(np.abs(gap)))
 
@@ -460,9 +441,10 @@ def _moment_inject(rng, cfg):
             normal(out=xk)
             s.append(0.0 if random() < 0.5 else -1.0 if random() < 0.5 else 1.0)
             normal(out=nk)
-        x, s = _unit_rows(x), np.array(s)[:, None]
-        y = _unit_rows(np.where(s != 0.0, s * x + n * 1e-10, n))
-        close = _frobenius(moment_embedding(x) - moment_embedding(y)) < 1e-8
+        x, s = x / _norm(x)[:, None], np.array(s)[:, None]
+        y = np.where(s != 0.0, s * x + n * 1e-10, n)
+        y = y / _norm(y)[:, None]
+        close = _norm((moment_embedding(x) - moment_embedding(y)).reshape(-1, 9)) < 1e-8
         if np.any(close):
             gap = np.abs(rp2_rep(x[close]) - rp2_rep(y[close]))
             worst = max(worst, float(np.max(gap)))
@@ -471,8 +453,9 @@ def _moment_inject(rng, cfg):
 
 @register("manifold", "moment-equivariance", "linear-action-on-orbit", 1e-12)
 def _moment_equiv(rng, cfg):
-    draws = rng.normal(size=(100, 7))               # random_su2, then _random_axis
-    r, x = spinor_map(su2_from_normals(draws[:, :4])), _unit_rows(draws[:, 4:])
+    draws = rng.normal(size=(100, 7))               # random_su2, then an axis
+    r, x = spinor_map(su2_from_normals(draws[:, :4])), draws[:, 4:]
+    x = x / _norm(x)[:, None]
     gap = w_action(r, moment_embedding(x)) - moment_embedding(_apply(r, x))
     return float(np.max(np.abs(gap)))
 
@@ -480,7 +463,8 @@ def _moment_equiv(rng, cfg):
 @register("manifold", "quartic-embedding-components", "even-quadratic-embedding", 1e-14)
 def _f_components(rng, cfg):
     def batch(n):
-        v = _unit_rows(rng.normal(size=(n, 3)))     # n _random_axis draws
+        v = rng.normal(size=(n, 3))                 # n axes
+        v = v / _norm(v)[:, None]
         p, q = rp2_rep(v), rp2_rep(-v)
         f = f_embedding(p)
         return max(float(np.max(np.abs(f - f_from_moment(moment_embedding(p))))),
@@ -504,7 +488,8 @@ def _quad_ortho(rng, cfg):
 def _w_even(rng, cfg):
     def batch(n):
         draws = rng.normal(size=(n, 9))             # w_matrix coordinates, c0, then the axis
-        c, c0, x = classical.w_matrix(draws[:, :5]), draws[:, 5], _unit_rows(draws[:, 6:])
+        c, c0, x = classical.w_matrix(draws[:, :5]), draws[:, 5], draws[:, 6:]
+        x = x / _norm(x)[:, None]
         wx = w_values(c, c0, x)
         return max(float(np.max(np.abs(wx - w_values(c, c0, -x)))),
                    float(np.max(np.abs(wx - w_values(c, c0, rp2_rep(x))))))
@@ -543,7 +528,7 @@ def _sector_closure(rng, cfg):
     for _ in range(10):
         sector = "even" if rng.random() < 0.5 else "odd"
         a = random_coeffs(cfg.lmax, sector, rng)
-        raw = analyze(rotate_values(random_su2(rng), a, grid.nodes), cfg.lmax, grid)
+        raw = analyze(rotate_values(random_su2(rng), a.c, grid.nodes), cfg.lmax, grid)
         even, odd = parity_decompose(raw)
         leak = odd if sector == "even" else even
         worst = max(worst, leak.norm())
@@ -607,7 +592,7 @@ def _rot_wigner(rng, cfg):
         g = random_su2(rng)
         a = random_coeffs(cfg.lmax, "full", rng)
         rot = rotate_coeffs(g, a, grid)
-        resampled = analyze(rotate_values(g, a, grid.nodes), cfg.lmax, grid)
+        resampled = analyze(rotate_values(g, a.c, grid.nodes), cfg.lmax, grid)
         worst = max(worst, float(np.max(np.abs(rot.c - resampled.c))))
         for l in range(1, min(cfg.lmax, 4) + 1):
             d = _symmetrized_power_d(l, g)
@@ -662,7 +647,8 @@ def _kappa_mult(rng, cfg):
 @register("bundles", "frame-map-odd-unit", "odd-frame-map", 1e-12)
 def _phi_props(rng, cfg):
     def batch(n):
-        x = _unit_rows(rng.normal(size=(n, 3)))     # n _random_axis draws
+        x = rng.normal(size=(n, 3))                 # n axes
+        x = x / _norm(x)[:, None]
         f = bundles.phi(x)
         return max(float(np.max(np.abs(bundles.phi(-x) + f))),
                    float(np.max(np.abs(_row_norms(f) - 1.0))))
@@ -742,8 +728,9 @@ def _triv_transitions(rng, cfg):
 @register("bundles", "projector-properties", "tautological-projector", 1e-13)
 def _projector_props(rng, cfg):
     def batch(n):
-        draws = rng.normal(size=(n, 7))             # _random_axis, then random_su2
-        x, r = _unit_rows(draws[:, :3]), spinor_map(su2_from_normals(draws[:, 3:]))
+        draws = rng.normal(size=(n, 7))             # an axis, then random_su2
+        x, r = draws[:, :3], spinor_map(su2_from_normals(draws[:, 3:]))
+        x = x / _norm(x)[:, None]
         p = bundles.projector(x)
         gaps = (p @ p - p, p - p.conj().mT, bundles.projector(-x) - p,
                 bundles.projector(_apply(r, x)) - r @ p @ r.mT)
@@ -769,7 +756,8 @@ def _section_well_defined(rng, cfg):
     a = random_coeffs(cfg.lmax, "odd", rng)
 
     def batch(n):
-        x = _unit_rows(rng.normal(size=(n, 3)))     # n _random_axis draws
+        x = rng.normal(size=(n, 3))                 # n axes
+        x = x / _norm(x)[:, None]
         plus = evaluate(a, x)[:, None] * unit_vector(x).astype(complex)
         minus = evaluate(a, -x)[:, None] * unit_vector(-x).astype(complex)
         return float(np.max(np.abs(plus - minus)))
@@ -790,7 +778,7 @@ def _sector_draw(rng, extra: int, lmax: int) -> np.ndarray:
 def _gen_vs_ladder(rng, cfg):
     # ten (sector, table) samples, then each generator on the whole stack
     rows = _draw_rows(rng, 10, lambda r: _sector_draw(r, 0, cfg.lmax))
-    tables = _tables_from_normals(rows[:, 1:], cfg.lmax, rows[:, 0] < 0.5)
+    tables = _tables_from_normals(rows[:, 1:], cfg.lmax, _off_masks(cfg.lmax, rows[:, 0] < 0.5))
     return max(float(np.max(generator_vs_ladder_residual(i, tables))) for i in (1, 2, 3))
 
 
@@ -885,7 +873,8 @@ def _exchange(rng, cfg):
         rows = _draw_rows(rng, min(chunk, cfg.samples - first),
                           lambda r: _sector_draw(r, 8, cfg.lmax))
         odd = rows[:, 0] < 0.5
-        tables = _tables_from_normals(rows[:, 1:], cfg.lmax, odd)
+        off = _off_masks(cfg.lmax, odd)
+        tables = _tables_from_normals(rows[:, 1:], cfg.lmax, off)
         g1 = su2_from_normals(rows[:, 1 + 2 * size:5 + 2 * size])
         g2 = su2_from_normals(rows[:, 5 + 2 * size:])
         parities = exchange_parities(rotate_stack(g1, tables), grid)
@@ -894,9 +883,8 @@ def _exchange(rng, cfg):
             if parities[wrong[0]] == 0:
                 raise ValueError("section is not an exchange eigenstate")
             return 1.0
-        nodes = grid.nodes @ spinor_map(g2)
-        raw = grid.project(ylm_synthesize(nodes, cfg.lmax, tables), cfg.lmax)
-        leak = np.where(_odd_degree_mask(cfg.lmax)[None, :] != odd[:, None], raw, 0.0)
+        raw = grid.project(rotate_values(g2, tables, grid.nodes), cfg.lmax)
+        leak = np.where(off, raw, 0.0)
         worst = max(worst, float(np.max(_row_norms(leak))))
     return worst
 

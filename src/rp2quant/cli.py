@@ -53,7 +53,7 @@ def run_suite(suite: str, cfg: SuiteConfig) -> list[CheckResult]:
     """
     results = []
     for check in checks_for_suite(suite):
-        tol = float(cfg.tol_overrides.get(check.name, check.tolerance))
+        tol = cfg.tol_overrides.get(check.name, check.tolerance)
         rng = check_rng(cfg.rng_seed, check.name)
         error = None
         t0 = time.perf_counter()

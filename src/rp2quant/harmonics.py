@@ -8,9 +8,11 @@ respectively; coefficient tables carry a sector tag ("even" | "odd" | "full")
 enforcing the split through one cached mask of odd degrees per lmax.  The
 tagged ``HarmonicCoeffs`` is the public form of one table (``random_coeffs``,
 ``unit``, ``zeros``, ``analyze``, ``evaluate``, ``rotate_coeffs``,
-``parity_decompose``); below it, ``apply_L``, ``rotate_stack`` and the
-generators, module maps and spinor fields built on them take bare
-(..., (lmax+1)²) coefficient stacks.
+``parity_decompose``); below it, ``apply_L``, ``rotate_stack``,
+``rotate_values`` and the generators, module maps and spinor fields built on
+them take bare (..., (lmax+1)²) coefficient stacks.  Random tables have one
+formula, ``_tables_from_normals``: ``random_coeffs`` is its one-row call, and
+the harness draws whole stacks through it.
 
 Analysis and synthesis on a quadrature grid are separable
 (``QuadratureGrid.project`` / ``synthesize``): an FFT over the azimuths of
@@ -36,6 +38,7 @@ for cross-checks: resampling at rotated nodes followed by re-projection
 defining 2×2 matrix (in ``checks``).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,17 +72,13 @@ def _table_band(c) -> tuple[np.ndarray, int]:
     return c, lmax
 
 
-_ODD_DEGREE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _odd_degree_mask(lmax: int) -> np.ndarray:
     """Read-only boolean mask over table entries, True where l is odd (cached)."""
-    if lmax not in _ODD_DEGREE:
-        degrees = np.arange(lmax + 1)
-        mask = np.repeat(degrees % 2 == 1, 2 * degrees + 1)
-        mask.flags.writeable = False
-        _ODD_DEGREE[lmax] = mask
-    return _ODD_DEGREE[lmax]
+    degrees = np.arange(lmax + 1)
+    mask = np.repeat(degrees % 2 == 1, 2 * degrees + 1)
+    mask.flags.writeable = False
+    return mask
 
 
 def off_sector_mask(lmax: int, sector: str) -> np.ndarray:
@@ -152,14 +151,26 @@ def unit(lmax: int, l: int, m: int) -> HarmonicCoeffs:
     return HarmonicCoeffs(lmax, "odd" if l % 2 else "even", c)
 
 
+def _tables_from_normals(normals, lmax: int, off) -> np.ndarray:
+    """Unit tables from normal draws (..., ≥ 2·(lmax+1)²), one per row.
+
+    A row's first (lmax+1)² draws are the real parts and the next (lmax+1)²
+    the imaginary parts; entries where ``off`` holds (an off-sector mask
+    broadcasting against the tables) are zeroed, and each nonzero row is
+    scaled to unit norm.  ``random_coeffs`` is its one-row call, so n rows
+    drawn as one (n, 2·(lmax+1)²) block equal n ``random_coeffs`` tables.
+    """
+    size = num_coeffs(lmax)
+    c = np.where(off, 0.0, normals[..., :size] + 1j * normals[..., size:2 * size])
+    norms = _row_norms(c)
+    return c / np.where(norms > 0, norms, 1.0)[..., None]
+
+
 def random_coeffs(lmax: int, sector: str, rng: np.random.Generator) -> HarmonicCoeffs:
     """Random unit-norm table restricted to the requested parity sector."""
-    c = rng.normal(size=num_coeffs(lmax)) + 1j * rng.normal(size=num_coeffs(lmax))
-    c[off_sector_mask(lmax, sector)] = 0.0
-    n = np.linalg.norm(c)
-    if n > 0:
-        c = c / n
-    return HarmonicCoeffs(lmax, sector, c)
+    normals = rng.normal(size=2 * num_coeffs(lmax))
+    return HarmonicCoeffs(lmax, sector,
+                          _tables_from_normals(normals, lmax, off_sector_mask(lmax, sector)))
 
 
 def evaluate(a: HarmonicCoeffs, x) -> complex | np.ndarray:
@@ -204,9 +215,7 @@ def _ladder(j: float) -> np.ndarray:
     return np.sqrt(j * (j + 1.0) - m * (m + 1.0))
 
 
-_LADDERS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _ladder_tables(lmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (m, src, ladder) over a table's entries at band lmax (cached).
 
@@ -214,15 +223,13 @@ def _ladder_tables(lmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ladder[k] = sqrt(l(l+1) - m(m+1)) is the L₊ factor from entry src[k] to
     src[k] + 1 (and the L₋ factor back).
     """
-    if lmax not in _LADDERS:
-        degrees = range(lmax + 1)
-        m = np.concatenate([np.arange(-l, l + 1) for l in degrees]).astype(float)
-        src = np.concatenate([l * l + np.arange(2 * l) for l in degrees])
-        ladder = np.concatenate([_ladder(l) for l in degrees])
-        for arr in (m, src, ladder):
-            arr.flags.writeable = False
-        _LADDERS[lmax] = (m, src, ladder)
-    return _LADDERS[lmax]
+    degrees = range(lmax + 1)
+    m = np.concatenate([np.arange(-l, l + 1) for l in degrees]).astype(float)
+    src = np.concatenate([l * l + np.arange(2 * l) for l in degrees])
+    ladder = np.concatenate([_ladder(l) for l in degrees])
+    for arr in (m, src, ladder):
+        arr.flags.writeable = False
+    return m, src, ladder
 
 
 def apply_L(i: int, c) -> np.ndarray:
@@ -262,30 +269,30 @@ def angular_momentum_matrices(j: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     return 0.5 * (sp + sm), -0.5j * (sp - sm), np.diag(m.astype(complex))
 
 
-def rotate_values(g, a: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
-    """Values of x ↦ a(Spin(g)⁻¹ x) at the given points.
+def rotate_values(g, c, points: np.ndarray) -> np.ndarray:
+    """Values of x ↦ a(Spin(g)⁻¹ x) at the given points, for each table a of a stack.
 
-    With ``analyze`` this is the resampling route, kept as the independent
-    cross-check of ``rotate_stack``.  Spin(g)⁻¹ = Spin(g)ᵀ, so the rotated
-    points are the rows ``points @ Spin(g)``.
+    ``c`` has shape (..., (lmax+1)²) and g is one (2,) row or (..., 2) rows;
+    the tables, the elements and the (n, 3) points broadcast as in
+    ``ylm_synthesize``, giving (..., n).  With ``analyze`` or
+    ``QuadratureGrid.project`` this is the resampling route, kept as the
+    independent cross-check of ``rotate_stack``.  Spin(g)⁻¹ = Spin(g)ᵀ, so
+    the rotated points are the rows ``points @ Spin(g)``.
     """
-    return ylm_synthesize(points @ spinor_map(g), a.lmax, a.c)
+    c, lmax = _table_band(c)
+    return ylm_synthesize(points @ spinor_map(g), lmax, c)
 
 
-_S2_EIGVECS: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _s2_eigvecs(twoj: int) -> np.ndarray:
     """Unitary V with S₂ = V diag(-j ... j) V† at spin j = twoj/2 (cached, read-only).
 
     ``eigh`` returns the exact spectrum -j ... j in ascending order, so only
     the eigenvectors are kept.
     """
-    if twoj not in _S2_EIGVECS:
-        _, v = np.linalg.eigh(angular_momentum_matrices(twoj / 2)[1])
-        v.flags.writeable = False
-        _S2_EIGVECS[twoj] = v
-    return _S2_EIGVECS[twoj]
+    _, v = np.linalg.eigh(angular_momentum_matrices(twoj / 2)[1])
+    v.flags.writeable = False
+    return v
 
 
 _ARG_SIGNS = np.array([1.0, -1.0])

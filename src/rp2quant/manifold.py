@@ -163,10 +163,12 @@ class QuadratureGrid:
         return self.nodes.shape[0]
 
     def basis(self, lmax: int) -> np.ndarray:
-        """Cached dense Y_lm basis matrix at the grid nodes, for the Gram oracle."""
+        """Cached dense Y_lm basis matrix at the grid nodes, for the Gram oracle (read-only)."""
         key = ("node", lmax)
         if key not in self._basis_cache:
-            self._basis_cache[key] = ylm_basis(self.nodes, lmax)
+            basis = ylm_basis(self.nodes, lmax)
+            basis.flags.writeable = False
+            self._basis_cache[key] = basis
         return self._basis_cache[key]
 
     def _ring_shape(self) -> tuple[int, int]:
@@ -280,14 +282,10 @@ def build_quadrature(lmax: int) -> QuadratureGrid:
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     st = np.sqrt(1.0 - ct * ct)
 
-    nodes = np.empty(((lmax + 1) * n_phi, 3))
-    weights = np.empty((lmax + 1) * n_phi)
-    k = 0
-    for i in range(lmax + 1):
-        for j in range(n_phi):
-            nodes[k] = (st[i] * np.cos(phi[j]), st[i] * np.sin(phi[j]), ct[i])
-            weights[k] = gl_w[i] * (2.0 * np.pi / n_phi)
-            k += 1
+    # ring-major: ring i (cos θ = ct[i]) holds azimuths j = 0 … n_φ-1
+    nodes = np.stack(np.broadcast_arrays(st[:, None] * np.cos(phi), st[:, None] * np.sin(phi),
+                                         ct[:, None]), axis=-1).reshape(-1, 3)
+    weights = np.repeat(gl_w * (2.0 * np.pi / n_phi), n_phi)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return QuadratureGrid(nodes=nodes, weights=weights, lmax_exact=lmax)

@@ -8,7 +8,8 @@ tuples of ``HarmonicCoeffs``, kept verbatim.  ``SU2Element`` here is the
 retired scalar object (its own normalization, product, matrix, inverse and
 negation); it subclasses the library's, so every library name takes it as
 one element.  ``HElement``, ``h_membership``, ``RP2Point``, ``rp2_point`` and
-``quotient_to_rp2`` left the library with it.
+``quotient_to_rp2`` left the library with it, and ``_random_axis`` is the
+harness's former one-axis draw.
 The reference loops of ``test_batch_checks`` and the bitwise tables of the
 library tests compare the library against them.  Where a form below calls
 a library name, it wrapped that stacked form already.
@@ -91,6 +92,12 @@ def random_su2(rng: np.random.Generator) -> SU2Element:
     v = rng.normal(size=4)
     v = v / _norm(v)[..., None]
     return SU2Element(complex(v[0], v[1]), complex(v[2], v[3]))
+
+
+def _random_axis(rng) -> np.ndarray:
+    """One random unit axis, as the harness checks drew it a sample at a time."""
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
 
 
 def su2_matrix(g) -> np.ndarray:

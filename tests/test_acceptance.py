@@ -103,7 +103,7 @@ def test_04_exchange_statistics_bookkeeping():
         rotated = rotate_coeffs(g, a, GRID8)
         want = -1 if sector == "odd" else 1
         assert exchange_parities(rotated.c, GRID8) == want
-        raw = analyze(rotate_values(g, a, GRID8.nodes), 8, GRID8)
+        raw = analyze(rotate_values(g, a.c, GRID8.nodes), 8, GRID8)
         even, odd = parity_decompose(raw)
         leak = (odd if sector == "even" else even).norm()
         worst_leak = max(worst_leak, leak)

@@ -44,7 +44,6 @@ from rp2quant.checks import (
     _module_grid_order,
     INTERIOR_MARGIN,
     _off_south_cap,
-    _random_axis,
     check_rng,
 )
 from rp2quant.groups import su2_from_normals
@@ -66,6 +65,7 @@ from rp2quant.representation import (
 from tests import scalar_reference as ref
 from tests.scalar_reference import (
     HElement,
+    _random_axis,
     chart_coords,
     f_embedding,
     h_membership,

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rp2quant.checks import (
@@ -75,11 +75,21 @@ class TestSuiteConfig:
         {"lmax": 8.0}, {"samples": 2.5}, {"radial_nodes": 64.5}, {"rng_seed": 1.5},
         {"grid_n": 1024.0}, {"lmax": "8"}, {"rng_seed": None},
         {"tol_overrides": {"not-a-check": 1.0}},
+        {"tol_overrides": {"ccr-residual": "tiny"}}, {"tol_overrides": {"ccr-residual": "1e-9"}},
+        {"tol_overrides": {"ccr-residual": None}}, {"tol_overrides": {"ccr-residual": math.nan}},
+        {"tol_overrides": {"ccr-residual": math.inf}}, {"tol_overrides": {"ccr-residual": -1.0}},
+        {"tol_overrides": {"ccr-residual": 0.0}},
     ], ids=repr)
     def test_rejects_what_the_harness_cannot_run(self, values):
-        # non-integers (what operator.index refuses) and unknown tolerance names
+        # non-integers (what operator.index refuses), unknown tolerance names, and
+        # tolerances that are not positive finite numbers
         with pytest.raises(ConfigError):
             SuiteConfig(**values)
+
+    def test_tolerance_overrides_are_stored_as_float(self):
+        cfg = SuiteConfig(tol_overrides={"ccr-residual": np.float32(0.5), "spinor-homomorphism": 1})
+        assert cfg.tol_overrides == {"ccr-residual": 0.5, "spinor-homomorphism": 1.0}
+        assert all(type(t) is float for t in cfg.tol_overrides.values())
 
     def test_integer_likes_are_stored_as_int(self):
         cfg = SuiteConfig(lmax=np.int64(4), rng_seed=np.uint8(3),
@@ -256,6 +266,11 @@ class TestMainEntry:
     def test_exit_two_on_unknown_tolerance_name(self):
         assert main(["groups", "--tol", "not-a-check=1"]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+    def test_exit_two_on_bad_tolerance_value(self, value, capsys):
+        assert main(["heisenberg", "--tol", f"ccr-residual={value}"]) == 2
+        assert capsys.readouterr().err.startswith("error: tolerance for ccr-residual")
+
     def test_no_flags_report_the_dataclass_defaults(self, tmp_path):
         out = tmp_path / "r.json"
         assert main(["all", "--format", "json", "--out", str(out)]) == 0
@@ -312,29 +327,61 @@ class TestMainEntry:
         assert all(c["error"] is None for c in checks if c["passed"])
 
 
-class TestConfigSpace:
-    """Every accepted configuration runs to a full report; others exit 2."""
+# --tol values: positive finite numbers, and what SuiteConfig must refuse
+VALID_TOLS = st.floats(min_value=1e-30, max_value=1e30).map(repr)
+INVALID_TOLS = st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1e-9", "tiny", ""])
 
-    @pytest.mark.parametrize("suite", ["representation", "bundles"])
+
+def _usable_tolerance(text: str) -> bool:
+    try:
+        value = float(text)
+    except ValueError:
+        return False
+    return math.isfinite(value) and value > 0
+
+
+class TestConfigSpace:
+    """Every accepted configuration runs to a full report; others exit 2.
+
+    Each example also overrides the tolerance of one of the suite's checks:
+    a usable value never turns a runnable configuration into exit 2 and
+    shows in the report, and any other value exits 2.
+    """
+
+    @pytest.mark.parametrize("suite", ["representation", "bundles", "groups", "classical",
+                                       "heisenberg"])
     @settings(max_examples=8, deadline=None)
     @given(
         lmax=st.integers(1, 8),
         radial_nodes=st.integers(8, 40),
         samples=st.integers(1, 20),
         grid_n=st.sampled_from([2**k for k in range(4, 12)]),
+        pick=st.integers(0, 63),
+        tol=st.one_of(VALID_TOLS, INVALID_TOLS),
     )
+    # at least one runnable configuration with a usable and with an unusable override
+    @example(lmax=2, radial_nodes=24, samples=3, grid_n=256, pick=1, tol="1e-06")
+    @example(lmax=2, radial_nodes=24, samples=3, grid_n=256, pick=1, tol="nan")
     def test_report_or_exit_two(self, tmp_path_factory, suite, lmax, radial_nodes,
-                                samples, grid_n):
+                                samples, grid_n, pick, tol):
+        names = [c.name for c in checks_for_suite(suite)]
+        name = names[pick % len(names)]
         out = tmp_path_factory.mktemp("report") / "r.json"
         code = main([suite, "--lmax", str(lmax), "--radial-nodes", str(radial_nodes),
                      "--samples", str(samples), "--grid-n", str(grid_n),
-                     "--format", "json", "--out", str(out)])
+                     "--tol", f"{name}={tol}", "--format", "json", "--out", str(out)])
         assert code in (0, 1, 2)
+        if not _usable_tolerance(tol):
+            assert code == 2
+            return
         if code == 2:
+            # only the sizes can be at fault: without the override they are refused too
+            with pytest.raises(ConfigError):
+                SuiteConfig(lmax=lmax, radial_nodes=radial_nodes, samples=samples, grid_n=grid_n)
             return
         report = json.loads(out.read_text())
-        assert [c["name"] for c in report["checks"]] == [
-            c.name for c in checks_for_suite(suite)]
+        assert [c["name"] for c in report["checks"]] == names
+        assert next(c for c in report["checks"] if c["name"] == name)["tolerance"] == float(tol)
         assert code == (0 if report["summary"]["failed"] == 0 else 1)
 
 

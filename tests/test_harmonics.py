@@ -6,6 +6,7 @@ from rp2quant.checks import _symmetrized_power_d
 from rp2quant.groups import SU2_IDENTITY, SU2Element, random_su2, su2_from_axis_angle, su2_product
 from rp2quant.harmonics import (
     HarmonicCoeffs,
+    _tables_from_normals,
     analyze,
     apply_L,
     angular_momentum_matrices,
@@ -85,6 +86,22 @@ class TestSectors:
         c[coeff_index(2, 1)] = 1e-10
         with pytest.raises(ValueError):
             HarmonicCoeffs(3, "odd", c)
+
+    @pytest.mark.parametrize("sector", ["even", "odd", "full"])
+    def test_stacked_draw_equals_single_draws(self, sector):
+        # one (n, 2·(lmax+1)²) block of normals gives the n tables that n
+        # random_coeffs calls draw, bit for bit
+        for lmax in (1, 2, 8, 24):
+            off = off_sector_mask(lmax, sector)
+            rng_single, rng_stack = np.random.default_rng(lmax), np.random.default_rng(lmax)
+            singles = np.stack([random_coeffs(lmax, sector, rng_single).c for _ in range(4)])
+            normals = rng_stack.normal(size=(4, 2 * num_coeffs(lmax)))
+            stack = _tables_from_normals(normals, lmax, off)
+            assert stack.tobytes() == singles.tobytes()
+            assert not np.any(stack[:, off])
+            assert np.allclose(np.linalg.norm(stack, axis=1), 1.0, rtol=0, atol=1e-15)
+        # a row with nothing in its sector stays zero
+        assert not np.any(_tables_from_normals(np.ones(8), 1, np.ones(4, dtype=bool)))
 
     def test_parity_decompose_splits_and_sums(self, rng):
         a = random_coeffs(6, "full", rng)
@@ -230,7 +247,7 @@ class TestRotateStack:
     def test_matches_resampling_every_degree(self, grid32, rng):
         for g in special_and_random_elements(rng):
             a = random_coeffs(32, "full", rng)
-            resampled = analyze(rotate_values(g, a, grid32.nodes), 32, grid32)
+            resampled = analyze(rotate_values(g, a.c, grid32.nodes), 32, grid32)
             assert np.max(np.abs(rotate_stack(g, a.c) - resampled.c)) < 1e-12
 
     def test_blocks_unitary_and_multiplicative(self, rng):

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
-from rp2quant._kernels import _recurrence_tables, backend_name, ylm_basis, ylm_synthesize
+from rp2quant._kernels import (
+    _m_major_rows,
+    _recurrence_tables,
+    backend_name,
+    ylm_basis,
+    ylm_synthesize,
+)
+from rp2quant.harmonics import _ladder_tables, _odd_degree_mask, _s2_eigvecs
 
 
 def random_points(rng, n):
@@ -144,3 +151,27 @@ class TestSynthesize:
             ylm_synthesize(np.array([0.0, 0.0, 1.0]), 4, c)
         with pytest.raises(ValueError):
             ylm_synthesize(np.zeros((5, 2)), 4, c)
+
+
+# Every memoized table, as a tuple of arrays: the package hands out the same
+# arrays to every caller, so none of them may be writable.
+MEMOS = {
+    "recurrence tables": lambda grid: _recurrence_tables(8),
+    "m-major rows": lambda grid: _m_major_rows(8),
+    "odd-degree mask": lambda grid: (_odd_degree_mask(8),),
+    "ladder tables": lambda grid: _ladder_tables(8),
+    "S2 eigenvectors": lambda grid: (_s2_eigvecs(5),),
+    "ring tables": lambda grid: grid._ring_tables(8),
+    "antipode": lambda grid: (grid.antipode,),
+    "dense basis": lambda grid: (grid.basis(8),),
+}
+
+
+@pytest.mark.parametrize("name", MEMOS)
+def test_memoized_arrays_are_shared_and_read_only(grid8, name):
+    arrays, again = MEMOS[name](grid8), MEMOS[name](grid8)
+    assert all(a is b for a, b in zip(arrays, again, strict=True))
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]

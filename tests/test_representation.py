@@ -55,7 +55,7 @@ def exchange_statistics_loop(rng, lmax, samples, grid):
         rotated = rotate_coeffs(random_su2(rng), a, grid)
         if exchange_parities(rotated.c, grid) != (-1 if sector == "odd" else 1):
             return 1.0
-        raw = analyze(rotate_values(random_su2(rng), a, grid.nodes), lmax, grid)
+        raw = analyze(rotate_values(random_su2(rng), a.c, grid.nodes), lmax, grid)
         even, odd = parity_decompose(raw)
         worst = max(worst, (odd if sector == "even" else even).norm())
     return worst
@@ -428,13 +428,14 @@ class TestExchangeParity:
         drawn = [0]
         tables_from_normals = checks._tables_from_normals
 
-        def faulty_tables(normals, lmax, odd):
-            # samples drawn so far, then this chunk's: flip a sector, or keep the
-            # off-sector draws of a table (neither parity)
-            first, drawn[0] = drawn[0], drawn[0] + len(odd)
-            kinds = [faults.get(first + k) for k in range(len(odd))]
+        def faulty_tables(normals, lmax, off):
+            # samples drawn so far, then this chunk's: flip a sector (the other
+            # sector's off mask is the complement), or keep the off-sector draws
+            # of a table (neither parity)
+            first, drawn[0] = drawn[0], drawn[0] + len(normals)
+            kinds = [faults.get(first + k) for k in range(len(normals))]
             flip = np.array([kind == "flip" for kind in kinds])
-            tables = tables_from_normals(normals, lmax, np.asarray(odd) != flip)
+            tables = tables_from_normals(normals, lmax, off != flip[:, None])
             size = (lmax + 1) ** 2
             for k, kind in enumerate(kinds):
                 if kind == "full":
