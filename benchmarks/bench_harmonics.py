@@ -46,9 +46,9 @@ from rp2quant.harmonics import (
 )
 from rp2quant.manifold import WFunctional, build_quadrature
 from rp2quant.representation import (
+    FullSection,
     _spectral_log_shift,
     act_canonical,
-    full_section_from_matrix,
     log_uniform_grid,
     separable_section,
 )
@@ -70,13 +70,13 @@ def analyze_dense(values, lmax, grid):
 
 def act_canonical_dense(w, g, lam, fs, grid):
     """act_canonical's former dense body, less its radial-window guard."""
-    m = _spectral_log_shift(fs.matrix(), fs.radial, np.log(lam))
+    m = _spectral_log_shift(fs.c, fs.radial, np.log(lam))
     basis = grid.basis(fs.lmax)
     phase = lam**1.5 * np.exp(-1j * np.outer(fs.radial.nodes, w(grid.nodes)))
     vals = (rotate_stack(g, m) @ basis.T) * phase * grid.weights
     out = (vals.conj() @ basis).conj()
     out = np.where(off_sector_mask(fs.lmax, fs.sector), 0, out)
-    return full_section_from_matrix(fs.radial, out, fs.lmax, fs.sector)
+    return FullSection(fs.radial, fs.lmax, fs.sector, out)
 
 
 def exchange_statistics_dense(rng, cfg):

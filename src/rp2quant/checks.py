@@ -6,7 +6,6 @@ computes a residual, and is compared against its pinned tolerance.  Checks
 are grouped into suites mirroring the package modules.
 """
 
-import functools
 import hashlib
 import math
 import numbers
@@ -101,6 +100,11 @@ SUITES = (
 # RadialRangeError at every N below it)
 RADIAL_NODES_MIN = 24
 
+# the fewest position-grid points on which the heisenberg suite passes: at 64 its
+# momentum grid ends at |k| = πN/2L ≈ 5, short of the packets' tails and the Weyl
+# kicks |b| ≤ 3, and half the suite fails by decades
+GRID_N_MIN = 128
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -133,8 +137,9 @@ class SuiteConfig:
                 f"lmax {self.lmax} needs a grid of order {_module_grid_order(self.lmax)}, "
                 f"above the quadrature cap {MAX_GRID_LMAX}"
             )
-        if self.grid_n <= 0 or self.grid_n & (self.grid_n - 1):
-            raise ConfigError("grid_n must be a positive power of two")
+        if self.grid_n < GRID_N_MIN or self.grid_n & (self.grid_n - 1):
+            raise ConfigError(f"grid_n must be a power of two of at least {GRID_N_MIN}: on fewer "
+                              "points the heisenberg suite's momentum grid cuts off its packets")
         if self.radial_nodes < RADIAL_NODES_MIN:
             raise ConfigError(
                 f"radial_nodes must be at least {RADIAL_NODES_MIN}: on fewer nodes the "
@@ -178,9 +183,6 @@ def _module_grid_order(lmax: int) -> int:
     lmax + 2 when lmax is odd and lmax + 1 when it is even.
     """
     return lmax + 1 + lmax % 2
-
-
-_grid = functools.cache(build_quadrature)
 
 
 def _h_rows(u) -> np.ndarray:
@@ -475,7 +477,7 @@ def _f_components(rng, cfg):
 
 @register("manifold", "quadrature-orthonormality", "sphere-quadrature-exactness", 1e-10)
 def _quad_ortho(rng, cfg):
-    grid = _grid(cfg.lmax)
+    grid = build_quadrature(cfg.lmax)
     worst = 0.0
     basis = grid.basis(cfg.lmax)
     gram = (basis.conj() * grid.weights[:, None]).T @ basis
@@ -502,7 +504,7 @@ def _w_even(rng, cfg):
 @register("harmonics", "analyze-evaluate-roundtrip", "harmonic-transform-pair", 1e-10)
 def _roundtrip(rng, cfg):
     lmax = min(cfg.lmax + 4, 12)
-    grid = _grid(lmax)
+    grid = build_quadrature(lmax)
     worst = 0.0
     for _ in range(5):
         a = random_coeffs(lmax, "full", rng)
@@ -513,7 +515,7 @@ def _roundtrip(rng, cfg):
 
 @register("harmonics", "antipodal-parity", "parity-split-of-sphere-functions", 1e-10)
 def _antipodal(rng, cfg):
-    grid = _grid(cfg.lmax)
+    grid = build_quadrature(cfg.lmax)
     degrees = np.arange(cfg.lmax + 1)
     tables = np.stack([unit(cfg.lmax, l, int(rng.integers(-l, l + 1))).c for l in degrees])
     plus = ylm_synthesize(grid.nodes, cfg.lmax, tables)
@@ -523,7 +525,7 @@ def _antipodal(rng, cfg):
 
 @register("harmonics", "rotation-sector-closure", "parity-split-of-sphere-functions", 1e-10)
 def _sector_closure(rng, cfg):
-    grid = _grid(cfg.lmax)
+    grid = build_quadrature(cfg.lmax)
     worst = 0.0
     for _ in range(10):
         sector = "even" if rng.random() < 0.5 else "odd"
@@ -537,7 +539,7 @@ def _sector_closure(rng, cfg):
 
 @register("harmonics", "rotation-unitarity", "rotation-resampling", 1e-10)
 def _rot_unitary(rng, cfg):
-    grid = _grid(cfg.lmax)
+    grid = build_quadrature(cfg.lmax)
     worst = 0.0
     for _ in range(10):
         a = random_coeffs(cfg.lmax, "full", rng)
@@ -586,7 +588,7 @@ def _symmetrized_power_d(j: float, g) -> np.ndarray:
 def _rot_wigner(rng, cfg):
     # the coefficient route against resampling on every degree, and against
     # the symmetrized-power oracle on l ≤ 4
-    grid = _grid(cfg.lmax)
+    grid = build_quadrature(cfg.lmax)
     worst = 0.0
     for _ in range(10):
         g = random_su2(rng)
@@ -741,7 +743,7 @@ def _projector_props(rng, cfg):
 
 @register("bundles", "module-roundtrip", "projective-module-isomorphism", 1e-9)
 def _module_roundtrip(rng, cfg):
-    grid = _grid(_module_grid_order(cfg.lmax))
+    grid = build_quadrature(_module_grid_order(cfg.lmax))
     a = _odd_tables(rng, 5, cfg.lmax)
     f = bundles.module_iso_forward(a, grid)
     back = bundles.module_iso_inverse(f, grid)
@@ -784,7 +786,7 @@ def _gen_vs_ladder(rng, cfg):
 
 @register("representation", "section-intertwining", "generator-intertwines-module-map", 1e-7)
 def _intertwining(rng, cfg):
-    grid = _grid(cfg.lmax + 1)
+    grid = build_quadrature(cfg.lmax + 1)
     tables = _odd_tables(rng, 5, cfg.lmax)
     return float(np.max(check_intertwining(tables, grid)))
 
@@ -796,7 +798,7 @@ def _closure(rng, cfg):
 
 @register("representation", "rotation-action-unitary-hom", "induced-rotation-action", 1e-9)
 def _act_u(rng, cfg):
-    grid = _grid(cfg.lmax)
+    grid = build_quadrature(cfg.lmax)
     worst = 0.0
     for _ in range(10):
         a = random_coeffs(cfg.lmax, "odd", rng)
@@ -832,7 +834,7 @@ def _canonical_ensemble(rng, cfg):
 
 @register("representation", "canonical-operator-unitarity", "canonical-operator-action", 1e-6)
 def _canonical_unitary(rng, cfg):
-    grid = _grid(cfg.lmax)
+    grid = build_quadrature(cfg.lmax)
     fs, element = _canonical_ensemble(rng, cfg)
     worst = 0.0
     for _ in range(5):
@@ -843,7 +845,7 @@ def _canonical_unitary(rng, cfg):
 
 @register("representation", "canonical-group-law", "semidirect-composition", 1e-6)
 def _canonical_law(rng, cfg):
-    grid = _grid(cfg.lmax)
+    grid = build_quadrature(cfg.lmax)
     fs, element = _canonical_ensemble(rng, cfg)
     worst = 0.0
     for _ in range(5):
@@ -865,7 +867,7 @@ def _exchange(rng, cfg):
     # table resampled at the nodes rotated by g₂ (the ``rotate_values``
     # route).  The first failing sample decides: a wrong parity gives 1.0, a
     # non-eigenstate raises.
-    grid = _grid(cfg.lmax)
+    grid = build_quadrature(cfg.lmax)
     chunk = max(1, _EXCHANGE_POINTS // grid.n)
     size = num_coeffs(cfg.lmax)
     worst = 0.0

@@ -193,9 +193,6 @@ class SU2Element:
         return SU2Element(*_raw_product(self, other))
 
 
-SU2_IDENTITY = SU2Element(1.0, 0.0)
-
-
 def h_embed(antidiagonal, lam) -> np.ndarray:
     """Rows of the embedded H elements: diag(λ, conj(λ)), or [[0, conj(λ)], [-λ, 0]].
 

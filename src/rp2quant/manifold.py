@@ -9,10 +9,15 @@ R·M·Rᵀ; the orbit map is M(x) = x xᵀ - Id/3, which identifies ℝP² with 
 orbit in W.  The classical 4-component embedding
 F([x:y:z]) = (yz, xz, xy, y² - z²) consists of four fixed linear functionals
 of M and is kept for cross-checks.
+
+A quadrature grid on S² is its order, ``QuadratureGrid(lmax_exact)``: its
+nodes and tables are derived once per (order, band) and shared read-only.
 """
 
+import functools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,6 +144,56 @@ class WFunctional:
         return WFunctional(s * self.c, s * self.c0)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.cache
+def _layout(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes (n, 3), weights (n,) and antipode (n,) of the grid of this order (read-only)."""
+    ct, gl_w = np.polynomial.legendre.leggauss(order + 1)
+    n_phi = 2 * order + 2
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    st = np.sqrt(1.0 - ct * ct)
+
+    # ring-major: ring i (cos θ = ct[i]) holds azimuths j = 0 … n_φ-1
+    nodes = np.stack(np.broadcast_arrays(st[:, None] * np.cos(phi), st[:, None] * np.sin(phi),
+                                         ct[:, None]), axis=-1).reshape(-1, 3)
+    weights = np.repeat(gl_w * (2.0 * np.pi / n_phi), n_phi)
+    antipode = np.arange(order, -1, -1)[:, None] * n_phi + (np.arange(n_phi) + order + 1) % n_phi
+    return _read_only(nodes), _read_only(weights), _read_only(antipode.ravel())
+
+
+@functools.lru_cache(maxsize=16)   # a report uses four (order, band) pairs
+def _ring_tables(order: int, lmax: int):
+    """Legendre slabs of the grid of this order at band lmax (read-only).
+
+    T[i, (l, m)] is ``ylm_basis`` at the φ = 0 node of ring i (real).
+    With m at FFT slot s = m mod n_φ (zero where |m| > l), returns
+    ``syn[s, i, l] = T`` (n_φ, n_θ, lmax+1), the ring-weighted
+    ``proj[s, l, i] = w_i T`` (n_φ, lmax+1, n_θ), and the (slot, degree)
+    index arrays of the coefficients in table order.
+    """
+    if not 0 <= lmax <= order:
+        raise ValueError(f"grid exact to lmax {order} cannot project lmax {lmax}")
+    n_theta, n_phi = order + 1, 2 * order + 2
+    nodes, weights, _ = _layout(order)
+    table = ylm_basis(nodes[::n_phi], lmax).real.T   # ((lmax+1)², n_θ)
+    deg = np.repeat(np.arange(lmax + 1), 2 * np.arange(lmax + 1) + 1)
+    slot = (np.arange(deg.size) - deg * deg - deg) % n_phi
+    syn = np.zeros((n_phi, n_theta, lmax + 1))
+    syn[slot, :, deg] = table
+    proj = np.zeros((n_phi, lmax + 1, n_theta))
+    proj[slot, deg] = table * weights[::n_phi]
+    return tuple(map(_read_only, (syn, proj, slot, deg)))
+
+
+@functools.lru_cache(maxsize=2)    # O(L⁴) each, 38 MB at order 32; a report uses one
+def _dense_basis(order: int, lmax: int) -> np.ndarray:
+    return _read_only(ylm_basis(_layout(order)[0], lmax))
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Gauss-Legendre × uniform-azimuth grid, exact through degree 2·lmax_exact + 1.
@@ -153,32 +208,30 @@ class QuadratureGrid:
     for the quadrature Gram oracle.
     """
 
-    nodes: np.ndarray       # (n, 3) unit vectors
-    weights: np.ndarray     # (n,) positive, summing to 4π
     lmax_exact: int
-    _basis_cache: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lmax_exact", operator.index(self.lmax_exact))
+        if not 1 <= self.lmax_exact <= MAX_GRID_LMAX:
+            raise ValueError(f"lmax must lie in [1, {MAX_GRID_LMAX}]")
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """(n, 3) unit vectors, ring-major (read-only)."""
+        return _layout(self.lmax_exact)[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """(n,) positive weights summing to 4π (read-only)."""
+        return _layout(self.lmax_exact)[1]
 
     @property
     def n(self) -> int:
-        return self.nodes.shape[0]
+        return (self.lmax_exact + 1) * (2 * self.lmax_exact + 2)
 
     def basis(self, lmax: int) -> np.ndarray:
-        """Cached dense Y_lm basis matrix at the grid nodes, for the Gram oracle (read-only)."""
-        key = ("node", lmax)
-        if key not in self._basis_cache:
-            basis = ylm_basis(self.nodes, lmax)
-            basis.flags.writeable = False
-            self._basis_cache[key] = basis
-        return self._basis_cache[key]
-
-    def _ring_shape(self) -> tuple[int, int]:
-        """(n_θ, n_φ) of the ring layout; any other node layout raises."""
-        n_theta, n_phi = self.lmax_exact + 1, 2 * self.lmax_exact + 2
-        rings = self.nodes.reshape(n_theta, n_phi, 3) if self.n == n_theta * n_phi else None
-        if rings is None or np.any(rings[:, :, 2] != rings[:, :1, 2]) \
-                or np.any(rings[:, 0, 1] != 0.0):
-            raise ValueError("grid nodes are not in build_quadrature's ring layout")
-        return n_theta, n_phi
+        """Dense Y_lm basis matrix at the grid nodes, for the Gram oracle (cached, read-only)."""
+        return _dense_basis(self.lmax_exact, lmax)
 
     @property
     def antipode(self) -> np.ndarray:
@@ -188,42 +241,7 @@ class QuadratureGrid:
         j + n_φ/2): the Gauss-Legendre cosines are symmetric and n_φ is even.
         So ``vals[..., grid.antipode]`` are the values at the antipodes.
         """
-        if "antipode" not in self._basis_cache:
-            n_theta, n_phi = self._ring_shape()
-            ring = np.arange(n_theta)[::-1, None]
-            azimuth = (np.arange(n_phi) + n_phi // 2) % n_phi
-            perm = (ring * n_phi + azimuth).ravel()
-            perm.flags.writeable = False
-            self._basis_cache["antipode"] = perm
-        return self._basis_cache["antipode"]
-
-    def _ring_tables(self, lmax: int):
-        """Legendre slabs of the ring layout, cached under ("ring", lmax).
-
-        T[i, (l, m)] is ``ylm_basis`` at the φ = 0 node of ring i (real).
-        With m at FFT slot s = m mod n_φ (zero where |m| > l), returns
-        ``syn[s, i, l] = T`` (n_φ, n_θ, lmax+1), the ring-weighted
-        ``proj[s, l, i] = w_i T`` (n_φ, lmax+1, n_θ), and the (slot, degree)
-        index arrays of the coefficients in table order.
-        """
-        if not 0 <= lmax <= self.lmax_exact:
-            raise ValueError(
-                f"grid exact to lmax {self.lmax_exact} cannot project lmax {lmax}"
-            )
-        key = ("ring", lmax)
-        if key not in self._basis_cache:
-            n_theta, n_phi = self._ring_shape()
-            table = ylm_basis(self.nodes[::n_phi], lmax).real.T   # ((lmax+1)², n_θ)
-            deg = np.repeat(np.arange(lmax + 1), 2 * np.arange(lmax + 1) + 1)
-            slot = (np.arange(deg.size) - deg * deg - deg) % n_phi
-            syn = np.zeros((n_phi, n_theta, lmax + 1))
-            syn[slot, :, deg] = table
-            proj = np.zeros((n_phi, lmax + 1, n_theta))
-            proj[slot, deg] = table * self.weights[::n_phi]
-            for a in (syn, proj, slot, deg):
-                a.flags.writeable = False
-            self._basis_cache[key] = (syn, proj, slot, deg)
-        return self._basis_cache[key]
+        return _layout(self.lmax_exact)[2]
 
     def synthesize(self, c) -> np.ndarray:
         """Values Σ c_lm Y_lm(x_k) at the nodes for a stack (..., (lmax+1)²).
@@ -235,7 +253,7 @@ class QuadratureGrid:
         lmax = math.isqrt(c.shape[-1]) - 1
         if (lmax + 1) ** 2 != c.shape[-1]:
             raise ValueError("last axis must hold (lmax+1)² coefficients")
-        syn, _, slot, deg = self._ring_tables(lmax)
+        syn, _, slot, deg = _ring_tables(self.lmax_exact, lmax)
         rows = c.reshape(-1, c.shape[-1])
         scattered = np.zeros((syn.shape[0], lmax + 1, rows.shape[0]), dtype=np.complex128)
         scattered[slot, deg] = rows.T
@@ -256,7 +274,7 @@ class QuadratureGrid:
         v = np.asarray(values, dtype=np.complex128)
         if v.shape[-1:] != (self.n,):
             raise ValueError("node values have wrong shape")
-        _, proj, slot, deg = self._ring_tables(lmax)
+        _, proj, slot, deg = _ring_tables(self.lmax_exact, lmax)
         n_phi, _, n_theta = proj.shape
         rows = v.reshape(-1, n_theta, n_phi)
         spectra = np.empty(rows.shape[::-1], dtype=np.complex128)          # (n_φ, n_θ, rows)
@@ -265,27 +283,7 @@ class QuadratureGrid:
         del spectra                      # at most two stack-sized buffers live at once
         return rings.transpose(2, 0, 1)[:, slot, deg].reshape(v.shape[:-1] + (slot.size,))
 
-    def integrate(self, values: np.ndarray) -> complex:
-        return complex(np.dot(self.weights, values))
-
 
 def build_quadrature(lmax: int) -> QuadratureGrid:
-    """Quadrature integrating products of harmonics of degree ≤ lmax exactly.
-
-    lmax+1 Gauss-Legendre nodes in cos(θ) × (2·lmax+2) uniform azimuths,
-    exact for any single harmonic of degree ≤ 2·lmax + 1.
-    """
-    if not 1 <= lmax <= MAX_GRID_LMAX:
-        raise ValueError(f"lmax must lie in [1, {MAX_GRID_LMAX}]")
-    ct, gl_w = np.polynomial.legendre.leggauss(lmax + 1)
-    n_phi = 2 * lmax + 2
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    st = np.sqrt(1.0 - ct * ct)
-
-    # ring-major: ring i (cos θ = ct[i]) holds azimuths j = 0 … n_φ-1
-    nodes = np.stack(np.broadcast_arrays(st[:, None] * np.cos(phi), st[:, None] * np.sin(phi),
-                                         ct[:, None]), axis=-1).reshape(-1, 3)
-    weights = np.repeat(gl_w * (2.0 * np.pi / n_phi), n_phi)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return QuadratureGrid(nodes=nodes, weights=weights, lmax_exact=lmax)
+    """The grid of order lmax: exact for products of harmonics of degree ≤ lmax."""
+    return QuadratureGrid(lmax)

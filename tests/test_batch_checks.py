@@ -37,7 +37,6 @@ from rp2quant.checks import (
     _draw_rows,
     _h_rows,
     _haar_and_h,
-    _grid,
     _interior,
     _kept_attempts,
     _kept_points,
@@ -312,7 +311,7 @@ def ref_wigner_defining(rng, cfg):
 
 def ref_exchange(rng, cfg):
     # one HarmonicCoeffs and two SU2Element objects per sample
-    grid = _grid(cfg.lmax)
+    grid = build_quadrature(cfg.lmax)
     chunk = max(1, _EXCHANGE_POINTS // grid.n)
     worst = 0.0
     for first in range(0, cfg.samples, chunk):
@@ -347,7 +346,7 @@ def ref_gen_vs_ladder(rng, cfg):
 
 
 def ref_intertwining(rng, cfg):
-    grid = _grid(cfg.lmax + 1)
+    grid = build_quadrature(cfg.lmax + 1)
     worst = 0.0
     for _ in range(5):
         a = random_coeffs(cfg.lmax, "odd", rng)
@@ -595,7 +594,7 @@ def ref_projector_props(rng, cfg):
 
 def ref_module_roundtrip(rng, cfg):
     # one table at a time through the tuple-of-tables module maps
-    grid = _grid(_module_grid_order(cfg.lmax))
+    grid = build_quadrature(_module_grid_order(cfg.lmax))
     worst = 0.0
     for _ in range(5):
         a = random_coeffs(cfg.lmax, "odd", rng)

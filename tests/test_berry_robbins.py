@@ -15,7 +15,6 @@ from rp2quant.berry_robbins import (
     transported_spin,
 )
 from rp2quant.groups import (
-    SU2_IDENTITY,
     random_su2,
     spinor_map,
     su2_from_axis_angle,
@@ -25,6 +24,8 @@ from rp2quant.groups import (
 from rp2quant.harmonics import random_coeffs, rotate_values, unit, wigner_d, zeros
 from rp2quant.manifold import build_quadrature
 from rp2quant.representation import RICHARDSON_OFFSETS, _richardson
+
+IDENTITY = np.array([1, 0], dtype=complex)   # the SU(2) identity row
 
 
 def safe_point(rng):
@@ -140,7 +141,7 @@ class TestBRLift:
     def test_identity(self, rng):
         frame = TransportFrame(1.0)
         st = BRState(safe_point(rng), rng.normal(size=3) + 1j * rng.normal(size=3))
-        out = br_lift(SU2_IDENTITY, st, frame)
+        out = br_lift(IDENTITY, st, frame)
         assert np.max(np.abs(out.lam - st.lam)) < 1e-12
         assert np.max(np.abs(out.r - st.r)) < 1e-15
 
@@ -276,7 +277,7 @@ def random_field(j, lmax, rng):
 class TestFixedBasisLift:
     def test_identity(self, rng):
         field = random_field(0.5, 5, rng)
-        out = fixed_basis_lift(SU2_IDENTITY, 0.5, field)
+        out = fixed_basis_lift(IDENTITY, 0.5, field)
         assert np.max(np.abs(out - field)) < 1e-12
 
     def test_composition(self, rng):

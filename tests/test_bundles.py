@@ -18,7 +18,6 @@ from rp2quant.bundles import (
 )
 from rp2quant.errors import PointNotInChart, ProjectorConstraintViolated
 from rp2quant.groups import (
-    SU2_IDENTITY,
     h_embed,
     quotient_to_sphere,
     random_su2,
@@ -30,6 +29,8 @@ from rp2quant.harmonics import HarmonicCoeffs, evaluate, off_sector_mask, random
 from rp2quant.manifold import CHART_TOL, build_quadrature, transition_signs
 from tests import scalar_reference as ref
 from tests.scalar_reference import as_row, check_raise_alike, check_single_and_stack
+
+IDENTITY = np.array([1, 0], dtype=complex)   # the SU(2) identity row
 
 
 def random_h(rng):
@@ -87,7 +88,7 @@ class TestPhi:
 
 class TestAssociatedBundle:
     def test_projection_at_identity(self):
-        assert np.allclose(projection(SU2_IDENTITY), [0, 0, 1])
+        assert np.allclose(projection(IDENTITY), [0, 0, 1])
 
     def test_projection_ignores_fiber(self, rng):
         g = random_su2(rng)
@@ -105,7 +106,7 @@ class TestAssociatedBundle:
 
 class TestIsoPhi:
     def test_identity_element(self):
-        base, fiber = iso_Phi(SU2_IDENTITY, 1.0)
+        base, fiber = iso_Phi(IDENTITY, 1.0)
         assert np.allclose(base, [0, 0, 1])
         assert np.allclose(fiber, [0, 0, 1])
 
@@ -158,7 +159,7 @@ class TestLifts:
 
     def test_tau_identity(self, rng):
         base, fiber = iso_Phi(*random_assoc(rng))
-        _, out = lift_tau(SU2_IDENTITY, base, fiber)
+        _, out = lift_tau(IDENTITY, base, fiber)
         assert np.max(np.abs(out - fiber)) < 1e-12
 
     def test_tau_is_conjugated_natural_lift(self, rng):
@@ -419,7 +420,7 @@ _POINT_CASES = [((0.0, 0.0, OFF), _F), ((0.0, NAN, 1.0), _F)]
 RAISES = {
     "iso_Phi": (iso_Phi, ((1.0, 0.0), 1.0), [((OFF, 0.0), 1.0), ((NAN, 0.0), 1.0)]),
     "iso_Phi_inverse": (iso_Phi_inverse, ((0.0, 0.0, 1.0), _F), _POINT_CASES),
-    "lift_tau": (lambda b, f: lift_tau(SU2_IDENTITY, b, f), ((0.0, 0.0, 1.0), _F), _POINT_CASES),
+    "lift_tau": (lambda b, f: lift_tau(IDENTITY, b, f), ((0.0, 0.0, 1.0), _F), _POINT_CASES),
     "local_trivialization": (lambda b, f: local_trivialization(3, b, f), ((0.6, 0.0, 0.8), _F),
                              [((0.6, 0.8, CHART_TOL), _F), ((0.8, 0.6, -0.0), _F)]),
     "module_iso_forward": (lambda c: module_iso_forward(c, MODULE_GRID), (unit(4, 1, 0).c,),

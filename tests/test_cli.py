@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, replace
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rp2quant.checks import (
+    GRID_N_MIN,
     RADIAL_NODES_MIN,
     REGISTRY,
     SUITES,
@@ -107,6 +109,21 @@ class TestSuiteConfig:
             check.fn(check_rng(0, check.name), below)
         at_floor = check.fn(check_rng(0, check.name), SuiteConfig(radial_nodes=RADIAL_NODES_MIN))
         assert math.isfinite(at_floor)
+
+    def test_grid_floor_is_where_the_heisenberg_suite_passes(self):
+        with pytest.raises(ConfigError, match="heisenberg"):
+            SuiteConfig(grid_n=GRID_N_MIN // 2)
+        # one power of two fewer, past the config gate: the packets' momentum tails
+        # reach the grid's end and half the suite fails
+        below = SimpleNamespace(**{**asdict(SuiteConfig()), "grid_n": GRID_N_MIN // 2})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)     # tail-mass warnings
+            failed = {c.name for c in checks_for_suite("heisenberg")
+                      if not c.fn(check_rng(0, c.name), below) <= c.tolerance}
+        assert {"ccr-residual", "weyl-exchange-relation", "symmetrized-square-expansion"} <= failed
+        for seed in range(5):
+            assert all(r.passed for r in run_suite("heisenberg", SuiteConfig(grid_n=GRID_N_MIN,
+                                                                             rng_seed=seed)))
 
 
 class TestRunSuite:

@@ -9,7 +9,6 @@ from rp2quant.groups import (
     PAULI,
     ZERO_TOL,
     SU2Element,
-    SU2_IDENTITY,
     h_embed,
     quotient_to_sphere,
     random_su2,
@@ -32,8 +31,10 @@ from tests.scalar_reference import (
     su2_matrix,
 )
 
+IDENTITY = np.array([1, 0], dtype=complex)   # the SU(2) identity row
+
 # object forms that left the library when SU(2) elements became rows
-RETIRED = ("HElement", "h_membership", "RP2Point", "rp2_point", "quotient_to_rp2")
+RETIRED = ("HElement", "h_membership", "RP2Point", "rp2_point", "quotient_to_rp2", "SU2_IDENTITY")
 
 
 def pauli_vector(x):
@@ -102,7 +103,7 @@ class TestAxisAngle:
 
 class TestSpinorMap:
     def test_identity_and_kernel(self):
-        assert np.allclose(spinor_map(SU2_IDENTITY), np.eye(3), atol=1e-15)
+        assert np.allclose(spinor_map(IDENTITY), np.eye(3), atol=1e-15)
         assert np.allclose(spinor_map(SU2Element(-1.0, 0.0)), np.eye(3), atol=1e-15)
 
     def test_pauli_conjugation_oracle(self, rng):
@@ -197,7 +198,7 @@ class TestH:
             assert bundles.kappa(su2_product(h1, h2)) != 0
 
     def test_orbit_diagonal_formula(self):
-        out = su2_product(SU2_IDENTITY, h_embed(False, 1j))
+        out = su2_product(IDENTITY, h_embed(False, 1j))
         assert abs(out[0] - 1j) < 1e-15 and abs(out[1]) < 1e-15
 
     def test_orbit_antidiagonal_matches_matrix_oracle(self, rng):
@@ -212,7 +213,7 @@ class TestH:
             assert abs(out[1] - np.conj(g[0]) * lam) < 1e-14
 
     def test_antidiagonal_identity_example(self):
-        out = su2_product(SU2_IDENTITY, h_embed(True, 1.0))
+        out = su2_product(IDENTITY, h_embed(True, 1.0))
         assert abs(out[0]) < 1e-15 and abs(out[1] - 1.0) < 1e-15
 
     def test_two_antidiagonals_compose_to_diagonal(self, rng):
@@ -224,7 +225,7 @@ class TestH:
 
 class TestQuotients:
     def test_base_point(self):
-        assert np.allclose(quotient_to_sphere(SU2_IDENTITY), [0, 0, 1], atol=1e-15)
+        assert np.allclose(quotient_to_sphere(IDENTITY), [0, 0, 1], atol=1e-15)
 
     def test_u1_invariance(self, rng):
         for _ in range(100):
@@ -239,7 +240,7 @@ class TestQuotients:
             assert np.max(np.abs(gap)) < 1e-12
 
     def test_rp2_identity(self):
-        assert np.allclose(rp2_rep(quotient_to_sphere(SU2_IDENTITY)), [0, 0, 1])
+        assert np.allclose(rp2_rep(quotient_to_sphere(IDENTITY)), [0, 0, 1])
 
     def test_rp2_h_invariance_sweep(self, rng):
         for _ in range(100):

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import sph_harm_y
 
 from rp2quant.checks import _symmetrized_power_d
-from rp2quant.groups import SU2_IDENTITY, SU2Element, random_su2, su2_from_axis_angle, su2_product
+from rp2quant.groups import SU2Element, random_su2, su2_from_axis_angle, su2_product
 from rp2quant.harmonics import (
     HarmonicCoeffs,
     _tables_from_normals,
@@ -25,6 +25,8 @@ from rp2quant.harmonics import (
 )
 from rp2quant.manifold import build_quadrature
 from tests.scalar_reference import as_row, su2_matrix
+
+IDENTITY = np.array([1, 0], dtype=complex)   # the SU(2) identity row
 
 
 class TestBasisAgainstScipy:
@@ -191,7 +193,7 @@ class TestLadders:
 class TestRotation:
     def test_identity(self, grid8, rng):
         a = random_coeffs(8, "full", rng)
-        out = rotate_coeffs(SU2_IDENTITY, a, grid8)
+        out = rotate_coeffs(IDENTITY, a, grid8)
         assert np.max(np.abs(out.c - a.c)) < 1e-12
 
     def test_norm_preserved(self, grid8, rng):
@@ -224,7 +226,7 @@ class TestRotation:
 def special_and_random_elements(rng):
     """Random elements plus the Euler-angle edge cases and FD step sizes."""
     out = [random_su2(rng) for _ in range(3)]
-    out += [SU2_IDENTITY, SU2Element(-1.0, 0.0)]
+    out += [IDENTITY, SU2Element(-1.0, 0.0)]
     out += [SU2Element(np.exp(0.3j), 0.0), SU2Element(0.0, np.exp(-0.7j))]   # z1 = 0, z0 = 0
     for axis in np.eye(3):
         for t in (1e-3, -1e-3, 5e-4, -5e-4):      # generator_J steps h and h/2
@@ -291,14 +293,14 @@ class TestRotateStack:
 
     def test_rejects_non_square_length(self):
         with pytest.raises(ValueError):
-            rotate_stack(SU2_IDENTITY, np.zeros((2, 10)))
+            rotate_stack(IDENTITY, np.zeros((2, 10)))
 
 
 class TestWignerD:
     def test_identity(self):
         for twoj in range(17):
             eye = np.eye(twoj + 1)
-            assert np.max(np.abs(wigner_d(twoj / 2, SU2_IDENTITY) - eye)) < 1e-13
+            assert np.max(np.abs(wigner_d(twoj / 2, IDENTITY) - eye)) < 1e-13
             # D^j(-1) = (-1)^{2j}·Id
             assert np.max(np.abs(wigner_d(twoj / 2, SU2Element(-1.0, 0.0)) - (-1) ** twoj * eye)) < 1e-13
 
@@ -339,7 +341,7 @@ class TestWignerD:
 
     def test_stack_equals_single_rows_bitwise(self, rng):
         # ±identity, z1 = 0 and z0 = 0 rows beside Haar draws, in a (5, 5) stack
-        special = [SU2_IDENTITY, SU2Element(-1.0, 0.0), SU2Element(np.exp(-1.1j), 0),
+        special = [IDENTITY, SU2Element(-1.0, 0.0), SU2Element(np.exp(-1.1j), 0),
                    SU2Element(0, 1), SU2Element(0, np.exp(0.3j))]
         elements = special + [random_su2(rng) for _ in range(20)]
         rows = np.array([as_row(g) for g in elements])
@@ -356,7 +358,7 @@ class TestWignerD:
             wigner_d(1.0, np.ones((4, 3), dtype=complex))
 
     def test_range_check(self):
-        assert np.max(np.abs(wigner_d(4.5, SU2_IDENTITY) - np.eye(10))) < 1e-14   # no cap
+        assert np.max(np.abs(wigner_d(4.5, IDENTITY) - np.eye(10))) < 1e-14   # no cap
         for bad in (0.3, -0.5, -1.0):
             with pytest.raises(ValueError):
-                wigner_d(bad, SU2_IDENTITY)
+                wigner_d(bad, IDENTITY)

@@ -12,6 +12,8 @@ from rp2quant._kernels import (
     ylm_synthesize,
 )
 from rp2quant.harmonics import _ladder_tables, _odd_degree_mask, _s2_eigvecs
+from rp2quant.manifold import _ring_tables, build_quadrature
+from rp2quant.representation import log_uniform_grid
 
 
 def random_points(rng, n):
@@ -154,22 +156,24 @@ class TestSynthesize:
 
 
 # Every memoized table, as a tuple of arrays: the package hands out the same
-# arrays to every caller, so none of them may be writable.
+# arrays to every caller, and every equal grid, so none of them may be writable.
 MEMOS = {
     "recurrence tables": lambda grid: _recurrence_tables(8),
     "m-major rows": lambda grid: _m_major_rows(8),
     "odd-degree mask": lambda grid: (_odd_degree_mask(8),),
     "ladder tables": lambda grid: _ladder_tables(8),
     "S2 eigenvectors": lambda grid: (_s2_eigvecs(5),),
-    "ring tables": lambda grid: grid._ring_tables(8),
+    "ring tables": lambda grid: _ring_tables(grid.lmax_exact, 8),
     "antipode": lambda grid: (grid.antipode,),
     "dense basis": lambda grid: (grid.basis(8),),
+    "nodes and weights": lambda grid: (grid.nodes, grid.weights),
+    "radial nodes": lambda grid: (log_uniform_grid(0.0625, 32.0, 64).nodes,),
 }
 
 
 @pytest.mark.parametrize("name", MEMOS)
 def test_memoized_arrays_are_shared_and_read_only(grid8, name):
-    arrays, again = MEMOS[name](grid8), MEMOS[name](grid8)
+    arrays, again = MEMOS[name](grid8), MEMOS[name](build_quadrature(8))
     assert all(a is b for a, b in zip(arrays, again, strict=True))
     for a in arrays:
         assert not a.flags.writeable

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from rp2quant import manifold
 from rp2quant.groups import ZERO_TOL, random_su2, rp2_rep, spinor_map, su2_from_normals
 from rp2quant.manifold import (
     CHART_TOL,
+    QuadratureGrid,
     WFunctional,
     build_quadrature,
     chart_coords,
@@ -224,8 +227,27 @@ class TestQuadrature:
 
         y21 = np.asarray(evaluate(unit(8, 2, 1), grid8.nodes))
         y31 = np.asarray(evaluate(unit(8, 3, 1), grid8.nodes))
-        assert abs(grid8.integrate(np.conj(y21) * y31)) < 1e-10
-        assert abs(grid8.integrate(np.conj(y21) * y21) - 1.0) < 1e-10
+        assert abs(np.dot(grid8.weights, np.conj(y21) * y31)) < 1e-10
+        assert abs(np.dot(grid8.weights, np.conj(y21) * y21) - 1.0) < 1e-10
+
+    def test_takes_only_its_order(self, grid8):
+        # a grid is its order: no node layout or cache to pass in or get wrong
+        assert [f.name for f in fields(QuadratureGrid)] == ["lmax_exact"]
+        with pytest.raises(TypeError):
+            QuadratureGrid(grid8.nodes[::-1].copy(), grid8.weights, 8)
+        with pytest.raises(TypeError):
+            QuadratureGrid(nodes=grid8.nodes, weights=grid8.weights, lmax_exact=8)
+        with pytest.raises(TypeError):
+            QuadratureGrid(8.0)
+        for gone in ("integrate", "_basis_cache", "_ring_shape", "_ring_tables"):
+            assert not hasattr(grid8, gone)
+
+    def test_equal_orders_are_one_value(self, grid8):
+        again = QuadratureGrid(8)
+        assert again is not grid8 and again == grid8 and hash(again) == hash(grid8)
+        assert again == build_quadrature(8) != build_quadrature(9)
+        assert len({grid8, again, build_quadrature(np.int64(8)), build_quadrature(9)}) == 2
+        assert again.nodes is grid8.nodes and again.weights is grid8.weights
 
 
 def _points():

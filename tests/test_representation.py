@@ -9,7 +9,7 @@ from rp2quant.berry_robbins import fixed_basis_lift, total_generator_exact, tota
 from rp2quant.bundles import module_iso_forward, module_iso_inverse, projector_residual
 from rp2quant.classical import w_matrix
 from rp2quant.errors import RadialRangeError
-from rp2quant.groups import SU2_IDENTITY, random_su2, spinor_map, su2_from_axis_angle, su2_product
+from rp2quant.groups import random_su2, spinor_map, su2_from_axis_angle, su2_product
 from rp2quant.checks import REGISTRY, SuiteConfig, check_rng
 from rp2quant.harmonics import (
     HarmonicCoeffs,
@@ -34,7 +34,6 @@ from rp2quant.representation import (
     check_group_law,
     check_intertwining,
     exchange_parities,
-    full_section_from_matrix,
     generator_J,
     generator_vs_ladder_residual,
     log_uniform_grid,
@@ -42,6 +41,8 @@ from rp2quant.representation import (
     su2_closure_residual,
 )
 from tests.scalar_reference import su2_matrix
+
+IDENTITY = np.array([1, 0], dtype=complex)   # the SU(2) identity row
 
 W0 = WFunctional(np.zeros((3, 3)))
 
@@ -104,7 +105,7 @@ class TestActU:
 
     def test_identity(self, grid8, rng):
         a = random_coeffs(8, "odd", rng)
-        out = rotate_coeffs(SU2_IDENTITY, a, grid8)
+        out = rotate_coeffs(IDENTITY, a, grid8)
         assert np.max(np.abs(out.c - a.c)) < 1e-12
 
     def test_unitary(self, grid8, rng):
@@ -205,13 +206,38 @@ class TestClosure:
 
 
 class TestRadialGrid:
-    def test_log_uniform_required(self):
-        with pytest.raises(ValueError):
-            RadialGrid(np.linspace(1.0, 2.0, 16))
+    # (rmin, rmax, n) of the grids the harness (every radial_nodes from the
+    # floor up), the benchmarks and these tests build
+    BUILT = [(0.0625, 32.0, n) for n in (24, 25, 63, 64, 65, 128, 257)] + [(0.02, 100.0, 256)]
+
+    def test_nodes_are_the_log_uniform_formula(self):
+        for rmin, rmax, n in self.BUILT:
+            radial = log_uniform_grid(rmin, rmax, n)
+            want = np.exp(np.linspace(np.log(rmin), np.log(rmax), n))
+            assert radial.nodes.dtype == want.dtype and radial.nodes.tobytes() == want.tobytes()
+            assert not radial.nodes.flags.writeable
+            assert RadialGrid(float(rmin), float(rmax), np.int64(n)).nodes is radial.nodes
+
+    def test_equal_parameters_are_one_value(self):
+        radial = radial64()
+        again = RadialGrid(0.0625, 32.0, 64)
+        assert again is not radial and again == radial and hash(again) == hash(radial)
+        assert len({radial, again, RadialGrid(0.0625, 32.0, 65), RadialGrid(0.0625, 16.0, 64)}) == 3
+        assert type(again.n) is int and again.n == again.nodes.size
 
     def test_positivity(self):
-        with pytest.raises(ValueError):
-            RadialGrid(np.exp(np.linspace(-1, 1, 16)) - 1.5)
+        for rmin in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                RadialGrid(rmin, 2.0, 16)
+
+    def test_window_and_node_floor(self):
+        for rmin, rmax, n in ((2.0, 2.0, 16), (2.0, 1.0, 16), (1.0, 2.0, 7), (1.0, 2.0, 0)):
+            with pytest.raises(ValueError):
+                RadialGrid(rmin, rmax, n)
+        with pytest.raises(TypeError):
+            RadialGrid(1.0, 2.0, 16.0)
+        with pytest.raises(TypeError):
+            RadialGrid(np.exp(np.linspace(-1, 1, 16)))
 
     def test_weights_integrate_r2dr(self):
         radial = log_uniform_grid(0.02, 100.0, 256)
@@ -227,43 +253,43 @@ class TestFullSection:
         radial = radial64()
         a = random_coeffs(8, "odd", rng)
         m = gaussian_profile(radial)[:, None] * a.c[None, :]
-        fs = full_section_from_matrix(radial, m, 8, "odd")
-        assert (fs.lmax, fs.sector, fs.matrix().shape) == (8, "odd", (64, 81))
-        assert fs.matrix().tobytes() == m.tobytes()
+        fs = FullSection(radial, 8, "odd", m)
+        assert (fs.lmax, fs.sector, fs.c.shape) == (8, "odd", (64, 81))
+        assert fs.c.tobytes() == m.tobytes()
         m[0, 1] = 5.0                      # the section keeps its own copy
-        assert fs.matrix()[0, 1] != 5.0
+        assert fs.c[0, 1] != 5.0
         with pytest.raises(ValueError):
-            fs.matrix()[0, 1] = 0.0
-        assert fs.matrix().tobytes() == separable_section(radial, gaussian_profile(radial), a).matrix().tobytes()
+            fs.c[0, 1] = 0.0
+        assert fs.c.tobytes() == separable_section(radial, gaussian_profile(radial), a).c.tobytes()
 
     def test_rejects_off_sector_matrix(self, rng):
         radial = radial64()
         m = np.zeros((64, 81), dtype=complex)
         m[:, 1] = 1.0                          # degree 1
-        full_section_from_matrix(radial, m, 8, "odd")
+        FullSection(radial, 8, "odd", m)
         m[10, 0] = 1e-13                       # degree 0 content in an odd section
         with pytest.raises(ValueError, match="sector 'odd' violated by 1.000e-13"):
-            full_section_from_matrix(radial, m, 8, "odd")
+            FullSection(radial, 8, "odd", m)
         with pytest.raises(ValueError, match="sector 'even' violated"):
             FullSection(radial, 8, "even", m)
         m[10, 0] = 1e-15                       # within SECTOR_PURITY_TOL, as per table
-        full_section_from_matrix(radial, m, 8, "odd")
+        FullSection(radial, 8, "odd", m)
 
     def test_rejects_bad_shapes_and_sector(self):
         radial = radial64()
         with pytest.raises(ValueError):
-            full_section_from_matrix(radial, np.zeros((63, 81)), 8, "odd")
+            FullSection(radial, 8, "odd", np.zeros((63, 81)))
         with pytest.raises(ValueError):
-            full_section_from_matrix(radial, np.zeros((64, 80)), 8, "odd")
+            FullSection(radial, 8, "odd", np.zeros((64, 80)))
         with pytest.raises(ValueError):
-            full_section_from_matrix(radial, np.zeros(81), 8, "odd")
+            FullSection(radial, 8, "odd", np.zeros(81))
         with pytest.raises(ValueError):
-            full_section_from_matrix(radial, np.zeros((64, 81)), 8, "neither")
+            FullSection(radial, 8, "neither", np.zeros((64, 81)))
 
 
 def act_canonical_per_node(w, g, lam, fs, grid):
     """Reference: resample at the pulled-back nodes, one radial node at a time."""
-    m = fs.matrix()
+    m = fs.c
     if lam != 1.0:
         m = _spectral_log_shift(m, fs.radial, np.log(lam))
     w_nodes = np.array([w(x) for x in grid.nodes])
@@ -283,30 +309,30 @@ class TestActCanonical:
         for scale in (0.0025, 1.0):        # 1.0 puts real weight beyond the band
             w, g, lam = small_w(rng, scale), random_su2(rng), 1.1
             want = act_canonical_per_node(w, g, lam, fs, grid8)
-            got = act_canonical(w, g, lam, fs, grid8).matrix()
+            got = act_canonical(w, g, lam, fs, grid8).c
             assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
 
     def test_identity_element(self, grid8, rng):
         fs = separable_section(radial64(), gaussian_profile(radial64()), low_degree_odd(rng))
-        out = act_canonical(W0, SU2_IDENTITY, 1.0, fs, grid8)
-        assert np.max(np.abs(out.matrix() - fs.matrix())) < 1e-12
+        out = act_canonical(W0, IDENTITY, 1.0, fs, grid8)
+        assert np.max(np.abs(out.c - fs.c)) < 1e-12
 
     def test_pure_phase_preserves_pointwise_magnitude(self, grid8, rng):
         radial = radial64()
         fs = separable_section(radial, gaussian_profile(radial), low_degree_odd(rng))
         w = small_w(rng)
-        out = act_canonical(w, SU2_IDENTITY, 1.0, fs, grid8)
+        out = act_canonical(w, IDENTITY, 1.0, fs, grid8)
         basis = grid8.basis(8)
         for k in (10, 32, 50):
-            before = np.abs(basis @ fs.matrix()[k])
-            after = np.abs(basis @ out.matrix()[k])
+            before = np.abs(basis @ fs.c[k])
+            after = np.abs(basis @ out.c[k])
             # limited only by re-projection of the phase tail beyond lmax
             assert np.max(np.abs(after - before)) < 1e-8
 
     def test_dilation_norm_preserved(self, grid8, rng):
         radial = radial64()
         fs = separable_section(radial, gaussian_profile(radial), low_degree_odd(rng))
-        out = act_canonical(W0, SU2_IDENTITY, 2.0, fs, grid8)
+        out = act_canonical(W0, IDENTITY, 2.0, fs, grid8)
         assert abs(out.norm() - fs.norm()) / fs.norm() < 1e-6
 
     def test_unitarity_generic_elements(self, grid8, rng):
@@ -327,21 +353,21 @@ class TestActCanonical:
         profile = gaussian_profile(radial, width=1.2)   # fat tails hit the ends
         fs = separable_section(radial, profile, low_degree_odd(rng))
         with pytest.raises(RadialRangeError):
-            act_canonical(W0, SU2_IDENTITY, 1.5, fs, grid8)
+            act_canonical(W0, IDENTITY, 1.5, fs, grid8)
 
 
 class TestGroupLaw:
     def test_identity_pair(self, grid8, rng):
         radial = radial64()
         fs = separable_section(radial, gaussian_profile(radial), low_degree_odd(rng))
-        ident = (W0, SU2_IDENTITY, 1.0)
+        ident = (W0, IDENTITY, 1.0)
         assert check_group_law(ident, ident, fs, grid8) < 1e-12
 
     def test_commuting_phases_add(self, grid8, rng):
         radial = radial64()
         fs = separable_section(radial, gaussian_profile(radial), low_degree_odd(rng))
-        e1 = (small_w(rng, scale=0.0015), SU2_IDENTITY, 1.0)
-        e2 = (small_w(rng, scale=0.0015), SU2_IDENTITY, 1.0)
+        e1 = (small_w(rng, scale=0.0015), IDENTITY, 1.0)
+        e2 = (small_w(rng, scale=0.0015), IDENTITY, 1.0)
         assert check_group_law(e1, e2, fs, grid8) < 1e-12
 
     def test_generic_pairs(self, grid8, rng):
@@ -477,7 +503,7 @@ STACK_ONLY = {
     "bundles.module_iso_forward": lambda a, grid: module_iso_forward(a, grid),
     "bundles.module_iso_inverse": lambda a, grid: module_iso_inverse((a, a, a), grid),
     "bundles.projector_residual": lambda a, grid: projector_residual((a, a, a), grid),
-    "berry_robbins.fixed_basis_lift": lambda a, grid: fixed_basis_lift(SU2_IDENTITY, 0.5, (a, a)),
+    "berry_robbins.fixed_basis_lift": lambda a, grid: fixed_basis_lift(IDENTITY, 0.5, (a, a)),
     "berry_robbins.total_generator_fd": lambda a, grid: total_generator_fd(1, 0.5, (a, a)),
     "berry_robbins.total_generator_exact": lambda a, grid: total_generator_exact(1, 0.5, (a, a)),
 }
