@@ -105,6 +105,17 @@ class TestAgainstDenseBasis:
         with pytest.raises(ValueError):
             grid8.project(complex_normal(rng, grid8.n - 1), 8)
 
+    def test_foreign_node_layout_rejected(self, grid8):
+        # the grid is built from its order alone: a shuffled or short node
+        # layout cannot be handed in, and the ring-major one cannot be swapped
+        with pytest.raises(TypeError):
+            type(grid8)(grid8.nodes[::-1].copy(), grid8.weights, 8)
+        with pytest.raises(TypeError):
+            type(grid8)(nodes=grid8.nodes[:-1], weights=grid8.weights[:-1], lmax_exact=8)
+        with pytest.raises(AttributeError):
+            grid8.nodes = grid8.nodes[::-1].copy()
+        assert not grid8.nodes.flags.writeable and not grid8.weights.flags.writeable
+
 
 class TestAntipode:
     @pytest.mark.parametrize("lmax_exact", range(1, MAX_GRID_LMAX + 1))
@@ -120,6 +131,14 @@ class TestAntipode:
         perm = grid.antipode
         assert grid.antipode is perm
         assert not perm.flags.writeable
+
+    def test_foreign_node_layout_rejected(self, grid8):
+        # no foreign layout reaches the antipode: the grid takes only its order
+        with pytest.raises(TypeError):
+            type(grid8)(grid8.nodes[::-1].copy(), grid8.weights, 8)
+        with pytest.raises(AttributeError):
+            grid8.nodes = grid8.nodes[::-1].copy()
+        assert np.max(np.abs(grid8.nodes[grid8.antipode] + grid8.nodes)) <= 1e-15
 
 
 def act_canonical_dense(w, g, lam, fs, grid):
