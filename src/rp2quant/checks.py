@@ -4,8 +4,14 @@ Each check draws from its own RNG stream (derived from the master seed and a
 stable hash of the check name, so results do not depend on execution order),
 computes a residual, and is compared against its pinned tolerance.  Checks
 are grouped into suites mirroring the package modules.
+
+A check body is a generator: it yields its residuals, each a number or an
+array, and ``register`` reduces them to the check's one residual, the worst
+entry of any of them (``_worst``).  A NaN anywhere is the residual, so the
+check fails; a body that yields nothing reads 0.0.
 """
 
+import functools
 import hashlib
 import math
 import numbers
@@ -130,13 +136,9 @@ class SuiteConfig:
                                   f"got {tol!r}")
         object.__setattr__(self, "tol_overrides",
                            {name: float(tol) for name, tol in self.tol_overrides.items()})
-        if not (1 <= self.lmax <= 32):
-            raise ConfigError("lmax must lie in [1, 32]")
-        if _module_grid_order(self.lmax) > MAX_GRID_LMAX:
-            raise ConfigError(
-                f"lmax {self.lmax} needs a grid of order {_module_grid_order(self.lmax)}, "
-                f"above the quadrature cap {MAX_GRID_LMAX}"
-            )
+        if not (1 <= self.lmax <= LMAX_MAX):
+            raise ConfigError(f"lmax must lie in [1, {LMAX_MAX}]: the module maps at a larger "
+                              f"lmax need a grid above the quadrature cap {MAX_GRID_LMAX}")
         if self.grid_n < GRID_N_MIN or self.grid_n & (self.grid_n - 1):
             raise ConfigError(f"grid_n must be a power of two of at least {GRID_N_MIN}: on fewer "
                               "points the heisenberg suite's momentum grid cuts off its packets")
@@ -161,10 +163,18 @@ class Check:
 REGISTRY: list[Check] = []
 
 
+def _worst(parts) -> float:
+    """The largest entry of any part (numbers or arrays), NaN if any entry is NaN; 0.0 if none."""
+    peaks = [float(np.max(p)) for p in parts]
+    return float(np.max(peaks)) if peaks else 0.0
+
+
 def register(suite: str, name: str, anchor: str, tolerance: float):
-    def deco(fn):
+    """Register a body that yields residuals; the check's ``fn`` returns their ``_worst``."""
+    def deco(body):
+        fn = functools.wraps(body)(lambda rng, cfg: _worst(body(rng, cfg)))
         REGISTRY.append(Check(name, suite, anchor, tolerance, fn))
-        return fn
+        return body
 
     return deco
 
@@ -183,6 +193,10 @@ def _module_grid_order(lmax: int) -> int:
     lmax + 2 when lmax is odd and lmax + 1 when it is even.
     """
     return lmax + 1 + lmax % 2
+
+
+# the largest lmax whose module maps fit the quadrature cap; SuiteConfig accepts [1, LMAX_MAX]
+LMAX_MAX = max(l for l in range(1, MAX_GRID_LMAX + 1) if _module_grid_order(l) <= MAX_GRID_LMAX)
 
 
 def _h_rows(u) -> np.ndarray:
@@ -302,13 +316,14 @@ def _odd_tables(rng, n: int, lmax: int) -> np.ndarray:
 _CHUNK_ROWS = 4096   # samples per batch: an (n, 3, 3) float64 temporary stays near 300 KB
 
 
-def _worst_over_chunks(n: int, batch, rows: int = _CHUNK_ROWS) -> float:
-    """max of ``batch(k)`` over consecutive chunks of k ≤ rows of the n samples.
+def _chunks(n: int, rows: int = _CHUNK_ROWS):
+    """Sizes of consecutive chunks of at most ``rows`` of the n samples.
 
-    Each chunk draws its k samples in stream order, so the chunks together
+    Each chunk draws its samples in stream order, so the chunks together
     draw what one batch of n would.
     """
-    return max(batch(min(rows, n - lo)) for lo in range(0, n, rows))
+    for lo in range(0, n, rows):
+        yield min(rows, n - lo)
 
 
 # ---------------------------------------------------------------- groups
@@ -318,86 +333,70 @@ def _spinor_hom(rng, cfg):
     g = su2_from_normals(rng.normal(size=(2000, 4)))
     g1, g2 = g[0::2], g[1::2]
     gap = spinor_map(su2_product(g1, g2)) - spinor_map(g1) @ spinor_map(g2)
-    return float(np.max(_norm(gap.reshape(-1, 9))))     # Frobenius norm per matrix
+    yield _norm(gap.reshape(-1, 9))                 # Frobenius norm per matrix
 
 
 @register("groups", "spinor-double-cover-kernel", "su2-so3-double-cover", 1e-15)
 def _spinor_kernel(rng, cfg):
-    def batch(n):
+    for n in _chunks(cfg.samples):
         g = su2_from_normals(rng.normal(size=(n, 4)))
-        return float(np.max(np.abs(spinor_map(g) - spinor_map(validate_normalize_su2(-g)))))
-
-    return _worst_over_chunks(cfg.samples, batch)
+        yield np.abs(spinor_map(g) - spinor_map(validate_normalize_su2(-g)))
 
 
 @register("groups", "axis-angle-cross-check", "rodrigues-vs-spinor-map", 1e-12)
 def _axis_angle(rng, cfg):
-    def batch(n):
+    for n in _chunks(cfg.samples):
         draws = _draw_rows(
             rng, n, lambda r: np.concatenate([[r.uniform(0, 2 * np.pi)], r.normal(size=3)])
         )
         psi, axes = draws[:, 0], draws[:, 1:] / _norm(draws[:, 1:])[:, None]
         gap = rotation_from_axis_angle(psi, axes) - spinor_map(su2_from_axis_angle(psi, axes))
-        return float(np.max(np.abs(gap)))
-
-    return _worst_over_chunks(cfg.samples, batch)
+        yield np.abs(gap)
 
 
 @register("groups", "h-subgroup-closure", "stabilizer-subgroup-closure", 1e-12)
 def _h_closure(rng, cfg):
-    def batch(n):
+    for n in _chunks(cfg.samples):
         u = rng.random(size=(n, 4))
         prod = su2_product(_h_rows(u[:, :2]), _h_rows(u[:, 2:]))
         # distance from H = size of the entry that should vanish (abs() rounding)
         dist = np.min(np.hypot(prod.real, prod.imag), axis=1)
-        if np.any(dist > H_CLASSIFY_TOL):          # a product outside H
-            return 1.0
-        return float(np.max(dist))
-
-    return _worst_over_chunks(cfg.samples, batch)
+        yield 1.0 if np.any(dist > H_CLASSIFY_TOL) else dist    # 1.0: a product outside H
 
 
 @register("groups", "h-orbit-component-formulas", "stabilizer-orbit-products", 1e-13)
 def _h_orbit(rng, cfg):
-    def batch(n):
+    for n in _chunks(cfg.samples):
         draws = _draw_rows(rng, n, _haar_and_h)
         g, h = su2_from_normals(draws[:, :4]), _h_rows(draws[:, 4:])
         anti = draws[:, 4] >= 0.5                   # the H sample's kind draw
         lam = np.where(anti, h[:, 1], h[:, 0])[:, None]
         swapped = np.stack([-g[:, 1].conj(), g[:, 0].conj()], axis=1)
         gap = su2_product(g, h) - np.where(anti[:, None], swapped, g) * lam
-        return float(np.max(np.hypot(gap.real, gap.imag)))
-
-    return _worst_over_chunks(cfg.samples, batch)
+        yield np.hypot(gap.real, gap.imag)
 
 
 @register("groups", "h-image-in-o2", "stabilizer-image-in-so3", 1e-12)
 def _h_o2(rng, cfg):
-    def batch(n):
+    for n in _chunks(cfg.samples):
         u = rng.random(size=(n, 2))
         r = spinor_map(_h_rows(u))
         s = np.where(u[:, 0] < 0.5, 1.0, -1.0)      # +1 diagonal, -1 antidiagonal
         # diagonal: rotation about e3 (orthogonal 2x2 block with det +1, R33 = 1);
         # antidiagonal: reflection type (R33 = -1, symmetric traceless block)
-        gaps = np.stack([
+        yield np.abs(np.stack([
             r[:, 0, 2], r[:, 1, 2], r[:, 2, 0], r[:, 2, 1],
             r[:, 2, 2] - s, r[:, 0, 0] - s * r[:, 1, 1], r[:, 0, 1] + s * r[:, 1, 0],
-        ])
-        return float(np.max(np.abs(gaps)))
-
-    return _worst_over_chunks(cfg.samples, batch)
+        ]))
 
 
 @register("groups", "rp2-h-invariance", "projective-quotient-invariance", 1e-12)
 def _rp2_invariance(rng, cfg):
-    def batch(n):
+    for n in _chunks(cfg.samples):
         draws = _draw_rows(rng, n, _haar_and_h)
         g = su2_from_normals(draws[:, :4])
         gh = su2_product(g, _h_rows(draws[:, 4:]))
-        p1, p2 = rp2_rep(quotient_to_sphere(g)), rp2_rep(quotient_to_sphere(gh))
-        return float(np.max(np.abs(p1 - p2)))
-
-    return _worst_over_chunks(cfg.samples, batch)
+        yield np.abs(rp2_rep(quotient_to_sphere(g)) - rp2_rep(quotient_to_sphere(gh)))
 
 
 # -------------------------------------------------------------- manifold
@@ -415,18 +414,16 @@ def _cocycle(rng, cfg):
     s = transition_signs(rp2_rep(_kept_points(rng, 1000, _interior)))
     # gap[k, a, b, c] = g_ab g_bc - g_ac
     gap = s[:, :, :, None] * s[:, None, :, :] - s[:, :, None, :]
-    return float(np.max(np.abs(gap)))
+    yield np.abs(gap)
 
 
 @register("manifold", "chart-representative-independence", "chart-transition-signs", 1e-13)
 def _chart_rep(rng, cfg):
-    def batch(n):
+    for n in _chunks(cfg.samples):
         v = _kept_points(rng, n, _interior)
         p, q = rp2_rep(v), rp2_rep(-v)
-        gaps = [chart_coords(p, a) - chart_coords(q, a) for a in (1, 2, 3)]
-        return float(np.max(np.abs(gaps)))
-
-    return _worst_over_chunks(cfg.samples, batch)
+        for a in (1, 2, 3):
+            yield np.abs(chart_coords(p, a) - chart_coords(q, a))
 
 
 @register("manifold", "moment-injectivity", "projective-orbit-embedding", 1e-6)
@@ -436,7 +433,6 @@ def _moment_inject(rng, cfg):
     # many doubles a pair consumes, so pairs are drawn one at a time, each
     # straight into its rows.
     normal, random = rng.standard_normal, rng.random
-    worst = 0.0
     for _ in range(5):                               # 5 chunks of 2000 pairs
         x, n, s = np.empty((2000, 3)), np.empty((2000, 3)), []
         for xk, nk in zip(x, n):
@@ -448,9 +444,7 @@ def _moment_inject(rng, cfg):
         y = y / _norm(y)[:, None]
         close = _norm((moment_embedding(x) - moment_embedding(y)).reshape(-1, 9)) < 1e-8
         if np.any(close):
-            gap = np.abs(rp2_rep(x[close]) - rp2_rep(y[close]))
-            worst = max(worst, float(np.max(gap)))
-    return worst
+            yield np.abs(rp2_rep(x[close]) - rp2_rep(y[close]))
 
 
 @register("manifold", "moment-equivariance", "linear-action-on-orbit", 1e-12)
@@ -458,45 +452,38 @@ def _moment_equiv(rng, cfg):
     draws = rng.normal(size=(100, 7))               # random_su2, then an axis
     r, x = spinor_map(su2_from_normals(draws[:, :4])), draws[:, 4:]
     x = x / _norm(x)[:, None]
-    gap = w_action(r, moment_embedding(x)) - moment_embedding(_apply(r, x))
-    return float(np.max(np.abs(gap)))
+    yield np.abs(w_action(r, moment_embedding(x)) - moment_embedding(_apply(r, x)))
 
 
 @register("manifold", "quartic-embedding-components", "even-quadratic-embedding", 1e-14)
 def _f_components(rng, cfg):
-    def batch(n):
+    for n in _chunks(cfg.samples):
         v = rng.normal(size=(n, 3))                 # n axes
         v = v / _norm(v)[:, None]
         p, q = rp2_rep(v), rp2_rep(-v)
         f = f_embedding(p)
-        return max(float(np.max(np.abs(f - f_from_moment(moment_embedding(p))))),
-                   float(np.max(np.abs(f - f_embedding(q)))))
-
-    return _worst_over_chunks(cfg.samples, batch)
+        yield np.abs(f - f_from_moment(moment_embedding(p)))
+        yield np.abs(f - f_embedding(q))
 
 
 @register("manifold", "quadrature-orthonormality", "sphere-quadrature-exactness", 1e-10)
 def _quad_ortho(rng, cfg):
     grid = build_quadrature(cfg.lmax)
-    worst = 0.0
     basis = grid.basis(cfg.lmax)
     gram = (basis.conj() * grid.weights[:, None]).T @ basis
-    worst = max(worst, float(np.max(np.abs(gram - np.eye(gram.shape[0])))))
-    worst = max(worst, abs(float(np.sum(grid.weights)) - 4 * np.pi))
-    return worst
+    yield np.abs(gram - np.eye(gram.shape[0]))
+    yield abs(float(np.sum(grid.weights)) - 4 * np.pi)
 
 
 @register("manifold", "w-functional-evenness", "orbit-functionals", 1e-15)
 def _w_even(rng, cfg):
-    def batch(n):
+    for n in _chunks(cfg.samples):
         draws = rng.normal(size=(n, 9))             # w_matrix coordinates, c0, then the axis
         c, c0, x = classical.w_matrix(draws[:, :5]), draws[:, 5], draws[:, 6:]
         x = x / _norm(x)[:, None]
         wx = w_values(c, c0, x)
-        return max(float(np.max(np.abs(wx - w_values(c, c0, -x)))),
-                   float(np.max(np.abs(wx - w_values(c, c0, rp2_rep(x))))))
-
-    return _worst_over_chunks(cfg.samples, batch)
+        yield np.abs(wx - w_values(c, c0, -x))
+        yield np.abs(wx - w_values(c, c0, rp2_rep(x)))
 
 
 # ------------------------------------------------------------- harmonics
@@ -505,12 +492,10 @@ def _w_even(rng, cfg):
 def _roundtrip(rng, cfg):
     lmax = min(cfg.lmax + 4, 12)
     grid = build_quadrature(lmax)
-    worst = 0.0
     for _ in range(5):
         a = random_coeffs(lmax, "full", rng)
         back = analyze(np.asarray(evaluate(a, grid.nodes)), lmax, grid)
-        worst = max(worst, float(np.linalg.norm(back.c - a.c) / a.norm()))
-    return worst
+        yield np.linalg.norm(back.c - a.c) / a.norm()
 
 
 @register("harmonics", "antipodal-parity", "parity-split-of-sphere-functions", 1e-10)
@@ -520,44 +505,37 @@ def _antipodal(rng, cfg):
     tables = np.stack([unit(cfg.lmax, l, int(rng.integers(-l, l + 1))).c for l in degrees])
     plus = ylm_synthesize(grid.nodes, cfg.lmax, tables)
     minus = ylm_synthesize(-grid.nodes, cfg.lmax, tables)
-    return float(np.max(np.abs(minus - (-1.0) ** degrees[:, None] * plus)))
+    yield np.abs(minus - (-1.0) ** degrees[:, None] * plus)
 
 
 @register("harmonics", "rotation-sector-closure", "parity-split-of-sphere-functions", 1e-10)
 def _sector_closure(rng, cfg):
     grid = build_quadrature(cfg.lmax)
-    worst = 0.0
     for _ in range(10):
         sector = "even" if rng.random() < 0.5 else "odd"
         a = random_coeffs(cfg.lmax, sector, rng)
         raw = analyze(rotate_values(random_su2(rng), a.c, grid.nodes), cfg.lmax, grid)
         even, odd = parity_decompose(raw)
-        leak = odd if sector == "even" else even
-        worst = max(worst, leak.norm())
-    return worst
+        yield (odd if sector == "even" else even).norm()    # the leak out of the sector
 
 
 @register("harmonics", "rotation-unitarity", "rotation-resampling", 1e-10)
 def _rot_unitary(rng, cfg):
     grid = build_quadrature(cfg.lmax)
-    worst = 0.0
     for _ in range(10):
         a = random_coeffs(cfg.lmax, "full", rng)
         b = rotate_coeffs(random_su2(rng), a, grid)
-        worst = max(worst, abs(b.norm() - a.norm()))
-    return worst
+        yield abs(b.norm() - a.norm())
 
 
 @register("harmonics", "ladder-su2-algebra", "angular-momentum-ladders", 1e-12)
 def _ladder_algebra(rng, cfg):
-    worst = 0.0
     eps = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
     for _ in range(5):
         c = random_coeffs(cfg.lmax, "full", rng).c
         for (i, j), k in eps.items():
             comm = apply_L(i, apply_L(j, c)) - apply_L(j, apply_L(i, c))
-            worst = max(worst, float(np.linalg.norm(comm - 1j * apply_L(k, c))))
-    return worst
+            yield np.linalg.norm(comm - 1j * apply_L(k, c))
 
 
 def _symmetrized_power_d(j: float, g) -> np.ndarray:
@@ -589,18 +567,16 @@ def _rot_wigner(rng, cfg):
     # the coefficient route against resampling on every degree, and against
     # the symmetrized-power oracle on l ≤ 4
     grid = build_quadrature(cfg.lmax)
-    worst = 0.0
     for _ in range(10):
         g = random_su2(rng)
         a = random_coeffs(cfg.lmax, "full", rng)
         rot = rotate_coeffs(g, a, grid)
         resampled = analyze(rotate_values(g, a.c, grid.nodes), cfg.lmax, grid)
-        worst = max(worst, float(np.max(np.abs(rot.c - resampled.c))))
+        yield np.abs(rot.c - resampled.c)
         for l in range(1, min(cfg.lmax, 4) + 1):
             d = _symmetrized_power_d(l, g)
             want = d @ a.block(l)[::-1]      # blocks are m = -l..l, D rows m = +l..-l
-            worst = max(worst, float(np.max(np.abs(rot.block(l)[::-1] - want))))
-    return worst
+            yield np.abs(rot.block(l)[::-1] - want)
 
 
 @register("harmonics", "wigner-homomorphism", "wigner-matrix-products", 1e-11)
@@ -608,54 +584,42 @@ def _wigner_hom(rng, cfg):
     pairs = su2_from_normals(rng.normal(size=(200, 2, 4)))   # (g1, g2) per sample
     g1, g2 = pairs[:, 0], pairs[:, 1]
     g12 = su2_product(g1, g2)
-    worst = 0.0
     for j in (0.5, 1.0, 1.5, 2.0):
-        gap = wigner_d(j, g12) - wigner_d(j, g1) @ wigner_d(j, g2)
-        worst = max(worst, float(np.max(np.abs(gap))))
-    return worst
+        yield np.abs(wigner_d(j, g12) - wigner_d(j, g1) @ wigner_d(j, g2))
 
 
 @register("harmonics", "wigner-defining-unitary", "wigner-matrix-products", 1e-12)
 def _wigner_defining(rng, cfg):
-    def batch(k):
+    for k in _chunks(cfg.samples):
         g = su2_from_normals(rng.normal(size=(k, 4)))
         z0, z1 = g[:, 0], g[:, 1]
         matrix = np.stack([np.stack([z0, z1.conj()], -1), np.stack([-z1, z0.conj()], -1)], -2)
-        worst = float(np.max(np.abs(wigner_d(0.5, g) - matrix)))
+        yield np.abs(wigner_d(0.5, g) - matrix)
         for j in (0.5, 1.0, 2.0):
             d = wigner_d(j, g)
-            gap = d @ d.conj().mT - np.eye(d.shape[-1])
-            worst = max(worst, float(np.max(np.abs(gap))))
-        return worst
-
-    return _worst_over_chunks(cfg.samples, batch)
+            yield np.abs(d @ d.conj().mT - np.eye(d.shape[-1]))
 
 
 # --------------------------------------------------------------- bundles
 
 @register("bundles", "kappa-multiplicative", "stabilizer-character", 1e-15)
 def _kappa_mult(rng, cfg):
-    def batch(n):
+    for n in _chunks(cfg.samples):
         u = rng.random(size=(n, 4))                 # two H samples per sample
         h1, h2 = _h_rows(u[:, :2]), _h_rows(u[:, 2:])
         prod = bundles.kappa(su2_product(h1, h2))
-        if np.any(prod == 0):                       # a product outside H
-            return 1.0
-        return float(np.max(np.abs(prod - bundles.kappa(h1) * bundles.kappa(h2))))
-
-    return _worst_over_chunks(cfg.samples, batch)
+        # 1.0: a product outside H
+        yield 1.0 if np.any(prod == 0) else np.abs(prod - bundles.kappa(h1) * bundles.kappa(h2))
 
 
 @register("bundles", "frame-map-odd-unit", "odd-frame-map", 1e-12)
 def _phi_props(rng, cfg):
-    def batch(n):
+    for n in _chunks(cfg.samples):
         x = rng.normal(size=(n, 3))                 # n axes
         x = x / _norm(x)[:, None]
         f = bundles.phi(x)
-        return max(float(np.max(np.abs(bundles.phi(-x) + f))),
-                   float(np.max(np.abs(_row_norms(f) - 1.0))))
-
-    return _worst_over_chunks(cfg.samples, batch)
+        yield np.abs(bundles.phi(-x) + f)
+        yield np.abs(_row_norms(f) - 1.0)
 
 
 def _assoc_rows(draws) -> tuple[np.ndarray, np.ndarray]:
@@ -669,22 +633,22 @@ def _assoc_rows(draws) -> tuple[np.ndarray, np.ndarray]:
 
 @register("bundles", "iso-well-defined", "bundle-isomorphism", 1e-12)
 def _iso_well_defined(rng, cfg):
-    def batch(n):
+    for n in _chunks(cfg.samples):
         draws = _draw_rows(rng, n, _assoc_and_h)
         g, v = _assoc_rows(draws)
         kappa = np.where(draws[:, 6] < 0.5, 1, -1)  # +1 diagonal, -1 antidiagonal
         base1, fiber1 = bundles.iso_Phi(g, v)
         base2, fiber2 = bundles.iso_Phi(su2_product(g, _h_rows(draws[:, 6:])), kappa * v)
-        return max(float(np.max(np.abs(base1 - base2))), float(np.max(np.abs(fiber1 - fiber2))))
-
-    return _worst_over_chunks(cfg.samples, batch)
+        yield np.abs(base1 - base2)
+        yield np.abs(fiber1 - fiber2)
 
 
 @register("bundles", "iso-roundtrip", "bundle-isomorphism", 1e-10)
 def _iso_roundtrip(rng, cfg):
     base, fiber = bundles.iso_Phi(*_assoc_rows(rng.normal(size=(100, 6))))
     back_base, back_fiber = bundles.iso_Phi(*bundles.iso_Phi_inverse(base, fiber))
-    return max(float(np.max(np.abs(back_fiber - fiber))), float(np.max(np.abs(back_base - base))))
+    yield np.abs(back_fiber - fiber)
+    yield np.abs(back_base - base)
 
 
 @register("bundles", "lift-intertwining", "lift-transport-conjugation", 1e-10)
@@ -694,51 +658,44 @@ def _lift_intertwine(rng, cfg):
     eg, v = _assoc_rows(draws[:, 4:])
     base_a, fiber_a = bundles.iso_Phi(su2_product(g, eg), v)
     base_t, fiber_t = bundles.lift_tau(g, *bundles.iso_Phi(eg, v))
-    return max(float(np.max(np.abs(fiber_a - fiber_t))), float(np.max(np.abs(base_a - base_t))))
+    yield np.abs(fiber_a - fiber_t)
+    yield np.abs(base_a - base_t)
 
 
 @register("bundles", "lift-composition-covering", "lift-transport-conjugation", 1e-10)
 def _lift_compose(rng, cfg):
-    def batch(n):
+    for n in _chunks(cfg.samples):
         draws = rng.normal(size=(n, 14))            # g1, g2, then an assoc sample
         g1, g2 = su2_from_normals(draws[:, :4]), su2_from_normals(draws[:, 4:8])
         g12 = su2_product(g1, g2)
         base, fiber = bundles.iso_Phi(*_assoc_rows(draws[:, 8:]))
         _, seq_fiber = bundles.lift_tau(g1, *bundles.lift_tau(g2, base, fiber))
         prod_base, prod_fiber = bundles.lift_tau(g12, base, fiber)
-        covered = rp2_rep(_apply(spinor_map(g12), base))
-        return max(float(np.max(np.abs(seq_fiber - prod_fiber))),
-                   float(np.max(np.abs(prod_base - covered))))
-
-    return _worst_over_chunks(cfg.samples, batch)
+        yield np.abs(seq_fiber - prod_fiber)
+        yield np.abs(prod_base - rp2_rep(_apply(spinor_map(g12), base)))
 
 
 @register("bundles", "trivialization-transitions", "chart-transition-signs", 1e-12)
 def _triv_transitions(rng, cfg):
-    def batch(n):
+    for n in _chunks(cfg.samples):
         draws = _kept_attempts(rng, n, _interior, 2)   # an interior point, then (re, im)
         base = rp2_rep(draws[:, :3])
         fiber = (draws[:, 3] + 1j * draws[:, 4])[:, None] * bundles.phi(base)
         # c[k, a-1] is the chart-a coordinate; gap[k, a-1, b-1] = c_b - g_ba c_a
         c = np.stack([bundles.local_trivialization(a, base, fiber) for a in (1, 2, 3)], -1)
-        gap = c[:, None, :] - transition_signs(base).mT * c[:, :, None]
-        return float(np.max(np.abs(gap)))
-
-    return _worst_over_chunks(cfg.samples, batch)
+        yield np.abs(c[:, None, :] - transition_signs(base).mT * c[:, :, None])
 
 
 @register("bundles", "projector-properties", "tautological-projector", 1e-13)
 def _projector_props(rng, cfg):
-    def batch(n):
+    for n in _chunks(cfg.samples):
         draws = rng.normal(size=(n, 7))             # an axis, then random_su2
         x, r = draws[:, :3], spinor_map(su2_from_normals(draws[:, 3:]))
         x = x / _norm(x)[:, None]
         p = bundles.projector(x)
-        gaps = (p @ p - p, p - p.conj().mT, bundles.projector(-x) - p,
-                bundles.projector(_apply(r, x)) - r @ p @ r.mT)
-        return max(float(np.max(np.abs(gap))) for gap in gaps)
-
-    return _worst_over_chunks(cfg.samples, batch)
+        for gap in (p @ p - p, p - p.conj().mT, bundles.projector(-x) - p,
+                    bundles.projector(_apply(r, x)) - r @ p @ r.mT):
+            yield np.abs(gap)
 
 
 @register("bundles", "module-roundtrip", "projective-module-isomorphism", 1e-9)
@@ -748,25 +705,22 @@ def _module_roundtrip(rng, cfg):
     f = bundles.module_iso_forward(a, grid)
     back = bundles.module_iso_inverse(f, grid)
     n = a.shape[-1]
-    return max(float(np.max(bundles.projector_residual(f, grid))),
-               float(np.max(_row_norms(back[:, :n] - a))),
-               float(np.max(_row_norms(back[:, n:]))))
+    yield bundles.projector_residual(f, grid)
+    yield _row_norms(back[:, :n] - a)
+    yield _row_norms(back[:, n:])
 
 
 @register("bundles", "section-well-defined", "odd-sections-from-functions", 1e-12)
 def _section_well_defined(rng, cfg):
     a = random_coeffs(cfg.lmax, "odd", rng)
-
-    def batch(n):
+    # at most 2¹⁵/(lmax+1)² points per chunk; chunks draw in stream order, so the
+    # size only bounds memory (ylm_synthesize keeps an (lmax+1) × n float slab)
+    for n in _chunks(cfg.samples, max(1, (1 << 15) // a.c.size)):
         x = rng.normal(size=(n, 3))                 # n axes
         x = x / _norm(x)[:, None]
         plus = evaluate(a, x)[:, None] * unit_vector(x).astype(complex)
         minus = evaluate(a, -x)[:, None] * unit_vector(-x).astype(complex)
-        return float(np.max(np.abs(plus - minus)))
-
-    # at most 2¹⁵/(lmax+1)² points per chunk; chunks draw in stream order, so the
-    # size only bounds memory (ylm_synthesize keeps an (lmax+1) × n float slab)
-    return _worst_over_chunks(cfg.samples, batch, rows=max(1, (1 << 15) // a.c.size))
+        yield np.abs(plus - minus)
 
 
 # -------------------------------------------------------- representation
@@ -781,33 +735,31 @@ def _gen_vs_ladder(rng, cfg):
     # ten (sector, table) samples, then each generator on the whole stack
     rows = _draw_rows(rng, 10, lambda r: _sector_draw(r, 0, cfg.lmax))
     tables = _tables_from_normals(rows[:, 1:], cfg.lmax, _off_masks(cfg.lmax, rows[:, 0] < 0.5))
-    return max(float(np.max(generator_vs_ladder_residual(i, tables))) for i in (1, 2, 3))
+    for i in (1, 2, 3):
+        yield generator_vs_ladder_residual(i, tables)
 
 
 @register("representation", "section-intertwining", "generator-intertwines-module-map", 1e-7)
 def _intertwining(rng, cfg):
     grid = build_quadrature(cfg.lmax + 1)
-    tables = _odd_tables(rng, 5, cfg.lmax)
-    return float(np.max(check_intertwining(tables, grid)))
+    yield check_intertwining(_odd_tables(rng, 5, cfg.lmax), grid)
 
 
 @register("representation", "su2-closure-fd", "generator-commutators", 1e-6)
 def _closure(rng, cfg):
-    return float(np.max(su2_closure_residual(_odd_tables(rng, 3, cfg.lmax))))
+    yield su2_closure_residual(_odd_tables(rng, 3, cfg.lmax))
 
 
 @register("representation", "rotation-action-unitary-hom", "induced-rotation-action", 1e-9)
 def _act_u(rng, cfg):
     grid = build_quadrature(cfg.lmax)
-    worst = 0.0
     for _ in range(10):
         a = random_coeffs(cfg.lmax, "odd", rng)
         g1, g2 = random_su2(rng), random_su2(rng)
         seq = rotate_coeffs(g1, rotate_coeffs(g2, a, grid), grid)
         prod = rotate_coeffs(su2_product(g1, g2), a, grid)
-        worst = max(worst, float(np.linalg.norm(seq.c - prod.c)))
-        worst = max(worst, abs(seq.norm() - a.norm()))
-    return worst
+        yield np.linalg.norm(seq.c - prod.c)
+        yield abs(seq.norm() - a.norm())
 
 
 def _canonical_ensemble(rng, cfg):
@@ -836,21 +788,17 @@ def _canonical_ensemble(rng, cfg):
 def _canonical_unitary(rng, cfg):
     grid = build_quadrature(cfg.lmax)
     fs, element = _canonical_ensemble(rng, cfg)
-    worst = 0.0
     for _ in range(5):
         out = act_canonical(*element(), fs, grid)
-        worst = max(worst, abs(out.norm() - fs.norm()) / fs.norm())
-    return worst
+        yield abs(out.norm() - fs.norm()) / fs.norm()
 
 
 @register("representation", "canonical-group-law", "semidirect-composition", 1e-6)
 def _canonical_law(rng, cfg):
     grid = build_quadrature(cfg.lmax)
     fs, element = _canonical_ensemble(rng, cfg)
-    worst = 0.0
     for _ in range(5):
-        worst = max(worst, check_group_law(element(), element(), fs, grid))
-    return worst
+        yield check_group_law(element(), element(), fs, grid)
 
 
 # points per exchange-statistics chunk: at lmax 8 a chunk's temporaries stay
@@ -868,12 +816,9 @@ def _exchange(rng, cfg):
     # route).  The first failing sample decides: a wrong parity gives 1.0, a
     # non-eigenstate raises.
     grid = build_quadrature(cfg.lmax)
-    chunk = max(1, _EXCHANGE_POINTS // grid.n)
     size = num_coeffs(cfg.lmax)
-    worst = 0.0
-    for first in range(0, cfg.samples, chunk):
-        rows = _draw_rows(rng, min(chunk, cfg.samples - first),
-                          lambda r: _sector_draw(r, 8, cfg.lmax))
+    for n in _chunks(cfg.samples, max(1, _EXCHANGE_POINTS // grid.n)):
+        rows = _draw_rows(rng, n, lambda r: _sector_draw(r, 8, cfg.lmax))
         odd = rows[:, 0] < 0.5
         off = _off_masks(cfg.lmax, odd)
         tables = _tables_from_normals(rows[:, 1:], cfg.lmax, off)
@@ -884,11 +829,10 @@ def _exchange(rng, cfg):
         if wrong.size:
             if parities[wrong[0]] == 0:
                 raise ValueError("section is not an exchange eigenstate")
-            return 1.0
+            yield 1.0
+            return
         raw = grid.project(rotate_values(g2, tables, grid.nodes), cfg.lmax)
-        leak = np.where(off, raw, 0.0)
-        worst = max(worst, float(np.max(_row_norms(leak))))
-    return worst
+        yield _row_norms(np.where(off, raw, 0.0))
 
 
 # -------------------------------------------------------------- classical
@@ -906,7 +850,7 @@ def _phase_points(draws) -> tuple[np.ndarray, np.ndarray]:
 
 @register("classical", "observable-linearity", "lie-algebra-to-observables", 1e-12)
 def _p_linear(rng, cfg):
-    def batch(n):
+    for n in _chunks(cfg.samples):
         draws = rng.normal(size=(n, 28))            # e1, e2, (α, β), then the phase point
         (c1, a1), (c2, a2) = _elements(draws[:, :16])
         al, be = draws[:, 16], draws[:, 17]
@@ -915,11 +859,8 @@ def _p_linear(rng, cfg):
             al[:, None, None] * c1 + be[:, None, None] * c2,
             al[:, None] * a1 + be[:, None] * a2, *pt,
         )
-        gap = combo - (al * classical.P_observable(c1, a1, *pt)
-                       + be * classical.P_observable(c2, a2, *pt))
-        return float(np.max(np.abs(gap)))
-
-    return _worst_over_chunks(cfg.samples, batch)
+        yield np.abs(combo - (al * classical.P_observable(c1, a1, *pt)
+                              + be * classical.P_observable(c2, a2, *pt)))
 
 
 @register("classical", "bracket-closed-vs-fd", "canonical-bracket", 1e-7)
@@ -927,8 +868,7 @@ def _bracket_fd(rng, cfg):
     draws = rng.normal(size=(50, 26))               # e1, e2, then the phase point
     (c1, a1), (c2, a2) = _elements(draws[:, :16])
     args = (c1, a1, c2, a2, *_phase_points(draws[:, 16:]))
-    gap = classical.poisson_bracket(*args) - classical.poisson_bracket_fd(*args)
-    return float(np.max(np.abs(gap)))
+    yield np.abs(classical.poisson_bracket(*args) - classical.poisson_bracket_fd(*args))
 
 
 @register("classical", "no-obstruction", "bracket-homomorphism", 1e-9)
@@ -938,21 +878,21 @@ def _no_obstruction(rng, cfg):
     pts = classical.w_matrix(rng.normal(size=(100, 2, 5)))
     e = rng.normal(size=(1000, 16))
     c1, c2 = classical.w_matrix(e[:, 0:5]), classical.w_matrix(e[:, 8:13])
-    return classical.homomorphism_defect(c1, e[:, 5:8], c2, e[:, 13:16], pts[:, 0], pts[:, 1])
+    yield classical.homomorphism_defect(c1, e[:, 5:8], c2, e[:, 13:16], pts[:, 0], pts[:, 1])
 
 
 @register("classical", "antisymmetry-jacobi", "bracket-homomorphism", 1e-8)
 def _jacobi(rng, cfg):
     draws = rng.normal(size=(50, 34))               # three elements, then the phase point
     es, pt = _elements(draws[:, :24]), _phase_points(draws[:, 24:])
-    self_bracket = classical.poisson_bracket(*es[0], *es[0], *pt)
-    swapped = (classical.poisson_bracket(*es[0], *es[1], *pt)
-               + classical.poisson_bracket(*es[1], *es[0], *pt))
+    yield np.abs(classical.poisson_bracket(*es[0], *es[0], *pt))
+    yield np.abs(classical.poisson_bracket(*es[0], *es[1], *pt)
+                 + classical.poisson_bracket(*es[1], *es[0], *pt))
     cyc = 0.0
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         nested = classical.lie_bracket(*classical.lie_bracket(*es[i], *es[j]), *es[k])
         cyc += classical.P_observable(*nested, *pt)
-    return float(np.max(np.abs([self_bracket, swapped, cyc])))
+    yield np.abs(cyc)
 
 
 # -------------------------------------------------------------- heisenberg
@@ -967,38 +907,31 @@ def _ccr(rng, cfg):
     comm = heisenberg.op_q(heisenberg.op_p(psi)).values - heisenberg.op_p(
         heisenberg.op_q(psi)
     ).values
-    return float(
-        np.linalg.norm(comm - 1j * psi.hbar * psi.values) / np.linalg.norm(psi.values)
-    )
+    yield np.linalg.norm(comm - 1j * psi.hbar * psi.values) / np.linalg.norm(psi.values)
 
 
 @register("heisenberg", "weyl-exchange-relation", "weyl-exchange-phase", 1e-9)
 def _weyl(rng, cfg):
     psi = _packet(cfg)
-    worst = 0.0
     for _ in range(20):
         a, b = rng.uniform(-1.5, 1.5), rng.uniform(-3, 3)
-        worst = max(worst, heisenberg.check_weyl_relation(a, b, psi))
-    return worst
+        yield heisenberg.check_weyl_relation(a, b, psi)
 
 
 @register("heisenberg", "weyl-phase-swap-sign", "weyl-exchange-phase", 1e-9)
 def _weyl_swap(rng, cfg):
     psi = _packet(cfg)
-    worst = 0.0
     for _ in range(10):
         a, b = rng.uniform(-1.5, 1.5), rng.uniform(-3, 3)
         lhs = heisenberg.weyl_V(b, heisenberg.weyl_U(a, psi)).values
         rhs = heisenberg.weyl_U(a, heisenberg.weyl_V(b, psi)).values
         diff = lhs - np.exp(-1j * psi.hbar * a * b) * rhs
-        worst = max(worst, float(np.linalg.norm(diff) / np.linalg.norm(psi.values)))
-    return worst
+        yield np.linalg.norm(diff) / np.linalg.norm(psi.values)
 
 
 @register("heisenberg", "representation-homomorphism", "heisenberg-representation", 1e-9)
 def _rep_hom(rng, cfg):
     psi = _packet(cfg)
-    worst = 0.0
     for _ in range(20):
         e1 = heisenberg.HeisenbergElement(
             rng.uniform(-1, 1, 1), rng.uniform(-2, 2, 1), rng.normal()
@@ -1008,46 +941,34 @@ def _rep_hom(rng, cfg):
         )
         lhs = heisenberg.rep_heisenberg(e1, heisenberg.rep_heisenberg(e2, psi))
         rhs = heisenberg.rep_heisenberg(heisenberg.heisenberg_product(e1, e2), psi)
-        worst = max(
-            worst,
-            float(np.linalg.norm(lhs.values - rhs.values) / np.linalg.norm(psi.values)),
-        )
-    return worst
+        yield np.linalg.norm(lhs.values - rhs.values) / np.linalg.norm(psi.values)
 
 
 @register("heisenberg", "operator-unitarity", "heisenberg-representation", 1e-10)
 def _op_unitary(rng, cfg):
     psi = _packet(cfg)
-    worst = 0.0
     for _ in range(20):
-        out = heisenberg.weyl_U(rng.uniform(-2, 2), psi)
-        worst = max(worst, abs(out.norm() - psi.norm()))
-        out = heisenberg.weyl_V(rng.uniform(-4, 4), psi)
-        worst = max(worst, abs(out.norm() - psi.norm()))
-    return worst
+        yield abs(heisenberg.weyl_U(rng.uniform(-2, 2), psi).norm() - psi.norm())
+        yield abs(heisenberg.weyl_V(rng.uniform(-4, 4), psi).norm() - psi.norm())
 
 
 @register("heisenberg", "product-associativity", "heisenberg-group-product", 1e-14)
 def _assoc(rng, cfg):
     product = heisenberg.heisenberg_product
-
-    def batch(n):
+    for n in _chunks(cfg.samples):
         draws = rng.normal(size=(n, 3, 5))          # three elements: a (2), b (2), then r
         e0, e1, e2 = (heisenberg.HeisenbergElement(d[:, :2], d[:, 2:4], d[:, 4])
                       for d in draws.transpose(1, 0, 2))
         lhs, rhs = product(product(e0, e1), e2), product(e0, product(e1, e2))
         inv = product(e0, e0.inverse())
-        gaps = (lhs.a - rhs.a, lhs.b - rhs.b, lhs.r - rhs.r, inv.a, inv.r)
-        return max(float(np.max(np.abs(gap))) for gap in gaps)
-
-    return _worst_over_chunks(cfg.samples, batch)
+        for gap in (lhs.a - rhs.a, lhs.b - rhs.b, lhs.r - rhs.r, inv.a, inv.r):
+            yield np.abs(gap)
 
 
 @register("heisenberg", "two-route-quantization-gap", "symmetrized-square-discrepancy", 1e-7)
 def _gvh(rng, cfg):
-    psi = _packet(cfg)
-    _, scalar = heisenberg.gvh_discrepancy(psi)
-    return abs(scalar - 0.75) / 0.75
+    _, scalar = heisenberg.gvh_discrepancy(_packet(cfg))
+    yield abs(scalar - 0.75) / 0.75
 
 
 @register("heisenberg", "two-route-gap-grid-stability", "symmetrized-square-discrepancy", 1e-9)
@@ -1056,21 +977,20 @@ def _gvh_stable(rng, cfg):
     psi2 = heisenberg.gaussian_packet(2 * cfg.grid_n, 20.0, 0.4, 1.0, 0.6)
     _, s1 = heisenberg.gvh_discrepancy(psi1)
     _, s2 = heisenberg.gvh_discrepancy(psi2)
-    return abs(s1 - s2)
+    yield abs(s1 - s2)
 
 
 @register("heisenberg", "symmetrized-square-expansion", "symmetrized-square-discrepancy", 1e-8)
 def _gvh_expansion(rng, cfg):
-    return heisenberg.gvh_expansion_residual(_packet(cfg))
+    yield heisenberg.gvh_expansion_residual(_packet(cfg))
 
 
 @register("heisenberg", "halfline-translation-escape", "halfline-momentum-breakdown", 1e-6)
 def _halfline(rng, cfg):
     psi = heisenberg.gaussian_packet(cfg.grid_n, 20.0, x0=4.0, sigma=0.5)
-    at_rest = heisenberg.halfline_breakdown_demo(0.0, psi)["escaped_mass"]
-    small = heisenberg.halfline_breakdown_demo(1.0, psi)["escaped_mass"]
-    far = heisenberg.halfline_breakdown_demo(4.0 + 10 * 0.5, psi)["escaped_mass"]
-    return max(at_rest, small, 1.0 - far)
+    yield heisenberg.halfline_breakdown_demo(0.0, psi)["escaped_mass"]       # at rest
+    yield heisenberg.halfline_breakdown_demo(1.0, psi)["escaped_mass"]       # a small step
+    yield 1.0 - heisenberg.halfline_breakdown_demo(4.0 + 10 * 0.5, psi)["escaped_mass"]
 
 
 # ---------------------------------------------------------- berry-robbins
@@ -1082,28 +1002,22 @@ def _off_south_cap(v) -> np.ndarray:
 
 @register("berry-robbins", "transport-unitarity", "transported-frame", 1e-12)
 def _transport_unitary(rng, cfg):
-    worst = 0.0
     for j in (0.5, 1.0):
         frame = TransportFrame(j)
         u = frame.unitary(_kept_points(rng, 500, _off_south_cap))
-        worst = max(worst, float(np.max(np.abs(u @ u.conj().mT - np.eye(frame.dim)))))
-    return worst
+        yield np.abs(u @ u.conj().mT - np.eye(frame.dim))
 
 
 @register("berry-robbins", "transported-spin-spectrum-algebra", "conjugated-spin-operators", 1e-12)
 def _spin_props(rng, cfg):
-    worst = 0.0
     for j in (0.5, 1.0, 1.5):
         frame = TransportFrame(j)
         want = np.arange(-j, j + 1)
         r = _kept_points(rng, 20, _off_south_cap)
         mats = [transported_spin(i, r, frame) for i in (1, 2, 3)]
         for s in mats:
-            ev = np.sort(np.linalg.eigvalsh(s))
-            worst = max(worst, float(np.max(np.abs(ev - want))))
-        comm = mats[0] @ mats[1] - mats[1] @ mats[0]
-        worst = max(worst, float(np.max(np.abs(comm - 1j * mats[2]))))
-    return worst
+            yield np.abs(np.sort(np.linalg.eigvalsh(s)) - want)
+        yield np.abs(mats[0] @ mats[1] - mats[1] @ mats[0] - 1j * mats[2])
 
 
 @register("berry-robbins", "lift-composition", "transported-basis-lift", 1e-10)
@@ -1122,29 +1036,24 @@ def _br_compose(rng, cfg):
     st = BRState(unit_vector(rows[:, :3]), rows[:, 3:6] + 1j * rows[:, 6:9])
     lhs = br_lift(g1, br_lift(g2, st, frame), frame)
     rhs = br_lift(su2_product(g1, g2), st, frame)
-    norm_gap = _row_norms(rhs.lam) - _row_norms(st.lam)
-    return max(float(np.max(np.abs(lhs.lam - rhs.lam))),
-               float(np.max(np.abs(lhs.r - rhs.r))),
-               float(np.max(np.abs(norm_gap))))
+    yield np.abs(lhs.lam - rhs.lam)
+    yield np.abs(lhs.r - rhs.r)
+    yield np.abs(_row_norms(rhs.lam) - _row_norms(st.lam))
 
 
 @register("berry-robbins", "generator-recovery", "spin-operators-from-lift", 1e-7)
 def _br_recover(rng, cfg):
-    worst = 0.0
     for j in (0.5, 1.0):
         frame = TransportFrame(j)
         r = _kept_points(rng, 10, _off_south_cap)
         for i in (1, 2, 3):
-            gap = recover_spin_generator(i, r, frame) - transported_spin(i, r, frame)
-            worst = max(worst, float(np.max(np.abs(gap))))
-    return worst
+            yield np.abs(recover_spin_generator(i, r, frame) - transported_spin(i, r, frame))
 
 
 @register("berry-robbins", "spin-zero-reduction", "transported-basis-lift", 1e-15)
 def _j0_reduction(rng, cfg):
     frame = TransportFrame(0.0)
-
-    def batch(k):
+    for k in _chunks(cfg.samples):
         # a base point off the south cap, the scalar's (re, im), random_su2's normals
         draws = _kept_attempts(rng, k, _off_south_cap, 6)
         st = BRState(draws[:, :3], (draws[:, 3] + 1j * draws[:, 4])[:, None])
@@ -1154,21 +1063,16 @@ def _j0_reduction(rng, cfg):
         lifted = br_lift(g[keep], BRState(st.r[keep], st.lam[keep]), frame)
         same = (np.array_equal(lifted.r, scalar.r[keep])
                 and np.array_equal(lifted.lam, scalar.lam[keep]))
-        return 0.0 if same else 1.0
-
-    return _worst_over_chunks(cfg.samples, batch)
+        yield 0.0 if same else 1.0
 
 
 @register("berry-robbins", "fixed-basis-addition", "angular-momentum-addition", 1e-7)
 def _fixed_basis(rng, cfg):
     lmax = min(cfg.lmax, 6) - 1
-    worst = 0.0
     for j in (0.5, 1.0):
         field_ = np.stack([random_coeffs(lmax, "full", rng).c for _ in range(int(2 * j) + 1)])
         for i in (1, 2, 3):
-            gap = total_generator_fd(i, j, field_) - total_generator_exact(i, j, field_)
-            worst = max(worst, float(np.max(np.abs(gap))))
-    return worst
+            yield np.abs(total_generator_fd(i, j, field_) - total_generator_exact(i, j, field_))
 
 
 def checks_for_suite(suite: str) -> list[Check]:

@@ -160,7 +160,7 @@ def homomorphism_defect(c1, a1, c2, a2, u, psi) -> float:
     ut = np.swapaxes(u, 1, 2).reshape(n, 9).T
     wt = np.swapaxes(_commutator(u, psi), 1, 2).reshape(n, 9).T
     step = max(1, _CHUNK_BYTES // (8 * n))
-    worst = 0.0
+    peaks = []
     for lo in range(0, len(a1), step):
         s = slice(lo, lo + step)
         a1h, a2h = skew_matrix(a1[s]), skew_matrix(a2[s])
@@ -170,5 +170,5 @@ def homomorphism_defect(c1, a1, c2, a2, u, psi) -> float:
         lhs -= _rows9(_commutator(c2[s], a1h)) @ ut
         rhs = _rows9(skew_matrix(ab)) @ wt
         rhs += _rows9(cb) @ ut
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+        peaks.append(np.max(np.abs(lhs - rhs)))
+    return float(np.max(peaks, initial=0.0))    # np.max keeps a NaN, as Python's max does not

@@ -57,7 +57,7 @@ BOUNDARY_FRACTION_TOL = 1e-5   # max boundary coefficient relative to peak
 FD_STEP = 1e-3                 # Richardson step h of every finite-difference generator
 
 
-@functools.cache
+@functools.lru_cache(maxsize=8)
 def _log_uniform_nodes(rmin: float, rmax: float, n: int) -> np.ndarray:
     r = np.exp(np.linspace(np.log(rmin), np.log(rmax), n))
     r.flags.writeable = False

@@ -151,6 +151,21 @@ class TestHomomorphism:
         assert np.max(np.abs(vals)) < 1e-12
 
 
+    def test_defect_keeps_a_nan(self):
+        # the no-obstruction ensemble with one NaN generator, in the first pairs'
+        # chunk and in a later one: the defect is NaN, not the other pairs' peak
+        rng = np.random.default_rng(0)
+        pts = w_matrix(rng.normal(size=(100, 2, 5)))
+        e = rng.normal(size=(1000, 16))
+        c1, c2 = w_matrix(e[:, 0:5]), w_matrix(e[:, 8:13])
+        a1, a2 = e[:, 5:8], e[:, 13:16]
+        assert homomorphism_defect(c1, a1, c2, a2, pts[:, 0], pts[:, 1]) < 1e-12
+        for row in (3, 500):
+            spoiled = a1.copy()
+            spoiled[row] = np.nan
+            assert np.isnan(homomorphism_defect(c1, spoiled, c2, a2, pts[:, 0], pts[:, 1]))
+
+
 class TestJacobi:
     def test_jacobi_identity(self, rng):
         for _ in range(50):

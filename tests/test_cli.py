@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import math
@@ -16,14 +17,16 @@ from hypothesis import strategies as st
 
 from rp2quant.checks import (
     GRID_N_MIN,
+    LMAX_MAX,
     RADIAL_NODES_MIN,
     REGISTRY,
     SUITES,
     SuiteConfig,
+    _worst,
     check_rng,
     checks_for_suite,
 )
-from rp2quant import backend_name
+from rp2quant import backend_name, checks, cli
 from rp2quant.cli import (
     BLAS_THREAD_VARS,
     MARGIN_CLAMP,
@@ -87,6 +90,12 @@ class TestSuiteConfig:
         # tolerances that are not positive finite numbers
         with pytest.raises(ConfigError):
             SuiteConfig(**values)
+
+    def test_lmax_range_ends_where_the_module_grid_fits(self):
+        assert SuiteConfig(lmax=30).lmax == 30
+        for lmax in (0, LMAX_MAX + 1, LMAX_MAX + 2):
+            with pytest.raises(ConfigError, match=rf"lmax must lie in \[1, {LMAX_MAX}\]"):
+                SuiteConfig(lmax=lmax)
 
     def test_tolerance_overrides_are_stored_as_float(self):
         cfg = SuiteConfig(tol_overrides={"ccr-residual": np.float32(0.5), "spinor-homomorphism": 1})
@@ -152,6 +161,73 @@ class TestRunSuite:
         results = run_suite("groups", cfg)
         by_name = {r.name: r for r in results}
         assert not by_name["spinor-homomorphism"].passed
+
+
+def _spoil_call(monkeypatch, name: str, call: int, spoil) -> list:
+    """Patch ``checks.<name>`` so that its ``call``-th call returns ``spoil(result)``."""
+    original, calls = getattr(checks, name), []
+
+    def patched(*args, **kwargs):
+        calls.append(name)
+        out = original(*args, **kwargs)
+        return spoil(out) if len(calls) == call else out
+
+    monkeypatch.setattr(checks, name, patched)
+    return calls
+
+
+def _nan_at(index):
+    def spoil(out):
+        out = np.array(out)
+        out[index] = np.nan
+        return out
+
+    return spoil
+
+
+class TestWorstResidual:
+    """A check's residual is the worst of what its body yields, and a NaN fails it."""
+
+    def _run_alone(self, monkeypatch, name, cfg):
+        check = next(c for c in REGISTRY if c.name == name)
+        monkeypatch.setattr(cli, "checks_for_suite", lambda suite: [check])
+        [result] = run_suite(check.suite, cfg)
+        return result
+
+    def _fails_with_nan(self, result):
+        assert math.isnan(result.residual) and not result.passed and result.error is None
+
+    def test_nan_in_a_loop_sample(self, monkeypatch):
+        # the second of rotation-unitarity's ten rotations loses its norm
+        calls = _spoil_call(monkeypatch, "rotate_coeffs", 2,
+                            lambda out: SimpleNamespace(norm=lambda: math.nan))
+        self._fails_with_nan(self._run_alone(monkeypatch, "rotation-unitarity", SuiteConfig()))
+        assert len(calls) == 10
+
+    def test_nan_in_the_second_chunk(self, monkeypatch):
+        # 4100 samples are chunks of 4096 and 4; the second chunk's rotation of
+        # its second sample has a NaN entry
+        calls = _spoil_call(monkeypatch, "spinor_map", 2, _nan_at((1, 2, 2)))
+        result = self._run_alone(monkeypatch, "h-image-in-o2", SuiteConfig(samples=4100))
+        self._fails_with_nan(result)
+        assert len(calls) == 2
+
+    def test_nan_in_the_second_part(self, monkeypatch):
+        # frame-map-odd-unit yields the oddness gap, then the unit-norm gap
+        calls = _spoil_call(monkeypatch, "_row_norms", 1, _nan_at(1))
+        self._fails_with_nan(self._run_alone(monkeypatch, "frame-map-odd-unit", SuiteConfig()))
+        assert len(calls) == 1
+
+    def test_reduction(self):
+        assert _worst(iter(())) == 0.0
+        assert _worst([1e-16, np.array([[2e-16, 0.0]]), 5e-17]) == 2e-16
+        assert math.isnan(_worst([np.array([np.nan, 1.0]), 2.0]))
+        assert math.isnan(_worst([2.0, np.array([1.0, np.nan])]))
+
+    def test_every_body_yields(self):
+        for check in REGISTRY:
+            assert inspect.isgeneratorfunction(check.fn.__wrapped__), check.name
+        assert type(REGISTRY[0].fn(check_rng(0, REGISTRY[0].name), SuiteConfig())) is float
 
 
 class TestReports:

@@ -27,6 +27,7 @@ from rp2quant.representation import (
     RICHARDSON_OFFSETS,
     FullSection,
     RadialGrid,
+    _log_uniform_nodes,
     _richardson,
     _spectral_log_shift,
     act_canonical,
@@ -224,6 +225,19 @@ class TestRadialGrid:
         assert again is not radial and again == radial and hash(again) == hash(radial)
         assert len({radial, again, RadialGrid(0.0625, 32.0, 65), RadialGrid(0.0625, 16.0, 64)}) == 3
         assert type(again.n) is int and again.n == again.nodes.size
+
+    def test_node_cache_is_bounded(self):
+        # a sweep of node counts keeps only the last few arrays; an evicted
+        # grid's nodes are rebuilt byte for byte
+        first = log_uniform_grid(0.0625, 32.0, 8).nodes.tobytes()
+        for n in range(8, 64):
+            log_uniform_grid(0.0625, 32.0, n).nodes
+        info = _log_uniform_nodes.cache_info()
+        assert info.maxsize == 8 and info.currsize <= 8
+        assert log_uniform_grid(0.0625, 32.0, 8).nodes.tobytes() == first
+        for rmin, rmax, n in self.BUILT:
+            want = np.exp(np.linspace(np.log(rmin), np.log(rmax), n))
+            assert RadialGrid(rmin, rmax, n).nodes.tobytes() == want.tobytes()
 
     def test_positivity(self):
         for rmin in (0.0, -1.0, np.nan):
