@@ -20,7 +20,8 @@ recurrence, one order m at a time (``_legendre_slabs``).
 Rotations act on coefficients (``harmonics.rotate_stack``) and evaluate no
 harmonics.  Both kernels are vectorized numpy over the points, loop over
 (l, m) only, and are deterministic.  See benchmarks/bench_harmonics.py for
-timings.
+timings.  ``_read_only`` and ``_table_band`` (a stack's band) live here
+because ``groups``, ``manifold`` and ``harmonics`` all need them.
 
 Recurrence (fully normalized associated Legendre, ct = cos(theta)):
     P[0,0] = 1/sqrt(4*pi)
@@ -36,6 +37,24 @@ import functools
 import math
 
 import numpy as np
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _table_band(c) -> tuple[np.ndarray, int]:
+    """A stack (..., (lmax+1)²) as a complex array, and its lmax.
+
+    A last axis of any other length raises ValueError.
+    """
+    c = np.asarray(c, dtype=np.complex128)
+    lmax = math.isqrt(c.shape[-1]) - 1
+    if (lmax + 1) ** 2 != c.shape[-1]:
+        raise ValueError("last axis must hold (lmax+1)² coefficients")
+    return c, lmax
+
 
 @functools.cache
 def _recurrence_tables(lmax: int):
@@ -53,10 +72,7 @@ def _recurrence_tables(lmax: int):
             two_b[l, m] = math.sqrt(
                 ((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0)
             )
-    tables = (diag, raise_, two_a, two_b)
-    for a in tables:
-        a.flags.writeable = False
-    return tables
+    return tuple(map(_read_only, (diag, raise_, two_a, two_b)))
 
 
 def backend_name() -> str:
@@ -131,10 +147,7 @@ def _m_major_rows(lmax: int):
         src += [plus, plus + 1, minus, minus + 1]
         factor += [np.ones(2 * l.size), np.full(2 * l.size, sign)]
     start = np.concatenate([[0], np.cumsum(lmax + 1 - np.arange(lmax + 1))])
-    tables = (np.concatenate(src), np.concatenate(factor), start)
-    for a in tables:
-        a.flags.writeable = False
-    return tables
+    return tuple(map(_read_only, (np.concatenate(src), np.concatenate(factor), start)))
 
 
 def ylm_synthesize(xyz: np.ndarray, lmax: int, c: np.ndarray) -> np.ndarray:

@@ -33,10 +33,19 @@ from .groups import (
     su2_product,
     unit_vector,
 )
-from .harmonics import _row_norms, _sector_checked, _table_band, off_sector_mask
+from ._kernels import _table_band
+from .harmonics import _row_norms, _sector_checked, off_sector_mask
 from .manifold import CHART_TOL, QuadratureGrid
 
 PROJECTOR_CONSTRAINT_TOL = 1e-8   # p·f - f accepted by module_iso_inverse, relative
+
+
+def _module_grid_order(lmax: int) -> int:
+    """Grid order both module maps need at band lmax: top + 2, top the largest odd degree.
+
+    ``module_iso_inverse`` projects onto degree top + 2; a smaller grid raises ValueError.
+    """
+    return lmax + 1 + lmax % 2
 
 
 def kappa(g) -> np.ndarray:
@@ -125,8 +134,6 @@ def module_iso_forward(c, grid: QuadratureGrid) -> np.ndarray:
     c = _sector_checked(c, lmax, "odd")
     top = lmax if lmax % 2 else lmax - 1    # largest populated odd degree
     lout = top + 1
-    if lout > grid.lmax_exact:
-        raise ValueError("grid not exact enough for the product coefficients")
     f = grid.project(grid.synthesize(c)[..., None, :] * grid.nodes.T, lout)
     f[..., off_sector_mask(lout, "even")] = 0.0   # odd-degree residue is quadrature noise
     return f
@@ -155,13 +162,11 @@ def module_iso_inverse(f, grid: QuadratureGrid) -> np.ndarray:
     vals = grid.synthesize(f)
     res = _projector_gap(vals, grid)
     scale = np.maximum(np.max(_row_norms(f), axis=-1), 1.0)
-    if np.any(res > PROJECTOR_CONSTRAINT_TOL * scale):
+    if not np.all(res <= PROJECTOR_CONSTRAINT_TOL * scale):     # NaN fails too
         raise ProjectorConstraintViolated(
             f"p·f - f residual {np.max(res):.3e} exceeds {PROJECTOR_CONSTRAINT_TOL:.1e} (scaled)"
         )
     lout = lmax + 1
-    if lout > grid.lmax_exact:
-        raise ValueError("grid not exact enough for the product coefficients")
     c = grid.project(np.sum(vals * grid.nodes.T, axis=-2), lout)
     c[..., off_sector_mask(lout, "odd")] = 0.0
     return c

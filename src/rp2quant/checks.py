@@ -33,6 +33,7 @@ from .berry_robbins import (
     transported_spin,
 )
 from ._kernels import ylm_synthesize
+from .bundles import _module_grid_order
 from .errors import ConfigError
 from .groups import (
     H_CLASSIFY_TOL,
@@ -186,15 +187,6 @@ def check_rng(master_seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([master_seed & 0xFFFFFFFFFFFFFFFF, tag])
 
 
-def _module_grid_order(lmax: int) -> int:
-    """Grid order of the module maps at band lmax: the largest any check asks for.
-
-    ``module_iso_inverse`` needs order top + 2 for the top odd degree, which is
-    lmax + 2 when lmax is odd and lmax + 1 when it is even.
-    """
-    return lmax + 1 + lmax % 2
-
-
 # the largest lmax whose module maps fit the quadrature cap; SuiteConfig accepts [1, LMAX_MAX]
 LMAX_MAX = max(l for l in range(1, MAX_GRID_LMAX + 1) if _module_grid_order(l) <= MAX_GRID_LMAX)
 
@@ -221,19 +213,14 @@ def _draw_rows(rng, n: int, draw) -> np.ndarray:
     return rows
 
 
-def _h_draws(rng) -> list[float]:
-    """The two doubles one H sample consumes, raw (see ``_h_rows``)."""
-    return [rng.random(), rng.random()]
-
-
 def _haar_and_h(rng) -> np.ndarray:
     """The draws of one ``random_su2`` call followed by one H sample."""
-    return np.concatenate([rng.normal(size=4), _h_draws(rng)])
+    return np.concatenate([rng.normal(size=4), rng.random(2)])
 
 
 def _assoc_and_h(rng) -> np.ndarray:
     """The draws of one associated-bundle sample (see ``_assoc_rows``) and one H sample."""
-    return np.concatenate([rng.normal(size=6), _h_draws(rng)])
+    return np.concatenate([rng.normal(size=6), rng.random(2)])
 
 
 def _kept_points(rng, n: int, ok) -> np.ndarray:
@@ -995,9 +982,12 @@ def _halfline(rng, cfg):
 
 # ---------------------------------------------------------- berry-robbins
 
+SOUTH_CAP_Z = -0.8      # the spin checks keep their points above it, clear of the frame's pole
+
+
 def _off_south_cap(v) -> np.ndarray:
-    """Which unit rows keep clear of the frame's excluded south cap (z ≤ -0.8)."""
-    return v[:, 2] > -0.8
+    """Which unit rows keep clear of the frame's excluded south cap (z ≤ SOUTH_CAP_Z)."""
+    return v[:, 2] > SOUTH_CAP_Z
 
 
 @register("berry-robbins", "transport-unitarity", "transported-frame", 1e-12)
@@ -1028,7 +1018,7 @@ def _br_compose(rng, cfg):
     def images_off_cap(points, tails):
         mid = _apply(spinor_map(su2_from_normals(tails[:, 10:])), unit_vector(points))
         end = _apply(spinor_map(su2_from_normals(tails[:, 6:10])), mid)
-        return ~((mid[:, 2] < -0.8) | (end[:, 2] < -0.8))
+        return ~((mid[:, 2] < SOUTH_CAP_Z) | (end[:, 2] < SOUTH_CAP_Z))
 
     frame = TransportFrame(1.0)
     rows = _kept_attempts(rng, 200, _off_south_cap, 14, images_off_cap)
@@ -1059,7 +1049,7 @@ def _j0_reduction(rng, cfg):
         st = BRState(draws[:, :3], (draws[:, 3] + 1j * draws[:, 4])[:, None])
         g = su2_from_normals(draws[:, 5:])
         scalar = scalar_lift(g, st)
-        keep = ~(scalar.r[:, 2] < -0.8)        # samples whose image leaves the south cap
+        keep = ~(scalar.r[:, 2] < SOUTH_CAP_Z)   # samples whose image leaves the south cap
         lifted = br_lift(g[keep], BRState(st.r[keep], st.lam[keep]), frame)
         same = (np.array_equal(lifted.r, scalar.r[keep])
                 and np.array_equal(lifted.lam, scalar.lam[keep]))

@@ -33,13 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import _read_only
+
 UNIT_TOL = 1e-9          # constructor tolerance for unit-norm inputs
 ZERO_TOL = 1e-12         # coordinate treated as zero during canonicalization
 H_CLASSIFY_TOL = 1e-10   # tolerance on the vanishing entry for H membership
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+SIGMA_X = _read_only(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+SIGMA_Y = _read_only(np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex))
+SIGMA_Z = _read_only(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
@@ -304,7 +306,7 @@ def quotient_to_sphere(g) -> np.ndarray:
     return np.stack(_image_of_e3(*_columns(g)), axis=-1)
 
 
-_SOUTH_POLE_ROW = su2_from_axis_angle(np.pi, (1.0, 0.0, 0.0))
+_SOUTH_POLE_ROW = _read_only(su2_from_axis_angle(np.pi, (1.0, 0.0, 0.0)))
 
 
 def su2_from_sphere_point(x) -> np.ndarray:

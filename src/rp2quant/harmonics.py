@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import ylm_synthesize
+from ._kernels import _read_only, _table_band, ylm_synthesize
 from .groups import _su2_rows, spinor_map
 from .manifold import QuadratureGrid
 
@@ -60,25 +60,11 @@ def num_coeffs(lmax: int) -> int:
     return (lmax + 1) * (lmax + 1)
 
 
-def _table_band(c) -> tuple[np.ndarray, int]:
-    """A stack (..., (lmax+1)²) as a complex array, and its lmax.
-
-    A last axis of any other length raises ValueError.
-    """
-    c = np.asarray(c, dtype=np.complex128)
-    lmax = math.isqrt(c.shape[-1]) - 1
-    if num_coeffs(lmax) != c.shape[-1]:
-        raise ValueError("last axis must hold (lmax+1)² coefficients")
-    return c, lmax
-
-
 @functools.cache
 def _odd_degree_mask(lmax: int) -> np.ndarray:
     """Read-only boolean mask over table entries, True where l is odd (cached)."""
     degrees = np.arange(lmax + 1)
-    mask = np.repeat(degrees % 2 == 1, 2 * degrees + 1)
-    mask.flags.writeable = False
-    return mask
+    return _read_only(np.repeat(degrees % 2 == 1, 2 * degrees + 1))
 
 
 def off_sector_mask(lmax: int, sector: str) -> np.ndarray:
@@ -103,11 +89,9 @@ def _sector_checked(c, lmax: int, sector: str) -> np.ndarray:
         raise ValueError("coefficient array has wrong length")
     if sector != "full":
         v = float(np.abs(c[..., off_sector_mask(lmax, sector)]).max(initial=0.0))
-        if v > SECTOR_PURITY_TOL:
+        if not v <= SECTOR_PURITY_TOL:      # NaN fails too
             raise ValueError(f"sector {sector!r} violated by {v:.3e} (> {SECTOR_PURITY_TOL})")
-    c = c.copy()
-    c.flags.writeable = False
-    return c
+    return _read_only(c.copy())
 
 
 def _row_norms(v) -> np.ndarray:
@@ -180,15 +164,15 @@ def evaluate(a: HarmonicCoeffs, x) -> complex | np.ndarray:
     return complex(vals[0]) if np.asarray(x).ndim == 1 else vals
 
 
-def analyze(f, lmax: int, grid: QuadratureGrid) -> HarmonicCoeffs:
-    """Project a pointwise function: c[l, m] = Σ_k w_k conj(Y_lm(x_k)) f(x_k).
+def analyze(values, lmax: int, grid: QuadratureGrid) -> HarmonicCoeffs:
+    """Project node values: c[l, m] = Σ_k w_k conj(Y_lm(x_k)) v_k.
 
-    ``f`` may be a callable on (n, 3) arrays or precomputed node values.
-    The sum is ``grid.project`` (FFT over azimuth, Legendre sum per m).
-    Exact on band-limited input when the grid integrates degree-2·lmax
-    products, i.e. lmax ≤ grid.lmax_exact; larger lmax raises.
+    ``values`` holds one value v_k per node x_k of ``grid.nodes``.  The sum
+    is ``grid.project`` (FFT over azimuth, Legendre sum per m).  Exact on
+    band-limited input when the grid integrates degree-2·lmax products,
+    i.e. lmax ≤ grid.lmax_exact; larger lmax raises.
     """
-    values = f(grid.nodes) if callable(f) else np.asarray(f, dtype=complex)
+    values = np.asarray(values, dtype=complex)
     if values.shape != (grid.n,):
         raise ValueError("node values have wrong shape")
     return HarmonicCoeffs(lmax, "full", grid.project(values, lmax))
@@ -227,9 +211,7 @@ def _ladder_tables(lmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m = np.concatenate([np.arange(-l, l + 1) for l in degrees]).astype(float)
     src = np.concatenate([l * l + np.arange(2 * l) for l in degrees])
     ladder = np.concatenate([_ladder(l) for l in degrees])
-    for arr in (m, src, ladder):
-        arr.flags.writeable = False
-    return m, src, ladder
+    return tuple(map(_read_only, (m, src, ladder)))
 
 
 def apply_L(i: int, c) -> np.ndarray:
@@ -290,12 +272,10 @@ def _s2_eigvecs(twoj: int) -> np.ndarray:
     ``eigh`` returns the exact spectrum -j ... j in ascending order, so only
     the eigenvectors are kept.
     """
-    _, v = np.linalg.eigh(angular_momentum_matrices(twoj / 2)[1])
-    v.flags.writeable = False
-    return v
+    return _read_only(np.linalg.eigh(angular_momentum_matrices(twoj / 2)[1])[1])
 
 
-_ARG_SIGNS = np.array([1.0, -1.0])
+_ARG_SIGNS = _read_only(np.array([1.0, -1.0]))
 
 
 def _euler_phases(g, twoj: int) -> np.ndarray:

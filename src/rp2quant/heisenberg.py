@@ -207,6 +207,11 @@ def _sym_pq(psi: GridWavefunction) -> GridWavefunction:
     )
 
 
+def _shared_terms(psi: GridWavefunction) -> np.ndarray:
+    """(p̂²q̂² + 2iħ p̂q̂)ψ, the part both quantizations of (pq)² write out."""
+    return op_p(op_p(op_q(op_q(psi)))).values + 2j * psi.hbar * op_p(op_q(psi)).values
+
+
 def gvh_discrepancy(psi: GridWavefunction) -> tuple[GridWavefunction, float]:
     """Difference field of the two quantizations of (pq)² and its fitted scale.
 
@@ -216,10 +221,9 @@ def gvh_discrepancy(psi: GridWavefunction) -> tuple[GridWavefunction, float]:
     expansion is verified on its own by ``gvh_expansion_residual``.
     """
     hbar = psi.hbar
-    p2q2 = op_p(op_p(op_q(op_q(psi))))
-    pq = op_p(op_q(psi))
-    route1 = p2q2.values + 2j * hbar * pq.values - 0.25 * hbar**2 * psi.values
-    route2 = p2q2.values + 2j * hbar * pq.values - 1.0 * hbar**2 * psi.values
+    shared = _shared_terms(psi)
+    route1 = shared - 0.25 * hbar**2 * psi.values
+    route2 = shared - 1.0 * hbar**2 * psi.values
 
     diff = psi.with_values(route1 - route2)
     scalar = (psi.inner(diff) / psi.inner(psi)).real
@@ -228,12 +232,7 @@ def gvh_discrepancy(psi: GridWavefunction) -> tuple[GridWavefunction, float]:
 
 def gvh_expansion_residual(psi: GridWavefunction) -> float:
     """‖(sym(pq))²ψ - (p̂²q̂² + 2iħ p̂q̂ - ¼ħ²)ψ‖ / ‖ψ‖."""
-    hbar = psi.hbar
-    route1 = (
-        op_p(op_p(op_q(op_q(psi)))).values
-        + 2j * hbar * op_p(op_q(psi)).values
-        - 0.25 * hbar**2 * psi.values
-    )
+    route1 = _shared_terms(psi) - 0.25 * psi.hbar**2 * psi.values
     composed = _sym_pq(_sym_pq(psi))
     return float(
         np.sqrt(

@@ -15,14 +15,13 @@ nodes and tables are derived once per (order, band) and shared read-only.
 """
 
 import functools
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PointNotInChart
-from ._kernels import ylm_basis
+from ._kernels import _read_only, _table_band, ylm_basis
 from .groups import UNIT_TOL, unit_vector
 
 CHART_TOL = 1e-9
@@ -144,11 +143,6 @@ class WFunctional:
         return WFunctional(s * self.c, s * self.c0)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @functools.cache
 def _layout(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes (n, 3), weights (n,) and antipode (n,) of the grid of this order (read-only)."""
@@ -249,10 +243,7 @@ class QuadratureGrid:
         Returns (..., n): one scatter into FFT slots, one Legendre matmul per
         slot and one inverse FFT over azimuth.
         """
-        c = np.asarray(c, dtype=np.complex128)
-        lmax = math.isqrt(c.shape[-1]) - 1
-        if (lmax + 1) ** 2 != c.shape[-1]:
-            raise ValueError("last axis must hold (lmax+1)² coefficients")
+        c, lmax = _table_band(c)
         syn, _, slot, deg = _ring_tables(self.lmax_exact, lmax)
         rows = c.reshape(-1, c.shape[-1])
         scattered = np.zeros((syn.shape[0], lmax + 1, rows.shape[0]), dtype=np.complex128)

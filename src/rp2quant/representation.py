@@ -10,9 +10,9 @@ g_t = exp(-it σ_i/2), with the Hermitian convention
 
     J_i := i · d/dt|₀ U(g_t),
 
-which reproduces the exact ladder action L_i on coefficients.  The twelve
-elements g_t (three axes, four offsets) are one read-only (3, 4, 2) stack,
-``FD_ELEMENTS``; each generator rotates all four offsets of its axis in one
+which reproduces the exact ladder action L_i on coefficients.  FD_STEP alone
+sets the offsets, the twelve elements g_t (``_fd_rows``, cached per step)
+and the divisor; each generator rotates all four offsets of its axis in one
 ``rotate_stack`` call.  The generators and the residuals built on them take
 a (..., (lmax+1)²) stack of tables; a (n,) table is a stack with no leading
 axes and gives a 0-d residual.
@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import _read_only
 from .errors import RadialRangeError
 from .groups import spinor_map, su2_from_axis_angle, su2_product
 from .harmonics import (
@@ -59,9 +60,7 @@ FD_STEP = 1e-3                 # Richardson step h of every finite-difference ge
 
 @functools.lru_cache(maxsize=8)
 def _log_uniform_nodes(rmin: float, rmax: float, n: int) -> np.ndarray:
-    r = np.exp(np.linspace(np.log(rmin), np.log(rmax), n))
-    r.flags.writeable = False
-    return r
+    return _read_only(np.exp(np.linspace(np.log(rmin), np.log(rmax), n)))
 
 
 @dataclass(frozen=True)
@@ -226,28 +225,29 @@ def check_group_law(
     return float(num / fs.norm())
 
 
-# the offsets t = h, -h, h/2, -h/2 (h = FD_STEP) of the Richardson derivative
-RICHARDSON_OFFSETS = (FD_STEP, -FD_STEP, FD_STEP / 2.0, -FD_STEP / 2.0)
+@functools.lru_cache(maxsize=8)
+def _fd_rows(h: float) -> np.ndarray:
+    """Rows g_t = e^{-itσ_i/2} at the Richardson offsets t = h, -h, h/2, -h/2 (cached).
 
-# rows g_t = e^{-itσ_i/2}: axis i = 1, 2, 3 on the first index, t in
-# RICHARDSON_OFFSETS order on the second (read-only, shape (3, 4, 2))
-FD_ELEMENTS = su2_from_axis_angle(np.array(RICHARDSON_OFFSETS), np.eye(3)[:, None, :])
-FD_ELEMENTS.flags.writeable = False
+    Axis i = 1, 2, 3 on the first index, t on the second: read-only, (3, 4, 2).
+    """
+    return _read_only(su2_from_axis_angle(np.array([h, -h, h / 2.0, -h / 2.0]),
+                                          np.eye(3)[:, None, :]))
 
 
 def _fd_elements(i: int, ndim: int = 1) -> np.ndarray:
-    """The four rows of axis i, shaped (4, 1, ..., 1, 2) to broadcast on ndim - 1 axes.
+    """Axis i's four rows at FD_STEP, shaped (4, 1, ..., 1, 2) to broadcast on ndim - 1 axes.
 
     Stacked in front of tables (..., n) with ndim - 1 leading axes, one
     ``rotate_stack`` call gives every offset on a new leading axis.
     """
     if i not in (1, 2, 3):
         raise ValueError("component must be 1, 2 or 3")
-    return FD_ELEMENTS[i - 1].reshape((len(RICHARDSON_OFFSETS),) + (1,) * (ndim - 1) + (2,))
+    return _fd_rows(FD_STEP)[i - 1].reshape((4,) + (1,) * (ndim - 1) + (2,))
 
 
 def _richardson(values) -> np.ndarray:
-    """O(h⁴) derivative at t = 0 from values at RICHARDSON_OFFSETS on axis 0.
+    """O(h⁴) derivative at t = 0 from values at t = h, -h, h/2, -h/2 (h = FD_STEP) on axis 0.
 
     Central differences at h and h/2, combined as (4·d_{h/2} - d_h)/3.
     """
@@ -293,7 +293,7 @@ def check_intertwining(c, grid: QuadratureGrid) -> np.ndarray:
     images = [apply_L(i, c) for i in (1, 2, 3)]
     triples, *rhs = module_iso_forward(np.stack([c, *images]), grid)      # (..., 3, n')
     # offsets on axis 0, the three axes on axis 1, then one axis per leading axis of triples
-    g = FD_ELEMENTS.swapaxes(0, 1).reshape((len(RICHARDSON_OFFSETS), 3) + (1,) * c.ndim + (2,))
+    g = _fd_rows(FD_STEP).swapaxes(0, 1).reshape((4, 3) + (1,) * c.ndim + (2,))
     lhs = 1j * _richardson(spinor_map(g[..., 0, :]) @ rotate_stack(g, triples))
     gap = (lhs - np.stack(rhs)).reshape((3,) + c.shape[:-1] + (-1,))
     return _row_norms(gap) / _row_norms(c)

@@ -9,7 +9,9 @@ retired scalar object (its own normalization, product, matrix, inverse and
 negation); it subclasses the library's, so every library name takes it as
 one element.  ``HElement``, ``h_membership``, ``RP2Point``, ``rp2_point`` and
 ``quotient_to_rp2`` left the library with it, and ``_random_axis`` is the
-harness's former one-axis draw.
+harness's former one-axis draw, and ``richardson_offsets`` the offsets
+t = h, -h, h/2, -h/2 that per-offset generator references loop over, read
+from ``representation.FD_STEP`` at call time.
 The reference loops of ``test_batch_checks`` and the bitwise tables of the
 library tests compare the library against them.  Where a form below calls
 a library name, it wrapped that stacked form already.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rp2quant import bundles, classical, groups, manifold
+from rp2quant import bundles, classical, groups, manifold, representation
 from rp2quant.errors import PointNotInChart, ProjectorConstraintViolated
 from rp2quant.bundles import PROJECTOR_CONSTRAINT_TOL, phi
 from rp2quant.classical import homomorphism_defect, w_matrix
@@ -98,6 +100,11 @@ def _random_axis(rng) -> np.ndarray:
     """One random unit axis, as the harness checks drew it a sample at a time."""
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
+
+
+def richardson_offsets() -> tuple[float, float, float, float]:
+    h = representation.FD_STEP
+    return (h, -h, h / 2.0, -h / 2.0)
 
 
 def su2_matrix(g) -> np.ndarray:

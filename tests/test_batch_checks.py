@@ -20,6 +20,7 @@ import pytest
 
 from rp2quant import bundles, classical, heisenberg
 from rp2quant._kernels import ylm_synthesize
+from rp2quant.bundles import _module_grid_order
 from rp2quant.berry_robbins import (
     BRState,
     TransportFrame,
@@ -40,7 +41,6 @@ from rp2quant.checks import (
     _interior,
     _kept_attempts,
     _kept_points,
-    _module_grid_order,
     INTERIOR_MARGIN,
     _off_south_cap,
     check_rng,

@@ -23,7 +23,9 @@ from rp2quant.groups import (
 )
 from rp2quant.harmonics import random_coeffs, rotate_values, unit, wigner_d, zeros
 from rp2quant.manifold import build_quadrature
-from rp2quant.representation import RICHARDSON_OFFSETS, _richardson
+from rp2quant import representation
+from rp2quant.representation import _richardson
+from tests.scalar_reference import richardson_offsets
 
 IDENTITY = np.array([1, 0], dtype=complex)   # the SU(2) identity row
 
@@ -269,6 +271,46 @@ class TestGeneratorRecovery:
         assert np.max(np.abs(rec)) < 1e-9
 
 
+def per_offset_recovery(i, r, frame):
+    """``recover_spin_generator`` with one group element per Richardson offset."""
+    axis, u0d = np.eye(3)[i - 1], frame.unitary(r).conj().T
+    total, base = [], []
+    for t in richardson_offsets():
+        g = su2_from_axis_angle(t, axis)
+        moved = frame.unitary(spinor_map(g) @ r)
+        total.append(moved @ wigner_d(frame.j, g) @ u0d)
+        base.append(moved @ u0d)
+    return 1j * _richardson(total) - 1j * _richardson(base)
+
+
+def per_offset_total_generator(i, j, field):
+    """``total_generator_fd`` with one fixed-basis lift per Richardson offset."""
+    axis = np.eye(3)[i - 1]
+    return 1j * _richardson([fixed_basis_lift(su2_from_axis_angle(t, axis), j, field)
+                             for t in richardson_offsets()])
+
+
+@pytest.mark.parametrize("h", [5e-4, 2.5e-4])
+def test_patching_fd_step_moves_the_spin_generators(h, rng, monkeypatch):
+    frame, r, field = TransportFrame(1.0), safe_point(rng), random_field(0.5, 5, rng)
+
+    def outputs():
+        return [(recover_spin_generator(i, r, frame).tobytes(),
+                 total_generator_fd(i, 0.5, field).tobytes()) for i in (1, 2, 3)]
+
+    before = outputs()
+    with monkeypatch.context() as m:
+        m.setattr(representation, "FD_STEP", h)
+        for i in (1, 2, 3):
+            rec = recover_spin_generator(i, r, frame)
+            assert rec.tobytes() == per_offset_recovery(i, r, frame).tobytes()
+            fd = total_generator_fd(i, 0.5, field)
+            assert fd.tobytes() == per_offset_total_generator(i, 0.5, field).tobytes()
+            assert np.max(np.abs(rec - transported_spin(i, r, frame))) < 1e-7
+            assert np.max(np.abs(fd - total_generator_exact(i, 0.5, field))) < 1e-7
+    assert outputs() == before
+
+
 def random_field(j, lmax, rng):
     """A spin-j field: 2j + 1 random tables, one per m value, as a (2j+1, n) stack."""
     return np.stack([random_coeffs(lmax, "full", rng).c for _ in range(int(2 * j) + 1)])
@@ -309,10 +351,7 @@ class TestFixedBasisLift:
         for j in (0.0, 0.5, 1.0):
             field = random_field(j, 5, rng)
             for i in (1, 2, 3):
-                axis = np.eye(3)[i - 1]
-                lifts = [fixed_basis_lift(su2_from_axis_angle(t, axis), j, field)
-                         for t in RICHARDSON_OFFSETS]
-                want = 1j * _richardson(lifts)
+                want = per_offset_total_generator(i, j, field)
                 assert total_generator_fd(i, j, field).tobytes() == want.tobytes()
 
     def test_random_fields_addition(self, rng):

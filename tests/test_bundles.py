@@ -5,6 +5,7 @@ import pytest
 
 from rp2quant import bundles
 from rp2quant.bundles import (
+    _module_grid_order,
     iso_Phi,
     iso_Phi_inverse,
     kappa,
@@ -287,6 +288,23 @@ class TestModuleIsomorphism:
         bad = np.stack([unit(2, 0, 0).c, zeros(2, "even").c, zeros(2, "even").c])
         with pytest.raises(ProjectorConstraintViolated):
             module_iso_inverse(bad, grid9)
+
+    def test_nan_entry_rejected(self, grid9, rng):
+        f = module_iso_forward(random_coeffs(8, "odd", rng).c, grid9)
+        f[1, 4] = np.nan
+        with pytest.raises(ProjectorConstraintViolated, match="nan"):
+            module_iso_inverse(f, grid9)
+
+    @pytest.mark.parametrize("lmax", [8, 9])
+    def test_grid_not_exact_enough_rejected(self, lmax, rng):
+        # the inverse map needs order _module_grid_order(lmax), the forward map one less
+        a = random_coeffs(lmax, "odd", rng).c
+        order = _module_grid_order(lmax)
+        f = module_iso_forward(a, build_quadrature(order))
+        with pytest.raises(ValueError, match="cannot project"):
+            module_iso_forward(a, build_quadrature(order - 2))
+        with pytest.raises(ValueError, match="cannot project"):
+            module_iso_inverse(f, build_quadrature(order - 1))
 
     def test_forward_requires_odd(self, grid9, rng):
         with pytest.raises(ValueError):

@@ -89,6 +89,12 @@ class TestSectors:
         with pytest.raises(ValueError):
             HarmonicCoeffs(3, "odd", c)
 
+    def test_nan_off_sector_rejected(self):
+        c = np.zeros(num_coeffs(3), dtype=complex)
+        c[1] = np.nan                               # degree 1: off the even sector
+        with pytest.raises(ValueError, match="violated by nan"):
+            HarmonicCoeffs(3, "even", c)
+
     @pytest.mark.parametrize("sector", ["even", "odd", "full"])
     def test_stacked_draw_equals_single_draws(self, sector):
         # one (n, 2·(lmax+1)²) block of normals gives the n tables that n

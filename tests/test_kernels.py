@@ -1,9 +1,12 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
+import rp2quant
 from rp2quant._kernels import (
     _m_major_rows,
     _recurrence_tables,
@@ -13,7 +16,7 @@ from rp2quant._kernels import (
 )
 from rp2quant.harmonics import _ladder_tables, _odd_degree_mask, _s2_eigvecs
 from rp2quant.manifold import _ring_tables, build_quadrature
-from rp2quant.representation import log_uniform_grid
+from rp2quant.representation import FD_STEP, _fd_rows, log_uniform_grid
 
 
 def random_points(rng, n):
@@ -168,6 +171,7 @@ MEMOS = {
     "dense basis": lambda grid: (grid.basis(8),),
     "nodes and weights": lambda grid: (grid.nodes, grid.weights),
     "radial nodes": lambda grid: (log_uniform_grid(0.0625, 32.0, 64).nodes,),
+    "FD rows": lambda grid: (_fd_rows(FD_STEP),),
 }
 
 
@@ -179,3 +183,22 @@ def test_memoized_arrays_are_shared_and_read_only(grid8, name):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = a.flat[0]
+
+
+def _module_arrays():
+    """(module.name, array) for every top-level array and tuple of arrays in rp2quant."""
+    for info in pkgutil.iter_modules(rp2quant.__path__):
+        if info.name == "__main__":                 # running it would start the CLI
+            continue
+        module = importlib.import_module(f"rp2quant.{info.name}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, np.ndarray):
+                yield f"{info.name}.{name}", obj
+            elif isinstance(obj, tuple) and obj and all(isinstance(a, np.ndarray) for a in obj):
+                yield from ((f"{info.name}.{name}[{k}]", a) for k, a in enumerate(obj))
+
+
+def test_module_constant_arrays_are_read_only():
+    found = dict(_module_arrays())
+    assert "groups.PAULI[0]" in found and "harmonics._ARG_SIGNS" in found
+    assert [name for name, a in found.items() if a.flags.writeable] == []

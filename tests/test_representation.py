@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rp2quant import representation
 from rp2quant._kernels import ylm_basis
 from rp2quant.berry_robbins import fixed_basis_lift, total_generator_exact, total_generator_fd
 from rp2quant.bundles import module_iso_forward, module_iso_inverse, projector_residual
@@ -24,7 +25,6 @@ from rp2quant.harmonics import (
 )
 from rp2quant.manifold import WFunctional, build_quadrature
 from rp2quant.representation import (
-    RICHARDSON_OFFSETS,
     FullSection,
     RadialGrid,
     _log_uniform_nodes,
@@ -41,7 +41,7 @@ from rp2quant.representation import (
     separable_section,
     su2_closure_residual,
 )
-from tests.scalar_reference import su2_matrix
+from tests.scalar_reference import richardson_offsets, su2_matrix
 
 IDENTITY = np.array([1, 0], dtype=complex)   # the SU(2) identity row
 
@@ -145,7 +145,23 @@ def per_offset_generator(i, c):
     """J_i of one table as it was differentiated before: one rotation per offset."""
     axis = np.eye(3)[i - 1]
     return 1j * _richardson([rotate_stack(su2_from_axis_angle(t, axis), c)
-                             for t in RICHARDSON_OFFSETS])
+                             for t in richardson_offsets()])
+
+
+class TestFDStep:
+    """FD_STEP alone sets the offsets, the elements and the divisor of every FD generator."""
+
+    @pytest.mark.parametrize("h", [5e-4, 2.5e-4])
+    def test_patching_fd_step_moves_every_generator(self, h, grid9, monkeypatch):
+        a = random_coeffs(8, "odd", np.random.default_rng(0)).c
+        before = [generator_J(i, a).tobytes() for i in (1, 2, 3)]
+        with monkeypatch.context() as m:
+            m.setattr(representation, "FD_STEP", h)
+            for i in (1, 2, 3):
+                assert generator_J(i, a).tobytes() == per_offset_generator(i, a).tobytes()
+                assert generator_vs_ladder_residual(i, a) <= 1e-10
+            assert np.max(check_intertwining(a, grid9)) <= 1e-10
+        assert [generator_J(i, a).tobytes() for i in (1, 2, 3)] == before
 
 
 class TestStackedGenerators:
