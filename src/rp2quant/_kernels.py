@@ -21,7 +21,9 @@ Rotations act on coefficients (``harmonics.rotate_stack``) and evaluate no
 harmonics.  Both kernels are vectorized numpy over the points, loop over
 (l, m) only, and are deterministic.  See benchmarks/bench_harmonics.py for
 timings.  ``_read_only`` and ``_table_band`` (a stack's band) live here
-because ``groups``, ``manifold`` and ``harmonics`` all need them.
+because ``groups``, ``manifold`` and ``harmonics`` all need them, and
+``_phase`` (e^{iθ} as cos θ and sin θ) because ``heisenberg`` and
+``representation`` both form unit-modulus phases with it.
 
 Recurrence (fully normalized associated Legendre, ct = cos(theta)):
     P[0,0] = 1/sqrt(4*pi)
@@ -42,6 +44,20 @@ import numpy as np
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _phase(theta) -> np.ndarray:
+    """e^{iθ} of a real array, written as cos θ and sin θ into one complex array.
+
+    The package's one unit-modulus kernel.  It gives the bits of
+    ``np.exp(-1j * x)`` at θ = -x, and of ``np.exp(1j * θ)`` except for the
+    sign of a zero imaginary part at θ = -0.0.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    out = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
 
 
 def _table_band(c) -> tuple[np.ndarray, int]:
@@ -113,20 +129,19 @@ def ylm_basis(xyz: np.ndarray, lmax: int) -> np.ndarray:
     """Complex spherical-harmonic basis at unit vectors.
 
     Returns an (n_points, (lmax+1)^2) complex matrix with column index
-    l*l + l + m.
+    l*l + l + m: the transpose of a buffer in which each (l, m) is one
+    contiguous row, written whole per order m.
     """
     xyz = np.atleast_2d(np.asarray(xyz, dtype=np.float64))
     ct, st, phi = _angles(xyz)
-    out = np.zeros((xyz.shape[0], (lmax + 1) * (lmax + 1)), dtype=np.complex128)
+    out = np.empty(((lmax + 1) * (lmax + 1), xyz.shape[0]), dtype=np.complex128)
     for m, plm in _legendre_slabs(ct, st, lmax):
-        phase = np.exp(1j * m * phi)
-        sign = -1.0 if m % 2 else 1.0
-        for l in range(m, lmax + 1):
-            y = plm[l - m] * phase
-            out[:, l * l + l + m] = y
-            if m > 0:
-                out[:, l * l + l - m] = sign * np.conj(y)
-    return out
+        l = np.arange(m, lmax + 1)
+        y = plm * np.exp(1j * m * phi)
+        out[l * l + l + m] = y
+        if m > 0:
+            out[l * l + l - m] = (-1.0 if m % 2 else 1.0) * np.conj(y)
+    return out.T
 
 
 @functools.cache

@@ -79,8 +79,8 @@ def _sector_checked(c, lmax: int, sector: str) -> np.ndarray:
     """Read-only complex copy of a table or stack (..., (lmax+1)²) in ``sector``.
 
     Raises ValueError for an unknown sector, a last axis of the wrong length,
-    or content off the sector above SECTOR_PURITY_TOL (one mask for the whole
-    stack).
+    content off the sector above SECTOR_PURITY_TOL (one mask for the whole
+    stack), or a NaN or infinite entry anywhere.
     """
     if sector not in SECTORS:
         raise ValueError(f"unknown sector {sector!r}")
@@ -91,6 +91,8 @@ def _sector_checked(c, lmax: int, sector: str) -> np.ndarray:
         v = float(np.abs(c[..., off_sector_mask(lmax, sector)]).max(initial=0.0))
         if not v <= SECTOR_PURITY_TOL:      # NaN fails too
             raise ValueError(f"sector {sector!r} violated by {v:.3e} (> {SECTOR_PURITY_TOL})")
+    if not np.isfinite(c).all():
+        raise ValueError("coefficients must be finite")
     return _read_only(c.copy())
 
 

@@ -22,34 +22,71 @@ The two-route inconsistency: squaring the symmetrized product
 sym(pq) = (p̂q̂ + q̂p̂)/2 yields p̂²q̂² + 2iħ p̂q̂ - ¼ħ², while the route through
 p²q² = ½((p²+q²)² - p⁴ - q⁴) yields p̂²q̂² + 2iħ p̂q̂ - ħ²; the two candidate
 operators differ by the constant (3/4)ħ².
+
+The Weyl phases are formed on the lattice they live on.  With θ = step·j on
+the integer wavenumbers (U) or grid points (V), j is split as cols·h + l with
+cols = 2^⌊log₂N / 2⌋, and e^{iθ} is the outer product of two ``_phase`` tables
+of about √N entries (``_lattice_phase``).  A wave function computes its FFT
+once, on first use, as a read-only ``spectrum`` that ``weyl_U`` and ``op_p``
+share; ``boundary_mass`` reads the two ends of the grid where |x| ≥ L/2.
 """
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
+
+from ._kernels import _phase, _read_only
 
 SUPPORT_TOL = 1e-12
 
 
 @lru_cache(maxsize=8)
-def _grid_axes(N: int, L: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (x, k, |x| ≥ L/2) of the (N, L) grid, built once per grid."""
+def _grid_axes(N: int, L: float) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+    """Read-only (x, k) of the (N, L) grid and the range [lo, hi) of |x| < L/2.
+
+    Built once per grid.  x increases, so the points with |x| ≥ L/2 are the
+    two ends x[:lo] and x[hi:].
+    """
     dx = 2.0 * L / N
     x = -L + dx * np.arange(N)
-    axes = (x, 2.0 * np.pi * np.fft.fftfreq(N, dx), np.abs(x) >= L / 2.0)
-    for a in axes:
-        a.flags.writeable = False
-    return axes
+    inside = np.flatnonzero(~(np.abs(x) >= L / 2.0))
+    ends = (int(inside[0]), int(inside[-1]) + 1) if inside.size else (N, N)
+    return _read_only(x), _read_only(2.0 * np.pi * np.fft.fftfreq(N, dx)), ends
 
 
-def _phase(theta: np.ndarray) -> np.ndarray:
-    """e^{iθ} of a real array, written as cos θ and sin θ into one complex array."""
-    out = np.empty(theta.shape, dtype=complex)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
-    return out
+@lru_cache(maxsize=8)
+def _lattice(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid index i = cols·h + (l mod cols) of N = 2^p, cols = 2^⌊p/2⌋, l = -cols/2 … cols/2 - 1.
+
+    Returns read-only (h of the wavenumbers, h of the points, l), with l in
+    FFT order so that entry i is column l mod cols.  Entry i of ``k`` is
+    (π/L)·j and entry i of ``x`` is dx·j, where j = cols·h + l + cols·[l < 0],
+    h = fftfreq(rows)·rows for ``k`` and h = 0 … rows - 1 minus rows/2 for
+    ``x`` (rows = N / cols).
+    """
+    cols = 1 << (N.bit_length() - 1) // 2
+    rows = N // cols
+    return (_read_only(np.fft.fftfreq(rows, 1.0 / rows)),
+            _read_only(np.arange(rows) - rows / 2.0),
+            _read_only(np.fft.fftfreq(cols, 1.0 / cols)))
+
+
+def _lattice_phase(step: float, h: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """e^{i·step·j} on the ``_lattice`` split j = cols·h + l + cols·[l < 0], flat.
+
+    The outer product of two ``_phase`` tables of about √N entries: 2√N
+    trig calls and N complex multiplies, not 2N trig calls.  With centred
+    columns every rounded argument is at most 4|step·j|, so each entry stays
+    within a few ulp·(1 + |step·j|) of e^{i·step·j}, as one ``_phase`` of the
+    whole array does; columns 0 … cols-1 would let the error near j = 0 grow
+    to ulp·|step|·cols.
+    """
+    cols = l.size
+    col = _phase(step * l)
+    col[l < 0] *= _phase(step * cols)
+    return np.multiply.outer(_phase(step * cols * h), col).ravel()
 
 
 @dataclass(frozen=True)
@@ -85,6 +122,11 @@ class GridWavefunction:
         """Read-only angular wavenumbers in FFT order, shared like ``x``."""
         return _grid_axes(self.N, self.L)[1]
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Read-only ``np.fft.fft(values)``, computed on first use and kept."""
+        return _read_only(np.fft.fft(self.values))
+
     def with_values(self, values: np.ndarray) -> "GridWavefunction":
         return GridWavefunction(self.N, self.L, values, self.hbar)
 
@@ -109,8 +151,9 @@ def gaussian_packet(
 
 def boundary_mass(psi: GridWavefunction) -> float:
     """Probability mass outside |x| < L/2 (should be < 1e-12 for safe use)."""
-    outside = _grid_axes(psi.N, psi.L)[2]
-    return float(psi.dx * np.sum(np.abs(psi.values[outside]) ** 2))
+    lo, hi = _grid_axes(psi.N, psi.L)[2]
+    ends = np.concatenate((psi.values[:lo], psi.values[hi:]))
+    return float(psi.dx * np.sum(np.abs(ends) ** 2))
 
 
 def _support_check(psi: GridWavefunction) -> None:
@@ -132,7 +175,7 @@ def op_p(psi: GridWavefunction) -> GridWavefunction:
     """Momentum operator -iħ d/dx by spectral differentiation."""
     _support_check(psi)
     return psi.with_values(
-        np.fft.ifft(psi.hbar * psi.k * np.fft.fft(psi.values))
+        np.fft.ifft(psi.hbar * psi.k * psi.spectrum)
     )
 
 
@@ -141,13 +184,16 @@ def weyl_U(a: float, psi: GridWavefunction) -> GridWavefunction:
     _support_check(psi)
     if a == 0.0:
         return psi
-    shift = psi.hbar * a
-    return psi.with_values(np.fft.ifft(_phase(-psi.k * shift) * np.fft.fft(psi.values)))
+    h, _, l = _lattice(psi.N)
+    phase = _lattice_phase(-psi.hbar * a * (np.pi / psi.L), h, l)
+    return psi.with_values(np.fft.ifft(np.multiply(phase, psi.spectrum, out=phase)))
 
 
 def weyl_V(b: float, psi: GridWavefunction) -> GridWavefunction:
     """V(b) = e^{-ib q̂}: multiplication by e^{-ibx}."""
-    return psi.with_values(_phase(-b * psi.x) * psi.values)
+    _, h, l = _lattice(psi.N)
+    phase = _lattice_phase(-b * psi.dx, h, l)
+    return psi.with_values(np.multiply(phase, psi.values, out=phase))
 
 
 def check_weyl_relation(a: float, b: float, psi: GridWavefunction) -> float:

@@ -32,6 +32,8 @@ A radial grid is its parameters, ``RadialGrid(rmin, rmax, n)``: n log-uniform
 nodes, so the dilation r ↦ λr is a constant shift in log-coordinates, applied
 as an exact spectral translation (the same device the periodic position grid
 uses for e^{-iap̂}); section support must stay clear of the window's ends.
+The phase e^{-i r w([x])} on the radial nodes × quadrature nodes is written
+as cos and sin (``_kernels._phase``), bit for bit ``np.exp`` of -i r w.
 """
 
 import functools
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _read_only
+from ._kernels import _phase, _read_only
 from .errors import RadialRangeError
 from .groups import spinor_map, su2_from_axis_angle, su2_product
 from .harmonics import (
@@ -167,7 +169,8 @@ def act_canonical(
 
     Dilation via exact spectral shift on the log-radial axis, rotation of the
     whole radial stack on coefficients (``rotate_stack``), phase as pointwise
-    multiplication on the quadrature nodes: the stack is synthesized and
+    multiplication on the quadrature nodes (e^{-i r w} as cos and sin,
+    ``_kernels._phase``, the bits of ``np.exp``): the stack is synthesized and
     re-projected with the grid's separable transform (``grid.synthesize`` /
     ``grid.project``), and the sector is restored with one mask.
     Raises RadialRangeError when section support touches the radial window
@@ -187,7 +190,7 @@ def act_canonical(
         m = _spectral_log_shift(m, fs.radial, np.log(lam))
 
     vals = grid.synthesize(rotate_stack(g, m))
-    vals *= lam**1.5 * np.exp(-1j * np.outer(fs.radial.nodes, w(grid.nodes)))
+    vals *= lam**1.5 * _phase(-np.outer(fs.radial.nodes, w(grid.nodes)))
     out = grid.project(vals, fs.lmax)
     out[:, off_sector_mask(fs.lmax, fs.sector)] = 0.0
     return FullSection(fs.radial, fs.lmax, fs.sector, out)

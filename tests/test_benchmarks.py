@@ -29,6 +29,16 @@ def test_bench_groups_runs():
     assert all(t["single_us"] > 0 and t["stack_us"] > 0 for t in timings.values())
 
 
+def test_bench_operators_runs():
+    out = run_script("bench_operators.py", "--json")
+    timings = json.loads(out.splitlines()[-1])
+    assert set(timings) == {"weyl_U", "weyl_V", "rep_heisenberg", "check_weyl_relation",
+                            "act_canonical"}
+    assert set(timings["weyl_U"]) == {"N=1024", "N=65536"}
+    assert set(timings["act_canonical"]) == {"lmax=16", "lmax=32"}
+    assert all(ms > 0 for cases in timings.values() for ms in cases.values())
+
+
 def test_bench_checks_runs_one_check():
     out = run_script("bench_checks.py", "--seeds", "1", "--check", "spinor-homomorphism")
     assert "spinor-homomorphism" in out

@@ -310,6 +310,12 @@ class TestModuleIsomorphism:
         with pytest.raises(ValueError):
             module_iso_forward(random_coeffs(4, "even", rng).c, grid9)
 
+    def test_forward_rejects_non_finite_entry(self, grid9, rng):
+        a = np.array(random_coeffs(8, "odd", rng).c)
+        a[1] = np.nan                                   # degree 1: in the odd sector
+        with pytest.raises(ValueError, match="finite"):
+            module_iso_forward(a, grid9)
+
 
 class TestSectionWellDefined:
     def test_values_independent_of_representative(self, rng):

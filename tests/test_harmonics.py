@@ -95,6 +95,14 @@ class TestSectors:
         with pytest.raises(ValueError, match="violated by nan"):
             HarmonicCoeffs(3, "even", c)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("sector", ["odd", "full"])
+    def test_non_finite_in_sector_rejected(self, bad, sector):
+        c = np.zeros(num_coeffs(8), dtype=complex)
+        c[1] = bad                                  # degree 1: in the odd sector
+        with pytest.raises(ValueError, match="finite"):
+            HarmonicCoeffs(8, sector, c)
+
     @pytest.mark.parametrize("sector", ["even", "odd", "full"])
     def test_stacked_draw_equals_single_draws(self, sector):
         # one (n, 2·(lmax+1)²) block of normals gives the n tables that n

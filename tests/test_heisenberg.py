@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rp2quant._kernels import _phase
 from rp2quant.heisenberg import (
     GridWavefunction,
     HeisenbergElement,
+    _grid_axes,
+    _lattice,
+    _lattice_phase,
     boundary_mass,
     check_weyl_relation,
     gaussian_packet,
@@ -56,6 +60,14 @@ class TestGridWavefunction:
         outside = np.abs(-L + psi.dx * np.arange(N)) >= L / 2.0
         want = float(psi.dx * np.sum(np.abs(psi.values[outside]) ** 2))
         assert boundary_mass(psi) == want
+
+    @pytest.mark.parametrize("p", range(13))
+    def test_boundary_ends_are_the_outside_points(self, p):
+        n = 1 << p
+        x, _, (lo, hi) = _grid_axes(n, L)
+        outside = np.zeros(n, dtype=bool)
+        outside[:lo] = outside[hi:] = True
+        assert np.array_equal(outside, np.abs(x) >= L / 2.0)
 
 
 class TestPositionMomentum:
@@ -120,17 +132,54 @@ class TestWeylOperators:
         assert check_weyl_relation(1.0, 0.0, packet) < 1e-14
         assert check_weyl_relation(1.0, 1.0, packet) < 1e-9
 
-    @pytest.mark.parametrize("n", [N, 2048, 65536])
-    def test_phases_equal_complex_exp(self, n, rng):
-        # the phases were e^{iθ} by np.exp of a complex array; cos/sin give the same bits
-        psi = gaussian_packet(n, L, x0=0.4, sigma=1.0, k0=0.6)
+    @pytest.mark.filterwarnings("ignore:tail mass")
+    @pytest.mark.parametrize("p", range(17))
+    def test_whole_grid_steps_roll(self, p, rng):
+        # U by n grid steps is np.roll of the values; V by n·Δk, Δk = π/L,
+        # rolls the spectrum by -n with the sign e^{iπn} of x_0 = -L
+        n_pts = 1 << p
+        psi = GridWavefunction(n_pts, L, rng.normal(size=n_pts) + 1j * rng.normal(size=n_pts))
+        for n in (1, -2, 7):
+            want = np.roll(psi.values, n)
+            got = weyl_U(n * psi.dx / psi.hbar, psi).values
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+            want = (-1) ** n * np.roll(psi.spectrum, -n)
+            got = np.fft.fft(weyl_V(n * np.pi / L, psi).values)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 1024, 2048, 65536])
+    def test_phases_are_accurate(self, n, rng):
+        # e^{iθ} of the lattice tables and of the former whole-array phase are
+        # both within a few ulp·(1 + |θ|) of a long-double reference, entry by entry
+        x, k, _ = _grid_axes(n, L)
+        h_k, h_x, l = _lattice(n)
+        pi = 4 * np.arctan(np.longdouble(1))
+        j_k = np.fft.fftfreq(n, 1.0 / n).astype(np.longdouble)
+        bound = 4 * np.finfo(float).eps
         for _ in range(5):
-            a, b = rng.uniform(-3, 3), rng.uniform(-4, 4)
-            shift = psi.hbar * a
-            want_u = np.fft.ifft(np.exp(-1j * psi.k * shift) * np.fft.fft(psi.values))
-            want_v = np.exp(-1j * b * psi.x) * psi.values
-            assert weyl_U(a, psi).values.tobytes() == want_u.tobytes()
-            assert weyl_V(b, psi).values.tobytes() == want_v.tobytes()
+            shift, b = rng.uniform(-3, 3), rng.uniform(-4, 4)
+            cases = [
+                (-np.longdouble(shift) * pi / L * j_k,
+                 _phase(-k * shift), _lattice_phase(-shift * (np.pi / L), h_k, l)),
+                (-np.longdouble(b) * x.astype(np.longdouble),
+                 _phase(-b * x), _lattice_phase(-b * (2.0 * L / n), h_x, l)),
+            ]
+            for theta, *phases in cases:
+                scale = bound * (1.0 + np.abs(theta.astype(float)))
+                for phase in phases:
+                    err = np.hypot((phase.real - np.cos(theta)).astype(float),
+                                   (phase.imag - np.sin(theta)).astype(float))
+                    assert np.all(err <= scale)
+
+    def test_spectrum_is_cached_read_only_fft(self, packet):
+        spec = packet.spectrum
+        assert spec is packet.spectrum
+        assert spec.tobytes() == np.fft.fft(packet.values).tobytes()
+        assert not spec.flags.writeable
+        with pytest.raises(ValueError):
+            spec[0] = 0.0
+        want = np.fft.ifft(packet.hbar * packet.k * np.fft.fft(packet.values))
+        assert op_p(packet).values.tobytes() == want.tobytes()
 
     def test_phase_sign_flips_with_order(self, packet, rng):
         a, b = 1.2, -0.8

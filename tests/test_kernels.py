@@ -9,6 +9,7 @@ from scipy.special import sph_harm_y
 import rp2quant
 from rp2quant._kernels import (
     _m_major_rows,
+    _phase,
     _recurrence_tables,
     backend_name,
     ylm_basis,
@@ -95,6 +96,13 @@ class TestNumpyPath:
     def test_bitwise_equal_to_frozen_body(self, rng, lmax):
         pts = np.vstack([random_points(rng, 61), POLES, [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]])
         assert ylm_basis(pts, lmax).tobytes() == frozen_ylm_basis(pts, lmax).tobytes()
+
+    def test_phase_gives_the_bits_of_complex_exp(self, rng):
+        # act_canonical's e^{-i r w} kept its bits when it moved to _phase
+        x = np.concatenate([rng.normal(size=1000) * 10.0 ** rng.integers(-8, 6, 1000),
+                            [0.0, -0.0, 5e-324, np.pi, 1e300]])
+        assert _phase(-x).tobytes() == np.exp(-1j * x).tobytes()
+        assert _phase(x[x != 0]).tobytes() == np.exp(1j * x[x != 0]).tobytes()
 
 
 class TestSynthesize:

@@ -305,6 +305,13 @@ class TestFullSection:
         m[10, 0] = 1e-15                       # within SECTOR_PURITY_TOL, as per table
         FullSection(radial, 8, "odd", m)
 
+    def test_rejects_non_finite_entry(self):
+        m = np.zeros((64, 81), dtype=complex)
+        m[:, 1] = 1.0
+        m[10, 1] = np.nan                      # degree 1: in the odd sector
+        with pytest.raises(ValueError, match="finite"):
+            FullSection(radial64(), 8, "odd", m)
+
     def test_rejects_bad_shapes_and_sector(self):
         radial = radial64()
         with pytest.raises(ValueError):
