@@ -18,7 +18,7 @@ Both presentations are carried as arrays, one point or a stack: a
 representative (g, v) as (z0, z1) rows and fiber values, a point of the
 sub-bundle as its canonical base representative and fiber vector.  The
 module maps carry odd tables (..., n) to even triples (..., 3, n′) and
-back, through one grid transform for the whole stack.
+back, through one transform for the whole stack on the grid its band fixes.
 """
 
 import numpy as np
@@ -41,9 +41,9 @@ PROJECTOR_CONSTRAINT_TOL = 1e-8   # p·f - f accepted by module_iso_inverse, rel
 
 
 def _module_grid_order(lmax: int) -> int:
-    """Grid order both module maps need at band lmax: top + 2, top the largest odd degree.
+    """Grid order both module maps use at band lmax: top + 2, top the largest odd degree.
 
-    ``module_iso_inverse`` projects onto degree top + 2; a smaller grid raises ValueError.
+    ``module_iso_inverse`` projects onto degree top + 2; a table and its triple give one order.
     """
     return lmax + 1 + lmax % 2
 
@@ -122,7 +122,7 @@ def projector(x) -> np.ndarray:
     return f[..., :, None] * f.conj()[..., None, :]
 
 
-def module_iso_forward(c, grid: QuadratureGrid) -> np.ndarray:
+def module_iso_forward(c) -> np.ndarray:
     """Odd tables (..., n) ↦ triples (..., 3, n′): coefficients of x ↦ a(x)·x_i.
 
     Each component is even, and the triple satisfies the pointwise
@@ -132,6 +132,7 @@ def module_iso_forward(c, grid: QuadratureGrid) -> np.ndarray:
     """
     c, lmax = _table_band(c)
     c = _sector_checked(c, lmax, "odd")
+    grid = QuadratureGrid(_module_grid_order(lmax))
     top = lmax if lmax % 2 else lmax - 1    # largest populated odd degree
     lout = top + 1
     f = grid.project(grid.synthesize(c)[..., None, :] * grid.nodes.T, lout)
@@ -146,12 +147,13 @@ def _projector_gap(vals: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
     return np.max(np.abs(proj - vals), axis=(-2, -1))
 
 
-def projector_residual(f, grid: QuadratureGrid) -> np.ndarray:
-    """Sup-norm of (p·f - f) over the grid nodes, one per triple of (..., 3, n′)."""
+def projector_residual(f) -> np.ndarray:
+    """Sup-norm of (p·f - f) over the module grid's nodes, one per triple of (..., 3, n′)."""
+    grid = QuadratureGrid(_module_grid_order(_table_band(f)[1]))
     return _projector_gap(grid.synthesize(f), grid)
 
 
-def module_iso_inverse(f, grid: QuadratureGrid) -> np.ndarray:
+def module_iso_inverse(f) -> np.ndarray:
     """Triples (..., 3, n′) ↦ odd tables a(x) = Σ_i f_i(x)·x_i = ⟨φ(x), f(x)⟩.
 
     A triple off the module, with p·f - f above PROJECTOR_CONSTRAINT_TOL
@@ -159,6 +161,7 @@ def module_iso_inverse(f, grid: QuadratureGrid) -> np.ndarray:
     ProjectorConstraintViolated.
     """
     f, lmax = _table_band(f)
+    grid = QuadratureGrid(_module_grid_order(lmax))
     vals = grid.synthesize(f)
     res = _projector_gap(vals, grid)
     scale = np.maximum(np.max(_row_norms(f), axis=-1), 1.0)

@@ -53,7 +53,17 @@ SECTOR_PURITY_TOL = 1e-14
 
 
 def coeff_index(l: int, m: int) -> int:
+    """Position of c[l, m] in a table; l < 0 or |m| > l raises ValueError."""
+    if abs(m) > l:
+        raise ValueError(f"no harmonic Y_lm at l = {l}, m = {m}: need 0 ≤ |m| ≤ l")
     return l * l + l + m
+
+
+def _band_index(lmax: int, l: int, m: int) -> int:
+    """``coeff_index(l, m)`` in a table of band lmax; a degree above lmax raises ValueError."""
+    if l > lmax:
+        raise ValueError(f"degree {l} lies above the band's lmax {lmax}")
+    return coeff_index(l, m)
 
 
 def num_coeffs(lmax: int) -> int:
@@ -116,14 +126,14 @@ class HarmonicCoeffs:
         object.__setattr__(self, "c", c)
 
     def get(self, l: int, m: int) -> complex:
-        return complex(self.c[coeff_index(l, m)])
+        return complex(self.c[_band_index(self.lmax, l, m)])
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.c))
 
     def block(self, l: int) -> np.ndarray:
         """Coefficients of degree l, ordered m = -l ... +l."""
-        return self.c[l * l : (l + 1) * (l + 1)].copy()
+        return self.c[_band_index(self.lmax, l, -l) : _band_index(self.lmax, l, l) + 1].copy()
 
 
 def zeros(lmax: int, sector: str = "full") -> HarmonicCoeffs:
@@ -133,7 +143,7 @@ def zeros(lmax: int, sector: str = "full") -> HarmonicCoeffs:
 def unit(lmax: int, l: int, m: int) -> HarmonicCoeffs:
     """The table of the single harmonic Y_lm, tagged with the parity of l."""
     c = np.zeros(num_coeffs(lmax), dtype=complex)
-    c[coeff_index(l, m)] = 1.0
+    c[_band_index(lmax, l, m)] = 1.0
     return HarmonicCoeffs(lmax, "odd" if l % 2 else "even", c)
 
 

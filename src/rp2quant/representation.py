@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _phase, _read_only
+from ._kernels import _phase, _read_only, _table_band
 from .errors import RadialRangeError
 from .groups import spinor_map, su2_from_axis_angle, su2_product
 from .harmonics import (
@@ -94,6 +94,11 @@ class RadialGrid:
         return w
 
 
+def _radial_norm(radial: RadialGrid, m: np.ndarray) -> float:
+    """The r²dr ⊗ quadrature norm of one table per radial node, (n_radial, (lmax+1)²)."""
+    return float(np.sqrt(np.sum(radial.weights_r2dr() * np.sum(np.abs(m) ** 2, axis=1))))
+
+
 def log_uniform_grid(rmin: float, rmax: float, n: int) -> RadialGrid:
     return RadialGrid(rmin, rmax, n)
 
@@ -122,9 +127,7 @@ class FullSection:
         return self.c
 
     def norm(self) -> float:
-        w = self.radial.weights_r2dr()
-        per_node = np.sum(np.abs(self.c) ** 2, axis=1)
-        return float(np.sqrt(np.sum(w * per_node)))
+        return _radial_norm(self.radial, self.c)
 
 
 def full_section_from_matrix(
@@ -222,10 +225,7 @@ def check_group_law(
     """‖𝒰(e₁)𝒰(e₂)Ψ - 𝒰(e₁·e₂)Ψ‖ / ‖Ψ‖ in the r²dr ⊗ quadrature norm."""
     seq = act_canonical(*e1, act_canonical(*e2, fs, grid), grid)
     prod = act_canonical(*canonical_product(e1, e2), fs, grid)
-    diff = seq.c - prod.c
-    w = fs.radial.weights_r2dr()
-    num = np.sqrt(np.sum(w * np.sum(np.abs(diff) ** 2, axis=1)))
-    return float(num / fs.norm())
+    return _radial_norm(fs.radial, seq.c - prod.c) / fs.norm()
 
 
 @functools.lru_cache(maxsize=8)
@@ -281,7 +281,7 @@ def generator_vs_ladder_residual(i: int, c) -> np.ndarray:
     return _row_norms(generator_J(i, c) - exact) / scale
 
 
-def check_intertwining(c, grid: QuadratureGrid) -> np.ndarray:
+def check_intertwining(c) -> np.ndarray:
     """Residuals of (J_i ∘ Φ)(a) = (Φ ∘ L_i)(a) per axis i and odd table a, relative to ‖a‖.
 
     Φ(a) is the frame-valued section a·φ, realized as the triple of even
@@ -294,7 +294,7 @@ def check_intertwining(c, grid: QuadratureGrid) -> np.ndarray:
     """
     c = np.asarray(c, dtype=np.complex128)
     images = [apply_L(i, c) for i in (1, 2, 3)]
-    triples, *rhs = module_iso_forward(np.stack([c, *images]), grid)      # (..., 3, n')
+    triples, *rhs = module_iso_forward(np.stack([c, *images]))    # (..., 3, n')
     # offsets on axis 0, the three axes on axis 1, then one axis per leading axis of triples
     g = _fd_rows(FD_STEP).swapaxes(0, 1).reshape((4, 3) + (1,) * c.ndim + (2,))
     lhs = 1j * _richardson(spinor_map(g[..., 0, :]) @ rotate_stack(g, triples))
@@ -312,13 +312,14 @@ def su2_closure_residual(c) -> np.ndarray:
 EXCHANGE_TOL = 1e-10     # off-parity part of an exchange eigenstate, relative to its peak
 
 
-def exchange_parities(c, grid: QuadratureGrid) -> np.ndarray:
+def exchange_parities(c) -> np.ndarray:
     """Exchange (antipodal) eigenvalue of each table in a stack (..., (lmax+1)²).
 
     +1 or -1 where the node values are even or odd under x ↦ -x to
     EXCHANGE_TOL of their peak, 0 where they are neither.  One
-    ``grid.synthesize`` call, read back through ``grid.antipode``.
+    ``synthesize`` call on the band's own grid, read back through its ``antipode``.
     """
+    grid = QuadratureGrid(_table_band(c)[1])
     vals = grid.synthesize(c)
     anti = vals[..., grid.antipode]
     scale = np.maximum(np.max(np.abs(vals), axis=-1), 1e-300)

@@ -50,7 +50,6 @@ from tests.test_representation import (
 )
 
 GRID8 = build_quadrature(8)
-GRID9 = build_quadrature(9)
 
 
 def report(name: str, residual: float, tol: float) -> None:
@@ -81,7 +80,7 @@ def test_02_intertwining_through_module_map():
     rng, ensemble = odd_ensemble(102)
     worst = 0.0
     for a in ensemble:
-        worst = max(worst, float(np.max(check_intertwining(a.c, GRID9))))   # the three axes
+        worst = max(worst, float(np.max(check_intertwining(a.c))))   # the three axes
     report("criterion-02 generators intertwine the module isomorphism", worst, 1e-7)
 
 
@@ -102,7 +101,7 @@ def test_04_exchange_statistics_bookkeeping():
         g = random_su2(rng)
         rotated = rotate_coeffs(g, a, GRID8)
         want = -1 if sector == "odd" else 1
-        assert exchange_parities(rotated.c, GRID8) == want
+        assert exchange_parities(rotated.c) == want
         raw = analyze(rotate_values(g, a.c, GRID8.nodes), 8, GRID8)
         even, odd = parity_decompose(raw)
         leak = (odd if sector == "even" else even).norm()
@@ -136,7 +135,7 @@ def test_05_bundle_structure():
     worst = 0.0
     for _ in range(10):
         a = random_coeffs(8, "odd", rng)
-        back = bundles.module_iso_inverse(bundles.module_iso_forward(a.c, GRID9), GRID9)
+        back = bundles.module_iso_inverse(bundles.module_iso_forward(a.c))
         worst = max(worst, float(np.linalg.norm(back[: a.c.size] - a.c)))
         worst = max(worst, float(np.linalg.norm(back[a.c.size :])))
     report("criterion-05b projective-module round trip", worst, 1e-9)

@@ -322,7 +322,7 @@ def ref_exchange(rng, cfg):
             draws.append((sector, table, random_su2(rng), random_su2(rng)))
         sectors, tables, g1s, g2s = zip(*draws)
         rotated = rotate_stack(np.array([(g.z0, g.z1) for g in g1s]), np.stack(tables))
-        parities = exchange_parities(rotated, grid)
+        parities = exchange_parities(rotated)
         wrong = np.flatnonzero(parities != [-1 if s == "odd" else 1 for s in sectors])
         if wrong.size:
             if parities[wrong[0]] == 0:
@@ -346,11 +346,10 @@ def ref_gen_vs_ladder(rng, cfg):
 
 
 def ref_intertwining(rng, cfg):
-    grid = build_quadrature(cfg.lmax + 1)
     worst = 0.0
     for _ in range(5):
         a = random_coeffs(cfg.lmax, "odd", rng)
-        worst = max(worst, float(np.max(check_intertwining(a.c, grid))))    # the three axes
+        worst = max(worst, float(np.max(check_intertwining(a.c))))    # the three axes
     return worst
 
 
@@ -593,7 +592,8 @@ def ref_projector_props(rng, cfg):
 
 
 def ref_module_roundtrip(rng, cfg):
-    # one table at a time through the tuple-of-tables module maps
+    # one table at a time through the tuple-of-tables module maps, on the grid
+    # both maps derive from the band (a table's and its triple's give one order)
     grid = build_quadrature(_module_grid_order(cfg.lmax))
     worst = 0.0
     for _ in range(5):

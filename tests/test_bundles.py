@@ -250,21 +250,21 @@ class TestProjector:
 
 
 class TestModuleIsomorphism:
-    def test_y10_forward_content(self, grid9):
-        f = module_iso_forward(unit(8, 1, 0).c, grid9)
+    def test_y10_forward_content(self):
+        f = module_iso_forward(unit(8, 1, 0).c)
         # x3·Y10 expands in Y00 and Y20 only
         f3 = f[2]
         support = {l for l in range(9) if np.linalg.norm(f3[l * l:(l + 1) ** 2]) > 1e-12}
         assert support == {0, 2}
         assert not np.any(f[:, off_sector_mask(8, "even")])
 
-    def test_zero_input(self, grid9):
-        f = module_iso_forward(zeros(8, "odd").c, grid9)
+    def test_zero_input(self):
+        f = module_iso_forward(zeros(8, "odd").c)
         assert f.shape == (3, 81) and not np.any(f)
 
     def test_pointwise_reconstruction(self, grid9, rng):
         a = random_coeffs(8, "odd", rng)
-        f = module_iso_forward(a.c, grid9)
+        f = module_iso_forward(a.c)
         recon = sum(
             np.asarray(evaluate(HarmonicCoeffs(8, "even", fi), grid9.nodes)) * grid9.nodes[:, i]
             for i, fi in enumerate(f)
@@ -272,49 +272,49 @@ class TestModuleIsomorphism:
         want = np.asarray(evaluate(a, grid9.nodes))
         assert np.max(np.abs(recon - want)) < 1e-9
 
-    def test_projector_constraint(self, grid9, rng):
+    def test_projector_constraint(self, rng):
         a = random_coeffs(8, "odd", rng)
-        f = module_iso_forward(a.c, grid9)
-        assert projector_residual(f, grid9) < 1e-9
+        f = module_iso_forward(a.c)
+        assert projector_residual(f) < 1e-9
 
-    def test_roundtrip(self, grid9, rng):
+    def test_roundtrip(self, rng):
         for _ in range(10):
             a = random_coeffs(8, "odd", rng)
-            back = module_iso_inverse(module_iso_forward(a.c, grid9), grid9)
+            back = module_iso_inverse(module_iso_forward(a.c))
             assert np.linalg.norm(back[: a.c.size] - a.c) < 1e-9
             assert np.linalg.norm(back[a.c.size:]) < 1e-9
 
-    def test_constraint_violation_rejected(self, grid9):
+    @pytest.mark.parametrize("lmax", [1, 2, 3, 29, 30])
+    def test_roundtrip_on_the_derived_grid(self, lmax, rng):
+        # each map picks the grid of order _module_grid_order(band); at band 30
+        # that is order 31, below the quadrature cap
+        a = np.stack([random_coeffs(lmax, "odd", rng).c for _ in range(3)])
+        f = module_iso_forward(a)
+        back = module_iso_inverse(f)
+        assert np.max(projector_residual(f)) < 1e-9
+        assert np.max(np.linalg.norm(back[:, :a.shape[-1]] - a, axis=-1)) < 1e-9
+        assert np.max(np.linalg.norm(back[:, a.shape[-1]:], axis=-1)) < 1e-9
+
+    def test_constraint_violation_rejected(self):
         bad = np.stack([unit(2, 0, 0).c, zeros(2, "even").c, zeros(2, "even").c])
         with pytest.raises(ProjectorConstraintViolated):
-            module_iso_inverse(bad, grid9)
+            module_iso_inverse(bad)
 
-    def test_nan_entry_rejected(self, grid9, rng):
-        f = module_iso_forward(random_coeffs(8, "odd", rng).c, grid9)
+    def test_nan_entry_rejected(self, rng):
+        f = module_iso_forward(random_coeffs(8, "odd", rng).c)
         f[1, 4] = np.nan
         with pytest.raises(ProjectorConstraintViolated, match="nan"):
-            module_iso_inverse(f, grid9)
+            module_iso_inverse(f)
 
-    @pytest.mark.parametrize("lmax", [8, 9])
-    def test_grid_not_exact_enough_rejected(self, lmax, rng):
-        # the inverse map needs order _module_grid_order(lmax), the forward map one less
-        a = random_coeffs(lmax, "odd", rng).c
-        order = _module_grid_order(lmax)
-        f = module_iso_forward(a, build_quadrature(order))
-        with pytest.raises(ValueError, match="cannot project"):
-            module_iso_forward(a, build_quadrature(order - 2))
-        with pytest.raises(ValueError, match="cannot project"):
-            module_iso_inverse(f, build_quadrature(order - 1))
-
-    def test_forward_requires_odd(self, grid9, rng):
+    def test_forward_requires_odd(self, rng):
         with pytest.raises(ValueError):
-            module_iso_forward(random_coeffs(4, "even", rng).c, grid9)
+            module_iso_forward(random_coeffs(4, "even", rng).c)
 
-    def test_forward_rejects_non_finite_entry(self, grid9, rng):
+    def test_forward_rejects_non_finite_entry(self, rng):
         a = np.array(random_coeffs(8, "odd", rng).c)
         a[1] = np.nan                                   # degree 1: in the odd sector
         with pytest.raises(ValueError, match="finite"):
-            module_iso_forward(a, grid9)
+            module_iso_forward(a)
 
 
 class TestSectionWellDefined:
@@ -384,11 +384,13 @@ def _chart(alpha):
             lambda b, f: np.asarray(ref.local_trivialization(alpha, _el(b, f))[1]), inside)
 
 
-MODULE_GRID = build_quadrature(11)      # exact for the module maps up to lmax 9
-
-
 def _band(c):
     return math.isqrt(np.shape(c)[-1]) - 1
+
+
+def _module_grid(c):
+    """The grid the module maps pick for a table or triple of this band."""
+    return build_quadrature(_module_grid_order(_band(c)))
 
 
 def _triple(f):
@@ -396,8 +398,9 @@ def _triple(f):
     return tuple(HarmonicCoeffs(_band(f), "even", row) for row in f)
 
 
-def _forward_ref(c, grid=MODULE_GRID):
-    return np.stack([t.c for t in ref.module_iso_forward(HarmonicCoeffs(_band(c), "odd", c), grid)])
+def _forward_ref(c):
+    return np.stack([t.c for t in ref.module_iso_forward(HarmonicCoeffs(_band(c), "odd", c),
+                                                         _module_grid(c))])
 
 
 def _odd_singles(lmax, seed):
@@ -415,7 +418,7 @@ def _module_rows(fn, reference, triples):
         singles = _odd_singles(lmax, lmax)
         if triples:
             singles = [_forward_ref(c) for c in singles]
-        rows.append((lambda x: fn(x, MODULE_GRID), reference, [(x,) for x in singles]))
+        rows.append((fn, reference, [(x,) for x in singles]))
     return rows
 
 
@@ -428,11 +431,11 @@ BITWISE = {
     "local_trivialization": [_chart(alpha) for alpha in (1, 2, 3)],
     "module_iso_forward": _module_rows(module_iso_forward, _forward_ref, triples=False),
     "module_iso_inverse": _module_rows(
-        module_iso_inverse, lambda f: ref.module_iso_inverse(_triple(f), MODULE_GRID).c,
+        module_iso_inverse, lambda f: ref.module_iso_inverse(_triple(f), _module_grid(f)).c,
         triples=True),
     "projector_residual": _module_rows(
-        projector_residual, lambda f: np.float64(ref.projector_residual(_triple(f), MODULE_GRID)),
-        triples=True),
+        projector_residual,
+        lambda f: np.float64(ref.projector_residual(_triple(f), _module_grid(f))), triples=True),
 }
 # public names with no one-object twin to merge
 NOT_MERGED = {"phi", "projector"}
@@ -447,10 +450,9 @@ RAISES = {
     "lift_tau": (lambda b, f: lift_tau(IDENTITY, b, f), ((0.0, 0.0, 1.0), _F), _POINT_CASES),
     "local_trivialization": (lambda b, f: local_trivialization(3, b, f), ((0.6, 0.0, 0.8), _F),
                              [((0.6, 0.8, CHART_TOL), _F), ((0.8, 0.6, -0.0), _F)]),
-    "module_iso_forward": (lambda c: module_iso_forward(c, MODULE_GRID), (unit(4, 1, 0).c,),
+    "module_iso_forward": (module_iso_forward, (unit(4, 1, 0).c,),
                            [(unit(4, 2, 1).c,), (unit(4, 1, 0).c + 1e-13 * unit(4, 0, 0).c,)]),
-    "module_iso_inverse": (lambda f: module_iso_inverse(f, MODULE_GRID),
-                           (_forward_ref(unit(4, 1, 0).c),),
+    "module_iso_inverse": (module_iso_inverse, (_forward_ref(unit(4, 1, 0).c),),
                            [(np.stack([unit(4, 0, 0).c, zeros(4).c, zeros(4).c]),)]),
 }
 
@@ -497,16 +499,15 @@ class TestBatchForms:
         # a (k, ...) stack goes through one grid transform, which rounds its rows
         # apart from single calls at this band: measured 3.1e-17 (forward),
         # 1.2e-17 (projector residual), 1.1e-16 (inverse), on unit-norm tables
-        grid = build_quadrature(17)
         tables = np.stack(_odd_singles(16, 16))
-        triples = module_iso_forward(tables, grid)
-        residuals, back = projector_residual(triples, grid), module_iso_inverse(triples, grid)
+        triples = module_iso_forward(tables)
+        residuals, back = projector_residual(triples), module_iso_inverse(triples)
         for k, c in enumerate(tables):
-            single = module_iso_forward(c, grid)
-            assert single.tobytes() == _forward_ref(c, grid).tobytes()
+            single = module_iso_forward(c)
+            assert single.tobytes() == _forward_ref(c).tobytes()
             assert np.max(np.abs(triples[k] - single)) < 1e-15
-            assert abs(residuals[k] - projector_residual(single, grid)) < 1e-15
-            assert np.max(np.abs(back[k] - module_iso_inverse(single, grid))) < 1e-15
+            assert abs(residuals[k] - projector_residual(single)) < 1e-15
+            assert np.max(np.abs(back[k] - module_iso_inverse(single))) < 1e-15
 
     @pytest.mark.parametrize("name, case", [(name, k) for name, (_, _, bad) in RAISES.items()
                                             for k in range(len(bad))])

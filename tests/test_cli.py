@@ -198,9 +198,8 @@ class TestWorstResidual:
         assert math.isnan(result.residual) and not result.passed and result.error is None
 
     def test_nan_in_a_loop_sample(self, monkeypatch):
-        # the second of rotation-unitarity's ten rotations loses its norm
-        calls = _spoil_call(monkeypatch, "rotate_coeffs", 2,
-                            lambda out: SimpleNamespace(norm=lambda: math.nan))
+        # the second of rotation-unitarity's ten rotations has a NaN entry
+        calls = _spoil_call(monkeypatch, "rotate_stack", 2, _nan_at(0))
         self._fails_with_nan(self._run_alone(monkeypatch, "rotation-unitarity", SuiteConfig()))
         assert len(calls) == 10
 

@@ -143,6 +143,43 @@ class TestSectors:
             assert np.max(np.abs(minus - (-1.0) ** l * plus)) < 1e-10
 
 
+class TestIndexRange:
+    """A harmonic index outside 0 ≤ |m| ≤ l ≤ lmax raises; it never reads a neighbouring entry."""
+
+    def test_valid_indices_enumerate_the_table(self):
+        assert [coeff_index(l, m) for l in range(4) for m in range(-l, l + 1)] == list(range(16))
+        a = HarmonicCoeffs(3, "full", np.arange(16) + 0j)
+        for l in range(4):
+            assert a.block(l).tolist() == [a.get(l, m) for m in range(-l, l + 1)]
+
+    def test_coeff_index_refuses_negative_degree(self):
+        with pytest.raises(ValueError):
+            coeff_index(-1, 0)
+
+    @pytest.mark.parametrize("m", [4, -3])
+    def test_coeff_index_refuses_order_above_degree(self, m):
+        with pytest.raises(ValueError):
+            coeff_index(2, m)
+
+    @pytest.mark.parametrize("l, m", [(0, 4), (9, 0), (-1, 0)])
+    def test_unit_refuses(self, l, m):
+        # unit(8, 0, 4) once returned the Y_2,-2 table tagged "even"
+        with pytest.raises(ValueError):
+            unit(8, l, m)
+
+    @pytest.mark.parametrize("l, m", [(0, 4), (9, 0), (-1, 0)])
+    def test_get_refuses(self, l, m, rng):
+        # get(0, 4) once returned the (2, -2) coefficient
+        with pytest.raises(ValueError):
+            random_coeffs(8, "full", rng).get(l, m)
+
+    @pytest.mark.parametrize("l", [9, -1])
+    def test_block_refuses(self, l, rng):
+        # both once returned an empty block
+        with pytest.raises(ValueError):
+            random_coeffs(8, "full", rng).block(l)
+
+
 class TestLadders:
     def test_l3_eigenvalue(self):
         a = unit(3, 1, 1)

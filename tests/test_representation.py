@@ -55,7 +55,7 @@ def exchange_statistics_loop(rng, lmax, samples, grid):
         sector = "odd" if rng.random() < 0.5 else "even"
         a = random_coeffs(lmax, sector, rng)
         rotated = rotate_coeffs(random_su2(rng), a, grid)
-        if exchange_parities(rotated.c, grid) != (-1 if sector == "odd" else 1):
+        if exchange_parities(rotated.c) != (-1 if sector == "odd" else 1):
             return 1.0
         raw = analyze(rotate_values(random_su2(rng), a.c, grid.nodes), lmax, grid)
         even, odd = parity_decompose(raw)
@@ -152,7 +152,7 @@ class TestFDStep:
     """FD_STEP alone sets the offsets, the elements and the divisor of every FD generator."""
 
     @pytest.mark.parametrize("h", [5e-4, 2.5e-4])
-    def test_patching_fd_step_moves_every_generator(self, h, grid9, monkeypatch):
+    def test_patching_fd_step_moves_every_generator(self, h, monkeypatch):
         a = random_coeffs(8, "odd", np.random.default_rng(0)).c
         before = [generator_J(i, a).tobytes() for i in (1, 2, 3)]
         with monkeypatch.context() as m:
@@ -160,7 +160,7 @@ class TestFDStep:
             for i in (1, 2, 3):
                 assert generator_J(i, a).tobytes() == per_offset_generator(i, a).tobytes()
                 assert generator_vs_ladder_residual(i, a) <= 1e-10
-            assert np.max(check_intertwining(a, grid9)) <= 1e-10
+            assert np.max(check_intertwining(a)) <= 1e-10
         assert [generator_J(i, a).tobytes() for i in (1, 2, 3)] == before
 
 
@@ -178,42 +178,41 @@ class TestStackedGenerators:
                 assert row.tobytes() == per_offset_generator(i, a.c).tobytes()
 
     @pytest.mark.parametrize("lmax", [1, 2, 8])
-    def test_residual_stacks_equal_single_tables(self, lmax, grid9, rng):
-        grid = grid9 if lmax == 8 else build_quadrature(lmax + 1 + lmax % 2)
+    def test_residual_stacks_equal_single_tables(self, lmax, rng):
         odd = [random_coeffs(lmax, "odd", rng) for _ in range(3)]
         mixed = odd[:2] + [random_coeffs(lmax, "even", rng)]
         for i in (1, 2, 3):
             got = generator_vs_ladder_residual(i, np.stack([a.c for a in mixed]))
             assert got.tolist() == [generator_vs_ladder_residual(i, a.c) for a in mixed]
-        got = check_intertwining(np.stack([a.c for a in odd]), grid)      # (axis, table)
-        assert got.tobytes() == np.stack([check_intertwining(a.c, grid) for a in odd], 1).tobytes()
+        got = check_intertwining(np.stack([a.c for a in odd]))      # (axis, table)
+        assert got.tobytes() == np.stack([check_intertwining(a.c) for a in odd], 1).tobytes()
         got = su2_closure_residual(np.stack([a.c for a in odd]))
         assert got.tolist() == [su2_closure_residual(a.c) for a in odd]
 
-    def test_one_residual_per_table(self, grid9, rng):
+    def test_one_residual_per_table(self, rng):
         c = np.stack([random_coeffs(8, "odd", rng).c for _ in range(2)])
         for residual in (lambda t: generator_vs_ladder_residual(1, t),
-                         lambda t: check_intertwining(t, grid9)[1], su2_closure_residual):
+                         lambda t: check_intertwining(t)[1], su2_closure_residual):
             single, stack = residual(c[0]), residual(c)
             assert (single.shape, single.dtype) == ((), np.float64)
             assert (stack.shape, stack.dtype) == ((2,), np.float64)
 
-    def test_intertwining_rejects_even_table(self, grid9, rng):
+    def test_intertwining_rejects_even_table(self, rng):
         with pytest.raises(ValueError):
-            check_intertwining(random_coeffs(8, "even", rng).c, grid9)
+            check_intertwining(random_coeffs(8, "even", rng).c)
 
 
 class TestIntertwining:
-    def test_y10_with_j3(self, grid9):
-        assert check_intertwining(unit(8, 1, 0).c, grid9)[2] < 1e-10
+    def test_y10_with_j3(self):
+        assert check_intertwining(unit(8, 1, 0).c)[2] < 1e-10
 
-    def test_y11_with_j3(self, grid9):
-        assert check_intertwining(unit(8, 1, 1).c, grid9)[2] < 1e-8
+    def test_y11_with_j3(self):
+        assert check_intertwining(unit(8, 1, 1).c)[2] < 1e-8
 
-    def test_random_sections_all_components(self, grid9, rng):
+    def test_random_sections_all_components(self, rng):
         for _ in range(3):
             a = random_coeffs(8, "odd", rng)
-            residuals = check_intertwining(a.c, grid9)
+            residuals = check_intertwining(a.c)
             assert residuals.shape == (3,) and np.max(residuals) < 1e-7
 
 
@@ -427,16 +426,16 @@ class TestGroupLaw:
 
 
 class TestExchangeParity:
-    def test_even_sector(self, grid8, rng):
-        assert exchange_parities(random_coeffs(8, "even", rng).c, grid8) == 1
+    def test_even_sector(self, rng):
+        assert exchange_parities(random_coeffs(8, "even", rng).c) == 1
 
-    def test_odd_sector(self, grid8, rng):
-        assert exchange_parities(random_coeffs(8, "odd", rng).c, grid8) == -1
+    def test_odd_sector(self, rng):
+        assert exchange_parities(random_coeffs(8, "odd", rng).c) == -1
 
     def test_survives_rotation(self, grid8, rng):
         for _ in range(20):
             a = random_coeffs(8, "odd", rng)
-            assert exchange_parities(rotate_coeffs(random_su2(rng), a, grid8).c, grid8) == -1
+            assert exchange_parities(rotate_coeffs(random_su2(rng), a, grid8).c) == -1
 
     def test_statistics_check_runs_samples_iterations(self, grid8):
         """exchange-statistics draws cfg.samples sections, not a fixed count."""
@@ -451,16 +450,16 @@ class TestExchangeParity:
         for _ in range(5):
             a = random_coeffs(8, sector, rng)
             for section in (a, rotate_coeffs(random_su2(rng), a, grid8)):
-                assert exchange_parities(section.c, grid8) == dense_exchange_parity(section, grid8)
+                assert exchange_parities(section.c) == dense_exchange_parity(section, grid8)
 
     def test_mixed_section_raises(self, grid8, rng):
         full = random_coeffs(8, "full", rng)
         with pytest.raises(ValueError, match="not an exchange eigenstate"):
             dense_exchange_parity(full, grid8)
-        assert exchange_parities(full.c, grid8) == 0
+        assert exchange_parities(full.c) == 0
         even, odd = parity_decompose(full)
         stack = np.stack([even.c, odd.c, full.c])
-        assert exchange_parities(stack, grid8).tolist() == [1, -1, 0]
+        assert exchange_parities(stack).tolist() == [1, -1, 0]
 
     @pytest.mark.parametrize("samples", [1, 3, 200])
     def test_batched_statistics_equal_reference_loop(self, grid8, samples):
@@ -531,26 +530,26 @@ class TestExchangeParity:
 # stack-only name -> a call handing it the tagged table (module maps and fields:
 # the tuple of tables they took before)
 STACK_ONLY = {
-    "harmonics.apply_L": lambda a, grid: apply_L(1, a),
-    "representation.generator_J": lambda a, grid: generator_J(1, a),
-    "representation.generator_vs_ladder_residual":
-        lambda a, grid: generator_vs_ladder_residual(1, a),
-    "representation.check_intertwining": lambda a, grid: check_intertwining(a, grid),
-    "representation.su2_closure_residual": lambda a, grid: su2_closure_residual(a),
-    "bundles.module_iso_forward": lambda a, grid: module_iso_forward(a, grid),
-    "bundles.module_iso_inverse": lambda a, grid: module_iso_inverse((a, a, a), grid),
-    "bundles.projector_residual": lambda a, grid: projector_residual((a, a, a), grid),
-    "berry_robbins.fixed_basis_lift": lambda a, grid: fixed_basis_lift(IDENTITY, 0.5, (a, a)),
-    "berry_robbins.total_generator_fd": lambda a, grid: total_generator_fd(1, 0.5, (a, a)),
-    "berry_robbins.total_generator_exact": lambda a, grid: total_generator_exact(1, 0.5, (a, a)),
+    "harmonics.apply_L": lambda a: apply_L(1, a),
+    "representation.generator_J": lambda a: generator_J(1, a),
+    "representation.generator_vs_ladder_residual": lambda a: generator_vs_ladder_residual(1, a),
+    "representation.check_intertwining": check_intertwining,
+    "representation.su2_closure_residual": su2_closure_residual,
+    "representation.exchange_parities": exchange_parities,
+    "bundles.module_iso_forward": module_iso_forward,
+    "bundles.module_iso_inverse": lambda a: module_iso_inverse((a, a, a)),
+    "bundles.projector_residual": lambda a: projector_residual((a, a, a)),
+    "berry_robbins.fixed_basis_lift": lambda a: fixed_basis_lift(IDENTITY, 0.5, (a, a)),
+    "berry_robbins.total_generator_fd": lambda a: total_generator_fd(1, 0.5, (a, a)),
+    "berry_robbins.total_generator_exact": lambda a: total_generator_exact(1, 0.5, (a, a)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(STACK_ONLY))
-def test_stack_only_names_refuse_tagged_tables(name, grid9):
+def test_stack_only_names_refuse_tagged_tables(name):
     # HarmonicCoeffs stays at the public edge; below it a table is a stack
     with pytest.raises(TypeError):
-        STACK_ONLY[name](unit(8, 1, 0), grid9)
+        STACK_ONLY[name](unit(8, 1, 0))
     for module, gone in (("berry_robbins", "SpinorField"), ("representation", "exchange_parity"),
                          ("harmonics", "project_sector")):
         assert not hasattr(importlib.import_module(f"rp2quant.{module}"), gone)
