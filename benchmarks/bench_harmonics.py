@@ -89,7 +89,7 @@ def exchange_statistics_dense(rng, cfg):
     basis, anti = grid.basis(cfg.lmax), ylm_basis(-grid.nodes, cfg.lmax)
     worst = 0.0
     for _ in range(cfg.samples):
-        sector = "odd" if rng.random() < 0.5 else "even"
+        sector = "odd" if rng.normal() < 0 else "even"
         a = random_coeffs(cfg.lmax, sector, rng)
         rotated = rotate_coeffs(random_su2(rng), a, grid)
         vals, flipped = basis @ rotated.c, anti @ rotated.c

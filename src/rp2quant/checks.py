@@ -9,6 +9,13 @@ A check body is a generator: it yields its residuals, each a number or an
 array, and ``register`` reduces them to the check's one residual, the worst
 entry of any of them (``_worst``).  A NaN anywhere is the residual, so the
 check fails; a body that yields nothing reads 0.0.
+
+A check that samples draws each sample as one row of standard normals, a
+chunk of samples as one ``rng.normal(size=(n, k))`` block.  A coin flip is
+the sign of one normal, a phase the direction of a pair (λ = (a + ib)/|a + ib|,
+ψ = arctan2(a, b) mod 2π) and an axis three normals scaled to unit norm, so a
+block of rows is exactly the samples a loop drawing one row at a time gets.
+A rejected sample is a rejected row (``_kept_rows``).
 """
 
 import functools
@@ -37,6 +44,7 @@ from .bundles import _module_grid_order
 from .errors import ConfigError
 from .groups import (
     H_CLASSIFY_TOL,
+    _complex,
     _norm,
     h_embed,
     quotient_to_sphere,
@@ -47,7 +55,6 @@ from .groups import (
     su2_from_axis_angle,
     su2_from_normals,
     su2_product,
-    unit_vector,
     validate_normalize_su2,
 )
 from .harmonics import (
@@ -150,6 +157,8 @@ class SuiteConfig:
             )
         if self.samples <= 0:
             raise ConfigError("samples must be positive")
+        if not 0 <= self.rng_seed < 2**64:
+            raise ConfigError(f"rng_seed must lie in [0, 2**64), got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
@@ -184,108 +193,43 @@ def check_rng(master_seed: int, name: str) -> np.random.Generator:
     """Per-check stream: master seed mixed with a stable hash of the name."""
     digest = hashlib.sha256(name.encode()).digest()
     tag = int.from_bytes(digest[:8], "little")
-    return np.random.default_rng([master_seed & 0xFFFFFFFFFFFFFFFF, tag])
+    return np.random.default_rng([master_seed, tag])
 
 
 # the largest lmax whose module maps fit the quadrature cap; SuiteConfig accepts [1, LMAX_MAX]
 LMAX_MAX = max(l for l in range(1, MAX_GRID_LMAX + 1) if _module_grid_order(l) <= MAX_GRID_LMAX)
 
 
-def _h_rows(u) -> np.ndarray:
-    """Embedded H rows from (n, 2) raw ``random()`` draws, one H sample per row.
+def _unit(v) -> np.ndarray:
+    """Rows scaled to unit norm: three normals so scaled are an axis uniform on the sphere."""
+    return v / _norm(v)[:, None]
 
-    An H sample draws its kind, ``random()`` < 0.5 for diagonal and
-    antidiagonal otherwise, then the phase of λ, ``uniform(0, 2π)``.  Both
-    consume one double u, and uniform(low, high) = low + (high - low)·u.
+
+def _h_rows(draws) -> np.ndarray:
+    """Embedded H rows from (n, 3) normals, one H sample per row.
+
+    The kind is the sign of the first normal, diagonal where it is negative;
+    λ = (a + ib)/|a + ib| from the other two, a, b, is uniform on the circle.
     """
-    u = np.asarray(u, dtype=float)
-    angle = 0.0 + (2 * np.pi - 0.0) * u[:, 1]
-    return h_embed(u[:, 0] >= 0.5, np.exp(1j * angle))
+    a, b = draws[:, 1], draws[:, 2]
+    r = np.hypot(a, b)
+    return h_embed(draws[:, 0] >= 0, _complex(a / r, b / r))
 
 
-def _draw_rows(rng, n: int, draw) -> np.ndarray:
-    """n rows of ``draw(rng)``, drawn one row at a time in stream order."""
-    first = np.asarray(draw(rng), dtype=float)
-    rows = np.empty((n,) + first.shape)
-    rows[0] = first
-    for k in range(1, n):
-        rows[k] = draw(rng)
-    return rows
+def _kept_rows(rng, n: int, width: int, ok) -> np.ndarray:
+    """n rows of ``width`` normals that ``ok`` keeps, as a loop drawing one row at a time keeps them.
 
-
-def _haar_and_h(rng) -> np.ndarray:
-    """The draws of one ``random_su2`` call followed by one H sample."""
-    return np.concatenate([rng.normal(size=4), rng.random(2)])
-
-
-def _assoc_and_h(rng) -> np.ndarray:
-    """The draws of one associated-bundle sample (see ``_assoc_rows``) and one H sample."""
-    return np.concatenate([rng.normal(size=6), rng.random(2)])
-
-
-def _kept_points(rng, n: int, ok) -> np.ndarray:
-    """n unit points that ``ok`` keeps, as a loop drawing one point at a time would keep them.
-
-    A point is three normals scaled to unit norm, v / |v|.
-
-    ``ok`` maps (k, 3) unit rows to k flags.  Only the rows still missing are
-    drawn, as one (need, 3) block, and its kept rows are taken in order: the
-    loop draws at least that many more rows, so the stream ends where the
+    ``ok`` maps (k, width) rows to k flags.  Only the rows still missing are
+    drawn, as one (need, width) block, and its kept rows are taken in order:
+    the loop draws at least that many more rows, so the stream ends where the
     loop's does.
     """
     kept, need = [], n
     while need:
-        v = rng.normal(size=(need, 3))
-        v = v / _norm(v)[:, None]
-        v = v[ok(v)]
-        kept.append(v)
-        need -= len(v)
-    return np.concatenate(kept)
-
-
-def _kept_attempts(rng, n: int, ok, tail: int, keep=None) -> np.ndarray:
-    """(n, 3 + tail) rows: the attempts a per-sample rejection loop keeps, in stream order.
-
-    An attempt draws a point as ``_kept_points(rng, 1, ok)`` does (three
-    normals a try), then ``tail`` normals, and is kept when
-    ``keep(points, tails)`` holds, where ``points`` are (k, 3) unit rows and
-    ``tails`` (k, tail) normals.  A row is the point, then the tail.
-
-    The rejections decide where each attempt starts, so each round saves the
-    generator state and draws one block of normals, with ``ok`` and ``keep``
-    evaluated at every offset as if an attempt started there.  The block is
-    walked with integer logic only; then the state is restored and exactly
-    the normals the walked attempts consumed are drawn again, so the stream
-    ends where the loop's does.
-    """
-    width = 3 + tail
-    kept, need, grow = [], n, 1
-    while need:
-        # about (width + 3) normals per kept attempt; a short block costs one more round
-        size = (need + 8) * (width + 3) * 5 // 4 * grow
-        state = rng.bit_generator.state
-        windows = np.lib.stride_tricks.sliding_window_view(rng.normal(size=size), width)
-        points, tails = windows[:, :3] / _norm(windows[:, :3])[:, None], windows[:, 3:]
-        head_ok = ok(points).tolist()
-        kept_at = None if keep is None else keep(points, tails).tolist()
-        last = len(head_ok)                        # attempts start below this offset
-        taken, pos = [], 0
-        while len(taken) < need:
-            q = pos
-            while q < last and not head_ok[q]:
-                q += 3
-            if q >= last:
-                break                              # the block ends inside this attempt
-            if kept_at is None or kept_at[q]:
-                taken.append(q)
-            pos = q + width
-        rng.bit_generator.state = state
-        if pos == 0:                               # not one whole attempt: draw a longer block
-            grow *= 2
-            continue
-        rng.normal(size=pos)
-        kept.append(np.concatenate([points[taken], tails[taken]], axis=1))
-        need -= len(taken)
+        rows = rng.normal(size=(need, width))
+        rows = rows[ok(rows)]
+        kept.append(rows)
+        need -= len(rows)
     return np.concatenate(kept)
 
 
@@ -306,8 +250,8 @@ _CHUNK_ROWS = 4096   # samples per batch: an (n, 3, 3) float64 temporary stays n
 def _chunks(n: int, rows: int = _CHUNK_ROWS):
     """Sizes of consecutive chunks of at most ``rows`` of the n samples.
 
-    Each chunk draws its samples in stream order, so the chunks together
-    draw what one batch of n would.
+    Each chunk draws its samples as rows in stream order, so the chunks
+    together draw what one batch of n would.
     """
     for lo in range(0, n, rows):
         yield min(rows, n - lo)
@@ -333,10 +277,8 @@ def _spinor_kernel(rng, cfg):
 @register("groups", "axis-angle-cross-check", "rodrigues-vs-spinor-map", 1e-12)
 def _axis_angle(rng, cfg):
     for n in _chunks(cfg.samples):
-        draws = _draw_rows(
-            rng, n, lambda r: np.concatenate([[r.uniform(0, 2 * np.pi)], r.normal(size=3)])
-        )
-        psi, axes = draws[:, 0], draws[:, 1:] / _norm(draws[:, 1:])[:, None]
+        draws = rng.normal(size=(n, 5))             # ψ's pair, then the axis
+        psi, axes = np.arctan2(draws[:, 0], draws[:, 1]) % (2 * np.pi), _unit(draws[:, 2:])
         gap = rotation_from_axis_angle(psi, axes) - spinor_map(su2_from_axis_angle(psi, axes))
         yield np.abs(gap)
 
@@ -344,8 +286,8 @@ def _axis_angle(rng, cfg):
 @register("groups", "h-subgroup-closure", "stabilizer-subgroup-closure", 1e-12)
 def _h_closure(rng, cfg):
     for n in _chunks(cfg.samples):
-        u = rng.random(size=(n, 4))
-        prod = su2_product(_h_rows(u[:, :2]), _h_rows(u[:, 2:]))
+        draws = rng.normal(size=(n, 6))             # two H samples
+        prod = su2_product(_h_rows(draws[:, :3]), _h_rows(draws[:, 3:]))
         # distance from H = size of the entry that should vanish (abs() rounding)
         dist = np.min(np.hypot(prod.real, prod.imag), axis=1)
         yield 1.0 if np.any(dist > H_CLASSIFY_TOL) else dist    # 1.0: a product outside H
@@ -354,9 +296,9 @@ def _h_closure(rng, cfg):
 @register("groups", "h-orbit-component-formulas", "stabilizer-orbit-products", 1e-13)
 def _h_orbit(rng, cfg):
     for n in _chunks(cfg.samples):
-        draws = _draw_rows(rng, n, _haar_and_h)
+        draws = rng.normal(size=(n, 7))             # random_su2, then an H sample
         g, h = su2_from_normals(draws[:, :4]), _h_rows(draws[:, 4:])
-        anti = draws[:, 4] >= 0.5                   # the H sample's kind draw
+        anti = draws[:, 4] >= 0                     # the H sample's kind
         lam = np.where(anti, h[:, 1], h[:, 0])[:, None]
         swapped = np.stack([-g[:, 1].conj(), g[:, 0].conj()], axis=1)
         gap = su2_product(g, h) - np.where(anti[:, None], swapped, g) * lam
@@ -366,9 +308,9 @@ def _h_orbit(rng, cfg):
 @register("groups", "h-image-in-o2", "stabilizer-image-in-so3", 1e-12)
 def _h_o2(rng, cfg):
     for n in _chunks(cfg.samples):
-        u = rng.random(size=(n, 2))
-        r = spinor_map(_h_rows(u))
-        s = np.where(u[:, 0] < 0.5, 1.0, -1.0)      # +1 diagonal, -1 antidiagonal
+        draws = rng.normal(size=(n, 3))             # an H sample
+        r = spinor_map(_h_rows(draws))
+        s = np.where(draws[:, 0] < 0, 1.0, -1.0)    # +1 diagonal, -1 antidiagonal
         # diagonal: rotation about e3 (orthogonal 2x2 block with det +1, R33 = 1);
         # antidiagonal: reflection type (R33 = -1, symmetric traceless block)
         yield np.abs(np.stack([
@@ -380,7 +322,7 @@ def _h_o2(rng, cfg):
 @register("groups", "rp2-h-invariance", "projective-quotient-invariance", 1e-12)
 def _rp2_invariance(rng, cfg):
     for n in _chunks(cfg.samples):
-        draws = _draw_rows(rng, n, _haar_and_h)
+        draws = rng.normal(size=(n, 7))             # random_su2, then an H sample
         g = su2_from_normals(draws[:, :4])
         gh = su2_product(g, _h_rows(draws[:, 4:]))
         yield np.abs(rp2_rep(quotient_to_sphere(g)) - rp2_rep(quotient_to_sphere(gh)))
@@ -391,14 +333,17 @@ def _rp2_invariance(rng, cfg):
 INTERIOR_MARGIN = 0.05   # least |coordinate| of a point drawn inside all three charts
 
 
-def _interior(v) -> np.ndarray:
-    """Which unit rows lie inside all three charts, each |coordinate| above INTERIOR_MARGIN."""
-    return np.min(np.abs(v), axis=1) > INTERIOR_MARGIN
+def _interior(rows) -> np.ndarray:
+    """Which rows' points (their first three normals, as a unit axis) lie inside all three charts.
+
+    Inside means each |coordinate| above INTERIOR_MARGIN.
+    """
+    return np.min(np.abs(_unit(rows[:, :3])), axis=1) > INTERIOR_MARGIN
 
 
 @register("manifold", "transition-cocycle", "chart-transition-signs", 1e-15)
 def _cocycle(rng, cfg):
-    s = transition_signs(rp2_rep(_kept_points(rng, 1000, _interior)))
+    s = transition_signs(rp2_rep(_unit(_kept_rows(rng, 1000, 3, _interior))))
     # gap[k, a, b, c] = g_ab g_bc - g_ac
     gap = s[:, :, :, None] * s[:, None, :, :] - s[:, :, None, :]
     yield np.abs(gap)
@@ -407,7 +352,7 @@ def _cocycle(rng, cfg):
 @register("manifold", "chart-representative-independence", "chart-transition-signs", 1e-13)
 def _chart_rep(rng, cfg):
     for n in _chunks(cfg.samples):
-        v = _kept_points(rng, n, _interior)
+        v = _unit(_kept_rows(rng, n, 3, _interior))
         p, q = rp2_rep(v), rp2_rep(-v)
         for a in (1, 2, 3):
             yield np.abs(chart_coords(p, a) - chart_coords(q, a))
@@ -415,20 +360,13 @@ def _chart_rep(rng, cfg):
 
 @register("manifold", "moment-injectivity", "projective-orbit-embedding", 1e-6)
 def _moment_inject(rng, cfg):
-    # A pair draws x, then the branch: y is independent (s = 0, n its normals)
-    # or y = s·x + 1e-10·n with the sign s drawn next.  The branch decides how
-    # many doubles a pair consumes, so pairs are drawn one at a time, each
-    # straight into its rows.
-    normal, random = rng.standard_normal, rng.random
-    for _ in range(5):                               # 5 chunks of 2000 pairs
-        x, n, s = np.empty((2000, 3)), np.empty((2000, 3)), []
-        for xk, nk in zip(x, n):
-            normal(out=xk)
-            s.append(0.0 if random() < 0.5 else -1.0 if random() < 0.5 else 1.0)
-            normal(out=nk)
-        x, s = x / _norm(x)[:, None], np.array(s)[:, None]
-        y = np.where(s != 0.0, s * x + n * 1e-10, n)
-        y = y / _norm(y)[:, None]
+    # A pair draws x, the branch, the sign s, then normals n: y is the axis of
+    # n, or of s·x + 1e-10·n where the branch's normal is not negative.
+    for k in _chunks(10_000):
+        draws = rng.normal(size=(k, 8))
+        x, n = _unit(draws[:, :3]), draws[:, 5:]
+        s = np.where(draws[:, 4:5] < 0, -1.0, 1.0)
+        y = _unit(np.where(draws[:, 3:4] >= 0, s * x + n * 1e-10, n))
         close = _norm((moment_embedding(x) - moment_embedding(y)).reshape(-1, 9)) < 1e-8
         if np.any(close):
             yield np.abs(rp2_rep(x[close]) - rp2_rep(y[close]))
@@ -437,16 +375,14 @@ def _moment_inject(rng, cfg):
 @register("manifold", "moment-equivariance", "linear-action-on-orbit", 1e-12)
 def _moment_equiv(rng, cfg):
     draws = rng.normal(size=(100, 7))               # random_su2, then an axis
-    r, x = spinor_map(su2_from_normals(draws[:, :4])), draws[:, 4:]
-    x = x / _norm(x)[:, None]
+    r, x = spinor_map(su2_from_normals(draws[:, :4])), _unit(draws[:, 4:])
     yield np.abs(w_action(r, moment_embedding(x)) - moment_embedding(_apply(r, x)))
 
 
 @register("manifold", "quartic-embedding-components", "even-quadratic-embedding", 1e-14)
 def _f_components(rng, cfg):
     for n in _chunks(cfg.samples):
-        v = rng.normal(size=(n, 3))                 # n axes
-        v = v / _norm(v)[:, None]
+        v = _unit(rng.normal(size=(n, 3)))          # n axes
         p, q = rp2_rep(v), rp2_rep(-v)
         f = f_embedding(p)
         yield np.abs(f - f_from_moment(moment_embedding(p)))
@@ -466,8 +402,7 @@ def _quad_ortho(rng, cfg):
 def _w_even(rng, cfg):
     for n in _chunks(cfg.samples):
         draws = rng.normal(size=(n, 9))             # w_matrix coordinates, c0, then the axis
-        c, c0, x = classical.w_matrix(draws[:, :5]), draws[:, 5], draws[:, 6:]
-        x = x / _norm(x)[:, None]
+        c, c0, x = classical.w_matrix(draws[:, :5]), draws[:, 5], _unit(draws[:, 6:])
         wx = w_values(c, c0, x)
         yield np.abs(wx - w_values(c, c0, -x))
         yield np.abs(wx - w_values(c, c0, rp2_rep(x)))
@@ -591,8 +526,8 @@ def _wigner_defining(rng, cfg):
 @register("bundles", "kappa-multiplicative", "stabilizer-character", 1e-15)
 def _kappa_mult(rng, cfg):
     for n in _chunks(cfg.samples):
-        u = rng.random(size=(n, 4))                 # two H samples per sample
-        h1, h2 = _h_rows(u[:, :2]), _h_rows(u[:, 2:])
+        draws = rng.normal(size=(n, 6))             # two H samples
+        h1, h2 = _h_rows(draws[:, :3]), _h_rows(draws[:, 3:])
         prod = bundles.kappa(su2_product(h1, h2))
         # 1.0: a product outside H
         yield 1.0 if np.any(prod == 0) else np.abs(prod - bundles.kappa(h1) * bundles.kappa(h2))
@@ -601,8 +536,7 @@ def _kappa_mult(rng, cfg):
 @register("bundles", "frame-map-odd-unit", "odd-frame-map", 1e-12)
 def _phi_props(rng, cfg):
     for n in _chunks(cfg.samples):
-        x = rng.normal(size=(n, 3))                 # n axes
-        x = x / _norm(x)[:, None]
+        x = _unit(rng.normal(size=(n, 3)))          # n axes
         f = bundles.phi(x)
         yield np.abs(bundles.phi(-x) + f)
         yield np.abs(_row_norms(f) - 1.0)
@@ -620,9 +554,9 @@ def _assoc_rows(draws) -> tuple[np.ndarray, np.ndarray]:
 @register("bundles", "iso-well-defined", "bundle-isomorphism", 1e-12)
 def _iso_well_defined(rng, cfg):
     for n in _chunks(cfg.samples):
-        draws = _draw_rows(rng, n, _assoc_and_h)
+        draws = rng.normal(size=(n, 9))             # an assoc sample, then an H sample
         g, v = _assoc_rows(draws)
-        kappa = np.where(draws[:, 6] < 0.5, 1, -1)  # +1 diagonal, -1 antidiagonal
+        kappa = np.where(draws[:, 6] < 0, 1, -1)    # +1 diagonal, -1 antidiagonal
         base1, fiber1 = bundles.iso_Phi(g, v)
         base2, fiber2 = bundles.iso_Phi(su2_product(g, _h_rows(draws[:, 6:])), kappa * v)
         yield np.abs(base1 - base2)
@@ -664,8 +598,8 @@ def _lift_compose(rng, cfg):
 @register("bundles", "trivialization-transitions", "chart-transition-signs", 1e-12)
 def _triv_transitions(rng, cfg):
     for n in _chunks(cfg.samples):
-        draws = _kept_attempts(rng, n, _interior, 2)   # an interior point, then (re, im)
-        base = rp2_rep(draws[:, :3])
+        draws = _kept_rows(rng, n, 5, _interior)    # an interior point, then (re, im)
+        base = rp2_rep(_unit(draws[:, :3]))
         fiber = (draws[:, 3] + 1j * draws[:, 4])[:, None] * bundles.phi(base)
         # c[k, a-1] is the chart-a coordinate; gap[k, a-1, b-1] = c_b - g_ba c_a
         c = np.stack([bundles.local_trivialization(a, base, fiber) for a in (1, 2, 3)], -1)
@@ -676,8 +610,7 @@ def _triv_transitions(rng, cfg):
 def _projector_props(rng, cfg):
     for n in _chunks(cfg.samples):
         draws = rng.normal(size=(n, 7))             # an axis, then random_su2
-        x, r = draws[:, :3], spinor_map(su2_from_normals(draws[:, 3:]))
-        x = x / _norm(x)[:, None]
+        x, r = _unit(draws[:, :3]), spinor_map(su2_from_normals(draws[:, 3:]))
         p = bundles.projector(x)
         for gap in (p @ p - p, p - p.conj().mT, bundles.projector(-x) - p,
                     bundles.projector(_apply(r, x)) - r @ p @ r.mT):
@@ -701,8 +634,7 @@ def _section_well_defined(rng, cfg):
     # at most 2¹⁵/(lmax+1)² points per chunk; chunks draw in stream order, so the
     # size only bounds memory (ylm_synthesize keeps an (lmax+1) × n float slab)
     for n in _chunks(cfg.samples, max(1, (1 << 15) // a.c.size)):
-        x = rng.normal(size=(n, 3))                 # n axes
-        x = x / _norm(x)[:, None]
+        x = _unit(rng.normal(size=(n, 3)))          # n axes
         plus = evaluate(a, x)[:, None] * bundles.phi(x)
         minus = evaluate(a, -x)[:, None] * bundles.phi(-x)
         yield np.abs(plus - minus)
@@ -710,16 +642,12 @@ def _section_well_defined(rng, cfg):
 
 # -------------------------------------------------------- representation
 
-def _sector_draw(rng, extra: int, lmax: int) -> np.ndarray:
-    """One sample's raw draws: the sector's ``random()``, a table's normals, then ``extra`` normals."""
-    return np.concatenate(([rng.random()], rng.normal(size=2 * num_coeffs(lmax) + extra)))
-
-
 @register("representation", "generator-vs-ladder", "orbital-generator-match", 1e-8)
 def _gen_vs_ladder(rng, cfg):
-    # ten (sector, table) samples, then each generator on the whole stack
-    rows = _draw_rows(rng, 10, lambda r: _sector_draw(r, 0, cfg.lmax))
-    tables = _tables_from_normals(rows[:, 1:], cfg.lmax, _off_masks(cfg.lmax, rows[:, 0] < 0.5))
+    # ten (sector, table) samples, odd where the sector's normal is negative,
+    # then each generator on the whole stack
+    rows = rng.normal(size=(10, 1 + 2 * num_coeffs(cfg.lmax)))
+    tables = _tables_from_normals(rows[:, 1:], cfg.lmax, _off_masks(cfg.lmax, rows[:, 0] < 0))
     for i in (1, 2, 3):
         yield generator_vs_ladder_residual(i, tables)
 
@@ -791,9 +719,9 @@ _EXCHANGE_POINTS = 1 << 12
 
 @register("representation", "exchange-statistics", "parity-statistics-bookkeeping", 1e-10)
 def _exchange(rng, cfg):
-    # Each sample draws (sector, table, g₁, g₂) in stream order, as
-    # ``random()``, ``random_coeffs`` and two ``random_su2``.  A chunk of
-    # samples is drawn into one array, then checked as one stack: the parity
+    # A sample is a row (sector, table, g₁, g₂): one normal, odd where it is
+    # negative, a table's normals and two ``random_su2``.  A chunk of samples
+    # is drawn as one block, then checked as one stack: the parity
     # of the table rotated by g₁ on coefficients, and the parity leak of the
     # table resampled at the nodes rotated by g₂ (the ``rotate_values``
     # route).  The first failing sample decides: a wrong parity gives 1.0, a
@@ -801,8 +729,8 @@ def _exchange(rng, cfg):
     grid = build_quadrature(cfg.lmax)
     size = num_coeffs(cfg.lmax)
     for n in _chunks(cfg.samples, max(1, _EXCHANGE_POINTS // grid.n)):
-        rows = _draw_rows(rng, n, lambda r: _sector_draw(r, 8, cfg.lmax))
-        odd = rows[:, 0] < 0.5
+        rows = rng.normal(size=(n, 9 + 2 * size))
+        odd = rows[:, 0] < 0
         off = _off_masks(cfg.lmax, odd)
         tables = _tables_from_normals(rows[:, 1:], cfg.lmax, off)
         g1 = su2_from_normals(rows[:, 1 + 2 * size:5 + 2 * size])
@@ -981,16 +909,19 @@ def _halfline(rng, cfg):
 SOUTH_CAP_Z = -0.8      # the spin checks keep their points above it, clear of the frame's pole
 
 
-def _off_south_cap(v) -> np.ndarray:
-    """Which unit rows keep clear of the frame's excluded south cap (z ≤ SOUTH_CAP_Z)."""
-    return v[:, 2] > SOUTH_CAP_Z
+def _off_south_cap(rows) -> np.ndarray:
+    """Which rows' points (their first three normals, as a unit axis) keep clear of the south cap.
+
+    The cap, z ≤ SOUTH_CAP_Z, is where the transport frame is excluded.
+    """
+    return _unit(rows[:, :3])[:, 2] > SOUTH_CAP_Z
 
 
 @register("berry-robbins", "transport-unitarity", "transported-frame", 1e-12)
 def _transport_unitary(rng, cfg):
     for j in (0.5, 1.0):
         frame = TransportFrame(j)
-        u = frame.unitary(_kept_points(rng, 500, _off_south_cap))
+        u = frame.unitary(_unit(_kept_rows(rng, 500, 3, _off_south_cap)))
         yield np.abs(u @ u.conj().mT - np.eye(frame.dim))
 
 
@@ -999,7 +930,7 @@ def _spin_props(rng, cfg):
     for j in (0.5, 1.0, 1.5):
         frame = TransportFrame(j)
         want = np.arange(-j, j + 1)
-        r = _kept_points(rng, 20, _off_south_cap)
+        r = _unit(_kept_rows(rng, 20, 3, _off_south_cap))
         mats = [transported_spin(i, r, frame) for i in (1, 2, 3)]
         for s in mats:
             yield np.abs(np.sort(np.linalg.eigvalsh(s)) - want)
@@ -1008,18 +939,18 @@ def _spin_props(rng, cfg):
 
 @register("berry-robbins", "lift-composition", "transported-basis-lift", 1e-10)
 def _br_compose(rng, cfg):
-    # an attempt draws a base point off the south cap, λ's (re, im) normals
-    # and g1, g2 as two random_su2; it is kept while both images of the point
-    # avoid the cap.  The kept samples are lifted as one stack.
-    def images_off_cap(points, tails):
-        mid = _apply(spinor_map(su2_from_normals(tails[:, 10:])), unit_vector(points))
-        end = _apply(spinor_map(su2_from_normals(tails[:, 6:10])), mid)
-        return ~((mid[:, 2] < SOUTH_CAP_Z) | (end[:, 2] < SOUTH_CAP_Z))
+    # a row draws a base point, λ's (re, im) normals and g1, g2 as two
+    # random_su2; it is kept while the point and both its images avoid the
+    # south cap.  The kept samples are lifted as one stack.
+    def off_cap(rows):
+        mid = _apply(spinor_map(su2_from_normals(rows[:, 13:])), _unit(rows[:, :3]))
+        end = _apply(spinor_map(su2_from_normals(rows[:, 9:13])), mid)
+        return _off_south_cap(rows) & ~((mid[:, 2] < SOUTH_CAP_Z) | (end[:, 2] < SOUTH_CAP_Z))
 
     frame = TransportFrame(1.0)
-    rows = _kept_attempts(rng, 200, _off_south_cap, 14, images_off_cap)
+    rows = _kept_rows(rng, 200, 17, off_cap)
     g1, g2 = su2_from_normals(rows[:, 9:13]), su2_from_normals(rows[:, 13:])
-    st = BRState(unit_vector(rows[:, :3]), rows[:, 3:6] + 1j * rows[:, 6:9])
+    st = BRState(_unit(rows[:, :3]), rows[:, 3:6] + 1j * rows[:, 6:9])
     lhs = br_lift(g1, br_lift(g2, st, frame), frame)
     rhs = br_lift(su2_product(g1, g2), st, frame)
     yield np.abs(lhs.lam - rhs.lam)
@@ -1031,7 +962,7 @@ def _br_compose(rng, cfg):
 def _br_recover(rng, cfg):
     for j in (0.5, 1.0):
         frame = TransportFrame(j)
-        r = _kept_points(rng, 10, _off_south_cap)
+        r = _unit(_kept_rows(rng, 10, 3, _off_south_cap))
         for i in (1, 2, 3):
             yield np.abs(recover_spin_generator(i, r, frame) - transported_spin(i, r, frame))
 
@@ -1041,8 +972,8 @@ def _j0_reduction(rng, cfg):
     frame = TransportFrame(0.0)
     for k in _chunks(cfg.samples):
         # a base point off the south cap, the scalar's (re, im), random_su2's normals
-        draws = _kept_attempts(rng, k, _off_south_cap, 6)
-        st = BRState(draws[:, :3], (draws[:, 3] + 1j * draws[:, 4])[:, None])
+        draws = _kept_rows(rng, k, 9, _off_south_cap)
+        st = BRState(_unit(draws[:, :3]), (draws[:, 3] + 1j * draws[:, 4])[:, None])
         g = su2_from_normals(draws[:, 5:])
         scalar = scalar_lift(g, st)
         keep = ~(scalar.r[:, 2] < SOUTH_CAP_Z)   # samples whose image leaves the south cap

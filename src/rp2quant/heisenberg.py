@@ -31,6 +31,7 @@ once, on first use, as a read-only ``spectrum`` that ``weyl_U`` and ``op_p``
 share; ``boundary_mass`` reads the two ends of the grid where |x| ≥ L/2.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -99,8 +100,10 @@ class GridWavefunction:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.N & (self.N - 1) or self.N <= 0:
-            raise ValueError("N must be a power of two")
+        if not (isinstance(self.N, numbers.Integral) and self.N > 0 and not self.N & (self.N - 1)):
+            raise ValueError("N must be an integer power of two")
+        if not (0 < self.L < np.inf and 0 < self.hbar < np.inf):
+            raise ValueError("L and hbar must be positive and finite")
         v = np.asarray(self.values, dtype=complex)
         if v.shape != (self.N,):
             raise ValueError("values must have shape (N,)")

@@ -75,8 +75,8 @@ class RadialGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "n", operator.index(self.n))
-        if not (0 < self.rmin < self.rmax and self.n >= 8):
-            raise ValueError("need 0 < rmin < rmax and at least 8 nodes")
+        if not (0 < self.rmin < self.rmax < np.inf and self.n >= 8):
+            raise ValueError("need 0 < rmin < rmax < inf and at least 8 nodes")
 
     @property
     def nodes(self) -> np.ndarray:

@@ -8,9 +8,11 @@ For every rewritten check the batched body must consume its RNG stream
 exactly as the loop does (same generator state afterwards) and give the same
 residual: bit for bit where only the layout changed, and within a tolerance
 fixed from float64 eps where a matmul, a batched evaluation or numpy's
-complex kernels round differently.  The samples themselves are compared bit
-for bit with those the scalar helpers draw.  Each batched check must
-also stay within 2 MB of traced allocations at the default configuration.
+complex kernels round differently.  A loop draws each sample as one row of
+normals, as the harness does (see the ``checks`` module docstring), and
+``_kept_rows`` is compared bit for bit with a loop drawing one row at a
+time.  Each batched check must also stay within 2 MB of traced allocations
+at the default configuration.
 """
 
 import tracemalloc
@@ -33,19 +35,13 @@ from rp2quant.checks import (
     _EXCHANGE_POINTS,
     REGISTRY,
     SuiteConfig,
-    _assoc_and_h,
-    _assoc_rows,
-    _draw_rows,
-    _h_rows,
-    _haar_and_h,
     _interior,
-    _kept_attempts,
-    _kept_points,
+    _kept_rows,
+    _unit,
     INTERIOR_MARGIN,
     _off_south_cap,
     check_rng,
 )
-from rp2quant.groups import su2_from_normals
 from rp2quant.harmonics import (
     evaluate,
     off_sector_mask,
@@ -90,8 +86,11 @@ PEAK_BYTES = 2 * 1024 * 1024
 
 # The H and associated-bundle ensembles the bundles and groups loops draw from.
 def _random_h(rng) -> HElement:
-    kind = "diagonal" if rng.random() < 0.5 else "antidiagonal"
-    return HElement(kind, np.exp(1j * rng.uniform(0, 2 * np.pi)))
+    # the kind is one normal's sign, λ the phase of the next two
+    kind = "diagonal" if rng.normal() < 0 else "antidiagonal"
+    a, b = rng.normal(size=2)
+    r = np.hypot(a, b)
+    return HElement(kind, complex(a / r, b / r))
 
 
 def _random_assoc(rng) -> ref.AssocElement:
@@ -99,7 +98,7 @@ def _random_assoc(rng) -> ref.AssocElement:
     return ref.AssocElement(random_su2(rng), v)
 
 
-# The rejection-sampled points the manifold, bundles and berry-robbins loops draw.
+# The rejection-sampled points the manifold and berry-robbins loops draw.
 def _random_interior_point(rng):
     while True:
         v = _random_axis(rng)
@@ -134,7 +133,8 @@ def ref_spinor_kernel(rng, cfg):
 def ref_axis_angle(rng, cfg):
     worst = 0.0
     for _ in range(cfg.samples):
-        psi, n = rng.uniform(0, 2 * np.pi), _random_axis(rng)
+        a, b = rng.normal(size=2)
+        psi, n = np.arctan2(a, b) % (2 * np.pi), _random_axis(rng)
         gap = rotation_from_axis_angle(psi, n) - spinor_map(su2_from_axis_angle(psi, n))
         worst = max(worst, np.max(np.abs(gap)))
     return worst
@@ -207,12 +207,11 @@ def ref_moment_inject(rng, cfg):
     worst = 0.0
     for _ in range(10_000):
         x = _random_axis(rng)
-        if rng.random() < 0.5:
-            y = _random_axis(rng)
-        else:
-            s = -1.0 if rng.random() < 0.5 else 1.0
-            y = s * x + rng.normal(size=3) * 1e-10
-            y /= np.linalg.norm(y)
+        near, s = rng.normal() >= 0, -1.0 if rng.normal() < 0 else 1.0
+        y = rng.normal(size=3)
+        if near:
+            y = s * x + y * 1e-10
+        y /= np.linalg.norm(y)
         if np.linalg.norm(moment_embedding(x) - moment_embedding(y)) < 1e-8:
             gap = np.max(np.abs(rp2_point(x).rep - rp2_point(y).rep))
             worst = max(worst, float(gap))
@@ -317,7 +316,7 @@ def ref_exchange(rng, cfg):
     for first in range(0, cfg.samples, chunk):
         draws = []
         for _ in range(min(chunk, cfg.samples - first)):
-            sector = "odd" if rng.random() < 0.5 else "even"
+            sector = "odd" if rng.normal() < 0 else "even"
             table = random_coeffs(cfg.lmax, sector, rng).c
             draws.append((sector, table, random_su2(rng), random_su2(rng)))
         sectors, tables, g1s, g2s = zip(*draws)
@@ -338,7 +337,7 @@ def ref_exchange(rng, cfg):
 def ref_gen_vs_ladder(rng, cfg):
     worst = 0.0
     for _ in range(10):
-        sector = "odd" if rng.random() < 0.5 else "even"
+        sector = "odd" if rng.normal() < 0 else "even"
         a = random_coeffs(cfg.lmax, sector, rng)
         for i in (1, 2, 3):
             worst = max(worst, float(generator_vs_ladder_residual(i, a.c)))
@@ -393,8 +392,13 @@ def ref_br_compose(rng, cfg):
     worst = 0.0
     done = 0
     while done < 200:
-        st = BRState(_safe_point(rng), rng.normal(size=3) + 1j * rng.normal(size=3))
+        # a sample is drawn whole, then redrawn whole if any of its points is on the cap
+        x = _random_axis(rng)
+        lam = rng.normal(size=3) + 1j * rng.normal(size=3)
         g1, g2 = random_su2(rng), random_su2(rng)
+        if x[2] <= -0.8:
+            continue
+        st = BRState(x, lam)
         mid = spinor_map(g2) @ st.r
         end = spinor_map(g1) @ mid
         if mid[2] < -0.8 or end[2] < -0.8:
@@ -427,8 +431,11 @@ def ref_br_recover(rng, cfg):
 def ref_j0_reduction(rng, cfg):
     frame = TransportFrame(0.0)
     for _ in range(cfg.samples):
-        st = BRState(_safe_point(rng), [rng.normal() + 1j * rng.normal()])
-        g = random_su2(rng)
+        while True:     # a point, the scalar's (re, im) and g, redrawn whole on the cap
+            x, lam, g = _random_axis(rng), rng.normal() + 1j * rng.normal(), random_su2(rng)
+            if x[2] > -0.8:
+                break
+        st = BRState(x, [lam])
         if (spinor_map(g) @ st.r)[2] < -0.8:
             continue
         lifted = br_lift(g, st, frame)
@@ -565,8 +572,10 @@ def ref_moment_equiv(rng, cfg):
 def ref_triv_transitions(rng, cfg):
     worst = 0.0
     for _ in range(cfg.samples):
-        x = _random_interior_point(rng)
-        lam = rng.normal() + 1j * rng.normal()
+        while True:     # a point and λ's (re, im), redrawn whole outside the charts' interior
+            x, lam = _random_axis(rng), rng.normal() + 1j * rng.normal()
+            if np.min(np.abs(x)) > INTERIOR_MARGIN:
+                break
         el = ref.LMinusElement(rp2_point(x), lam * bundles.phi(rp2_point(x).rep))
         for a in (1, 2, 3):
             for b in (1, 2, 3):
@@ -708,10 +717,15 @@ def test_batched_check_matches_reference_loop(name, seed):
      ("observable-linearity", 4100), ("w-functional-evenness", 4100),
      ("trivialization-transitions", 4100), ("projector-properties", 4100),
      ("kappa-multiplicative", 4100), ("chart-representative-independence", 4100),
-     ("product-associativity", 4100)],
+     ("product-associativity", 4100), ("axis-angle-cross-check", 4100),
+     ("h-orbit-component-formulas", 4100), ("h-image-in-o2", 4100),
+     ("iso-well-defined", 4100), ("quartic-embedding-components", 4100),
+     ("frame-map-odd-unit", 4100), ("lift-composition-covering", 4100)],
 )
 def test_chunked_check_matches_reference_loop(name, samples):
     # more samples than one chunk holds: the chunks draw in stream order
+    # (moment-injectivity's 10,000 pairs and exchange-statistics' chunks of a
+    # few dozen samples cross chunks at any sample count)
     ref, tol = REWRITTEN[name]
     cfg = SuiteConfig(rng_seed=3, samples=samples)
     rng_ref, rng_new = check_rng(3, name), check_rng(3, name)
@@ -755,48 +769,40 @@ def test_batched_check_memory_at_defaults(name):
     assert peak <= PEAK_BYTES, peak
 
 
-def _north_cap(v):
+def _north_cap(rows):
     # keeps z > 0.8, a tenth of the sphere: rejects about 90 % of the points
-    return v[:, 2] > 0.8
+    return _unit(rows[:, :3])[:, 2] > 0.8
 
 
-def _polar_cap(v):
-    # keeps z > 0.98: rejects about 99 %, so short blocks hold no whole attempt
-    return v[:, 2] > 0.98
+def _polar_cap(rows):
+    # keeps z > 0.98: rejects about 99 %, so most blocks keep few rows
+    return _unit(rows[:, :3])[:, 2] > 0.98
 
 
-def _scalar_point(ok):
-    # the per-sample loop: one _random_axis at a time until ok keeps it
-    def draw(rng):
-        while True:
-            v = _random_axis(rng)
-            if ok(v[None])[0]:
-                return v
-    return draw
+def _rare_tail(rows):
+    # P(normal > 1.2816) ≈ 0.1: rejects about 90 % of the rows
+    return rows[:, 3] > 1.2816
 
 
-def _scalar_attempt(ok, tail, keep):
-    # a point as _scalar_point draws it, then tail normals; redrawn whole until kept
-    def draw(rng):
-        while True:
-            point, normals = _scalar_point(ok)(rng), rng.normal(size=tail)
-            if keep is None or keep(point[None], normals[None])[0]:
-                return np.concatenate([point, normals])
-    return draw
-
-
-def _rare_tail(points, tails):
-    # P(normal > 1.2816) ≈ 0.1: rejects about 90 % of the attempts
-    return tails[:, 0] > 1.2816
+def _row_loop(rng, n, width, ok):
+    # the per-sample loop: one row of normals at a time until ok keeps it
+    rows = []
+    while len(rows) < n:
+        row = rng.normal(size=width)
+        if ok(row[None])[0]:
+            rows.append(row)
+    return np.array(rows)
 
 
 @pytest.mark.parametrize("ok", [_interior, _off_south_cap, _north_cap])
 @pytest.mark.parametrize("n", [1, 7, 300])
 @pytest.mark.parametrize("seed", [0, 5, 11])
 def test_kept_points_match_scalar_loop(ok, n, seed):
+    # the kept axes as the manifold and berry-robbins checks draw them, against
+    # the per-point loop's, each scaled as _random_axis scales it
     ref, new = np.random.default_rng(seed), np.random.default_rng(seed)
-    want = _draw_rows(ref, n, _scalar_point(ok))
-    got = _kept_points(new, n, ok)
+    want = np.array([v / np.linalg.norm(v) for v in _row_loop(ref, n, 3, ok)])
+    got = _unit(_kept_rows(new, n, 3, ok))
     assert new.bit_generator.state == ref.bit_generator.state
     assert got.tobytes() == want.tobytes()
 
@@ -808,38 +814,16 @@ def test_kept_points_match_scalar_loop(ok, n, seed):
 @pytest.mark.parametrize("n", [1, 7, 300])
 @pytest.mark.parametrize("seed", [0, 5, 11])
 def test_kept_attempts_match_scalar_loop(ok, tail, keep, n, seed):
+    # _kept_rows against the loop drawing one whole row (a point's three
+    # normals, then tail more) at a time, kept when ok and keep both hold
+    def flags(rows):
+        return ok(rows) & (True if keep is None else keep(rows))
+
     ref, new = np.random.default_rng(seed), np.random.default_rng(seed)
-    want = _draw_rows(ref, n, _scalar_attempt(ok, tail, keep))
-    got = _kept_attempts(new, n, ok, tail, keep)
+    want = _row_loop(ref, n, 3 + tail, flags)
+    got = _kept_rows(new, n, 3 + tail, flags)
     assert new.bit_generator.state == ref.bit_generator.state
     assert got.tobytes() == want.tobytes()
-
-
-def _same_rows(rows, elements):
-    want = np.array([[e.z0, e.z1] for e in elements])
-    return rows.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("seed", [0, 7])
-def test_haar_and_h_draws_match_scalar_helpers(seed):
-    ref, new = np.random.default_rng(seed), np.random.default_rng(seed)
-    pairs = [(random_su2(ref), _random_h(ref)) for _ in range(300)]
-    draws = _draw_rows(new, 300, _haar_and_h)
-    assert new.bit_generator.state == ref.bit_generator.state
-    assert _same_rows(su2_from_normals(draws[:, :4]), [g for g, _ in pairs])
-    assert _same_rows(_h_rows(draws[:, 4:]), [h.embed() for _, h in pairs])
-
-
-@pytest.mark.parametrize("seed", [0, 7])
-def test_assoc_and_h_draws_match_scalar_helpers(seed):
-    ref, new = np.random.default_rng(seed), np.random.default_rng(seed)
-    pairs = [(_random_assoc(ref), _random_h(ref)) for _ in range(300)]
-    draws = _draw_rows(new, 300, _assoc_and_h)
-    assert new.bit_generator.state == ref.bit_generator.state
-    g, v = _assoc_rows(draws)
-    assert _same_rows(g, [e.g for e, _ in pairs])
-    assert v.tobytes() == np.array([e.v for e, _ in pairs]).tobytes()
-    assert _same_rows(_h_rows(draws[:, 6:]), [h.embed() for _, h in pairs])
 
 
 def test_no_obstruction_draws_match_elements():

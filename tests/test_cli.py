@@ -97,6 +97,16 @@ class TestSuiteConfig:
             with pytest.raises(ConfigError, match=rf"lmax must lie in \[1, {LMAX_MAX}\]"):
                 SuiteConfig(lmax=lmax)
 
+    def test_seed_range_is_the_streams_own(self, capsys):
+        # a seed is one 64-bit word of check_rng's (seed, name tag) entropy; one
+        # outside [0, 2**64) is refused, not folded onto another seed's stream
+        assert SuiteConfig(rng_seed=2**64 - 1).rng_seed == 2**64 - 1
+        for seed in (-1, 2**64, 2**65 + 3):
+            with pytest.raises(ConfigError, match=r"rng_seed must lie in \[0, 2\*\*64\)"):
+                SuiteConfig(rng_seed=seed)
+            assert main(["groups", "--samples", "20", "--seed", str(seed)]) == 2
+        assert "rng_seed must lie in" in capsys.readouterr().err
+
     def test_tolerance_overrides_are_stored_as_float(self):
         cfg = SuiteConfig(tol_overrides={"ccr-residual": np.float32(0.5), "spinor-homomorphism": 1})
         assert cfg.tol_overrides == {"ccr-residual": 0.5, "spinor-homomorphism": 1.0}

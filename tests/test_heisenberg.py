@@ -37,6 +37,21 @@ class TestGridWavefunction:
         with pytest.raises(ValueError):
             GridWavefunction(1000, L, np.zeros(1000, dtype=complex))
 
+    @pytest.mark.parametrize("n", [64.0, 64.5, "64", None])
+    def test_non_integer_size_is_a_value_error(self, n):
+        with pytest.raises(ValueError, match="integer power of two"):
+            GridWavefunction(n, L, np.zeros(64, dtype=complex))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_length_and_hbar_must_be_positive_and_finite(self, bad):
+        # each would give a NaN packet or divide by zero on the grid
+        with pytest.raises(ValueError, match="positive and finite"):
+            gaussian_packet(64, bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            gaussian_packet(64, L, hbar=bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            GridWavefunction(64, bad, np.zeros(64, dtype=complex))
+
     def test_norm(self, packet):
         assert abs(packet.norm() - 1.0) < 1e-12
 

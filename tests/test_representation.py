@@ -52,7 +52,7 @@ def exchange_statistics_loop(rng, lmax, samples, grid):
     """The per-sample body of exchange-statistics before it ran in chunks."""
     worst = 0.0
     for _ in range(samples):
-        sector = "odd" if rng.random() < 0.5 else "even"
+        sector = "odd" if rng.normal() < 0 else "even"
         a = random_coeffs(lmax, sector, rng)
         rotated = rotate_coeffs(random_su2(rng), a, grid)
         if exchange_parities(rotated.c) != (-1 if sector == "odd" else 1):
@@ -258,6 +258,12 @@ class TestRadialGrid:
         for rmin in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError):
                 RadialGrid(rmin, 2.0, 16)
+
+    def test_bounds_are_finite(self):
+        # an infinite rmax would give NaN nodes
+        for rmin, rmax in ((0.1, np.inf), (np.inf, np.inf), (0.1, np.nan)):
+            with pytest.raises(ValueError, match="rmax < inf"):
+                RadialGrid(rmin, rmax, 64)
 
     def test_window_and_node_floor(self):
         for rmin, rmax, n in ((2.0, 2.0, 16), (2.0, 1.0, 16), (1.0, 2.0, 7), (1.0, 2.0, 0)):
