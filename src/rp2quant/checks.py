@@ -10,12 +10,15 @@ array, and ``register`` reduces them to the check's one residual, the worst
 entry of any of them (``_worst``).  A NaN anywhere is the residual, so the
 check fails; a body that yields nothing reads 0.0.
 
-A check that samples draws each sample as one row of standard normals, a
-chunk of samples as one ``rng.normal(size=(n, k))`` block.  A coin flip is
-the sign of one normal, a phase the direction of a pair (λ = (a + ib)/|a + ib|,
+A check that samples draws each sample as one row of standard normals (a
+chunk as one ``rng.normal(size=(n, k))`` block) and computes on the stack,
+except the two canonical-operator checks and the heisenberg checks on a wave
+function, whose operators take one element at a time.  A coin flip is the
+sign of one normal, a phase the direction of a pair (λ = (a + ib)/|a + ib|,
 ψ = arctan2(a, b) mod 2π) and an axis three normals scaled to unit norm, so a
 block of rows is exactly the samples a loop drawing one row at a time gets.
-A rejected sample is a rejected row (``_kept_rows``).
+A rejected sample is a rejected row (``_kept_rows``); ``antipodal-parity``
+draws its orders m with ``rng.integers``.
 """
 
 import functools
@@ -61,14 +64,11 @@ from .harmonics import (
     HarmonicCoeffs,
     _row_norms,
     _tables_from_normals,
-    analyze,
     apply_L,
     evaluate,
     num_coeffs,
     off_sector_mask,
-    parity_decompose,
     random_coeffs,
-    rotate_coeffs,
     rotate_stack,
     rotate_values,
     unit,
@@ -414,10 +414,9 @@ def _w_even(rng, cfg):
 def _roundtrip(rng, cfg):
     lmax = min(cfg.lmax + 4, 12)
     grid = build_quadrature(lmax)
-    for _ in range(5):
-        a = random_coeffs(lmax, "full", rng)
-        back = analyze(np.asarray(evaluate(a, grid.nodes)), lmax, grid)
-        yield np.linalg.norm(back.c - a.c) / a.norm()
+    tables = _tables_from_normals(rng.normal(size=(5, 2 * num_coeffs(lmax))), lmax, False)
+    back = grid.project(ylm_synthesize(grid.nodes, lmax, tables), lmax)
+    yield _row_norms(back - tables) / _row_norms(tables)
 
 
 @register("harmonics", "antipodal-parity", "parity-split-of-sphere-functions", 1e-10)
@@ -432,50 +431,49 @@ def _antipodal(rng, cfg):
 
 @register("harmonics", "rotation-sector-closure", "parity-split-of-sphere-functions", 1e-10)
 def _sector_closure(rng, cfg):
+    # a row is (sector, table, g): odd where the sector's normal is negative
     grid = build_quadrature(cfg.lmax)
-    for _ in range(10):
-        sector = "even" if rng.random() < 0.5 else "odd"
-        a = random_coeffs(cfg.lmax, sector, rng)
-        raw = analyze(rotate_values(random_su2(rng), a.c, grid.nodes), cfg.lmax, grid)
-        even, odd = parity_decompose(raw)
-        yield (odd if sector == "even" else even).norm()    # the leak out of the sector
+    rows = rng.normal(size=(10, 5 + 2 * num_coeffs(cfg.lmax)))
+    off = _off_masks(cfg.lmax, rows[:, 0] < 0)
+    tables = _tables_from_normals(rows[:, 1:], cfg.lmax, off)
+    raw = grid.project(rotate_values(su2_from_normals(rows[:, -4:]), tables, grid.nodes), cfg.lmax)
+    yield _row_norms(np.where(off, raw, 0.0))              # the leak out of the sector
 
 
 @register("harmonics", "rotation-unitarity", "rotation-resampling", 1e-10)
 def _rot_unitary(rng, cfg):
-    for _ in range(10):
-        a = random_coeffs(cfg.lmax, "full", rng)
-        b = rotate_stack(random_su2(rng), a.c)
-        yield abs(np.linalg.norm(b) - a.norm())
+    rows = rng.normal(size=(10, 2 * num_coeffs(cfg.lmax) + 4))    # the table, then g
+    tables = _tables_from_normals(rows, cfg.lmax, False)
+    b = rotate_stack(su2_from_normals(rows[:, -4:]), tables)
+    yield np.abs(_row_norms(b) - _row_norms(tables))
 
 
 @register("harmonics", "ladder-su2-algebra", "angular-momentum-ladders", 1e-12)
 def _ladder_algebra(rng, cfg):
-    eps = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
-    for _ in range(5):
-        c = random_coeffs(cfg.lmax, "full", rng).c
-        for (i, j), k in eps.items():
-            comm = apply_L(i, apply_L(j, c)) - apply_L(j, apply_L(i, c))
-            yield np.linalg.norm(comm - 1j * apply_L(k, c))
+    c = _tables_from_normals(rng.normal(size=(5, 2 * num_coeffs(cfg.lmax))), cfg.lmax, False)
+    for (i, j), k in {(1, 2): 3, (2, 3): 1, (3, 1): 2}.items():
+        comm = apply_L(i, apply_L(j, c)) - apply_L(j, apply_L(i, c))
+        yield _row_norms(comm - 1j * apply_L(k, c))
 
 
 def _symmetrized_power_d(j: float, g) -> np.ndarray:
-    """Oracle for ``wigner_d``: the 2j-fold symmetrized power of the matrix of a row g.
+    """Oracle for ``wigner_d``: the 2j-fold symmetrized power of the matrix of each row g.
 
-    With [[a, b], [c, d]] = [[z0, conj(z1)], [-z1, conj(z0)]] for g = (z0, z1),
+    g is one (2,) row or (..., 2) rows, giving (..., 2j+1, 2j+1).  With
+    [[a, b], [c, d]] = [[z0, conj(z1)], [-z1, conj(z0)]] for g = (z0, z1),
     acting as x ↦ ax + cy, y ↦ bx + dy on
     f_m = x^{j+m} y^{j-m} / sqrt((j+m)!(j-m)!), m = +j ... -j:
 
         D_{m'm} = sqrt((j+m')!(j-m')!/((j+m)!(j-m)!)) ·
                   Σ_k C(j+m, k) C(j-m, j-m'-k) a^{j+m-k} c^k b^{m'-m+k} d^{j-m'-k}.
     """
-    n = round(2 * j)
-    z0, z1 = g
-    a, b, c, d = z0, z1.conjugate(), -z1, z0.conjugate()
+    n, g = round(2 * j), np.asarray(g)
+    z0, z1 = g[..., 0], g[..., 1]
+    a, b, c, d = z0, z1.conj(), -z1, z0.conj()
     f = [math.factorial(k) for k in range(n + 1)]
-    out = np.zeros((n + 1, n + 1), dtype=complex)
+    out = np.zeros(g.shape[:-1] + (n + 1, n + 1), dtype=complex)
     for p, q in np.ndindex(n + 1, n + 1):           # row m' = j - p, column m = j - q
-        out[p, q] = math.sqrt(f[n - p] * f[p] / (f[n - q] * f[q])) * sum(
+        out[..., p, q] = math.sqrt(f[n - p] * f[p] / (f[n - q] * f[q])) * sum(
             math.comb(n - q, k) * math.comb(q, p - k)
             * a ** (n - q - k) * c**k * b ** (q - p + k) * d ** (p - k)
             for k in range(max(0, p - q), min(n - q, p) + 1)
@@ -486,18 +484,16 @@ def _symmetrized_power_d(j: float, g) -> np.ndarray:
 @register("harmonics", "rotation-wigner-cross-check", "wigner-matrix-blocks", 1e-9)
 def _rot_wigner(rng, cfg):
     # the coefficient route against resampling on every degree, and against
-    # the symmetrized-power oracle on l ≤ 4
+    # the symmetrized-power oracle on l ≤ 4; a row is g, then the table
     grid = build_quadrature(cfg.lmax)
-    for _ in range(10):
-        g = random_su2(rng)
-        a = random_coeffs(cfg.lmax, "full", rng)
-        rot = rotate_coeffs(g, a, grid)
-        resampled = analyze(rotate_values(g, a.c, grid.nodes), cfg.lmax, grid)
-        yield np.abs(rot.c - resampled.c)
-        for l in range(1, min(cfg.lmax, 4) + 1):
-            d = _symmetrized_power_d(l, g)
-            want = d @ a.block(l)[::-1]      # blocks are m = -l..l, D rows m = +l..-l
-            yield np.abs(rot.block(l)[::-1] - want)
+    rows = rng.normal(size=(10, 4 + 2 * num_coeffs(cfg.lmax)))
+    g, tables = su2_from_normals(rows[:, :4]), _tables_from_normals(rows[:, 4:], cfg.lmax, False)
+    rot = rotate_stack(g, tables)
+    yield np.abs(rot - grid.project(rotate_values(g, tables, grid.nodes), cfg.lmax))
+    for l in range(1, min(cfg.lmax, 4) + 1):
+        block = slice(l * l, (l + 1) ** 2)          # m = -l..l; D rows run m = +l..-l
+        want = _symmetrized_power_d(l, g) @ tables[:, block, None][:, ::-1]
+        yield np.abs(rot[:, block][:, ::-1] - want[..., 0])
 
 
 @register("harmonics", "wigner-homomorphism", "wigner-matrix-products", 1e-11)
@@ -664,13 +660,12 @@ def _closure(rng, cfg):
 
 @register("representation", "rotation-action-unitary-hom", "induced-rotation-action", 1e-9)
 def _act_u(rng, cfg):
-    for _ in range(10):
-        a = random_coeffs(cfg.lmax, "odd", rng)
-        g1, g2 = random_su2(rng), random_su2(rng)
-        seq = rotate_stack(g1, rotate_stack(g2, a.c))
-        prod = rotate_stack(su2_product(g1, g2), a.c)
-        yield np.linalg.norm(seq - prod)
-        yield abs(np.linalg.norm(seq) - a.norm())
+    rows = rng.normal(size=(10, 2 * num_coeffs(cfg.lmax) + 8))    # the odd table, then g1, g2
+    a = _tables_from_normals(rows, cfg.lmax, off_sector_mask(cfg.lmax, "odd"))
+    g1, g2 = su2_from_normals(rows[:, -8:].reshape(10, 2, 4)).transpose(1, 0, 2)
+    seq = rotate_stack(g1, rotate_stack(g2, a))
+    yield _row_norms(seq - rotate_stack(su2_product(g1, g2), a))
+    yield np.abs(_row_norms(seq) - _row_norms(a))
 
 
 def _canonical_ensemble(rng, cfg):
@@ -987,7 +982,8 @@ def _j0_reduction(rng, cfg):
 def _fixed_basis(rng, cfg):
     lmax = min(cfg.lmax, 6) - 1
     for j in (0.5, 1.0):
-        field_ = np.stack([random_coeffs(lmax, "full", rng).c for _ in range(int(2 * j) + 1)])
+        field_ = _tables_from_normals(rng.normal(size=(int(2 * j) + 1, 2 * num_coeffs(lmax))),
+                                      lmax, False)
         for i in (1, 2, 3):
             yield np.abs(total_generator_fd(i, j, field_) - total_generator_exact(i, j, field_))
 

@@ -95,6 +95,8 @@ def w_action(r: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def check_symmetric_traceless(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
+    if m.shape != (3, 3) or not np.isfinite(m).all():
+        raise ValueError(f"matrix must be a finite (3, 3) array, got shape {m.shape}")
     tol = SYMMETRIC_TRACELESS_TOL
     if np.max(np.abs(m - m.T)) > tol or abs(np.trace(m)) > tol:
         raise ValueError("matrix must be symmetric and traceless")
@@ -129,6 +131,8 @@ class WFunctional:
 
     def __post_init__(self):
         object.__setattr__(self, "c", check_symmetric_traceless(self.c))
+        if not np.isfinite(self.c0):
+            raise ValueError(f"offset c0 must be finite, got {self.c0!r}")
 
     def __call__(self, x) -> float | np.ndarray:
         """w at one unit vector, or one value per row of an (n, 3) array."""

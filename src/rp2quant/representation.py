@@ -181,8 +181,8 @@ def act_canonical(
     unitarity error is set by the interior tail within |ln λ| of the ends,
     which wraps onto the opposite side of the window.
     """
-    if lam <= 0:
-        raise ValueError("dilation parameter must be positive")
+    if not 0 < lam < np.inf:                # NaN fails too
+        raise ValueError("dilation parameter must be positive and finite")
     m = fs.c
     if lam != 1.0:
         if _boundary_fraction(m) > BOUNDARY_FRACTION_TOL:

@@ -11,12 +11,14 @@ one element.  ``HElement``, ``h_membership``, ``RP2Point``, ``rp2_point`` and
 ``quotient_to_rp2`` left the library with it, and ``_random_axis`` is the
 harness's former one-axis draw, and ``richardson_offsets`` the offsets
 t = h, -h, h/2, -h/2 that per-offset generator references loop over, read
-from ``representation.FD_STEP`` at call time.
+from ``representation.FD_STEP`` at call time.  ``symmetrized_power_d`` is
+the harness's Wigner oracle as it was on one (2,) row, in numpy scalars.
 The reference loops of ``test_batch_checks`` and the bitwise tables of the
 library tests compare the library against them.  Where a form below calls
 a library name, it wrapped that stacked form already.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -501,6 +503,24 @@ def random_phase_point(rng: np.random.Generator) -> PhasePoint:
     return PhasePoint(
         w_matrix(rng.normal(size=5)), WFunctional(w_matrix(rng.normal(size=5)), 0.0)
     )
+
+
+# -------------------------------------------------------------- harmonics
+
+def symmetrized_power_d(j: float, g) -> np.ndarray:
+    """The 2j-fold symmetrized power of the matrix of one (2,) row g (m = +j ... -j)."""
+    n = round(2 * j)
+    z0, z1 = g
+    a, b, c, d = z0, z1.conjugate(), -z1, z0.conjugate()
+    f = [math.factorial(k) for k in range(n + 1)]
+    out = np.zeros((n + 1, n + 1), dtype=complex)
+    for p, q in np.ndindex(n + 1, n + 1):           # row m' = j - p, column m = j - q
+        out[p, q] = math.sqrt(f[n - p] * f[p] / (f[n - q] * f[q])) * sum(
+            math.comb(n - q, k) * math.comb(q, p - k)
+            * a ** (n - q - k) * c**k * b ** (q - p + k) * d ** (p - k)
+            for k in range(max(0, p - q), min(n - q, p) + 1)
+        )
+    return out
 
 
 # ---------------------------------------------------------- bitwise tables

@@ -208,10 +208,10 @@ class TestWorstResidual:
         assert math.isnan(result.residual) and not result.passed and result.error is None
 
     def test_nan_in_a_loop_sample(self, monkeypatch):
-        # the second of rotation-unitarity's ten rotations has a NaN entry
-        calls = _spoil_call(monkeypatch, "rotate_stack", 2, _nan_at(0))
-        self._fails_with_nan(self._run_alone(monkeypatch, "rotation-unitarity", SuiteConfig()))
-        assert len(calls) == 10
+        # the second of canonical-group-law's five group-law gaps is NaN
+        calls = _spoil_call(monkeypatch, "check_group_law", 2, _nan_at(()))
+        self._fails_with_nan(self._run_alone(monkeypatch, "canonical-group-law", SuiteConfig()))
+        assert len(calls) == 5
 
     def test_nan_in_the_second_chunk(self, monkeypatch):
         # 4100 samples are chunks of 4096 and 4; the second chunk's rotation of

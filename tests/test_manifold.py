@@ -205,6 +205,17 @@ class TestWFunctional:
         with pytest.raises(ValueError):
             WFunctional(np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]]))
 
+    @pytest.mark.parametrize("c", [np.full((3, 3), np.nan), np.diag([np.inf, -np.inf, 0.0]),
+                                   np.zeros((2, 2)), np.zeros((3, 3, 3)), np.zeros(9)])
+    def test_rejects_non_finite_or_misshapen_matrix(self, c):
+        with pytest.raises(ValueError, match=r"finite \(3, 3\) array"):
+            WFunctional(c)
+
+    @pytest.mark.parametrize("c0", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_offset(self, c0):
+        with pytest.raises(ValueError, match="c0"):
+            WFunctional(np.zeros((3, 3)), c0)
+
 
 class TestQuadrature:
     def test_total_mass(self, grid8):

@@ -397,6 +397,12 @@ class TestActCanonical:
         with pytest.raises(RadialRangeError):
             act_canonical(W0, IDENTITY, 1.5, fs, grid8)
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+    def test_dilation_must_be_positive_and_finite(self, grid8, rng, lam):
+        fs = separable_section(radial64(), gaussian_profile(radial64()), low_degree_odd(rng))
+        with pytest.raises(ValueError, match="positive and finite"):
+            act_canonical(W0, IDENTITY, lam, fs, grid8)
+
 
 class TestGroupLaw:
     def test_identity_pair(self, grid8, rng):
