@@ -12,13 +12,17 @@ check fails; a body that yields nothing reads 0.0.
 
 A check that samples draws each sample as one row of standard normals (a
 chunk as one ``rng.normal(size=(n, k))`` block) and computes on the stack,
-except the two canonical-operator checks and the heisenberg checks on a wave
-function, whose operators take one element at a time.  A coin flip is the
-sign of one normal, a phase the direction of a pair (λ = (a + ib)/|a + ib|,
-ψ = arctan2(a, b) mod 2π) and an axis three normals scaled to unit norm, so a
-block of rows is exactly the samples a loop drawing one row at a time gets.
-A rejected sample is a rejected row (``_kept_rows``); ``antipodal-parity``
-draws its orders m with ``rng.integers``.
+except the two canonical-operator checks, whose operator takes one element at
+a time.  A coin flip is the sign of one normal, a phase the direction of a
+pair (λ = (a + ib)/|a + ib|, ψ = arctan2(a, b) mod 2π) and an axis three
+normals scaled to unit norm, so a block of rows is exactly the samples a loop
+drawing one row at a time gets.  A rejected sample is a rejected row
+(``_kept_rows``); ``antipodal-parity`` draws its orders m with
+``rng.integers``.  The heisenberg checks on a wave function draw uniform
+shifts: a chunk of (a, b) rows as one ``rng.uniform`` block, or, where
+uniforms and normals alternate, a short loop in draw order.  They make one
+stacked call per chunk, whose arrays hold at most 2¹⁶ complex entries
+(``_wave_chunks``).
 """
 
 import functools
@@ -255,6 +259,15 @@ def _chunks(n: int, rows: int = _CHUNK_ROWS):
     """
     for lo in range(0, n, rows):
         yield min(rows, n - lo)
+
+
+_WAVE_ENTRIES = 1 << 16   # complex entries per stacked wave-function array: 1 MB, one N = 65536 packet
+
+
+def _wave_chunks(n: int, grid_n: int):
+    """``_chunks`` of the n samples whose (rows, grid_n) wave-function stacks hold at most
+    ``_WAVE_ENTRIES`` entries, and one row where a single wave function holds more."""
+    return _chunks(n, max(1, _WAVE_ENTRIES // grid_n))
 
 
 # ---------------------------------------------------------------- groups
@@ -819,43 +832,42 @@ def _ccr(rng, cfg):
 @register("heisenberg", "weyl-exchange-relation", "weyl-exchange-phase", 1e-9)
 def _weyl(rng, cfg):
     psi = _packet(cfg)
-    for _ in range(20):
-        a, b = rng.uniform(-1.5, 1.5), rng.uniform(-3, 3)
+    for n in _wave_chunks(20, cfg.grid_n):
+        a, b = rng.uniform((-1.5, -3), (1.5, 3), size=(n, 2)).T
         yield heisenberg.check_weyl_relation(a, b, psi)
 
 
 @register("heisenberg", "weyl-phase-swap-sign", "weyl-exchange-phase", 1e-9)
 def _weyl_swap(rng, cfg):
     psi = _packet(cfg)
-    for _ in range(10):
-        a, b = rng.uniform(-1.5, 1.5), rng.uniform(-3, 3)
-        lhs = heisenberg.weyl_V(b, heisenberg.weyl_U(a, psi)).values
-        rhs = heisenberg.weyl_U(a, heisenberg.weyl_V(b, psi)).values
-        diff = lhs - np.exp(-1j * psi.hbar * a * b) * rhs
-        yield np.linalg.norm(diff) / np.linalg.norm(psi.values)
+    for n in _wave_chunks(10, cfg.grid_n):
+        a, b = rng.uniform((-1.5, -3), (1.5, 3), size=(n, 2)).T
+        lhs = heisenberg.weyl_V(b, psi.with_values(heisenberg._weyl_UV(psi, a=a))).values
+        rhs = heisenberg._weyl_UV(psi, a, b)
+        diff = lhs - np.exp(-1j * psi.hbar * a * b)[:, None] * rhs
+        yield _row_norms(diff) / np.linalg.norm(psi.values)
 
 
 @register("heisenberg", "representation-homomorphism", "heisenberg-representation", 1e-9)
 def _rep_hom(rng, cfg):
     psi = _packet(cfg)
-    for _ in range(20):
-        e1 = heisenberg.HeisenbergElement(
-            rng.uniform(-1, 1, 1), rng.uniform(-2, 2, 1), rng.normal()
-        )
-        e2 = heisenberg.HeisenbergElement(
-            rng.uniform(-1, 1, 1), rng.uniform(-2, 2, 1), rng.normal()
-        )
+    for n in _wave_chunks(20, cfg.grid_n):
+        # each sample draws e₁ then e₂ as (a, b, r): uniforms and a normal, in that order
+        d = np.array([(rng.uniform(-1, 1), rng.uniform(-2, 2), rng.normal()) for _ in range(2 * n)])
+        e1, e2 = (heisenberg.HeisenbergElement(x[:, :1], x[:, 1:2], x[:, 2])
+                  for x in (d[::2], d[1::2]))
         lhs = heisenberg.rep_heisenberg(e1, heisenberg.rep_heisenberg(e2, psi))
         rhs = heisenberg.rep_heisenberg(heisenberg.heisenberg_product(e1, e2), psi)
-        yield np.linalg.norm(lhs.values - rhs.values) / np.linalg.norm(psi.values)
+        yield _row_norms(lhs.values - rhs.values) / np.linalg.norm(psi.values)
 
 
 @register("heisenberg", "operator-unitarity", "heisenberg-representation", 1e-10)
 def _op_unitary(rng, cfg):
     psi = _packet(cfg)
-    for _ in range(20):
-        yield abs(heisenberg.weyl_U(rng.uniform(-2, 2), psi).norm() - psi.norm())
-        yield abs(heisenberg.weyl_V(rng.uniform(-4, 4), psi).norm() - psi.norm())
+    for n in _wave_chunks(20, cfg.grid_n):
+        a, b = rng.uniform((-2, -4), (2, 4), size=(n, 2)).T
+        yield np.abs(psi.with_values(heisenberg._weyl_UV(psi, a=a)).norm() - psi.norm())
+        yield np.abs(heisenberg.weyl_V(b, psi).norm() - psi.norm())
 
 
 @register("heisenberg", "product-associativity", "heisenberg-group-product", 1e-14)

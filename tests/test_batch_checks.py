@@ -42,6 +42,7 @@ from rp2quant.checks import (
     _worst,
     _interior,
     _kept_rows,
+    _wave_chunks,
     _unit,
     INTERIOR_MARGIN,
     _off_south_cap,
@@ -368,6 +369,54 @@ def ref_fixed_basis(rng, cfg):
         field_ = np.stack([random_coeffs(lmax, "full", rng).c for _ in range(int(2 * j) + 1)])
         for i in (1, 2, 3):
             yield np.abs(total_generator_fd(i, j, field_) - total_generator_exact(i, j, field_))
+
+
+# The four heisenberg checks on a wave function as they looped over one shift
+# or group element at a time, through the public single-call operators.
+def _reference_packet(cfg):
+    return heisenberg.gaussian_packet(cfg.grid_n, 20.0, 0.4, 1.0, 0.6, 1.0)
+
+
+@_yielding
+def ref_weyl(rng, cfg):
+    psi = _reference_packet(cfg)
+    for _ in range(20):
+        a, b = rng.uniform(-1.5, 1.5), rng.uniform(-3, 3)
+        yield heisenberg.check_weyl_relation(a, b, psi)
+
+
+@_yielding
+def ref_weyl_swap(rng, cfg):
+    psi = _reference_packet(cfg)
+    for _ in range(10):
+        a, b = rng.uniform(-1.5, 1.5), rng.uniform(-3, 3)
+        lhs = heisenberg.weyl_V(b, heisenberg.weyl_U(a, psi)).values
+        rhs = heisenberg.weyl_U(a, heisenberg.weyl_V(b, psi)).values
+        diff = lhs - np.exp(-1j * psi.hbar * a * b) * rhs
+        yield np.linalg.norm(diff) / np.linalg.norm(psi.values)
+
+
+@_yielding
+def ref_rep_hom(rng, cfg):
+    psi = _reference_packet(cfg)
+    for _ in range(20):
+        e1 = heisenberg.HeisenbergElement(
+            rng.uniform(-1, 1, 1), rng.uniform(-2, 2, 1), rng.normal()
+        )
+        e2 = heisenberg.HeisenbergElement(
+            rng.uniform(-1, 1, 1), rng.uniform(-2, 2, 1), rng.normal()
+        )
+        lhs = heisenberg.rep_heisenberg(e1, heisenberg.rep_heisenberg(e2, psi))
+        rhs = heisenberg.rep_heisenberg(heisenberg.heisenberg_product(e1, e2), psi)
+        yield np.linalg.norm(lhs.values - rhs.values) / np.linalg.norm(psi.values)
+
+
+@_yielding
+def ref_op_unitary(rng, cfg):
+    psi = _reference_packet(cfg)
+    for _ in range(20):
+        yield abs(heisenberg.weyl_U(rng.uniform(-2, 2), psi).norm() - psi.norm())
+        yield abs(heisenberg.weyl_V(rng.uniform(-4, 4), psi).norm() - psi.norm())
 
 
 def ref_no_obstruction(rng, cfg):
@@ -797,6 +846,10 @@ REWRITTEN = {
     "rotation-wigner-cross-check": (ref_rot_wigner, REORDERED_TOL),
     "rotation-action-unitary-hom": (ref_act_u, 0.0),
     "fixed-basis-addition": (ref_fixed_basis, 0.0),
+    "weyl-exchange-relation": (ref_weyl, 0.0),
+    "weyl-phase-swap-sign": (ref_weyl_swap, 0.0),
+    "representation-homomorphism": (ref_rep_hom, 0.0),
+    "operator-unitarity": (ref_op_unitary, 0.0),
 }
 # the checks that keep a per-sample loop or draw nothing, each with the reason
 LOOPED = {
@@ -804,10 +857,6 @@ LOOPED = {
     "canonical-operator-unitarity": "act_canonical takes one (w, g, λ) element",
     "canonical-group-law": "check_group_law takes one pair of elements",
     "ccr-residual": "draws nothing",
-    "weyl-exchange-relation": "check_weyl_relation takes one (a, b) pair",
-    "weyl-phase-swap-sign": "weyl_U and weyl_V take one shift each",
-    "representation-homomorphism": "rep_heisenberg takes one group element",
-    "operator-unitarity": "weyl_U and weyl_V take one shift each",
     "two-route-quantization-gap": "draws nothing",
     "two-route-gap-grid-stability": "draws nothing",
     "symmetrized-square-expansion": "draws nothing",
@@ -879,6 +928,31 @@ def test_representation_check_matches_reference_loop_at_each_lmax(name, lmax, se
     got = float(CHECKS[name].fn(rng_new, cfg))
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
     assert abs(got - want) <= tol, (got, want)
+
+
+@pytest.mark.parametrize("name", ["weyl-exchange-relation", "weyl-phase-swap-sign",
+                                  "representation-homomorphism", "operator-unitarity"])
+@pytest.mark.parametrize("grid_n", [4096, 65536])
+def test_wave_function_check_matches_reference_loop_across_chunks(name, grid_n):
+    # 16 rows a chunk at N = 4096 and one at 65536: the chunks draw in stream order
+    ref, tol = REWRITTEN[name]
+    cfg = SuiteConfig(grid_n=grid_n, rng_seed=3)
+    rng_ref, rng_new = check_rng(3, name), check_rng(3, name)
+    want = float(ref(rng_ref, cfg))
+    got = float(CHECKS[name].fn(rng_new, cfg))
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    assert abs(got - want) <= tol, (got, want)
+
+
+@pytest.mark.parametrize(
+    "n, grid_n, sizes",
+    [(20, 128, [20]), (20, 1024, [20]), (200, 1024, [64, 64, 64, 8]), (20, 4096, [16, 4]),
+     (3, 65536, [1, 1, 1]), (3, 1 << 17, [1, 1, 1])],
+)
+def test_wave_chunks_hold_at_most_two_to_the_sixteen_entries(n, grid_n, sizes):
+    assert list(_wave_chunks(n, grid_n)) == sizes
+    # a chunk exceeds 2¹⁶ entries only where one wave function alone does
+    assert all(rows * grid_n <= max(1 << 16, grid_n) for rows in sizes)
 
 
 @pytest.mark.parametrize("seed", [0, 7])

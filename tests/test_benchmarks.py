@@ -31,12 +31,18 @@ def test_bench_groups_runs():
 
 def test_bench_operators_runs():
     out = run_script("bench_operators.py", "--json")
-    timings = json.loads(out.splitlines()[-1])
+    result = json.loads(out.splitlines()[-1])
+    assert set(result) == {"ms_per_call", "minor_faults_per_call"}
+    timings, faults = result["ms_per_call"], result["minor_faults_per_call"]
     assert set(timings) == {"weyl_U", "weyl_V", "rep_heisenberg", "check_weyl_relation",
                             "act_canonical"}
     assert set(timings["weyl_U"]) == {"N=1024", "N=65536"}
+    assert set(timings["rep_heisenberg"]) == set(timings["check_weyl_relation"]) == {
+        "N=1024", "N=65536", "N=1024 20 looped", "N=1024 20 stacked"}
     assert set(timings["act_canonical"]) == {"lmax=16", "lmax=32"}
     assert all(ms > 0 for cases in timings.values() for ms in cases.values())
+    assert {k: set(v) for k, v in faults.items()} == {k: set(v) for k, v in timings.items()}
+    assert all(f >= 0 for cases in faults.values() for f in cases.values())
 
 
 def test_bench_checks_runs_one_check():

@@ -299,6 +299,114 @@ class TestRepresentation:
         assert abs(out.norm() - packet.norm()) < 1e-10
 
 
+class TestStacks:
+    """A (..., N) stack of wave functions or an (n,) stack of shifts acts row by row."""
+
+    @staticmethod
+    def _draws(rng, n):
+        a, b, r = rng.uniform(-1.5, 1.5, n), rng.uniform(-3, 3, n), rng.normal(size=n)
+        a[1], b[2] = 0.0, 0.0                  # U(0) and V(0) rows
+        return a, b, r
+
+    @pytest.mark.parametrize("n_pts, n", [(1024, 20), (65536, 3)])
+    def test_each_row_equals_its_single_call(self, n_pts, n, rng):
+        psi = gaussian_packet(n_pts, L, x0=0.4, sigma=1.0, k0=0.6)
+        a, b, r = self._draws(rng, n)
+        stacked = HeisenbergElement(a[:, None], b[:, None], r)
+        u, v = weyl_U(a, psi), weyl_V(b, psi)
+        rel = check_weyl_relation(a, b, psi)
+        rep = rep_heisenberg(stacked, psi)
+        rep2 = rep_heisenberg(stacked, rep)         # a stacked element on a stack
+        assert u.values.shape == v.values.shape == rep2.values.shape == (n, n_pts)
+        norms, masses = rep.norm(), boundary_mass(rep)
+        for k in range(n):
+            e = HeisenbergElement(a[k:k + 1], b[k:k + 1], r[k])
+            one = rep_heisenberg(e, psi)
+            assert u.values[k].tobytes() == weyl_U(a[k], psi).values.tobytes()
+            assert v.values[k].tobytes() == weyl_V(b[k], psi).values.tobytes()
+            assert rel[k] == check_weyl_relation(a[k], b[k], psi)
+            assert rep.values[k].tobytes() == one.values.tobytes()
+            assert rep2.values[k].tobytes() == rep_heisenberg(e, one).values.tobytes()
+            assert norms[k] == one.norm() and masses[k] == boundary_mass(one)
+            assert rep.inner(rep2)[k] == one.inner(rep_heisenberg(e, one))
+
+    @pytest.mark.parametrize("n_pts", [1024, 65536])
+    def test_one_row_stack_equals_the_scalar_call(self, n_pts):
+        psi = gaussian_packet(n_pts, L, x0=0.4, sigma=1.0, k0=0.6)
+        a, b, r = 0.83, -1.9, 0.45
+        e = HeisenbergElement([a], [b], r)
+        stacked = HeisenbergElement([[a]], [[b]], np.array([r]))
+        assert weyl_U([a], psi).values[0].tobytes() == weyl_U(a, psi).values.tobytes()
+        assert weyl_V([b], psi).values[0].tobytes() == weyl_V(b, psi).values.tobytes()
+        assert check_weyl_relation([a], [b], psi)[0] == check_weyl_relation(a, b, psi)
+        assert (rep_heisenberg(stacked, psi).values[0].tobytes()
+                == rep_heisenberg(e, psi).values.tobytes())
+
+    def test_shifts_broadcast_against_a_stack(self, packet, rng):
+        rows = rep_heisenberg(HeisenbergElement(rng.uniform(-1, 1, (3, 1)),
+                                                rng.uniform(-2, 2, (3, 1)), np.zeros(3)), packet)
+        u = weyl_U(0.7, rows)                           # one shift, three wave functions
+        for k in range(3):
+            want = weyl_U(0.7, packet.with_values(rows.values[k])).values
+            assert u.values[k].tobytes() == want.tobytes()
+
+    def test_operators_return_read_only_values_and_the_constructor_copies(self, packet):
+        for out in (weyl_U(0.4, packet), weyl_V([0.3, 0.2], packet), op_p(packet),
+                    rep_heisenberg(HeisenbergElement([0.1], [0.2], 0.3), packet)):
+            assert not out.values.flags.writeable
+        raw = np.ones(N, dtype=complex)
+        psi = GridWavefunction(N, L, raw)
+        raw[0] = 5.0
+        assert psi.values[0] == 1.0 and psi.with_values(raw).values is not raw
+
+    def test_values_must_end_in_n(self):
+        with pytest.raises(ValueError, match=r"\(\.\.\., N\)"):
+            GridWavefunction(N, L, np.zeros((N, 2), dtype=complex))
+        with pytest.raises(ValueError, match=r"\(\.\.\., N\)"):
+            GridWavefunction(N, L, 1.0 + 0j)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_shifts_must_be_finite(self, packet, bad):
+        # each returned an all-NaN wave function or residual without complaint
+        with pytest.raises(ValueError, match="must be finite"):
+            weyl_U(bad, packet)
+        with pytest.raises(ValueError, match="must be finite"):
+            weyl_V(bad, packet)
+        with pytest.raises(ValueError, match="must be finite"):
+            weyl_U([0.1, bad], packet)
+        with pytest.raises(ValueError, match="must be finite"):
+            check_weyl_relation(bad, 1.0, packet)
+        with pytest.raises(ValueError, match="must be finite"):
+            check_weyl_relation([0.5, 0.2], [1.0, bad], packet)
+
+    @pytest.mark.parametrize("where", ["a", "b", "r"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_element_entries_must_be_finite(self, packet, where, bad):
+        parts = {"a": [0.3], "b": [-0.2], "r": 0.1}
+        parts[where] = [bad] if where != "r" else bad
+        with pytest.raises(ValueError, match="must be finite"):
+            rep_heisenberg(HeisenbergElement(**parts), packet)
+        stacked = {"a": [[0.3], [0.2]], "b": [[-0.2], [0.1]], "r": np.array([0.1, 0.2])}
+        stacked[where] = np.array(stacked[where], dtype=float)
+        stacked[where][(1, 0) if where != "r" else 1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            rep_heisenberg(HeisenbergElement(**stacked), packet)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+    def test_packet_width_must_be_positive_and_finite(self, sigma):
+        # σ = 0 gave NaN values and σ = -1 a packet
+        with pytest.raises(ValueError, match="sigma"):
+            gaussian_packet(N, L, sigma=sigma)
+
+    @pytest.mark.parametrize("kw", [{"x0": np.nan}, {"x0": np.inf}, {"k0": np.nan},
+                                    {"k0": -np.inf}])
+    def test_packet_centre_and_wavenumber_must_be_finite(self, kw):
+        with pytest.raises(ValueError, match="x0 and k0"):
+            gaussian_packet(N, L, **kw)
+
+
 class TestTwoRouteGap:
     def test_fitted_constant(self, packet):
         diff, scalar = gvh_discrepancy(packet)
