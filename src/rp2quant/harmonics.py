@@ -16,7 +16,8 @@ the harness draws whole stacks through it.
 
 Analysis and synthesis on a quadrature grid are separable
 (``QuadratureGrid.project`` / ``synthesize``): an FFT over the azimuths of
-each ring and one Legendre sum per m, O(L³) per table.  ``evaluate`` and
+each ring and one Legendre sum per m, O(L³) per table; in a parity sector
+they run on one hemisphere over that sector's degrees.  ``evaluate`` and
 ``rotate_values`` at arbitrary points call ``ylm_synthesize``, which adds
 each order m times e^{imφ} and forms no (n × (lmax+1)²) basis.
 
@@ -30,9 +31,11 @@ read-only cache of S₂ eigenvectors keyed by 2j and (α, β, γ) read from
 g = (z0, z1).  g is one (2,) row or a stack of (..., 2) rows, and a stack
 of matrices equals its single-row calls bit for bit.  ``rotate_stack``
 applies the same factors to each degree-l block of a coefficient stack (one
-element, or one per table), and ``berry_robbins.TransportFrame`` is D^j of
-the geodesic element.  Blocks never mix, so rotations preserve parity
-sectors exactly and need no quadrature.  Two independent oracles are kept
+element, or one per table); ``_rotate_blocks`` is its loop over a chosen set
+of degrees, for a caller whose tables hold content in a few of them, and
+``berry_robbins.TransportFrame`` is D^j of the geodesic element.  Blocks
+never mix, so rotations preserve parity sectors exactly and need no
+quadrature.  Two independent oracles are kept
 for cross-checks: resampling at rotated nodes followed by re-projection
 (``rotate_values`` + ``analyze``), and the symmetrized tensor powers of the
 defining 2×2 matrix (in ``checks``).
@@ -325,6 +328,29 @@ def wigner_d(j: float, g) -> np.ndarray:
     return pa[..., :, None] * ((v * pb[..., None, :]) @ v.conj().T) * pg[..., None, :]
 
 
+def _rotate_blocks(g, c, degrees) -> np.ndarray:
+    """``rotate_stack`` of the degree-l blocks of c for l in ``degrees``; other entries are 0.
+
+    Each block goes through the same factor products as in ``rotate_stack``,
+    so it gets the same bits: a caller whose table holds content in a few
+    degrees rotates those alone.
+    """
+    c, lmax = _table_band(c)
+    phase_alpha, phase_beta, phase_gamma = _euler_phases(g, 2 * lmax)[..., None, :]
+    n = c.shape[-1]
+    out = np.zeros(np.broadcast_shapes(phase_alpha.shape[:-2], c.shape[:-1]) + (n,),
+                   dtype=np.complex128)
+    # reversed (..., 1, n) row stacks: degree-l blocks in the order m = +l ... -l,
+    # and every product a matrix-vector one
+    rev_in, rev_out = c[..., None, ::-1], out[..., None, ::-1]
+    for l in degrees:
+        v = _s2_eigvecs(2 * l)
+        ms, block = slice(lmax - l, lmax + l + 1), slice(n - (l + 1) ** 2, n - l * l)
+        rows = ((rev_in[..., block] * phase_gamma[..., ms]) @ v.conj()) * phase_beta[..., ms]
+        rev_out[..., block] = (rows @ v.T) * phase_alpha[..., ms]
+    return out
+
+
 def rotate_stack(g, c: np.ndarray) -> np.ndarray:
     """Coefficients of x ↦ a(Spin(g)⁻¹ x) for each table a in a stack.
 
@@ -333,22 +359,11 @@ def rotate_stack(g, c: np.ndarray) -> np.ndarray:
     block, read as m = +l ... -l, is multiplied by ``wigner_d(l, g)`` factor
     by factor (the same phases and cached V, no dense D^l).  Every row goes
     through the same matrix-vector products, so a stack gives bit for bit the
-    rows of its single tables and single elements.
+    rows of its single tables and single elements.  Every block is computed,
+    zero ones too (they come out ±0.0); ``_rotate_blocks`` takes a subset.
     """
     c, lmax = _table_band(c)
-    phase_alpha, phase_beta, phase_gamma = _euler_phases(g, 2 * lmax)[..., None, :]
-    n = c.shape[-1]
-    out = np.empty(np.broadcast_shapes(phase_alpha.shape[:-2], c.shape[:-1]) + (n,),
-                   dtype=np.complex128)
-    # reversed (..., 1, n) row stacks: degree-l blocks in the order m = +l ... -l,
-    # and every product a matrix-vector one
-    rev_in, rev_out = c[..., None, ::-1], out[..., None, ::-1]
-    for l in range(lmax + 1):
-        v = _s2_eigvecs(2 * l)
-        ms, block = slice(lmax - l, lmax + l + 1), slice(n - (l + 1) ** 2, n - l * l)
-        rows = ((rev_in[..., block] * phase_gamma[..., ms]) @ v.conj()) * phase_beta[..., ms]
-        rev_out[..., block] = (rows @ v.T) * phase_alpha[..., ms]
-    return out
+    return _rotate_blocks(g, c, range(lmax + 1))
 
 
 def rotate_coeffs(

@@ -12,6 +12,10 @@ of M and is kept for cross-checks.
 
 A quadrature grid on S² is its order, ``QuadratureGrid(lmax_exact)``: its
 nodes and tables are derived once per (order, band) and shared read-only.
+A section of either line bundle over ℝP² lies in one parity sector, so its
+values on one hemisphere fix it: in sector "even" or "odd" the grid's
+transform pair runs on the first ⌈n_θ/2⌉ rings and over the sector's
+degrees alone, on slices of the whole-grid tables.
 """
 
 import functools
@@ -163,7 +167,7 @@ def _layout(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _read_only(nodes), _read_only(weights), _read_only(antipode.ravel())
 
 
-@functools.lru_cache(maxsize=16)   # a report uses four (order, band) pairs
+@functools.lru_cache(maxsize=16)   # a report at one lmax uses at most six (order, band) pairs
 def _ring_tables(order: int, lmax: int):
     """Legendre slabs of the grid of this order at band lmax (read-only).
 
@@ -187,6 +191,39 @@ def _ring_tables(order: int, lmax: int):
     return tuple(map(_read_only, (syn, proj, slot, deg)))
 
 
+def _sector_parity(sector: str) -> int | None:
+    """The degree parity a sector holds: 0 for "even", 1 for "odd", None for "full"."""
+    if sector not in ("even", "odd", "full"):
+        raise ValueError(f"unknown sector {sector!r}")
+    return None if sector == "full" else int(sector == "odd")
+
+
+def _hemisphere_rings(order: int) -> int:
+    """⌈n_θ/2⌉: the rings with cos θ ≤ 0, the equator ring included when the order is even."""
+    return (order + 2) // 2
+
+
+@functools.lru_cache(maxsize=8)    # a report uses three, all from act_canonical
+def _hemisphere_tables(order: int, lmax: int, parity: int):
+    """One parity sector's slice of ``_ring_tables(order, lmax)`` on the hemisphere (read-only).
+
+    Keeps the degrees l = parity, parity + 2, … ≤ lmax and the first
+    ``_hemisphere_rings(order)`` rings: ``syn[s, i, k]`` and ``proj[s, k, i]``
+    at degree l = 2k + parity.  On a function of the sector, the mirror
+    ring n_θ-1-i adds what ring i adds (the antipode is exact on the grid),
+    so proj's weight doubles on every ring but the equator, its own mirror.
+    Returns the two slabs, the (slot, k) index arrays of the sector's
+    coefficients and their positions ``keep`` in a table.
+    """
+    syn, proj, slot, deg = _ring_tables(order, lmax)
+    rings = _hemisphere_rings(order)
+    mirrored = np.where(2 * np.arange(rings) == order, 1.0, 2.0)
+    keep = np.flatnonzero(deg % 2 == parity)
+    return tuple(map(_read_only, (np.ascontiguousarray(syn[:, :rings, parity::2]),
+                                  proj[:, parity::2, :rings] * mirrored,
+                                  slot[keep], deg[keep] // 2, keep)))
+
+
 @functools.lru_cache(maxsize=2)    # O(L⁴) each, 38 MB at order 32; a report uses one
 def _dense_basis(order: int, lmax: int) -> np.ndarray:
     return _read_only(ylm_basis(_layout(order)[0], lmax))
@@ -202,8 +239,10 @@ class QuadratureGrid:
     ``synthesize`` and ``project`` are separable: one FFT over azimuth and
     one batched Legendre matmul per call, O(L³) where a dense basis matmul
     is O(L⁴).  The same layout is closed under x ↦ -x, which ``antipode``
-    gives as a permutation of the nodes.  The dense ``basis`` remains only
-    for the quadrature Gram oracle.
+    gives as a permutation of the nodes: ring i mirrors ring n_θ-1-i, so the
+    pair in sector "even" or "odd" works on the hemisphere
+    (``sector_nodes``): half the rings, and half the degrees.  The dense
+    ``basis`` remains only for the quadrature Gram oracle.
     """
 
     lmax_exact: int
@@ -241,42 +280,72 @@ class QuadratureGrid:
         """
         return _layout(self.lmax_exact)[2]
 
-    def synthesize(self, c) -> np.ndarray:
+    def _tables(self, lmax: int, sector: str):
+        """(syn, proj, slot, deg, keep) of the transform in ``sector``; keep is None for "full"."""
+        parity = _sector_parity(sector)
+        if parity is None:
+            return _ring_tables(self.lmax_exact, lmax) + (None,)
+        return _hemisphere_tables(self.lmax_exact, lmax, parity)
+
+    def sector_nodes(self, sector: str) -> np.ndarray:
+        """The nodes whose values ``synthesize`` gives in ``sector`` (read-only).
+
+        All of them for "full"; for "even" or "odd", the hemisphere: the
+        first ⌈n_θ/2⌉ rings, a prefix of ``nodes``.  A section of either
+        sector is fixed by its values there, since a(-x) = ±a(x).
+        """
+        if _sector_parity(sector) is None:
+            return self.nodes
+        return self.nodes[: _hemisphere_rings(self.lmax_exact) * (2 * self.lmax_exact + 2)]
+
+    def synthesize(self, c, sector: str = "full") -> np.ndarray:
         """Values Σ c_lm Y_lm(x_k) at the nodes for a stack (..., (lmax+1)²).
 
         Returns (..., n): one scatter into FFT slots, one Legendre matmul per
-        slot and one inverse FFT over azimuth.
+        slot and one inverse FFT over azimuth.  In sector "even" or "odd" it
+        reads only that sector's entries and gives the values at
+        ``sector_nodes(sector)``, the hemisphere, with a matmul over the
+        sector's degrees alone; the other hemisphere holds ±(these values)
+        at the antipodes.
         """
         c, lmax = _table_band(c)
-        syn, _, slot, deg = _ring_tables(self.lmax_exact, lmax)
+        syn, _, slot, deg, keep = self._tables(lmax, sector)
         rows = c.reshape(-1, c.shape[-1])
-        scattered = np.zeros((syn.shape[0], lmax + 1, rows.shape[0]), dtype=np.complex128)
-        scattered[slot, deg] = rows.T
+        scattered = np.zeros((syn.shape[0], syn.shape[2], rows.shape[0]), dtype=np.complex128)
+        scattered[slot, deg] = rows.T if keep is None else rows.T[keep]
         # complex operands as interleaved real pairs: one real matmul per slot
-        rings = (syn @ scattered.view(np.float64)).view(np.complex128)   # (n_φ, n_θ, rows)
+        rings = (syn @ scattered.view(np.float64)).view(np.complex128)   # (n_φ, rings, rows)
         del scattered                    # at most two stack-sized buffers live at once
         vals = np.empty(rings.shape[::-1], dtype=np.complex128)            # ring-major nodes
         np.fft.ifft(rings, axis=0, norm="forward", out=vals.transpose(2, 1, 0))
-        return vals.reshape(c.shape[:-1] + (self.n,))
+        return vals.reshape(c.shape[:-1] + (syn.shape[0] * syn.shape[1],))
 
-    def project(self, values, lmax: int) -> np.ndarray:
+    def project(self, values, lmax: int, sector: str = "full") -> np.ndarray:
         """Σ_k w_k conj(Y_lm(x_k)) v_k for a stack of node values (..., n).
 
         Returns (..., (lmax+1)²): one FFT over azimuth, one ring-weighted
         Legendre matmul per slot and one gather.  Exact on band-limited
-        input when lmax ≤ lmax_exact; larger lmax raises.
+        input when lmax ≤ lmax_exact; larger lmax raises.  In sector "even"
+        or "odd" the values are those at ``sector_nodes(sector)`` of a
+        function in that sector: only the sector's degrees are computed, on
+        the hemisphere with its mirror rings' weight, and the other entries
+        are exactly 0.
         """
-        v = np.asarray(values, dtype=np.complex128)
-        if v.shape[-1:] != (self.n,):
-            raise ValueError("node values have wrong shape")
-        _, proj, slot, deg = _ring_tables(self.lmax_exact, lmax)
+        _, proj, slot, deg, keep = self._tables(lmax, sector)
         n_phi, _, n_theta = proj.shape
+        v = np.asarray(values, dtype=np.complex128)
+        if v.shape[-1:] != (n_theta * n_phi,):
+            raise ValueError("node values have wrong shape")
         rows = v.reshape(-1, n_theta, n_phi)
-        spectra = np.empty(rows.shape[::-1], dtype=np.complex128)          # (n_φ, n_θ, rows)
+        spectra = np.empty(rows.shape[::-1], dtype=np.complex128)          # (n_φ, rings, rows)
         np.fft.fft(rows, axis=-1, out=spectra.transpose(2, 1, 0))
-        rings = (proj @ spectra.view(np.float64)).view(np.complex128)   # (n_φ, lmax+1, rows)
+        rings = (proj @ spectra.view(np.float64)).view(np.complex128)   # (n_φ, degrees, rows)
         del spectra                      # at most two stack-sized buffers live at once
-        return rings.transpose(2, 0, 1)[:, slot, deg].reshape(v.shape[:-1] + (slot.size,))
+        c = rings.transpose(2, 0, 1)[:, slot, deg]
+        if keep is not None:
+            c, held = np.zeros((rows.shape[0], (lmax + 1) ** 2), dtype=np.complex128), c
+            c[:, keep] = held
+        return c.reshape(v.shape[:-1] + (c.shape[-1],))
 
 
 def build_quadrature(lmax: int) -> QuadratureGrid:

@@ -34,6 +34,10 @@ as an exact spectral translation (the same device the periodic position grid
 uses for e^{-iap̂}); section support must stay clear of the window's ends.
 The phase e^{-i r w([x])} on the radial nodes × quadrature nodes is written
 as cos and sin (``_kernels._phase``), bit for bit ``np.exp`` of -i r w.
+w(-x) = w(x), so the phase keeps a section in its sector: the operator on an
+"even" or "odd" section computes on the hemisphere and the sector's degrees
+(``QuadratureGrid.sector_nodes``), and shifts and rotates only the degrees
+the section carries.
 """
 
 import functools
@@ -47,10 +51,10 @@ from .errors import RadialRangeError
 from .groups import spinor_map, su2_from_axis_angle, su2_product
 from .harmonics import (
     HarmonicCoeffs,
+    _rotate_blocks,
     _row_norms,
     _sector_checked,
     apply_L,
-    off_sector_mask,
     rotate_stack,
 )
 from .manifold import QuadratureGrid, WFunctional
@@ -109,7 +113,8 @@ class FullSection:
 
     Row k is the table at radial node k; every row lies in ``sector``.  The
     matrix is stored as a read-only complex copy, checked once for sector
-    purity (``harmonics._sector_checked``).
+    purity (``harmonics._sector_checked``).  ``lmax`` is read as an integer
+    (``operator.index``: a float raises TypeError) and must be non-negative.
     """
 
     radial: RadialGrid
@@ -118,9 +123,21 @@ class FullSection:
     c: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "lmax", operator.index(self.lmax))
+        if self.lmax < 0:
+            raise ValueError(f"lmax must be non-negative, got {self.lmax}")
         if np.ndim(self.c) != 2 or np.shape(self.c)[0] != self.radial.n:
             raise ValueError("need one table per radial node")
         object.__setattr__(self, "c", _sector_checked(self.c, self.lmax, self.sector))
+
+    def _adopt(self, c: np.ndarray) -> "FullSection":
+        """The section on this radial grid, band and sector with ``c``, a finite complex
+        matrix in the sector that this module has just allocated: taken read-only,
+        without a copy or a check."""
+        out = object.__new__(FullSection)
+        out.__dict__.update(radial=self.radial, lmax=self.lmax, sector=self.sector,
+                            c=_read_only(c))
+        return out
 
     def matrix(self) -> np.ndarray:
         """``c``; kept because perfbench's self-test reads it."""
@@ -161,6 +178,13 @@ def _spectral_log_shift(m: np.ndarray, radial: RadialGrid, shift: float) -> np.n
     )
 
 
+def _carried_degrees(m: np.ndarray, lmax: int, sector: str) -> np.ndarray:
+    """A boolean per degree 0 … lmax: in ``sector`` and nonzero in some row of m."""
+    l = np.arange(lmax + 1)
+    carried = np.logical_or.reduceat(np.any(m != 0.0, axis=0), l * l)
+    return carried if sector == "full" else carried & (l % 2 == (sector == "odd"))
+
+
 def act_canonical(
     w: WFunctional,
     g,
@@ -171,32 +195,43 @@ def act_canonical(
     """(𝒰(w, g, λ)Ψ)([x], r) = λ^{3/2} e^{-i r w([x])} Ψ([g⁻¹x], λr).
 
     Dilation via exact spectral shift on the log-radial axis, rotation of the
-    whole radial stack on coefficients (``rotate_stack``), phase as pointwise
-    multiplication on the quadrature nodes (e^{-i r w} as cos and sin,
-    ``_kernels._phase``, the bits of ``np.exp``): the stack is synthesized and
-    re-projected with the grid's separable transform (``grid.synthesize`` /
-    ``grid.project``), and the sector is restored with one mask.
-    Raises RadialRangeError when section support touches the radial window
-    ends (the shift would wrap around); for supported input the residual
-    unitarity error is set by the interior tail within |ln λ| of the ends,
-    which wraps onto the opposite side of the window.
+    radial stack on coefficients (``harmonics._rotate_blocks``), phase as
+    pointwise multiplication on the quadrature nodes (e^{-i r w} as cos and
+    sin, ``_kernels._phase``, the bits of ``np.exp``): the stack is
+    synthesized and re-projected with the grid's separable transform
+    (``grid.synthesize`` / ``grid.project``).  The shift and the rotation
+    touch only the degrees the section carries (fresh harness sections stop
+    at l = 4).  The phase is even, so an "even" or "odd" section stays in its
+    sector, and the transform runs in it: on the hemisphere, over the
+    sector's degrees (``grid.sector_nodes``).  A "full" section takes the
+    whole grid.  Raises RadialRangeError when section support touches the
+    radial window ends (the shift would wrap around); for supported input
+    the residual unitarity error is set by the interior tail within |ln λ|
+    of the ends, which wraps onto the opposite side of the window.
     """
     if not 0 < lam < np.inf:                # NaN fails too
         raise ValueError("dilation parameter must be positive and finite")
     m = fs.c
+    carried = _carried_degrees(m, fs.lmax, fs.sector)
+    degrees = np.flatnonzero(carried)
+    cols = np.flatnonzero(np.repeat(carried, 2 * np.arange(fs.lmax + 1) + 1))
+    held = m[:, cols]
     if lam != 1.0:
         if _boundary_fraction(m) > BOUNDARY_FRACTION_TOL:
             raise RadialRangeError(
                 "section support reaches the radial window boundary; "
                 "dilation would wrap"
             )
-        m = _spectral_log_shift(m, fs.radial, np.log(lam))
+        held = _spectral_log_shift(held, fs.radial, np.log(lam))
+    # the carried blocks, in a table cut at the highest carried degree
+    table = np.zeros((fs.radial.n, (degrees.max(initial=0) + 1) ** 2), dtype=np.complex128)
+    table[:, cols] = held
 
-    vals = grid.synthesize(rotate_stack(g, m))
-    vals *= lam**1.5 * _phase(-np.outer(fs.radial.nodes, w(grid.nodes)))
-    out = grid.project(vals, fs.lmax)
-    out[:, off_sector_mask(fs.lmax, fs.sector)] = 0.0
-    return FullSection(fs.radial, fs.lmax, fs.sector, out)
+    vals = grid.synthesize(_rotate_blocks(g, table, degrees), fs.sector)
+    phase = _phase(np.outer(fs.radial.nodes, -w(grid.sector_nodes(fs.sector))))
+    phase *= lam**1.5
+    vals *= phase
+    return fs._adopt(grid.project(vals, fs.lmax, fs.sector))
 
 
 def canonical_product(

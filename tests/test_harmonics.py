@@ -6,6 +6,7 @@ from rp2quant.checks import _symmetrized_power_d
 from rp2quant.groups import SU2Element, random_su2, su2_from_axis_angle, su2_product
 from rp2quant.harmonics import (
     HarmonicCoeffs,
+    _rotate_blocks,
     _tables_from_normals,
     analyze,
     apply_L,
@@ -345,6 +346,20 @@ class TestRotateStack:
     def test_rejects_non_square_length(self):
         with pytest.raises(ValueError):
             rotate_stack(IDENTITY, np.zeros((2, 10)))
+
+    def test_block_subset_has_the_stack_bits_and_zeros_elsewhere(self, rng):
+        lmax = 9
+        g = np.array([as_row(random_su2(rng)) for _ in range(3)])
+        stack = np.stack([random_coeffs(lmax, "full", rng).c for _ in range(3)])
+        whole = rotate_stack(g, stack)
+        for degrees in ([1, 3], [0, 4, 9], [], range(lmax + 1)):
+            part = _rotate_blocks(g, stack, degrees)
+            for l in range(lmax + 1):
+                block = slice(l * l, (l + 1) * (l + 1))
+                if l in degrees:
+                    assert part[:, block].tobytes() == whole[:, block].tobytes()
+                else:
+                    assert part[:, block].tobytes() == np.zeros((3, 2 * l + 1), complex).tobytes()
 
 
 class TestWignerD:

@@ -16,7 +16,7 @@ from rp2quant._kernels import (
     ylm_synthesize,
 )
 from rp2quant.harmonics import _ladder_tables, _odd_degree_mask, _s2_eigvecs
-from rp2quant.manifold import _ring_tables, build_quadrature
+from rp2quant.manifold import _hemisphere_tables, _ring_tables, build_quadrature
 from rp2quant.representation import FD_STEP, _fd_rows, log_uniform_grid
 
 
@@ -175,6 +175,7 @@ MEMOS = {
     "ladder tables": lambda grid: _ladder_tables(8),
     "S2 eigenvectors": lambda grid: (_s2_eigvecs(5),),
     "ring tables": lambda grid: _ring_tables(grid.lmax_exact, 8),
+    "hemisphere tables": lambda grid: _hemisphere_tables(grid.lmax_exact, 8, 1),
     "antipode": lambda grid: (grid.antipode,),
     "dense basis": lambda grid: (grid.basis(8),),
     "nodes and weights": lambda grid: (grid.nodes, grid.weights),

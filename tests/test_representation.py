@@ -16,6 +16,7 @@ from rp2quant.harmonics import (
     HarmonicCoeffs,
     analyze,
     apply_L,
+    off_sector_mask,
     parity_decompose,
     random_coeffs,
     rotate_coeffs,
@@ -328,6 +329,17 @@ class TestFullSection:
         with pytest.raises(ValueError):
             FullSection(radial, 8, "neither", np.zeros((64, 81)))
 
+    def test_band_is_a_non_negative_integer(self, rng):
+        radial = radial64()
+        c = separable_section(radial, gaussian_profile(radial), low_degree_odd(rng)).c
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            FullSection(radial, 8.0, "odd", c)
+        for lmax in (-1, -2):                  # (lmax+1)² entries fits -1 and -3 too
+            with pytest.raises(ValueError, match="lmax must be non-negative"):
+                FullSection(radial, lmax, "odd", np.zeros((64, (lmax + 1) ** 2)))
+        fs = FullSection(radial, np.int64(8), "odd", c)
+        assert type(fs.lmax) is int and fs.lmax == 8
+
 
 def act_canonical_per_node(w, g, lam, fs, grid):
     """Reference: resample at the pulled-back nodes, one radial node at a time."""
@@ -389,6 +401,19 @@ class TestActCanonical:
         fs = separable_section(radial, gaussian_profile(radial), low_degree_odd(rng))
         out = act_canonical(*random_canonical_element(rng), fs, grid8)
         assert out.sector == "odd"
+
+    @pytest.mark.parametrize("sector", ["odd", "even", "full"])
+    def test_result_is_a_read_only_section_in_its_sector(self, grid8, rng, sector):
+        radial = radial64()
+        fs = separable_section(radial, gaussian_profile(radial), random_coeffs(8, sector, rng))
+        out = act_canonical(*random_canonical_element(rng), fs, grid8)
+        assert type(out) is FullSection and out.radial is fs.radial
+        assert (out.lmax, out.sector, out.c.shape, out.c.dtype) == (8, sector, fs.c.shape, complex)
+        assert not out.c.flags.writeable
+        # what the checked constructor accepts: finite and exactly in the sector
+        assert FullSection(radial, 8, sector, out.c).c.tobytes() == out.c.tobytes()
+        if sector != "full":
+            assert not np.any(out.c[:, off_sector_mask(8, sector)])
 
     def test_radial_range_guard(self, grid8, rng):
         radial = radial64()

@@ -7,6 +7,7 @@ body, kept here as the reference.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,12 +30,13 @@ from rp2quant.harmonics import (
 from rp2quant import manifold
 from rp2quant.manifold import MAX_GRID_LMAX, build_quadrature
 from rp2quant.representation import (
+    FullSection,
     _spectral_log_shift,
     act_canonical,
     log_uniform_grid,
     separable_section,
 )
-from test_representation import gaussian_profile, small_w
+from test_representation import gaussian_profile, radial64, small_w
 
 REL_TOL = 1e-13
 
@@ -141,6 +143,101 @@ class TestAntipode:
         assert np.max(np.abs(grid8.nodes[grid8.antipode] + grid8.nodes)) <= 1e-15
 
 
+def whole_grid_pair(grid, c, values, lmax):
+    """The whole-grid separable pair as first written, kept to pin "full" bit for bit."""
+    c = np.asarray(c, dtype=np.complex128)
+    syn, _, slot, deg = manifold._ring_tables(grid.lmax_exact, math.isqrt(c.shape[-1]) - 1)
+    rows = c.reshape(-1, c.shape[-1])
+    scattered = np.zeros((syn.shape[0], syn.shape[2], rows.shape[0]), dtype=np.complex128)
+    scattered[slot, deg] = rows.T
+    rings = (syn @ scattered.view(np.float64)).view(np.complex128)
+    vals = np.empty(rings.shape[::-1], dtype=np.complex128)
+    np.fft.ifft(rings, axis=0, norm="forward", out=vals.transpose(2, 1, 0))
+    vals = vals.reshape(c.shape[:-1] + (grid.n,))
+
+    _, proj, slot, deg = manifold._ring_tables(grid.lmax_exact, lmax)
+    n_phi, _, n_theta = proj.shape
+    rows = np.asarray(values, dtype=np.complex128).reshape(-1, n_theta, n_phi)
+    spectra = np.empty(rows.shape[::-1], dtype=np.complex128)
+    np.fft.fft(rows, axis=-1, out=spectra.transpose(2, 1, 0))
+    rings = (proj @ spectra.view(np.float64)).view(np.complex128)
+    coeffs = rings.transpose(2, 0, 1)[:, slot, deg].reshape(np.shape(values)[:-1] + (slot.size,))
+    return vals, coeffs
+
+
+def parity_part(grid, v, sector):
+    """The even or odd part (v ± v∘antipode)/2 of node values: exactly parity-symmetric."""
+    anti = v[..., grid.antipode]
+    return (v + anti) / 2 if sector == "even" else (v - anti) / 2
+
+
+class TestHemisphere:
+    @pytest.mark.parametrize("order", range(1, MAX_GRID_LMAX + 1))
+    @pytest.mark.parametrize("sector", ["even", "odd"])
+    def test_matches_whole_grid(self, order, sector, rng):
+        grid = build_quadrature(order)
+        nodes = grid.sector_nodes(sector)
+        rings = -(-(order + 1) // 2)
+        assert nodes.shape == (rings * (2 * order + 2), 3)
+        assert np.array_equal(nodes, grid.nodes[: nodes.shape[0]])
+        # an even order has an equator ring, and it is the hemisphere's last
+        assert (nodes[-1, 2] == 0.0) == (order % 2 == 0)
+        assert np.all(nodes[:, 2] <= 0.0)
+        for lmax in sorted({0, 1, order // 2, order}):
+            off = off_sector_mask(lmax, sector)
+            c = np.where(off, 0.0, complex_normal(rng, (3, num_coeffs(lmax))))
+            whole = grid.synthesize(c)
+            hemi = grid.synthesize(c, sector)
+            assert hemi.shape == (3, nodes.shape[0])
+            assert np.max(np.abs(hemi - whole[:, : nodes.shape[0]])) <= 1e-13 * np.max(
+                np.abs(whole))
+
+            v = parity_part(grid, complex_normal(rng, (3, grid.n)), sector)
+            want = np.where(off, 0.0, grid.project(v, lmax))
+            got = grid.project(v[:, : nodes.shape[0]], lmax, sector)
+            assert got.shape == want.shape
+            assert np.all(got[:, off] == 0.0)      # exactly 0, not rounding
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))   # 0 at odd lmax 0
+
+    @pytest.mark.parametrize("sector", ["even", "odd"])
+    def test_off_sector_entries_are_not_read(self, sector, grid8, rng):
+        c = complex_normal(rng, (2, num_coeffs(8)))
+        off = off_sector_mask(8, sector)
+        clean = grid8.synthesize(np.where(off, 0.0, c), sector)
+        assert np.array_equal(grid8.synthesize(np.where(off, np.nan, c), sector), clean)
+
+    @pytest.mark.parametrize("order", [1, 2, 7, 8, 32])
+    def test_full_is_the_whole_grid_pair_bit_for_bit(self, order, rng):
+        grid = build_quadrature(order)
+        for lmax in sorted({0, order // 2, order}):
+            c = complex_normal(rng, (2, 3, num_coeffs(lmax)))
+            v = complex_normal(rng, (2, 3, grid.n))
+            vals, coeffs = whole_grid_pair(grid, c, v, lmax)
+            assert grid.synthesize(c).tobytes() == vals.tobytes()
+            assert grid.synthesize(c, "full").tobytes() == vals.tobytes()
+            assert grid.project(v, lmax).tobytes() == coeffs.tobytes()
+            assert grid.project(v, lmax, "full").tobytes() == coeffs.tobytes()
+            assert grid.sector_nodes("full") is grid.nodes
+
+    def test_unknown_sector_and_wrong_length_raise(self, grid8, rng):
+        c = complex_normal(rng, num_coeffs(8))
+        for bad in ("neither", "Odd", None):
+            with pytest.raises(ValueError, match="unknown sector"):
+                grid8.synthesize(c, bad)
+            with pytest.raises(ValueError, match="unknown sector"):
+                grid8.project(complex_normal(rng, grid8.n), 8, bad)
+            with pytest.raises(ValueError, match="unknown sector"):
+                grid8.sector_nodes(bad)
+        half = grid8.sector_nodes("odd").shape[0]
+        for n in (grid8.n, half - 1, half + 1):
+            with pytest.raises(ValueError, match="wrong shape"):
+                grid8.project(complex_normal(rng, n), 8, "odd")
+        with pytest.raises(ValueError, match="wrong shape"):
+            grid8.project(complex_normal(rng, half), 8)
+        with pytest.raises(ValueError, match="cannot project"):
+            grid8.project(complex_normal(rng, half), 9, "even")
+
+
 def act_canonical_dense(w, g, lam, fs, grid):
     """The former body: dense basis synthesis and projection per radial stack."""
     m = fs.c
@@ -154,17 +251,43 @@ def act_canonical_dense(w, g, lam, fs, grid):
 
 
 class TestActCanonical:
-    @pytest.mark.parametrize("lmax", [8, 32])
+    # odd orders have no equator ring; at lmax 1-3 the band is a few degrees
+    @pytest.mark.parametrize("lmax", [1, 2, 3, 8, 15, 32])
     @pytest.mark.parametrize("sector", ["odd", "even", "full"])
-    def test_matches_dense_body(self, lmax, sector, rng):
+    @pytest.mark.parametrize("cut", [None, 25])   # 25: content up to l = 4, as the harness draws
+    def test_matches_dense_body(self, lmax, sector, cut, rng):
         grid = build_quadrature(lmax)
         radial = log_uniform_grid(0.0625, 32.0, 64)
-        fs = separable_section(radial, gaussian_profile(radial), random_coeffs(lmax, sector, rng))
+        c = np.array(random_coeffs(lmax, sector, rng).c)
+        if cut is not None:
+            c[cut:] = 0.0
+        fs = separable_section(radial, gaussian_profile(radial), HarmonicCoeffs(lmax, sector, c))
         for scale in (0.0025, 1.0):        # 1.0 puts real weight beyond the band
-            w, g, lam = small_w(rng, scale), random_su2(rng), 1.1
-            got = act_canonical(w, g, lam, fs, grid)
-            assert got.sector == sector
-            assert rel_gap(got.c, act_canonical_dense(w, g, lam, fs, grid)) < 1e-12
+            for lam in (1.1, 1.0):
+                w, g = small_w(rng, scale), random_su2(rng)
+                got = act_canonical(w, g, lam, fs, grid)
+                assert got.sector == sector
+                assert rel_gap(got.c, act_canonical_dense(w, g, lam, fs, grid)) < 1e-12
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_section_with_no_degree_gives_zeros(self, order, rng):
+        # an odd section at band 0 carries no degree, and neither does a zero section
+        radial = log_uniform_grid(0.0625, 32.0, 64)
+        for lmax, sector in ((0, "odd"), (0, "even"), (1, "odd"), (1, "full")):
+            fs = FullSection(radial, lmax, sector, np.zeros((64, num_coeffs(lmax))))
+            got = act_canonical(small_w(rng, 1.0), random_su2(rng), 1.1, fs, build_quadrature(order))
+            assert (got.lmax, got.sector, got.c.shape) == (lmax, sector, fs.c.shape)
+            assert np.array_equal(got.c, np.zeros_like(fs.c))
+
+    @pytest.mark.parametrize("cut", [None, 25])
+    def test_band_above_the_grid_raises(self, cut, rng):
+        c = np.array(random_coeffs(9, "odd", rng).c)
+        if cut is not None:
+            c[cut:] = 0.0                 # content up to l = 4 still names the band
+        fs = separable_section(radial64(), gaussian_profile(radial64()),
+                               HarmonicCoeffs(9, "odd", c))
+        with pytest.raises(ValueError, match="cannot project lmax 9"):
+            act_canonical(small_w(rng), random_su2(rng), 1.0, fs, build_quadrature(8))
 
 
 def forward_dense(a, grid):
